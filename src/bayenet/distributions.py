@@ -25,6 +25,7 @@ from .envelope import (
     build_envelope,
     sample_from_envelope,
 )
+from .rng import log_uniform
 from .special import log_std_normal_cdf
 
 _EXP_CLIP = 700.0
@@ -32,13 +33,6 @@ _EXP_CLIP = 700.0
 
 def _exp(t):
     return math.exp(min(t, _EXP_CLIP))
-
-
-def _log_uniform(rng):
-    u = rng.gen.random()
-    while u <= 0.0:
-        u = rng.gen.random()
-    return math.log(u)
 
 
 def _std_normal_lower_truncated(a, rng):
@@ -185,12 +179,12 @@ def _sample_mhn_small_alpha(alpha, beta, gamma, rng):
             x = s * u ** (1.0 / alpha)
             if x <= 0.0:
                 continue
-            if _log_uniform(rng) <= (-beta * x * x - gamma * x) - log_g1:
+            if log_uniform(rng) <= (-beta * x * x - gamma * x) - log_g1:
                 return x
         else:
             x = s + sample_truncated_normal(
                 -c0 - s, 0.5 / beta, "nonnegative", rng)
-            if _log_uniform(rng) <= (alpha - 1.0) * (math.log(x) - math.log(s)):
+            if log_uniform(rng) <= (alpha - 1.0) * (math.log(x) - math.log(s)):
                 return x
 
 

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .rng import log_uniform
+
 
 class EnvelopeError(ValueError):
     """A valid finite-mass hull cannot be built from the given inputs."""
@@ -172,10 +174,7 @@ def sample_from_envelope(target, env, rng, max_iter=100000, tally=None):
             tally[1] += 1
         if not x > target.support_lower:
             continue
-        u = rng.gen.random()
-        while u <= 0.0:
-            u = rng.gen.random()
-        if math.log(u) <= target.log_f(x) - ux:
+        if log_uniform(rng) <= target.log_f(x) - ux:
             if tally is not None:
                 tally[0] += 1
             return x
@@ -243,10 +242,7 @@ def ars_sample(target, init_knots, rng, max_knots=64, max_iter=10000):
         x, ux = env.propose(rng)
         if not x > sl:
             continue
-        u = rng.gen.random()
-        while u <= 0.0:
-            u = rng.gen.random()
-        logw = math.log(u)
+        logw = log_uniform(rng)
         if logw <= _squeeze(xs, hs, x) - ux:
             return x
         hx = target.log_f(x)

@@ -11,13 +11,14 @@ A sweep kind is (algorithm, form, representation):
   Metropolis on the log scale with the Jacobian correction.
 
 Update order within a sweep: beta, then tau2 where present, then the
-scales.  Natural and transformed parameters are re-synchronized after
-every scale move.
+scales.  The state holds only the natural parameters; each rejection
+scale kernel derives the transformed coordinates it conditions on and
+maps its draw back to (sigma2, lambda1, lambda2).
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +30,14 @@ from .distributions import (
     sample_mhn,
     sample_truncated_normal,
 )
-from .model import initial_state, log_posterior_unnorm, rss
+from .model import (
+    from_transformed,
+    initial_state,
+    log_posterior_unnorm,
+    rss,
+    to_transformed,
+)
+from .rng import log_uniform
 from .special import log_std_normal_cdf
 from .tilted import TiltedParams, sample_tilted
 
@@ -83,13 +91,6 @@ def check_sweep_supported(kind, prior):
             "rejection sweeps in the direct representation need L >= 1 "
             "(the rate conditional is not certified log-concave); "
             "use the augmented representation instead")
-
-
-def _log_uniform(rng):
-    u = rng.gen.random()
-    while u <= 0.0:
-        u = rng.gen.random()
-    return math.log(u)
 
 
 def update_beta_coordinate(data, prior, state, j, rng):
@@ -167,40 +168,50 @@ def update_u1_common(data, prior, state, rng):
     Identical in both representations (the augmented beta and tau2 priors
     carry no u1 once written in the transformed coordinates).
     """
+    _, u2, theta = to_transformed(
+        "common", state.sigma2, state.lambda1, state.lambda2)
     order = prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
-    psi = state.u2 ** 2 * prior.nu2 + 2.0 * state.u2 * state.theta * prior.nu1
+    psi = u2 ** 2 * prior.nu2 + 2.0 * u2 * theta * prior.nu1
     chi = rss(data, state.beta) + prior.nu_b
-    state.set_transformed("common", u1=sample_gig(order, psi, chi, rng))
+    u1 = sample_gig(order, psi, chi, rng)
+    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
+        "common", u1, u2, theta)
 
 
 def update_u2_common(data, prior, state, rng):
     """u2 = sqrt(lam2)/sigma: modified half normal."""
     beta = state.beta
+    u1, _, theta = to_transformed(
+        "common", state.sigma2, state.lambda1, state.lambda2)
     alpha = 2.0 * prior.R + prior.L + data.p
     if state.tau2 is None:
-        quad = 0.5 * (state.u1 * prior.nu2 + float(beta @ beta))
-        lin = state.theta * (state.u1 * prior.nu1
-                             + float(np.abs(beta).sum()))
+        quad = 0.5 * (u1 * prior.nu2 + float(beta @ beta))
+        lin = theta * (u1 * prior.nu1 + float(np.abs(beta).sum()))
     else:
         om = np.maximum(1.0 - state.tau2, 1e-14)
-        quad = 0.5 * (state.u1 * prior.nu2
-                      + float(np.sum(beta * beta / om)))
-        lin = state.u1 * state.theta * prior.nu1
-    state.set_transformed("common", u2=sample_mhn(alpha, quad, lin, rng))
+        quad = 0.5 * (u1 * prior.nu2 + float(np.sum(beta * beta / om)))
+        lin = u1 * theta * prior.nu1
+    u2 = sample_mhn(alpha, quad, lin, rng)
+    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
+        "common", u1, u2, theta)
 
 
 def update_theta_common(data, prior, state, rng):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional."""
     p = data.p
+    u1, u2, _ = to_transformed(
+        "common", state.sigma2, state.lambda1, state.lambda2)
     if state.tau2 is None:
         tp = TiltedParams(
             p, prior.L, 0.5 * p,
-            state.u2 * (state.u1 * prior.nu1 + float(np.abs(state.beta).sum())))
+            u2 * (u1 * prior.nu1 + float(np.abs(state.beta).sum())))
     else:
         tp = TiltedParams(
             p, p + prior.L, 0.5 * float(np.sum(1.0 / state.tau2)),
-            state.u1 * state.u2 * prior.nu1)
-    state.set_transformed("common", theta=sample_tilted(tp, rng))
+            u1 * u2 * prior.nu1)
+    theta = sample_tilted(tp, rng)
+    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
+        "common", u1, u2, theta)
 
 
 def update_sigma2_differential_rs(data, prior, state, rng):
@@ -214,9 +225,9 @@ def update_sigma2_differential_rs(data, prior, state, rng):
     beta = state.beta
     p, n = data.p, data.n
     if state.tau2 is None:
-        quad = 0.5 * (rss(data, beta) + state.u2 ** 2 * float(beta @ beta)
+        quad = 0.5 * (rss(data, beta) + state.lambda2 * float(beta @ beta)
                       + prior.nu_b)
-        lin = state.theta * state.u2 * float(np.abs(beta).sum())
+        lin = state.lambda1 * float(np.abs(beta).sum())
         x = sample_mhn(n + p + prior.nu_a - 1.0, quad, lin, rng)
         state.sigma2 = 1.0 / (x * x)
     else:
@@ -224,44 +235,50 @@ def update_sigma2_differential_rs(data, prior, state, rng):
         scale = 0.5 * (prior.nu_b + rss(data, beta)
                        + float(np.sum(beta * beta
                                       * (1.0 / state.tau2
-                                         + state.u2 ** 2))))
+                                         + state.lambda2))))
         state.sigma2 = sample_inverse_gamma(shape, scale, rng)
-    state.u1 = state.sigma2
 
 
 def update_u2_differential(data, prior, state, rng):
     """u2 = sqrt(lam2) under the differential scaling: modified half normal."""
     beta = state.beta
     p = data.p
+    _, _, theta = to_transformed(
+        "differential", state.sigma2, state.lambda1, state.lambda2)
     bb = float(beta @ beta)
     if state.tau2 is None:
         alpha = 2.0 * prior.R + prior.L + p
         quad = 0.5 * (bb / state.sigma2 + prior.nu2)
-        lin = state.theta * (float(np.abs(beta).sum())
-                             / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
+        lin = theta * (float(np.abs(beta).sum())
+                       / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
     else:
         alpha = 2.0 * p + 2.0 * prior.R + prior.L
         quad = 0.5 * (bb / state.sigma2 + prior.nu2
-                      + state.theta ** 2 * float(np.sum(state.tau2)))
-        lin = 0.5 * state.theta * prior.nu1
-    state.set_transformed("differential",
-                          u2=sample_mhn(alpha, quad, lin, rng))
+                      + theta ** 2 * float(np.sum(state.tau2)))
+        lin = 0.5 * theta * prior.nu1
+    u2 = sample_mhn(alpha, quad, lin, rng)
+    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
+        "differential", state.sigma2, u2, theta)
 
 
 def update_theta_differential(data, prior, state, rng):
     """theta = lam1/sqrt(lam2): tail-tilted conditional."""
     p = data.p
+    _, u2, _ = to_transformed(
+        "differential", state.sigma2, state.lambda1, state.lambda2)
     if state.tau2 is None:
         tp = TiltedParams(
             p, prior.L, 0.5 * p,
-            state.u2 * (float(np.abs(state.beta).sum())
-                        / math.sqrt(state.sigma2) + 0.5 * prior.nu1))
+            u2 * (float(np.abs(state.beta).sum())
+                  / math.sqrt(state.sigma2) + 0.5 * prior.nu1))
     else:
         tp = TiltedParams(
             p, p + prior.L,
-            0.5 * (p + state.u2 ** 2 * float(np.sum(state.tau2))),
-            0.5 * state.u2 * prior.nu1)
-    state.set_transformed("differential", theta=sample_tilted(tp, rng))
+            0.5 * (p + u2 ** 2 * float(np.sum(state.tau2))),
+            0.5 * u2 * prior.nu1)
+    theta = sample_tilted(tp, rng)
+    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
+        "differential", state.sigma2, u2, theta)
 
 
 @dataclass
@@ -279,15 +296,14 @@ def mh_update_scales(data, prior, state, steps, rng, counts):
                        ("lambda2", steps.lambda2)):
         cur = getattr(state, name)
         prop = cur * math.exp(step * rng.gen.standard_normal())
-        trial = state.copy_with(**{name: prop})
+        trial = replace(state, **{name: prop})
         trial_lp = log_posterior_unnorm(data, prior, trial)
         counts[name][1] += 1
-        if _log_uniform(rng) < (trial_lp - cur_lp
-                                + math.log(prop) - math.log(cur)):
+        if log_uniform(rng) < (trial_lp - cur_lp
+                               + math.log(prop) - math.log(cur)):
             setattr(state, name, prop)
             cur_lp = trial_lp
             counts[name][0] += 1
-    state.refresh_transformed(prior.form)
 
 
 def run_sweep(kind, data, prior, state, rng, steps=None, counts=None):
@@ -327,7 +343,6 @@ def run_chain(kind, data, prior, rng, iters=10000, burnin=100, thin=1,
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     if state is None:
         state = initial_state(data, prior)
-    state.refresh_transformed(prior.form)
     counts = ({"sigma2": [0, 0], "lambda1": [0, 0], "lambda2": [0, 0]}
               if kind.algorithm == "mh" else {})
     if steps is None:

@@ -13,9 +13,10 @@ are mean-centered, and the intercept is integrated out of the
 likelihood, which contributes an extra factor n^(-1/2) and reduces the
 exponent to (n-1)/2.
 
-The sampler state carries both the natural parameters (sigma2, lambda1,
-lambda2) and the transformed ones (u1, u2, theta) the rejection kernels
-update:
+The sampler state stores only the natural parameters (sigma2, lambda1,
+lambda2).  The rejection kernels draw in the transformed coordinates
+(u1, u2, theta), derived with to_transformed where a kernel needs them
+and mapped back with from_transformed after the draw:
 
 * common:       u1 = sigma^2, u2 = sqrt(lam2)/sigma, theta = lam1/(2 sigma sqrt(lam2))
 * differential: u1 = sigma^2, u2 = sqrt(lam2),       theta = lam1/sqrt(lam2)
@@ -26,7 +27,7 @@ nu_a = nu_b = 0 allowed.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,6 @@ class RegressionData:
         self.xty = self.X.T @ self.y
         self.yty = float(self.y @ self.y)
         self.col_sq_norms = np.diag(self.xtx).copy()
-        self.zero_variance_cols = [
-            j for j in range(self.p) if self.col_sq_norms[j] <= 0.0]
 
 
 @dataclass(frozen=True)
@@ -121,33 +120,11 @@ class ModelState:
     lambda1: float
     lambda2: float
     tau2: np.ndarray = None
-    u1: float = field(init=False, default=0.0)
-    u2: float = field(init=False, default=0.0)
-    theta: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
         if not (self.sigma2 > 0 and self.lambda1 > 0 and self.lambda2 > 0):
             raise ValueError("sigma2, lambda1, lambda2 must be positive")
-
-    def refresh_transformed(self, form):
-        self.u1, self.u2, self.theta = to_transformed(
-            form, self.sigma2, self.lambda1, self.lambda2)
-
-    def set_transformed(self, form, u1=None, u2=None, theta=None):
-        if u1 is not None:
-            self.u1 = u1
-        if u2 is not None:
-            self.u2 = u2
-        if theta is not None:
-            self.theta = theta
-        self.sigma2, self.lambda1, self.lambda2 = from_transformed(
-            form, self.u1, self.u2, self.theta)
-
-    def copy_with(self, **kw):
-        st = replace(self, **kw)
-        st.u1, st.u2, st.theta = self.u1, self.u2, self.theta
-        return st
 
 
 def initial_state(data, prior):
@@ -160,7 +137,6 @@ def initial_state(data, prior):
     )
     if prior.representation == "da":
         state.tau2 = np.full(data.p, 0.5 if prior.form == "common" else 1.0)
-    state.refresh_transformed(prior.form)
     return state
 
 
@@ -278,10 +254,11 @@ def log_posterior_transformed(data, prior, state):
     variables contributes 4 u1^2 u2^2 (common) or 2 u2^2 (differential).
     """
     val = log_posterior_unnorm(data, prior, state)
+    u1, u2, _ = to_transformed(prior.form, state.sigma2, state.lambda1,
+                               state.lambda2)
     if prior.form == "common":
-        return val + math.log(4.0) + 2.0 * (math.log(state.u1)
-                                            + math.log(state.u2))
-    return val + math.log(2.0) + 2.0 * math.log(state.u2)
+        return val + math.log(4.0) + 2.0 * (math.log(u1) + math.log(u2))
+    return val + math.log(2.0) + 2.0 * math.log(u2)
 
 
 def sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng):

@@ -13,7 +13,7 @@ proposal while drawing from the wrong distribution.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -349,11 +349,6 @@ class BetaGrid2d:
         pdf = np.trapezoid(self.weight, self.axis1, axis=0) / self.mass
         return self.axis2, pdf
 
-    def marginal_cdf(self, axis):
-        xs, pdf = self.marginal(axis)
-        c = _cum_trapz(pdf, xs)
-        return CdfTable(xs, c / c[-1], float(np.log(c[-1])))
-
     def mean(self):
         x1, p1 = self.marginal(0)
         x2, p2 = self.marginal(1)
@@ -675,7 +670,6 @@ def beta_kernel_ks_check(n=5000, seed=0, updater=None, form="common"):
     prior = make_prior(form, "direct", preset="weak")
     state = ModelState(beta=np.array([0.6, 1.2]), sigma2=1.3,
                        lambda1=2.0, lambda2=0.9)
-    state.refresh_transformed(form)
     frozen = state.beta.copy()
 
     rng = RngStream(seed, 61)
@@ -717,7 +711,6 @@ def kernel_check_setup(form, representation):
                 else np.array([0.8, 1.6]))
     state = ModelState(beta=np.array([0.6, 1.2]), sigma2=1.3,
                        lambda1=2.0, lambda2=0.9, tau2=tau2)
-    state.refresh_transformed(form)
     return data, prior, state
 
 
@@ -766,18 +759,15 @@ def scale_slice_log_density(data, prior, state, which):
     return lp
 
 
-def _clone_state(state, form):
-    st = ModelState(beta=state.beta.copy(), sigma2=state.sigma2,
-                    lambda1=state.lambda1, lambda2=state.lambda2,
-                    tau2=None if state.tau2 is None else state.tau2.copy())
-    st.refresh_transformed(form)
-    return st
+def _clone_state(state):
+    return replace(state, beta=state.beta.copy(),
+                   tau2=None if state.tau2 is None else state.tau2.copy())
 
 
 def _kernel_refresh_draws(kernel, data, prior, state, n, rng, read):
     out = np.empty(n)
     for i in range(n):
-        st = _clone_state(state, prior.form)
+        st = _clone_state(state)
         kernel(data, prior, st, rng)
         out[i] = read(st)
     return out

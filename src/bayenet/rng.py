@@ -6,6 +6,8 @@ independent streams of the same master seed.  stream_id may be an int or
 a tuple of ints, which lets the harness key streams by grid coordinates.
 """
 
+import math
+
 import numpy as np
 
 
@@ -24,3 +26,11 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def log_uniform(rng):
+    """log U for U uniform on (0, 1); a draw of exactly 0 is redrawn."""
+    u = rng.gen.random()
+    while u <= 0.0:
+        u = rng.gen.random()
+    return math.log(u)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import ess_batch_means, percent_improvement
-from .kernels import SweepKind, run_chain
+from .kernels import ALL_KINDS, SweepKind, run_chain
 from .model import RegressionData, make_prior
 from .rng import RngStream
 
@@ -135,14 +135,7 @@ def _chain_stream(seed, design_id, replicate, kind_label, prior_name):
     return RngStream(seed, (1, design_id, replicate, kind_idx, prior_idx))
 
 
-_KIND_IDS = {
-    f"{alg}-{form}-{rep}": i
-    for i, (alg, form, rep) in enumerate(
-        (alg, form, rep)
-        for alg in ("rs", "mh")
-        for form in ("common", "differential")
-        for rep in ("direct", "da"))
-}
+_KIND_IDS = {kind.label: i for i, kind in enumerate(ALL_KINDS)}
 
 
 @dataclass

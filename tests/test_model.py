@@ -1,6 +1,7 @@
 """Priors, transforms and posterior pieces against quadrature oracles."""
 
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -148,7 +149,6 @@ def test_data_centering_and_flags():
     data = RegressionData(y, X)
     assert np.allclose(data.X.mean(axis=0), 0.0)
     assert abs(data.y.mean()) < 1e-12
-    assert data.zero_variance_cols == [2]
     with pytest.raises(ValueError):
         RegressionData(y[:2], X[:2])
 
@@ -164,9 +164,14 @@ def test_initial_state_published_start():
     assert st0.lambda1 == 1.0 and st0.lambda2 == 1.0
     assert st0.sigma2 == pytest.approx(float(np.var(data.y, ddof=1)))
     assert st0.tau2 is not None and st0.tau2.shape == (4,)
-    assert st0.u1 == pytest.approx(st0.sigma2)
     direct = initial_state(data, make_prior("common", "direct", preset="weak"))
     assert direct.tau2 is None
+
+
+def test_state_stores_natural_scales_only():
+    # the transformed scales are derived where a kernel draws them
+    assert [f.name for f in fields(ModelState)] == [
+        "beta", "sigma2", "lambda1", "lambda2", "tau2"]
 
 
 def test_prior_presets_published_values():

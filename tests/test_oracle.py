@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bayenet.model import (ModelState, RegressionData,
+from bayenet.model import (ModelState, RegressionData, from_transformed,
                            log_posterior_transformed, tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
@@ -320,11 +320,10 @@ def test_scale_slice_matches_transformed_posterior(form, representation,
     def reference(x):
         coords = list(base)
         coords[idx] = x
-        st = ModelState(beta=state.beta.copy(), sigma2=1.0, lambda1=1.0,
-                        lambda2=1.0, tau2=None if state.tau2 is None
+        s2, l1, l2 = from_transformed(form, *coords)
+        st = ModelState(beta=state.beta.copy(), sigma2=s2, lambda1=l1,
+                        lambda2=l2, tau2=None if state.tau2 is None
                         else state.tau2.copy())
-        st.set_transformed(form, u1=coords[0], u2=coords[1],
-                           theta=coords[2])
         return log_posterior_transformed(data, prior, st)
 
     xs = (0.3, 0.8, 1.7, 3.1)
