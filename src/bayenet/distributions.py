@@ -55,6 +55,9 @@ def sample_truncated_normal(mean, var, side, rng):
     """One draw of N(mean, var) restricted to x >= 0 or x < 0."""
     if not var > 0.0:
         raise ValueError("var must be positive")
+    if not math.isfinite(mean):
+        # a nan truncation point would never be accepted
+        raise ValueError(f"mean must be finite, got {mean}")
     s = math.sqrt(var)
     if side == "nonnegative":
         z = _std_normal_lower_truncated(-mean / s, rng)

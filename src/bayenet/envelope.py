@@ -14,12 +14,15 @@ Two entry points:
 Both work on a support of (0, inf) or the whole line.  Hull masses and
 segment inverse CDFs are computed in log space so far-out tangents never
 overflow.
+
+A hull has 7-9 knots and usually serves a single draw, so it is kept in
+plain Python floats and lists: at that size the per-call overhead of
+numpy arrays costs more than the arithmetic.  Segments are found with
+bisect.bisect_right on the bounds or the cumulative weights.
 """
 
-import bisect
 import math
-
-import numpy as np
+from bisect import bisect_right
 
 from .rng import log_uniform
 
@@ -72,67 +75,80 @@ def _segment_inverse_cdf(lo, hi, slope, v):
 
 
 class PiecewiseExpEnvelope:
-    """Tangent hull: segment i carries exp(intercepts[i] + slopes[i]*x)."""
+    """Tangent hull: segment i carries exp(intercepts[i] + slopes[i]*x)
+    on (bounds[i], bounds[i+1])."""
+
+    # built once per draw; slots spare each instance a __dict__
+    __slots__ =("knots", "slopes", "intercepts", "bounds", "log_masses",
+                 "log_total_mass", "_cum")
 
     def __init__(self, knots, slopes, intercepts, bounds, log_masses):
-        self.knots = np.asarray(knots, dtype=float)
-        self.slopes = np.asarray(slopes, dtype=float)
-        self.intercepts = np.asarray(intercepts, dtype=float)
-        self.bounds = np.asarray(bounds, dtype=float)
-        self.log_masses = np.asarray(log_masses, dtype=float)
-        m = self.log_masses.max()
-        w = np.exp(self.log_masses - m)
-        tot = w.sum()
+        self.knots = knots
+        self.slopes = slopes
+        self.intercepts = intercepts
+        self.bounds = bounds
+        self.log_masses = log_masses
+        m = max(log_masses)
+        cum = []
+        tot = 0.0
+        for lm in log_masses:
+            tot += math.exp(lm - m)
+            cum.append(tot)
         self.log_total_mass = m + math.log(tot)
-        self._cum = np.cumsum(w / tot)
+        # the last weight is tot / tot == 1.0 exactly, so a uniform in
+        # [0, 1) always lands on a segment
+        self._cum = [c / tot for c in cum]
 
     def log_value(self, x):
-        i = int(np.searchsorted(self.bounds, x, side="right")) - 1
+        i = bisect_right(self.bounds, x) - 1
         i = min(max(i, 0), len(self.slopes) - 1)
         return self.intercepts[i] + self.slopes[i] * x
 
     def propose(self, rng):
         """One draw from the normalized hull; returns (x, hull log value)."""
-        u = rng.gen.random()
-        i = int(np.searchsorted(self._cum, u, side="right"))
-        i = min(i, len(self.slopes) - 1)
-        v = rng.gen.random()
+        gen = rng.gen
+        i = bisect_right(self._cum, gen.random())
+        v = gen.random()
         while v <= 0.0:
-            v = rng.gen.random()
-        x = _segment_inverse_cdf(self.bounds[i], self.bounds[i + 1],
-                                 self.slopes[i], v)
-        return x, self.intercepts[i] + self.slopes[i] * x
+            v = gen.random()
+        m = self.slopes[i]
+        x = _segment_inverse_cdf(self.bounds[i], self.bounds[i + 1], m, v)
+        return x, self.intercepts[i] + m * x
 
 
 def _hull_from_points(points, support_lower):
     """Assemble the hull from (x, log_f(x), dlog_f(x)) triples."""
-    pts = sorted(points)
-    kept = []
-    for x, h, dh in pts:
-        if not (math.isfinite(x) and math.isfinite(h) and math.isfinite(dh)):
+    isfinite = math.isfinite
+    xs, ms, bs = [], [], []
+    for x, h, dh in sorted(points):
+        if not (isfinite(x) and isfinite(h) and isfinite(dh)):
             continue
-        if kept and dh >= kept[-1][2] - 1e-12 * (1.0 + abs(kept[-1][2])):
+        if ms and dh >= ms[-1] - 1e-12 * (1.0 + abs(ms[-1])):
             # log-concavity makes slopes nonincreasing; merge numerical ties
             continue
-        kept.append((x, h, dh))
-    if not kept:
+        xs.append(x)
+        ms.append(dh)
+        bs.append(h - dh * x)
+    if not xs:
         raise EnvelopeError("no usable knots")
-    if kept[-1][2] >= 0.0:
+    if ms[-1] >= 0.0:
         raise EnvelopeError("rightmost tangent slope must be negative")
-    if not math.isfinite(support_lower) and kept[0][2] <= 0.0:
+    if not isfinite(support_lower) and ms[0] <= 0.0:
         raise EnvelopeError(
             "leftmost tangent slope must be positive on an unbounded support")
-    xs = np.array([p[0] for p in kept])
-    hs = np.array([p[1] for p in kept])
-    ms = np.array([p[2] for p in kept])
-    bs = hs - ms * xs
+    # segment i runs from the tangent crossing with segment i-1 to the one
+    # with segment i+1, clipped to its neighbouring knots
     bounds = [support_lower]
-    for i in range(len(kept) - 1):
+    masses = []
+    lo = support_lower
+    for i in range(len(xs) - 1):
         z = (bs[i + 1] - bs[i]) / (ms[i] - ms[i + 1])
-        bounds.append(min(max(z, xs[i]), xs[i + 1]))
+        hi = min(max(z, xs[i]), xs[i + 1])
+        bounds.append(hi)
+        masses.append(_segment_log_mass(lo, hi, ms[i], bs[i]))
+        lo = hi
     bounds.append(math.inf)
-    masses = [_segment_log_mass(bounds[i], bounds[i + 1], ms[i], bs[i])
-              for i in range(len(kept))]
+    masses.append(_segment_log_mass(lo, math.inf, ms[-1], bs[-1]))
     return PiecewiseExpEnvelope(xs, ms, bs, bounds, masses)
 
 
@@ -157,8 +173,15 @@ def build_envelope(target, K=2):
         knots = [k for k in knots if k > target.support_lower]
         if not any(k < x0 for k in knots):
             knots.append(target.support_lower + 0.5 * (x0 - target.support_lower))
-    pts = [(x, target.log_f(x), target.dlog_f(x)) for x in sorted(set(knots))]
+    log_f, dlog_f = target.log_f, target.dlog_f
+    pts = [(x, log_f(x), dlog_f(x)) for x in sorted(set(knots))]
     return _hull_from_points(pts, target.support_lower)
+
+
+def _describe(target, n_knots):
+    """The target's parameters, for a rejection-failure message."""
+    return (f"mode={target.mode}, curvature={target.curvature}, "
+            f"support=({target.support_lower}, inf), knots={n_knots}")
 
 
 def sample_from_envelope(target, env, rng, max_iter=100000, tally=None):
@@ -178,14 +201,16 @@ def sample_from_envelope(target, env, rng, max_iter=100000, tally=None):
             if tally is not None:
                 tally[0] += 1
             return x
-    raise RuntimeError("envelope sampler failed to accept")
+    raise RuntimeError(
+        f"envelope sampler failed to accept in {max_iter} proposals "
+        f"({_describe(target, len(env.knots))})")
 
 
 def _squeeze(xs, hs, x):
     """Chordal lower bound of the log density; -inf outside the knot span."""
     if x <= xs[0] or x >= xs[-1]:
         return -math.inf
-    i = bisect.bisect_right(xs, x) - 1
+    i = bisect_right(xs, x) - 1
     t = (x - xs[i]) / (xs[i + 1] - xs[i])
     return hs[i] + t * (hs[i + 1] - hs[i])
 
@@ -254,4 +279,6 @@ def ars_sample(target, init_knots, rng, max_knots=64, max_iter=10000):
                 points.append((x, hx, dhx))
                 points.sort()
                 env = None
-    raise RuntimeError("adaptive rejection sampler failed to accept")
+    raise RuntimeError(
+        f"adaptive rejection sampler failed to accept in {max_iter} "
+        f"proposals ({_describe(target, len(points))})")

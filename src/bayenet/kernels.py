@@ -290,14 +290,17 @@ class MhStepSizes:
 
 def mh_update_scales(data, prior, state, steps, rng, counts):
     """Random-walk Metropolis on log sigma2, log lambda1, log lambda2."""
-    cur_lp = log_posterior_unnorm(data, prior, state)
+    # beta does not move in this block, so its residual sum of squares
+    # is computed once for all four log posteriors
+    rss_beta = rss(data, state.beta)
+    cur_lp = log_posterior_unnorm(data, prior, state, rss_beta=rss_beta)
     for name, step in (("sigma2", steps.sigma2),
                        ("lambda1", steps.lambda1),
                        ("lambda2", steps.lambda2)):
         cur = getattr(state, name)
         prop = cur * math.exp(step * rng.gen.standard_normal())
         trial = replace(state, **{name: prop})
-        trial_lp = log_posterior_unnorm(data, prior, trial)
+        trial_lp = log_posterior_unnorm(data, prior, trial, rss_beta=rss_beta)
         counts[name][1] += 1
         if log_uniform(rng) < (trial_lp - cur_lp
                                + math.log(prop) - math.log(cur)):

@@ -45,6 +45,24 @@ PRIOR_PRESETS = {
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def check_finite_cells(y, X):
+    """Raise ValueError naming the first nan or infinite cell.
+
+    Rows are scanned in order, y before the predictors within a row;
+    rows and predictor columns are counted from 1.
+    """
+    ok = np.isfinite(y) & np.isfinite(X).all(axis=1)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    if not math.isfinite(y[i]):
+        where, value = "y", y[i]
+    else:
+        j = int(np.argmin(np.isfinite(X[i])))
+        where, value = f"predictor column {j + 1}", X[i, j]
+    raise ValueError(f"non-finite value {value} in row {i + 1}, {where}")
+
+
 class RegressionData:
     """Centered response/predictors with the cross products kernels reuse."""
 
@@ -55,6 +73,7 @@ class RegressionData:
             raise ValueError("y must be (n,), X must be (n, p)")
         if y.shape[0] < 3:
             raise ValueError("need at least 3 observations")
+        check_finite_cells(y, X)
         self.y = y - y.mean()
         self.X = X - X.mean(axis=0)
         self.n, self.p = X.shape
@@ -144,13 +163,19 @@ def rss(data, beta):
     return float(data.yty - 2.0 * beta @ data.xty + beta @ data.xtx @ beta)
 
 
-def log_integrated_likelihood(data, beta, sigma2):
-    """Likelihood with the flat intercept integrated out."""
+def log_integrated_likelihood(data, beta, sigma2, rss_beta=None):
+    """Likelihood with the flat intercept integrated out.
+
+    rss_beta, when given, must equal rss(data, beta); callers that hold
+    beta fixed across many calls pass it to skip the O(p^2) product.
+    """
     if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
+    if rss_beta is None:
+        rss_beta = rss(data, beta)
     return (-0.5 * (data.n - 1) * (_LOG_2PI + math.log(sigma2))
             - 0.5 * math.log(data.n)
-            - 0.5 * rss(data, beta) / sigma2)
+            - 0.5 * rss_beta / sigma2)
 
 
 def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
@@ -232,9 +257,12 @@ def log_hyperprior(prior, sigma2, lambda1, lambda2):
     return val
 
 
-def log_posterior_unnorm(data, prior, state):
-    """Joint log posterior up to a constant, in the state's representation."""
-    val = log_integrated_likelihood(data, state.beta, state.sigma2)
+def log_posterior_unnorm(data, prior, state, rss_beta=None):
+    """Joint log posterior up to a constant, in the state's representation.
+
+    rss_beta is passed on to log_integrated_likelihood.
+    """
+    val = log_integrated_likelihood(data, state.beta, state.sigma2, rss_beta)
     if prior.representation == "da":
         if state.tau2 is None:
             raise ValueError("augmented state requires tau2")

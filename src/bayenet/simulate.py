@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import ess_batch_means, percent_improvement
 from .kernels import ALL_KINDS, SweepKind, run_chain
-from .model import RegressionData, make_prior
+from .model import RegressionData, check_finite_cells, make_prior
 from .rng import RngStream
 
 RESULT_COLUMNS = ("design", "sampler", "prior", "replicate", "parameter",
@@ -122,6 +122,10 @@ def read_dataset_csv(path):
         raise ValueError(f"{path}: ragged rows or no predictor columns")
     y = vals[:, yi]
     X = np.delete(vals, yi, axis=1)
+    try:
+        check_finite_cells(y, X)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return y, X
 
 

@@ -4,7 +4,6 @@ tolerance.  Runtime bounds are asserted where a guarantee carries one.
 """
 
 import math
-import os
 import statistics
 import time
 

@@ -75,6 +75,27 @@ def test_fit_reads_dataset_file(tmp_path):
     assert header[:3] == ["beta_1", "beta_2", "beta_3"]
 
 
+def test_fit_rejects_nonfinite_dataset_cell(tmp_path, monkeypatch, capsys):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was started on non-finite data")
+
+    monkeypatch.setattr(cli, "run_chain", no_chain)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((10, 3))
+    y = X @ np.array([1.0, -0.5, 0.2])
+    X[4, 1] = np.nan
+    data_path = tmp_path / "data.csv"
+    write_dataset_csv(data_path, y, X)
+    for sampler in ("rs-common-direct", "rs-common-da"):
+        assert main(["fit", "--data", str(data_path), "--sampler", sampler,
+                     "--iters", "150", "--burnin", "20",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {data_path}: non-finite value nan in row 5, "
+                       "predictor column 2\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_row_accounting(tmp_path):
     out = tmp_path / "grid"
     code = main(["simulate", "--sim", "1", "--replicates", "2",

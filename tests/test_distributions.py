@@ -67,6 +67,11 @@ def test_truncated_normal_validates():
         sample_truncated_normal(0.0, 0.0, "nonnegative", RngStream(1))
     with pytest.raises(ValueError):
         sample_truncated_normal(0.0, 1.0, "positive", RngStream(1))
+    # a nan mean used to loop forever in the tail sampler
+    for mean in (math.nan, math.inf, -math.inf):
+        for side in ("nonnegative", "negative"):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                sample_truncated_normal(mean, 1.0, side, RngStream(1))
 
 
 def _ig_logpdf(mu, lam):

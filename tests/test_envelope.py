@@ -16,6 +16,8 @@ from bayenet.envelope import (
     sample_from_envelope,
 )
 from bayenet.rng import RngStream
+from bayenet.tilted import (TiltedParams, d2log_density, dlog_density,
+                            find_mode, log_density)
 
 from helpers import cdf_table, ks_statistic, ks_threshold
 
@@ -33,6 +35,23 @@ def _mhn_322_target():
 
     # mode 0.5, curvature -(a-1)/mode^2 - 2b = -12
     return LogDensityTarget(log_f, dlog_f, 0.0, mode=0.5, curvature=-12.0)
+
+
+def _gig_log_target(lam, psi, chi):
+    """gig(lam, psi, chi) on the log scale, as sample_gig builds it."""
+    x_mode = (lam + math.hypot(lam, math.sqrt(psi * chi))) / psi
+    return LogDensityTarget(
+        lambda t: lam * t - 0.5 * (psi * math.exp(t) + chi * math.exp(-t)),
+        lambda t: lam - 0.5 * (psi * math.exp(t) - chi * math.exp(-t)),
+        support_lower=-math.inf, mode=math.log(x_mode),
+        curvature=-0.5 * (psi * x_mode + chi / x_mode))
+
+
+def _tilted_target(p):
+    mode = find_mode(p)
+    return LogDensityTarget(
+        lambda x: log_density(p, x), lambda x: dlog_density(p, x),
+        support_lower=0.0, mode=mode, curvature=d2log_density(p, mode))
 
 
 def test_segment_log_mass_against_mpmath():
@@ -110,6 +129,29 @@ def test_hull_dominates_target():
         assert env.log_value(x) >= t.log_f(x) - 1e-9
 
 
+@pytest.mark.parametrize("target,K", [
+    (_gig_log_target(0.7, 2.0, 3.0), 3),
+    (_gig_log_target(-4.5, 0.01, 80.0), 3),
+    (_mhn_322_target(), 2),
+    (_tilted_target(TiltedParams(40, 3.0, 25.0, 4.0)), 2),
+    (_tilted_target(TiltedParams(0, 2.0, 1.0, 1.0, 0.5)), 2),
+], ids=["gig", "gig-negative-order", "mhn", "tilted-q40", "tilted-q0"])
+def test_hull_invariants(target, K):
+    env = build_envelope(target, K=K)
+    n = len(env.knots)
+    assert len(env.slopes) == len(env.intercepts) == len(env._cum) == n
+    assert len(env.bounds) == n + 1
+    assert all(a <= b for a, b in zip(env._cum, env._cum[1:]))
+    assert abs(env._cum[-1] - 1.0) <= 1e-15
+    for i in range(n):
+        assert env.bounds[i] <= env.knots[i] <= env.bounds[i + 1]
+    rng = RngStream(31, n)
+    for _ in range(2000):
+        x, ux = env.propose(rng)
+        assert env.bounds[0] <= x <= env.bounds[-1]
+        assert ux == pytest.approx(env.log_value(x), rel=1e-12, abs=1e-12)
+
+
 def test_hull_acceptance_matches_mass_ratio():
     # target mass / hull mass, the exact acceptance probability
     t = _mhn_322_target()
@@ -152,6 +194,25 @@ def test_build_envelope_validates_inputs():
     with pytest.raises(EnvelopeError):
         build_envelope(LogDensityTarget(t.log_f, t.dlog_f, 0.0,
                                         mode=0.5, curvature=None))
+
+
+def test_rejection_failures_name_the_target():
+    t = _mhn_322_target()
+    env = build_envelope(t, K=2)
+    with pytest.raises(RuntimeError) as err:
+        sample_from_envelope(t, env, RngStream(3, 0), max_iter=0)
+    msg = str(err.value)
+    for part in ("in 0 proposals", "mode=0.5", "curvature=-12.0",
+                 "support=(0.0, inf)", "knots=6"):
+        assert part in msg
+    normal = LogDensityTarget(lambda x: -0.5 * x * x, lambda x: -x,
+                              support_lower=-math.inf)
+    with pytest.raises(RuntimeError) as err:
+        ars_sample(normal, [-1.0, 2.0], RngStream(3, 1), max_iter=0)
+    msg = str(err.value)
+    for part in ("adaptive", "in 0 proposals", "mode=None",
+                 "support=(-inf, inf)", "knots=2"):
+        assert part in msg
 
 
 def test_ars_standard_normal_whole_line():

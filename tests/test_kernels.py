@@ -37,10 +37,11 @@ from bayenet.model import (
     from_transformed,
     initial_state,
     log_posterior_transformed,
+    log_posterior_unnorm,
     make_prior,
     to_transformed,
 )
-from bayenet.rng import RngStream
+from bayenet.rng import RngStream, log_uniform
 
 from helpers import cdf_table, ks_statistic, ks_threshold
 
@@ -353,3 +354,44 @@ def test_metropolis_scan_targets_same_posterior():
         pooled = math.sqrt(a.var() / a.size + b.var() / b.size)
         # MH mixes slower; allow a wide multiple of the naive error
         assert abs(a.mean() - b.mean()) < 12.0 * pooled, name
+
+
+def _mh_scales_reference(data, prior, state, steps, rng, counts):
+    """mh_update_scales with the full log posterior at every evaluation."""
+    cur_lp = log_posterior_unnorm(data, prior, state)
+    for name, step in (("sigma2", steps.sigma2),
+                       ("lambda1", steps.lambda1),
+                       ("lambda2", steps.lambda2)):
+        cur = getattr(state, name)
+        prop = cur * math.exp(step * rng.gen.standard_normal())
+        trial = replace(state, **{name: prop})
+        trial_lp = log_posterior_unnorm(data, prior, trial)
+        counts[name][1] += 1
+        if log_uniform(rng) < (trial_lp - cur_lp
+                               + math.log(prop) - math.log(cur)):
+            setattr(state, name, prop)
+            cur_lp = trial_lp
+            counts[name][0] += 1
+
+
+@pytest.mark.parametrize("form,rep", COMBOS)
+def test_mh_scale_block_matches_full_posterior_reference(form, rep):
+    # the block computes rss(beta) once; decisions and states must be
+    # exactly those of recomputing the whole log posterior each time
+    data, prior, state = frozen(form, rep)
+    steps = MhStepSizes(0.8, 1.2, 1.5)
+    fast, ref = clone(state), clone(state)
+    rng_fast, rng_ref = RngStream(77, 1), RngStream(77, 1)
+    names = ("sigma2", "lambda1", "lambda2")
+    counts_fast = {name: [0, 0] for name in names}
+    counts_ref = {name: [0, 0] for name in names}
+    for _ in range(200):
+        mh_update_scales(data, prior, fast, steps, rng_fast, counts_fast)
+        _mh_scales_reference(data, prior, ref, steps, rng_ref, counts_ref)
+        assert counts_fast == counts_ref
+        assert ((fast.sigma2, fast.lambda1, fast.lambda2)
+                == (ref.sigma2, ref.lambda1, ref.lambda2))
+    np.testing.assert_array_equal(fast.beta, ref.beta)
+    for name in names:
+        accepted, proposed = counts_fast[name]
+        assert 0 < accepted < proposed == 200

@@ -153,6 +153,25 @@ def test_data_centering_and_flags():
         RegressionData(y[:2], X[:2])
 
 
+@pytest.mark.parametrize("row,col,value,needle", [
+    (2, None, math.nan, "row 3, y"),
+    (0, 1, math.inf, "row 1, predictor column 2"),
+    (5, 0, -math.inf, "row 6, predictor column 1"),
+])
+def test_data_rejects_nonfinite_cells(row, col, value, needle):
+    X = np.arange(24.0).reshape(8, 3) ** 1.5
+    y = np.arange(8.0)
+    if col is None:
+        y[row] = value
+        X[row, 0] = math.nan  # y is named before the predictors
+    else:
+        X[row, col] = value
+    X[7, 2] = math.nan  # a later bad cell; the first one is named
+    with pytest.raises(ValueError, match="non-finite value") as err:
+        RegressionData(y, X)
+    assert str(err.value).endswith(needle)
+
+
 def test_initial_state_published_start():
     rng = RngStream(302, 1)
     X = rng.gen.standard_normal((30, 4))

@@ -129,6 +129,12 @@ def test_dataset_csv_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="predictor"):
         read_dataset_csv(lone)
 
+    nan_cell = tmp_path / "d.csv"
+    nan_cell.write_text("x1,y\n1.0,2.0\n3.0,nan\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(nan_cell)
+    assert str(err.value) == f"{nan_cell}: non-finite value nan in row 2, y"
+
 
 def test_run_cell_smoke_and_determinism():
     a = run_cell(1, "rs-common-direct", "weak", 0, iters=120, burnin=20,
