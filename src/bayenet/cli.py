@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass, fields
 
 from .diagnostics import summarize
-from .kernels import MhStepSizes, SweepKind, check_sweep_supported, run_chain
+from .kernels import (MhStepSizes, check_sweep_supported, parse_sampler,
+                      run_chain, sampler_label)
 from .model import PRIOR_PRESETS, RegressionData, make_prior
 from .oracle import (appendix_a_demonstration, broken_coordinate_update,
                      run_validation_suite)
@@ -70,66 +71,51 @@ class RunConfig:
     out: str = "."
 
 
-_FIELD_KINDS = {
-    "subcommand": "str", "dataset": "str", "sim": "ints", "sampler": "str",
-    "prior": "str", "L": "float", "nu1": "float", "R": "float",
-    "nu2": "float", "nu_a": "float", "nu_b": "float", "iters": "int",
-    "burnin": "int", "thin": "int", "seed": "int", "sigma2_step": "float",
-    "lambda1_step": "float", "lambda2_step": "float", "replicates": "int",
-    "workers": "int", "a": "float", "b": "float", "lambda1": "float",
-    "lambda2": "float", "p": "int", "n_draws": "int", "quick": "bool",
-    "mutate": "bool", "out": "str",
-}
-
-_FIELD_ORDER = tuple(f.name for f in fields(RunConfig))
+# the annotations are the config schema: each value is parsed and
+# written according to its field's type
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 SUBCOMMANDS = ("fit", "simulate", "validate", "appendix-a")
 
 
+def _int_list(raw):
+    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+
+
 def _format_value(kind, value):
-    if kind == "str":
-        return str(value)
-    if kind == "int":
-        return str(int(value))
-    if kind == "float":
+    if kind is float:
         return f"{float(value):.17g}"
-    if kind == "bool":
+    if kind is bool:
         return "true" if value else "false"
-    if kind == "ints":
+    if kind is tuple:
         return ",".join(str(int(v)) for v in value)
-    raise AssertionError(kind)
+    return str(kind(value))
 
 
-def _convert_value(key, kind, raw):
+def _convert_value(key, raw):
+    kind = _FIELD_TYPES[key]
     try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "false"):
-                return lowered == "true"
-            raise ValueError(raw)
-        if kind == "ints":
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        if kind is bool:
+            if raw.lower() not in ("true", "false"):
+                raise ValueError(raw)
+            return raw.lower() == "true"
+        if kind is tuple:
+            return _int_list(raw)
+        return kind(raw)
     except ValueError:
-        raise UserError(
-            f"config value {key}={raw!r} is not a valid {kind}") from None
-    raise AssertionError(kind)
+        raise UserError(f"config value {key}={raw!r} is not a valid "
+                        f"{kind.__name__}") from None
 
 
 def serialize_config(cfg):
     """Normal form: one key=value line per set field, in declaration
     order; unset fields (None, empty id list) are omitted."""
     lines = []
-    for name in _FIELD_ORDER:
+    for name, kind in _FIELD_TYPES.items():
         value = getattr(cfg, name)
         if value is None or (name == "sim" and not value):
             continue
-        lines.append(f"{name}={_format_value(_FIELD_KINDS[name], value)}")
+        lines.append(f"{name}={_format_value(kind, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -146,7 +132,7 @@ def parse_config_text(text):
                             f"got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_KINDS:
+        if key not in _FIELD_TYPES:
             raise UserError(f"config line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise UserError(f"config line {lineno}: duplicate key {key!r}")
@@ -158,8 +144,7 @@ def config_from_text(text):
     pairs = parse_config_text(text)
     if "subcommand" not in pairs:
         raise UserError("config text does not name a subcommand")
-    values = {key: _convert_value(key, _FIELD_KINDS[key], raw)
-              for key, raw in pairs.items()}
+    values = {key: _convert_value(key, raw) for key, raw in pairs.items()}
     if values["subcommand"] not in SUBCOMMANDS:
         raise UserError(f"unknown subcommand {values['subcommand']!r}")
     return RunConfig(**values)
@@ -184,8 +169,8 @@ def assemble_config(args):
                 f"config file names subcommand {sub!r} but the command "
                 f"line says {args.subcommand!r}")
         for key, raw in pairs.items():
-            values[key] = _convert_value(key, _FIELD_KINDS[key], raw)
-    for name in _FIELD_ORDER:
+            values[key] = _convert_value(key, raw)
+    for name in _FIELD_TYPES:
         if name == "subcommand":
             continue
         flag = getattr(args, name, None)
@@ -200,19 +185,16 @@ def _explicit_prior_values(cfg):
 
 
 def sampler_and_prior(cfg):
-    """Resolve the sweep kind and prior, rejecting unsupported pairs."""
-    try:
-        kind = SweepKind.from_string(cfg.sampler)
-    except ValueError as exc:
-        raise UserError(str(exc)) from None
+    """Resolve the algorithm and prior, rejecting unsupported pairs."""
     explicit = _explicit_prior_values(cfg)
     try:
+        algorithm, form, representation = parse_sampler(cfg.sampler)
         if cfg.prior in PRIOR_PRESETS:
             if explicit:
                 raise UserError(
                     f"prior preset {cfg.prior!r} does not take explicit "
                     "L/nu1/R/nu2 values; use --prior explicit")
-            prior = make_prior(kind.form, kind.representation,
+            prior = make_prior(form, representation,
                                preset=cfg.prior, nu_a=cfg.nu_a,
                                nu_b=cfg.nu_b)
         elif cfg.prior == "explicit":
@@ -221,18 +203,18 @@ def sampler_and_prior(cfg):
             if missing:
                 raise UserError("--prior explicit needs values for "
                                 + ", ".join(missing))
-            prior = make_prior(kind.form, kind.representation,
+            prior = make_prior(form, representation,
                                nu_a=cfg.nu_a, nu_b=cfg.nu_b, **explicit)
         else:
             raise UserError(
                 f"prior must be weak, strong, or explicit, got "
                 f"{cfg.prior!r}")
-        check_sweep_supported(kind, prior)
+        check_sweep_supported(algorithm, prior)
     except UserError:
         raise
     except ValueError as exc:
         raise UserError(str(exc)) from None
-    return kind, prior
+    return algorithm, prior
 
 
 def validate_config(cfg):
@@ -252,8 +234,8 @@ def validate_config(cfg):
         if cfg.iters < 100:
             raise UserError("need at least 100 kept draws for the "
                             "batch-means effective sample size")
-        kind, _ = sampler_and_prior(cfg)
-        if kind.algorithm != "mh" and any(
+        algorithm, _ = sampler_and_prior(cfg)
+        if algorithm != "mh" and any(
                 getattr(cfg, name) != 1.0 for name in
                 ("sigma2_step", "lambda1_step", "lambda2_step")):
             raise UserError("step sizes apply to mh samplers only")
@@ -345,9 +327,9 @@ def _fit_data(cfg):
 
 def cmd_fit(cfg):
     data = _fit_data(cfg)
-    kind, prior = sampler_and_prior(cfg)
+    algorithm, prior = sampler_and_prior(cfg)
     steps = MhStepSizes(cfg.sigma2_step, cfg.lambda1_step, cfg.lambda2_step)
-    chain = run_chain(kind, data, prior, RngStream(cfg.seed, 2),
+    chain = run_chain(algorithm, data, prior, RngStream(cfg.seed, 2),
                       iters=cfg.iters, burnin=cfg.burnin, thin=cfg.thin,
                       steps=steps)
     _ensure_out_dir(cfg)
@@ -356,7 +338,7 @@ def cmd_fit(cfg):
     _write_draws_csv(draws_path, chain)
     _write_summary_csv(summary_path, summarize(chain))
     _write_run_config(cfg)
-    print(f"{kind.label}: kept {chain.draws.shape[0]} draws of "
+    print(f"{chain.kind_label}: kept {chain.draws.shape[0]} draws of "
           f"{len(chain.parameter_names)} parameters "
           f"({chain.wall_ms:.0f} ms)")
     rates = {name: chain.acceptance_rate(name) for name in chain.acceptance}
@@ -368,11 +350,10 @@ def cmd_fit(cfg):
 
 
 def cmd_simulate(cfg):
-    kind, _ = sampler_and_prior(cfg)
-    labels = [kind.label]
-    if kind.algorithm == "rs":
-        labels.append(
-            SweepKind("mh", kind.form, kind.representation).label)
+    algorithm, prior = sampler_and_prior(cfg)
+    labels = [sampler_label(algorithm, prior)]
+    if algorithm == "rs":
+        labels.append(sampler_label("mh", prior))
     rows, failures = run_experiment(
         tuple(cfg.sim), tuple(labels), (cfg.prior,), cfg.replicates,
         iters=cfg.iters, burnin=cfg.burnin, seed=cfg.seed,
@@ -460,10 +441,6 @@ def _add_chain_flags(parser):
     parser.add_argument("--lambda2-step", type=float, dest="lambda2_step")
 
 
-def _int_list(raw):
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
 def build_parser():
     parser = _Parser(
         prog="bayenet",
@@ -519,9 +496,7 @@ def main(argv=None):
         cfg = assemble_config(args)
         validate_config(cfg)
         return _DISPATCH[cfg.subcommand](cfg)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # UserError is a ValueError
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

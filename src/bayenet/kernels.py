@@ -1,14 +1,19 @@
 """Full-conditional updates and sweep drivers.
 
-A sweep kind is (algorithm, form, representation):
+A sampler is an algorithm plus a prior.  The prior (PriorSpec) carries
+the form (common or differential) and the representation (direct or
+data-augmented); the algorithm is one of
 
-* algorithm "rs": every block is drawn exactly by rejection sampling.
+* "rs": every block is drawn exactly by rejection sampling.
   The scale parameters are updated in the transformed coordinates
   (u1, u2, theta), whose full conditionals are generalized inverse
   Gaussian, modified half normal, and tail-tilted respectively.
-* algorithm "mh": beta (and tau2 in the augmented representation) keep
+* "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale with the Jacobian correction.
+
+A sampler's label is "algorithm-form-representation", e.g.
+"rs-differential-da"; SAMPLERS lists all eight in a fixed order.
 
 Update order within a sweep: beta, then tau2 where present, then the
 scales.  The state holds only the natural parameters; each rejection
@@ -31,6 +36,8 @@ from .distributions import (
     sample_truncated_normal,
 )
 from .model import (
+    FORMS,
+    REPRESENTATIONS,
     from_transformed,
     initial_state,
     log_posterior_unnorm,
@@ -43,49 +50,32 @@ from .tilted import TiltedParams, sample_tilted
 
 ALGORITHMS = ("rs", "mh")
 
-
-@dataclass(frozen=True)
-class SweepKind:
-    algorithm: str
-    form: str
-    representation: str
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.form not in ("common", "differential"):
-            raise ValueError("form must be 'common' or 'differential'")
-        if self.representation not in ("direct", "da"):
-            raise ValueError("representation must be 'direct' or 'da'")
-
-    @classmethod
-    def from_string(cls, text):
-        parts = text.strip().lower().split("-")
-        if len(parts) != 3:
-            raise ValueError(
-                "sampler must look like 'rs-common-direct' or "
-                "'mh-differential-da'")
-        return cls(*parts)
-
-    @property
-    def label(self):
-        return f"{self.algorithm}-{self.form}-{self.representation}"
+SAMPLERS = tuple(f"{algorithm}-{form}-{representation}"
+                 for algorithm in ALGORITHMS
+                 for form in FORMS
+                 for representation in REPRESENTATIONS)
 
 
-ALL_KINDS = tuple(
-    SweepKind(alg, form, rep)
-    for alg in ALGORITHMS
-    for form in ("common", "differential")
-    for rep in ("direct", "da"))
+def parse_sampler(text):
+    """(algorithm, form, representation) of a label in SAMPLERS."""
+    label = text.strip().lower()
+    if label not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {', '.join(SAMPLERS)}; "
+                         f"got {text!r}")
+    return tuple(label.split("-"))
 
 
-def check_sweep_supported(kind, prior):
+def sampler_label(algorithm, prior):
+    """The label, as in SAMPLERS, of `algorithm` run on `prior`."""
+    return f"{algorithm}-{prior.form}-{prior.representation}"
+
+
+def check_sweep_supported(algorithm, prior):
     """Reject combinations whose conditionals fall outside the certified
     log-concave family."""
-    if prior.form != kind.form or prior.representation != kind.representation:
-        raise ValueError(
-            "prior and sweep kind disagree on form/representation")
-    if (kind.algorithm == "rs" and kind.representation == "direct"
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    if (algorithm == "rs" and prior.representation == "direct"
             and prior.L < 1.0):
         raise ValueError(
             "rejection sweeps in the direct representation need L >= 1 "
@@ -309,15 +299,15 @@ def mh_update_scales(data, prior, state, steps, rng, counts):
             counts[name][0] += 1
 
 
-def run_sweep(kind, data, prior, state, rng, steps=None, counts=None):
+def run_sweep(algorithm, data, prior, state, rng, steps=None, counts=None):
     """One full scan over all blocks; mutates and returns the state."""
-    if kind.representation == "direct":
+    if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
     else:
         update_beta_block(data, prior, state, rng)
         update_tau2(data, prior, state, rng)
-    if kind.algorithm == "rs":
-        if kind.form == "common":
+    if algorithm == "rs":
+        if prior.form == "common":
             update_u1_common(data, prior, state, rng)
             update_u2_common(data, prior, state, rng)
             update_theta_common(data, prior, state, rng)
@@ -334,20 +324,20 @@ def run_sweep(kind, data, prior, state, rng, steps=None, counts=None):
     return state
 
 
-def run_chain(kind, data, prior, rng, iters=10000, burnin=100, thin=1,
+def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1,
               state=None, steps=None):
     """Run burnin + iters*thin sweeps and keep iters draws.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
     """
-    check_sweep_supported(kind, prior)
+    check_sweep_supported(algorithm, prior)
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     if state is None:
         state = initial_state(data, prior)
     counts = ({"sigma2": [0, 0], "lambda1": [0, 0], "lambda2": [0, 0]}
-              if kind.algorithm == "mh" else {})
+              if algorithm == "mh" else {})
     if steps is None:
         steps = MhStepSizes()
     p = data.p
@@ -355,7 +345,7 @@ def run_chain(kind, data, prior, rng, iters=10000, burnin=100, thin=1,
     k = 0
     t0 = time.perf_counter()
     for it in range(burnin + iters * thin):
-        run_sweep(kind, data, prior, state, rng, steps, counts)
+        run_sweep(algorithm, data, prior, state, rng, steps, counts)
         if it >= burnin and (it - burnin) % thin == 0 and k < iters:
             kept[k, :p] = state.beta
             kept[k, p] = state.sigma2
@@ -370,7 +360,7 @@ def run_chain(kind, data, prior, rng, iters=10000, burnin=100, thin=1,
     return ChainOutput(
         draws=draws,
         parameter_names=names,
-        kind_label=kind.label,
+        kind_label=sampler_label(algorithm, prior),
         acceptance={name: tuple(v) for name, v in counts.items()},
         wall_ms=wall_ms,
     )

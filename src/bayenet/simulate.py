@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import ess_batch_means, percent_improvement
-from .kernels import ALL_KINDS, SweepKind, run_chain
-from .model import RegressionData, check_finite_cells, make_prior
+from .kernels import SAMPLERS, parse_sampler, run_chain, sampler_label
+from .model import (PRIOR_PRESETS, RegressionData, check_finite_cells,
+                    make_prior)
 from .rng import RngStream
 
 RESULT_COLUMNS = ("design", "sampler", "prior", "replicate", "parameter",
@@ -134,12 +135,16 @@ def _data_stream(seed, design_id, replicate):
 
 
 def _chain_stream(seed, design_id, replicate, kind_label, prior_name):
-    kind_idx = _KIND_IDS[kind_label]
-    prior_idx = {"weak": 0, "strong": 1}[prior_name]
-    return RngStream(seed, (1, design_id, replicate, kind_idx, prior_idx))
+    return RngStream(seed, (1, design_id, replicate, _KIND_IDS[kind_label],
+                            _PRIOR_IDS[prior_name]))
 
 
-_KIND_IDS = {kind.label: i for i, kind in enumerate(ALL_KINDS)}
+# stream ids: reordering SAMPLERS or PRIOR_PRESETS changes every chain
+_KIND_IDS = {label: i for i, label in enumerate(SAMPLERS)}
+_PRIOR_IDS = {name: i for i, name in enumerate(PRIOR_PRESETS)}
+
+# the algorithm every rejection sweep's ESS is compared against
+BASELINE = "mh"
 
 
 @dataclass
@@ -162,14 +167,16 @@ def run_cell(design_id, kind_label, prior_name, replicate,
         dsg = design(design_id)
         y, X = generate_dataset(dsg, _data_stream(seed, design_id, replicate))
         data = RegressionData(y, X)
-        kind = SweepKind.from_string(kind_label)
-        prior = make_prior(kind.form, kind.representation, preset=prior_name)
-        rng = _chain_stream(seed, design_id, replicate, kind.label, prior_name)
-        out = run_chain(kind, data, prior, rng, iters=iters, burnin=burnin)
+        algorithm, form, representation = parse_sampler(kind_label)
+        prior = make_prior(form, representation, preset=prior_name)
+        rng = _chain_stream(seed, design_id, replicate,
+                            sampler_label(algorithm, prior), prior_name)
+        out = run_chain(algorithm, data, prior, rng, iters=iters,
+                        burnin=burnin)
         ess = {name: ess_batch_means(out.column(name))
                for name in out.parameter_names}
         acc = {name: out.acceptance_rate(name) for name in out.acceptance}
-        return CellResult(design_id, kind.label, prior_name, replicate,
+        return CellResult(design_id, out.kind_label, prior_name, replicate,
                           ess=ess, acceptance=acc, wall_ms=out.wall_ms)
     except Exception as exc:
         return CellResult(design_id, kind_label, prior_name, replicate,
@@ -181,11 +188,10 @@ def _run_cell_args(args):
 
 
 def run_experiment(design_ids, sampler_labels, prior_names, replicates,
-                   iters=10000, burnin=100, seed=0, baseline="mh",
-                   workers=None):
+                   iters=10000, burnin=100, seed=0, workers=None):
     """Run the full grid; returns (result rows, failed cells).
 
-    A rejection sweep's pct_improvement is measured against the baseline
+    A rejection sweep's pct_improvement is measured against the BASELINE
     algorithm with the same form, representation, prior, design, and
     replicate (hence the same dataset); it is None when that cell is
     absent or failed.
@@ -210,8 +216,8 @@ def run_experiment(design_ids, sampler_labels, prior_names, replicates,
     for c in good:
         alg, form, rep = c.sampler.split("-")
         base = None
-        if alg != baseline:
-            base = by_key.get((c.design_id, f"{baseline}-{form}-{rep}",
+        if alg != BASELINE:
+            base = by_key.get((c.design_id, f"{BASELINE}-{form}-{rep}",
                                c.prior_name, c.replicate))
         for name, ess in c.ess.items():
             pct = None

@@ -102,9 +102,11 @@ def mode_bounds(p):
 
 
 def _bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
+    # relative stop: every bracket here is positive, and an absolute one
+    # would stop far from a mode near zero
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= tol * mid:
             return mid
         if f(mid) > 0.0:
             lo = mid
@@ -122,7 +124,9 @@ def find_mode(p, tol=1e-10):
     df = lambda x: dlog_density(p, x)
     if p.q >= 1:
         lo, hi = mode_bounds(p)
-        if lo <= 0.0:
+        # for a within a few ulps of 1, rounding in mode_bounds can put
+        # a tiny lower bound at or above the mode
+        if lo <= 0.0 or df(lo) <= 0.0:
             lo = min(hi, 1.0) * 1e-12
             if df(lo) <= 0.0:
                 return 0.0

@@ -13,7 +13,7 @@ from bayenet.cli import main as cli_main
 from bayenet.diagnostics import ess_batch_means
 from bayenet.envelope import (LogDensityTarget, build_envelope,
                               sample_from_envelope)
-from bayenet.kernels import SweepKind, run_chain
+from bayenet.kernels import parse_sampler, run_chain
 from bayenet.model import (ModelState, RegressionData, log_posterior_unnorm,
                            make_prior)
 from bayenet.oracle import (_gordon_check, _prior_equivalence_check,
@@ -118,9 +118,9 @@ def test_06_rejection_and_metropolis_chains_agree():
     t0 = time.perf_counter()
     outs = {}
     for label in ("rs-differential-da", "mh-differential-da"):
-        kind = SweepKind.from_string(label)
-        prior = make_prior(kind.form, kind.representation, preset="weak")
-        outs[label] = run_chain(kind, data, prior,
+        algorithm, form, representation = parse_sampler(label)
+        prior = make_prior(form, representation, preset="weak")
+        outs[label] = run_chain(algorithm, data, prior,
                                 RngStream(0, (6, label == "mh")),
                                 iters=10000, burnin=500)
     elapsed = time.perf_counter() - t0

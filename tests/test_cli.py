@@ -139,6 +139,8 @@ def test_simulate_row_accounting(tmp_path):
     (["simulate", "--sim", "1", "--prior", "explicit", "--L", "2.0",
       "--nu1", "1", "--R", "1", "--nu2", "1"], "presets"),
     (["nonsense"], "invalid choice"),
+    (["fit", "--sim", "1", "--sampler", "rs-common"],
+     "sampler must be one of"),
 ])
 def test_user_errors_exit_1_with_one_line(argv, needle, capsys):
     assert main(argv) == 1
@@ -205,14 +207,15 @@ def test_config_text_rejections(text, needle):
         config_from_text("subcommand=fit\n" + text)
 
 
-def test_validate_quick_passes_and_mutation_fails(capsys):
-    assert main(["validate", "--quick"]) == 0
-    out = capsys.readouterr().out
+def test_validate_quick_passes_and_mutation_fails(validate_quick,
+                                                  validate_quick_mutant):
+    assert validate_quick.code == 0
+    out = validate_quick.out
     assert "FAIL" not in out
     assert "coefficient-kernel-ks" in out
 
-    assert main(["validate", "--quick", "--mutate-kernel"]) == 2
-    out = capsys.readouterr().out
+    assert validate_quick_mutant.code == 2
+    out = validate_quick_mutant.out
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed and all("coefficient-kernel-ks" in line
                           for line in failed)

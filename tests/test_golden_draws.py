@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from bayenet.kernels import ALL_KINDS, run_chain
+from bayenet.kernels import SAMPLERS, parse_sampler, run_chain
 from bayenet.model import RegressionData, make_prior
 from bayenet.rng import RngStream
 from bayenet.simulate import design, generate_dataset
@@ -31,11 +31,11 @@ RTOL = 1e-9
 
 def golden_chain(kind_index):
     """Draws (beta, sigma2, lambda1, lambda2) of one sampler on design 1."""
-    kind = ALL_KINDS[kind_index]
+    algorithm, form, representation = parse_sampler(SAMPLERS[kind_index])
     y, X = generate_dataset(design(1), RngStream(SEED, 0))
     data = RegressionData(y, X)
-    prior = make_prior(kind.form, kind.representation, preset="weak")
-    out = run_chain(kind, data, prior, RngStream(SEED, (1, kind_index)),
+    prior = make_prior(form, representation, preset="weak")
+    out = run_chain(algorithm, data, prior, RngStream(SEED, (1, kind_index)),
                     iters=SWEEPS, burnin=0)
     return out.draws[:, :data.p + 3], out.parameter_names[:data.p + 3]
 
@@ -54,22 +54,21 @@ def write_fixture():
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w", newline="") as fh:
         w = csv.writer(fh)
-        for i, kind in enumerate(ALL_KINDS):
+        for i, label in enumerate(SAMPLERS):
             draws, names = golden_chain(i)
             if i == 0:
                 w.writerow(["sampler", "sweep"] + names)
             for t, row in enumerate(draws):
-                w.writerow([kind.label, t + 1]
+                w.writerow([label, t + 1]
                            + [f"{v:.17g}" for v in row])
 
 
-@pytest.mark.parametrize("kind_index", range(len(ALL_KINDS)),
-                         ids=[k.label for k in ALL_KINDS])
+@pytest.mark.parametrize("kind_index", range(len(SAMPLERS)), ids=SAMPLERS)
 def test_golden_draws(kind_index):
     names, table = read_fixture()
     draws, got_names = golden_chain(kind_index)
     assert got_names == names
-    want = table[ALL_KINDS[kind_index].label]
+    want = table[SAMPLERS[kind_index]]
     assert want.shape == draws.shape
     np.testing.assert_allclose(draws, want, rtol=RTOL, atol=0.0)
 

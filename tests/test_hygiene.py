@@ -37,3 +37,51 @@ def test_no_unused_imports():
              for p in SCANNED
              for line, name in unused_imports(p.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def top_level_definitions(source):
+    """(line, name) of each function and class defined at module level."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+
+
+def referenced_names(source):
+    """Every name a module reads, imports, or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def unreferenced_definitions(defining, used):
+    """(line, name) of each top-level definition in `defining` whose
+    name is not in `used`."""
+    return [(line, name) for line, name in top_level_definitions(defining)
+            if name not in used]
+
+
+def test_scanner_finds_unreferenced_definitions():
+    lib = ("def used():\n    return 1\n\ndef helper():\n    return 2\n\n"
+           "def orphan():\n    return used()\n\nclass Gone:\n    pass\n\n"
+           "class Kept:\n    pass\n")
+    user = "from lib import helper\nimport lib\nlib.Kept()\n"
+    used = referenced_names(lib) | referenced_names(user)
+    assert unreferenced_definitions(lib, used) == [
+        (7, "orphan"), (10, "Gone")]
+
+
+def test_no_unreferenced_definitions():
+    src_files = sorted((ROOT / "src" / "bayenet").glob("*.py"))
+    used = set().union(*(
+        referenced_names(p.read_text())
+        for p in src_files + sorted((ROOT / "tests").glob("*.py"))))
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}"
+             for p in src_files
+             for line, name in unreferenced_definitions(p.read_text(), used)]
+    assert not found, "defined but never referenced:\n" + "\n".join(found)

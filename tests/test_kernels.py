@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from bayenet.kernels import (
-    ALL_KINDS,
+    SAMPLERS,
     MhStepSizes,
-    SweepKind,
     check_sweep_supported,
     mh_update_scales,
+    parse_sampler,
     run_chain,
     run_sweep,
     update_beta_block,
@@ -82,11 +82,10 @@ def frozen(form, representation):
     if key not in _FROZEN:
         data = make_data()
         prior = make_prior(form, representation, preset="weak")
-        kind = SweepKind("rs", form, representation)
         state = initial_state(data, prior)
         rng = RngStream(42, COMBOS.index(key))
         for _ in range(30):
-            run_sweep(kind, data, prior, state, rng)
+            run_sweep("rs", data, prior, state, rng)
         _FROZEN[key] = (data, prior, state)
     data, prior, state = _FROZEN[key]
     return data, prior, clone(state)
@@ -255,17 +254,18 @@ def test_block_coefficient_update_moments(form):
     assert np.allclose(sample_cov, cov, rtol=0.08, atol=1e-5)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
-def test_sweep_keeps_transforms_in_sync(kind):
+@pytest.mark.parametrize("label", SAMPLERS)
+def test_sweep_keeps_transforms_in_sync(label):
+    algorithm, form, representation = parse_sampler(label)
     data = make_data()
-    prior = make_prior(kind.form, kind.representation, preset="weak")
+    prior = make_prior(form, representation, preset="weak")
     state = initial_state(data, prior)
     rng = RngStream(707, 3)
     for _ in range(5):
-        run_sweep(kind, data, prior, state, rng)
-        if kind.representation == "da":
+        run_sweep(algorithm, data, prior, state, rng)
+        if representation == "da":
             assert state.tau2 is not None
-            if kind.form == "common":
+            if form == "common":
                 assert np.all((state.tau2 > 0) & (state.tau2 < 1))
             else:
                 assert np.all(state.tau2 > 0)
@@ -273,38 +273,32 @@ def test_sweep_keeps_transforms_in_sync(kind):
 
 def test_direct_rejection_refuses_small_shape():
     prior = make_prior("common", "direct", L=0.5, nu1=1.0, R=1.0, nu2=1.0)
-    kind = SweepKind("rs", "common", "direct")
     with pytest.raises(ValueError, match="augmented"):
-        check_sweep_supported(kind, prior)
+        check_sweep_supported("rs", prior)
     # the Metropolis scan has no such restriction
-    check_sweep_supported(SweepKind("mh", "common", "direct"), prior)
+    check_sweep_supported("mh", prior)
+    with pytest.raises(ValueError, match="algorithm"):
+        check_sweep_supported("gibbs", prior)
 
 
-def test_kind_prior_mismatch_rejected():
-    prior = make_prior("common", "da", preset="weak")
-    with pytest.raises(ValueError, match="disagree"):
-        check_sweep_supported(SweepKind("rs", "differential", "da"), prior)
-    with pytest.raises(ValueError, match="disagree"):
-        check_sweep_supported(SweepKind("rs", "common", "direct"), prior)
-
-
-def test_kind_parsing():
-    kind = SweepKind.from_string("rs-common-direct")
-    assert kind == SweepKind("rs", "common", "direct")
-    assert kind.label == "rs-common-direct"
-    with pytest.raises(ValueError):
-        SweepKind.from_string("rs-common")
-    with pytest.raises(ValueError):
-        SweepKind.from_string("gibbs-common-direct")
-    with pytest.raises(ValueError):
-        SweepKind("rs", "shared", "direct")
+def test_parse_sampler():
+    assert parse_sampler("rs-common-direct") == ("rs", "common", "direct")
+    assert parse_sampler(" MH-Differential-DA ") == (
+        "mh", "differential", "da")
+    assert SAMPLERS == (
+        "rs-common-direct", "rs-common-da", "rs-differential-direct",
+        "rs-differential-da", "mh-common-direct", "mh-common-da",
+        "mh-differential-direct", "mh-differential-da")
+    for text in ("rs-common", "gibbs-common-direct", "rs-shared-direct",
+                 "rs-common-augmented", "rs-common-direct-da", ""):
+        with pytest.raises(ValueError, match="sampler must be one of"):
+            parse_sampler(text)
 
 
 def test_run_chain_output_layout():
     data = make_data()
     prior = make_prior("differential", "da", preset="weak")
-    kind = SweepKind("rs", "differential", "da")
-    out = run_chain(kind, data, prior, RngStream(808, 0),
+    out = run_chain("rs", data, prior, RngStream(808, 0),
                     iters=50, burnin=10, thin=2)
     assert out.draws.shape == (50, data.p + 7)
     assert out.kind_label == "rs-differential-da"
@@ -321,14 +315,13 @@ def test_run_chain_output_layout():
     with pytest.raises(KeyError):
         out.column("nope")
     with pytest.raises(ValueError):
-        run_chain(kind, data, prior, RngStream(1, 1), iters=0)
+        run_chain("rs", data, prior, RngStream(1, 1), iters=0)
 
 
 def test_run_chain_metropolis_acceptance_rates():
     data = make_data()
     prior = make_prior("common", "direct", preset="weak")
-    kind = SweepKind("mh", "common", "direct")
-    out = run_chain(kind, data, prior, RngStream(909, 0),
+    out = run_chain("mh", data, prior, RngStream(909, 0),
                     iters=400, burnin=50)
     for name in ("sigma2", "lambda1", "lambda2"):
         rate = out.acceptance_rate(name)
@@ -344,8 +337,7 @@ def test_metropolis_scan_targets_same_posterior():
     res = {}
     for alg in ("rs", "mh"):
         prior = make_prior("common", "direct", preset="weak")
-        kind = SweepKind(alg, "common", "direct")
-        out = run_chain(kind, data, prior, RngStream(414, 7),
+        out = run_chain(alg, data, prior, RngStream(414, 7),
                         iters=20000, burnin=500)
         res[alg] = out
     for name in ("sigma2", "lambda1", "lambda2", "beta_1"):

@@ -24,7 +24,6 @@ from bayenet.oracle import (
     prior_equivalence_check,
     quadrature_cdf,
     ridge_mean,
-    run_validation_suite,
     sample_hierarchical_beta,
     scale_slice_log_density,
     sweep_coordinates,
@@ -273,8 +272,10 @@ def test_appendix_a_rejects_improper_target():
         appendix_a_demonstration(-1.0, 3.0, 1.0, 1.0, 8)
 
 
-def test_validation_suite_quick_all_pass():
-    checks = run_validation_suite(seed=0, quick=True)
+def test_validation_suite_quick_all_pass(validate_quick):
+    assert validate_quick.suite_kwargs == dict(seed=0, quick=True,
+                                               beta_updater=None)
+    checks = validate_quick.checks
     names = [c.name for c in checks]
     assert len(names) == len(set(names))
     for expect in ("quadrature-self-test", "ks-gig", "ks-tilted-q4",
@@ -289,9 +290,10 @@ def test_validation_suite_quick_all_pass():
     assert not failed, failed
 
 
-def test_validation_suite_reports_injected_mutation():
-    checks = run_validation_suite(seed=0, quick=True,
-                                  beta_updater=broken_coordinate_update)
+def test_validation_suite_reports_injected_mutation(validate_quick_mutant):
+    assert validate_quick_mutant.suite_kwargs == dict(
+        seed=0, quick=True, beta_updater=broken_coordinate_update)
+    checks = validate_quick_mutant.checks
     by_name = {c.name: c for c in checks}
     assert not by_name["coefficient-kernel-ks"].passed
     others = [c for c in checks if c.name != "coefficient-kernel-ks"]

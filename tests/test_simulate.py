@@ -6,6 +6,7 @@ import pytest
 from bayenet.rng import RngStream
 from bayenet.simulate import (
     RESULT_COLUMNS,
+    _chain_stream,
     design,
     generate_dataset,
     read_dataset_csv,
@@ -134,6 +135,19 @@ def test_dataset_csv_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError) as err:
         read_dataset_csv(nan_cell)
     assert str(err.value) == f"{nan_cell}: non-finite value nan in row 2, y"
+
+
+def test_chain_stream_ids_are_pinned():
+    # the ids are part of every simulate chain's seed, so reordering the
+    # sampler or preset tables must fail here rather than move results
+    labels = ("rs-common-direct", "rs-common-da", "rs-differential-direct",
+              "rs-differential-da", "mh-common-direct", "mh-common-da",
+              "mh-differential-direct", "mh-differential-da")
+    for kind_id, label in enumerate(labels):
+        for prior_id, prior_name in enumerate(("weak", "strong")):
+            got = _chain_stream(5, 3, 2, label, prior_name).gen.random(4)
+            want = RngStream(5, (1, 3, 2, kind_id, prior_id)).gen.random(4)
+            np.testing.assert_array_equal(got, want)
 
 
 def test_run_cell_smoke_and_determinism():

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bayenet.rng import RngStream
 from bayenet.tilted import (
@@ -127,6 +127,12 @@ def test_mode_bounds_rejects_uncertified():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.floats(1.0, 6.0), st.floats(0.0, 3.0),
        st.floats(0.05, 4.0))
+# modes of about 1e-15 and 1e-16: the first is far below the bracket
+# width an absolute stop accepts, the second below the rounded lower
+# bound of mode_bounds
+@example(q=1, a=1.0000000000000002, b_extra=0.0, c=1.0)
+@example(q=1, a=1.0000000000000002, b_extra=0.5412782301114079,
+         c=3.8558216968412675)
 def test_mode_always_inside_bracket(q, a, b_extra, c):
     p = TiltedParams(q, a, 0.5 * q + b_extra, c)
     lo, hi = mode_bounds(p)
