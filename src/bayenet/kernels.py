@@ -23,7 +23,7 @@ maps its draw back to (sigma2, lambda1, lambda2).
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .distributions import (
 from .model import (
     FORMS,
     REPRESENTATIONS,
+    coefficient_sums,
     from_transformed,
     initial_state,
     log_posterior_unnorm,
@@ -280,23 +281,24 @@ class MhStepSizes:
 
 def mh_update_scales(data, prior, state, steps, rng, counts):
     """Random-walk Metropolis on log sigma2, log lambda1, log lambda2."""
-    # beta does not move in this block, so its residual sum of squares
-    # is computed once for all four log posteriors
-    rss_beta = rss(data, state.beta)
-    cur_lp = log_posterior_unnorm(data, prior, state, rss_beta=rss_beta)
+    # beta and tau2 do not move in this block, so the sums the log
+    # posterior reads from them are reduced once for all four calls
+    sums = coefficient_sums(data, prior, state)
+    cur_lp = log_posterior_unnorm(data, prior, state, sums)
     for name, step in (("sigma2", steps.sigma2),
                        ("lambda1", steps.lambda1),
                        ("lambda2", steps.lambda2)):
         cur = getattr(state, name)
         prop = cur * math.exp(step * rng.gen.standard_normal())
-        trial = replace(state, **{name: prop})
-        trial_lp = log_posterior_unnorm(data, prior, trial, rss_beta=rss_beta)
+        setattr(state, name, prop)
+        trial_lp = log_posterior_unnorm(data, prior, state, sums)
         counts[name][1] += 1
         if log_uniform(rng) < (trial_lp - cur_lp
                                + math.log(prop) - math.log(cur)):
-            setattr(state, name, prop)
             cur_lp = trial_lp
             counts[name][0] += 1
+        else:
+            setattr(state, name, cur)
 
 
 def run_sweep(algorithm, data, prior, state, rng, steps=None, counts=None):

@@ -28,6 +28,7 @@ nu_a = nu_b = 0 allowed.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,41 +164,129 @@ def rss(data, beta):
     return float(data.yty - 2.0 * beta @ data.xty + beta @ data.xtx @ beta)
 
 
-def log_integrated_likelihood(data, beta, sigma2, rss_beta=None):
-    """Likelihood with the flat intercept integrated out.
+class CoefficientSums(NamedTuple):
+    """What the joint log density reads from (beta, tau2), reduced once.
 
-    rss_beta, when given, must equal rss(data, beta); callers that hold
-    beta fixed across many calls pass it to skip the O(p^2) product.
+    Only the fields of the prior's form and representation are set; the
+    others keep their zero defaults.
+
+    * always: rss (nan where no likelihood is evaluated) and p;
+    * direct: bb = b'b, b1 = |b|_1;
+    * augmented, common: log_tau2 = sum log tau2, inv_tau2 = sum 1/tau2,
+      log_w = sum log(1 - tau2), beta2_w = sum beta^2/(1 - tau2);
+    * augmented, differential: log_tau2, bb, tau2 = sum tau2,
+      beta2_w = sum beta^2/tau2.
+
+    in_support is False when some tau2 lies outside its prior's support,
+    (0, 1) for the common form and (0, inf) for the differential one;
+    the sums of the augmented representation are then left unset.
     """
+    p: int
+    rss: float = math.nan
+    bb: float = 0.0
+    b1: float = 0.0
+    log_tau2: float = 0.0
+    inv_tau2: float = 0.0
+    tau2: float = 0.0
+    log_w: float = 0.0
+    beta2_w: float = 0.0
+    in_support: bool = True
+
+
+def _sums(form, representation, beta, tau2, rss_value=math.nan):
+    beta = np.asarray(beta, dtype=float)
+    p = beta.size
+    if representation == "direct":
+        return CoefficientSums(p, rss_value, bb=float(beta @ beta),
+                               b1=float(np.abs(beta).sum()))
+    if tau2 is None:
+        raise ValueError("augmented state requires tau2")
+    tau2 = np.asarray(tau2, dtype=float)
+    b2 = beta * beta
+    if form == "common":
+        if not np.all((tau2 > 0.0) & (tau2 < 1.0)):
+            return CoefficientSums(p, rss_value, in_support=False)
+        w = 1.0 - tau2
+        return CoefficientSums(
+            p, rss_value, log_tau2=float(np.log(tau2).sum()),
+            inv_tau2=float((1.0 / tau2).sum()),
+            log_w=float(np.log(w).sum()), beta2_w=float((b2 / w).sum()))
+    if not np.all(tau2 > 0.0):
+        return CoefficientSums(p, rss_value, in_support=False)
+    return CoefficientSums(
+        p, rss_value, bb=float(b2.sum()), log_tau2=float(np.log(tau2).sum()),
+        tau2=float(tau2.sum()), beta2_w=float((b2 / tau2).sum()))
+
+
+def coefficient_sums(data, prior, state):
+    """The sums log_posterior_unnorm reads from the state's beta and tau2."""
+    return _sums(prior.form, prior.representation, state.beta, state.tau2,
+                 rss(data, state.beta))
+
+
+def _log_likelihood(n, rss_value, sigma2):
     if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
-    if rss_beta is None:
-        rss_beta = rss(data, beta)
-    return (-0.5 * (data.n - 1) * (_LOG_2PI + math.log(sigma2))
-            - 0.5 * math.log(data.n)
-            - 0.5 * rss_beta / sigma2)
+    return (-0.5 * (n - 1) * (_LOG_2PI + math.log(sigma2))
+            - 0.5 * math.log(n)
+            - 0.5 * rss_value / sigma2)
+
+
+def log_integrated_likelihood(data, beta, sigma2):
+    """Likelihood with the flat intercept integrated out."""
+    return _log_likelihood(data.n, rss(data, beta), sigma2)
+
+
+def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
+    """Normalized joint log prior of beta (and tau2) from their sums.
+
+    Direct: two-piece truncated normals.  Augmented: beta_j | tau_j^2 is
+    normal with variance tau2_conditional_var, times the latent scales'
+    prior (log_prior_tau2).  In the differential form the
+    log(1 + lam2 tau_j^2) terms of the two factors cancel.
+    """
+    p = sums.p
+    if representation == "direct":
+        sigma = math.sqrt(sigma2)
+        if form == "common":
+            r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
+            penalty = -(lambda2 * sums.bb + lambda1 * sums.b1) / (2.0 * sigma2)
+        elif form == "differential":
+            r = lambda1 / math.sqrt(lambda2)
+            penalty = (-lambda2 * sums.bb / (2.0 * sigma2)
+                       - lambda1 * sums.b1 / sigma)
+        else:
+            raise ValueError(f"unknown form {form!r}")
+        return (-p * math.log(2.0)
+                - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
+                - 0.5 * p * r * r
+                - p * log_std_normal_cdf(-r)
+                + penalty)
+    if not sums.in_support:
+        return -math.inf
+    if form == "common":
+        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
+        const = (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-r)
+                 + math.log(r))
+        log_beta = (-0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
+                    - 0.5 * sums.log_w
+                    - 0.5 * lambda2 * sums.beta2_w / sigma2)
+        return (log_beta + p * const
+                - 1.5 * sums.log_tau2 - 0.5 * r * r * sums.inv_tau2)
+    th = lambda1 / math.sqrt(lambda2)
+    const = (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-th)
+             + math.log(lambda1) + 0.5 * math.log(lambda2)
+             - 0.5 * th * th)
+    log_beta = (-0.5 * p * (_LOG_2PI + math.log(sigma2))
+                - 0.5 * sums.log_tau2
+                - 0.5 * (sums.beta2_w + lambda2 * sums.bb) / sigma2)
+    return log_beta + p * const - 0.5 * lambda1 * lambda1 * sums.tau2
 
 
 def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
     """Normalized log density of beta under either prior form."""
-    beta = np.asarray(beta, dtype=float)
-    p = beta.size
-    bb = float(beta @ beta)
-    b1 = float(np.abs(beta).sum())
-    sigma = math.sqrt(sigma2)
-    if form == "common":
-        r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
-        penalty = -(lambda2 * bb + lambda1 * b1) / (2.0 * sigma2)
-    elif form == "differential":
-        r = lambda1 / math.sqrt(lambda2)
-        penalty = -lambda2 * bb / (2.0 * sigma2) - lambda1 * b1 / sigma
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return (-p * math.log(2.0)
-            - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
-            - 0.5 * p * r * r
-            - p * log_std_normal_cdf(-r)
-            + penalty)
+    return _log_prior(form, "direct", _sums(form, "direct", beta, None),
+                      sigma2, lambda1, lambda2)
 
 
 def tau2_conditional_var(form, tau2, sigma2, lambda2):
@@ -233,12 +322,8 @@ def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
 
 def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
     """Joint log density of (beta, tau2) in the augmented representation."""
-    beta = np.asarray(beta, dtype=float)
-    v = tau2_conditional_var(form, tau2, sigma2, lambda2)
-    if np.any(v <= 0.0):
-        return -math.inf
-    log_norm = float(np.sum(-0.5 * (_LOG_2PI + np.log(v)) - 0.5 * beta * beta / v))
-    return log_norm + log_prior_tau2(form, tau2, sigma2, lambda1, lambda2)
+    return _log_prior(form, "da", _sums(form, "da", beta, tau2),
+                      sigma2, lambda1, lambda2)
 
 
 def log_hyperprior(prior, sigma2, lambda1, lambda2):
@@ -257,20 +342,18 @@ def log_hyperprior(prior, sigma2, lambda1, lambda2):
     return val
 
 
-def log_posterior_unnorm(data, prior, state, rss_beta=None):
+def log_posterior_unnorm(data, prior, state, sums=None):
     """Joint log posterior up to a constant, in the state's representation.
 
-    rss_beta is passed on to log_integrated_likelihood.
+    sums, when given, must equal coefficient_sums(data, prior, state);
+    callers that hold beta and tau2 fixed across many calls pass it, and
+    each call is then O(1) scalar arithmetic.
     """
-    val = log_integrated_likelihood(data, state.beta, state.sigma2, rss_beta)
-    if prior.representation == "da":
-        if state.tau2 is None:
-            raise ValueError("augmented state requires tau2")
-        val += log_prior_da(prior.form, state.beta, state.tau2,
-                            state.sigma2, state.lambda1, state.lambda2)
-    else:
-        val += log_prior_beta(prior.form, state.beta, state.sigma2,
-                              state.lambda1, state.lambda2)
+    if sums is None:
+        sums = coefficient_sums(data, prior, state)
+    val = _log_likelihood(data.n, sums.rss, state.sigma2)
+    val += _log_prior(prior.form, prior.representation, sums,
+                      state.sigma2, state.lambda1, state.lambda2)
     val += log_hyperprior(prior, state.sigma2, state.lambda1, state.lambda2)
     return val
 

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bayenet.diagnostics import ess_batch_means
 from bayenet.kernels import (
     SAMPLERS,
     MhStepSizes,
@@ -387,3 +388,34 @@ def test_mh_scale_block_matches_full_posterior_reference(form, rep):
     for name in names:
         accepted, proposed = counts_fast[name]
         assert 0 < accepted < proposed == 200
+
+
+def _degenerate_design(case):
+    """A 20x4 design whose third column is constant, or a 10x30 one."""
+    if case == "constant-column":
+        gen = RngStream(41, 0).gen
+        X = gen.standard_normal((20, 4))
+        X[:, 2] = 3.0
+        y = X @ np.array([1.0, -0.5, 0.0, 2.0]) + 0.5 * gen.standard_normal(20)
+    else:
+        gen = RngStream(41, 1).gen
+        X = gen.standard_normal((10, 30))
+        y = X[:, :3] @ np.array([1.5, -1.0, 0.5]) + 0.5 * gen.standard_normal(10)
+    return RegressionData(y, X)
+
+
+@pytest.mark.parametrize("case", ["constant-column", "p-over-n"])
+def test_degenerate_designs_are_sampled(case):
+    # the prior identifies a coefficient the likelihood does not see, so
+    # both designs are accepted; the constant column's coefficient has
+    # the symmetric prior conditional as its posterior
+    data = _degenerate_design(case)
+    for i, label in enumerate(SAMPLERS):
+        algorithm, form, rep = parse_sampler(label)
+        out = run_chain(algorithm, data, make_prior(form, rep, preset="weak"),
+                        RngStream(43, i), iters=500, burnin=100)
+        assert np.isfinite(out.draws).all(), label
+        if case == "constant-column":
+            x = out.column("beta_3")
+            mcse = x.std(ddof=1) / math.sqrt(ess_batch_means(x))
+            assert abs(x.mean()) < 5.0 * mcse, label

@@ -12,6 +12,7 @@ from bayenet.model import (
     ModelState,
     PriorSpec,
     RegressionData,
+    coefficient_sums,
     from_transformed,
     initial_state,
     log_hyperprior,
@@ -241,3 +242,102 @@ def test_da_prior_rejects_out_of_range_scales():
     assert v[0] == pytest.approx(0.375)
     v = tau2_conditional_var("differential", np.array([0.25]), 2.0, 4.0)
     assert v[0] == pytest.approx(2.0 * 0.25 / 2.0)
+
+
+def _reference_log_prior(form, representation, beta, tau2, s2, l1, l2):
+    """The joint log prior written out over the arrays beta and tau2."""
+    p = beta.size
+    if representation == "direct":
+        bb, b1 = float(beta @ beta), float(np.abs(beta).sum())
+        if form == "common":
+            r = l1 / (2.0 * math.sqrt(s2) * math.sqrt(l2))
+            penalty = -(l2 * bb + l1 * b1) / (2.0 * s2)
+        else:
+            r = l1 / math.sqrt(l2)
+            penalty = -l2 * bb / (2.0 * s2) - l1 * b1 / math.sqrt(s2)
+        return (-p * math.log(2.0)
+                - 0.5 * p * math.log(2.0 * math.pi * s2 / l2)
+                - 0.5 * p * r * r - p * float(mp.log(mp.ncdf(-r)))
+                + penalty)
+    if form == "common":
+        v = (s2 / l2) * (1.0 - tau2)
+        r = l1 / (2.0 * math.sqrt(s2) * math.sqrt(l2))
+        const = (-math.log(2.0 * math.sqrt(2.0 * math.pi))
+                 - float(mp.log(mp.ncdf(-r))) + math.log(r))
+        log_tau2 = p * const + float(np.sum(-1.5 * np.log(tau2)
+                                            - 0.5 * r * r / tau2))
+    else:
+        v = s2 * tau2 / (1.0 + l2 * tau2)
+        th = l1 / math.sqrt(l2)
+        const = (-math.log(2.0 * math.sqrt(2.0 * math.pi))
+                 - float(mp.log(mp.ncdf(-th))) + math.log(l1)
+                 + 0.5 * math.log(l2) - 0.5 * th * th)
+        log_tau2 = p * const + float(np.sum(-0.5 * np.log1p(l2 * tau2)
+                                            - 0.5 * l1 * l1 * tau2))
+    log_beta = float(np.sum(-0.5 * np.log(2.0 * math.pi * v)
+                            - 0.5 * beta * beta / v))
+    return log_beta + log_tau2
+
+
+def _random_state(gen, form, representation, p):
+    tau2 = None
+    if representation == "da":
+        tau2 = (gen.uniform(0.02, 0.98, p) if form == "common"
+                else np.exp(gen.normal(0.0, 1.0, p)))
+    s2, l1, l2 = np.exp(gen.uniform(-1.5, 1.5, 3))
+    return ModelState(gen.normal(0.0, 1.5, p), s2, l1, l2, tau2)
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+@pytest.mark.parametrize("representation", ["direct", "da"])
+def test_log_posterior_matches_array_reference(form, representation):
+    gen = RngStream(303, 0).gen
+    X = gen.standard_normal((25, 5))
+    y = X @ np.array([1.0, 0.0, -2.0, 0.5, 0.0]) + gen.standard_normal(25)
+    data = RegressionData(y, X)
+    prior = make_prior(form, representation, preset="strong")
+    for _ in range(25):
+        st = _random_state(gen, form, representation, data.p)
+        args = (st.sigma2, st.lambda1, st.lambda2)
+        resid = data.y - data.X @ st.beta
+        want_prior = _reference_log_prior(form, representation, st.beta,
+                                          st.tau2, *args)
+        want = (-0.5 * (data.n - 1) * math.log(2.0 * math.pi * st.sigma2)
+                - 0.5 * math.log(data.n)
+                - 0.5 * float(resid @ resid) / st.sigma2
+                + want_prior + log_hyperprior(prior, *args))
+        got = log_posterior_unnorm(data, prior, st)
+        assert got == pytest.approx(want, rel=1e-12)
+        sums = coefficient_sums(data, prior, st)
+        assert log_posterior_unnorm(data, prior, st, sums) == got
+        if representation == "direct":
+            got_prior = log_prior_beta(form, st.beta, *args)
+        else:
+            got_prior = log_prior_da(form, st.beta, st.tau2, *args)
+        assert got_prior == pytest.approx(want_prior, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("form,bad", [
+    ("common", 1.0), ("common", 1.3), ("common", 0.0),
+    ("differential", 0.0), ("differential", -0.2)])
+def test_log_posterior_outside_tau2_support(form, bad):
+    data = RegressionData(np.arange(6.0), np.arange(12.0).reshape(6, 2) ** 1.5)
+    prior = make_prior(form, "da", preset="weak")
+    st = initial_state(data, prior)
+    st.tau2[1] = bad
+    assert log_posterior_unnorm(data, prior, st) == -math.inf
+
+
+def test_log_posterior_rejects_nonpositive_scales():
+    data = RegressionData(np.arange(6.0), np.arange(12.0).reshape(6, 2) ** 1.5)
+    for form in ("common", "differential"):
+        for representation in ("direct", "da"):
+            prior = make_prior(form, representation, preset="weak")
+            st = initial_state(data, prior)
+            sums = coefficient_sums(data, prior, st)
+            st.sigma2 = 0.0
+            with pytest.raises(ValueError, match="sigma2 must be positive"):
+                log_posterior_unnorm(data, prior, st, sums)
+    for args in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            log_hyperprior(prior, *args)
