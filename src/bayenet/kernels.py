@@ -16,9 +16,12 @@ A sampler's label is "algorithm-form-representation", e.g.
 "rs-differential-da"; SAMPLERS lists all eight in a fixed order.
 
 Update order within a sweep: beta, then tau2 where present, then the
-scales.  The state holds only the natural parameters; each rejection
-scale kernel derives the transformed coordinates it conditions on and
-maps its draw back to (sigma2, lambda1, lambda2).
+scales.  beta and tau2 do not move while the scales do, so run_sweep
+reduces them once to a model.CoefficientSums, and every scale block,
+rejection or Metropolis, reads them only through those sums.  The state
+holds only the natural parameters; each rejection scale kernel derives
+the transformed coordinates it conditions on and maps its draw back to
+(sigma2, lambda1, lambda2).
 """
 
 import math
@@ -42,7 +45,6 @@ from .model import (
     from_transformed,
     initial_state,
     log_posterior_unnorm,
-    rss,
     to_transformed,
 )
 from .rng import log_uniform
@@ -153,7 +155,7 @@ def update_tau2(data, prior, state, rng):
             tau2[j] = 1.0 / z
 
 
-def update_u1_common(data, prior, state, rng):
+def update_u1_common(data, prior, state, sums, rng):
     """u1 = sigma^2 under the common scaling: generalized inverse Gaussian.
 
     Identical in both representations (the augmented beta and tau2 priors
@@ -163,49 +165,44 @@ def update_u1_common(data, prior, state, rng):
         "common", state.sigma2, state.lambda1, state.lambda2)
     order = prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
     psi = u2 ** 2 * prior.nu2 + 2.0 * u2 * theta * prior.nu1
-    chi = rss(data, state.beta) + prior.nu_b
-    u1 = sample_gig(order, psi, chi, rng)
+    u1 = sample_gig(order, psi, sums.rss + prior.nu_b, rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
 
-def update_u2_common(data, prior, state, rng):
+def update_u2_common(data, prior, state, sums, rng):
     """u2 = sqrt(lam2)/sigma: modified half normal."""
-    beta = state.beta
     u1, _, theta = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
     alpha = 2.0 * prior.R + prior.L + data.p
-    if state.tau2 is None:
-        quad = 0.5 * (u1 * prior.nu2 + float(beta @ beta))
-        lin = theta * (u1 * prior.nu1 + float(np.abs(beta).sum()))
+    if prior.representation == "direct":
+        quad = 0.5 * (u1 * prior.nu2 + sums.bb)
+        lin = theta * (u1 * prior.nu1 + sums.b1)
     else:
-        om = np.maximum(1.0 - state.tau2, 1e-14)
-        quad = 0.5 * (u1 * prior.nu2 + float(np.sum(beta * beta / om)))
+        quad = 0.5 * (u1 * prior.nu2 + sums.beta2_w)
         lin = u1 * theta * prior.nu1
     u2 = sample_mhn(alpha, quad, lin, rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
 
-def update_theta_common(data, prior, state, rng):
+def update_theta_common(data, prior, state, sums, rng):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional."""
     p = data.p
     u1, u2, _ = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
-    if state.tau2 is None:
-        tp = TiltedParams(
-            p, prior.L, 0.5 * p,
-            u2 * (u1 * prior.nu1 + float(np.abs(state.beta).sum())))
+    if prior.representation == "direct":
+        tp = TiltedParams(p, prior.L, 0.5 * p,
+                          u2 * (u1 * prior.nu1 + sums.b1))
     else:
-        tp = TiltedParams(
-            p, p + prior.L, 0.5 * float(np.sum(1.0 / state.tau2)),
-            u1 * u2 * prior.nu1)
+        tp = TiltedParams(p, p + prior.L, 0.5 * sums.inv_tau2,
+                          u1 * u2 * prior.nu1)
     theta = sample_tilted(tp, rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
 
-def update_sigma2_differential_rs(data, prior, state, rng):
+def update_sigma2_differential_rs(data, prior, state, sums, rng):
     """Exact sigma2 update for the differential scaling.
 
     Direct representation: 1/sigma has a modified-half-normal conditional
@@ -213,60 +210,50 @@ def update_sigma2_differential_rs(data, prior, state, rng):
     1/sigma contributes the extra cubic factor).  Augmented
     representation: inverse gamma.
     """
-    beta = state.beta
     p, n = data.p, data.n
-    if state.tau2 is None:
-        quad = 0.5 * (rss(data, beta) + state.lambda2 * float(beta @ beta)
-                      + prior.nu_b)
-        lin = state.lambda1 * float(np.abs(beta).sum())
+    if prior.representation == "direct":
+        quad = 0.5 * (sums.rss + state.lambda2 * sums.bb + prior.nu_b)
+        lin = state.lambda1 * sums.b1
         x = sample_mhn(n + p + prior.nu_a - 1.0, quad, lin, rng)
         state.sigma2 = 1.0 / (x * x)
     else:
         shape = 0.5 * (p + prior.nu_a + n - 1.0)
-        scale = 0.5 * (prior.nu_b + rss(data, beta)
-                       + float(np.sum(beta * beta
-                                      * (1.0 / state.tau2
-                                         + state.lambda2))))
+        scale = 0.5 * (prior.nu_b + sums.rss + sums.beta2_w
+                       + state.lambda2 * sums.bb)
         state.sigma2 = sample_inverse_gamma(shape, scale, rng)
 
 
-def update_u2_differential(data, prior, state, rng):
+def update_u2_differential(data, prior, state, sums, rng):
     """u2 = sqrt(lam2) under the differential scaling: modified half normal."""
-    beta = state.beta
     p = data.p
     _, _, theta = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
-    bb = float(beta @ beta)
-    if state.tau2 is None:
+    if prior.representation == "direct":
         alpha = 2.0 * prior.R + prior.L + p
-        quad = 0.5 * (bb / state.sigma2 + prior.nu2)
-        lin = theta * (float(np.abs(beta).sum())
-                       / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
+        quad = 0.5 * (sums.bb / state.sigma2 + prior.nu2)
+        lin = theta * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
     else:
         alpha = 2.0 * p + 2.0 * prior.R + prior.L
-        quad = 0.5 * (bb / state.sigma2 + prior.nu2
-                      + theta ** 2 * float(np.sum(state.tau2)))
+        quad = 0.5 * (sums.bb / state.sigma2 + prior.nu2
+                      + theta ** 2 * sums.tau2)
         lin = 0.5 * theta * prior.nu1
     u2 = sample_mhn(alpha, quad, lin, rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
 
 
-def update_theta_differential(data, prior, state, rng):
+def update_theta_differential(data, prior, state, sums, rng):
     """theta = lam1/sqrt(lam2): tail-tilted conditional."""
     p = data.p
     _, u2, _ = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
-    if state.tau2 is None:
+    if prior.representation == "direct":
         tp = TiltedParams(
             p, prior.L, 0.5 * p,
-            u2 * (float(np.abs(state.beta).sum())
-                  / math.sqrt(state.sigma2) + 0.5 * prior.nu1))
+            u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1))
     else:
-        tp = TiltedParams(
-            p, p + prior.L,
-            0.5 * (p + u2 ** 2 * float(np.sum(state.tau2))),
-            0.5 * u2 * prior.nu1)
+        tp = TiltedParams(p, p + prior.L, 0.5 * (p + u2 ** 2 * sums.tau2),
+                          0.5 * u2 * prior.nu1)
     theta = sample_tilted(tp, rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
@@ -279,11 +266,12 @@ class MhStepSizes:
     lambda2: float = 1.0
 
 
-def mh_update_scales(data, prior, state, steps, rng, counts):
-    """Random-walk Metropolis on log sigma2, log lambda1, log lambda2."""
-    # beta and tau2 do not move in this block, so the sums the log
-    # posterior reads from them are reduced once for all four calls
-    sums = coefficient_sums(data, prior, state)
+def mh_update_scales(data, prior, state, sums, steps, rng, counts):
+    """Random-walk Metropolis on log sigma2, log lambda1, log lambda2.
+
+    sums must equal coefficient_sums(data, prior, state); each of the
+    four log posteriors is then O(1) scalar arithmetic.
+    """
     cur_lp = log_posterior_unnorm(data, prior, state, sums)
     for name, step in (("sigma2", steps.sigma2),
                        ("lambda1", steps.lambda1),
@@ -308,21 +296,23 @@ def run_sweep(algorithm, data, prior, state, rng, steps=None, counts=None):
     else:
         update_beta_block(data, prior, state, rng)
         update_tau2(data, prior, state, rng)
+    # beta and tau2 stay put while the scales move
+    sums = coefficient_sums(data, prior, state)
     if algorithm == "rs":
         if prior.form == "common":
-            update_u1_common(data, prior, state, rng)
-            update_u2_common(data, prior, state, rng)
-            update_theta_common(data, prior, state, rng)
+            update_u1_common(data, prior, state, sums, rng)
+            update_u2_common(data, prior, state, sums, rng)
+            update_theta_common(data, prior, state, sums, rng)
         else:
-            update_sigma2_differential_rs(data, prior, state, rng)
-            update_u2_differential(data, prior, state, rng)
-            update_theta_differential(data, prior, state, rng)
+            update_sigma2_differential_rs(data, prior, state, sums, rng)
+            update_u2_differential(data, prior, state, sums, rng)
+            update_theta_differential(data, prior, state, sums, rng)
     else:
         if steps is None:
             steps = MhStepSizes()
         if counts is None:
             counts = {"sigma2": [0, 0], "lambda1": [0, 0], "lambda2": [0, 0]}
-        mh_update_scales(data, prior, state, steps, rng, counts)
+        mh_update_scales(data, prior, state, sums, steps, rng, counts)
     return state
 
 

@@ -165,7 +165,8 @@ def rss(data, beta):
 
 
 class CoefficientSums(NamedTuple):
-    """What the joint log density reads from (beta, tau2), reduced once.
+    """What the joint log density and the scale full conditionals read
+    from (beta, tau2), reduced once per sweep.
 
     Only the fields of the prior's form and representation are set; the
     others keep their zero defaults.
@@ -219,7 +220,8 @@ def _sums(form, representation, beta, tau2, rss_value=math.nan):
 
 
 def coefficient_sums(data, prior, state):
-    """The sums log_posterior_unnorm reads from the state's beta and tau2."""
+    """The sums of the state's beta and tau2 that log_posterior_unnorm
+    and the scale kernels read."""
     return _sums(prior.form, prior.representation, state.beta, state.tau2,
                  rss(data, state.beta))
 

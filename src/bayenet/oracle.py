@@ -37,6 +37,7 @@ from .kernels import (
 from .model import (
     ModelState,
     RegressionData,
+    coefficient_sums,
     from_transformed,
     log_integrated_likelihood,
     log_posterior_unnorm,
@@ -338,9 +339,6 @@ class BetaGrid2d:
     weight: np.ndarray
     mass: float
     log_unnorm: object
-
-    def density(self):
-        return self.weight / self.mass
 
     def marginal(self, axis):
         if axis == 0:
@@ -883,12 +881,16 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
             label = f"{form}-{representation}"
             for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
                 idx = _COORD_INDEX[which]
+                sums = coefficient_sums(data, prior, state)
+
+                def draw(d, pr, st, r):
+                    kernel(d, pr, st, sums, r)
 
                 def read(st, f=form, i=idx):
                     return sweep_coordinates(
                         f, st.sigma2, st.lambda1, st.lambda2)[i]
 
-                draws = _kernel_refresh_draws(kernel, data, prior, state,
+                draws = _kernel_refresh_draws(draw, data, prior, state,
                                               n, root.substream(fi, ri, ci),
                                               read)
                 lp = scale_slice_log_density(data, prior, state, which)

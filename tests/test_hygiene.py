@@ -40,10 +40,23 @@ def test_no_unused_imports():
 
 
 def top_level_definitions(source):
-    """(line, name) of each function and class defined at module level."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))]
+    """(line, name) of each function and class defined at module level,
+    and (line, "Class.method") of each non-dunder method of such a
+    class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, kinds):
+            continue
+        found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.lineno, f"{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__")
+                         and item.name.endswith("__")))
+    return found
 
 
 def referenced_names(source):
@@ -60,20 +73,22 @@ def referenced_names(source):
 
 
 def unreferenced_definitions(defining, used):
-    """(line, name) of each top-level definition in `defining` whose
-    name is not in `used`."""
+    """(line, name) of each definition top_level_definitions finds in
+    `defining` whose name (a method's own name) is not in `used`."""
     return [(line, name) for line, name in top_level_definitions(defining)
-            if name not in used]
+            if name.rpartition(".")[2] not in used]
 
 
 def test_scanner_finds_unreferenced_definitions():
     lib = ("def used():\n    return 1\n\ndef helper():\n    return 2\n\n"
            "def orphan():\n    return used()\n\nclass Gone:\n    pass\n\n"
-           "class Kept:\n    pass\n")
-    user = "from lib import helper\nimport lib\nlib.Kept()\n"
+           "class Kept:\n    def __init__(self):\n        self.x = 1\n\n"
+           "    def called(self):\n        return self.x\n\n"
+           "    def dead(self):\n        return 0\n")
+    user = "from lib import helper\nimport lib\nlib.Kept().called()\n"
     used = referenced_names(lib) | referenced_names(user)
     assert unreferenced_definitions(lib, used) == [
-        (7, "orphan"), (10, "Gone")]
+        (7, "orphan"), (10, "Gone"), (20, "Kept.dead")]
 
 
 def test_no_unreferenced_definitions():

@@ -35,6 +35,7 @@ from bayenet.kernels import (
 )
 from bayenet.model import (
     RegressionData,
+    coefficient_sums,
     from_transformed,
     initial_state,
     log_posterior_transformed,
@@ -130,18 +131,19 @@ COMBOS = [("common", "direct"), ("common", "da"),
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_variance_scale_slice(form, rep):
     data, prior, state = frozen(form, rep)
+    sums = coefficient_sums(data, prior, state)
     if form == "common":
         def set_coord(st, v):
             set_coords("common", st, 0, v)
 
         def update(st, rng):
-            update_u1_common(data, prior, st, rng)
+            update_u1_common(data, prior, st, sums, rng)
     else:
         def set_coord(st, v):
             st.sigma2 = v
 
         def update(st, rng):
-            update_sigma2_differential_rs(data, prior, st, rng)
+            update_sigma2_differential_rs(data, prior, st, sums, rng)
 
     get = lambda st: st.sigma2
     lo, hi = state.sigma2 / 60.0, state.sigma2 * 60.0
@@ -153,16 +155,17 @@ def test_variance_scale_slice(form, rep):
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_ridge_scale_slice(form, rep):
     data, prior, state = frozen(form, rep)
+    sums = coefficient_sums(data, prior, state)
 
     def set_coord(st, v):
         set_coords(form, st, 1, v)
 
     if form == "common":
         def update(st, rng):
-            update_u2_common(data, prior, st, rng)
+            update_u2_common(data, prior, st, sums, rng)
     else:
         def update(st, rng):
-            update_u2_differential(data, prior, st, rng)
+            update_u2_differential(data, prior, st, sums, rng)
 
     u2 = coords(form, state)[1]
     d = slice_ks(data, prior, state, set_coord,
@@ -174,16 +177,17 @@ def test_ridge_scale_slice(form, rep):
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_tilt_ratio_slice(form, rep):
     data, prior, state = frozen(form, rep)
+    sums = coefficient_sums(data, prior, state)
 
     def set_coord(st, v):
         set_coords(form, st, 2, v)
 
     if form == "common":
         def update(st, rng):
-            update_theta_common(data, prior, st, rng)
+            update_theta_common(data, prior, st, sums, rng)
     else:
         def update(st, rng):
-            update_theta_differential(data, prior, st, rng)
+            update_theta_differential(data, prior, st, sums, rng)
 
     theta = coords(form, state)[2]
     d = slice_ks(data, prior, state, set_coord,
@@ -378,8 +382,10 @@ def test_mh_scale_block_matches_full_posterior_reference(form, rep):
     names = ("sigma2", "lambda1", "lambda2")
     counts_fast = {name: [0, 0] for name in names}
     counts_ref = {name: [0, 0] for name in names}
+    sums = coefficient_sums(data, prior, fast)
     for _ in range(200):
-        mh_update_scales(data, prior, fast, steps, rng_fast, counts_fast)
+        mh_update_scales(data, prior, fast, sums, steps, rng_fast,
+                         counts_fast)
         _mh_scales_reference(data, prior, ref, steps, rng_ref, counts_ref)
         assert counts_fast == counts_ref
         assert ((fast.sigma2, fast.lambda1, fast.lambda2)
@@ -388,6 +394,43 @@ def test_mh_scale_block_matches_full_posterior_reference(form, rep):
     for name in names:
         accepted, proposed = counts_fast[name]
         assert 0 < accepted < proposed == 200
+
+
+_SCALE_BLOCKS = {
+    "common": (update_u1_common, update_u2_common, update_theta_common),
+    "differential": (update_sigma2_differential_rs, update_u2_differential,
+                     update_theta_differential),
+}
+
+
+@pytest.mark.parametrize("form,rep", COMBOS)
+def test_scale_blocks_read_coefficients_only_through_sums(form, rep):
+    # with beta (and tau2) set to NaN and the real arrays' sums passed,
+    # every scale block must write bit for bit what it writes on the
+    # real state from the same seed
+    data, prior, state = frozen(form, rep)
+    sums = coefficient_sums(data, prior, state)
+    blind = clone(state)
+    blind.beta = np.full(data.p, np.nan)
+    if rep == "da":
+        blind.tau2 = np.full(data.p, np.nan)
+    names = ("sigma2", "lambda1", "lambda2")
+    steps = MhStepSizes(0.8, 1.2, 1.5)
+    scales = lambda st: (st.sigma2, st.lambda1, st.lambda2)
+
+    def metropolis(d, pr, st, sm, rng):
+        counts = {name: [0, 0] for name in names}
+        mh_update_scales(d, pr, st, sm, steps, rng, counts)
+        return counts
+
+    for i, block in enumerate(_SCALE_BLOCKS[form] + (metropolis,)):
+        real, nan = clone(state), clone(blind)
+        wrote_real = block(data, prior, real, sums, RngStream(88, i))
+        wrote_nan = block(data, prior, nan, sums, RngStream(88, i))
+        assert scales(real) != scales(state), block.__name__
+        assert scales(nan) == scales(real), block.__name__
+        assert wrote_nan == wrote_real, block.__name__
+        assert np.isnan(nan.beta).all()
 
 
 def _degenerate_design(case):
