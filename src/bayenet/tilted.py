@@ -96,7 +96,9 @@ def mode_bounds(p):
     t = 2.0 * p.b - p.q
     if t <= 1e-12 * p.q:
         return (p.a - 1.0) / p.c, (p.a - 1.0 + p.q) / p.c
-    lo = (math.sqrt(p.c * p.c + 4.0 * (p.a - 1.0) * t) - p.c) / (2.0 * t)
+    # the root of t x^2 + c x - (a-1) in its cancellation-free form
+    lo = 2.0 * (p.a - 1.0) / (math.sqrt(p.c * p.c + 4.0 * (p.a - 1.0) * t)
+                              + p.c)
     hi = (math.sqrt(p.c * p.c + 4.0 * (p.a - 1.0 + p.q) * t) - p.c) / (2.0 * t)
     return lo, hi
 
@@ -124,8 +126,8 @@ def find_mode(p, tol=1e-10):
     df = lambda x: dlog_density(p, x)
     if p.q >= 1:
         lo, hi = mode_bounds(p)
-        # for a within a few ulps of 1, rounding in mode_bounds can put
-        # a tiny lower bound at or above the mode
+        # lo = 0 when a = 1; the slope test also covers a lower bound
+        # that rounding puts at or above the mode
         if lo <= 0.0 or df(lo) <= 0.0:
             lo = min(hi, 1.0) * 1e-12
             if df(lo) <= 0.0:

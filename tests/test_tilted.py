@@ -137,6 +137,9 @@ def test_mode_always_inside_bracket(q, a, b_extra, c):
     p = TiltedParams(q, a, 0.5 * q + b_extra, c)
     lo, hi = mode_bounds(p)
     m = find_mode(p)
+    if a > 1.0:
+        # (a-1)/x makes the density rise from 0+, so the mode is interior
+        assert m > 0.0
     if m == 0.0:
         # boundary mode: density must be decreasing from the start
         assert dlog_density(p, min(hi, 1.0) * 1e-9) <= 0.0
