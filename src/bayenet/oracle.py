@@ -879,9 +879,9 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
         for ri, representation in enumerate(("direct", "da")):
             data, prior, state = kernel_check_setup(form, representation)
             label = f"{form}-{representation}"
+            sums = coefficient_sums(data, prior, state)
             for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
                 idx = _COORD_INDEX[which]
-                sums = coefficient_sums(data, prior, state)
 
                 def draw(d, pr, st, r):
                     kernel(d, pr, st, sums, r)
