@@ -3,12 +3,14 @@
 Nothing here feeds the fitting paths.  The module provides quadrature
 CDF tables with self-certification (mass must stabilize under grid
 doubling and the truncated tails must be provably negligible), a
-Kolmogorov-Smirnov test against such tables, a two-coefficient
-posterior grid used as the oracle for the coordinate and block updates
-of beta, hierarchical-versus-closed-form prior equivalence checks, a
-named validation suite for the command line, and a demonstration that a
-published inverse-gamma proposal scheme for the variance accepts every
-proposal while drawing from the wrong distribution.
+Kolmogorov-Smirnov test against such tables, a certified two-coefficient
+posterior grid (the oracle for the block update of beta, and for the
+shape of the direct posterior), hierarchical-versus-closed-form prior
+equivalence checks, a named validation suite for the command line, and
+a demonstration that a published inverse-gamma proposal scheme for the
+variance accepts every proposal while drawing from the wrong
+distribution.  The coordinate update of beta and the scale kernels are
+judged on one-dimensional slices of the joint posterior.
 """
 
 import csv
@@ -39,7 +41,6 @@ from .model import (
     RegressionData,
     coefficient_sums,
     from_transformed,
-    log_integrated_likelihood,
     log_posterior_unnorm,
     log_prior_da,
     make_prior,
@@ -67,6 +68,12 @@ TAIL_TOL = 1e-8
 # log drop below the mode at which a tail is certainly negligible
 _DROP = 46.0
 _LOG_ROOT_PI = 0.5 * math.log(math.pi)
+# grid doublings a table may take before it gives up; a plane stops at
+# three (a 1601-node axis pair is already 2.6 million points)
+_LINE_DOUBLINGS = 7
+_PLANE_DOUBLINGS = 3
+# a planar grid reaches this many standard deviations past its center
+_SPAN = 9.0
 
 
 class OracleError(ValueError):
@@ -78,15 +85,12 @@ class QuadratureGrid:
     lower: float
     upper: float
     nodes: int = 20001
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if not self.upper > self.lower:
             raise ValueError("upper must exceed lower")
         if self.nodes < 101:
             raise ValueError("need at least 101 nodes")
-        if self.rule not in ("trapezoid", "adaptive"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
 
 @dataclass
@@ -130,6 +134,24 @@ def _cum_trapz(w, xs):
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
+def _settle(mass_at, nodes, doublings):
+    """Double the resolution from nodes until two successive log masses
+    agree to MASS_TOL and return the finer one's mass_at(n), a tuple
+    that starts with its log mass."""
+    coarse = mass_at(nodes)
+    delta = math.inf
+    for _ in range(doublings):
+        nodes = 2 * (nodes - 1) + 1
+        fine = mass_at(nodes)
+        delta = abs(fine[0] - coarse[0])
+        if delta <= MASS_TOL:
+            return fine
+        coarse = fine
+    raise OracleError(
+        f"mass did not stabilize under grid doubling (last change "
+        f"{delta:.2e} in log mass)")
+
+
 def _log_mass(log_density, xs):
     logf = _eval_log(log_density, xs)
     m = float(logf.max())
@@ -139,7 +161,7 @@ def _log_mass(log_density, xs):
     c = _cum_trapz(w, xs)
     if not c[-1] > 0.0:
         raise OracleError("zero mass on the grid")
-    return m + math.log(float(c[-1])), logf, w, c
+    return m + math.log(float(c[-1])), xs, logf, w, c
 
 
 def _check_tails(log_density, xs, logf, w, mass):
@@ -161,38 +183,27 @@ def _check_tails(log_density, xs, logf, w, mass):
             f"{TAIL_TOL:g} of the total")
 
 
-def _certified_table(log_density, builder, nodes, rule):
-    max_rounds = 7 if rule == "adaptive" else 1
-    xs = builder(nodes)
-    lm, logf, w, c = _log_mass(log_density, xs)
-    delta = math.inf
-    for _ in range(max_rounds):
-        nodes = 2 * (nodes - 1) + 1
-        xs2 = builder(nodes)
-        lm2, logf2, w2, c2 = _log_mass(log_density, xs2)
-        delta = abs(lm2 - lm)
-        if delta <= MASS_TOL:
-            _check_tails(log_density, xs2, logf2, w2, float(c2[-1]))
-            return CdfTable(xs2, c2 / c2[-1], lm2)
-        xs, lm, logf, w, c = xs2, lm2, logf2, w2, c2
-    raise OracleError(
-        f"mass did not stabilize under grid doubling (last change "
-        f"{delta:.2e} in log mass)")
+def _certified_table(log_density, builder, nodes):
+    lm, xs, logf, w, c = _settle(
+        lambda n: _log_mass(log_density, builder(n)), nodes, _LINE_DOUBLINGS)
+    _check_tails(log_density, xs, logf, w, float(c[-1]))
+    return CdfTable(xs, c / c[-1], lm)
 
 
 def quadrature_cdf(log_density, grid):
-    """Normalized CDF table on the grid, or OracleError if the table
-    cannot vouch for itself (unstable mass or non-negligible tails)."""
+    """Normalized CDF table on the grid, doubled until its mass settles,
+    or OracleError if the table cannot vouch for itself (unstable mass
+    or non-negligible tails)."""
     builder = lambda n: np.linspace(grid.lower, grid.upper, n)
-    return _certified_table(log_density, builder, grid.nodes, grid.rule)
+    return _certified_table(log_density, builder, grid.nodes)
 
 
-def _golden_max(f, a, b, iters=180):
+def _golden_max(f, a, b):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = _probe(f, c), _probe(f, d)
-    for _ in range(iters):
+    for _ in range(180):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -206,16 +217,14 @@ def _golden_max(f, a, b, iters=180):
     return 0.5 * (a + b)
 
 
-def _scan_mode(log_density, lo, hi, n=1501):
-    if lo > 0.0 and hi / lo >= 1e3:
-        xs = np.geomspace(lo, hi, n)
-    else:
-        xs = np.linspace(lo, hi, n)
+def _scan_mode(log_density, lo, hi):
+    spacing = np.geomspace if lo > 0.0 and hi / lo >= 1e3 else np.linspace
+    xs = spacing(lo, hi, 1501)
     vals = np.array([_probe(log_density, x) for x in xs])
     i = int(np.argmax(vals))
     if not math.isfinite(vals[i]):
         raise OracleError("no finite density value in the search bracket")
-    return _golden_max(log_density, xs[max(i - 1, 0)], xs[min(i + 1, n - 1)])
+    return _golden_max(log_density, xs[max(i - 1, 0)], xs[min(i + 1, 1500)])
 
 
 def _taylor_sd(log_density, mode, lo, hi):
@@ -233,7 +242,7 @@ def _taylor_sd(log_density, mode, lo, hi):
     return 0.05 * span if math.isfinite(span) else max(abs(mode), 1.0)
 
 
-def auto_cdf(log_density, bracket=(1e-10, 1e6), nodes=20001, rule="adaptive"):
+def auto_cdf(log_density, bracket=(1e-10, 1e6)):
     """CDF table on a range picked from the target's own geometry.
 
     The range starts at the mode plus/minus twelve curvature-implied
@@ -264,13 +273,16 @@ def auto_cdf(log_density, bracket=(1e-10, 1e6), nodes=20001, rule="adaptive"):
         lo = max(nxt, lo_b)
 
     try:
-        return quadrature_cdf(log_density, QuadratureGrid(lo, hi, nodes, rule))
+        return quadrature_cdf(log_density, QuadratureGrid(lo, hi))
     except OracleError:
         if not (lo_b >= 0.0 and mode > 1e-8):
             raise
         builder = lambda n: np.geomspace(1e-8, mode * 1e3, n)
-        return _certified_table(
-            log_density, builder, max(nodes, 200001), "adaptive")
+        return _certified_table(log_density, builder, 200001)
+
+
+def ks_threshold(n):
+    return KS_COEFF / math.sqrt(n)
 
 
 def ks_test(draws, table):
@@ -283,11 +295,7 @@ def ks_test(draws, table):
     f = table.interp(x)
     i = np.arange(1, n + 1)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-    return d, d < KS_COEFF / math.sqrt(n)
-
-
-def ks_threshold(n):
-    return KS_COEFF / math.sqrt(n)
+    return d, d < ks_threshold(n)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +309,10 @@ def beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form):
         raise ValueError(f"unknown form {form!r}")
     if lambda1 < 0.0 or lambda2 <= 0.0 or sigma2 <= 0.0:
         raise ValueError("scales must be positive (lambda1 may be zero)")
-    a11, a12, a22 = data.xtx[0, 0], data.xtx[0, 1], data.xtx[1, 1]
-    g1, g2, yty = data.xty[0], data.xty[1], data.yty
     sigma = math.sqrt(sigma2)
 
     def log_unnorm(b1, b2):
-        quad = (yty - 2.0 * (b1 * g1 + b2 * g2)
-                + a11 * b1 * b1 + 2.0 * a12 * b1 * b2 + a22 * b2 * b2)
+        quad = _pair_rss(data, b1, b2)
         val = -0.5 * (quad + lambda2 * (b1 * b1 + b2 * b2)) / sigma2
         l1 = np.abs(b1) + np.abs(b2)
         if form == "common":
@@ -315,6 +320,14 @@ def beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form):
         return val - lambda1 * l1 / sigma
 
     return log_unnorm
+
+
+def _pair_rss(data, b1, b2):
+    """Residual sum of squares at (b1, b2), elementwise over arrays."""
+    a11, a12, a22 = data.xtx[0, 0], data.xtx[0, 1], data.xtx[1, 1]
+    g1, g2 = data.xty[0], data.xty[1]
+    return (data.yty - 2.0 * (b1 * g1 + b2 * g2)
+            + a11 * b1 * b1 + 2.0 * a12 * b1 * b2 + a22 * b2 * b2)
 
 
 def _axis_nodes(lo, hi, nodes):
@@ -358,44 +371,54 @@ class BetaGrid2d:
         return np.array([self.axis1[i], self.axis2[j]])
 
 
+def _plane(log_unnorm, axis, n):
+    """log_unnorm evaluated at once over the product of axis(0, n) and
+    axis(1, n), as (log mass, grid)."""
+    g1, g2 = axis(0, n), axis(1, n)
+    logw = log_unnorm(g1[:, None], g2[None, :])
+    top = float(logw.max())
+    w = np.exp(logw - top)
+    mass = float(np.trapezoid(np.trapezoid(w, g2, axis=1), g1))
+    return top + math.log(mass), BetaGrid2d(g1, g2, w, mass, log_unnorm)
+
+
+def _planar_grid(log_unnorm, axis, nodes, certify):
+    """(log mass, grid) of a planar grid with nodes per axis (the
+    zero-anchored lattice may add one), certified by comparing its mass
+    with the grid of half the resolution and doubling until the two
+    agree, and by requiring both marginals to vanish at the edges.  With
+    certify=False the grid is returned as built; only readouts that
+    depend on node placement alone (such as argmax) should be trusted
+    from it."""
+    if not certify:
+        return _plane(log_unnorm, axis, nodes)
+    lm, grid = _settle(lambda n: _plane(log_unnorm, axis, n),
+                       nodes // 2 + 1, _PLANE_DOUBLINGS)
+    for j in (0, 1):
+        _, marg = grid.marginal(j)
+        if max(marg[0], marg[-1]) > TAIL_TOL * marg.max():
+            raise OracleError("planar grid does not cover the tails")
+    return lm, grid
+
+
 def grid2d_beta_posterior(data, sigma2, lambda1, lambda2, form,
-                          nodes=401, span=9.0, certify=True):
+                          certify=True):
     """Normalized two-coefficient posterior on a plane grid.
 
-    The grid is centered on the ridge solution, stretched to span
+    The grid is centered on the ridge solution, stretched to nine
     standard deviations per side, always straddles both axes, and
     carries an exact node on each axis so the non-differentiable ridge
-    of the density lies on grid lines.  With certify=False the
-    coarse-versus-fine mass certificate is skipped; only readouts that
-    depend on node placement alone (such as argmax) should be trusted
-    from an uncertified grid.
+    of the density lies on grid lines.  certify=False skips the
+    certificate of _planar_grid.
     """
     lu = beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form)
     prec = data.xtx + lambda2 * np.eye(2)
     center = np.linalg.solve(prec, data.xty)
     sds = np.sqrt(sigma2 * np.diag(np.linalg.inv(prec)))
-
-    axes = []
-    for j in range(2):
-        lo = min(center[j] - span * sds[j], -2.0 * sds[j])
-        hi = max(center[j] + span * sds[j], 2.0 * sds[j])
-        axes.append((lo, hi))
-
-    def mass_on(n):
-        g1 = _axis_nodes(axes[0][0], axes[0][1], n)
-        g2 = _axis_nodes(axes[1][0], axes[1][1], n)
-        logw = lu(g1[:, None], g2[None, :])
-        m = logw.max()
-        w = np.exp(logw - m)
-        return g1, g2, w, m, float(np.trapezoid(np.trapezoid(w, g2, axis=1), g1))
-
-    g1, g2, w, m, mass = mass_on(nodes)
-    if certify:
-        _, _, _, mc, mass_c = mass_on(nodes // 2 + 1)
-        if abs((m + math.log(mass)) - (mc + math.log(mass_c))) > MASS_TOL:
-            raise OracleError("planar grid mass did not stabilize under "
-                              "refinement")
-    return BetaGrid2d(g1, g2, w, mass, lu)
+    lo = np.minimum(center - _SPAN * sds, -2.0 * sds)
+    hi = np.maximum(center + _SPAN * sds, 2.0 * sds)
+    axis = lambda j, n: _axis_nodes(lo[j], hi[j], n)
+    return _planar_grid(lu, axis, 401, certify)[1]
 
 
 def ridge_mean(data, lambda2):
@@ -460,7 +483,7 @@ def sample_hierarchical_beta(form, sigma2, lambda1, lambda2, size, rng):
     return np.sqrt(var) * rng.gen.standard_normal(size)
 
 
-def direct_beta_cdf(form, sigma2, lambda1, lambda2, nodes=80001):
+def direct_beta_cdf(form, sigma2, lambda1, lambda2):
     """Quadrature CDF of the closed-form single-coefficient prior."""
     sigma = math.sqrt(sigma2)
     if form == "common":
@@ -469,7 +492,7 @@ def direct_beta_cdf(form, sigma2, lambda1, lambda2, nodes=80001):
         ld = (lambda x: -lambda2 * x * x / (2.0 * sigma2)
               - lambda1 * np.abs(x) / sigma)
     half = 16.0 * math.sqrt(sigma2 / lambda2)
-    return quadrature_cdf(ld, QuadratureGrid(-half, half, nodes))
+    return quadrature_cdf(ld, QuadratureGrid(-half, half, 80001))
 
 
 def prior_equivalence_check(form, sigma2, lambda1, lambda2, size, rng):
@@ -594,7 +617,7 @@ def appendix_a_demonstration(a, b, lambda1, lambda2, p,
         a=a, b=b, lambda1=lambda1, lambda2=lambda2, p=p, n_draws=n_draws,
         acceptance_fraction=fraction, sigma2_grid=sigma2_grid,
         log_ratio=log_ratio, ratio_increasing=increasing,
-        ks_d=d, ks_threshold=KS_COEFF / math.sqrt(int(accepted.sum()) or 1),
+        ks_d=d, ks_threshold=ks_threshold(int(accepted.sum())),
         ks_rejects_target=not ok)
 
 
@@ -608,12 +631,17 @@ class CheckResult:
     detail: str
 
 
-def _ks_check(name, draw, log_density, bracket, n, rng, nodes=20001):
-    draws = np.array([draw(rng) for _ in range(n)])
-    table = auto_cdf(log_density, bracket, nodes=nodes)
+def _ks_result(name, draws, table):
+    """The KS verdict of draws against a certified table, as a check."""
     d, ok = ks_test(draws, table)
+    n = len(draws)
     return CheckResult(
         name, ok, f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}")
+
+
+def _ks_check(name, draw, log_density, bracket, n, rng):
+    draws = np.array([draw(rng) for _ in range(n)])
+    return _ks_result(name, draws, auto_cdf(log_density, bracket))
 
 
 def _fixed_check_data():
@@ -668,22 +696,13 @@ def beta_kernel_ks_check(n=5000, seed=0, updater=None, form="common"):
     prior = make_prior(form, "direct", preset="weak")
     state = ModelState(beta=np.array([0.6, 1.2]), sigma2=1.3,
                        lambda1=2.0, lambda2=0.9)
-    frozen = state.beta.copy()
-
-    rng = RngStream(seed, 61)
-    out = np.empty(n)
-    for i in range(n):
-        state.beta = frozen.copy()
-        updater(data, prior, state, 0, rng)
-        out[i] = state.beta[0]
-
+    draws = _kernel_refresh_draws(
+        lambda d, pr, st, r: updater(d, pr, st, 0, r), data, prior, state,
+        n, RngStream(seed, 61), lambda st: st.beta[0])
     lu = beta_pair_log_unnorm(data, state.sigma2, state.lambda1,
                               state.lambda2, form)
-    table = auto_cdf(lambda x: lu(x, frozen[1]), bracket=(-25.0, 25.0))
-    d, ok = ks_test(out, table)
-    return CheckResult(
-        "coefficient-kernel-ks", ok,
-        f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}")
+    table = auto_cdf(lambda x: lu(x, state.beta[1]), bracket=(-25.0, 25.0))
+    return _ks_result("coefficient-kernel-ks", draws, table)
 
 
 def sweep_coordinates(form, sigma2, lambda1, lambda2):
@@ -720,13 +739,15 @@ def scale_slice_log_density(data, prior, state, which):
     the variance is not coupled to the rates).  Everything else stays
     frozen.  For the transformed coordinates the change of variables
     from (sigma2, lambda1, lambda2) contributes 4 u1^2 u2^2 under the
-    common scaling and 2 u2^2 under the differential one.
+    common scaling and 2 u2^2 under the differential one.  The sums of
+    the frozen beta and tau2 are reduced once, not at every point.
     """
     form = prior.form
     base = sweep_coordinates(form, state.sigma2, state.lambda1,
                              state.lambda2)
     beta = state.beta.copy()
     tau2 = None if state.tau2 is None else state.tau2.copy()
+    sums = coefficient_sums(data, prior, state)
 
     def lp(x):
         if not x > 0.0:
@@ -752,7 +773,7 @@ def scale_slice_log_density(data, prior, state, which):
             log_jac = 0.0
         st = ModelState(beta=beta, sigma2=u1, lambda1=lam1, lambda2=lam2,
                         tau2=tau2)
-        return log_posterior_unnorm(data, prior, st) + log_jac
+        return log_posterior_unnorm(data, prior, st, sums) + log_jac
 
     return lp
 
@@ -788,69 +809,47 @@ def tau2_kernel_ks(data, prior, state, n, rng):
                             s2, l1, l2)
 
     hi = 1.0 - 1e-12 if form == "common" else 1e6
-    table = auto_cdf(lp, (1e-10, hi))
-    d, ok = ks_test(draws, table)
-    return CheckResult(
-        f"kernel-{form}-da-tau2", ok,
-        f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}")
+    return _ks_result(f"kernel-{form}-da-tau2", draws,
+                      auto_cdf(lp, (1e-10, hi)))
 
 
-def da_beta_marginal_cdf(data, prior, state, nodes=321, span=9.0):
+def da_beta_marginal_cdf(data, prior, state, nodes=321):
     """CDF table for the first coefficient of the augmented conditional,
     marginalized over the second by planar quadrature of the joint.
 
-    The Gaussian-solve center and spread fix node placement only; the
-    mass is certified by half-resolution comparison and an edge-weight
-    bound, like the direct-representation planar grid.
+    Given tau2 the log joint is the quadratic -rss/(2 sigma2) -
+    sum_j b_j^2/(2 v_j) with v = tau2_conditional_var.  The
+    Gaussian-solve center and spread fix node placement only; the mass
+    is certified like the direct-representation planar grid.
     """
     if data.p != 2:
         raise OracleError("the block-update oracle needs p = 2")
-    form = prior.form
-    v = tau2_conditional_var(form, state.tau2, state.sigma2, state.lambda2)
-    prec = data.xtx / state.sigma2 + np.diag(1.0 / np.asarray(v))
+    s2 = state.sigma2
+    v = tau2_conditional_var(prior.form, state.tau2, s2, state.lambda2)
+    prec = data.xtx / s2 + np.diag(1.0 / v)
     cov = np.linalg.inv(prec)
-    center = cov @ (data.xty / state.sigma2)
+    center = cov @ (data.xty / s2)
     sds = np.sqrt(np.diag(cov))
 
     def log_joint(b1, b2):
-        beta = np.array([b1, b2])
-        return (log_integrated_likelihood(data, beta, state.sigma2)
-                + log_prior_da(form, beta, state.tau2, state.sigma2,
-                               state.lambda1, state.lambda2))
+        return -0.5 * (_pair_rss(data, b1, b2) / s2
+                       + b1 * b1 / v[0] + b2 * b2 / v[1])
 
-    ax1 = np.linspace(center[0] - span * sds[0],
-                      center[0] + span * sds[0], nodes)
-    ax2 = np.linspace(center[1] - span * sds[1],
-                      center[1] + span * sds[1], nodes)
+    def axis(j, n):
+        return np.linspace(center[j] - _SPAN * sds[j],
+                           center[j] + _SPAN * sds[j], n)
 
-    def mass_and_marginal(a1, a2):
-        lu = np.array([[log_joint(x1, x2) for x2 in a2] for x1 in a1])
-        top = float(lu.max())
-        w = np.exp(lu - top)
-        marg = np.trapezoid(w, a2, axis=1)
-        return math.log(float(np.trapezoid(marg, a1))) + top, marg
-
-    lm_half, _ = mass_and_marginal(ax1[::2], ax2[::2])
-    lm, marg = mass_and_marginal(ax1, ax2)
-    delta = abs(lm - lm_half)
-    if delta > MASS_TOL:
-        raise OracleError("block-update grid mass did not stabilize "
-                          f"under refinement (change {delta:.2e})")
-    edge = float(max(marg[0], marg[-1]) / marg.max())
-    if edge > TAIL_TOL:
-        raise OracleError("block-update grid does not cover the tails")
-    cdf = _cum_trapz(marg, ax1)
-    return CdfTable(ax1, cdf / cdf[-1], lm)
+    lm, grid = _planar_grid(log_joint, axis, nodes, True)
+    xs, pdf = grid.marginal(0)
+    cdf = _cum_trapz(pdf, xs)
+    return CdfTable(xs, cdf / cdf[-1], lm)
 
 
 def beta_block_ks(data, prior, state, n, rng, nodes=321):
     draws = _kernel_refresh_draws(update_beta_block, data, prior, state,
                                   n, rng, lambda st: st.beta[0])
-    table = da_beta_marginal_cdf(data, prior, state, nodes=nodes)
-    d, ok = ks_test(draws, table)
-    return CheckResult(
-        f"kernel-{prior.form}-da-beta-block", ok,
-        f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}")
+    return _ks_result(f"kernel-{prior.form}-da-beta-block", draws,
+                      da_beta_marginal_cdf(data, prior, state, nodes=nodes))
 
 
 _SCALE_CASES = {
@@ -894,11 +893,8 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
                                               n, root.substream(fi, ri, ci),
                                               read)
                 lp = scale_slice_log_density(data, prior, state, which)
-                table = auto_cdf(lp, (1e-10, 1e6))
-                d, ok = ks_test(draws, table)
-                checks.append(CheckResult(
-                    f"kernel-{label}-{which}", ok,
-                    f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}"))
+                checks.append(_ks_result(f"kernel-{label}-{which}", draws,
+                                         auto_cdf(lp, (1e-10, 1e6))))
             if representation == "da":
                 checks.append(tau2_kernel_ks(
                     data, prior, state, n, root.substream(fi, ri, 7)))
@@ -913,11 +909,8 @@ def distribution_ks_checks(n, rng):
 
     table = quadrature_cdf(lambda x: -0.5 * x * x,
                            QuadratureGrid(-10.0, 10.0))
-    draws = table.inverse(rng.gen.random(n))
-    d, ok = ks_test(draws, table)
-    checks.append(CheckResult(
-        "quadrature-self-test", ok,
-        f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}"))
+    checks.append(_ks_result("quadrature-self-test",
+                             table.inverse(rng.gen.random(n)), table))
 
     tn = lambda x: np.where(x >= 0.0, -(x + 0.3) ** 2 / 3.4, -np.inf)
     checks.append(_ks_check(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bayenet import oracle
 from bayenet.model import (ModelState, RegressionData, from_transformed,
                            log_posterior_transformed, tau2_conditional_var)
 from bayenet.oracle import (
@@ -14,6 +15,7 @@ from bayenet.oracle import (
     auto_cdf,
     axis_continuity_gap,
     axis_slope_jump,
+    beta_block_ks,
     beta_kernel_ks_check,
     beta_pair_log_unnorm,
     broken_coordinate_update,
@@ -54,17 +56,17 @@ def test_quadrature_grid_validation():
         QuadratureGrid(1.0, 1.0)
     with pytest.raises(ValueError, match="nodes"):
         QuadratureGrid(0.0, 1.0, nodes=10)
-    with pytest.raises(ValueError, match="rule"):
-        QuadratureGrid(0.0, 1.0, rule="simpson")
 
 
 def test_quadrature_rejects_unresolved_spike():
-    spike = lambda x: -0.5 * (x / 1e-2) ** 2
+    # seven doublings from 101 nodes leave a step of 1.6e-3, far wider
+    # than this spike, so its mass never settles
+    narrow = lambda x: -0.5 * (x / 1e-4) ** 2
     with pytest.raises(OracleError, match="stabilize"):
-        quadrature_cdf(spike, QuadratureGrid(-10.0, 10.0, nodes=101))
-    # the adaptive rule keeps doubling until the spike is resolved
-    table = quadrature_cdf(spike, QuadratureGrid(-10.0, 10.0, nodes=101,
-                                                 rule="adaptive"))
+        quadrature_cdf(narrow, QuadratureGrid(-10.0, 10.0, nodes=101))
+    # a spike a hundred times wider is resolved by the doubling
+    spike = lambda x: -0.5 * (x / 1e-2) ** 2
+    table = quadrature_cdf(spike, QuadratureGrid(-10.0, 10.0, nodes=101))
     assert table.interp(0.0) == pytest.approx(0.5, abs=1e-6)
 
 
@@ -216,6 +218,32 @@ def test_beta_kernel_check_passes_and_catches_mutation():
     bad = beta_kernel_ks_check(n=4000, seed=1,
                                updater=broken_coordinate_update)
     assert not bad.passed, bad.detail
+
+
+def _block_update_without_lambda2(data, prior, state, rng):
+    """The block update of beta with lambda2 dropped from its precision:
+    the common form's prior term vanishes, the differential form keeps
+    only 1/tau2."""
+    if prior.form == "common":
+        extra = np.zeros(data.p)
+    else:
+        extra = 1.0 / state.tau2
+    chol = np.linalg.cholesky(data.xtx + np.diag(extra))
+    mean = np.linalg.solve(chol.T, np.linalg.solve(chol, data.xty))
+    pert = np.linalg.solve(chol.T, rng.gen.standard_normal(data.p))
+    state.beta = mean + math.sqrt(state.sigma2) * pert
+
+
+def test_beta_block_check_passes_and_catches_dropped_lambda2():
+    for form in ("common", "differential"):
+        data, prior, state = kernel_check_setup(form, "da")
+        good = beta_block_ks(data, prior, state, 2000, RngStream(0, 8))
+        assert good.passed, (form, good.detail)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "update_beta_block",
+                       _block_update_without_lambda2)
+            bad = beta_block_ks(data, prior, state, 2000, RngStream(0, 8))
+        assert not bad.passed, (form, bad.detail)
 
 
 def test_appendix_a_headline_findings():
