@@ -20,6 +20,8 @@ proposal (power law below a split point, truncated normal above it).
 
 import math
 
+import numpy as np
+
 from .envelope import (
     LogDensityTarget,
     build_envelope,
@@ -72,20 +74,23 @@ def sample_truncated_normal(mean, var, side, rng):
 
 
 def sample_inverse_gaussian(mean, shape, rng):
-    """One inverse-Gaussian draw via the squared-normal transform.
+    """Inverse-Gaussian draws via the squared-normal transform, one per
+    element of mean (a float for a single draw): all normals first, then
+    all uniforms.
 
     The smaller root of the defining quadratic is computed in conjugate
     form mean/(1 + w + sqrt(w (w + 2))), which stays positive even when
     the standard textbook expression would cancel to rounding noise.
     """
-    if not (mean > 0.0 and shape > 0.0):
+    mean = np.asarray(mean, dtype=float)
+    if not (shape > 0.0 and (mean > 0.0).all()):
         raise ValueError("mean and shape must be positive")
-    y = rng.gen.standard_normal() ** 2
+    y = rng.gen.standard_normal(mean.shape) ** 2
     w = mean * y / (2.0 * shape)
-    x = mean / (1.0 + w + math.sqrt(w * (w + 2.0)))
-    if rng.gen.random() <= mean / (mean + x):
-        return x
-    return mean * mean / x
+    x = mean / (1.0 + w + np.sqrt(w * (w + 2.0)))
+    keep = rng.gen.random(mean.shape) <= mean / (mean + x)
+    draws = np.where(keep, x, mean * mean / x)
+    return draws if draws.ndim else float(draws)
 
 
 def sample_gig(lam, psi, chi, rng):

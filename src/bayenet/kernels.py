@@ -15,6 +15,11 @@ data-augmented); the algorithm is one of
 A sampler's label is "algorithm-form-representation", e.g.
 "rs-differential-da"; SAMPLERS lists all eight in a fixed order.
 
+The coefficient blocks avoid per-element numpy work: the direct scan
+does each coordinate's arithmetic in Python floats, and the augmented
+representation draws beta with two Cholesky solves and all p latent
+scales with one vectorized inverse-Gaussian call.
+
 Update order within a sweep: beta, then tau2 where present, then the
 scales.  beta and tau2 do not move while the scales do, so run_sweep
 reduces them once to a model.CoefficientSums, and every scale block,
@@ -91,14 +96,18 @@ def update_beta_coordinate(data, prior, state, j, rng):
 
     The side weights are formed entirely in log space
     (log Phi(mu/s) + mu^2/(2 s^2)); the shared Gaussian constant cancels.
+    The arithmetic is on Python floats; the one array operation is the
+    dot product with row j of X'X.
     """
     beta = state.beta
     lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     t = 0.5 * lam1 if prior.form == "common" else math.sqrt(s2) * lam1
-    prec = data.col_sq_norms[j] + lam2
+    xtx_jj = data.col_sq_norms[j]
+    prec = xtx_jj + lam2
     sj2 = s2 / prec
     sj = math.sqrt(sj2)
-    r = data.xty[j] - (data.xtx[j] @ beta - data.xtx[j, j] * beta[j])
+    r = data.xty.item(j) - (float(data.xtx_rows[j].dot(beta))
+                            - xtx_jj * beta.item(j))
     mu_pos = (r - t) / prec
     mu_neg = (r + t) / prec
     lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2
@@ -118,41 +127,37 @@ def update_beta_direct(data, prior, state, rng):
 
 
 def update_beta_block(data, prior, state, rng):
-    """Joint Gaussian update of beta given the latent scales."""
+    """Joint Gaussian update of beta given the latent scales: with the
+    precision Q = L L', beta = L'^-1 (L^-1 X'y + sigma z) is distributed
+    N(Q^-1 X'y, sigma^2 Q^-1)."""
     if prior.form == "common":
         om = np.maximum(1.0 - state.tau2, 1e-14)
         extra = state.lambda2 / om
     else:
         extra = 1.0 / state.tau2 + state.lambda2
-    prec = data.xtx + np.diag(extra)
-    chol = np.linalg.cholesky(prec)
-    mean = np.linalg.solve(chol.T, np.linalg.solve(chol, data.xty))
-    pert = np.linalg.solve(chol.T, rng.gen.standard_normal(data.p))
-    state.beta = mean + math.sqrt(state.sigma2) * pert
+    chol = np.linalg.cholesky(data.xtx + np.diag(extra))
+    w = np.linalg.solve(chol, data.xty)
+    z = rng.gen.standard_normal(data.p)
+    state.beta = np.linalg.solve(chol.T, w + math.sqrt(state.sigma2) * z)
 
 
 def update_tau2(data, prior, state, rng):
-    """Exact update of the latent scales via inverse-Gaussian draws.
+    """Exact update of the latent scales: one vectorized inverse-Gaussian
+    draw of all p of them, written into state.tau2.
 
     |beta_j| is clamped below at 1e-12 sigma so the inverse-Gaussian mean
     stays finite when a coefficient collapses onto zero.
     """
-    beta, s2 = state.beta, state.sigma2
-    lam1, lam2 = state.lambda1, state.lambda2
+    lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     sigma = math.sqrt(s2)
-    tau2 = state.tau2
+    mag = np.maximum(np.abs(state.beta), 1e-12 * sigma)
     if prior.form == "common":
-        shape = lam1 * lam1 / (4.0 * lam2 * s2)
-        for j in range(data.p):
-            mag = max(abs(beta[j]), 1e-12 * sigma)
-            z = sample_inverse_gaussian(lam1 / (2.0 * lam2 * mag), shape, rng)
-            tau2[j] = min(z / (1.0 + z), 1.0 - 1e-15)
+        z = sample_inverse_gaussian((lam1 / (2.0 * lam2)) / mag,
+                                    lam1 * lam1 / (4.0 * lam2 * s2), rng)
+        np.minimum(z / (1.0 + z), 1.0 - 1e-15, out=state.tau2)
     else:
-        shape = lam1 * lam1
-        for j in range(data.p):
-            mag = max(abs(beta[j]), 1e-12 * sigma)
-            z = sample_inverse_gaussian(sigma * lam1 / mag, shape, rng)
-            tau2[j] = 1.0 / z
+        z = sample_inverse_gaussian((sigma * lam1) / mag, lam1 * lam1, rng)
+        np.divide(1.0, z, out=state.tau2)
 
 
 def update_u1_common(data, prior, state, sums, rng):

@@ -81,7 +81,9 @@ class RegressionData:
         self.xtx = self.X.T @ self.X
         self.xty = self.X.T @ self.y
         self.yty = float(self.y @ self.y)
-        self.col_sq_norms = np.diag(self.xtx).copy()
+        # floats and row views for the coordinate scan's scalar arithmetic
+        self.col_sq_norms = self.xtx.diagonal().tolist()
+        self.xtx_rows = list(self.xtx)
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,13 @@ class PriorSpec:
                 raise ValueError(f"{name} must be positive")
         if self.nu_a < 0.0 or self.nu_b < 0.0:
             raise ValueError("nu_a and nu_b must be nonnegative")
+        # log normalizers of the lambda1, lambda2 and sigma2 hyperpriors
+        # (0 for an improper sigma2 prior), read by every log_hyperprior
+        a, b = 0.5 * self.nu_a, 0.5 * self.nu_b
+        object.__setattr__(self, "log_norms", (
+            self.L * math.log(0.5 * self.nu1) - math.lgamma(self.L),
+            self.R * math.log(0.5 * self.nu2) - math.lgamma(self.R),
+            a * math.log(b) - math.lgamma(a) if a > 0.0 and b > 0.0 else 0.0))
 
 
 def make_prior(form, representation, preset=None, **params):
@@ -331,17 +340,14 @@ def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
 def log_hyperprior(prior, sigma2, lambda1, lambda2):
     if not (sigma2 > 0.0 and lambda1 > 0.0 and lambda2 > 0.0):
         raise ValueError("hyperparameters must be positive")
-    half_nu1 = 0.5 * prior.nu1
-    half_nu2 = 0.5 * prior.nu2
-    val = (prior.L * math.log(half_nu1) - math.lgamma(prior.L)
-           + (prior.L - 1.0) * math.log(lambda1) - half_nu1 * lambda1)
-    val += (prior.R * math.log(half_nu2) - math.lgamma(prior.R)
-            + (prior.R - 1.0) * math.log(lambda2) - half_nu2 * lambda2)
+    norm1, norm2, norm_s2 = prior.log_norms
+    val = (norm1 + (prior.L - 1.0) * math.log(lambda1)
+           - 0.5 * prior.nu1 * lambda1)
+    val += (norm2 + (prior.R - 1.0) * math.log(lambda2)
+            - 0.5 * prior.nu2 * lambda2)
     a, b = 0.5 * prior.nu_a, 0.5 * prior.nu_b
     val += -(a + 1.0) * math.log(sigma2) - b / sigma2
-    if a > 0.0 and b > 0.0:
-        val += a * math.log(b) - math.lgamma(a)
-    return val
+    return val + norm_s2
 
 
 def log_posterior_unnorm(data, prior, state, sums=None):

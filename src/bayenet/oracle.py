@@ -664,10 +664,12 @@ def broken_coordinate_update(data, prior, state, j, rng):
     beta = state.beta
     lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     t = 0.5 * lam1 if prior.form == "common" else math.sqrt(s2) * lam1
-    prec = data.col_sq_norms[j] + lam2
+    xtx_jj = data.col_sq_norms[j]
+    prec = xtx_jj + lam2
     sj2 = s2 / prec
     sj = math.sqrt(sj2)
-    r = data.xty[j] - (data.xtx[j] @ beta - data.xtx[j, j] * beta[j])
+    r = data.xty.item(j) - (float(data.xtx_rows[j].dot(beta))
+                            - xtx_jj * beta.item(j))
     mu_pos = (r - t) / prec
     mu_neg = (r - t) / prec  # the bug: should be (r + t) / prec
     lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2

@@ -104,6 +104,41 @@ def test_inverse_gaussian_extreme_ratio_stays_positive():
         sample_inverse_gaussian(-1.0, 1.0, rng)
 
 
+def test_inverse_gaussian_vectorized_elementwise():
+    # each element of one vectorized call follows the law of its own mean
+    rng = RngStream(102, 4)
+    means = np.array([1e-2, 0.3, 4.0, 1e2])
+    lam = 1.5
+    draws = np.array([sample_inverse_gaussian(means, lam, rng)
+                      for _ in range(N // 2)])
+    assert draws.shape == (N // 2, means.size)
+    for k, mu in enumerate(means):
+        # KS on the log scale, where the long right tail of a large mean
+        # needs no fine grid; the upper end leaves a tail mass below 1e-9
+        hi = mu + 10.0 * mu ** 1.5 / math.sqrt(lam) + 45.0 * mu * mu / lam
+        logpdf = _ig_logpdf(mu, lam)
+        assert _ks_ok(np.log(draws[:, k]), lambda t: logpdf(math.exp(t)) + t,
+                      math.log(1e-9 * mu), math.log(hi)), mu
+
+
+def test_inverse_gaussian_draws_are_pinned():
+    # a single draw consumes one normal, then one uniform; these values
+    # were recorded with the scalar sampler that predates vectorization
+    rng = RngStream(102, 3)
+    got = [sample_inverse_gaussian(mu, 1.5, rng)
+           for mu in (0.01, 1.0, 100.0, 2.0, 0.3)]
+    assert got == [0.009520788911885309, 0.34757487567694856,
+                   3.65018870360766, 7.226256086292833, 0.2281510085441679]
+    assert all(type(v) is float for v in got)
+    # a vector of means: all normals first, then all uniforms, element k
+    # taking the k-th of each (the scalar formula on those gives these)
+    got = sample_inverse_gaussian(np.array([0.5, 20.0, 3.0, 0.05]), 2.0,
+                                  RngStream(102, 5))
+    want = [0.4229218539809062, 2.3048722578618994, 4.60507413903954,
+            0.03238107211910849]
+    np.testing.assert_array_equal(got, want)
+
+
 def _gig_logpdf(lam, psi, chi):
     return lambda x: ((lam - 1.0) * math.log(x)
                       - 0.5 * (psi * x + chi / x))
