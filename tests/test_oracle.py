@@ -96,21 +96,49 @@ def test_auto_cdf_places_range_from_target():
     assert table.xs[-1] < 40.0
 
 
-def test_auto_cdf_geometric_fallback():
-    # an exp(-1e-6/x) rise near zero defeats any feasible linear grid,
-    # while the right tail dies inside mode*1e3; the geometric fallback
-    # grid certifies it
-    ld = lambda x: -1e-6 / x - x * x
-    table = auto_cdf(ld, bracket=(1e-10, 1e6))
-    assert table.xs[0] == pytest.approx(1e-8)
-    # the perturbation moves ~1e-5 of mass, so half-normal values hold
-    assert table.interp(1.0) == pytest.approx(math.erf(1.0), abs=1e-3)
-    assert table.interp(0.5) == pytest.approx(math.erf(0.5), abs=1e-3)
+def _gamma400_cdf(x):
+    # gamma(400, rate 1) CDF at x is P(N >= 400) for N ~ Poisson(x)
+    return 1.0 - sum(math.exp(i * math.log(x) - x - math.lgamma(i + 1.0))
+                     for i in range(400))
+
+
+def _scan_top(ld, bracket):
+    # the largest log density on auto_cdf's own 1501-node scan
+    lo, hi = bracket
+    spacing = np.geomspace if lo > 0.0 and hi / lo >= 1e3 else np.linspace
+    return max(oracle._probe(ld, x) for x in spacing(lo, hi, 1501))
+
+
+@pytest.mark.parametrize("ld, bracket, cdf, points, pinned", [
+    # a narrow peak far from 1, on a geometric scan
+    (lambda x: 399.0 * np.log(x) - x, (1e-10, 1e6), _gamma400_cdf,
+     (360.0, 400.0, 430.0), False),
+    # the mode sits on the bracket edge; -inf outside the support
+    (lambda x: np.where(x >= 0.0, -2.0 * x, -np.inf), (0.0, 60.0),
+     lambda x: 1.0 - math.exp(-2.0 * x), (0.1, 0.5, 2.0), True),
+    # a two-sided peak on a linear scan
+    (lambda x: -2.0 * (x - 3.0) ** 2, (-25.0, 25.0),
+     lambda x: 0.5 * (1.0 + math.erf(2.0 * (x - 3.0) / math.sqrt(2.0))),
+     (2.5, 3.0, 3.7), False),
+], ids=["gamma-400", "edge-mode", "normal"])
+def test_auto_cdf_spans_scan_nodes_within_drop(ld, bracket, cdf, points,
+                                               pinned):
+    table = auto_cdf(ld, bracket)
+    for x in points:
+        assert table.interp(x) == pytest.approx(cdf(x), abs=1e-6)
+    # only a lower edge pinned to the bracket is exempt from lying at
+    # least _DROP below the scanned maximum
+    top = _scan_top(ld, bracket)
+    assert (table.xs[0] == bracket[0]) == pinned
+    edges = table.xs[-1:] if pinned else table.xs[::table.xs.size - 1]
+    for edge in edges:
+        assert oracle._probe(ld, edge) <= top - oracle._DROP
 
 
 def test_auto_cdf_honest_failure_for_uncoverable_tail():
-    # inverse-gamma-like with power -2.5: the fallback range mode*1e3
-    # holds far more than 1e-8 tail mass, so no certificate is possible
+    # inverse-gamma-like with power -2.5: the right tail is still within
+    # _DROP of the mode at the bracket's end, so the table must span six
+    # decades on a linear grid and its mass cannot settle
     with pytest.raises(OracleError):
         auto_cdf(lambda x: -2.5 * np.log(x) - 1.0 / x, bracket=(1e-10, 1e6))
 
