@@ -17,8 +17,9 @@ A sampler's label is "algorithm-form-representation", e.g.
 
 The coefficient blocks avoid per-element numpy work: the direct scan
 does each coordinate's arithmetic in Python floats, and the augmented
-representation draws beta with two Cholesky solves and all p latent
-scales with one vectorized inverse-Gaussian call.
+representation draws beta with one Cholesky factor and one solve with
+the precision, and all p latent scales with one vectorized
+inverse-Gaussian call.
 
 Update order within a sweep: beta, then tau2 where present, then the
 scales.  beta and tau2 do not move while the scales do, so run_sweep
@@ -128,17 +129,18 @@ def update_beta_direct(data, prior, state, rng):
 
 def update_beta_block(data, prior, state, rng):
     """Joint Gaussian update of beta given the latent scales: with the
-    precision Q = L L', beta = L'^-1 (L^-1 X'y + sigma z) is distributed
+    precision Q = L L', beta = Q^-1 (X'y + sigma L z) is distributed
     N(Q^-1 X'y, sigma^2 Q^-1)."""
     if prior.form == "common":
         om = np.maximum(1.0 - state.tau2, 1e-14)
         extra = state.lambda2 / om
     else:
         extra = 1.0 / state.tau2 + state.lambda2
-    chol = np.linalg.cholesky(data.xtx + np.diag(extra))
-    w = np.linalg.solve(chol, data.xty)
+    prec = data.xtx + np.diag(extra)
+    chol = np.linalg.cholesky(prec)
     z = rng.gen.standard_normal(data.p)
-    state.beta = np.linalg.solve(chol.T, w + math.sqrt(state.sigma2) * z)
+    state.beta = np.linalg.solve(
+        prec, data.xty + math.sqrt(state.sigma2) * (chol @ z))
 
 
 def update_tau2(data, prior, state, rng):
