@@ -30,8 +30,8 @@ from .model import PRIOR_PRESETS, RegressionData, make_prior
 from .oracle import (appendix_a_demonstration, broken_coordinate_update,
                      run_validation_suite)
 from .rng import RngStream
-from .simulate import (design, generate_dataset, read_dataset_csv,
-                       run_experiment, write_results_csv)
+from .simulate import (data_stream, design, format_cell, generate_dataset,
+                       read_dataset_csv, run_experiment, write_results_csv)
 
 
 class UserError(ValueError):
@@ -285,14 +285,6 @@ def _write_run_config(cfg):
     return path
 
 
-def _fmt_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.17g}"
-
-
 def _write_draws_csv(path, chain):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -310,7 +302,7 @@ def _write_summary_csv(path, rows):
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt_cell(row[col]) for col in _SUMMARY_COLUMNS])
+            writer.writerow([format_cell(row[col]) for col in _SUMMARY_COLUMNS])
 
 
 def _fit_data(cfg):
@@ -318,10 +310,8 @@ def _fit_data(cfg):
         y, X = read_dataset_csv(cfg.dataset)
         return RegressionData(y, X)
     design_id = cfg.sim[0]
-    # replicate 0 of the benchmark data stream, so a fit on a design id
-    # sees the same dataset as the harness's first replicate
     y, X = generate_dataset(design(design_id),
-                            RngStream(cfg.seed, (0, design_id, 0)))
+                            data_stream(cfg.seed, design_id, 0))
     return RegressionData(y, X)
 
 

@@ -130,7 +130,9 @@ def read_dataset_csv(path):
     return y, X
 
 
-def _data_stream(seed, design_id, replicate):
+def data_stream(seed, design_id, replicate):
+    """The stream a replicate's dataset is drawn from; `bayenet fit --sim`
+    fits replicate 0."""
     return RngStream(seed, (0, design_id, replicate))
 
 
@@ -165,7 +167,7 @@ def run_cell(design_id, kind_label, prior_name, replicate,
     one chain, per-parameter ESS."""
     try:
         dsg = design(design_id)
-        y, X = generate_dataset(dsg, _data_stream(seed, design_id, replicate))
+        y, X = generate_dataset(dsg, data_stream(seed, design_id, replicate))
         data = RegressionData(y, X)
         algorithm, form, representation = parse_sampler(kind_label)
         prior = make_prior(form, representation, preset=prior_name)
@@ -237,12 +239,14 @@ def run_experiment(design_ids, sampler_labels, prior_names, replicates,
     return rows, failures
 
 
-def _fmt(v):
-    if v is None:
+def format_cell(value):
+    """A CSV cell: empty for None, a string as is, a number at full
+    precision."""
+    if value is None:
         return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    if isinstance(value, str):
+        return value
+    return f"{value:.17g}"
 
 
 def write_results_csv(path, rows):
@@ -250,4 +254,4 @@ def write_results_csv(path, rows):
         w = csv.writer(fh)
         w.writerow(RESULT_COLUMNS)
         for row in rows:
-            w.writerow([_fmt(row[k]) for k in RESULT_COLUMNS])
+            w.writerow([format_cell(row[k]) for k in RESULT_COLUMNS])

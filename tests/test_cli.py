@@ -14,7 +14,8 @@ from bayenet.cli import (RunConfig, UserError, assemble_config,
                          build_parser, config_from_text, main,
                          serialize_config)
 from bayenet.diagnostics import DERIVED_NAMES
-from bayenet.simulate import write_dataset_csv
+from bayenet.rng import RngStream
+from bayenet.simulate import design, generate_dataset, write_dataset_csv
 
 
 def read_csv(path):
@@ -73,6 +74,22 @@ def test_fit_reads_dataset_file(tmp_path):
                  "--burnin", "20", "--out", str(out)]) == 0
     header = read_csv(out / "draws.csv")[0]
     assert header[:3] == ["beta_1", "beta_2", "beta_3"]
+
+
+def test_fit_sim_fits_replicate_zero_of_the_data_stream(tmp_path):
+    # `fit --sim N --seed s` fits the dataset drawn from
+    # RngStream(s, (0, N, 0)); perfbench/setup_probe.py times that key
+    y, X = generate_dataset(design(3), RngStream(9, (0, 3, 0)))
+    data_path = tmp_path / "data.csv"
+    write_dataset_csv(data_path, y, X)
+    common = ["--sampler", "rs-common-da", "--iters", "100", "--burnin",
+              "10", "--seed", "9"]
+    sim, from_file = tmp_path / "sim", tmp_path / "file"
+    assert main(["fit", "--sim", "3", *common, "--out", str(sim)]) == 0
+    assert main(["fit", "--data", str(data_path), *common,
+                 "--out", str(from_file)]) == 0
+    assert ((sim / "draws.csv").read_bytes()
+            == (from_file / "draws.csv").read_bytes())
 
 
 def test_fit_rejects_nonfinite_dataset_cell(tmp_path, monkeypatch, capsys):
