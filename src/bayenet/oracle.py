@@ -204,8 +204,9 @@ def auto_cdf(log_density, bracket=(1e-10, 1e6)):
     One scan of 1501 nodes, spaced geometrically when the bracket spans
     three decades of positive values, finds the largest log density.
     The table spans the scan nodes within _DROP of it plus one node on
-    each side (clipped to the bracket), so each edge lies at least _DROP
-    below the mode; the table's own certificate vouches for the rest.
+    each side, clipped to the bracket, so an edge inside the bracket
+    lies more than _DROP below the mode; the table's own certificate
+    vouches for the rest.
     """
     lo, hi = bracket
     spacing = np.geomspace if lo > 0.0 and hi / lo >= 1e3 else np.linspace

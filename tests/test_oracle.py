@@ -130,7 +130,7 @@ def test_auto_cdf_spans_scan_nodes_within_drop(ld, bracket, cdf, points,
     # least _DROP below the scanned maximum
     top = _scan_top(ld, bracket)
     assert (table.xs[0] == bracket[0]) == pinned
-    edges = table.xs[-1:] if pinned else table.xs[::table.xs.size - 1]
+    edges = [table.xs[-1]] if pinned else [table.xs[0], table.xs[-1]]
     for edge in edges:
         assert oracle._probe(ld, edge) <= top - oracle._DROP
 
