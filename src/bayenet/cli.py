@@ -75,8 +75,6 @@ class RunConfig:
 # written according to its field's type
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
-SUBCOMMANDS = ("fit", "simulate", "validate", "appendix-a")
-
 
 def _int_list(raw):
     return tuple(int(tok) for tok in raw.split(",") if tok.strip())
@@ -138,16 +136,6 @@ def parse_config_text(text):
             raise UserError(f"config line {lineno}: duplicate key {key!r}")
         pairs[key] = raw.strip()
     return pairs
-
-
-def config_from_text(text):
-    pairs = parse_config_text(text)
-    if "subcommand" not in pairs:
-        raise UserError("config text does not name a subcommand")
-    values = {key: _convert_value(key, raw) for key, raw in pairs.items()}
-    if values["subcommand"] not in SUBCOMMANDS:
-        raise UserError(f"unknown subcommand {values['subcommand']!r}")
-    return RunConfig(**values)
 
 
 def load_config_file(path):

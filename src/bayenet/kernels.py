@@ -324,7 +324,7 @@ def run_sweep(algorithm, data, prior, state, rng, steps=None, counts=None):
 
 
 def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1,
-              state=None, steps=None):
+              steps=None):
     """Run burnin + iters*thin sweeps and keep iters draws.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
@@ -333,8 +333,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1,
     check_sweep_supported(algorithm, prior)
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
-    if state is None:
-        state = initial_state(data, prior)
+    state = initial_state(data, prior)
     counts = ({"sigma2": [0, 0], "lambda1": [0, 0], "lambda2": [0, 0]}
               if algorithm == "mh" else {})
     if steps is None:

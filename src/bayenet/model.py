@@ -248,6 +248,21 @@ def log_integrated_likelihood(data, beta, sigma2):
     return _log_likelihood(data.n, rss(data, beta), sigma2)
 
 
+def _latent_scale_norm(form, sigma2, lambda1, lambda2):
+    """(r, const) of the latent scales' prior: const is the log
+    normalizer per coordinate, r the common form's rate
+    lambda1 / (2 sigma sqrt(lambda2)) or the differential form's
+    lambda1 / sqrt(lambda2)."""
+    if form == "common":
+        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
+        return r, (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-r)
+                   + math.log(r))
+    th = lambda1 / math.sqrt(lambda2)
+    return th, (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-th)
+                + math.log(lambda1) + 0.5 * math.log(lambda2)
+                - 0.5 * th * th)
+
+
 def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
     """Normalized joint log prior of beta (and tau2) from their sums.
 
@@ -275,19 +290,13 @@ def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
                 + penalty)
     if not sums.in_support:
         return -math.inf
+    r, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
     if form == "common":
-        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
-        const = (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-r)
-                 + math.log(r))
         log_beta = (-0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
                     - 0.5 * sums.log_w
                     - 0.5 * lambda2 * sums.beta2_w / sigma2)
         return (log_beta + p * const
                 - 1.5 * sums.log_tau2 - 0.5 * r * r * sums.inv_tau2)
-    th = lambda1 / math.sqrt(lambda2)
-    const = (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-th)
-             + math.log(lambda1) + 0.5 * math.log(lambda2)
-             - 0.5 * th * th)
     log_beta = (-0.5 * p * (_LOG_2PI + math.log(sigma2))
                 - 0.5 * sums.log_tau2
                 - 0.5 * (sums.beta2_w + lambda2 * sums.bb) / sigma2)
@@ -315,17 +324,12 @@ def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
     if form == "common":
         if np.any(tau2 <= 0.0) or np.any(tau2 >= 1.0):
             return -math.inf
-        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
-        const = (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-r)
-                 + math.log(r))
+        r, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
         return float(p * const
                      + np.sum(-1.5 * np.log(tau2) - 0.5 * r * r / tau2))
     if np.any(tau2 <= 0.0):
         return -math.inf
-    th = lambda1 / math.sqrt(lambda2)
-    const = (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-th)
-             + math.log(lambda1) + 0.5 * math.log(lambda2)
-             - 0.5 * th * th)
+    _, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
     return float(p * const
                  + np.sum(-0.5 * np.log1p(lambda2 * tau2)
                           - 0.5 * lambda1 * lambda1 * tau2))
@@ -382,27 +386,29 @@ def log_posterior_transformed(data, prior, state):
 
 def sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng):
     """p draws of the latent scales from their prior."""
-    out = np.empty(p)
+    tau2 = np.empty(p)
+    got = 0
     if form == "common":
-        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
-        for j in range(p):
-            while True:
-                z = r + sample_truncated_normal(-r, 1.0, "nonnegative", rng)
-                v = (r / z) ** 2
-                if 0.0 < v < 1.0:
-                    out[j] = v
-                    break
-        return out
-    rate = 0.5 * lambda1 * lambda1
-    for j in range(p):
-        while True:
-            v = rng.gen.standard_exponential() / rate
-            if v <= 0.0:
-                continue
-            if rng.gen.random() <= math.exp(-0.5 * math.log1p(lambda2 * v)):
-                out[j] = v
-                break
-    return out
+        # latent precision is a unit-lower-truncated gamma variate
+        rate = lambda1 ** 2 / (8.0 * sigma2 * lambda2)
+        while got < p:
+            m = 8 * (p - got) + 1000
+            g = rng.gen.gamma(0.5, 1.0 / rate, size=m)
+            g = g[g > 1.0][:p - got]
+            tau2[got:got + g.size] = 1.0 / g
+            got += g.size
+    elif form == "differential":
+        rate = 0.5 * lambda1 ** 2
+        while got < p:
+            m = 2 * (p - got) + 1000
+            t = rng.gen.exponential(1.0 / rate, size=m)
+            t = t[rng.gen.random(m) * np.sqrt(1.0 + lambda2 * t) <= 1.0]
+            t = t[:p - got]
+            tau2[got:got + t.size] = t
+            got += t.size
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return tau2
 
 
 def sample_beta_prior_direct(form, p, sigma2, lambda1, lambda2, rng):

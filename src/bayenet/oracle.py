@@ -44,6 +44,7 @@ from .model import (
     log_posterior_unnorm,
     log_prior_da,
     make_prior,
+    sample_beta_prior_da,
     tau2_conditional_var,
     to_transformed,
 )
@@ -55,6 +56,7 @@ from .special import (
 )
 from .tilted import (
     TiltedParams,
+    d2log_density,
     find_mode,
     is_logconcave,
     log_density as tilted_log_density,
@@ -198,7 +200,7 @@ def quadrature_cdf(log_density, grid):
     return _certified_table(log_density, builder, grid.nodes)
 
 
-def auto_cdf(log_density, bracket=(1e-10, 1e6)):
+def auto_cdf(log_density, bracket):
     """CDF table on the part of the bracket where the target lives.
 
     One scan of 1501 nodes, spaced geometrically when the bracket spans
@@ -394,34 +396,6 @@ def axis_slope_jump(grid, at, eps=1e-6):
 # ---------------------------------------------------------------------------
 # hierarchical versus closed-form prior
 
-def sample_hierarchical_beta(form, sigma2, lambda1, lambda2, size, rng):
-    """Coefficient draws produced through the latent-scale mixture."""
-    tau2 = np.empty(size)
-    got = 0
-    if form == "common":
-        # latent precision is a unit-lower-truncated gamma variate
-        rate = lambda1 ** 2 / (8.0 * sigma2 * lambda2)
-        while got < size:
-            m = 8 * (size - got) + 1000
-            g = rng.gen.gamma(0.5, 1.0 / rate, size=m)
-            g = g[g > 1.0][:size - got]
-            tau2[got:got + g.size] = 1.0 / g
-            got += g.size
-    elif form == "differential":
-        rate = 0.5 * lambda1 ** 2
-        while got < size:
-            m = 2 * (size - got) + 1000
-            t = rng.gen.exponential(1.0 / rate, size=m)
-            t = t[rng.gen.random(m) * np.sqrt(1.0 + lambda2 * t) <= 1.0]
-            t = t[:size - got]
-            tau2[got:got + t.size] = t
-            got += t.size
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    var = tau2_conditional_var(form, tau2, sigma2, lambda2)
-    return np.sqrt(var) * rng.gen.standard_normal(size)
-
-
 def direct_beta_cdf(form, sigma2, lambda1, lambda2):
     """Quadrature CDF of the closed-form single-coefficient prior."""
     sigma = math.sqrt(sigma2)
@@ -435,8 +409,8 @@ def direct_beta_cdf(form, sigma2, lambda1, lambda2):
 
 
 def prior_equivalence_check(form, sigma2, lambda1, lambda2, size, rng):
-    draws = sample_hierarchical_beta(form, sigma2, lambda1, lambda2,
-                                     size, rng)
+    draws = sample_beta_prior_da(form, size, sigma2, lambda1, lambda2,
+                                 rng)
     return ks_test(draws, direct_beta_cdf(form, sigma2, lambda1, lambda2))
 
 
@@ -502,7 +476,7 @@ class AppendixAReport:
 
 
 def appendix_a_demonstration(a, b, lambda1, lambda2, p,
-                             n_draws=100000, seed=0, sigma2_grid=None):
+                             n_draws=100000, seed=0):
     """Reproduce the three findings about the always-accept sampler.
 
     (i) every inverse-gamma proposal passes the published acceptance
@@ -540,9 +514,7 @@ def appendix_a_demonstration(a, b, lambda1, lambda2, p,
     table = auto_cdf(target, bracket=(1e-12, 1e8))
     d, ok = ks_test(z[accepted], table)
 
-    if sigma2_grid is None:
-        sigma2_grid = np.logspace(-1, -6, 11)
-    sigma2_grid = np.asarray(sigma2_grid, dtype=float)
+    sigma2_grid = np.logspace(-1, -6, 11)
     log_ratio = np.array([
         -a * math.log(b) + math.lgamma(a)
         - p * log_upper_incomplete_gamma_half(
@@ -631,10 +603,7 @@ def beta_kernel_ks_check(n=5000, seed=0, updater=None, form="common"):
     """
     if updater is None:
         updater = update_beta_coordinate
-    data = _fixed_check_data()
-    prior = make_prior(form, "direct", preset="weak")
-    state = ModelState(beta=np.array([0.6, 1.2]), sigma2=1.3,
-                       lambda1=2.0, lambda2=0.9)
+    data, prior, state = kernel_check_setup(form, "direct")
     draws = _kernel_refresh_draws(
         lambda d, pr, st, r: updater(d, pr, st, 0, r), data, prior, state,
         n, RngStream(seed, 61), lambda st: st.beta[0])
@@ -912,22 +881,16 @@ def _prior_equivalence_check(form, n, rng):
     return CheckResult(f"prior-equivalence-{form}", ok, " ".join(details))
 
 
-def _concave_on_grid(p, tol=1e-9):
+def _concave_on_grid(p):
     mode = find_mode(p)
-    sd = 1.0 / math.sqrt(max(-_tilted_curv(p, max(mode, 0.1)), 1e-6))
+    sd = 1.0 / math.sqrt(max(-d2log_density(p, max(mode, 0.1)), 1e-6))
     lo = max(mode - 8.0 * sd, 1e-4 * max(mode, sd))
     hi = mode + 8.0 * sd
     xs = np.linspace(lo, hi, 400)
     vals = np.array([tilted_log_density(p, float(x)) for x in xs])
     slopes = np.diff(vals) / np.diff(xs)
     scale = max(1.0, float(np.abs(slopes).max()))
-    return bool(np.all(np.diff(slopes) <= tol * scale))
-
-
-def _tilted_curv(p, x):
-    h = 1e-5 * max(x, 1e-3)
-    return (tilted_log_density(p, x - h) - 2.0 * tilted_log_density(p, x)
-            + tilted_log_density(p, x + h)) / (h * h)
+    return bool(np.all(np.diff(slopes) <= 1e-9 * scale))
 
 
 def _tilted_property_check(n_sets, rng):

@@ -103,12 +103,12 @@ def mode_bounds(p):
     return lo, hi
 
 
-def _bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
-    # relative stop: every bracket here is positive, and an absolute one
-    # would stop far from a mode near zero
-    for _ in range(max_iter):
+def _bisect_root(f, lo, hi):
+    # relative stop at 1e-10: every bracket here is positive, and an
+    # absolute one would stop far from a mode near zero
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * mid:
+        if hi - lo <= 1e-10 * mid:
             return mid
         if f(mid) > 0.0:
             lo = mid
@@ -117,7 +117,7 @@ def _bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def find_mode(p, tol=1e-10):
+def find_mode(p):
     """Mode of the density; 0.0 when the density decreases from x = 0+.
 
     Bisection of the log-derivative inside the closed-form bracket for
@@ -132,7 +132,7 @@ def find_mode(p, tol=1e-10):
             lo = min(hi, 1.0) * 1e-12
             if df(lo) <= 0.0:
                 return 0.0
-        return _bisect_root(df, lo, hi, tol)
+        return _bisect_root(df, lo, hi)
     lo = hi = 1.0
     for _ in range(200):
         if df(lo) > 0.0:
@@ -144,7 +144,7 @@ def find_mode(p, tol=1e-10):
         if df(hi) < 0.0:
             break
         hi *= 8.0
-    return _bisect_root(df, lo, hi, tol)
+    return _bisect_root(df, lo, hi)
 
 
 def sample_tilted(p, rng):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from bayenet import cli
 from bayenet.cli import (RunConfig, UserError, assemble_config,
-                         build_parser, config_from_text, main,
-                         serialize_config)
+                         build_parser, main, serialize_config)
 from bayenet.diagnostics import DERIVED_NAMES
 from bayenet.rng import RngStream
 from bayenet.simulate import design, generate_dataset, write_dataset_csv
@@ -21,6 +20,18 @@ from bayenet.simulate import design, generate_dataset, write_dataset_csv
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def load_config(path, subcommand):
+    """The RunConfig `bayenet <subcommand> --config path` runs with."""
+    args = build_parser().parse_args([subcommand, "--config", str(path)])
+    return assemble_config(args)
+
+
+def config_via_file(text, subcommand, directory):
+    path = directory / "conf.txt"
+    path.write_text(text)
+    return load_config(path, subcommand)
 
 
 def test_fit_writes_draws_and_summary(tmp_path, capsys):
@@ -166,12 +177,12 @@ def test_user_errors_exit_1_with_one_line(argv, needle, capsys):
     assert "Traceback" not in err
 
 
-def test_config_serialization_is_a_fixed_point():
+def test_config_serialization_is_a_fixed_point(tmp_path):
     cfg = RunConfig(subcommand="fit", sim=(3,), sampler="mh-common-da",
                     iters=1234, burnin=56, seed=9,
                     sigma2_step=0.7, out="somewhere")
     text = serialize_config(cfg)
-    parsed = config_from_text(text)
+    parsed = config_via_file(text, "fit", tmp_path)
     assert parsed == cfg
     assert serialize_config(parsed) == text
 
@@ -184,13 +195,14 @@ def test_config_serialization_is_a_fixed_point():
        nu_a=st.floats(allow_nan=False, allow_infinity=False, width=64),
        quick=st.booleans(),
        prior=st.sampled_from(["weak", "strong", "explicit"]))
-def test_config_round_trip_property(seed, iters, sim, a, nu_a, quick,
-                                    prior):
+def test_config_round_trip_property(tmp_path_factory, seed, iters, sim, a,
+                                    nu_a, quick, prior):
     cfg = RunConfig(subcommand="simulate", sim=sim, seed=seed,
                     iters=iters, a=a, nu_a=nu_a, quick=quick, prior=prior)
     text = serialize_config(cfg)
-    assert config_from_text(text) == cfg
-    assert serialize_config(config_from_text(text)) == text
+    parsed = config_via_file(text, "simulate", tmp_path_factory.mktemp("c"))
+    assert parsed == cfg
+    assert serialize_config(parsed) == text
 
 
 def test_flags_override_config_file(tmp_path):
@@ -219,9 +231,9 @@ def test_config_file_subcommand_must_match(tmp_path):
     ("seed=soon\n", "not a valid int"),
     ("quick=maybe\n", "not a valid bool"),
 ])
-def test_config_text_rejections(text, needle):
+def test_config_text_rejections(text, needle, tmp_path):
     with pytest.raises(UserError, match=needle):
-        config_from_text("subcommand=fit\n" + text)
+        config_via_file("subcommand=fit\n" + text, "fit", tmp_path)
 
 
 def test_validate_quick_passes_and_mutation_fails(validate_quick,
@@ -261,7 +273,7 @@ def test_run_config_written_in_normal_form(tmp_path):
     assert main(["fit", "--sim", "1", "--iters", "150", "--burnin", "20",
                  "--out", str(out)]) == 0
     text = (out / "run_config.txt").read_text()
-    assert serialize_config(config_from_text(text)) == text
+    assert serialize_config(load_config(out / "run_config.txt", "fit")) == text
 
 
 def test_out_directory_is_created(tmp_path):

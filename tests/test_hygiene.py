@@ -100,3 +100,54 @@ def test_no_unreferenced_definitions():
              for p in src_files
              for line, name in unreferenced_definitions(p.read_text(), used)]
     assert not found, "defined but never referenced:\n" + "\n".join(found)
+
+
+def module_constants(source):
+    """(line, name) of each non-dunder name a module-level assignment
+    binds."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found.extend(
+            (node.lineno, sub.id) for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            and not (sub.id.startswith("__") and sub.id.endswith("__")))
+    return found
+
+
+def read_names(source):
+    """Every name a module reads: a loaded name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_scanner_finds_unread_constants():
+    lib = ("KEPT = 1\nGONE = 2\nA, (B, C) = 1, (2, 3)\n__all__ = []\n"
+           "TABLE: dict = {}\n\ndef f():\n    LOCAL = KEPT\n    return B\n")
+    user = "import lib\nprint(lib.C)\n"
+    read = read_names(lib) | read_names(user)
+    assert [(line, name) for line, name in module_constants(lib)
+            if name not in read] == [(2, "GONE"), (3, "A"), (5, "TABLE")]
+
+
+def test_no_unread_module_constants():
+    src_files = sorted((ROOT / "src" / "bayenet").glob("*.py"))
+    read = set().union(*(
+        read_names(p.read_text())
+        for p in src_files + sorted((ROOT / "tests").glob("*.py"))))
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}"
+             for p in src_files
+             for line, name in module_constants(p.read_text())
+             if name not in read]
+    assert not found, "assigned but never read:\n" + "\n".join(found)

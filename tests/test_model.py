@@ -100,16 +100,14 @@ def test_scale_mixture_marginalizes_to_direct_prior():
 def test_tau2_prior_sampler_matches_density():
     rng = RngStream(301, 0)
     s2, l1, l2 = 1.5, 1.2, 0.8
-    draws = [sample_tau2_prior("common", 1, s2, l1, l2, rng)[0]
-             for _ in range(20000)]
+    draws = sample_tau2_prior("common", 20000, s2, l1, l2, rng)
     assert 0.0 < min(draws) and max(draws) < 1.0
     xs, c = cdf_table(
         lambda v: log_prior_tau2("common", [v], s2, l1, l2), 1e-6, 1.0 - 1e-9)
     assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
 
     rng = RngStream(301, 1)
-    draws = [sample_tau2_prior("differential", 1, s2, l1, l2, rng)[0]
-             for _ in range(20000)]
+    draws = sample_tau2_prior("differential", 20000, s2, l1, l2, rng)
     xs, c = cdf_table(
         lambda v: log_prior_tau2("differential", [v], s2, l1, l2), 1e-9, 25.0)
     assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))

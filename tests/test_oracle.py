@@ -7,7 +7,8 @@ import pytest
 
 from bayenet import oracle
 from bayenet.model import (ModelState, RegressionData, from_transformed,
-                           log_posterior_transformed, tau2_conditional_var)
+                           log_posterior_transformed, sample_beta_prior_da,
+                           tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
@@ -26,7 +27,6 @@ from bayenet.oracle import (
     prior_equivalence_check,
     quadrature_cdf,
     ridge_mean,
-    sample_hierarchical_beta,
     scale_slice_log_density,
     sweep_coordinates,
 )
@@ -226,18 +226,16 @@ def test_prior_equivalence(form, setting):
 
 
 def test_hierarchical_beta_moments():
-    # common form at lambda2=1: Var(beta) = sigma2 b- E tau^2 scaled;
-    # check symmetry and a sane second moment instead of closed forms
-    draws = sample_hierarchical_beta("differential", 2.0, 3.0, 0.5, 40000,
-                                     RngStream(3, 3))
+    # symmetry and a sane second moment instead of closed forms
+    draws = sample_beta_prior_da("differential", 40000, 2.0, 3.0, 0.5,
+                                 RngStream(3, 3))
     assert abs(draws.mean()) < 0.02
     assert 0.0 < draws.std() < 2.0
 
 
 def test_hierarchical_beta_rejects_unknown_form():
     with pytest.raises(ValueError, match="form"):
-        sample_hierarchical_beta("shared", 1.0, 1.0, 1.0, 10,
-                                 RngStream(0, 0))
+        sample_beta_prior_da("shared", 10, 1.0, 1.0, 1.0, RngStream(0, 0))
 
 
 def test_beta_kernel_check_passes_and_catches_mutation():

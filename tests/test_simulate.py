@@ -204,6 +204,17 @@ def test_run_experiment_rows_and_improvement_join():
     assert all(0.0 < r["acceptance_rate"] < 1.0 for r in mh_sigma)
 
 
+def test_run_experiment_rows_match_across_worker_counts():
+    # every column but the measured wall time is reproducible
+    grid = ([1], ["rs-common-da", "mh-common-da"], ["weak"], 2)
+    serial, _ = run_experiment(*grid, iters=200, burnin=20, seed=4)
+    pooled, _ = run_experiment(*grid, iters=200, burnin=20, seed=4,
+                               workers=2)
+    untimed = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
+                            for r in rows]
+    assert serial and untimed(pooled) == untimed(serial)
+
+
 def test_run_experiment_survives_failed_cell():
     rows, failures = run_experiment(
         design_ids=[1],
