@@ -13,9 +13,11 @@ Conventions:
 gig is sampled on the log scale, where the density is strictly concave
 for every order lam, so one piecewise-exponential hull covers all cases.
 mhn splits into three regimes: alpha = 1 reduces to a truncated normal,
-alpha > 1 is log-concave with an interior mode (hull sampler), and
-alpha < 1 has an unbounded density at 0 and is handled by a two-piece
-proposal (power law below a split point, truncated normal above it).
+alpha > 1 is log-concave with an interior mode (ratio of uniforms shifted
+to the mode, with the minimal rectangle in closed form; Dagpunar 1989,
+Leydold 2000), and alpha < 1 has an unbounded density at 0 and is
+handled by a two-piece proposal (power law below a split point,
+truncated normal above it).
 """
 
 import math
@@ -146,26 +148,93 @@ def _mhn_mode(a_minus_1, beta, gamma):
 
 def sample_mhn(alpha, beta, gamma, rng):
     """One draw of mhn(alpha, beta, gamma)."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)
+            and math.isfinite(gamma)):
+        # a nan would make every rejection test false and never return
+        for name, value in (("alpha", alpha), ("beta", beta),
+                            ("gamma", gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("alpha and beta must be positive")
     if alpha == 1.0:
         return sample_truncated_normal(
             -gamma / (2.0 * beta), 0.5 / beta, "nonnegative", rng)
     if alpha > 1.0:
-        mode = _mhn_mode(alpha - 1.0, beta, gamma)
-
-        def log_f(x):
-            return (alpha - 1.0) * math.log(x) - beta * x * x - gamma * x
-
-        def dlog_f(x):
-            return (alpha - 1.0) / x - 2.0 * beta * x - gamma
-
-        target = LogDensityTarget(
-            log_f, dlog_f, support_lower=0.0, mode=mode,
-            curvature=-(alpha - 1.0) / (mode * mode) - 2.0 * beta)
-        env = build_envelope(target, K=2)
-        return sample_from_envelope(target, env, rng)
+        return _sample_mhn_rou(alpha, beta, gamma, rng)
     return _sample_mhn_small_alpha(alpha, beta, gamma, rng)
+
+
+_MHN_MAX_PROPOSALS = 100000
+
+
+def _mhn_rectangle(a_minus_1, a):
+    """Ratio-of-uniforms rectangle for the mhn draw with power above 1.
+
+    On the relative scale d = x/mode - 1 the log density ratio is
+
+        h(d) = (alpha-1) (log1p(d) - d) - a d^2 / 2,   a = 2 beta mode^2,
+
+    exact because the mode equation gives gamma mode = alpha-1 - a.  The
+    v-edges are the extremes of d exp(h(d)/2); they sit where
+    2 + d h'(d) = 0, which in w = 1/d is the cubic
+
+        R(w) = 2 w^3 + 2 w^2 - (a + alpha-1) w - a = 0
+
+    with one root below -1 (R(-1) = alpha-1 > 0), one in (-1, 0)
+    (R(0) = -a < 0) and one above 0.  The lowest root is the cosine root
+    that stays well conditioned when the upper two nearly coincide
+    (alpha -> 1 with a -> 0); dividing it out leaves a quadratic whose
+    positive root has no cancellation.
+
+    Returns (d_lo, v_lo, d_hi, v_hi) with d_lo < 0 < d_hi.
+    """
+    s = 0.5 * (a + a_minus_1)
+    p3 = (s + 1.0 / 3.0) / 3.0
+    r = 2.0 * math.sqrt(p3)
+    q = 2.0 / 27.0 + a_minus_1 / 6.0 - a / 3.0
+    cos3 = max(-1.0, min(1.0, -q / (p3 * r)))
+    w_lo = -r * math.cos(math.acos(cos3) / 3.0 - math.pi / 3.0) - 1.0 / 3.0
+    # R(w) = 2 (w - w_lo)(w^2 + e w + f) with f = a / (2 w_lo) < 0
+    f = 0.5 * a / w_lo
+    e = 0.5 * (a_minus_1 + a * (1.0 + 1.0 / w_lo)) / w_lo
+    w_hi = 0.5 * (math.sqrt(e * e - 4.0 * f) - e)
+    d_lo, d_hi = 1.0 / w_lo, 1.0 / w_hi
+    # d_lo rounds to -1 only for alpha within a few ulps of 1; the left
+    # edge is never below -1 (|d| < 1 and h <= 0 there), so -1 bounds it
+    v_lo = -1.0
+    if d_lo > -1.0:
+        v_lo = d_lo * math.exp(0.5 * (a_minus_1 * (math.log1p(d_lo) - d_lo)
+                                      - 0.5 * a * d_lo * d_lo))
+    v_hi = d_hi * math.exp(0.5 * (a_minus_1 * (math.log1p(d_hi) - d_hi)
+                                  - 0.5 * a * d_hi * d_hi))
+    return d_lo, v_lo, d_hi, v_hi
+
+
+def _sample_mhn_rou(alpha, beta, gamma, rng):
+    # ratio of uniforms shifted to the mode: (u, v) uniform on the
+    # rectangle (0, 1] x [v_lo, v_hi], d = v/u accepted when
+    # u^2 <= exp(h(d)); see _mhn_rectangle.  u = 1 - U for U in [0, 1)
+    # is never 0.
+    am1 = alpha - 1.0
+    m = _mhn_mode(am1, beta, gamma)
+    a = 2.0 * beta * m * m
+    _, v_lo, _, v_hi = _mhn_rectangle(am1, a)
+    if not (0.0 < m < math.inf and 0.0 < v_hi < math.inf):
+        raise ValueError(
+            f"mhn({alpha}, {beta}, {gamma}) is out of floating-point range")
+    width = v_hi - v_lo
+    random = rng.gen.random
+    log, log1p = math.log, math.log1p
+    for _ in range(_MHN_MAX_PROPOSALS):
+        u = 1.0 - random()
+        d = (v_lo + width * random()) / u
+        if d > -1.0 and 2.0 * log(u) <= am1 * (log1p(d) - d) - 0.5 * a * d * d:
+            return m + m * d
+    raise RuntimeError(
+        f"mhn ratio-of-uniforms sampler failed to accept in "
+        f"{_MHN_MAX_PROPOSALS} proposals (alpha={alpha}, beta={beta}, "
+        f"gamma={gamma}, mode={m})")
 
 
 def _sample_mhn_small_alpha(alpha, beta, gamma, rng):

@@ -370,20 +370,6 @@ def log_posterior_unnorm(data, prior, state, sums=None):
     return val
 
 
-def log_posterior_transformed(data, prior, state):
-    """Log posterior in (u1, u2, theta) coordinates, Jacobian included.
-
-    This is the target the rejection kernels sample; the change of
-    variables contributes 4 u1^2 u2^2 (common) or 2 u2^2 (differential).
-    """
-    val = log_posterior_unnorm(data, prior, state)
-    u1, u2, _ = to_transformed(prior.form, state.sigma2, state.lambda1,
-                               state.lambda2)
-    if prior.form == "common":
-        return val + math.log(4.0) + 2.0 * (math.log(u1) + math.log(u2))
-    return val + math.log(2.0) + 2.0 * math.log(u2)
-
-
 def sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng):
     """p draws of the latent scales from their prior."""
     tau2 = np.empty(p)

@@ -3,9 +3,15 @@
 The CDF tables here are built directly from explicit log-density
 formulas by dense trapezoid integration (error far below the KS
 resolution used), independently of the package's own quadrature module.
+log_posterior_transformed is the slice target the kernel checks compare
+the rejection blocks against.
 """
 
+import math
+
 import numpy as np
+
+from bayenet.model import log_posterior_unnorm, to_transformed
 
 
 def cdf_table(logpdf, lo, hi, n=20001):
@@ -31,3 +37,17 @@ def ks_statistic(draws, xs, c):
 def ks_threshold(n):
     """Asymptotic 1% critical value."""
     return 1.63 / np.sqrt(n)
+
+
+def log_posterior_transformed(data, prior, state):
+    """Log posterior in (u1, u2, theta) coordinates, Jacobian included.
+
+    This is the target the rejection kernels sample; the change of
+    variables contributes 4 u1^2 u2^2 (common) or 2 u2^2 (differential).
+    """
+    val = log_posterior_unnorm(data, prior, state)
+    u1, u2, _ = to_transformed(prior.form, state.sigma2, state.lambda1,
+                               state.lambda2)
+    if prior.form == "common":
+        return val + math.log(4.0) + 2.0 * (math.log(u1) + math.log(u2))
+    return val + math.log(2.0) + 2.0 * math.log(u2)

@@ -6,7 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bayenet import distributions
 from bayenet.distributions import (
+    _mhn_mode,
+    _mhn_rectangle,
     sample_gamma,
     sample_gig,
     sample_inverse_gamma,
@@ -220,6 +223,101 @@ def test_mhn_validates():
         sample_mhn(0.0, 1.0, 0.0, rng)
     with pytest.raises(ValueError):
         sample_mhn(1.0, 0.0, 0.0, rng)
+    # non-finite input fails early, naming the argument: a nan would
+    # make every proposal fail the acceptance test
+    good = {"alpha": 3.0, "beta": 2.0, "gamma": 1.0}
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            args = dict(good, **{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sample_mhn(args["alpha"], args["beta"], args["gamma"], rng)
+    # gamma^2 overflows, the mode rounds to 0, and every draw would be 0
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        sample_mhn(3.0, 1.0, 1e200, rng)
+
+
+# (alpha, beta, gamma) from 1 + 1e-6 to 1e4 in alpha, 1e-4 to 1e5 in
+# beta, gamma of both signs: the cubic's roots range from nearly double
+# (alpha -> 1, gamma >> 0) to 1e-5 on either side of the mode
+RECTANGLE_CASES = [(alpha, beta, gamma)
+                   for alpha in (1.0 + 1e-6, 1.5, 11.0, 140.0, 1e4)
+                   for beta in (1e-4, 0.54, 294.0, 1e5)
+                   for gamma in (-1e3, -2.0, -1e-3, 0.0, 1.4, 1e3)]
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", RECTANGLE_CASES)
+def test_mhn_rectangle_brackets_mode_and_bounds_every_point(alpha, beta,
+                                                            gamma):
+    am1 = alpha - 1.0
+    m = _mhn_mode(am1, beta, gamma)
+    d_lo, v_lo, d_hi, v_hi = _mhn_rectangle(am1, 2.0 * beta * m * m)
+    # t = x/mode = 1 + d: the roots lie on either side of the mode, t > 0
+    assert -1.0 < d_lo < 0.0 < d_hi
+    assert v_lo < 0.0 < v_hi
+    # (t - 1) exp(h(t)/2) with h(t) = log f(m t) - log f(m) written from
+    # the density's own coefficients, in d so nothing cancels to rounding
+    d = np.concatenate([
+        np.linspace(-1.0, 0.0, 4001)[1:-1],
+        d_lo * np.linspace(0.5, 1.5, 4001),
+        d_hi * np.linspace(0.0, 4.0, 8001)[1:],
+        d_hi * np.geomspace(4.0, 1e6, 2001)])
+    d = d[d > -1.0]
+    h = (am1 * np.log1p(d)
+         - d * (beta * m * m * (2.0 + d) + gamma * m))
+    v = d * np.exp(0.5 * h)
+    assert v.max() <= v_hi * (1.0 + 1e-9)
+    assert v.min() >= v_lo * (1.0 + 1e-9)
+    # the rectangle is the smallest one: the curve reaches both edges
+    assert v.max() >= v_hi * (1.0 - 1e-4)
+    assert v.min() <= v_lo * (1.0 - 1e-4)
+
+
+@pytest.mark.parametrize("i,alpha,beta,gamma", [
+    (0, 28.0, 294.0, 233.0), (1, 140.0, 33157.0, 1.4),
+    (2, 11.0, 0.54, 0.0014)])
+def test_mhn_sweep_range_parameters(i, alpha, beta, gamma):
+    # the parameter range the u2 and 1/sigma draws of the rs sweeps reach
+    rng = RngStream(104, 30 + i)
+    draws = [sample_mhn(alpha, beta, gamma, rng) for _ in range(N)]
+    m = _mhn_mode(alpha - 1.0, beta, gamma)
+    sd = 1.0 / math.sqrt((alpha - 1.0) / (m * m) + 2.0 * beta)
+    lo, hi = max(m - 12.0 * sd, 1e-12 * m), m + 12.0 * sd
+    assert lo < min(draws) and max(draws) < hi
+    assert _ks_ok(draws, _mhn_logpdf(alpha, beta, gamma), lo, hi)
+
+
+def test_mhn_above_one_builds_no_hull(monkeypatch):
+    def no_hull(*args, **kwargs):
+        raise AssertionError("build_envelope called")
+
+    monkeypatch.setattr(distributions, "build_envelope", no_hull)
+    rng = RngStream(104, 40)
+    # at the float next to 1 the rectangle's lower root rounds to -1
+    for alpha, beta, gamma in ((3.0, 2.0, 2.0), (140.0, 33157.0, 1.4),
+                               (1.0 + 1e-6, 1.0, -2.0),
+                               (math.nextafter(1.0, 2.0), 1.0, -2.0)):
+        assert sample_mhn(alpha, beta, gamma, rng) > 0.0
+    # gig is drawn from a hull, so the patch is live
+    with pytest.raises(AssertionError, match="build_envelope called"):
+        sample_gig(2.5, 3.0, 1.7, rng)
+
+
+class _StuckGenerator:
+    """Every proposal is (u, v) = (1e-9, ~v_hi), far outside the
+    acceptance region."""
+
+    def random(self):
+        return 1.0 - 1e-9
+
+
+class _StuckStream:
+    gen = _StuckGenerator()
+
+
+def test_mhn_gives_up_after_the_proposal_cap(monkeypatch):
+    monkeypatch.setattr(distributions, "_MHN_MAX_PROPOSALS", 50)
+    with pytest.raises(RuntimeError, match=r"50 proposals \(alpha=3.0"):
+        sample_mhn(3.0, 2.0, 2.0, _StuckStream())
 
 
 def test_gamma_and_inverse_gamma():

@@ -38,14 +38,14 @@ from bayenet.model import (
     coefficient_sums,
     from_transformed,
     initial_state,
-    log_posterior_transformed,
     log_posterior_unnorm,
     make_prior,
     to_transformed,
 )
 from bayenet.rng import RngStream, log_uniform
 
-from helpers import cdf_table, ks_statistic, ks_threshold
+from helpers import (cdf_table, ks_statistic, ks_threshold,
+                     log_posterior_transformed)
 
 N_SLICE_DRAWS = 4000
 

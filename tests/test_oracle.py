@@ -7,8 +7,7 @@ import pytest
 
 from bayenet import oracle
 from bayenet.model import (ModelState, RegressionData, from_transformed,
-                           log_posterior_transformed, sample_beta_prior_da,
-                           tau2_conditional_var)
+                           sample_beta_prior_da, tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
@@ -31,6 +30,8 @@ from bayenet.oracle import (
     sweep_coordinates,
 )
 from bayenet.rng import RngStream
+
+from helpers import log_posterior_transformed
 
 
 def test_quadrature_standard_normal_cdf():
