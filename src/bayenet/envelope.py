@@ -184,22 +184,13 @@ def _describe(target, n_knots):
             f"support=({target.support_lower}, inf), knots={n_knots}")
 
 
-def sample_from_envelope(target, env, rng, max_iter=100000, tally=None):
-    """Rejection-sample the target under a fixed dominating hull.
-
-    tally, when given, is a two-slot list accumulating [accepted,
-    proposed] across calls; proposals falling outside the support count
-    as rejections.
-    """
+def sample_from_envelope(target, env, rng, max_iter=100000):
+    """Rejection-sample the target under a fixed dominating hull."""
     for _ in range(max_iter):
         x, ux = env.propose(rng)
-        if tally is not None:
-            tally[1] += 1
         if not x > target.support_lower:
             continue
         if log_uniform(rng) <= target.log_f(x) - ux:
-            if tally is not None:
-                tally[0] += 1
             return x
     raise RuntimeError(
         f"envelope sampler failed to accept in {max_iter} proposals "

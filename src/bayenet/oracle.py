@@ -11,6 +11,10 @@ a demonstration that a published inverse-gamma proposal scheme for the
 variance accepts every proposal while drawing from the wrong
 distribution.  The coordinate update of beta and the scale kernels are
 judged on one-dimensional slices of the joint posterior.
+
+Every table target takes an array of nodes and returns one log density
+per node, -inf outside its support; the slice targets restate the joint
+posterior over such arrays from frozen coefficient sums.
 """
 
 import csv
@@ -42,24 +46,18 @@ from .model import (
     coefficient_sums,
     from_transformed,
     log_posterior_unnorm,
-    log_prior_da,
     make_prior,
     sample_beta_prior_da,
     tau2_conditional_var,
     to_transformed,
 )
 from .rng import RngStream
-from .special import (
-    log_std_normal_cdf,
-    log_upper_incomplete_gamma_half,
-    mills_ratio,
-)
+from .special import log_std_normal_cdf, mills_ratio
 from .tilted import (
     TiltedParams,
     d2log_density,
     find_mode,
     is_logconcave,
-    log_density as tilted_log_density,
     mode_bounds,
     sample_tilted,
 )
@@ -70,12 +68,15 @@ TAIL_TOL = 1e-8
 # log drop below the mode at which a tail is certainly negligible
 _DROP = 46.0
 _LOG_ROOT_PI = 0.5 * math.log(math.pi)
+_LOG_2_ROOT_PI = math.log(2.0 * math.sqrt(math.pi))
 # grid doublings a table may take before it gives up; a plane stops at
 # three (a 1601-node axis pair is already 2.6 million points)
 _LINE_DOUBLINGS = 7
 _PLANE_DOUBLINGS = 3
 # a planar grid reaches this many standard deviations past its center
 _SPAN = 9.0
+# log Phi over a node array
+_log_phi = np.vectorize(log_std_normal_cdf, otypes=[float])
 
 
 class OracleError(ValueError):
@@ -109,26 +110,22 @@ class CdfTable:
 
 
 def _eval_log(log_density, xs):
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.asarray(log_density(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(log_density(float(x))) for x in xs])
-    if np.isnan(vals).any() or np.isposinf(vals).any():
-        raise OracleError("log density is NaN or +inf on the grid")
+    """The target at every node of xs, one log density per node."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(log_density(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise OracleError(f"log density returned shape {vals.shape} for "
+                          f"nodes of shape {xs.shape}, not one per node")
     return vals
 
 
-def _probe(log_density, x):
-    """Log density at one point; -inf when out of support."""
-    try:
-        with np.errstate(all="ignore"):
-            v = float(log_density(float(x)))
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return -math.inf
-    return -math.inf if math.isnan(v) else v
+def _within(f, x, upper=math.inf):
+    """f at the nodes of x inside (0, upper), -inf at the others."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -np.inf)
+    inside = (x > 0.0) & (x < upper)
+    out[inside] = f(x[inside])
+    return out
 
 
 def _cum_trapz(w, xs):
@@ -156,6 +153,8 @@ def _settle(mass_at, nodes, doublings):
 
 def _log_mass(log_density, xs):
     logf = _eval_log(log_density, xs)
+    if np.isnan(logf).any() or np.isposinf(logf).any():
+        raise OracleError("log density is NaN or +inf on the grid")
     m = float(logf.max())
     if not math.isfinite(m):
         raise OracleError("log density has no finite value on the grid")
@@ -167,13 +166,15 @@ def _log_mass(log_density, xs):
 
 
 def _check_tails(log_density, xs, logf, w, mass):
+    steps = (xs[1] - xs[0], xs[-1] - xs[-2])
+    # fmax drops NaN: a probe beyond the edge reads it as -inf
+    outside = np.fmax(_eval_log(log_density, np.array(
+        [xs[0] - steps[0], xs[-1] + steps[1]])), -np.inf)
     tails = 0.0
-    for end, nbr, outside in ((0, 1, xs[0] - (xs[1] - xs[0])),
-                              (-1, -2, xs[-1] + (xs[-1] - xs[-2]))):
+    for end, h, out in zip((0, -1), steps, outside):
         if w[end] == 0.0:
             continue
-        h = abs(xs[end] - xs[nbr])
-        decay = (logf[end] - _probe(log_density, outside)) / h
+        decay = (logf[end] - out) / h
         if not decay > 0.0:
             raise OracleError(
                 "density does not decrease beyond the grid edge at "
@@ -185,19 +186,15 @@ def _check_tails(log_density, xs, logf, w, mass):
             f"{TAIL_TOL:g} of the total")
 
 
-def _certified_table(log_density, builder, nodes):
-    lm, xs, logf, w, c = _settle(
-        lambda n: _log_mass(log_density, builder(n)), nodes, _LINE_DOUBLINGS)
-    _check_tails(log_density, xs, logf, w, float(c[-1]))
-    return CdfTable(xs, c / c[-1], lm)
-
-
 def quadrature_cdf(log_density, grid):
     """Normalized CDF table on the grid, doubled until its mass settles,
     or OracleError if the table cannot vouch for itself (unstable mass
     or non-negligible tails)."""
-    builder = lambda n: np.linspace(grid.lower, grid.upper, n)
-    return _certified_table(log_density, builder, grid.nodes)
+    nodes = lambda n: np.linspace(grid.lower, grid.upper, n)
+    lm, xs, logf, w, c = _settle(lambda n: _log_mass(log_density, nodes(n)),
+                                 grid.nodes, _LINE_DOUBLINGS)
+    _check_tails(log_density, xs, logf, w, float(c[-1]))
+    return CdfTable(xs, c / c[-1], lm)
 
 
 def auto_cdf(log_density, bracket):
@@ -213,7 +210,8 @@ def auto_cdf(log_density, bracket):
     lo, hi = bracket
     spacing = np.geomspace if lo > 0.0 and hi / lo >= 1e3 else np.linspace
     xs = spacing(lo, hi, 1501)
-    vals = np.array([_probe(log_density, x) for x in xs])
+    # fmax drops NaN: the scan reads it as -inf
+    vals = np.fmax(_eval_log(log_density, xs), -np.inf)
     top = vals.max()
     if not math.isfinite(top):
         raise OracleError("no finite density value in the search bracket")
@@ -375,13 +373,11 @@ def axis_continuity_gap(grid, eps=1e-12, points=17):
     """
     worst = 0.0
     for xs, flip in ((grid.axis1, False), (grid.axis2, True)):
-        probes = np.linspace(xs[2], xs[-3], points)
-        for t in probes:
-            args = (eps, t) if flip else (t, eps)
-            argm = (-eps, t) if flip else (t, -eps)
-            gap = abs(math.expm1(grid.log_unnorm(*args)
-                                 - grid.log_unnorm(*argm)))
-            worst = max(worst, gap)
+        t = np.linspace(xs[2], xs[-3], points)
+        above, below = ((eps, t), (-eps, t)) if flip else ((t, eps), (t, -eps))
+        gap = np.abs(np.expm1(grid.log_unnorm(*above)
+                              - grid.log_unnorm(*below)))
+        worst = max(worst, float(gap.max()))
     return worst
 
 
@@ -498,28 +494,25 @@ def appendix_a_demonstration(a, b, lambda1, lambda2, p,
     z = b / rng.gen.gamma(a, 1.0, size=n_draws)
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.gen.random(n_draws))
-    arg = lambda1 ** 2 / (8.0 * z * lambda2)
-    bound = np.array([p * (_LOG_ROOT_PI - log_upper_incomplete_gamma_half(v))
-                      for v in arg])
-    accepted = log_u <= bound
+
+    def log_gamma_half(x):
+        # log Gamma(1/2, lambda1^2 / (8 x lambda2)) over an array of x
+        v = lambda1 ** 2 / (8.0 * x * lambda2)
+        return _LOG_2_ROOT_PI + _log_phi(-np.sqrt(2.0 * v))
+
+    accepted = log_u <= p * (_LOG_ROOT_PI - log_gamma_half(z))
     fraction = float(accepted.mean())
 
     def target(x):
-        if x <= 0.0:
-            return -math.inf
-        return (-(a + 1.0) * math.log(x) - b / x
-                - p * log_upper_incomplete_gamma_half(
-                    lambda1 ** 2 / (8.0 * x * lambda2)))
+        return _within(lambda t: -(a + 1.0) * np.log(t) - b / t
+                       - p * log_gamma_half(t), x)
 
     table = auto_cdf(target, bracket=(1e-12, 1e8))
     d, ok = ks_test(z[accepted], table)
 
     sigma2_grid = np.logspace(-1, -6, 11)
-    log_ratio = np.array([
-        -a * math.log(b) + math.lgamma(a)
-        - p * log_upper_incomplete_gamma_half(
-            lambda1 ** 2 / (8.0 * s * lambda2))
-        for s in sigma2_grid])
+    log_ratio = (-a * math.log(b) + math.lgamma(a)
+                 - p * log_gamma_half(sigma2_grid))
     increasing = bool(np.all(np.diff(log_ratio) > 0.0))
 
     return AppendixAReport(
@@ -546,11 +539,6 @@ def _ks_result(name, draws, table):
     n = len(draws)
     return CheckResult(
         name, ok, f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}")
-
-
-def _ks_check(name, draw, log_density, bracket, n, rng):
-    draws = np.array([draw(rng) for _ in range(n)])
-    return _ks_result(name, draws, auto_cdf(log_density, bracket))
 
 
 def _fixed_check_data():
@@ -639,6 +627,34 @@ def kernel_check_setup(form, representation):
     return data, prior, state
 
 
+def _log_joint_scales(data, prior, sums, s2, l1, l2):
+    """log_posterior_unnorm over arrays of (sigma2, lambda1, lambda2) at
+    frozen coefficient sums, restated without the terms that depend on
+    no scale.  The sums a representation leaves unset are zero, so one
+    expression per form covers both representations."""
+    if not sums.in_support:
+        return np.full(np.shape(s2 * l1 * l2), -np.inf)
+    p, da = sums.p, prior.representation == "da"
+    log_s2, log_l2 = np.log(s2), np.log(l2)
+    val = (-(0.5 * (data.n - 1 + prior.nu_a) + 1.0) * log_s2
+           - 0.5 * (sums.rss + prior.nu_b) / s2
+           + (prior.L - 1.0) * np.log(l1) - 0.5 * prior.nu1 * l1
+           + (prior.R - 1.0) * log_l2 - 0.5 * prior.nu2 * l2
+           - 0.5 * p * (log_s2 - log_l2))
+    if prior.form == "common":
+        r = l1 / (2.0 * np.sqrt(s2 * l2))
+        val = (val - 0.5 * (l2 * (sums.bb + sums.beta2_w) + l1 * sums.b1) / s2
+               - 0.5 * r * r * (sums.inv_tau2 if da else p))
+        lead = np.log(r)
+    else:
+        r = l1 / np.sqrt(l2)
+        val = (val - 0.5 * (l2 * sums.bb + sums.beta2_w) / s2
+               - l1 * sums.b1 / np.sqrt(s2) - 0.5 * p * r * r
+               - 0.5 * l1 * l1 * sums.tau2)
+        lead = np.log(l1)
+    return val - p * _log_phi(-r) + (p * lead if da else 0.0)
+
+
 def scale_slice_log_density(data, prior, state, which):
     """Log joint posterior as a function of one scale coordinate.
 
@@ -647,43 +663,62 @@ def scale_slice_log_density(data, prior, state, which):
     the variance is not coupled to the rates).  Everything else stays
     frozen.  For the transformed coordinates the change of variables
     from (sigma2, lambda1, lambda2) contributes 4 u1^2 u2^2 under the
-    common scaling and 2 u2^2 under the differential one.  The sums of
-    the frozen beta and tau2 are reduced once, not at every point.
+    common scaling and 2 u2^2 under the differential one.
+
+    The target restates the joint over the node array
+    (_log_joint_scales).  Its change between the frozen coordinate and
+    twice it must match log_posterior_unnorm's to 1e-9, or OracleError.
     """
-    form = prior.form
+    if which not in _COORD_INDEX:
+        raise ValueError(f"unknown coordinate {which!r}")
+    form, idx = prior.form, _COORD_INDEX[which]
     base = sweep_coordinates(form, state.sigma2, state.lambda1,
                              state.lambda2)
-    beta = state.beta.copy()
-    tau2 = None if state.tau2 is None else state.tau2.copy()
     sums = coefficient_sums(data, prior, state)
 
-    def lp(x):
-        if not x > 0.0:
-            return -math.inf
-        u1, u2, theta = base
-        if which in ("u1", "sigma2"):
-            u1 = x
-        elif which == "u2":
-            u2 = x
-        elif which == "theta":
-            theta = x
-        else:
-            raise ValueError(f"unknown coordinate {which!r}")
+    def scales(x):
+        # (sigma2, lambda1, lambda2) with the free coordinate at x, and
+        # the log Jacobian of the change of variables
+        u1, u2, theta = (x if i == idx else v for i, v in enumerate(base))
         if form == "common":
-            lam1 = 2.0 * theta * u2 * u1
-            lam2 = u1 * u2 * u2
-            log_jac = 2.0 * (math.log(u1) + math.log(u2))
+            nat = (u1, 2.0 * theta * u2 * u1, u1 * u2 * u2)
+            log_jac = 2.0 * (np.log(u1) + np.log(u2))
         else:
-            lam1 = theta * u2
-            lam2 = u2 * u2
-            log_jac = 2.0 * math.log(u2)
-        if which == "sigma2":
-            log_jac = 0.0
-        st = ModelState(beta=beta, sigma2=u1, lambda1=lam1, lambda2=lam2,
-                        tau2=tau2)
-        return log_posterior_unnorm(data, prior, st, sums) + log_jac
+            nat, log_jac = (u1, theta * u2, u2 * u2), 2.0 * np.log(u2)
+        return nat, 0.0 if which == "sigma2" else log_jac
 
-    return lp
+    ends, _ = scales(np.array([1.0, 2.0]) * base[idx])
+    restated = _log_joint_scales(data, prior, sums, *ends)
+    ref = [log_posterior_unnorm(data, prior, replace(
+        state, sigma2=s2, lambda1=l1, lambda2=l2), sums)
+        for s2, l1, l2 in zip(*np.broadcast_arrays(*ends))]
+    gap = abs(restated[1] - restated[0] - (ref[1] - ref[0]))
+    if not gap <= 1e-9:
+        raise OracleError(
+            f"the {which} slice disagrees with log_posterior_unnorm by "
+            f"{gap:.2e} between two nodes")
+
+    def lp(x):
+        nat, log_jac = scales(x)
+        return _log_joint_scales(data, prior, sums, *nat) + log_jac
+
+    return lambda x: _within(lp, x)
+
+
+def tau2_slice_log_density(prior, state):
+    """Log joint prior of (beta, tau2) as a function of the first latent
+    scale, the rest frozen, over a node array; the terms free of it are
+    dropped.  The likelihood carries no tau2."""
+    b2 = state.beta[0] ** 2
+    s2, l1, l2 = state.sigma2, state.lambda1, state.lambda2
+    if prior.form == "common":
+        r2 = l1 * l1 / (4.0 * s2 * l2)
+        return lambda x: _within(
+            lambda t: (-0.5 * np.log1p(-t) - 0.5 * l2 * b2 / (s2 * (1.0 - t))
+                       - 1.5 * np.log(t) - 0.5 * r2 / t), x, upper=1.0)
+    return lambda x: _within(
+        lambda t: -0.5 * np.log(t) - 0.5 * b2 / (s2 * t) - 0.5 * l1 * l1 * t,
+        x)
 
 
 def _clone_state(state):
@@ -703,22 +738,12 @@ def _kernel_refresh_draws(kernel, data, prior, state, n, rng, read):
 def tau2_kernel_ks(data, prior, state, n, rng):
     """The latent-scale update for coordinate 0 against quadrature of
     the augmented prior's slice (the likelihood carries no tau2)."""
-    frozen = state.tau2.copy()
     draws = _kernel_refresh_draws(update_tau2, data, prior, state, n, rng,
                                   lambda st: st.tau2[0])
-    beta = state.beta.copy()
-    s2, l1, l2 = state.sigma2, state.lambda1, state.lambda2
-    form = prior.form
-
-    def lp(t):
-        if not t > 0.0:
-            return -math.inf
-        return log_prior_da(form, beta, np.array([t, frozen[1]]),
-                            s2, l1, l2)
-
-    hi = 1.0 - 1e-12 if form == "common" else 1e6
-    return _ks_result(f"kernel-{form}-da-tau2", draws,
-                      auto_cdf(lp, (1e-10, hi)))
+    hi = 1.0 - 1e-12 if prior.form == "common" else 1e6
+    return _ks_result(f"kernel-{prior.form}-da-tau2", draws,
+                      auto_cdf(tau2_slice_log_density(prior, state),
+                               (1e-10, hi)))
 
 
 def da_beta_marginal_cdf(data, prior, state, nodes=321):
@@ -785,24 +810,18 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
     for fi, form in enumerate(("common", "differential")):
         for ri, representation in enumerate(("direct", "da")):
             data, prior, state = kernel_check_setup(form, representation)
-            label = f"{form}-{representation}"
             sums = coefficient_sums(data, prior, state)
             for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
                 idx = _COORD_INDEX[which]
-
-                def draw(d, pr, st, r):
-                    kernel(d, pr, st, sums, r)
-
-                def read(st, f=form, i=idx):
-                    return sweep_coordinates(
-                        f, st.sigma2, st.lambda1, st.lambda2)[i]
-
-                draws = _kernel_refresh_draws(draw, data, prior, state,
-                                              n, root.substream(fi, ri, ci),
-                                              read)
+                draws = _kernel_refresh_draws(
+                    lambda d, pr, st, r: kernel(d, pr, st, sums, r),
+                    data, prior, state, n, root.substream(fi, ri, ci),
+                    lambda st: sweep_coordinates(
+                        form, st.sigma2, st.lambda1, st.lambda2)[idx])
                 lp = scale_slice_log_density(data, prior, state, which)
-                checks.append(_ks_result(f"kernel-{label}-{which}", draws,
-                                         auto_cdf(lp, (1e-10, 1e6))))
+                checks.append(_ks_result(
+                    f"kernel-{form}-{representation}-{which}", draws,
+                    auto_cdf(lp, (1e-10, 1e6))))
             if representation == "da":
                 checks.append(tau2_kernel_ks(
                     data, prior, state, n, root.substream(fi, ri, 7)))
@@ -813,61 +832,50 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
 
 
 def distribution_ks_checks(n, rng):
-    checks = []
-
+    """KS of each scalar sampler against quadrature of its log density,
+    drawn in a fixed order from one stream."""
     table = quadrature_cdf(lambda x: -0.5 * x * x,
                            QuadratureGrid(-10.0, 10.0))
-    checks.append(_ks_result("quadrature-self-test",
-                             table.inverse(rng.gen.random(n)), table))
-
+    checks = [_ks_result("quadrature-self-test",
+                         table.inverse(rng.gen.random(n)), table)]
     tn = lambda x: np.where(x >= 0.0, -(x + 0.3) ** 2 / 3.4, -np.inf)
-    checks.append(_ks_check(
-        "ks-truncated-normal-nonnegative",
-        lambda r: sample_truncated_normal(-0.3, 1.7, "nonnegative", r),
-        tn, (0.0, 60.0), n, rng))
-    checks.append(_ks_check(
-        "ks-truncated-normal-negative",
-        lambda r: -sample_truncated_normal(0.3, 1.7, "negative", r),
-        tn, (0.0, 60.0), n, rng))
-
-    ig = lambda x: -1.5 * np.log(x) - 1.3 * (x - 2.0) ** 2 / (8.0 * x)
-    checks.append(_ks_check(
-        "ks-inverse-gaussian",
-        lambda r: sample_inverse_gaussian(2.0, 1.3, r),
-        ig, (1e-8, 1e3), n, rng))
-
-    gg = lambda x: -1.7 * np.log(x) - 0.5 * (1.1 * x + 2.3 / x)
-    checks.append(_ks_check(
-        "ks-gig", lambda r: sample_gig(-0.7, 1.1, 2.3, r),
-        gg, (1e-8, 1e3), n, rng))
-    gl = lambda x: 1.1 * np.log(x) - 0.85 * x
-    checks.append(_ks_check(
-        "ks-gig-gamma-limit", lambda r: sample_gig(2.1, 1.7, 0.0, r),
-        gl, (1e-8, 1e4), n, rng))
-    il = lambda x: -7.0 * np.log(x) - 3.5 / x
-    checks.append(_ks_check(
-        "ks-gig-inverse-gamma-limit",
-        lambda r: sample_gig(-6.0, 0.0, 7.0, r),
-        il, (1e-10, 1e5), n, rng))
-
-    mh = lambda x: np.where(x > 0.0, 2.0 * np.log(np.maximum(x, 1e-300))
-                            - 2.0 * x * x - 2.0 * x, -np.inf)
-    checks.append(_ks_check(
-        "ks-modified-half-normal-concave",
-        lambda r: sample_mhn(3.0, 2.0, 2.0, r),
-        mh, (1e-8, 1e3), n, rng))
-    m1 = lambda x: np.where(x >= 0.0, -1.2 * x * x - 0.7 * x, -np.inf)
-    checks.append(_ks_check(
-        "ks-modified-half-normal-linear",
-        lambda r: sample_mhn(1.0, 1.2, 0.7, r),
-        m1, (0.0, 1e3), n, rng))
-
+    # (name, log density, bracket, one draw)
+    cases = [
+        ("truncated-normal-nonnegative", tn, (0.0, 60.0),
+         lambda r: sample_truncated_normal(-0.3, 1.7, "nonnegative", r)),
+        ("truncated-normal-negative", tn, (0.0, 60.0),
+         lambda r: -sample_truncated_normal(0.3, 1.7, "negative", r)),
+        ("inverse-gaussian",
+         lambda x: -1.5 * np.log(x) - 1.3 * (x - 2.0) ** 2 / (8.0 * x),
+         (1e-8, 1e3), lambda r: sample_inverse_gaussian(2.0, 1.3, r)),
+        ("gig", lambda x: -1.7 * np.log(x) - 0.5 * (1.1 * x + 2.3 / x),
+         (1e-8, 1e3), lambda r: sample_gig(-0.7, 1.1, 2.3, r)),
+        ("gig-gamma-limit", lambda x: 1.1 * np.log(x) - 0.85 * x,
+         (1e-8, 1e4), lambda r: sample_gig(2.1, 1.7, 0.0, r)),
+        ("gig-inverse-gamma-limit", lambda x: -7.0 * np.log(x) - 3.5 / x,
+         (1e-10, 1e5), lambda r: sample_gig(-6.0, 0.0, 7.0, r)),
+        ("modified-half-normal-concave",
+         lambda x: np.where(x > 0.0, 2.0 * np.log(np.maximum(x, 1e-300))
+                            - 2.0 * x * x - 2.0 * x, -np.inf),
+         (1e-8, 1e3), lambda r: sample_mhn(3.0, 2.0, 2.0, r)),
+        ("modified-half-normal-linear",
+         lambda x: np.where(x >= 0.0, -1.2 * x * x - 0.7 * x, -np.inf),
+         (0.0, 1e3), lambda r: sample_mhn(1.0, 1.2, 0.7, r)),
+    ]
     for q in (1, 2, 4):
         p = TiltedParams(q, 3.5, 0.5 * q + 1.0, 1.1)
-        checks.append(_ks_check(
-            f"ks-tilted-q{q}", lambda r, p=p: sample_tilted(p, r),
-            lambda x, p=p: tilted_log_density(p, x), (1e-8, 1e3), n, rng))
-    return checks
+        cases.append((f"tilted-q{q}", lambda x, p=p: _tilted_log_density(p, x),
+                      (1e-8, 1e3), lambda r, p=p: sample_tilted(p, r)))
+    return checks + [_ks_result(f"ks-{name}",
+                                np.array([draw(rng) for _ in range(n)]),
+                                auto_cdf(ld, bracket))
+                     for name, ld, bracket, draw in cases]
+
+
+def _tilted_log_density(p, x):
+    """tilted.log_density over a node array."""
+    return _within(lambda x: (p.a - 1.0) * np.log(x) - p.b * x * x - p.c * x
+                   - p.q * _log_phi(-x) - p.d / x, x)
 
 
 def _prior_equivalence_check(form, n, rng):
@@ -887,7 +895,7 @@ def _concave_on_grid(p):
     lo = max(mode - 8.0 * sd, 1e-4 * max(mode, sd))
     hi = mode + 8.0 * sd
     xs = np.linspace(lo, hi, 400)
-    vals = np.array([tilted_log_density(p, float(x)) for x in xs])
+    vals = _tilted_log_density(p, xs)
     slopes = np.diff(vals) / np.diff(xs)
     scale = max(1.0, float(np.abs(slopes).max()))
     return bool(np.all(np.diff(slopes) <= 1e-9 * scale))

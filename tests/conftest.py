@@ -36,7 +36,7 @@ def _run_validate(argv):
     return ValidateRun(code, out.getvalue(), checks, kwargs)
 
 
-# The quick battery takes about 20 s; test_cli checks the command's exit
+# The quick battery takes about 5 s; test_cli checks the command's exit
 # code and output and test_oracle its checks, so each run is shared.
 @pytest.fixture(scope="session")
 def validate_quick():

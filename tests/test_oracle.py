@@ -1,13 +1,15 @@
 """Quadrature tables, KS testing, planar grids, and the named checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bayenet import oracle
 from bayenet.model import (ModelState, RegressionData, from_transformed,
-                           sample_beta_prior_da, tau2_conditional_var)
+                           log_prior_da, sample_beta_prior_da,
+                           tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
@@ -30,6 +32,7 @@ from bayenet.oracle import (
     sweep_coordinates,
 )
 from bayenet.rng import RngStream
+from bayenet.tilted import TiltedParams, log_density as tilted_log_density
 
 from helpers import log_posterior_transformed
 
@@ -107,7 +110,7 @@ def _scan_top(ld, bracket):
     # the largest log density on auto_cdf's own 1501-node scan
     lo, hi = bracket
     spacing = np.geomspace if lo > 0.0 and hi / lo >= 1e3 else np.linspace
-    return max(oracle._probe(ld, x) for x in spacing(lo, hi, 1501))
+    return float(ld(spacing(lo, hi, 1501)).max())
 
 
 @pytest.mark.parametrize("ld, bracket, cdf, points, pinned", [
@@ -132,8 +135,8 @@ def test_auto_cdf_spans_scan_nodes_within_drop(ld, bracket, cdf, points,
     top = _scan_top(ld, bracket)
     assert (table.xs[0] == bracket[0]) == pinned
     edges = [table.xs[-1]] if pinned else [table.xs[0], table.xs[-1]]
-    for edge in edges:
-        assert oracle._probe(ld, edge) <= top - oracle._DROP
+    for edge in ld(np.array(edges)):
+        assert edge <= top - oracle._DROP
 
 
 def test_auto_cdf_honest_failure_for_uncoverable_tail():
@@ -387,6 +390,70 @@ def test_scale_slice_matches_transformed_posterior(form, representation,
     gaps = [lp(x) - reference(x) for x in xs]
     for g in gaps[1:]:
         assert abs(g - gaps[0]) < 1e-9
+    # the same four nodes as one array
+    at_once = lp(np.array(xs))
+    assert at_once.shape == (len(xs),)
+    for v, x in zip(at_once, xs):
+        assert abs(v - reference(x) - gaps[0]) < 1e-9
+
+
+def test_scale_slice_refuses_a_restatement_that_disagrees():
+    # a joint posterior that moves with sigma2 by a little more than the
+    # restatement does must stop the slice from being built
+    data, prior, state = kernel_check_setup("common", "direct")
+    real = oracle.log_posterior_unnorm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "log_posterior_unnorm",
+                   lambda d, pr, st, sums: real(d, pr, st, sums)
+                   + 1e-6 * st.sigma2)
+        with pytest.raises(OracleError, match="u1 slice disagrees"):
+            scale_slice_log_density(data, prior, state, "u1")
+
+
+@pytest.mark.parametrize("form, nodes", [
+    ("common", (1e-6, 0.05, 0.4, 0.9, 0.999)),
+    ("differential", (1e-6, 0.05, 0.8, 3.0, 40.0)),
+])
+def test_tau2_slice_matches_augmented_prior(form, nodes):
+    """Differences of the tau2 slice target equal differences of the
+    package's own log_prior_da; outside the support it is -inf."""
+    _, prior, state = kernel_check_setup(form, "da")
+    lp = oracle.tau2_slice_log_density(prior, state)
+    got = lp(np.array(nodes))
+    ref = [log_prior_da(form, state.beta, np.array([t, state.tau2[1]]),
+                        state.sigma2, state.lambda1, state.lambda2)
+           for t in nodes]
+    for g, r in zip(got, ref):
+        assert abs((g - got[0]) - (r - ref[0])) < 1e-9
+    outside = (-0.5, 0.0, 1.0, 1.5) if form == "common" else (-0.5, 0.0)
+    assert np.all(lp(np.array(outside)) == -np.inf)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_tilted_array_density_matches_scalar(q):
+    p = TiltedParams(q, 3.5, 0.5 * q + 1.0, 1.1)
+    xs = np.concatenate([[-2.0, -1e-300, 0.0],
+                         np.geomspace(1e-8, 1e3, 400)])
+    got = oracle._tilted_log_density(p, xs)
+    for x, g in zip(xs, got):
+        want = tilted_log_density(p, float(x))
+        if x <= 0.0:
+            assert g == want == -math.inf
+        else:
+            assert abs(g - want) <= 1e-13 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("target, quad_shape, scan_shape", [
+    (lambda x: -0.5, "()", "()"),
+    (lambda x: np.array(-0.5), "()", "()"),
+    (lambda x: -0.5 * x[:-1] ** 2, "(20000,)", "(1500,)"),
+], ids=["python-float", "zero-dim-array", "one-short"])
+def test_target_must_return_one_value_per_node(target, quad_shape,
+                                               scan_shape):
+    with pytest.raises(OracleError, match=re.escape(f"shape {quad_shape}")):
+        quadrature_cdf(target, QuadratureGrid(-10.0, 10.0))
+    with pytest.raises(OracleError, match=re.escape(f"shape {scan_shape}")):
+        auto_cdf(target, (-10.0, 10.0))
 
 
 def test_da_beta_marginal_is_the_gaussian_it_should_be():
