@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 user error (bad flags, files, parameters),
 """
 
 import argparse
-import csv
 import os
 import sys
 
@@ -30,8 +29,8 @@ from .model import PRIOR_PRESETS, RegressionData, make_prior
 from .oracle import (appendix_a_demonstration, broken_coordinate_update,
                      run_validation_suite)
 from .rng import RngStream
-from .simulate import (data_stream, design, format_cell, generate_dataset,
-                       read_dataset_csv, run_experiment, write_results_csv)
+from .simulate import (RESULT_COLUMNS, data_stream, design, generate_dataset,
+                       read_dataset_csv, run_experiment, write_csv)
 
 
 class UserError(ValueError):
@@ -273,24 +272,8 @@ def _write_run_config(cfg):
     return path
 
 
-def _write_draws_csv(path, chain):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(chain.parameter_names)
-        for row in chain.draws:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
 _SUMMARY_COLUMNS = ("parameter", "mean", "sd", "q25", "q250", "q500",
                     "q750", "q975", "ess", "acceptance_rate")
-
-
-def _write_summary_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([format_cell(row[col]) for col in _SUMMARY_COLUMNS])
 
 
 def _fit_data(cfg):
@@ -313,8 +296,10 @@ def cmd_fit(cfg):
     _ensure_out_dir(cfg)
     draws_path = os.path.join(cfg.out, "draws.csv")
     summary_path = os.path.join(cfg.out, "summary.csv")
-    _write_draws_csv(draws_path, chain)
-    _write_summary_csv(summary_path, summarize(chain))
+    write_csv(draws_path, chain.parameter_names, chain.draws.tolist())
+    write_csv(summary_path, _SUMMARY_COLUMNS,
+              ([row[col] for col in _SUMMARY_COLUMNS]
+               for row in summarize(chain)))
     _write_run_config(cfg)
     print(f"{chain.kind_label}: kept {chain.draws.shape[0]} draws of "
           f"{len(chain.parameter_names)} parameters "
@@ -338,7 +323,8 @@ def cmd_simulate(cfg):
         workers=cfg.workers)
     _ensure_out_dir(cfg)
     results_path = os.path.join(cfg.out, "results.csv")
-    write_results_csv(results_path, rows)
+    write_csv(results_path, RESULT_COLUMNS,
+              ([row[col] for col in RESULT_COLUMNS] for row in rows))
     _write_run_config(cfg)
     for cell in failures:
         print(f"cell failed: design={cell.design_id} "
@@ -366,13 +352,14 @@ def cmd_appendix_a(cfg):
                                       cfg.lambda2, cfg.p,
                                       n_draws=cfg.n_draws, seed=cfg.seed)
     text = report.text()
-    print(text, end="" if text.endswith("\n") else "\n")
+    print(text, end="")
     _ensure_out_dir(cfg)
     text_path = os.path.join(cfg.out, "always_accept_report.txt")
     csv_path = os.path.join(cfg.out, "always_accept_ratios.csv")
     with open(text_path, "w") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
-    report.write_csv(csv_path)
+        fh.write(text)
+    write_csv(csv_path, ("sigma2", "ratio"),
+              zip(report.sigma2_grid, report.ratios()))
     _write_run_config(cfg)
     print(f"wrote {text_path} and {csv_path}")
     return 0

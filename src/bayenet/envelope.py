@@ -79,7 +79,7 @@ class PiecewiseExpEnvelope:
     on (bounds[i], bounds[i+1])."""
 
     # built once per draw; slots spare each instance a __dict__
-    __slots__ =("knots", "slopes", "intercepts", "bounds", "log_masses",
+    __slots__ = ("knots", "slopes", "intercepts", "bounds",
                  "log_total_mass", "_cum")
 
     def __init__(self, knots, slopes, intercepts, bounds, log_masses):
@@ -87,7 +87,6 @@ class PiecewiseExpEnvelope:
         self.slopes = slopes
         self.intercepts = intercepts
         self.bounds = bounds
-        self.log_masses = log_masses
         m = max(log_masses)
         cum = []
         tot = 0.0

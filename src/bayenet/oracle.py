@@ -17,7 +17,6 @@ per node, -inf outside its support; the slice targets restate the joint
 posterior over such arrays from frozen coefficient sums.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -52,7 +51,8 @@ from .model import (
     to_transformed,
 )
 from .rng import RngStream
-from .special import log_std_normal_cdf, mills_ratio
+from .special import (log_std_normal_cdf, log_upper_incomplete_gamma_half,
+                      mills_ratio)
 from .tilted import (
     TiltedParams,
     d2log_density,
@@ -68,7 +68,6 @@ TAIL_TOL = 1e-8
 # log drop below the mode at which a tail is certainly negligible
 _DROP = 46.0
 _LOG_ROOT_PI = 0.5 * math.log(math.pi)
-_LOG_2_ROOT_PI = math.log(2.0 * math.sqrt(math.pi))
 # grid doublings a table may take before it gives up; a plane stops at
 # three (a 1601-node axis pair is already 2.6 million points)
 _LINE_DOUBLINGS = 7
@@ -77,6 +76,9 @@ _PLANE_DOUBLINGS = 3
 _SPAN = 9.0
 # log Phi over a node array
 _log_phi = np.vectorize(log_std_normal_cdf, otypes=[float])
+# log Gamma(1/2, x) over a node array
+_log_gamma_half = np.vectorize(log_upper_incomplete_gamma_half,
+                               otypes=[float])
 
 
 class OracleError(ValueError):
@@ -463,13 +465,6 @@ class AppendixAReport:
                if self.ks_rejects_target else " (unexpected)"))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sigma2", "ratio"])
-            for s, r in zip(self.sigma2_grid, self.ratios()):
-                w.writerow([f"{s:.17g}", f"{r:.17g}"])
-
 
 def appendix_a_demonstration(a, b, lambda1, lambda2, p,
                              n_draws=100000, seed=0):
@@ -497,8 +492,7 @@ def appendix_a_demonstration(a, b, lambda1, lambda2, p,
 
     def log_gamma_half(x):
         # log Gamma(1/2, lambda1^2 / (8 x lambda2)) over an array of x
-        v = lambda1 ** 2 / (8.0 * x * lambda2)
-        return _LOG_2_ROOT_PI + _log_phi(-np.sqrt(2.0 * v))
+        return _log_gamma_half(lambda1 ** 2 / (8.0 * x * lambda2))
 
     accepted = log_u <= p * (_LOG_ROOT_PI - log_gamma_half(z))
     fraction = float(accepted.mean())

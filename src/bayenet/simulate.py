@@ -96,14 +96,24 @@ def generate_dataset(dsg, rng):
     return y, X
 
 
-def write_dataset_csv(path, y, X):
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
+def format_cell(value):
+    """A CSV cell: empty for None, a string as is, a number at 17
+    significant digits, which parse back to the same float."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return f"{value:.17g}"
+
+
+def write_csv(path, header, rows):
+    """The one CSV writer: a header row, then each row's cells through
+    format_cell.  Python floats (an array's .tolist()) format faster than
+    numpy scalars."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["y"] + [f"x{j + 1}" for j in range(X.shape[1])])
-        for i in range(len(y)):
-            w.writerow([f"{y[i]:.17g}"] + [f"{v:.17g}" for v in X[i]])
+        w.writerow(header)
+        w.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def read_dataset_csv(path):
@@ -238,20 +248,3 @@ def run_experiment(design_ids, sampler_labels, prior_names, replicates,
             })
     return rows, failures
 
-
-def format_cell(value):
-    """A CSV cell: empty for None, a string as is, a number at full
-    precision."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.17g}"
-
-
-def write_results_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESULT_COLUMNS)
-        for row in rows:
-            w.writerow([format_cell(row[k]) for k in RESULT_COLUMNS])

@@ -66,18 +66,11 @@ def log_std_normal_cdf(x):
     return -_LOG_SQRT_2PI - 0.5 * t * t - math.log(_hazard_cf(t))
 
 
-def upper_incomplete_gamma_half(x):
-    """Upper incomplete gamma Gamma(1/2, x) for x >= 0.
+def log_upper_incomplete_gamma_half(x):
+    """log Gamma(1/2, x), finite for arbitrarily large x >= 0.
 
     Uses the identity Gamma(1/2, x) = 2 sqrt(pi) Phi(-sqrt(2 x)).
     """
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    return 2.0 * _SQRT_PI * std_normal_cdf(-math.sqrt(2.0 * x))
-
-
-def log_upper_incomplete_gamma_half(x):
-    """log Gamma(1/2, x), finite for arbitrarily large x >= 0."""
     if x < 0.0:
         raise ValueError("x must be nonnegative")
     return math.log(2.0 * _SQRT_PI) + log_std_normal_cdf(-math.sqrt(2.0 * x))

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from bayenet.model import log_posterior_unnorm, to_transformed
+from bayenet.simulate import write_csv
 
 
 def cdf_table(logpdf, lo, hi, n=20001):
@@ -37,6 +38,13 @@ def ks_statistic(draws, xs, c):
 def ks_threshold(n):
     """Asymptotic 1% critical value."""
     return 1.63 / np.sqrt(n)
+
+
+def write_dataset_csv(path, y, X):
+    """A dataset file `bayenet fit --data` reads: y, then x1..xp."""
+    X = np.asarray(X, dtype=float)
+    header = ["y"] + [f"x{j + 1}" for j in range(X.shape[1])]
+    write_csv(path, header, np.column_stack([y, X]).tolist())
 
 
 def log_posterior_transformed(data, prior, state):

@@ -102,6 +102,39 @@ def test_no_unreferenced_definitions():
     assert not found, "defined but never referenced:\n" + "\n".join(found)
 
 
+# Top-level src/ definitions that only tests read, each with the reason
+# it stays.  A definition that loses its last src/ reader must be deleted
+# or listed here; one that gains a src/ reader must leave the list.
+TEST_ONLY = {
+    "PiecewiseExpEnvelope.log_value":
+        "tests check through it that a hull bounds its target",
+    "log_integrated_likelihood":
+        "tests pin _log_likelihood to the closed form through it",
+    "log_prior_beta":
+        "tests reach _log_prior through it (direct representation)",
+    "log_prior_da":
+        "tests reach _log_prior through it (augmented representation)",
+    "log_prior_tau2":
+        "the reference density in the KS test of sample_tau2_prior",
+    "sample_beta_prior_direct":
+        "the only user of model.sample_truncated_normal, a tracer site",
+    "axis_slope_jump":
+        "tests check the planar oracle's kink at an axis through it",
+}
+
+
+def test_test_only_definitions_are_listed():
+    src_files = sorted((ROOT / "src" / "bayenet").glob("*.py"))
+    used = set().union(*(referenced_names(p.read_text())
+                         for p in src_files))
+    found = {name for p in src_files
+             for _, name in unreferenced_definitions(p.read_text(), used)}
+    listed = set(TEST_ONLY)
+    assert found == listed, (
+        f"read only by tests but not listed: {sorted(found - listed)}; "
+        f"listed but read in src/: {sorted(listed - found)}")
+
+
 def module_constants(source):
     """(line, name) of each non-dunder name a module-level assignment
     binds."""

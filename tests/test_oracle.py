@@ -32,6 +32,7 @@ from bayenet.oracle import (
     sweep_coordinates,
 )
 from bayenet.rng import RngStream
+from bayenet.simulate import write_csv
 from bayenet.tilted import TiltedParams, log_density as tilted_log_density
 
 from helpers import log_posterior_transformed
@@ -299,7 +300,7 @@ def test_appendix_a_report_text_and_csv(tmp_path):
     assert "no rejection constant" in text
     assert "verdict: FAIL" in text
     out = tmp_path / "ratios.csv"
-    rep.write_csv(out)
+    write_csv(out, ("sigma2", "ratio"), zip(rep.sigma2_grid, rep.ratios()))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "sigma2,ratio"
     assert len(lines) == 1 + rep.sigma2_grid.size

@@ -12,9 +12,10 @@ from bayenet.simulate import (
     read_dataset_csv,
     run_cell,
     run_experiment,
-    write_dataset_csv,
-    write_results_csv,
+    write_csv,
 )
+
+from helpers import write_dataset_csv
 
 
 def test_design_shapes_and_signals():
@@ -236,7 +237,8 @@ def test_results_csv_format(tmp_path):
     rows, _ = run_experiment([1], ["rs-common-direct", "mh-common-direct"],
                              ["weak"], 1, iters=120, burnin=10, seed=8)
     path = tmp_path / "res.csv"
-    write_results_csv(path, rows)
+    write_csv(path, RESULT_COLUMNS,
+              ([row[k] for k in RESULT_COLUMNS] for row in rows))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(RESULT_COLUMNS)
     assert len(lines) == len(rows) + 1
