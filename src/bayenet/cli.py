@@ -23,8 +23,8 @@ import sys
 from dataclasses import dataclass, fields
 
 from .diagnostics import summarize
-from .kernels import (MhStepSizes, check_sweep_supported, parse_sampler,
-                      run_chain, sampler_label)
+from .kernels import (check_sweep_supported, parse_sampler, run_chain,
+                      sampler_label)
 from .model import PRIOR_PRESETS, RegressionData, make_prior
 from .oracle import (appendix_a_demonstration, broken_coordinate_update,
                      run_validation_suite)
@@ -54,9 +54,6 @@ class RunConfig:
     burnin: int = 500
     thin: int = 1
     seed: int = 0
-    sigma2_step: float = 1.0
-    lambda1_step: float = 1.0
-    lambda2_step: float = 1.0
     replicates: int = 2
     workers: int = None
     a: float = 14.0
@@ -73,6 +70,11 @@ class RunConfig:
 # the annotations are the config schema: each value is parsed and
 # written according to its field's type
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+# chain options fit reads and simulate does not: the grid runs each
+# prior preset at thin 1 with nu_a = nu_b = 1
+_FIT_ONLY = ("thin", "nu_a", "nu_b", "L", "nu1", "R", "nu2")
 
 
 def _int_list(raw):
@@ -208,24 +210,36 @@ def validate_config(cfg):
     """Parse-time invariants; raises UserError before any work starts."""
     if cfg.seed < 0:
         raise UserError("seed must be a nonnegative integer")
-    if cfg.burnin < 0 or cfg.iters <= cfg.burnin:
-        raise UserError(f"need iterations > burn-in >= 0, got "
-                        f"iters={cfg.iters} burnin={cfg.burnin}")
+    if cfg.burnin < 0:
+        raise UserError(f"burn-in must be nonnegative, got {cfg.burnin}")
     if cfg.thin < 1:
         raise UserError("thin must be at least 1")
     for design_id in cfg.sim:
         if not 1 <= design_id <= 4:
             raise UserError(f"design id must be in 1..4, got {design_id}")
 
+    if cfg.subcommand == "simulate":
+        if not cfg.sim:
+            raise UserError("simulate needs at least one design id (--sim)")
+        if cfg.replicates < 1:
+            raise UserError("replicates must be at least 1")
+        if cfg.workers is not None and cfg.workers < 1:
+            raise UserError("workers must be at least 1")
+        # ahead of sampler_and_prior, which asks an explicit prior for values
+        if cfg.prior not in PRIOR_PRESETS:
+            raise UserError("the benchmark grid runs on prior presets; "
+                            "pick --prior weak or strong")
+        for name in _FIT_ONLY:
+            if getattr(cfg, name) != _DEFAULTS[name]:
+                raise UserError(
+                    f"simulate does not take {name}: it runs the prior "
+                    "presets at thin 1 with nu_a = nu_b = 1")
+
     if cfg.subcommand in ("fit", "simulate"):
         if cfg.iters < 100:
             raise UserError("need at least 100 kept draws for the "
                             "batch-means effective sample size")
-        algorithm, _ = sampler_and_prior(cfg)
-        if algorithm != "mh" and any(
-                getattr(cfg, name) != 1.0 for name in
-                ("sigma2_step", "lambda1_step", "lambda2_step")):
-            raise UserError("step sizes apply to mh samplers only")
+        sampler_and_prior(cfg)
 
     if cfg.subcommand == "fit":
         if cfg.dataset is not None and cfg.sim:
@@ -238,17 +252,6 @@ def validate_config(cfg):
             raise UserError(f"dataset file not found: {cfg.dataset}")
         if len(cfg.sim) > 1:
             raise UserError("fit takes a single design id")
-
-    if cfg.subcommand == "simulate":
-        if not cfg.sim:
-            raise UserError("simulate needs at least one design id (--sim)")
-        if cfg.replicates < 1:
-            raise UserError("replicates must be at least 1")
-        if cfg.prior not in PRIOR_PRESETS:
-            raise UserError("the benchmark grid runs on prior presets; "
-                            "pick --prior weak or strong")
-        if cfg.workers is not None and cfg.workers < 1:
-            raise UserError("workers must be at least 1")
 
     if cfg.subcommand == "appendix-a":
         for name in ("a", "b", "lambda1", "lambda2"):
@@ -289,10 +292,8 @@ def _fit_data(cfg):
 def cmd_fit(cfg):
     data = _fit_data(cfg)
     algorithm, prior = sampler_and_prior(cfg)
-    steps = MhStepSizes(cfg.sigma2_step, cfg.lambda1_step, cfg.lambda2_step)
     chain = run_chain(algorithm, data, prior, RngStream(cfg.seed, 2),
-                      iters=cfg.iters, burnin=cfg.burnin, thin=cfg.thin,
-                      steps=steps)
+                      iters=cfg.iters, burnin=cfg.burnin, thin=cfg.thin)
     _ensure_out_dir(cfg)
     draws_path = os.path.join(cfg.out, "draws.csv")
     summary_path = os.path.join(cfg.out, "summary.csv")
@@ -387,23 +388,13 @@ def _add_common(parser):
                         help="output directory (default .)")
 
 
-def _add_chain_flags(parser):
+def _add_chain_flags(parser, priors):
     parser.add_argument("--iters", type=int, help="kept draws")
     parser.add_argument("--burnin", type=int, help="discarded sweeps")
-    parser.add_argument("--thin", type=int, help="sweeps per kept draw")
     parser.add_argument(
         "--sampler",
         help="algorithm-form-representation, e.g. rs-differential-da")
-    parser.add_argument("--prior", help="weak, strong, or explicit")
-    parser.add_argument("--L", type=float)
-    parser.add_argument("--nu1", type=float)
-    parser.add_argument("--R", type=float)
-    parser.add_argument("--nu2", type=float)
-    parser.add_argument("--nu-a", type=float, dest="nu_a")
-    parser.add_argument("--nu-b", type=float, dest="nu_b")
-    parser.add_argument("--sigma2-step", type=float, dest="sigma2_step")
-    parser.add_argument("--lambda1-step", type=float, dest="lambda1_step")
-    parser.add_argument("--lambda2-step", type=float, dest="lambda2_step")
+    parser.add_argument("--prior", help=priors)
 
 
 def build_parser():
@@ -419,7 +410,12 @@ def build_parser():
                      help="dataset CSV with a 'y' column")
     fit.add_argument("--sim", type=_int_list, metavar="ID",
                      help="fit the named benchmark design instead")
-    _add_chain_flags(fit)
+    _add_chain_flags(fit, "weak, strong, or explicit")
+    fit.add_argument("--thin", type=int, help="sweeps per kept draw")
+    for name in ("L", "nu1", "R", "nu2"):
+        fit.add_argument(f"--{name}", type=float)
+    fit.add_argument("--nu-a", type=float, dest="nu_a")
+    fit.add_argument("--nu-b", type=float, dest="nu_b")
     _add_common(fit)
 
     simulate = sub.add_parser(
@@ -429,7 +425,7 @@ def build_parser():
     simulate.add_argument("--replicates", type=int)
     simulate.add_argument("--workers", type=int,
                           help="process pool size (default: in process)")
-    _add_chain_flags(simulate)
+    _add_chain_flags(simulate, "weak or strong")
     _add_common(simulate)
 
     validate = sub.add_parser(

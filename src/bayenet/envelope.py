@@ -79,8 +79,7 @@ class PiecewiseExpEnvelope:
     on (bounds[i], bounds[i+1])."""
 
     # built once per draw; slots spare each instance a __dict__
-    __slots__ = ("knots", "slopes", "intercepts", "bounds",
-                 "log_total_mass", "_cum")
+    __slots__ = ("knots", "slopes", "intercepts", "bounds", "_cum")
 
     def __init__(self, knots, slopes, intercepts, bounds, log_masses):
         self.knots = knots
@@ -93,7 +92,6 @@ class PiecewiseExpEnvelope:
         for lm in log_masses:
             tot += math.exp(lm - m)
             cum.append(tot)
-        self.log_total_mass = m + math.log(tot)
         # the last weight is tot / tot == 1.0 exactly, so a uniform in
         # [0, 1) always lands on a segment
         self._cum = [c / tot for c in cum]

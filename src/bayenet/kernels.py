@@ -10,7 +10,8 @@ data-augmented); the algorithm is one of
   Gaussian, modified half normal, and tail-tilted respectively.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
-  Metropolis on the log scale with the Jacobian correction.
+  Metropolis on the log scale, with a unit step and the Jacobian
+  correction.
 
 A sampler's label is "algorithm-form-representation", e.g.
 "rs-differential-da"; SAMPLERS lists all eight in a fixed order.
@@ -32,7 +33,6 @@ the transformed coordinates it conditions on and maps its draw back to
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,25 +266,21 @@ def update_theta_differential(data, prior, state, sums, rng):
         "differential", state.sigma2, u2, theta)
 
 
-@dataclass
-class MhStepSizes:
-    sigma2: float = 1.0
-    lambda1: float = 1.0
-    lambda2: float = 1.0
+# the scales Metropolis moves, in update order
+MH_SCALES = ("sigma2", "lambda1", "lambda2")
 
 
-def mh_update_scales(data, prior, state, sums, steps, rng, counts):
-    """Random-walk Metropolis on log sigma2, log lambda1, log lambda2.
+def mh_update_scales(data, prior, state, sums, rng, counts):
+    """Random-walk Metropolis on log sigma2, log lambda1, log lambda2,
+    each with a unit step.
 
     sums must equal coefficient_sums(data, prior, state); each of the
     four log posteriors is then O(1) scalar arithmetic.
     """
     cur_lp = log_posterior_unnorm(data, prior, state, sums)
-    for name, step in (("sigma2", steps.sigma2),
-                       ("lambda1", steps.lambda1),
-                       ("lambda2", steps.lambda2)):
+    for name in MH_SCALES:
         cur = getattr(state, name)
-        prop = cur * math.exp(step * rng.gen.standard_normal())
+        prop = cur * math.exp(rng.gen.standard_normal())
         setattr(state, name, prop)
         trial_lp = log_posterior_unnorm(data, prior, state, sums)
         counts[name][1] += 1
@@ -296,7 +292,7 @@ def mh_update_scales(data, prior, state, sums, steps, rng, counts):
             setattr(state, name, cur)
 
 
-def run_sweep(algorithm, data, prior, state, rng, steps=None, counts=None):
+def run_sweep(algorithm, data, prior, state, rng, counts=None):
     """One full scan over all blocks; mutates and returns the state."""
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
@@ -315,16 +311,13 @@ def run_sweep(algorithm, data, prior, state, rng, steps=None, counts=None):
             update_u2_differential(data, prior, state, sums, rng)
             update_theta_differential(data, prior, state, sums, rng)
     else:
-        if steps is None:
-            steps = MhStepSizes()
         if counts is None:
-            counts = {"sigma2": [0, 0], "lambda1": [0, 0], "lambda2": [0, 0]}
-        mh_update_scales(data, prior, state, sums, steps, rng, counts)
+            counts = {name: [0, 0] for name in MH_SCALES}
+        mh_update_scales(data, prior, state, sums, rng, counts)
     return state
 
 
-def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1,
-              steps=None):
+def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     """Run burnin + iters*thin sweeps and keep iters draws.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
@@ -334,16 +327,15 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1,
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     state = initial_state(data, prior)
-    counts = ({"sigma2": [0, 0], "lambda1": [0, 0], "lambda2": [0, 0]}
-              if algorithm == "mh" else {})
-    if steps is None:
-        steps = MhStepSizes()
+    # [accepted, proposed] per Metropolis scale
+    counts = ({name: [0, 0] for name in MH_SCALES} if algorithm == "mh"
+              else {})
     p = data.p
     kept = np.empty((iters, p + 3))
     k = 0
     t0 = time.perf_counter()
     for it in range(burnin + iters * thin):
-        run_sweep(algorithm, data, prior, state, rng, steps, counts)
+        run_sweep(algorithm, data, prior, state, rng, counts)
         if it >= burnin and (it - burnin) % thin == 0 and k < iters:
             kept[k, :p] = state.beta
             kept[k, p] = state.sigma2

@@ -28,7 +28,6 @@ RESULT_COLUMNS = ("design", "sampler", "prior", "replicate", "parameter",
 
 @dataclass(frozen=True)
 class SimDesign:
-    id: int
     n: int
     p: int
     beta_true: np.ndarray
@@ -42,13 +41,13 @@ def _ar1_cov(p, rho):
 
 
 def _design_1():
-    return SimDesign(1, 20, 8,
+    return SimDesign(20, 8,
                      np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]),
                      3.0, _ar1_cov(8, 0.5))
 
 
 def _design_2():
-    return SimDesign(2, 20, 8, np.full(8, 0.85), 3.0, _ar1_cov(8, 0.5))
+    return SimDesign(20, 8, np.full(8, 0.85), 3.0, _ar1_cov(8, 0.5))
 
 
 def _design_3():
@@ -57,7 +56,7 @@ def _design_3():
     beta[20:30] = 2.0
     V = np.full((40, 40), 0.5)
     np.fill_diagonal(V, 1.0)
-    return SimDesign(3, 100, 40, beta, 15.0, V)
+    return SimDesign(100, 40, beta, 15.0, V)
 
 
 def _design_4():
@@ -68,7 +67,7 @@ def _design_4():
     np.fill_diagonal(block, 1.01)
     for k in range(3):
         V[5 * k:5 * k + 5, 5 * k:5 * k + 5] = block
-    return SimDesign(4, 100, 40, beta, 15.0, V)
+    return SimDesign(100, 40, beta, 15.0, V)
 
 
 _DESIGNS = {1: _design_1, 2: _design_2, 3: _design_3, 4: _design_4}

@@ -3,6 +3,7 @@ round trips, determinism."""
 
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -170,9 +171,76 @@ def test_simulate_row_accounting(tmp_path):
             assert r["pct_improvement"] == ""
 
 
+def test_fit_keeps_iters_draws_after_a_longer_burn_in(tmp_path):
+    out = tmp_path / "run"
+    assert main(["fit", "--sim", "1", "--iters", "100", "--burnin", "200",
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out / "draws.csv")) == 1 + 100
+
+
+def test_simulate_help_lists_only_the_options_it_reads(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "-h"])
+    assert exit_info.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+        "--help", "--sim", "--replicates", "--workers", "--iters",
+        "--burnin", "--sampler", "--prior", "--config", "--seed", "--out"}
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the grid was started")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--thin", "3"), ("--nu-a", "5"), ("--nu-b", "7"), ("--L", "2"),
+    ("--nu1", "1"), ("--R", "1"), ("--nu2", "1"), ("--sigma2-step", "0.1"),
+    ("--lambda1-step", "4"), ("--lambda2-step", "1"),
+])
+def test_simulate_refuses_flags_it_does_not_read(flag, value, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _no_grid)
+    out = tmp_path / "grid"
+    assert main(["simulate", "--sim", "1", flag, value,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unrecognized arguments" in err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("thin=2", "does not take thin"),
+    ("nu_a=2", "does not take nu_a"),
+    ("nu_b=2", "does not take nu_b"),
+    ("L=2", "does not take L"),
+    ("sigma2_step=0.5", "unknown key"),
+])
+def test_simulate_config_refuses_values_it_does_not_read(
+        line, needle, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _no_grid)
+    path = tmp_path / "conf.txt"
+    path.write_text(f"sim=1\n{line}\n")
+    out = tmp_path / "grid"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err
+    assert not (out / "results.csv").exists()
+
+
+def test_simulate_reads_its_own_run_config(tmp_path):
+    # a written run_config.txt holds thin, nu_a and nu_b at their
+    # defaults, which simulate accepts
+    first, again = tmp_path / "first", tmp_path / "again"
+    args = ["--sim", "1", "--replicates", "1", "--iters", "100",
+            "--burnin", "10", "--seed", "6"]
+    assert main(["simulate", *args, "--out", str(first)]) == 0
+    text = (first / "run_config.txt").read_text()
+    assert "thin=1\n" in text and "nu_a=1\n" in text
+    assert main(["simulate", "--config", str(first / "run_config.txt"),
+                 "--out", str(again)]) == 0
+
+
 @pytest.mark.parametrize("argv, needle", [
-    (["fit", "--sim", "1", "--iters", "100", "--burnin", "200"],
-     "iterations > burn-in"),
+    (["fit", "--sim", "1", "--burnin", "-1"], "burn-in"),
     (["fit", "--sim", "1", "--sampler", "rs-common-direct",
       "--prior", "explicit", "--L", "0.5", "--nu1", "1", "--R", "1",
       "--nu2", "1"],
@@ -181,16 +249,15 @@ def test_simulate_row_accounting(tmp_path):
     (["fit", "--data", "/no/such/file.csv"], "not found"),
     (["fit"], "dataset file"),
     (["fit", "--sim", "1", "--data", "x.csv"], "not both"),
-    (["fit", "--sim", "1", "--sampler", "rs-common-da",
-      "--lambda1-step", "2.0"], "mh samplers only"),
+    (["fit", "--sim", "1", "--sigma2-step", "0.5"],
+     "unrecognized arguments"),
     (["fit", "--sim", "1", "--iters", "50", "--burnin", "5"],
      "at least 100"),
     (["fit", "--sim", "1", "--prior", "weak", "--L", "2.0"],
      "explicit"),
     (["fit", "--sim", "1", "--prior", "explicit", "--L", "2.0"],
      "nu1, R, nu2"),
-    (["simulate", "--sim", "1", "--prior", "explicit", "--L", "2.0",
-      "--nu1", "1", "--R", "1", "--nu2", "1"], "presets"),
+    (["simulate", "--sim", "1", "--prior", "explicit"], "presets"),
     (["nonsense"], "invalid choice"),
     (["fit", "--sim", "1", "--sampler", "rs-common"],
      "sampler must be one of"),
@@ -205,7 +272,7 @@ def test_user_errors_exit_1_with_one_line(argv, needle, capsys):
 def test_config_serialization_is_a_fixed_point(tmp_path):
     cfg = RunConfig(subcommand="fit", sim=(3,), sampler="mh-common-da",
                     iters=1234, burnin=56, seed=9,
-                    sigma2_step=0.7, out="somewhere")
+                    nu_b=0.7, out="somewhere")
     text = serialize_config(cfg)
     parsed = config_via_file(text, "fit", tmp_path)
     assert parsed == cfg

@@ -158,7 +158,10 @@ def test_hull_acceptance_matches_mass_ratio():
     env = build_envelope(t, K=2)
     target_mass = float(mp.quad(
         lambda x: x ** 2 * mp.e ** (-2 * x ** 2 - 2 * x), [0, mp.inf]))
-    ratio = target_mass / math.exp(env.log_total_mass)
+    hull_mass = sum(
+        math.exp(_segment_log_mass(lo, hi, m, b)) for lo, hi, m, b in zip(
+            env.bounds, env.bounds[1:], env.slopes, env.intercepts))
+    ratio = target_mass / hull_mass
     assert ratio == pytest.approx(0.9541, abs=0.002)
 
 

@@ -184,3 +184,65 @@ def test_no_unread_module_constants():
              for line, name in module_constants(p.read_text())
              if name not in read]
     assert not found, "assigned but never read:\n" + "\n".join(found)
+
+
+def stored_attributes(source):
+    """(line, "Class.name") of each class-level annotated field and each
+    `self.name =` assignment inside a class."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        found.extend(
+            (item.lineno, f"{cls.name}.{item.target.id}")
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name))
+        found.extend(
+            (node.lineno, f"{cls.name}.{node.attr}")
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return found
+
+
+def loaded_attributes(source):
+    """Every attribute name a module reads as `obj.name`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_scanner_finds_unread_attributes():
+    lib = ("class A:\n    kept: int\n    gone: int = 0\n\n"
+           "    def __init__(self):\n        self.x = 1\n"
+           "        self.y = self.x\n        self.z = 2\n")
+    user = "def f(a):\n    return a.y + a.kept\n"
+    read = loaded_attributes(lib) | loaded_attributes(user)
+    assert [(line, name) for line, name in stored_attributes(lib)
+            if name.rpartition(".")[2] not in read] == [(3, "A.gone"),
+                                                         (8, "A.z")]
+
+
+# Stored attributes that no src/ code reads, each with the reason it
+# stays.  An attribute that loses its last src/ reader must be deleted
+# or listed here; one that gains a src/ reader must leave the list.
+UNREAD_IN_SRC = {
+    "CdfTable.log_mass":
+        "tests check the quadrature normalizer through it",
+}
+
+
+def test_stored_attributes_are_read():
+    src_files = sorted((ROOT / "src" / "bayenet").glob("*.py"))
+    read = set().union(*(loaded_attributes(p.read_text())
+                         for p in src_files))
+    found = {name for p in src_files
+             for _, name in stored_attributes(p.read_text())
+             if name.rpartition(".")[2] not in read}
+    listed = set(UNREAD_IN_SRC)
+    assert found == listed, (
+        f"stored but never read in src/, not listed: "
+        f"{sorted(found - listed)}; listed but read in src/: "
+        f"{sorted(listed - found)}")

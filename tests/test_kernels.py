@@ -16,8 +16,8 @@ import pytest
 
 from bayenet.diagnostics import ess_batch_means
 from bayenet.kernels import (
+    MH_SCALES,
     SAMPLERS,
-    MhStepSizes,
     check_sweep_supported,
     mh_update_scales,
     parse_sampler,
@@ -353,14 +353,13 @@ def test_metropolis_scan_targets_same_posterior():
         assert abs(a.mean() - b.mean()) < 12.0 * pooled, name
 
 
-def _mh_scales_reference(data, prior, state, steps, rng, counts):
-    """mh_update_scales with the full log posterior at every evaluation."""
+def _mh_scales_reference(data, prior, state, rng, counts):
+    """mh_update_scales with the full log posterior at every evaluation,
+    at the same unit log-scale step."""
     cur_lp = log_posterior_unnorm(data, prior, state)
-    for name, step in (("sigma2", steps.sigma2),
-                       ("lambda1", steps.lambda1),
-                       ("lambda2", steps.lambda2)):
+    for name in ("sigma2", "lambda1", "lambda2"):
         cur = getattr(state, name)
-        prop = cur * math.exp(step * rng.gen.standard_normal())
+        prop = cur * math.exp(rng.gen.standard_normal())
         trial = replace(state, **{name: prop})
         trial_lp = log_posterior_unnorm(data, prior, trial)
         counts[name][1] += 1
@@ -376,22 +375,19 @@ def test_mh_scale_block_matches_full_posterior_reference(form, rep):
     # the block computes rss(beta) once; decisions and states must be
     # exactly those of recomputing the whole log posterior each time
     data, prior, state = frozen(form, rep)
-    steps = MhStepSizes(0.8, 1.2, 1.5)
     fast, ref = clone(state), clone(state)
     rng_fast, rng_ref = RngStream(77, 1), RngStream(77, 1)
-    names = ("sigma2", "lambda1", "lambda2")
-    counts_fast = {name: [0, 0] for name in names}
-    counts_ref = {name: [0, 0] for name in names}
+    counts_fast = {name: [0, 0] for name in MH_SCALES}
+    counts_ref = {name: [0, 0] for name in MH_SCALES}
     sums = coefficient_sums(data, prior, fast)
     for _ in range(200):
-        mh_update_scales(data, prior, fast, sums, steps, rng_fast,
-                         counts_fast)
-        _mh_scales_reference(data, prior, ref, steps, rng_ref, counts_ref)
+        mh_update_scales(data, prior, fast, sums, rng_fast, counts_fast)
+        _mh_scales_reference(data, prior, ref, rng_ref, counts_ref)
         assert counts_fast == counts_ref
         assert ((fast.sigma2, fast.lambda1, fast.lambda2)
                 == (ref.sigma2, ref.lambda1, ref.lambda2))
     np.testing.assert_array_equal(fast.beta, ref.beta)
-    for name in names:
+    for name in MH_SCALES:
         accepted, proposed = counts_fast[name]
         assert 0 < accepted < proposed == 200
 
@@ -414,13 +410,11 @@ def test_scale_blocks_read_coefficients_only_through_sums(form, rep):
     blind.beta = np.full(data.p, np.nan)
     if rep == "da":
         blind.tau2 = np.full(data.p, np.nan)
-    names = ("sigma2", "lambda1", "lambda2")
-    steps = MhStepSizes(0.8, 1.2, 1.5)
     scales = lambda st: (st.sigma2, st.lambda1, st.lambda2)
 
     def metropolis(d, pr, st, sm, rng):
-        counts = {name: [0, 0] for name in names}
-        mh_update_scales(d, pr, st, sm, steps, rng, counts)
+        counts = {name: [0, 0] for name in MH_SCALES}
+        mh_update_scales(d, pr, st, sm, rng, counts)
         return counts
 
     for i, block in enumerate(_SCALE_BLOCKS[form] + (metropolis,)):

@@ -1,5 +1,7 @@
 """Benchmark designs, dataset generation, and the experiment grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,7 @@ def test_design_rejects_unknown_id():
 def test_generate_dataset_moments():
     # large synthetic draw reproduces the design covariance and noise level
     dsg = design(1)
-    big = type(dsg)(dsg.id, 40000, dsg.p, dsg.beta_true, dsg.sigma_true,
-                    dsg.covariance)
+    big = replace(dsg, n=40000)
     y, X = generate_dataset(big, RngStream(7, 0))
     C = np.cov(X, rowvar=False)
     assert abs(C[0, 1] - 0.5) < 0.02
@@ -87,8 +88,7 @@ def test_generate_dataset_moments():
 
 def test_generate_dataset_block_design_correlation():
     dsg = design(4)
-    big = type(dsg)(dsg.id, 20000, dsg.p, dsg.beta_true, dsg.sigma_true,
-                    dsg.covariance)
+    big = replace(dsg, n=20000)
     _, X = generate_dataset(big, RngStream(11, 3))
     C = np.corrcoef(X, rowvar=False)
     # within-block correlation 1/1.01, across blocks ~0
