@@ -22,6 +22,8 @@ import sys
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .diagnostics import summarize
 from .kernels import (check_sweep_supported, parse_sampler, run_chain,
                       sampler_label)
@@ -72,9 +74,18 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
-# chain options fit reads and simulate does not: the grid runs each
-# prior preset at thin 1 with nu_a = nu_b = 1
-_FIT_ONLY = ("thin", "nu_a", "nu_b", "L", "nu1", "R", "nu2")
+# the keys each subcommand reads; a config file may set any other key
+# only to its default.  The grid runs each prior preset at thin 1 with
+# nu_a = nu_b = 1, so simulate reads no thin, nu_a, nu_b or prior values.
+_READS = {
+    "fit": ("dataset", "sim", "sampler", "prior", "L", "nu1", "R", "nu2",
+            "nu_a", "nu_b", "iters", "burnin", "thin", "seed", "out"),
+    "simulate": ("sim", "sampler", "prior", "iters", "burnin", "seed",
+                 "replicates", "workers", "out"),
+    "validate": ("seed", "quick", "mutate"),
+    "appendix-a": ("a", "b", "lambda1", "lambda2", "p", "n_draws", "seed",
+                   "out"),
+}
 
 
 def _int_list(raw):
@@ -208,6 +219,12 @@ def sampler_and_prior(cfg):
 
 def validate_config(cfg):
     """Parse-time invariants; raises UserError before any work starts."""
+    reads = _READS[cfg.subcommand]
+    for name in _FIELD_TYPES:
+        if (name != "subcommand" and name not in reads
+                and getattr(cfg, name) != _DEFAULTS[name]):
+            raise UserError(f"{cfg.subcommand} does not take {name}; "
+                            "remove it from the config file")
     if cfg.seed < 0:
         raise UserError("seed must be a nonnegative integer")
     if cfg.burnin < 0:
@@ -229,11 +246,6 @@ def validate_config(cfg):
         if cfg.prior not in PRIOR_PRESETS:
             raise UserError("the benchmark grid runs on prior presets; "
                             "pick --prior weak or strong")
-        for name in _FIT_ONLY:
-            if getattr(cfg, name) != _DEFAULTS[name]:
-                raise UserError(
-                    f"simulate does not take {name}: it runs the prior "
-                    "presets at thin 1 with nu_a = nu_b = 1")
 
     if cfg.subcommand in ("fit", "simulate"):
         if cfg.iters < 100:
@@ -297,7 +309,7 @@ def cmd_fit(cfg):
     _ensure_out_dir(cfg)
     draws_path = os.path.join(cfg.out, "draws.csv")
     summary_path = os.path.join(cfg.out, "summary.csv")
-    write_csv(draws_path, chain.parameter_names, chain.draws.tolist())
+    write_csv(draws_path, chain.parameter_names, chain.draws)
     write_csv(summary_path, _SUMMARY_COLUMNS,
               ([row[col] for col in _SUMMARY_COLUMNS]
                for row in summarize(chain)))
@@ -360,7 +372,7 @@ def cmd_appendix_a(cfg):
     with open(text_path, "w") as fh:
         fh.write(text)
     write_csv(csv_path, ("sigma2", "ratio"),
-              zip(report.sigma2_grid, report.ratios()))
+              np.column_stack([report.sigma2_grid, report.ratios()]))
     _write_run_config(cfg)
     print(f"wrote {text_path} and {csv_path}")
     return 0
@@ -380,12 +392,13 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
-def _add_common(parser):
+def _add_common(parser, writes_files=True):
     parser.add_argument("--config", metavar="PATH",
                         help="flat key=value config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory (default .)")
+    if writes_files:
+        parser.add_argument("--out", metavar="DIR",
+                            help="output directory (default .)")
 
 
 def _add_chain_flags(parser, priors):
@@ -436,7 +449,7 @@ def build_parser():
                           const=True, dest="mutate",
                           help="swap in a deliberately broken coefficient "
                                "kernel to show the suite catches it")
-    _add_common(validate)
+    _add_common(validate, writes_files=False)
 
     appendix = sub.add_parser(
         "appendix-a", help="always-accept variance sampler demonstration")

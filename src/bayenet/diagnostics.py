@@ -61,27 +61,40 @@ class ChainOutput:
 
 
 def ess_batch_means(series):
-    """Effective sample size; N for a constant series (with a warning)."""
+    """Effective sample size of a series, N for a constant one (with a
+    warning).  A 2-D array holds one series per column and gets one ESS
+    per column, each exactly what its column alone would get."""
     x = np.asarray(series, dtype=float)
-    n = x.size
+    if x.ndim not in (1, 2):
+        raise ValueError("need a series or a 2-D array of series")
+    n = x.shape[0]
     if n < 100:
         raise ValueError("need at least 100 draws for a batch-means ESS")
-    s2 = float(x.var(ddof=1))
-    if not math.isfinite(s2):
+    # one contiguous row per series, so each reduction runs along a row
+    # in the order it does on a 1-D array
+    rows = np.ascontiguousarray(x.T if x.ndim == 2 else x[None, :])
+    with np.errstate(invalid="ignore"):
+        s2 = rows.var(axis=1, ddof=1)
+    if not np.all(np.isfinite(s2)):
         raise ValueError("series contains non-finite values")
-    if x.min() == x.max():
-        warnings.warn("constant series: returning ESS = N", RuntimeWarning)
-        return float(n)
     b = math.isqrt(n)
     a = n // b
-    tail = x[n - a * b:]
-    means = tail.reshape(a, b).mean(axis=1)
-    var_bm = b * float(np.sum((means - tail.mean()) ** 2)) / (a - 1)
-    if var_bm <= 0.0:
-        warnings.warn("degenerate batch variance: returning ESS = N",
-                      RuntimeWarning)
-        return float(n)
-    return float(min(max(n * s2 / var_bm, 1.0), float(n)))
+    tail = rows[:, n - a * b:]
+    means = tail.reshape(-1, a, b).mean(axis=2)
+    var_bm = (b * np.sum((means - tail.mean(axis=1)[:, None]) ** 2, axis=1)
+              / (a - 1))
+    ess = np.full(len(rows), float(n))
+    constant = rows.min(axis=1) == rows.max(axis=1)
+    for j in range(len(rows)):
+        if constant[j]:
+            warnings.warn("constant series: returning ESS = N",
+                          RuntimeWarning)
+        elif var_bm[j] <= 0.0:
+            warnings.warn("degenerate batch variance: returning ESS = N",
+                          RuntimeWarning)
+        else:
+            ess[j] = min(max(n * s2[j] / var_bm[j], 1.0), float(n))
+    return float(ess[0]) if x.ndim == 1 else ess
 
 
 def percent_improvement(candidate_ess, baseline_ess):
@@ -92,17 +105,18 @@ def percent_improvement(candidate_ess, baseline_ess):
 
 
 def summarize(chain):
-    """Per-parameter rows: moments, quantiles, ESS, kernel acceptance."""
-    rows = []
-    for name in chain.parameter_names:
-        x = chain.column(name)
-        qs = np.quantile(x, QUANTILES)
-        rows.append({
-            "parameter": name,
-            "mean": float(x.mean()),
-            "sd": float(x.std(ddof=1)),
-            **{f"q{int(1000 * q)}": float(v) for q, v in zip(QUANTILES, qs)},
-            "ess": ess_batch_means(x),
-            "acceptance_rate": chain.acceptance_rate(name),
-        })
-    return rows
+    """Per-parameter rows: moments, quantiles, ESS, kernel acceptance.
+    Every column is reduced in one pass over the transposed draws."""
+    cols = np.ascontiguousarray(chain.draws.T)
+    means = cols.mean(axis=1).tolist()
+    sds = cols.std(axis=1, ddof=1).tolist()
+    qs = np.quantile(cols, QUANTILES, axis=1).T.tolist()
+    ess = ess_batch_means(cols.T).tolist()
+    return [{
+        "parameter": name,
+        "mean": means[j],
+        "sd": sds[j],
+        **{f"q{int(1000 * q)}": v for q, v in zip(QUANTILES, qs[j])},
+        "ess": ess[j],
+        "acceptance_rate": chain.acceptance_rate(name),
+    } for j, name in enumerate(chain.parameter_names)]

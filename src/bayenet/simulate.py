@@ -106,13 +106,20 @@ def format_cell(value):
 
 
 def write_csv(path, header, rows):
-    """The one CSV writer: a header row, then each row's cells through
-    format_cell.  Python floats (an array's .tolist()) format faster than
-    numpy scalars."""
+    """The one CSV writer: a header row, then the rows.  A 2-D float
+    array is written one row template at a time ("%.17g" % v is
+    format_cell's f"{v:.17g}" byte for byte, and a number never needs
+    quoting); any other rows go cell by cell through format_cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([format_cell(v) for v in row] for row in rows)
+        if (isinstance(rows, np.ndarray) and rows.ndim == 2
+                and rows.dtype.kind == "f"):
+            template = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            fh.write("".join([template % tuple(row)
+                              for row in rows.tolist()]))
+        else:
+            w.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def read_dataset_csv(path):
@@ -184,8 +191,8 @@ def run_cell(design_id, kind_label, prior_name, replicate,
                             sampler_label(algorithm, prior), prior_name)
         out = run_chain(algorithm, data, prior, rng, iters=iters,
                         burnin=burnin)
-        ess = {name: ess_batch_means(out.column(name))
-               for name in out.parameter_names}
+        ess = dict(zip(out.parameter_names,
+                       ess_batch_means(out.draws).tolist()))
         acc = {name: out.acceptance_rate(name) for name in out.acceptance}
         return CellResult(design_id, out.kind_label, prior_name, replicate,
                           ess=ess, acceptance=acc, wall_ms=out.wall_ms)

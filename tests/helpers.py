@@ -7,12 +7,14 @@ log_posterior_transformed is the slice target the kernel checks compare
 the rejection blocks against.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from bayenet.model import log_posterior_unnorm, to_transformed
-from bayenet.simulate import write_csv
+from bayenet.simulate import format_cell, write_csv
 
 
 def cdf_table(logpdf, lo, hi, n=20001):
@@ -44,7 +46,17 @@ def write_dataset_csv(path, y, X):
     """A dataset file `bayenet fit --data` reads: y, then x1..xp."""
     X = np.asarray(X, dtype=float)
     header = ["y"] + [f"x{j + 1}" for j in range(X.shape[1])]
-    write_csv(path, header, np.column_stack([y, X]).tolist())
+    write_csv(path, header, np.column_stack([y, X]))
+
+
+def csv_cell_by_cell(header, rows):
+    """The bytes of a CSV file rendered one cell at a time: csv.writer
+    over format_cell's cells, the reference for write_csv."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([format_cell(v) for v in row] for row in rows)
+    return buf.getvalue().encode()
 
 
 def log_posterior_transformed(data, prior, state):

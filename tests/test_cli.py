@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from bayenet import cli
 from bayenet.cli import (RunConfig, UserError, assemble_config,
                          build_parser, main, serialize_config)
-from bayenet.diagnostics import DERIVED_NAMES
+from bayenet.diagnostics import DERIVED_NAMES, QUANTILES, ess_batch_means
 from bayenet.kernels import parse_sampler, run_chain
 from bayenet.model import RegressionData, make_prior
 from bayenet.rng import RngStream
 from bayenet.simulate import data_stream, design, generate_dataset
 
-from helpers import write_dataset_csv
+from helpers import csv_cell_by_cell, write_dataset_csv
 
 
 def read_csv(path):
@@ -58,6 +58,16 @@ def test_fit_writes_draws_and_summary(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def _summary_rows_one_column_at_a_time(chain):
+    rows = []
+    for name in chain.parameter_names:
+        x = chain.column(name)
+        rows.append([name, float(x.mean()), float(x.std(ddof=1)),
+                     *(float(v) for v in np.quantile(x, QUANTILES)),
+                     ess_batch_means(x), chain.acceptance_rate(name)])
+    return rows
+
+
 @pytest.mark.parametrize("sampler", ["rs-differential-direct",
                                      "mh-common-da"])
 def test_fit_draws_csv_parses_back_to_the_chain(tmp_path, sampler):
@@ -77,6 +87,12 @@ def test_fit_draws_csv_parses_back_to_the_chain(tmp_path, sampler):
     assert parsed.shape == chain.draws.shape
     # bit for bit, signed zeros included
     assert parsed.tobytes() == chain.draws.tobytes()
+    # both files hold the bytes of a cell-by-cell rendering through
+    # format_cell, the summary reduced one column at a time
+    assert (out / "draws.csv").read_bytes() == csv_cell_by_cell(
+        chain.parameter_names, chain.draws.tolist())
+    assert (out / "summary.csv").read_bytes() == csv_cell_by_cell(
+        cli._SUMMARY_COLUMNS, _summary_rows_one_column_at_a_time(chain))
 
 
 def test_identical_config_and_seed_reproduce_draws_exactly(tmp_path):
@@ -226,6 +242,45 @@ def test_simulate_config_refuses_values_it_does_not_read(
     assert not (out / "results.csv").exists()
 
 
+def _not_started(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+@pytest.mark.parametrize("subcommand, lines, runner, needle", [
+    ("fit", "sim=1\nquick=true\n", "run_chain", "fit does not take quick"),
+    ("fit", "sim=1\nreplicates=9\n", "run_chain",
+     "fit does not take replicates"),
+    ("fit", "sim=1\na=3\n", "run_chain", "fit does not take a"),
+    ("validate", "quick=true\niters=200\n", "run_validation_suite",
+     "validate does not take iters"),
+    ("validate", "out=elsewhere\n", "run_validation_suite",
+     "validate does not take out"),
+    ("appendix-a", "sampler=mh-common-da\n", "appendix_a_demonstration",
+     "appendix-a does not take sampler"),
+    ("appendix-a", "mutate=true\n", "appendix_a_demonstration",
+     "appendix-a does not take mutate"),
+])
+def test_config_refuses_values_a_subcommand_does_not_read(
+        subcommand, lines, runner, needle, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, runner, _not_started)
+    path = tmp_path / "conf.txt"
+    path.write_text(lines)
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", str(path)]
+                + ([] if subcommand == "validate" else ["--out", str(out)])
+                ) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and needle in err
+    assert not out.exists()
+
+
+def test_validate_help_lists_only_the_options_it_reads(capsys):
+    with pytest.raises(SystemExit):
+        main(["validate", "-h"])
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+        "--help", "--quick", "--mutate-kernel", "--config", "--seed"}
+
+
 def test_simulate_reads_its_own_run_config(tmp_path):
     # a written run_config.txt holds thin, nu_a and nu_b at their
     # defaults, which simulate accepts
@@ -333,13 +388,16 @@ def test_validate_quick_passes_and_mutation_fails(validate_quick,
     assert validate_quick.code == 0
     out = validate_quick.out
     assert "FAIL" not in out
-    assert "coefficient-kernel-ks" in out
+    assert "PASS coefficient-kernel-ks:" in out
+    assert "PASS coefficient-kernel-ks-differential:" in out
+    assert out.endswith("\n38/38 checks passed\n")
 
     assert validate_quick_mutant.code == 2
     out = validate_quick_mutant.out
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed and all("coefficient-kernel-ks" in line
-                          for line in failed)
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL coefficient-kernel-ks", "FAIL coefficient-kernel-ks-differential"]
+    assert out.endswith("\n36/38 checks passed\n")
 
 
 def test_appendix_a_outputs(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Batch-means effective sample size and chain summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,63 @@ def test_ess_input_validation():
         ess_batch_means(bad)
 
 
+def _per_column(table):
+    """One 1-D ess_batch_means per column, with the warnings each call
+    raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ess = np.array([ess_batch_means(table[:, j])
+                        for j in range(table.shape[1])])
+    return ess, [str(w.message) for w in caught]
+
+
+def _at_once(table):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ess = ess_batch_means(table)
+    return ess, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("n, k", [(100, 1), (101, 3), (2500, 7),
+                                  (10007, 4), (20000, 2)])
+def test_ess_of_columns_is_the_per_column_ess_bit_for_bit(n, k):
+    gen = np.random.default_rng(n + k)
+    table = gen.standard_normal((n, k)).cumsum(axis=0) + 1e5
+    ess, caught = _at_once(table)
+    want, want_caught = _per_column(table)
+    assert ess.shape == (k,)
+    assert ess.tobytes() == want.tobytes()
+    assert caught == want_caught == []
+
+
+def test_ess_of_columns_warns_per_constant_or_degenerate_column():
+    gen = np.random.default_rng(6)
+    n = 400
+    # batches of 20 integers 0..19 have exactly equal means: a degenerate
+    # batch variance
+    periodic = np.tile(np.arange(20.0), n // 20)
+    table = np.column_stack([gen.standard_normal(n), np.full(n, 3.3),
+                             periodic, np.full(n, -1.0)])
+    ess, caught = _at_once(table)
+    want, want_caught = _per_column(table)
+    assert ess.tobytes() == want.tobytes()
+    assert ess[1] == ess[2] == ess[3] == float(n)
+    assert caught == want_caught
+    assert [("constant" in m, "degenerate" in m) for m in caught] == [
+        (True, False), (False, True), (True, False)]
+
+
+def test_ess_of_columns_refuses_a_non_finite_column():
+    table = np.random.default_rng(7).standard_normal((300, 3))
+    table[10, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        ess_batch_means(table[:, 2])
+    with pytest.raises(ValueError, match="non-finite"):
+        ess_batch_means(table)
+    with pytest.raises(ValueError, match="at least 100"):
+        ess_batch_means(table[:99])
+
+
 def test_percent_improvement():
     assert percent_improvement(150.0, 100.0) == pytest.approx(50.0)
     assert percent_improvement(80.0, 100.0) == pytest.approx(-20.0)
@@ -107,6 +165,24 @@ def test_summarize_rows():
     assert r["acceptance_rate"] is None
     assert rows[1]["acceptance_rate"] == pytest.approx(0.3)
     assert 0 < r["ess"] <= 400
+
+
+def test_summarize_is_the_per_column_reduction_bit_for_bit():
+    gen = np.random.default_rng(8)
+    draws = np.column_stack([gen.standard_normal(1500).cumsum(),
+                             gen.gamma(2.0, size=1500),
+                             gen.standard_normal(1500) * 1e-3 + 7.0])
+    chain = ChainOutput(draws=draws, parameter_names=["a", "b", "c"],
+                        kind_label="rs-common-direct")
+    for row, x in zip(summarize(chain), draws.T):
+        want = [float(x.mean()), float(x.std(ddof=1)),
+                *(float(v) for v in np.quantile(x, (0.025, 0.25, 0.5, 0.75,
+                                                    0.975))),
+                ess_batch_means(x)]
+        got = [row[key] for key in ("mean", "sd", "q25", "q250", "q500",
+                                    "q750", "q975", "ess")]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_chain_output_column_lookup():

@@ -265,6 +265,19 @@ def _block_update_without_lambda2(data, prior, state, rng):
     state.beta = mean + math.sqrt(state.sigma2) * pert
 
 
+def test_log_phi_distinct_matches_log_phi_bit_for_bit():
+    theta = 0.7
+    u = np.linspace(0.05, 9.0, 2001)
+    # the common form's u1 slice: r is theta up to rounding at every node
+    r = (2.0 * theta * u * 1.3) / (2.0 * np.sqrt(u * (u * 1.3 * 1.3)))
+    for x in (-r, np.array([-3.0, 0.0, -0.0, 2.5, -3.0, 40.0, -40.0]),
+              np.float64(-1.25), np.linspace(-12.0, 6.0, 501)):
+        got = oracle._log_phi_distinct(x)
+        assert np.shape(got) == np.shape(x)
+        assert (np.asarray(got).tobytes()
+                == np.asarray(oracle._log_phi(x)).tobytes())
+
+
 def test_beta_block_check_passes_and_catches_dropped_lambda2():
     for form in ("common", "differential"):
         data, prior, state = kernel_check_setup(form, "da")
@@ -336,11 +349,13 @@ def test_validation_suite_quick_all_pass(validate_quick):
                                                beta_updater=None)
     checks = validate_quick.checks
     names = [c.name for c in checks]
-    assert len(names) == len(set(names))
+    assert len(names) == len(set(names)) == 38
     for expect in ("quadrature-self-test", "ks-gig", "ks-tilted-q4",
                    "prior-equivalence-common", "tilted-property-suite",
                    "mills-gordon-sandwich", "transform-round-trip",
-                   "coefficient-kernel-ks", "kernel-common-direct-u1",
+                   "coefficient-kernel-ks",
+                   "coefficient-kernel-ks-differential",
+                   "kernel-common-direct-u1",
                    "kernel-common-da-tau2", "kernel-differential-da-sigma2",
                    "kernel-differential-da-beta-block",
                    "grid2d-ridge-reduction", "grid2d-axis-mode"):
@@ -354,8 +369,11 @@ def test_validation_suite_reports_injected_mutation(validate_quick_mutant):
         seed=0, quick=True, beta_updater=broken_coordinate_update)
     checks = validate_quick_mutant.checks
     by_name = {c.name: c for c in checks}
-    assert not by_name["coefficient-kernel-ks"].passed
-    others = [c for c in checks if c.name != "coefficient-kernel-ks"]
+    # the broken update is caught in both forms' coefficient lines
+    coefficient = ("coefficient-kernel-ks",
+                   "coefficient-kernel-ks-differential")
+    assert not any(by_name[name].passed for name in coefficient)
+    others = [c for c in checks if c.name not in coefficient]
     assert all(c.passed for c in others)
 
 

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bayenet.rng import RngStream
 from bayenet.simulate import (
@@ -17,7 +20,7 @@ from bayenet.simulate import (
     write_csv,
 )
 
-from helpers import write_dataset_csv
+from helpers import csv_cell_by_cell, write_dataset_csv
 
 
 def test_design_shapes_and_signals():
@@ -96,6 +99,38 @@ def test_generate_dataset_block_design_correlation():
     assert abs(C[5, 6] - 1.0 / 1.01) < 0.005
     assert abs(C[0, 5]) < 0.03
     assert abs(C[0, 20]) < 0.03
+
+
+# the cells a float row template must render exactly as format_cell does
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 1.8e308, -1.8e308,
+                1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+
+
+def _edge_table(shape):
+    return np.resize(np.array(_EDGE_FLOATS), shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(st.sampled_from(_EDGE_FLOATS),
+                       st.floats(width=64))),
+       quoted=st.booleans())
+@example(table=_edge_table((7, 2)), quoted=True)
+@example(table=_edge_table((14, 1)), quoted=False)
+@example(table=_edge_table((0, 3)), quoted=True)
+@example(table=_edge_table((0, 1)), quoted=False)
+@example(table=_edge_table((3, 0)), quoted=False)
+def test_float_table_writes_the_bytes_of_format_cell(tmp_path_factory,
+                                                     table, quoted):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    if quoted and header:
+        header[0] = 'a "b",c'
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, header, table)
+    assert path.read_bytes() == csv_cell_by_cell(header, table.tolist())
 
 
 def test_dataset_csv_round_trip(tmp_path):
