@@ -288,7 +288,7 @@ def _write_run_config(cfg):
 
 
 _SUMMARY_COLUMNS = ("parameter", "mean", "sd", "q25", "q250", "q500",
-                    "q750", "q975", "ess", "acceptance_rate")
+                    "q750", "q975", "ess", "acceptance_rate", "mh_step")
 
 
 def _fit_data(cfg):
@@ -317,10 +317,11 @@ def cmd_fit(cfg):
     print(f"{chain.kind_label}: kept {chain.draws.shape[0]} draws of "
           f"{len(chain.parameter_names)} parameters "
           f"({chain.wall_ms:.0f} ms)")
-    rates = {name: chain.acceptance_rate(name) for name in chain.acceptance}
-    if rates:
-        print("acceptance " + " ".join(f"{name}={rate:.3f}"
-                                       for name, rate in rates.items()))
+    if chain.acceptance:
+        print("acceptance " + " ".join(
+            f"{name}={chain.acceptance_rate(name):.3f} "
+            f"(step {chain.mh_steps[name]:.3g})"
+            for name in chain.acceptance))
     print(f"wrote {draws_path} and {summary_path}")
     return 0
 

@@ -42,7 +42,10 @@ class ChainOutput:
     draws: np.ndarray
     parameter_names: list
     kind_label: str
+    # scale -> (accepted, proposed) over the kept sweeps, and the frozen
+    # log-scale step of each Metropolis scale
     acceptance: dict = field(default_factory=dict)
+    mh_steps: dict = field(default_factory=dict)
     wall_ms: float = 0.0
 
     def column(self, name):
@@ -105,7 +108,8 @@ def percent_improvement(candidate_ess, baseline_ess):
 
 
 def summarize(chain):
-    """Per-parameter rows: moments, quantiles, ESS, kernel acceptance.
+    """Per-parameter rows: moments, quantiles, ESS, and the Metropolis
+    acceptance and step (None for a parameter drawn exactly).
     Every column is reduced in one pass over the transposed draws."""
     cols = np.ascontiguousarray(chain.draws.T)
     means = cols.mean(axis=1).tolist()
@@ -119,4 +123,5 @@ def summarize(chain):
         **{f"q{int(1000 * q)}": v for q, v in zip(QUANTILES, qs[j])},
         "ess": ess[j],
         "acceptance_rate": chain.acceptance_rate(name),
+        "mh_step": chain.mh_steps.get(name),
     } for j, name in enumerate(chain.parameter_names)]

@@ -10,8 +10,9 @@ data-augmented); the algorithm is one of
   Gaussian, modified half normal, and tail-tilted respectively.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
-  Metropolis on the log scale, with a unit step and the Jacobian
-  correction.
+  Metropolis on the log scale, with the Jacobian correction.  Each
+  scale's step is tuned during burn-in toward acceptance MH_TARGET and
+  then frozen, so the kept draws form a time-homogeneous Markov chain.
 
 A sampler's label is "algorithm-form-representation", e.g.
 "rs-differential-da"; SAMPLERS lists all eight in a fixed order.
@@ -269,18 +270,23 @@ def update_theta_differential(data, prior, state, sums, rng):
 # the scales Metropolis moves, in update order
 MH_SCALES = ("sigma2", "lambda1", "lambda2")
 
+# Burn-in tunes each scale's log step toward this acceptance, the usual
+# one-dimensional random-walk target (Roberts & Rosenthal 2001), with
+# the Robbins-Monro gain (t + 1)^-1/2 at burn-in sweep t.
+MH_TARGET = 0.44
 
-def mh_update_scales(data, prior, state, sums, rng, counts):
-    """Random-walk Metropolis on log sigma2, log lambda1, log lambda2,
-    each with a unit step.
+
+def mh_update_scales(data, prior, state, sums, steps, rng, counts):
+    """Random-walk Metropolis on log sigma2, log lambda1, log lambda2;
+    steps holds each one's log-scale step, in MH_SCALES order.
 
     sums must equal coefficient_sums(data, prior, state); each of the
     four log posteriors is then O(1) scalar arithmetic.
     """
     cur_lp = log_posterior_unnorm(data, prior, state, sums)
-    for name in MH_SCALES:
+    for name, step in zip(MH_SCALES, steps):
         cur = getattr(state, name)
-        prop = cur * math.exp(rng.gen.standard_normal())
+        prop = cur * math.exp(step * rng.gen.standard_normal())
         setattr(state, name, prop)
         trial_lp = log_posterior_unnorm(data, prior, state, sums)
         counts[name][1] += 1
@@ -292,8 +298,16 @@ def mh_update_scales(data, prior, state, sums, rng, counts):
             setattr(state, name, cur)
 
 
-def run_sweep(algorithm, data, prior, state, rng, counts=None):
-    """One full scan over all blocks; mutates and returns the state."""
+def new_counts(algorithm):
+    """[accepted, proposed] per Metropolis scale; none for "rs"."""
+    return ({name: [0, 0] for name in MH_SCALES} if algorithm == "mh"
+            else {})
+
+
+def run_sweep(algorithm, data, prior, state, rng, counts=None,
+              steps=(1.0,) * len(MH_SCALES)):
+    """One full scan over all blocks; mutates and returns the state.
+    steps are the Metropolis log-scale steps, in MH_SCALES order."""
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
     else:
@@ -312,13 +326,18 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None):
             update_theta_differential(data, prior, state, sums, rng)
     else:
         if counts is None:
-            counts = {name: [0, 0] for name in MH_SCALES}
-        mh_update_scales(data, prior, state, sums, rng, counts)
+            counts = new_counts(algorithm)
+        mh_update_scales(data, prior, state, sums, steps, rng, counts)
     return state
 
 
 def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     """Run burnin + iters*thin sweeps and keep iters draws.
+
+    Burn-in sweep t of a Metropolis chain moves each scale's log step by
+    (t + 1)^-1/2 (accepted - MH_TARGET); the kept sweeps run at the
+    steps burn-in ends with, and only they count towards the acceptance.
+    The tuning draws no random numbers.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
@@ -327,21 +346,28 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     state = initial_state(data, prior)
-    # [accepted, proposed] per Metropolis scale
-    counts = ({name: [0, 0] for name in MH_SCALES} if algorithm == "mh"
-              else {})
+    log_steps = [0.0] * len(MH_SCALES)
+    steps = [1.0] * len(MH_SCALES)
     p = data.p
     kept = np.empty((iters, p + 3))
-    k = 0
     t0 = time.perf_counter()
-    for it in range(burnin + iters * thin):
-        run_sweep(algorithm, data, prior, state, rng, counts)
-        if it >= burnin and (it - burnin) % thin == 0 and k < iters:
+    for t in range(burnin):
+        counts = new_counts(algorithm)
+        run_sweep(algorithm, data, prior, state, rng, counts, steps)
+        if counts:
+            gain = (t + 1.0) ** -0.5
+            for i, name in enumerate(MH_SCALES):
+                log_steps[i] += gain * (counts[name][0] - MH_TARGET)
+                steps[i] = math.exp(log_steps[i])
+    counts = new_counts(algorithm)
+    for it in range(iters * thin):
+        run_sweep(algorithm, data, prior, state, rng, counts, steps)
+        if it % thin == 0:
+            k = it // thin
             kept[k, :p] = state.beta
             kept[k, p] = state.sigma2
             kept[k, p + 1] = state.lambda1
             kept[k, p + 2] = state.lambda2
-            k += 1
     wall_ms = 1e3 * (time.perf_counter() - t0)
     names = ([f"beta_{j + 1}" for j in range(p)]
              + ["sigma2", "lambda1", "lambda2"] + list(DERIVED_NAMES))
@@ -352,5 +378,6 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
         parameter_names=names,
         kind_label=sampler_label(algorithm, prior),
         acceptance={name: tuple(v) for name, v in counts.items()},
+        mh_steps=dict(zip(counts, steps)),
         wall_ms=wall_ms,
     )

@@ -243,11 +243,6 @@ def _log_likelihood(n, rss_value, sigma2):
             - 0.5 * rss_value / sigma2)
 
 
-def log_integrated_likelihood(data, beta, sigma2):
-    """Likelihood with the flat intercept integrated out."""
-    return _log_likelihood(data.n, rss(data, beta), sigma2)
-
-
 def _latent_scale_norm(form, sigma2, lambda1, lambda2):
     """(r, const) of the latent scales' prior: const is the log
     normalizer per coordinate, r the common form's rate
@@ -303,12 +298,6 @@ def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
     return log_beta + p * const - 0.5 * lambda1 * lambda1 * sums.tau2
 
 
-def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
-    """Normalized log density of beta under either prior form."""
-    return _log_prior(form, "direct", _sums(form, "direct", beta, None),
-                      sigma2, lambda1, lambda2)
-
-
 def tau2_conditional_var(form, tau2, sigma2, lambda2):
     """Var(beta_j | tau_j^2) for the scale-mixture representation."""
     tau2 = np.asarray(tau2, dtype=float)
@@ -333,12 +322,6 @@ def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
     return float(p * const
                  + np.sum(-0.5 * np.log1p(lambda2 * tau2)
                           - 0.5 * lambda1 * lambda1 * tau2))
-
-
-def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
-    """Joint log density of (beta, tau2) in the augmented representation."""
-    return _log_prior(form, "da", _sums(form, "da", beta, tau2),
-                      sigma2, lambda1, lambda2)
 
 
 def log_hyperprior(prior, sigma2, lambda1, lambda2):

@@ -392,14 +392,6 @@ def axis_continuity_gap(grid, eps=1e-12, points=17):
     return worst
 
 
-def axis_slope_jump(grid, at, eps=1e-6):
-    """Drop in the cross-axis log-density slope at (at, 0)."""
-    mid = grid.log_unnorm(at, 0.0)
-    left = (mid - grid.log_unnorm(at, -eps)) / eps
-    right = (grid.log_unnorm(at, eps) - mid) / eps
-    return left - right
-
-
 # ---------------------------------------------------------------------------
 # hierarchical versus closed-form prior
 

@@ -4,7 +4,10 @@ The CDF tables here are built directly from explicit log-density
 formulas by dense trapezoid integration (error far below the KS
 resolution used), independently of the package's own quadrature module.
 log_posterior_transformed is the slice target the kernel checks compare
-the rejection blocks against.
+the rejection blocks against.  The single-term log densities
+(log_integrated_likelihood, log_prior_beta, log_prior_da) reach the
+package's likelihood and prior through their sums, which is how the
+tests pin those pieces to closed forms.
 """
 
 import csv
@@ -13,7 +16,8 @@ import math
 
 import numpy as np
 
-from bayenet.model import log_posterior_unnorm, to_transformed
+from bayenet.model import (_log_likelihood, _log_prior, _sums,
+                           log_posterior_unnorm, rss, to_transformed)
 from bayenet.simulate import format_cell, write_csv
 
 
@@ -71,3 +75,29 @@ def log_posterior_transformed(data, prior, state):
     if prior.form == "common":
         return val + math.log(4.0) + 2.0 * (math.log(u1) + math.log(u2))
     return val + math.log(2.0) + 2.0 * math.log(u2)
+
+
+def log_integrated_likelihood(data, beta, sigma2):
+    """Likelihood with the flat intercept integrated out."""
+    return _log_likelihood(data.n, rss(data, beta), sigma2)
+
+
+def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
+    """Normalized log density of beta under either prior form."""
+    return _log_prior(form, "direct", _sums(form, "direct", beta, None),
+                      sigma2, lambda1, lambda2)
+
+
+def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
+    """Joint log density of (beta, tau2) in the augmented representation."""
+    return _log_prior(form, "da", _sums(form, "da", beta, tau2),
+                      sigma2, lambda1, lambda2)
+
+
+def axis_slope_jump(grid, at, eps=1e-6):
+    """Drop in the cross-axis log-density slope of a planar oracle grid
+    at (at, 0)."""
+    mid = grid.log_unnorm(at, 0.0)
+    left = (mid - grid.log_unnorm(at, -eps)) / eps
+    right = (grid.log_unnorm(at, eps) - mid) / eps
+    return left - right

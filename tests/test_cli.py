@@ -64,7 +64,8 @@ def _summary_rows_one_column_at_a_time(chain):
         x = chain.column(name)
         rows.append([name, float(x.mean()), float(x.std(ddof=1)),
                      *(float(v) for v in np.quantile(x, QUANTILES)),
-                     ess_batch_means(x), chain.acceptance_rate(name)])
+                     ess_batch_means(x), chain.acceptance_rate(name),
+                     chain.mh_steps.get(name)])
     return rows
 
 
@@ -102,6 +103,27 @@ def test_identical_config_and_seed_reproduce_draws_exactly(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert (a / "draws.csv").read_bytes() == (b / "draws.csv").read_bytes()
+
+
+def test_tuned_metropolis_fit_reproduces_draws_exactly(tmp_path, capsys):
+    # burn-in tunes the steps without drawing random numbers, so a
+    # Metropolis fit reruns bit for bit, and it reports the frozen steps
+    args = ["fit", "--sim", "1", "--sampler", "mh-differential-da",
+            "--iters", "200", "--burnin", "60", "--seed", "8"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert (a / "draws.csv").read_bytes() == (b / "draws.csv").read_bytes()
+    printed = capsys.readouterr().out
+    assert re.search(r"acceptance sigma2=[\d.]+ \(step [\d.e+-]+\) "
+                     r"lambda1=[\d.]+ \(step [\d.e+-]+\) "
+                     r"lambda2=[\d.]+ \(step [\d.e+-]+\)\n", printed)
+    with open(a / "summary.csv", newline="") as fh:
+        summary = {row["parameter"]: row for row in csv.DictReader(fh)}
+    for name in ("sigma2", "lambda1", "lambda2"):
+        assert float(summary[name]["mh_step"]) > 0.0
+    assert summary["beta_1"]["mh_step"] == ""
+    assert summary["beta_1"]["acceptance_rate"] == ""
 
 
 def test_fit_from_written_config_matches_flag_run(tmp_path):

@@ -150,6 +150,7 @@ def _toy_chain():
         parameter_names=["beta_1", "sigma2"],
         kind_label="mh-common-direct",
         acceptance={"sigma2": (120, 400)},
+        mh_steps={"sigma2": 0.6},
         wall_ms=12.5,
     )
 
@@ -159,11 +160,13 @@ def test_summarize_rows():
     assert [r["parameter"] for r in rows] == ["beta_1", "sigma2"]
     r = rows[0]
     assert set(r) == {"parameter", "mean", "sd", "q25", "q250", "q500",
-                      "q750", "q975", "ess", "acceptance_rate"}
+                      "q750", "q975", "ess", "acceptance_rate", "mh_step"}
     assert r["mean"] == pytest.approx(2.0, abs=0.15)
     assert r["q25"] < r["q250"] < r["q500"] < r["q750"] < r["q975"]
     assert r["acceptance_rate"] is None
     assert rows[1]["acceptance_rate"] == pytest.approx(0.3)
+    assert r["mh_step"] is None
+    assert rows[1]["mh_step"] == 0.6
     assert 0 < r["ess"] <= 400
 
 

@@ -110,18 +110,10 @@ TEST_ONLY = {
         "the library's lookup of a parameter's draws by name (README)",
     "PiecewiseExpEnvelope.log_value":
         "tests check through it that a hull bounds its target",
-    "log_integrated_likelihood":
-        "tests pin _log_likelihood to the closed form through it",
-    "log_prior_beta":
-        "tests reach _log_prior through it (direct representation)",
-    "log_prior_da":
-        "tests reach _log_prior through it (augmented representation)",
     "log_prior_tau2":
         "the reference density in the KS test of sample_tau2_prior",
     "sample_beta_prior_direct":
         "the only user of model.sample_truncated_normal, a tracer site",
-    "axis_slope_jump":
-        "tests check the planar oracle's kink at an axis through it",
 }
 
 

@@ -8,15 +8,18 @@ update parameters are hard-coded in the kernels module, so a derivation
 slip in either one shows up as a KS failure.
 """
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bayenet import kernels
 from bayenet.diagnostics import ess_batch_means
 from bayenet.kernels import (
     MH_SCALES,
+    MH_TARGET,
     SAMPLERS,
     check_sweep_supported,
     mh_update_scales,
@@ -43,6 +46,7 @@ from bayenet.model import (
     to_transformed,
 )
 from bayenet.rng import RngStream, log_uniform
+from bayenet.simulate import data_stream, design, generate_dataset
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
                      log_posterior_transformed)
@@ -327,13 +331,110 @@ def test_run_chain_metropolis_acceptance_rates():
     data = make_data()
     prior = make_prior("common", "direct", preset="weak")
     out = run_chain("mh", data, prior, RngStream(909, 0),
-                    iters=400, burnin=50)
+                    iters=200, burnin=50, thin=2)
     for name in ("sigma2", "lambda1", "lambda2"):
         rate = out.acceptance_rate(name)
         acc, tot = out.acceptance[name]
-        assert tot == 450
+        # counted over the kept sweeps only, after the steps froze
+        assert tot == 200 * 2
         assert 0.0 < rate < 1.0
+        assert out.mh_steps[name] > 0.0
+    assert list(out.mh_steps) == list(MH_SCALES)
     assert out.acceptance_rate("beta_1") is None
+
+
+@pytest.mark.parametrize("form,rep", COMBOS)
+def test_no_burn_in_keeps_unit_steps(form, rep):
+    # with nothing to tune, a Metropolis chain runs at the unit step, so
+    # its draws are those of a chain that never adapts
+    data = make_data()
+    prior = make_prior(form, rep, preset="weak")
+    out = run_chain("mh", data, prior, RngStream(5, 1), iters=30, burnin=0)
+    assert out.mh_steps == {name: 1.0 for name in MH_SCALES}
+    state, rng = initial_state(data, prior), RngStream(5, 1)
+    for row in out.draws:
+        run_sweep("mh", data, prior, state, rng)
+        assert row[:data.p + 3].tobytes() == np.array(
+            [*state.beta, state.sigma2, state.lambda1,
+             state.lambda2]).tobytes()
+    assert run_chain("rs", data, prior, RngStream(5, 1), iters=5,
+                     burnin=3).mh_steps == {}
+
+
+def _recorded_chain(monkeypatch, data, prior, seed, **kw):
+    """run_chain("mh", ...) with every sweep's input recorded: a copy of
+    the state and the RNG before the sweep, the steps it ran at, and the
+    Metropolis accepts it added."""
+    sweeps = []
+
+    def recording_sweep(algorithm, data, prior, state, rng, counts, steps):
+        before = [counts[name][0] for name in MH_SCALES]
+        sweeps.append({"state": clone(state), "rng": copy.deepcopy(rng),
+                       "steps": tuple(steps)})
+        run_sweep(algorithm, data, prior, state, rng, counts, steps)
+        sweeps[-1]["accepted"] = [counts[name][0] - a
+                                  for name, a in zip(MH_SCALES, before)]
+        return state
+
+    monkeypatch.setattr(kernels, "run_sweep", recording_sweep)
+    out = run_chain("mh", data, prior, RngStream(seed, 4), **kw)
+    monkeypatch.undo()
+    return out, sweeps
+
+
+@pytest.mark.parametrize("form,rep", COMBOS)
+def test_burn_in_tunes_steps_then_freezes_them(form, rep, monkeypatch):
+    data = make_data()
+    prior = make_prior(form, rep, preset="weak")
+    burnin, iters, thin = 60, 40, 2
+    out, sweeps = _recorded_chain(monkeypatch, data, prior, 31,
+                                  iters=iters, burnin=burnin, thin=thin)
+    assert len(sweeps) == burnin + iters * thin
+    # burn-in sweep t moves each log step by
+    # (t + 1)^-1/2 (accepted - MH_TARGET), from a unit step
+    log_h = np.zeros(len(MH_SCALES))
+    for t in range(burnin):
+        np.testing.assert_allclose(sweeps[t]["steps"], np.exp(log_h),
+                                   rtol=1e-12)
+        log_h += ((np.array(sweeps[t]["accepted"]) - MH_TARGET)
+                  / math.sqrt(t + 1.0))
+    reported = tuple(out.mh_steps[name] for name in MH_SCALES)
+    np.testing.assert_allclose(reported, np.exp(log_h), rtol=1e-12)
+    assert reported != (1.0,) * len(MH_SCALES)
+    # every kept sweep runs at the reported steps, and only those sweeps
+    # count towards the acceptance
+    kept = sweeps[burnin:]
+    assert all(sw["steps"] == reported for sw in kept)
+    assert out.acceptance == {
+        name: (sum(sw["accepted"][i] for sw in kept), iters * thin)
+        for i, name in enumerate(MH_SCALES)}
+    # sweeping on from the burnt-in state at the reported steps
+    # reproduces every kept draw bit for bit
+    state, rng = kept[0]["state"], kept[0]["rng"]
+    redrawn = []
+    for it in range(iters * thin):
+        run_sweep("mh", data, prior, state, rng, None, reported)
+        if it % thin == 0:
+            redrawn.append([*state.beta, state.sigma2, state.lambda1,
+                            state.lambda2])
+    assert np.array(redrawn).tobytes() == out.draws[:, :data.p + 3].tobytes()
+
+
+def test_tuned_acceptance_on_the_wide_design():
+    # design 3 with the strong prior, where a unit step accepts only
+    # 0.14-0.16 of sigma2 proposals; burn-in brings every scale near
+    # MH_TARGET
+    y, X = generate_dataset(design(3), data_stream(101, 3, 0))
+    data = RegressionData(y, X)
+    for i, label in enumerate(SAMPLERS):
+        algorithm, form, rep = parse_sampler(label)
+        if algorithm != "mh":
+            continue
+        out = run_chain(algorithm, data,
+                        make_prior(form, rep, preset="strong"),
+                        RngStream(7, (0, i)), iters=1000, burnin=200)
+        for name in MH_SCALES:
+            assert 0.25 <= out.acceptance_rate(name) <= 0.65, (label, name)
 
 
 def test_metropolis_scan_targets_same_posterior():
@@ -353,13 +454,13 @@ def test_metropolis_scan_targets_same_posterior():
         assert abs(a.mean() - b.mean()) < 12.0 * pooled, name
 
 
-def _mh_scales_reference(data, prior, state, rng, counts):
+def _mh_scales_reference(data, prior, state, steps, rng, counts):
     """mh_update_scales with the full log posterior at every evaluation,
-    at the same unit log-scale step."""
+    at the same log-scale steps."""
     cur_lp = log_posterior_unnorm(data, prior, state)
-    for name in ("sigma2", "lambda1", "lambda2"):
+    for name, step in zip(("sigma2", "lambda1", "lambda2"), steps):
         cur = getattr(state, name)
-        prop = cur * math.exp(rng.gen.standard_normal())
+        prop = cur * math.exp(step * rng.gen.standard_normal())
         trial = replace(state, **{name: prop})
         trial_lp = log_posterior_unnorm(data, prior, trial)
         counts[name][1] += 1
@@ -373,23 +474,27 @@ def _mh_scales_reference(data, prior, state, rng, counts):
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_mh_scale_block_matches_full_posterior_reference(form, rep):
     # the block computes rss(beta) once; decisions and states must be
-    # exactly those of recomputing the whole log posterior each time
+    # exactly those of recomputing the whole log posterior each time, at
+    # the unit step of an untuned chain and at tuned steps
     data, prior, state = frozen(form, rep)
-    fast, ref = clone(state), clone(state)
-    rng_fast, rng_ref = RngStream(77, 1), RngStream(77, 1)
-    counts_fast = {name: [0, 0] for name in MH_SCALES}
-    counts_ref = {name: [0, 0] for name in MH_SCALES}
-    sums = coefficient_sums(data, prior, fast)
-    for _ in range(200):
-        mh_update_scales(data, prior, fast, sums, rng_fast, counts_fast)
-        _mh_scales_reference(data, prior, ref, rng_ref, counts_ref)
-        assert counts_fast == counts_ref
-        assert ((fast.sigma2, fast.lambda1, fast.lambda2)
-                == (ref.sigma2, ref.lambda1, ref.lambda2))
-    np.testing.assert_array_equal(fast.beta, ref.beta)
-    for name in MH_SCALES:
-        accepted, proposed = counts_fast[name]
-        assert 0 < accepted < proposed == 200
+    for steps in ((1.0, 1.0, 1.0), (0.3, 2.2, 0.7)):
+        fast, ref = clone(state), clone(state)
+        rng_fast, rng_ref = RngStream(77, 1), RngStream(77, 1)
+        counts_fast = {name: [0, 0] for name in MH_SCALES}
+        counts_ref = {name: [0, 0] for name in MH_SCALES}
+        sums = coefficient_sums(data, prior, fast)
+        for _ in range(200):
+            mh_update_scales(data, prior, fast, sums, steps, rng_fast,
+                             counts_fast)
+            _mh_scales_reference(data, prior, ref, steps, rng_ref,
+                                 counts_ref)
+            assert counts_fast == counts_ref
+            assert ((fast.sigma2, fast.lambda1, fast.lambda2)
+                    == (ref.sigma2, ref.lambda1, ref.lambda2))
+        np.testing.assert_array_equal(fast.beta, ref.beta)
+        for name in MH_SCALES:
+            accepted, proposed = counts_fast[name]
+            assert 0 < accepted < proposed == 200, (steps, name)
 
 
 _SCALE_BLOCKS = {
@@ -414,7 +519,8 @@ def test_scale_blocks_read_coefficients_only_through_sums(form, rep):
 
     def metropolis(d, pr, st, sm, rng):
         counts = {name: [0, 0] for name in MH_SCALES}
-        mh_update_scales(d, pr, st, sm, rng, counts)
+        mh_update_scales(d, pr, st, sm, (1.0,) * len(MH_SCALES), rng,
+                         counts)
         return counts
 
     for i, block in enumerate(_SCALE_BLOCKS[form] + (metropolis,)):

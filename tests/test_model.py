@@ -16,10 +16,7 @@ from bayenet.model import (
     from_transformed,
     initial_state,
     log_hyperprior,
-    log_integrated_likelihood,
     log_posterior_unnorm,
-    log_prior_beta,
-    log_prior_da,
     log_prior_tau2,
     make_prior,
     rss,
@@ -31,7 +28,8 @@ from bayenet.model import (
 )
 from bayenet.rng import RngStream
 
-from helpers import cdf_table, ks_statistic, ks_threshold
+from helpers import (cdf_table, ks_statistic, ks_threshold,
+                     log_integrated_likelihood, log_prior_beta, log_prior_da)
 
 mp.mp.dps = 30
 

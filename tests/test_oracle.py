@@ -8,15 +8,13 @@ import pytest
 
 from bayenet import oracle
 from bayenet.model import (ModelState, RegressionData, from_transformed,
-                           log_prior_da, sample_beta_prior_da,
-                           tau2_conditional_var)
+                           sample_beta_prior_da, tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
     appendix_a_demonstration,
     auto_cdf,
     axis_continuity_gap,
-    axis_slope_jump,
     beta_block_ks,
     beta_kernel_ks_check,
     beta_pair_log_unnorm,
@@ -35,7 +33,7 @@ from bayenet.rng import RngStream
 from bayenet.simulate import write_csv
 from bayenet.tilted import TiltedParams, log_density as tilted_log_density
 
-from helpers import log_posterior_transformed
+from helpers import axis_slope_jump, log_posterior_transformed, log_prior_da
 
 
 def test_quadrature_standard_normal_cdf():
