@@ -12,15 +12,21 @@ then a key=value config file (--config), then explicit flags, in that
 order.  Serializing a parsed config and parsing it again is the identity,
 so a written run_config.txt reproduces its run exactly.
 
+Each key is declared once, as a RunConfig field: type, default, help,
+bound, and its flag where that is not --name with dashes.  From the
+fields, build_parser makes the flags _READS lists for each subcommand
+and validate_config checks flag and config-file values alike.
+
 Exit codes: 0 success, 1 user error (bad flags, files, parameters),
 2 validation failure (one or more checks FAILED).
 """
 
 import argparse
+import math
 import os
 import sys
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,40 +45,48 @@ class UserError(ValueError):
     """A mistake in flags, config, or input files; reported on one line."""
 
 
+def _key(default, help=None, *, flag=None, at_least=None, positive=False):
+    """A settable RunConfig field; every float must be finite, an int at
+    least `at_least`, and a `positive` float above 0."""
+    return field(default=default, metadata=dict(
+        help=help, flag=flag, at_least=at_least, positive=positive))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     subcommand: str
-    dataset: str = None
-    sim: tuple = ()
-    sampler: str = "rs-differential-da"
-    prior: str = "weak"
-    L: float = None
-    nu1: float = None
-    R: float = None
-    nu2: float = None
-    nu_a: float = 1.0
-    nu_b: float = 1.0
-    iters: int = 5000
-    burnin: int = 500
-    thin: int = 1
-    seed: int = 0
-    replicates: int = 2
-    workers: int = None
-    a: float = 14.0
-    b: float = 3.0
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    p: int = 8
-    n_draws: int = 100000
-    quick: bool = False
-    mutate: bool = False
-    out: str = "."
+    dataset: str = _key(None, "dataset CSV with a 'y' column", flag="--data")
+    sim: tuple = _key((), "benchmark design ids in 1..4, e.g. 1,2")
+    sampler: str = _key("rs-differential-da",
+                        "algorithm-form-representation, e.g. rs-common-da")
+    prior: str = _key("weak", "a preset, weak or strong, or explicit")
+    L: float = _key(None, "explicit prior: lambda1 ~ gamma(L, rate nu1/2)")
+    nu1: float = _key(None, "explicit prior: lambda1 gamma rate, doubled")
+    R: float = _key(None, "explicit prior: lambda2 ~ gamma(R, rate nu2/2)")
+    nu2: float = _key(None, "explicit prior: lambda2 gamma rate, doubled")
+    nu_a: float = _key(1.0, "sigma2 ~ inverse-gamma(nu_a/2, nu_b/2)")
+    nu_b: float = _key(1.0, "sigma2 inverse-gamma scale, doubled")
+    iters: int = _key(5000, "kept draws", at_least=100)
+    burnin: int = _key(500, "discarded sweeps", at_least=0)
+    thin: int = _key(1, "sweeps per kept draw", at_least=1)
+    seed: int = _key(0, at_least=0)
+    replicates: int = _key(2, "datasets per design", at_least=1)
+    workers: int = _key(None, "process pool size", at_least=1)
+    a: float = _key(14.0, "variance prior shape", positive=True)
+    b: float = _key(3.0, "variance prior rate", positive=True)
+    lambda1: float = _key(1.0, positive=True)
+    lambda2: float = _key(1.0, positive=True)
+    p: int = _key(8, "coefficient count", at_least=1)
+    n_draws: int = _key(100000, "draws for the KS test", at_least=1000)
+    quick: bool = _key(False, "smaller sample sizes, under a minute")
+    mutate: bool = _key(False, "run against a broken coefficient kernel",
+                        flag="--mutate-kernel")
+    out: str = _key(".", "output directory (default .)")
 
 
-# the annotations are the config schema: each value is parsed and
-# written according to its field's type
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# the fields are the config schema: each value is parsed and written
+# according to its field's type
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 # the keys each subcommand reads; a config file may set any other key
 # only to its default.  The grid runs each prior preset at thin 1 with
@@ -103,7 +117,7 @@ def _format_value(kind, value):
 
 
 def _convert_value(key, raw):
-    kind = _FIELD_TYPES[key]
+    kind = _FIELDS[key].type
     try:
         if kind is bool:
             if raw.lower() not in ("true", "false"):
@@ -121,11 +135,11 @@ def serialize_config(cfg):
     """Normal form: one key=value line per set field, in declaration
     order; unset fields (None, empty id list) are omitted."""
     lines = []
-    for name, kind in _FIELD_TYPES.items():
+    for name, f in _FIELDS.items():
         value = getattr(cfg, name)
         if value is None or (name == "sim" and not value):
             continue
-        lines.append(f"{name}={_format_value(kind, value)}")
+        lines.append(f"{name}={_format_value(f.type, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -142,7 +156,7 @@ def parse_config_text(text):
                             f"got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _FIELDS:
             raise UserError(f"config line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise UserError(f"config line {lineno}: duplicate key {key!r}")
@@ -170,7 +184,7 @@ def assemble_config(args):
                 f"line says {args.subcommand!r}")
         for key, raw in pairs.items():
             values[key] = _convert_value(key, raw)
-    for name in _FIELD_TYPES:
+    for name in _FIELDS:
         if name == "subcommand":
             continue
         flag = getattr(args, name, None)
@@ -217,20 +231,30 @@ def sampler_and_prior(cfg):
     return algorithm, prior
 
 
+def _check_value(f, value):
+    """Refuse a value outside the bound its RunConfig field declares."""
+    if f.type is float and not math.isfinite(value):
+        raise UserError(f"{f.name} must be finite, got {value}")
+    low = f.metadata["at_least"]
+    if low is not None and value < low:
+        raise UserError(f"{f.name} must be at least {low}, got {value}")
+    if f.metadata["positive"] and not value > 0.0:
+        raise UserError(f"{f.name} must be positive, got {value}")
+
+
 def validate_config(cfg):
     """Parse-time invariants; raises UserError before any work starts."""
     reads = _READS[cfg.subcommand]
-    for name in _FIELD_TYPES:
-        if (name != "subcommand" and name not in reads
-                and getattr(cfg, name) != _DEFAULTS[name]):
+    for name, f in _FIELDS.items():
+        value = getattr(cfg, name)
+        if name == "subcommand" or value is None:
+            continue
+        if name in reads:
+            _check_value(f, value)
+        elif value != f.default:
             raise UserError(f"{cfg.subcommand} does not take {name}; "
                             "remove it from the config file")
-    if cfg.seed < 0:
-        raise UserError("seed must be a nonnegative integer")
-    if cfg.burnin < 0:
-        raise UserError(f"burn-in must be nonnegative, got {cfg.burnin}")
-    if cfg.thin < 1:
-        raise UserError("thin must be at least 1")
+
     for design_id in cfg.sim:
         if not 1 <= design_id <= 4:
             raise UserError(f"design id must be in 1..4, got {design_id}")
@@ -238,19 +262,12 @@ def validate_config(cfg):
     if cfg.subcommand == "simulate":
         if not cfg.sim:
             raise UserError("simulate needs at least one design id (--sim)")
-        if cfg.replicates < 1:
-            raise UserError("replicates must be at least 1")
-        if cfg.workers is not None and cfg.workers < 1:
-            raise UserError("workers must be at least 1")
         # ahead of sampler_and_prior, which asks an explicit prior for values
         if cfg.prior not in PRIOR_PRESETS:
             raise UserError("the benchmark grid runs on prior presets; "
                             "pick --prior weak or strong")
 
     if cfg.subcommand in ("fit", "simulate"):
-        if cfg.iters < 100:
-            raise UserError("need at least 100 kept draws for the "
-                            "batch-means effective sample size")
         sampler_and_prior(cfg)
 
     if cfg.subcommand == "fit":
@@ -264,16 +281,6 @@ def validate_config(cfg):
             raise UserError(f"dataset file not found: {cfg.dataset}")
         if len(cfg.sim) > 1:
             raise UserError("fit takes a single design id")
-
-    if cfg.subcommand == "appendix-a":
-        for name in ("a", "b", "lambda1", "lambda2"):
-            if not getattr(cfg, name) > 0.0:
-                raise UserError(f"{name} must be positive")
-        if cfg.p < 1:
-            raise UserError("p must be at least 1")
-        if cfg.n_draws < 1000:
-            raise UserError("n_draws must be at least 1000 for the "
-                            "distribution test")
 
 
 def _ensure_out_dir(cfg):
@@ -302,6 +309,7 @@ def _fit_data(cfg):
 
 
 def cmd_fit(cfg):
+    """Sample one posterior, write draws.csv and summary.csv."""
     data = _fit_data(cfg)
     algorithm, prior = sampler_and_prior(cfg)
     chain = run_chain(algorithm, data, prior, RngStream(cfg.seed, 2),
@@ -327,6 +335,7 @@ def cmd_fit(cfg):
 
 
 def cmd_simulate(cfg):
+    """Run the benchmark grid, write results.csv."""
     algorithm, prior = sampler_and_prior(cfg)
     labels = [sampler_label(algorithm, prior)]
     if algorithm == "rs":
@@ -350,6 +359,7 @@ def cmd_simulate(cfg):
 
 
 def cmd_validate(cfg):
+    """Run the oracle suite, one pass/fail line each."""
     updater = broken_coordinate_update if cfg.mutate else None
     results = run_validation_suite(seed=cfg.seed, quick=cfg.quick,
                                    beta_updater=updater)
@@ -362,6 +372,7 @@ def cmd_validate(cfg):
 
 
 def cmd_appendix_a(cfg):
+    """Always-accept variance sampler demonstration."""
     report = appendix_a_demonstration(cfg.a, cfg.b, cfg.lambda1,
                                       cfg.lambda2, cfg.p,
                                       n_draws=cfg.n_draws, seed=cfg.seed)
@@ -393,75 +404,27 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
-def _add_common(parser, writes_files=True):
-    parser.add_argument("--config", metavar="PATH",
-                        help="flat key=value config file")
-    parser.add_argument("--seed", type=int)
-    if writes_files:
-        parser.add_argument("--out", metavar="DIR",
-                            help="output directory (default .)")
-
-
-def _add_chain_flags(parser, priors):
-    parser.add_argument("--iters", type=int, help="kept draws")
-    parser.add_argument("--burnin", type=int, help="discarded sweeps")
-    parser.add_argument(
-        "--sampler",
-        help="algorithm-form-representation, e.g. rs-differential-da")
-    parser.add_argument("--prior", help=priors)
-
-
 def build_parser():
     parser = _Parser(
         prog="bayenet",
         description="Elastic net posterior samplers: fit, benchmark, "
                     "validate.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    fit = sub.add_parser("fit", help="sample one posterior, write "
-                                     "draws.csv and summary.csv")
-    fit.add_argument("--data", dest="dataset", metavar="PATH",
-                     help="dataset CSV with a 'y' column")
-    fit.add_argument("--sim", type=_int_list, metavar="ID",
-                     help="fit the named benchmark design instead")
-    _add_chain_flags(fit, "weak, strong, or explicit")
-    fit.add_argument("--thin", type=int, help="sweeps per kept draw")
-    for name in ("L", "nu1", "R", "nu2"):
-        fit.add_argument(f"--{name}", type=float)
-    fit.add_argument("--nu-a", type=float, dest="nu_a")
-    fit.add_argument("--nu-b", type=float, dest="nu_b")
-    _add_common(fit)
-
-    simulate = sub.add_parser(
-        "simulate", help="run the benchmark grid, write results.csv")
-    simulate.add_argument("--sim", type=_int_list, metavar="IDS",
-                          help="comma separated design ids, e.g. 1,2")
-    simulate.add_argument("--replicates", type=int)
-    simulate.add_argument("--workers", type=int,
-                          help="process pool size (default: in process)")
-    _add_chain_flags(simulate, "weak or strong")
-    _add_common(simulate)
-
-    validate = sub.add_parser(
-        "validate", help="run the oracle suite, one pass/fail line each")
-    validate.add_argument("--quick", action="store_const", const=True,
-                          help="smaller sample sizes, under a minute")
-    validate.add_argument("--mutate-kernel", action="store_const",
-                          const=True, dest="mutate",
-                          help="swap in a deliberately broken coefficient "
-                               "kernel to show the suite catches it")
-    _add_common(validate, writes_files=False)
-
-    appendix = sub.add_parser(
-        "appendix-a", help="always-accept variance sampler demonstration")
-    appendix.add_argument("--a", type=float, help="variance prior shape")
-    appendix.add_argument("--b", type=float, help="variance prior rate")
-    appendix.add_argument("--lambda1", type=float)
-    appendix.add_argument("--lambda2", type=float)
-    appendix.add_argument("--p", type=int, help="coefficient count")
-    appendix.add_argument("--n-draws", type=int, dest="n_draws")
-    _add_common(appendix)
-
+    for subcommand, command in _DISPATCH.items():
+        cmd = sub.add_parser(subcommand, help=command.__doc__)
+        cmd.add_argument("--config", metavar="PATH",
+                         help="flat key=value config file")
+        for name in _READS[subcommand]:
+            f = _FIELDS[name]
+            flag = f.metadata["flag"] or "--" + name.replace("_", "-")
+            if f.type is bool:
+                # None when absent, so a config file value stands
+                cmd.add_argument(flag, dest=name, action="store_const",
+                                 const=True, help=f.metadata["help"])
+            else:
+                cmd.add_argument(
+                    flag, dest=name, help=f.metadata["help"],
+                    type=_int_list if f.type is tuple else f.type)
     return parser
 
 

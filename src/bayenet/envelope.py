@@ -96,11 +96,6 @@ class PiecewiseExpEnvelope:
         # [0, 1) always lands on a segment
         self._cum = [c / tot for c in cum]
 
-    def log_value(self, x):
-        i = bisect_right(self.bounds, x) - 1
-        i = min(max(i, 0), len(self.slopes) - 1)
-        return self.intercepts[i] + self.slopes[i] * x
-
     def propose(self, rng):
         """One draw from the normalized hull; returns (x, hull log value)."""
         gen = rng.gen

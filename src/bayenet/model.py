@@ -103,6 +103,10 @@ class PriorSpec:
         if self.representation not in REPRESENTATIONS:
             raise ValueError(
                 f"representation must be one of {REPRESENTATIONS}")
+        for name in ("L", "nu1", "R", "nu2", "nu_a", "nu_b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("L", "nu1", "R", "nu2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -263,8 +267,8 @@ def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
 
     Direct: two-piece truncated normals.  Augmented: beta_j | tau_j^2 is
     normal with variance tau2_conditional_var, times the latent scales'
-    prior (log_prior_tau2).  In the differential form the
-    log(1 + lam2 tau_j^2) terms of the two factors cancel.
+    prior (log_prior_tau2 in tests/helpers.py).  In the differential form
+    the log(1 + lam2 tau_j^2) terms of the two factors cancel.
     """
     p = sums.p
     if representation == "direct":
@@ -304,24 +308,6 @@ def tau2_conditional_var(form, tau2, sigma2, lambda2):
     if form == "common":
         return (sigma2 / lambda2) * (1.0 - tau2)
     return sigma2 * tau2 / (1.0 + lambda2 * tau2)
-
-
-def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
-    """Normalized log density of the latent scales, summed over j."""
-    tau2 = np.asarray(tau2, dtype=float)
-    p = tau2.size
-    if form == "common":
-        if np.any(tau2 <= 0.0) or np.any(tau2 >= 1.0):
-            return -math.inf
-        r, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
-        return float(p * const
-                     + np.sum(-1.5 * np.log(tau2) - 0.5 * r * r / tau2))
-    if np.any(tau2 <= 0.0):
-        return -math.inf
-    _, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
-    return float(p * const
-                 + np.sum(-0.5 * np.log1p(lambda2 * tau2)
-                          - 0.5 * lambda1 * lambda1 * tau2))
 
 
 def log_hyperprior(prior, sigma2, lambda1, lambda2):

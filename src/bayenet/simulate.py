@@ -23,7 +23,8 @@ from .model import (PRIOR_PRESETS, RegressionData, check_finite_cells,
 from .rng import RngStream
 
 RESULT_COLUMNS = ("design", "sampler", "prior", "replicate", "parameter",
-                  "ess", "pct_improvement", "acceptance_rate", "wall_ms")
+                  "ess", "pct_improvement", "acceptance_rate", "mh_step",
+                  "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,7 @@ class CellResult:
     replicate: int
     ess: dict = None
     acceptance: dict = None
+    mh_steps: dict = None
     wall_ms: float = 0.0
     error: str = None
 
@@ -195,7 +197,8 @@ def run_cell(design_id, kind_label, prior_name, replicate,
                        ess_batch_means(out.draws).tolist()))
         acc = {name: out.acceptance_rate(name) for name in out.acceptance}
         return CellResult(design_id, out.kind_label, prior_name, replicate,
-                          ess=ess, acceptance=acc, wall_ms=out.wall_ms)
+                          ess=ess, acceptance=acc, mh_steps=out.mh_steps,
+                          wall_ms=out.wall_ms)
     except Exception as exc:
         return CellResult(design_id, kind_label, prior_name, replicate,
                           error=f"{type(exc).__name__}: {exc}")
@@ -250,6 +253,7 @@ def run_experiment(design_ids, sampler_labels, prior_names, replicates,
                 "ess": ess,
                 "pct_improvement": pct,
                 "acceptance_rate": c.acceptance.get(name),
+                "mh_step": c.mh_steps.get(name),
                 "wall_ms": c.wall_ms,
             })
     return rows, failures

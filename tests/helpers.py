@@ -13,11 +13,12 @@ tests pin those pieces to closed forms.
 import csv
 import io
 import math
+from bisect import bisect_right
 
 import numpy as np
 
-from bayenet.model import (_log_likelihood, _log_prior, _sums,
-                           log_posterior_unnorm, rss, to_transformed)
+from bayenet.model import (_latent_scale_norm, _log_likelihood, _log_prior,
+                           _sums, log_posterior_unnorm, rss, to_transformed)
 from bayenet.simulate import format_cell, write_csv
 
 
@@ -92,6 +93,32 @@ def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
     """Joint log density of (beta, tau2) in the augmented representation."""
     return _log_prior(form, "da", _sums(form, "da", beta, tau2),
                       sigma2, lambda1, lambda2)
+
+
+def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
+    """Normalized log density of the latent scales, summed over j."""
+    tau2 = np.asarray(tau2, dtype=float)
+    p = tau2.size
+    if form == "common":
+        if np.any(tau2 <= 0.0) or np.any(tau2 >= 1.0):
+            return -math.inf
+        r, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
+        return float(p * const
+                     + np.sum(-1.5 * np.log(tau2) - 0.5 * r * r / tau2))
+    if np.any(tau2 <= 0.0):
+        return -math.inf
+    _, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
+    return float(p * const
+                 + np.sum(-0.5 * np.log1p(lambda2 * tau2)
+                          - 0.5 * lambda1 * lambda1 * tau2))
+
+
+def hull_log_value(env, x):
+    """Log of a PiecewiseExpEnvelope at x: the tangent of the segment
+    holding x, the first or last one outside the bounds."""
+    i = bisect_right(env.bounds, x) - 1
+    i = min(max(i, 0), len(env.slopes) - 1)
+    return env.intercepts[i] + env.slopes[i] * x
 
 
 def axis_slope_jump(grid, at, eps=1e-6):

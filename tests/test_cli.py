@@ -4,6 +4,8 @@ round trips, determinism."""
 import csv
 import os
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from bayenet.rng import RngStream
 from bayenet.simulate import data_stream, design, generate_dataset
 
 from helpers import csv_cell_by_cell, write_dataset_csv
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_csv(path):
@@ -216,13 +221,50 @@ def test_fit_keeps_iters_draws_after_a_longer_burn_in(tmp_path):
     assert len(read_csv(out / "draws.csv")) == 1 + 100
 
 
-def test_simulate_help_lists_only_the_options_it_reads(capsys):
+def help_options(subcommand, capsys):
+    """The options `bayenet <subcommand> -h` lists."""
     with pytest.raises(SystemExit) as exit_info:
-        main(["simulate", "-h"])
+        main([subcommand, "-h"])
     assert exit_info.value.code == 0
-    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
-        "--help", "--sim", "--replicates", "--workers", "--iters",
-        "--burnin", "--sampler", "--prior", "--config", "--seed", "--out"}
+    return set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("subcommand, options", [
+    ("fit", {"--help", "--data", "--sim", "--sampler", "--prior", "--L",
+             "--nu1", "--R", "--nu2", "--nu-a", "--nu-b", "--iters",
+             "--burnin", "--thin", "--config", "--seed", "--out"}),
+    ("simulate", {"--help", "--sim", "--replicates", "--workers", "--iters",
+                  "--burnin", "--sampler", "--prior", "--config", "--seed",
+                  "--out"}),
+    ("validate", {"--help", "--quick", "--mutate-kernel", "--config",
+                  "--seed"}),
+    ("appendix-a", {"--help", "--a", "--b", "--lambda1", "--lambda2", "--p",
+                    "--n-draws", "--config", "--seed", "--out"}),
+])
+def test_help_lists_only_the_options_it_reads(subcommand, options, capsys):
+    assert help_options(subcommand, capsys) == options
+
+
+def readme_commands():
+    """Each `bayenet ...` command in README's sh blocks, as argv."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["bayenet"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._DISPATCH)
+    for argv in commands:
+        build_parser().parse_args(argv)
+    listed = re.search(r"`simulate` takes only `([^`]*)`",
+                       README.read_text())
+    assert set(listed.group(1).split()) == (
+        help_options("simulate", capsys) - {"--help"})
 
 
 def _no_grid(*args, **kwargs):
@@ -296,13 +338,6 @@ def test_config_refuses_values_a_subcommand_does_not_read(
     assert not out.exists()
 
 
-def test_validate_help_lists_only_the_options_it_reads(capsys):
-    with pytest.raises(SystemExit):
-        main(["validate", "-h"])
-    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
-        "--help", "--quick", "--mutate-kernel", "--config", "--seed"}
-
-
 def test_simulate_reads_its_own_run_config(tmp_path):
     # a written run_config.txt holds thin, nu_a and nu_b at their
     # defaults, which simulate accepts
@@ -317,7 +352,7 @@ def test_simulate_reads_its_own_run_config(tmp_path):
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["fit", "--sim", "1", "--burnin", "-1"], "burn-in"),
+    (["fit", "--sim", "1", "--burnin", "-1"], "burnin"),
     (["fit", "--sim", "1", "--sampler", "rs-common-direct",
       "--prior", "explicit", "--L", "0.5", "--nu1", "1", "--R", "1",
       "--nu2", "1"],
@@ -338,12 +373,51 @@ def test_simulate_reads_its_own_run_config(tmp_path):
     (["nonsense"], "invalid choice"),
     (["fit", "--sim", "1", "--sampler", "rs-common"],
      "sampler must be one of"),
+    (["fit", "--sim", "1", "--sampler", "mh-common-da", "--nu-a", "nan"],
+     "nu_a must be finite, got nan"),
+    (["fit", "--config", "sim=1\nnu_b=inf\n"],
+     "nu_b must be finite, got inf"),
+    (["appendix-a", "--a", "inf"], "a must be finite, got inf"),
 ])
-def test_user_errors_exit_1_with_one_line(argv, needle, capsys):
+def test_user_errors_exit_1_with_one_line(argv, needle, tmp_path, monkeypatch,
+                                          capsys):
+    # run in an empty directory, where a --config value is the file's text
+    monkeypatch.chdir(tmp_path)
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        (tmp_path / "conf.txt").write_text(argv[at])
+        argv = [*argv[:at], "conf.txt", *argv[at + 1:]]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert needle in err
-    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # nothing was written
+    assert set(os.listdir(tmp_path)) <= {"conf.txt"}
+
+
+@pytest.mark.parametrize("subcommand, line, message", [
+    ("fit", "thin=0", "thin must be at least 1, got 0"),
+    ("fit", "nu_b=inf", "nu_b must be finite, got inf"),
+    ("simulate", "workers=0", "workers must be at least 1, got 0"),
+    ("validate", "seed=-1", "seed must be at least 0, got -1"),
+    ("appendix-a", "lambda2=0", "lambda2 must be positive, got 0.0"),
+    ("appendix-a", "n_draws=999", "n_draws must be at least 1000, got 999"),
+])
+def test_a_bound_reads_the_same_from_a_flag_or_a_config_file(
+        subcommand, line, message, tmp_path, monkeypatch, capsys):
+    for runner in ("run_chain", "run_experiment", "run_validation_suite",
+                   "appendix_a_demonstration"):
+        monkeypatch.setattr(cli, runner, _not_started)
+    key, _, value = line.partition("=")
+    common = [subcommand]
+    if subcommand in ("fit", "simulate"):
+        common += ["--sim", "1"]
+    assert main([*common, "--" + key.replace("_", "-"), value]) == 1
+    from_flag = capsys.readouterr().err
+    path = tmp_path / "conf.txt"
+    path.write_text(line + "\n")
+    assert main([*common, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == from_flag == f"error: {message}\n"
 
 
 def test_config_serialization_is_a_fixed_point(tmp_path):

@@ -108,10 +108,6 @@ def test_no_unreferenced_definitions():
 TEST_ONLY = {
     "ChainOutput.column":
         "the library's lookup of a parameter's draws by name (README)",
-    "PiecewiseExpEnvelope.log_value":
-        "tests check through it that a hull bounds its target",
-    "log_prior_tau2":
-        "the reference density in the KS test of sample_tau2_prior",
     "sample_beta_prior_direct":
         "the only user of model.sample_truncated_normal, a tracer site",
 }

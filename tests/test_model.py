@@ -17,7 +17,6 @@ from bayenet.model import (
     initial_state,
     log_hyperprior,
     log_posterior_unnorm,
-    log_prior_tau2,
     make_prior,
     rss,
     sample_beta_prior_da,
@@ -29,7 +28,8 @@ from bayenet.model import (
 from bayenet.rng import RngStream
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
-                     log_integrated_likelihood, log_prior_beta, log_prior_da)
+                     log_integrated_likelihood, log_prior_beta, log_prior_da,
+                     log_prior_tau2)
 
 mp.mp.dps = 30
 
@@ -202,6 +202,15 @@ def test_prior_presets_published_values():
         PriorSpec("ridge", "direct", 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         PriorSpec("common", "direct", 0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("nu_a", math.nan), ("nu_b", math.inf), ("L", math.inf),
+    ("nu2", math.inf), ("nu1", -math.inf), ("R", math.nan),
+])
+def test_prior_refuses_nonfinite_hyperparameters(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        make_prior("differential", "da", preset="weak", **{name: value})
 
 
 def test_log_posterior_finite_and_guards():

@@ -8,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bayenet.kernels import run_chain
+from bayenet.model import RegressionData, make_prior
 from bayenet.rng import RngStream
 from bayenet.simulate import (
     RESULT_COLUMNS,
     _chain_stream,
+    data_stream,
     design,
     generate_dataset,
     read_dataset_csv,
@@ -238,6 +241,22 @@ def test_run_experiment_rows_and_improvement_join():
     assert all(r["acceptance_rate"] is None for r in rs_rows)
     mh_sigma = [r for r in mh_rows if r["parameter"] == "sigma2"]
     assert all(0.0 < r["acceptance_rate"] < 1.0 for r in mh_sigma)
+
+    # MH rows carry the steps run_chain froze after burn-in; the other
+    # parameters' rows and every RS row leave mh_step empty
+    assert all(r["mh_step"] is None for r in rs_rows)
+    for rep in (0, 1):
+        y, X = generate_dataset(design(1), data_stream(5, 1, rep))
+        chain = run_chain(
+            "mh", RegressionData(y, X),
+            make_prior("common", "direct", preset="weak"),
+            _chain_stream(5, 1, rep, "mh-common-direct", "weak"),
+            iters=150, burnin=20)
+        assert set(chain.mh_steps) == {"sigma2", "lambda1", "lambda2"}
+        assert all(step != 1.0 for step in chain.mh_steps.values())
+        assert {r["parameter"]: r["mh_step"] for r in mh_rows
+                if r["replicate"] == rep} == {
+            name: chain.mh_steps.get(name) for name in chain.parameter_names}
 
 
 def test_run_experiment_rows_match_across_worker_counts():
