@@ -229,15 +229,21 @@ def help_options(subcommand, capsys):
     return set(re.findall(r"--[\w-]+", capsys.readouterr().out))
 
 
+def test_simulate_help_lists_only_the_options_it_reads(capsys):
+    assert help_options("simulate", capsys) == {
+        "--help", "--sim", "--replicates", "--workers", "--iters",
+        "--burnin", "--sampler", "--prior", "--config", "--seed", "--out"}
+
+
+def test_validate_help_lists_only_the_options_it_reads(capsys):
+    assert help_options("validate", capsys) == {
+        "--help", "--quick", "--mutate-kernel", "--config", "--seed"}
+
+
 @pytest.mark.parametrize("subcommand, options", [
     ("fit", {"--help", "--data", "--sim", "--sampler", "--prior", "--L",
              "--nu1", "--R", "--nu2", "--nu-a", "--nu-b", "--iters",
              "--burnin", "--thin", "--config", "--seed", "--out"}),
-    ("simulate", {"--help", "--sim", "--replicates", "--workers", "--iters",
-                  "--burnin", "--sampler", "--prior", "--config", "--seed",
-                  "--out"}),
-    ("validate", {"--help", "--quick", "--mutate-kernel", "--config",
-                  "--seed"}),
     ("appendix-a", {"--help", "--a", "--b", "--lambda1", "--lambda2", "--p",
                     "--n-draws", "--config", "--seed", "--out"}),
 ])
