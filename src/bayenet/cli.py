@@ -34,8 +34,7 @@ from .diagnostics import summarize
 from .kernels import (check_sweep_supported, parse_sampler, run_chain,
                       sampler_label)
 from .model import PRIOR_PRESETS, RegressionData, make_prior
-from .oracle import (appendix_a_demonstration, broken_coordinate_update,
-                     run_validation_suite)
+from .oracle import broken_coordinate_update, run_validation_suite
 from .rng import RngStream
 from .simulate import (RESULT_COLUMNS, data_stream, design, generate_dataset,
                        read_dataset_csv, run_experiment, write_csv)
@@ -373,6 +372,8 @@ def cmd_validate(cfg):
 
 def cmd_appendix_a(cfg):
     """Always-accept variance sampler demonstration."""
+    # imported here, so the other subcommands do not load it
+    from .appendix_a import appendix_a_demonstration
     report = appendix_a_demonstration(cfg.a, cfg.b, cfg.lambda1,
                                       cfg.lambda2, cfg.p,
                                       n_draws=cfg.n_draws, seed=cfg.seed)

@@ -11,7 +11,6 @@ on the identical dataset.
 """
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,8 +221,12 @@ def run_experiment(design_ids, sampler_labels, prior_names, replicates,
             for s in sampler_labels
             for pr in prior_names
             for r in range(replicates)]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a pool forks all its workers at once, so it gets no more than cells
+    size = min(workers or 1, len(jobs))
+    if size > 1:
+        # imported here, so a one-worker run does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=size) as pool:
             cells = list(pool.map(_run_cell_args, jobs))
     else:
         cells = [run_cell(*j) for j in jobs]

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.cli import main as cli_main
 from bayenet.diagnostics import ess_batch_means
 from bayenet.envelope import (LogDensityTarget, build_envelope,
@@ -17,9 +18,8 @@ from bayenet.kernels import parse_sampler, run_chain
 from bayenet.model import (ModelState, RegressionData, log_posterior_unnorm,
                            make_prior)
 from bayenet.oracle import (_gordon_check, _prior_equivalence_check,
-                            _tilted_property_check, appendix_a_demonstration,
-                            beta_kernel_ks_check, distribution_ks_checks,
-                            full_conditional_checks)
+                            _tilted_property_check, beta_kernel_ks_check,
+                            distribution_ks_checks, full_conditional_checks)
 from bayenet.rng import RngStream
 from bayenet.simulate import design, generate_dataset, run_experiment
 

@@ -5,6 +5,8 @@ import csv
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayenet import cli
+from bayenet import appendix_a, cli
 from bayenet.cli import (RunConfig, UserError, assemble_config,
                          build_parser, main, serialize_config)
 from bayenet.diagnostics import DERIVED_NAMES, QUANTILES, ess_batch_means
@@ -214,6 +216,38 @@ def test_simulate_row_accounting(tmp_path):
             assert r["pct_improvement"] == ""
 
 
+# Runs argv through cli.main and prints, on its last line, every module
+# the interpreter then holds.
+_RUN_AND_LIST_MODULES = """
+import sys
+from bayenet.cli import main
+assert main(sys.argv[1:]) == 0
+print(*sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--sim", "1", "--iters", "100", "--burnin", "0"],
+    ["simulate", "--sim", "1", "--sampler", "rs-common-da", "--prior",
+     "weak", "--replicates", "1", "--iters", "100", "--burnin", "0",
+     "--workers", "1"],
+], ids=["fit", "simulate-one-worker"])
+def test_cold_run_loads_no_process_pool_and_no_appendix_a(argv, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.splitlines()[-1].split())
+    assert loaded & {"concurrent.futures", "multiprocessing",
+                     "bayenet.appendix_a"} == set()
+    # the benchmark's tracer patches the oracle's names when it starts,
+    # so the command line keeps loading the oracle
+    assert "bayenet.oracle" in loaded
+
+
 def test_fit_keeps_iters_draws_after_a_longer_burn_in(tmp_path):
     out = tmp_path / "run"
     assert main(["fit", "--sim", "1", "--iters", "100", "--burnin", "200",
@@ -316,6 +350,14 @@ def _not_started(*args, **kwargs):
     raise AssertionError("the command started its work")
 
 
+def _stop_runner(monkeypatch, runner):
+    """Make the function a subcommand starts its work with fail the test.
+    cmd_appendix_a imports its runner when it runs, so that one is
+    replaced on its own module."""
+    owner = appendix_a if runner == "appendix_a_demonstration" else cli
+    monkeypatch.setattr(owner, runner, _not_started)
+
+
 @pytest.mark.parametrize("subcommand, lines, runner, needle", [
     ("fit", "sim=1\nquick=true\n", "run_chain", "fit does not take quick"),
     ("fit", "sim=1\nreplicates=9\n", "run_chain",
@@ -332,7 +374,7 @@ def _not_started(*args, **kwargs):
 ])
 def test_config_refuses_values_a_subcommand_does_not_read(
         subcommand, lines, runner, needle, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, runner, _not_started)
+    _stop_runner(monkeypatch, runner)
     path = tmp_path / "conf.txt"
     path.write_text(lines)
     out = tmp_path / "run"
@@ -413,7 +455,7 @@ def test_a_bound_reads_the_same_from_a_flag_or_a_config_file(
         subcommand, line, message, tmp_path, monkeypatch, capsys):
     for runner in ("run_chain", "run_experiment", "run_validation_suite",
                    "appendix_a_demonstration"):
-        monkeypatch.setattr(cli, runner, _not_started)
+        _stop_runner(monkeypatch, runner)
     key, _, value = line.partition("=")
     common = [subcommand]
     if subcommand in ("fit", "simulate"):

@@ -2,17 +2,18 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from bayenet import oracle
+from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.model import (ModelState, RegressionData, from_transformed,
                            sample_beta_prior_da, tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
-    appendix_a_demonstration,
     auto_cdf,
     axis_continuity_gap,
     beta_block_ks,
@@ -340,6 +341,19 @@ def test_appendix_a_rejects_improper_target():
         appendix_a_demonstration(14, 0.9, 3.0, 1.0, 8)
     with pytest.raises(ValueError, match="positive"):
         appendix_a_demonstration(-1.0, 3.0, 1.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "lambda1", "lambda2", "p"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_appendix_a_refuses_nonfinite_parameters(name, value):
+    args = {"a": 14.0, "b": 3.0, "lambda1": 1.0, "lambda2": 1.0, "p": 8}
+    args[name] = value
+    # refused by name before any draw, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite, got {value}$"):
+            appendix_a_demonstration(**args)
 
 
 def test_validation_suite_quick_all_pass(validate_quick):

@@ -1,5 +1,6 @@
 """Benchmark designs, dataset generation, and the experiment grid."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bayenet import simulate
 from bayenet.kernels import run_chain
 from bayenet.model import RegressionData, make_prior
 from bayenet.rng import RngStream
@@ -268,6 +270,41 @@ def test_run_experiment_rows_match_across_worker_counts():
     untimed = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
                             for r in rows]
     assert serial and untimed(pooled) == untimed(serial)
+
+
+def test_run_experiment_pool_has_no_more_workers_than_cells(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and maps in this process: starts no worker."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    # also where a module-level import would have bound it, so that no
+    # real pool starts whichever way run_experiment imports it
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool,
+                        raising=False)
+    two_cells = ([1], ["rs-common-da", "mh-common-da"], ["weak"], 1)
+    pooled, _ = run_experiment(*two_cells, iters=100, burnin=0, seed=6,
+                               workers=64)
+    assert pooled and sizes == [2]
+    # one cell runs in process, with no pool at all
+    one_cell = ([1], ["rs-common-da"], ["weak"], 1)
+    assert run_experiment(*one_cell, iters=100, burnin=0, seed=6,
+                          workers=2)[0]
+    assert sizes == [2]
 
 
 def test_run_experiment_survives_failed_cell():
