@@ -11,13 +11,19 @@ Conventions:
   x^(alpha-1) exp(-beta x^2 - gamma x) on x > 0.
 
 gig is sampled on the log scale, where the density is strictly concave
-for every order lam, so one piecewise-exponential hull covers all cases.
+for every order lam, so one piecewise-exponential hull covers all
+interior cases; its limits chi = 0 and psi = 0 are drawn by
+sample_gamma and sample_inverse_gamma.
 mhn splits into three regimes: alpha = 1 reduces to a truncated normal,
 alpha > 1 is log-concave with an interior mode (ratio of uniforms shifted
 to the mode, with the minimal rectangle in closed form; Dagpunar 1989,
 Leydold 2000), and alpha < 1 has an unbounded density at 0 and is
 handled by a two-piece proposal (power law below a split point,
 truncated normal above it).
+
+Every sampler refuses a non-finite argument with a ValueError that names
+it, before it draws: a nan or an infinity would otherwise fail deep in
+a hull, loop in a rejection test, or come back as a draw.
 """
 
 import math
@@ -33,6 +39,18 @@ from .rng import log_uniform
 from .special import log_std_normal_cdf
 
 _EXP_CLIP = 700.0
+_INF = math.inf
+
+
+def require_finite(**values):
+    """Raise a ValueError naming the first argument that is not finite.
+
+    The samplers test their arguments with inline comparisons and call
+    this only once a test fails, to name the cause.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _exp(t):
@@ -57,11 +75,10 @@ def _std_normal_lower_truncated(a, rng):
 
 def sample_truncated_normal(mean, var, side, rng):
     """One draw of N(mean, var) restricted to x >= 0 or x < 0."""
-    if not var > 0.0:
-        raise ValueError("var must be positive")
-    if not math.isfinite(mean):
+    if not (-_INF < mean < _INF and 0.0 < var < _INF):
         # a nan truncation point would never be accepted
-        raise ValueError(f"mean must be finite, got {mean}")
+        require_finite(mean=mean, var=var)
+        raise ValueError("var must be positive")
     s = math.sqrt(var)
     if side == "nonnegative":
         z = _std_normal_lower_truncated(-mean / s, rng)
@@ -85,7 +102,10 @@ def sample_inverse_gaussian(mean, shape, rng):
     the standard textbook expression would cancel to rounding noise.
     """
     mean = np.asarray(mean, dtype=float)
-    if not (shape > 0.0 and (mean > 0.0).all()):
+    if not (0.0 < shape < _INF and ((mean > 0.0) & (mean < _INF)).all()):
+        require_finite(shape=shape)
+        for value in mean.flat:
+            require_finite(mean=value)
         raise ValueError("mean and shape must be positive")
     y = rng.gen.standard_normal(mean.shape) ** 2
     w = mean * y / (2.0 * shape)
@@ -98,22 +118,20 @@ def sample_inverse_gaussian(mean, shape, rng):
 def sample_gig(lam, psi, chi, rng):
     """One draw of gig(lam, psi, chi), boundary cases included.
 
-    chi = 0 needs lam > 0 (gamma limit); psi = 0 needs lam < 0
-    (inverse-gamma limit).
+    chi = 0 needs lam > 0 and is gamma(lam, rate psi/2); psi = 0 needs
+    lam < 0 and is inverse-gamma(-lam, scale chi/2).
     """
-    if psi < 0.0 or chi < 0.0:
+    if not (-_INF < lam < _INF and 0.0 <= psi < _INF and 0.0 <= chi < _INF):
+        require_finite(lam=lam, psi=psi, chi=chi)
         raise ValueError("psi and chi must be nonnegative")
     if chi == 0.0:
         if not (lam > 0.0 and psi > 0.0):
             raise ValueError("chi = 0 requires lam > 0 and psi > 0")
-        return rng.gen.gamma(lam, 2.0 / psi)
+        return sample_gamma(lam, 0.5 * psi, rng)
     if psi == 0.0:
         if not lam < 0.0:
             raise ValueError("psi = 0 requires lam < 0")
-        g = rng.gen.gamma(-lam, 1.0)
-        while g == 0.0:
-            g = rng.gen.gamma(-lam, 1.0)
-        return 0.5 * chi / g
+        return sample_inverse_gamma(-lam, 0.5 * chi, rng)
 
     root = math.sqrt(psi) * math.sqrt(chi)
     disc = math.hypot(lam, root)
@@ -148,13 +166,10 @@ def _mhn_mode(a_minus_1, beta, gamma):
 
 def sample_mhn(alpha, beta, gamma, rng):
     """One draw of mhn(alpha, beta, gamma)."""
-    if not (math.isfinite(alpha) and math.isfinite(beta)
-            and math.isfinite(gamma)):
+    if not (-_INF < alpha < _INF and -_INF < beta < _INF
+            and -_INF < gamma < _INF):
         # a nan would make every rejection test false and never return
-        for name, value in (("alpha", alpha), ("beta", beta),
-                            ("gamma", gamma)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(alpha=alpha, beta=beta, gamma=gamma)
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("alpha and beta must be positive")
     if alpha == 1.0:
@@ -267,14 +282,16 @@ def _sample_mhn_small_alpha(alpha, beta, gamma, rng):
 
 def sample_gamma(shape, rate, rng):
     """One gamma draw with the rate convention."""
-    if not (shape > 0.0 and rate > 0.0):
+    if not (0.0 < shape < _INF and 0.0 < rate < _INF):
+        require_finite(shape=shape, rate=rate)
         raise ValueError("shape and rate must be positive")
     return rng.gen.gamma(shape, 1.0 / rate)
 
 
 def sample_inverse_gamma(shape, scale, rng):
     """One inverse-gamma draw; density propto x^(-shape-1) exp(-scale/x)."""
-    if not (shape > 0.0 and scale > 0.0):
+    if not (0.0 < shape < _INF and 0.0 < scale < _INF):
+        require_finite(shape=shape, scale=scale)
         raise ValueError("shape and scale must be positive")
     g = rng.gen.gamma(shape, 1.0)
     while g == 0.0:

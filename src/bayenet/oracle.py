@@ -434,31 +434,21 @@ def _fixed_check_data():
 
 
 def broken_coordinate_update(data, prior, state, j, rng):
-    """Copy of the coordinate update with a deliberate sign error.
+    """The coordinate update run with lambda1 negated, a deliberate sign
+    error: the l1 shift enters both orthant means, and so both side
+    weights, with the wrong sign.
 
-    The negative-side conditional mean uses the penalty shift with the
-    wrong sign.  Exists purely to demonstrate that the coordinate
-    kernel check has the power to catch such a mistake; nothing in the
-    fitting paths may call it.
+    Exists purely to demonstrate that the coordinate kernel check has the
+    power to catch such a mistake; nothing in the fitting paths may call
+    it.  ModelState checks positivity only when it is built, so the kernel
+    accepts the negated rate; lambda1 is restored even if it raises.
     """
-    beta = state.beta
-    lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
-    t = 0.5 * lam1 if prior.form == "common" else math.sqrt(s2) * lam1
-    xtx_jj = data.col_sq_norms[j]
-    prec = xtx_jj + lam2
-    sj2 = s2 / prec
-    sj = math.sqrt(sj2)
-    r = data.xty.item(j) - (float(data.xtx_rows[j].dot(beta))
-                            - xtx_jj * beta.item(j))
-    mu_pos = (r - t) / prec
-    mu_neg = (r - t) / prec  # the bug: should be (r + t) / prec
-    lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2
-    lw_neg = log_std_normal_cdf(-mu_neg / sj) + 0.5 * mu_neg * mu_neg / sj2
-    gap = min(lw_neg - lw_pos, 700.0)
-    if rng.gen.random() < 1.0 / (1.0 + math.exp(gap)):
-        beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative", rng)
-    else:
-        beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)
+    lambda1 = state.lambda1
+    state.lambda1 = -lambda1
+    try:
+        update_beta_coordinate(data, prior, state, j, rng)
+    finally:
+        state.lambda1 = lambda1
 
 
 def beta_kernel_ks_check(n=5000, seed=0, updater=None, form="common"):

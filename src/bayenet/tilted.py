@@ -21,7 +21,8 @@ instead:
 import math
 from dataclasses import dataclass
 
-from .distributions import sample_gamma, sample_gig, sample_mhn
+from .distributions import (require_finite, sample_gamma, sample_gig,
+                            sample_mhn)
 from .envelope import (
     LogDensityTarget,
     ars_sample,
@@ -40,6 +41,11 @@ class TiltedParams:
     d: float = 0.0
 
     def __post_init__(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        if not (-math.inf < a < math.inf and -math.inf < b < math.inf
+                and -math.inf < c < math.inf and -math.inf < d < math.inf):
+            # an infinity leaves the hull no usable knot
+            require_finite(a=a, b=b, c=c, d=d)
         if int(self.q) != self.q or self.q < 0:
             raise ValueError("q must be a nonnegative integer")
         if not self.a > 0.0:

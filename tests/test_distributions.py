@@ -70,11 +70,14 @@ def test_truncated_normal_validates():
         sample_truncated_normal(0.0, 0.0, "nonnegative", RngStream(1))
     with pytest.raises(ValueError):
         sample_truncated_normal(0.0, 1.0, "positive", RngStream(1))
-    # a nan mean used to loop forever in the tail sampler
-    for mean in (math.nan, math.inf, -math.inf):
+    # a nan mean used to loop forever in the tail sampler, and an
+    # infinite var came back as an infinite draw
+    for bad in (math.nan, math.inf, -math.inf):
         for side in ("nonnegative", "negative"):
             with pytest.raises(ValueError, match="mean must be finite"):
-                sample_truncated_normal(mean, 1.0, side, RngStream(1))
+                sample_truncated_normal(bad, 1.0, side, RngStream(1))
+            with pytest.raises(ValueError, match="var must be finite"):
+                sample_truncated_normal(0.5, bad, side, RngStream(1))
 
 
 def _ig_logpdf(mu, lam):
@@ -105,6 +108,18 @@ def test_inverse_gaussian_extreme_ratio_stays_positive():
         assert sample_inverse_gaussian(1e8, 1e-4, rng) > 0.0
     with pytest.raises(ValueError):
         sample_inverse_gaussian(-1.0, 1.0, rng)
+
+
+def test_inverse_gaussian_validates_finite():
+    # an infinite mean used to come back as nan, with a RuntimeWarning
+    rng = RngStream(102, 4)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            sample_inverse_gaussian(bad, 1.0, rng)
+        with pytest.raises(ValueError, match="mean must be finite"):
+            sample_inverse_gaussian(np.array([1.0, bad]), 1.0, rng)
+        with pytest.raises(ValueError, match="shape must be finite"):
+            sample_inverse_gaussian(1.0, bad, rng)
 
 
 def test_inverse_gaussian_vectorized_elementwise():
@@ -176,6 +191,35 @@ def test_gig_validates():
         sample_gig(-1.0, 1.0, 0.0, rng)
     with pytest.raises(ValueError):
         sample_gig(1.0, 0.0, 1.0, rng)
+    # non-finite input fails early, naming the argument: it used to fail
+    # inside the hull, or come back as an infinite draw
+    good = {"lam": 1.0, "psi": 2.0, "chi": 3.0}
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            args = dict(good, **{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sample_gig(args["lam"], args["psi"], args["chi"], rng)
+    with pytest.raises(ValueError, match="chi must be finite"):
+        sample_gig(-1.0, 0.0, math.inf, rng)
+
+
+def test_gig_limit_draws_are_pinned():
+    # the gamma (chi = 0) and inverse-gamma (psi = 0) limits, recorded
+    # when sample_gig drew them through its own gamma calls
+    rng = RngStream(103, 13)
+    got = [sample_gig(lam, psi, 0.0, rng)
+           for lam, psi in ((2.0, 3.0), (0.3, 1e-300), (5.0, 0.5),
+                            (0.05, 2.0), (1.0, 1.0))]
+    assert got == [0.644757189730186, 2.8475726040950807e+296,
+                   26.27570031763464, 7.62119270546576e-11,
+                   4.985206757237819]
+    rng = RngStream(103, 14)
+    got = [sample_gig(lam, 0.0, chi, rng)
+           for lam, chi in ((-2.0, 3.0), (-0.3, 1e200), (-5.0, 0.5),
+                            (-0.05, 2.0), (-1.0, 1.0))]
+    assert got == [0.5084191773360983, 5.786961874019189e+201,
+                   0.0323406443028967, 493764032.3905383,
+                   17.038228090657217]
 
 
 def _mhn_logpdf(a, b, c):
@@ -337,6 +381,14 @@ def test_gamma_and_inverse_gamma():
         sample_gamma(-1.0, 1.0, rng)
     with pytest.raises(ValueError):
         sample_inverse_gamma(1.0, -1.0, rng)
+    # an infinite rate or scale used to come back as 0.0 or inf
+    for bad in (math.nan, math.inf, -math.inf):
+        for name, args in (("shape", (bad, 2.0)), ("rate", (2.0, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sample_gamma(*args, rng)
+        for name, args in (("shape", (bad, 2.0)), ("scale", (2.0, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sample_inverse_gamma(*args, rng)
 
 
 def test_rng_streams_reproducible_and_distinct():

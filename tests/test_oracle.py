@@ -3,11 +3,12 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bayenet import oracle
+from bayenet import kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.model import (ModelState, RegressionData, from_transformed,
                            sample_beta_prior_da, tau2_conditional_var)
@@ -250,18 +251,37 @@ def test_beta_kernel_check_passes_and_catches_mutation():
     assert not bad.passed, bad.detail
 
 
+def test_broken_coordinate_update_changes_only_its_coordinate():
+    data, prior, state = kernel_check_setup("common", "direct")
+    before = replace(state, beta=state.beta.copy())
+    broken_coordinate_update(data, prior, state, 1, RngStream(5, 1))
+    changed = np.flatnonzero(state.beta != before.beta)
+    assert changed.tolist() == [1]
+    assert (state.sigma2, state.lambda1, state.lambda2) == (
+        before.sigma2, before.lambda1, before.lambda2)
+
+
+def test_broken_coordinate_update_restores_lambda1_when_it_raises():
+    data, prior, state = kernel_check_setup("differential", "direct")
+    lambda1 = state.lambda1
+    state.beta[1] = math.nan
+    # the nan reaches the truncated-normal mean, which refuses it
+    with pytest.raises(ValueError, match="mean must be finite"):
+        broken_coordinate_update(data, prior, state, 0, RngStream(5, 2))
+    assert state.lambda1 == lambda1
+
+
 def _block_update_without_lambda2(data, prior, state, rng):
-    """The block update of beta with lambda2 dropped from its precision:
-    the common form's prior term vanishes, the differential form keeps
-    only 1/tau2."""
-    if prior.form == "common":
-        extra = np.zeros(data.p)
-    else:
-        extra = 1.0 / state.tau2
-    chol = np.linalg.cholesky(data.xtx + np.diag(extra))
-    mean = np.linalg.solve(chol.T, np.linalg.solve(chol, data.xty))
-    pert = np.linalg.solve(chol.T, rng.gen.standard_normal(data.p))
-    state.beta = mean + math.sqrt(state.sigma2) * pert
+    """The block update of beta run at lambda2 = 0: the common form's
+    prior term lambda2 / (1 - tau2) vanishes, the differential form keeps
+    only 1/tau2.  It calls kernels.update_beta_block, because the test
+    patches the oracle's name with this function."""
+    lambda2 = state.lambda2
+    state.lambda2 = 0.0
+    try:
+        kernels.update_beta_block(data, prior, state, rng)
+    finally:
+        state.lambda2 = lambda2
 
 
 def test_log_phi_distinct_matches_log_phi_bit_for_bit():

@@ -204,3 +204,10 @@ def test_params_validate():
         TiltedParams(2, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         TiltedParams(2, 1.0, -0.5, 1.0)
+    # non-finite input fails when the member is built, naming the field:
+    # an infinity used to leave sample_tilted's hull no usable knot
+    good = {"a": 2.0, "b": 3.0, "c": 1.0, "d": 0.5}
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TiltedParams(2, **dict(good, **{name: bad}))
