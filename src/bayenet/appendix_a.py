@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import require_finite
 from .oracle import _within, auto_cdf, ks_test, ks_threshold
 from .rng import RngStream
 from .special import log_upper_incomplete_gamma_half
@@ -85,10 +86,7 @@ def appendix_a_demonstration(a, b, lambda1, lambda2, p,
     test against the actual target, so the scheme samples the wrong
     law.  Quarantined here: nothing in the fitting paths calls it.
     """
-    for name, value in (("a", a), ("b", b), ("lambda1", lambda1),
-                        ("lambda2", lambda2), ("p", p)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_finite(a=a, b=b, lambda1=lambda1, lambda2=lambda2, p=p)
     if not (a > 0 and b > 0 and lambda1 > 0 and lambda2 > 0 and p >= 1):
         raise ValueError("all parameters must be positive")
     p = int(p)

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diagnostics import summarize
-from .kernels import (check_sweep_supported, parse_sampler, run_chain,
-                      sampler_label)
+from .kernels import check_sweep_supported, parse_sampler, run_chain
 from .model import PRIOR_PRESETS, RegressionData, make_prior
 from .oracle import broken_coordinate_update, run_validation_suite
 from .rng import RngStream
@@ -335,12 +334,8 @@ def cmd_fit(cfg):
 
 def cmd_simulate(cfg):
     """Run the benchmark grid, write results.csv."""
-    algorithm, prior = sampler_and_prior(cfg)
-    labels = [sampler_label(algorithm, prior)]
-    if algorithm == "rs":
-        labels.append(sampler_label("mh", prior))
     rows, failures = run_experiment(
-        tuple(cfg.sim), tuple(labels), (cfg.prior,), cfg.replicates,
+        cfg.sim, cfg.sampler, cfg.prior, cfg.replicates,
         iters=cfg.iters, burnin=cfg.burnin, seed=cfg.seed,
         workers=cfg.workers)
     _ensure_out_dir(cfg)

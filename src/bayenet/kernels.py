@@ -60,7 +60,13 @@ from .tilted import TiltedParams, sample_tilted
 
 ALGORITHMS = ("rs", "mh")
 
-SAMPLERS = tuple(f"{algorithm}-{form}-{representation}"
+
+def sampler_label(algorithm, form, representation):
+    """The label "algorithm-form-representation", as in SAMPLERS."""
+    return f"{algorithm}-{form}-{representation}"
+
+
+SAMPLERS = tuple(sampler_label(algorithm, form, representation)
                  for algorithm in ALGORITHMS
                  for form in FORMS
                  for representation in REPRESENTATIONS)
@@ -73,11 +79,6 @@ def parse_sampler(text):
         raise ValueError(f"sampler must be one of {', '.join(SAMPLERS)}; "
                          f"got {text!r}")
     return tuple(label.split("-"))
-
-
-def sampler_label(algorithm, prior):
-    """The label, as in SAMPLERS, of `algorithm` run on `prior`."""
-    return f"{algorithm}-{prior.form}-{prior.representation}"
 
 
 def check_sweep_supported(algorithm, prior):
@@ -376,7 +377,8 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     return ChainOutput(
         draws=draws,
         parameter_names=names,
-        kind_label=sampler_label(algorithm, prior),
+        kind_label=sampler_label(algorithm, prior.form,
+                                 prior.representation),
         acceptance={name: tuple(v) for name, v in counts.items()},
         mh_steps=dict(zip(counts, steps)),
         wall_ms=wall_ms,

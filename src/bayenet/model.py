@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import sample_truncated_normal
+from .distributions import require_finite, sample_truncated_normal
 from .special import log_std_normal_cdf
 
 FORMS = ("common", "differential")
@@ -75,12 +75,31 @@ class RegressionData:
         if y.shape[0] < 3:
             raise ValueError("need at least 3 observations")
         check_finite_cells(y, X)
-        self.y = y - y.mean()
-        self.X = X - X.mean(axis=0)
         self.n, self.p = X.shape
-        self.xtx = self.X.T @ self.X
-        self.xty = self.X.T @ self.y
-        self.yty = float(self.y @ self.y)
+        # the samplers divide by these sums and scale by them, so a
+        # response or predictor that overflows them, or a response with
+        # nothing to fit, is refused below rather than deep in a kernel
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.y = y - y.mean()
+            self.X = X - X.mean(axis=0)
+            self.xtx = self.X.T @ self.X
+            self.xty = self.X.T @ self.y
+            self.yty = float(self.y @ self.y)
+        if not math.isfinite(self.yty):
+            raise ValueError("y is too large: its centred sum of squares "
+                             "overflows")
+        if self.yty == 0.0:
+            raise ValueError("y does not vary: its centred sum of squares "
+                             "is 0 (constant, or too small to square)")
+        # a column's own square first: its overflow spills into the cross
+        # products of every other column
+        bad = ~np.isfinite(self.xtx.diagonal())
+        if not bad.any():
+            bad = ~(np.isfinite(self.xtx).all(axis=0)
+                    & np.isfinite(self.xty))
+        if bad.any():
+            raise ValueError(f"predictor column {int(np.argmax(bad)) + 1} "
+                             "is too large: its cross products overflow")
         # floats and row views for the coordinate scan's scalar arithmetic
         self.col_sq_norms = self.xtx.diagonal().tolist()
         self.xtx_rows = list(self.xtx)
@@ -103,10 +122,8 @@ class PriorSpec:
         if self.representation not in REPRESENTATIONS:
             raise ValueError(
                 f"representation must be one of {REPRESENTATIONS}")
-        for name in ("L", "nu1", "R", "nu2", "nu_a", "nu_b"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(L=self.L, nu1=self.nu1, R=self.R, nu2=self.nu2,
+                       nu_a=self.nu_a, nu_b=self.nu_b)
         for name in ("L", "nu1", "R", "nu2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")

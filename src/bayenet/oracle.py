@@ -274,18 +274,17 @@ def _pair_rss(data, b1, b2):
 
 
 def _axis_nodes(lo, hi, nodes):
-    """Uniform nodes covering [lo, hi] on a lattice anchored at zero.
+    """Uniform nodes covering [lo, hi], lo < 0 < hi, on a lattice
+    anchored at zero.
 
     A spliced-in zero node would break the uniform spacing and leave an
     O(h^3) quadrature error at the splice, so the axis is laid out as
     exact multiples of the step instead.
     """
     h = (hi - lo) / (nodes - 1)
-    if lo < 0.0 < hi:
-        below = math.ceil(-lo / h)
-        above = math.ceil(hi / h)
-        return h * np.arange(-below, above + 1)
-    return np.linspace(lo, hi, nodes)
+    below = math.ceil(-lo / h)
+    above = math.ceil(hi / h)
+    return h * np.arange(-below, above + 1)
 
 
 @dataclass

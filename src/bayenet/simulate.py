@@ -4,10 +4,10 @@ Four fixed regression designs cover the usual shrinkage stress cases:
 a sparse signal with autoregressive predictor correlation (1), the same
 geometry with a dense weak signal (2), a wider grouped signal with
 uniform correlation and large noise (3), and a blockwise nearly
-collinear design (4).  The grid driver runs sampler x prior x replicate
-cells, computes per-parameter effective sample sizes, and reports each
-rejection sweep's percent improvement over its Metropolis counterpart
-on the identical dataset.
+collinear design (4).  The grid driver runs one sampler on one prior
+preset over design x replicate cells, summarizes each chain, and
+reports each rejection sweep's percent improvement in effective sample
+size over its Metropolis twin on the identical dataset.
 """
 
 import csv
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ess_batch_means, percent_improvement
+from .diagnostics import percent_improvement, summarize
 from .kernels import SAMPLERS, parse_sampler, run_chain, sampler_label
 from .model import (PRIOR_PRESETS, RegressionData, check_finite_cells,
                     make_prior)
@@ -161,9 +161,6 @@ def _chain_stream(seed, design_id, replicate, kind_label, prior_name):
 _KIND_IDS = {label: i for i, label in enumerate(SAMPLERS)}
 _PRIOR_IDS = {name: i for i, name in enumerate(PRIOR_PRESETS)}
 
-# the algorithm every rejection sweep's ESS is compared against
-BASELINE = "mh"
-
 
 @dataclass
 class CellResult:
@@ -171,9 +168,8 @@ class CellResult:
     sampler: str
     prior_name: str
     replicate: int
-    ess: dict = None
-    acceptance: dict = None
-    mh_steps: dict = None
+    # diagnostics.summarize's row per parameter
+    summary: list = None
     wall_ms: float = 0.0
     error: str = None
 
@@ -181,23 +177,19 @@ class CellResult:
 def run_cell(design_id, kind_label, prior_name, replicate,
              iters=10000, burnin=100, seed=0):
     """One grid cell: fresh dataset (shared across samplers by seeding),
-    one chain, per-parameter ESS."""
+    one chain of the SAMPLERS label `kind_label`, summarize's rows."""
     try:
         dsg = design(design_id)
         y, X = generate_dataset(dsg, data_stream(seed, design_id, replicate))
         data = RegressionData(y, X)
         algorithm, form, representation = parse_sampler(kind_label)
         prior = make_prior(form, representation, preset=prior_name)
-        rng = _chain_stream(seed, design_id, replicate,
-                            sampler_label(algorithm, prior), prior_name)
+        rng = _chain_stream(seed, design_id, replicate, kind_label,
+                            prior_name)
         out = run_chain(algorithm, data, prior, rng, iters=iters,
                         burnin=burnin)
-        ess = dict(zip(out.parameter_names,
-                       ess_batch_means(out.draws).tolist()))
-        acc = {name: out.acceptance_rate(name) for name in out.acceptance}
-        return CellResult(design_id, out.kind_label, prior_name, replicate,
-                          ess=ess, acceptance=acc, mh_steps=out.mh_steps,
-                          wall_ms=out.wall_ms)
+        return CellResult(design_id, kind_label, prior_name, replicate,
+                          summary=summarize(out), wall_ms=out.wall_ms)
     except Exception as exc:
         return CellResult(design_id, kind_label, prior_name, replicate,
                           error=f"{type(exc).__name__}: {exc}")
@@ -207,19 +199,24 @@ def _run_cell_args(args):
     return run_cell(*args)
 
 
-def run_experiment(design_ids, sampler_labels, prior_names, replicates,
+def run_experiment(design_ids, sampler, prior_name, replicates,
                    iters=10000, burnin=100, seed=0, workers=None):
-    """Run the full grid; returns (result rows, failed cells).
+    """Run one sampler on one prior preset over designs x replicates;
+    returns (result rows, failed cells).  An unknown label raises.
 
-    A rejection sweep's pct_improvement is measured against the BASELINE
-    algorithm with the same form, representation, prior, design, and
-    replicate (hence the same dataset); it is None when that cell is
-    absent or failed.
+    A rejection sweep also runs its Metropolis twin, "mh" with the same
+    form and representation.  A rejection row's pct_improvement is
+    measured against the twin on the same design and replicate (hence
+    the same dataset); it is None for an "mh" row or a failed twin.
     """
-    jobs = [(d, s, pr, r, iters, burnin, seed)
+    algorithm, form, representation = parse_sampler(sampler)
+    labels = [sampler_label(algorithm, form, representation)]
+    twin = sampler_label("mh", form, representation)
+    if algorithm == "rs":
+        labels.append(twin)
+    jobs = [(d, s, prior_name, r, iters, burnin, seed)
             for d in design_ids
-            for s in sampler_labels
-            for pr in prior_names
+            for s in labels
             for r in range(replicates)]
     # a pool forks all its workers at once, so it gets no more than cells
     size = min(workers or 1, len(jobs))
@@ -233,31 +230,28 @@ def run_experiment(design_ids, sampler_labels, prior_names, replicates,
 
     failures = [c for c in cells if c.error is not None]
     good = [c for c in cells if c.error is None]
-    by_key = {(c.design_id, c.sampler, c.prior_name, c.replicate): c
-              for c in good}
+    twin_ess = {(c.design_id, c.replicate):
+                {row["parameter"]: row["ess"] for row in c.summary}
+                for c in good if c.sampler == twin}
 
     rows = []
     for c in good:
-        alg, form, rep = c.sampler.split("-")
-        base = None
-        if alg != BASELINE:
-            base = by_key.get((c.design_id, f"{BASELINE}-{form}-{rep}",
-                               c.prior_name, c.replicate))
-        for name, ess in c.ess.items():
+        base = None if c.sampler == twin else twin_ess.get(
+            (c.design_id, c.replicate))
+        for row in c.summary:
             pct = None
-            if base is not None and name in base.ess:
-                pct = percent_improvement(ess, base.ess[name])
+            if base is not None:
+                pct = percent_improvement(row["ess"], base[row["parameter"]])
             rows.append({
                 "design": c.design_id,
                 "sampler": c.sampler,
                 "prior": c.prior_name,
                 "replicate": c.replicate,
-                "parameter": name,
-                "ess": ess,
+                "parameter": row["parameter"],
+                "ess": row["ess"],
                 "pct_improvement": pct,
-                "acceptance_rate": c.acceptance.get(name),
-                "mh_step": c.mh_steps.get(name),
+                "acceptance_rate": row["acceptance_rate"],
+                "mh_step": row["mh_step"],
                 "wall_ms": c.wall_ms,
             })
     return rows, failures
-

@@ -126,19 +126,11 @@ def _bisect_root(f, lo, hi):
 def find_mode(p):
     """Mode of the density; 0.0 when the density decreases from x = 0+.
 
-    Bisection of the log-derivative inside the closed-form bracket for
-    q >= 1 members, or inside a geometrically expanded bracket for q = 0.
+    Bisection of the log-derivative inside a bracket grown geometrically
+    from 1, for every q: it rests on the slope alone, so a fault in
+    mode_bounds cannot move the mode it finds.
     """
     df = lambda x: dlog_density(p, x)
-    if p.q >= 1:
-        lo, hi = mode_bounds(p)
-        # lo = 0 when a = 1; the slope test also covers a lower bound
-        # that rounding puts at or above the mode
-        if lo <= 0.0 or df(lo) <= 0.0:
-            lo = min(hi, 1.0) * 1e-12
-            if df(lo) <= 0.0:
-                return 0.0
-        return _bisect_root(df, lo, hi)
     lo = hi = 1.0
     for _ in range(200):
         if df(lo) > 0.0:

@@ -195,6 +195,50 @@ def test_fit_rejects_nonfinite_dataset_cell(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _twenty_rows():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((20, 3))
+    return X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(20), X
+
+
+def _scale_column(X, j, factor):
+    X = X.copy()
+    X[:, j] *= factor
+    return X
+
+
+@pytest.mark.parametrize("case, cause", [
+    (lambda y, X: (np.full_like(y, 4.0), X), "y does not vary"),
+    (lambda y, X: (y * 1e-200, X), "y does not vary"),
+    (lambda y, X: (y * 1e200, X), "y is too large"),
+    (lambda y, X: (y * 1e160, X), "y is too large"),
+    (lambda y, X: (y, _scale_column(X, 1, 1e200)), "predictor column 2"),
+], ids=["constant-y", "tiny-y", "huge-y", "large-y", "huge-column-2"])
+@pytest.mark.parametrize("sampler", ["rs-common-direct",
+                                     "mh-differential-da"])
+def test_fit_refuses_data_its_sums_cannot_hold(tmp_path, capsys, case,
+                                               cause, sampler):
+    y, X = case(*_twenty_rows())
+    data_path = tmp_path / "data.csv"
+    write_dataset_csv(data_path, y, X)
+    assert main(["fit", "--data", str(data_path), "--sampler", sampler,
+                 "--iters", "150", "--burnin", "20",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cause}") and err.count("\n") == 1
+    assert not (tmp_path / "run" / "draws.csv").exists()
+
+
+def test_fit_accepts_a_predictor_too_small_to_square(tmp_path):
+    y, X = _twenty_rows()
+    data_path = tmp_path / "data.csv"
+    write_dataset_csv(data_path, y, _scale_column(X, 1, 1e-200))
+    assert main(["fit", "--data", str(data_path), "--iters", "150",
+                 "--burnin", "20", "--out", str(tmp_path / "run")]) == 0
+    assert np.isfinite(np.loadtxt(tmp_path / "run" / "draws.csv",
+                                  delimiter=",", skiprows=1)).all()
+
+
 def test_simulate_row_accounting(tmp_path):
     out = tmp_path / "grid"
     code = main(["simulate", "--sim", "1", "--replicates", "2",

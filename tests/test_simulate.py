@@ -197,35 +197,36 @@ def test_run_cell_smoke_and_determinism():
     b = run_cell(1, "rs-common-direct", "weak", 0, iters=120, burnin=20,
                  seed=19)
     assert a.error is None
-    assert set(a.ess) >= {"beta_1", "sigma2", "lambda1", "lambda2",
-                          "lambda_total", "alpha_share"}
-    assert a.ess == b.ess
-    assert a.acceptance == b.acceptance
+    assert {row["parameter"] for row in a.summary} >= {
+        "beta_1", "sigma2", "lambda1", "lambda2", "lambda_total",
+        "alpha_share"}
+    assert a.summary == b.summary
 
     c = run_cell(1, "rs-common-direct", "weak", 0, iters=120, burnin=20,
                  seed=20)
-    assert c.ess != a.ess
+    ess = lambda cell: [row["ess"] for row in cell.summary]
+    assert ess(c) != ess(a)
 
 
 def test_run_cell_captures_failures():
     bad = run_cell(9, "rs-common-direct", "weak", 0, iters=50, burnin=5)
     assert bad.error is not None
     assert "ValueError" in bad.error
-    assert bad.ess is None
+    assert bad.summary is None
 
 
 def test_run_experiment_rows_and_improvement_join():
     rows, failures = run_experiment(
         design_ids=[1],
-        sampler_labels=["rs-common-direct", "mh-common-direct"],
-        prior_names=["weak"],
+        sampler="rs-common-direct",
+        prior_name="weak",
         replicates=2,
         iters=150,
         burnin=20,
         seed=5,
     )
     assert failures == []
-    # 2 samplers x 2 replicates x (p + 3 + 4 derived) parameters
+    # the sampler and its twin x 2 replicates x (p + 3 + 4 derived)
     per_chain = 8 + 3 + 4
     assert len(rows) == 2 * 2 * per_chain
 
@@ -263,7 +264,7 @@ def test_run_experiment_rows_and_improvement_join():
 
 def test_run_experiment_rows_match_across_worker_counts():
     # every column but the measured wall time is reproducible
-    grid = ([1], ["rs-common-da", "mh-common-da"], ["weak"], 2)
+    grid = ([1], "rs-common-da", "weak", 2)
     serial, _ = run_experiment(*grid, iters=200, burnin=20, seed=4)
     pooled, _ = run_experiment(*grid, iters=200, burnin=20, seed=4,
                                workers=2)
@@ -296,12 +297,12 @@ def test_run_experiment_pool_has_no_more_workers_than_cells(monkeypatch):
     # real pool starts whichever way run_experiment imports it
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool,
                         raising=False)
-    two_cells = ([1], ["rs-common-da", "mh-common-da"], ["weak"], 1)
+    two_cells = ([1], "rs-common-da", "weak", 1)
     pooled, _ = run_experiment(*two_cells, iters=100, burnin=0, seed=6,
                                workers=64)
     assert pooled and sizes == [2]
     # one cell runs in process, with no pool at all
-    one_cell = ([1], ["rs-common-da"], ["weak"], 1)
+    one_cell = ([1], "mh-common-da", "weak", 1)
     assert run_experiment(*one_cell, iters=100, burnin=0, seed=6,
                           workers=2)[0]
     assert sizes == [2]
@@ -309,24 +310,42 @@ def test_run_experiment_pool_has_no_more_workers_than_cells(monkeypatch):
 
 def test_run_experiment_survives_failed_cell():
     rows, failures = run_experiment(
-        design_ids=[1],
-        sampler_labels=["rs-common-direct", "rs-fancy-direct"],
-        prior_names=["weak"],
+        design_ids=[1, 9],
+        sampler="mh-common-direct",
+        prior_name="weak",
         replicates=1,
         iters=120,
         burnin=10,
         seed=2,
     )
     assert len(failures) == 1
-    assert failures[0].sampler == "rs-fancy-direct"
+    assert failures[0].design_id == 9
     assert "ValueError" in failures[0].error
     # the good cell still produced its rows
-    assert {r["sampler"] for r in rows} == {"rs-common-direct"}
+    assert rows and {r["design"] for r in rows} == {1}
+
+
+def test_run_experiment_refuses_unknown_sampler_before_any_cell(
+        monkeypatch):
+    ran = []
+    monkeypatch.setattr(simulate, "run_cell",
+                        lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="sampler must be one of"):
+        run_experiment([1], "rs-fancy-direct", "weak", 1, iters=120)
+    assert ran == []
+
+
+def test_metropolis_grid_runs_no_twin():
+    rows, failures = run_experiment([1], "mh-differential-da", "weak", 2,
+                                    iters=120, burnin=10, seed=3)
+    assert failures == []
+    assert rows and {r["sampler"] for r in rows} == {"mh-differential-da"}
+    assert all(r["pct_improvement"] is None for r in rows)
 
 
 def test_results_csv_format(tmp_path):
-    rows, _ = run_experiment([1], ["rs-common-direct", "mh-common-direct"],
-                             ["weak"], 1, iters=120, burnin=10, seed=8)
+    rows, _ = run_experiment([1], "rs-common-direct", "weak", 1,
+                             iters=120, burnin=10, seed=8)
     path = tmp_path / "res.csv"
     write_csv(path, RESULT_COLUMNS,
               ([row[k] for k in RESULT_COLUMNS] for row in rows))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bayenet import oracle, tilted
+from bayenet.oracle import _tilted_property_check
 from bayenet.rng import RngStream
 from bayenet.tilted import (
     TiltedParams,
@@ -146,6 +148,44 @@ def test_mode_always_inside_bracket(q, a, b_extra, c):
     else:
         assert lo <= m <= hi
         assert abs(dlog_density(p, m)) < 1e-5 * max(1.0, abs(p.c))
+
+
+def _mode_by_bisection(p):
+    # the mode from the slope alone, by bisection in log x; kept apart
+    # from find_mode and mode_bounds so that both can be held to it
+    lo, hi = 1e-200, 1e200
+    if dlog_density(p, lo) <= 0.0:
+        return 0.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if dlog_density(p, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_find_mode_does_not_trust_the_mode_bracket():
+    # 2b = q + 4e-12 puts mode_bounds' upper end at 0, below the mode,
+    # so a bisection inside that bracket cannot reach it
+    p = TiltedParams(2, 3.0, 1.0 + 2e-12, 1e4)
+    assert mode_bounds(p)[1] < 2e-4
+    assert find_mode(p) == pytest.approx(_mode_by_bisection(p), rel=1e-9)
+    assert find_mode(p) == pytest.approx(2.0003e-4, rel=1e-4)
+
+
+def test_property_suite_flags_an_upper_bound_below_the_mode(monkeypatch):
+    real = tilted.mode_bounds
+
+    def short_bounds(p):
+        lo, _ = real(p)
+        return lo, lo + 0.5 * (_mode_by_bisection(p) - lo)
+
+    monkeypatch.setattr(tilted, "mode_bounds", short_bounds)
+    monkeypatch.setattr(oracle, "mode_bounds", short_bounds)
+    result = _tilted_property_check(5, RngStream(0, 43))
+    assert not result.passed
+    assert "mode outside bounds" in result.detail
 
 
 def test_boundary_mode_member_still_samples():
