@@ -58,18 +58,19 @@ def _exp(t):
 
 
 def _std_normal_lower_truncated(a, rng):
-    """Z ~ N(0,1) conditioned on Z >= a."""
+    """Z ~ N(0,1) conditioned on Z >= a, from the stream's buffered
+    scalar draws."""
     if a <= 0.5:
         while True:
-            z = rng.gen.standard_normal()
+            z = rng.normal()
             if z >= a:
                 return z
     # Robert's exponential proposal for a hard truncation
     alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
     while True:
-        z = a + rng.gen.standard_exponential() / alpha
+        z = a + rng.exponential() / alpha
         d = z - alpha
-        if rng.gen.random() <= math.exp(-0.5 * d * d):
+        if rng.uniform() <= math.exp(-0.5 * d * d):
             return z
 
 

@@ -18,7 +18,8 @@ A sampler's label is "algorithm-form-representation", e.g.
 "rs-differential-da"; SAMPLERS lists all eight in a fixed order.
 
 The coefficient blocks avoid per-element numpy work: the direct scan
-does each coordinate's arithmetic in Python floats, and the augmented
+does each coordinate's arithmetic in Python floats and takes its scalar
+draws from the stream's buffered blocks (rng.RngStream); the augmented
 representation draws beta with one Cholesky factor and one solve with
 the precision, and all p latent scales with one vectorized
 inverse-Gaussian call.
@@ -95,38 +96,48 @@ def check_sweep_supported(algorithm, prior):
 
 
 def update_beta_coordinate(data, prior, state, j, rng):
-    """Exact draw of beta_j from its two-piece truncated-normal conditional.
-
-    The side weights are formed entirely in log space
-    (log Phi(mu/s) + mu^2/(2 s^2)); the shared Gaussian constant cancels.
-    The arithmetic is on Python floats; the one array operation is the
-    dot product with row j of X'X.
-    """
-    beta = state.beta
-    lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
-    t = 0.5 * lam1 if prior.form == "common" else math.sqrt(s2) * lam1
-    xtx_jj = data.col_sq_norms[j]
-    prec = xtx_jj + lam2
-    sj2 = s2 / prec
-    sj = math.sqrt(sj2)
-    r = data.xty.item(j) - (float(data.xtx_rows[j].dot(beta))
-                            - xtx_jj * beta.item(j))
-    mu_pos = (r - t) / prec
-    mu_neg = (r + t) / prec
-    lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2
-    lw_neg = log_std_normal_cdf(-mu_neg / sj) + 0.5 * mu_neg * mu_neg / sj2
-    gap = min(lw_neg - lw_pos, 700.0)
-    prob_pos = 1.0 / (1.0 + math.exp(gap))
-    if rng.gen.random() < prob_pos:
-        beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative", rng)
-    else:
-        beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)
+    """Exact draw of beta_j from its two-piece truncated-normal
+    conditional: update_beta_direct's scan over the one coordinate j."""
+    _scan_beta(data, prior, state, (j,), rng)
 
 
 def update_beta_direct(data, prior, state, rng):
     """Coordinate scan of the two-piece conditional over all of beta."""
-    for j in range(data.p):
-        update_beta_coordinate(data, prior, state, j, rng)
+    _scan_beta(data, prior, state, range(data.p), rng)
+
+
+def _scan_beta(data, prior, state, coords, rng):
+    """Draw beta_j for each j in coords, in order.
+
+    The side weights are formed entirely in log space
+    (log Phi(mu/s) + mu^2/(2 s^2)); the shared Gaussian constant cancels.
+    The arithmetic is on Python floats, with the scales and data read
+    once per call; the one array operation per coordinate is the dot
+    product with row j of X'X.
+    """
+    beta = state.beta
+    lam2, s2 = state.lambda2, state.sigma2
+    t = (0.5 * state.lambda1 if prior.form == "common"
+         else math.sqrt(s2) * state.lambda1)
+    col_sq_norms, xtx_rows, xty = data.col_sq_norms, data.xtx_rows, data.xty
+    uniform = rng.uniform
+    for j in coords:
+        xtx_jj = col_sq_norms[j]
+        prec = xtx_jj + lam2
+        sj2 = s2 / prec
+        sj = math.sqrt(sj2)
+        r = xty.item(j) - (float(xtx_rows[j].dot(beta))
+                           - xtx_jj * beta.item(j))
+        mu_pos = (r - t) / prec
+        mu_neg = (r + t) / prec
+        lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2
+        lw_neg = (log_std_normal_cdf(-mu_neg / sj)
+                  + 0.5 * mu_neg * mu_neg / sj2)
+        gap = min(lw_neg - lw_pos, 700.0)
+        if uniform() < 1.0 / (1.0 + math.exp(gap)):
+            beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative", rng)
+        else:
+            beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)
 
 
 def update_beta_block(data, prior, state, rng):

@@ -45,7 +45,7 @@ from bayenet.model import (
     make_prior,
     to_transformed,
 )
-from bayenet.rng import RngStream, log_uniform
+from bayenet.rng import BLOCK, RngStream, log_uniform
 from bayenet.simulate import data_stream, design, generate_dataset
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
@@ -217,6 +217,71 @@ def test_coefficient_slice_direct(form):
     d = slice_ks(data, prior, state, set_coord, lambda st: st.beta[j],
                  update, center - width, center + width, seed=404)
     assert d < ks_threshold(N_SLICE_DRAWS)
+
+
+def design3_direct(form, seed):
+    """Design 3 (p = 40) under the strong direct prior, at the state a
+    few rejection sweeps from the warm start reach; and the stream that
+    drove them, with its buffers part used."""
+    y, X = generate_dataset(design(3), data_stream(seed, 3, 0))
+    data = RegressionData(y, X)
+    prior = make_prior(form, "direct", preset="strong")
+    state = initial_state(data, prior)
+    rng = RngStream(seed, 1)
+    for _ in range(3):
+        run_sweep("rs", data, prior, state, rng)
+    return data, prior, state, rng
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_direct_scan_is_the_coordinate_update_over_every_j(form):
+    """The oracle's coefficient line checks update_beta_coordinate; that
+    certifies the sweep only because one update_beta_direct call is that
+    update over j = 0..p-1, draw for draw and bit for bit."""
+    data, prior, state, rng = design3_direct(form, 12)
+    scan, coord = clone(state), clone(state)
+    scan_rng, coord_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    for _ in range(4):
+        kernels.update_beta_direct(data, prior, scan, scan_rng)
+        for j in range(data.p):
+            update_beta_coordinate(data, prior, coord, j, coord_rng)
+        assert scan.beta.tobytes() == coord.beta.tobytes()
+    assert not np.array_equal(scan.beta, state.beta)
+    # both streams are at the same place, buffers included
+    for name in ("uniform", "normal", "exponential"):
+        assert getattr(scan_rng, name)() == getattr(coord_rng, name)()
+    assert scan_rng.gen.random() == coord_rng.gen.random()
+
+
+class CountingGenerator:
+    """A Generator stand-in that records each method call it forwards."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, args))
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_direct_scan_draws_in_blocks_not_per_coordinate(form):
+    """A scalar Generator call costs about twenty buffered draws, so the
+    40-coordinate scan must reach the Generator only to refill a block:
+    a few calls, not the one or more per coordinate it made before."""
+    data, prior, state, _ = design3_direct(form, 12)
+    rng = RngStream(12, 2)
+    counting = CountingGenerator(rng.gen)
+    rng.gen = counting
+    kernels.update_beta_direct(data, prior, state, rng)
+    assert counting.calls
+    assert all(args == (BLOCK,) for _, args in counting.calls)
+    assert len(counting.calls) <= 6 < data.p
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])
