@@ -14,12 +14,13 @@ gig is sampled on the log scale, where the density is strictly concave
 for every order lam, so one piecewise-exponential hull covers all
 interior cases; its limits chi = 0 and psi = 0 are drawn by
 sample_gamma and sample_inverse_gamma.
-mhn splits into three regimes: alpha = 1 reduces to a truncated normal,
+mhn splits into four regimes, tried in order: gamma = 0 makes x^2
+gamma(alpha/2, rate beta); alpha = 1 reduces to a truncated normal;
 alpha > 1 is log-concave with an interior mode (ratio of uniforms shifted
 to the mode, with the minimal rectangle in closed form; Dagpunar 1989,
-Leydold 2000), and alpha < 1 has an unbounded density at 0 and is
-handled by a two-piece proposal (power law below a split point,
-truncated normal above it).
+Leydold 2000); alpha < 1 has an unbounded density at 0 and is handled by
+a two-piece proposal (power law below a split point, truncated normal
+above it).
 
 Every sampler refuses a non-finite argument with a ValueError that names
 it, before it draws: a nan or an infinity would otherwise fail deep in
@@ -173,6 +174,12 @@ def sample_mhn(alpha, beta, gamma, rng):
         require_finite(alpha=alpha, beta=beta, gamma=gamma)
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("alpha and beta must be positive")
+    if gamma == 0.0:
+        # a draw of exactly 0 is redrawn, as in sample_inverse_gamma
+        while True:
+            x = math.sqrt(rng.gen.gamma(0.5 * alpha, 1.0) / beta)
+            if x > 0.0:
+                return x
     if alpha == 1.0:
         return sample_truncated_normal(
             -gamma / (2.0 * beta), 0.5 / beta, "nonnegative", rng)

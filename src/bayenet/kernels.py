@@ -7,7 +7,8 @@ data-augmented); the algorithm is one of
 * "rs": every block is drawn exactly by rejection sampling.
   The scale parameters are updated in the transformed coordinates
   (u1, u2, theta), whose full conditionals are generalized inverse
-  Gaussian, modified half normal, and tail-tilted respectively.
+  Gaussian, modified half normal, and tail-tilted respectively (the
+  differential form draws 1/sigma, modified half normal, for u1).
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -31,6 +32,11 @@ rejection or Metropolis, reads them only through those sums.  The state
 holds only the natural parameters; each rejection scale kernel derives
 the transformed coordinates it conditions on and maps its draw back to
 (sigma2, lambda1, lambda2).
+
+Within a form both representations give each scale the same family, so
+each rejection scale block has one expression per form: the
+representation enters through the sums (0 where unset) and a p added to
+the power of theta's and the differential u2's conditionals.
 """
 
 import math
@@ -41,7 +47,6 @@ import numpy as np
 from .diagnostics import ChainOutput, DERIVED_NAMES, derived_penalty_columns
 from .distributions import (
     sample_gig,
-    sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_mhn,
     sample_truncated_normal,
@@ -194,87 +199,59 @@ def update_u2_common(data, prior, state, sums, rng):
     """u2 = sqrt(lam2)/sigma: modified half normal."""
     u1, _, theta = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
-    alpha = 2.0 * prior.R + prior.L + data.p
-    if prior.representation == "direct":
-        quad = 0.5 * (u1 * prior.nu2 + sums.bb)
-        lin = theta * (u1 * prior.nu1 + sums.b1)
-    else:
-        quad = 0.5 * (u1 * prior.nu2 + sums.beta2_w)
-        lin = u1 * theta * prior.nu1
-    u2 = sample_mhn(alpha, quad, lin, rng)
+    u2 = sample_mhn(2.0 * prior.R + prior.L + data.p,
+                    0.5 * (u1 * prior.nu2 + sums.bb + sums.beta2_w),
+                    theta * (u1 * prior.nu1 + sums.b1), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
 
 def update_theta_common(data, prior, state, sums, rng):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional."""
-    p = data.p
+    p, da = data.p, prior.representation == "da"
     u1, u2, _ = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
-    if prior.representation == "direct":
-        tp = TiltedParams(p, prior.L, 0.5 * p,
-                          u2 * (u1 * prior.nu1 + sums.b1))
-    else:
-        tp = TiltedParams(p, p + prior.L, 0.5 * sums.inv_tau2,
-                          u1 * u2 * prior.nu1)
-    theta = sample_tilted(tp, rng)
+    theta = sample_tilted(TiltedParams(
+        p, prior.L + p * da, 0.5 * (sums.inv_tau2 if da else p),
+        u2 * (u1 * prior.nu1 + sums.b1)), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
 
 def update_sigma2_differential_rs(data, prior, state, sums, rng):
-    """Exact sigma2 update for the differential scaling.
-
-    Direct representation: 1/sigma has a modified-half-normal conditional
-    with power n + p + nu_a - 1 (the change of variables from sigma2 to
-    1/sigma contributes the extra cubic factor).  Augmented
-    representation: inverse gamma.
-    """
-    p, n = data.p, data.n
-    if prior.representation == "direct":
-        quad = 0.5 * (sums.rss + state.lambda2 * sums.bb + prior.nu_b)
-        lin = state.lambda1 * sums.b1
-        x = sample_mhn(n + p + prior.nu_a - 1.0, quad, lin, rng)
-        state.sigma2 = 1.0 / (x * x)
-    else:
-        shape = 0.5 * (p + prior.nu_a + n - 1.0)
-        scale = 0.5 * (prior.nu_b + sums.rss + sums.beta2_w
-                       + state.lambda2 * sums.bb)
-        state.sigma2 = sample_inverse_gamma(shape, scale, rng)
+    """Exact sigma2 update for the differential scaling: 1/sigma is
+    modified half normal with power n + p + nu_a - 1 (the change of
+    variables from sigma2 contributes the extra cubic factor).  In the
+    augmented representation b1 = 0, and sigma2 is inverse gamma."""
+    x = sample_mhn(
+        data.n + data.p + prior.nu_a - 1.0,
+        0.5 * (sums.rss + state.lambda2 * sums.bb + sums.beta2_w
+               + prior.nu_b),
+        state.lambda1 * sums.b1, rng)
+    state.sigma2 = 1.0 / (x * x)
 
 
 def update_u2_differential(data, prior, state, sums, rng):
     """u2 = sqrt(lam2) under the differential scaling: modified half normal."""
-    p = data.p
+    p, da = data.p, prior.representation == "da"
     _, _, theta = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
-    if prior.representation == "direct":
-        alpha = 2.0 * prior.R + prior.L + p
-        quad = 0.5 * (sums.bb / state.sigma2 + prior.nu2)
-        lin = theta * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
-    else:
-        alpha = 2.0 * p + 2.0 * prior.R + prior.L
-        quad = 0.5 * (sums.bb / state.sigma2 + prior.nu2
-                      + theta ** 2 * sums.tau2)
-        lin = 0.5 * theta * prior.nu1
-    u2 = sample_mhn(alpha, quad, lin, rng)
+    u2 = sample_mhn(
+        2.0 * prior.R + prior.L + p + p * da,
+        0.5 * (sums.bb / state.sigma2 + prior.nu2 + theta ** 2 * sums.tau2),
+        theta * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
 
 
 def update_theta_differential(data, prior, state, sums, rng):
     """theta = lam1/sqrt(lam2): tail-tilted conditional."""
-    p = data.p
+    p, da = data.p, prior.representation == "da"
     _, u2, _ = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
-    if prior.representation == "direct":
-        tp = TiltedParams(
-            p, prior.L, 0.5 * p,
-            u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1))
-    else:
-        tp = TiltedParams(p, p + prior.L, 0.5 * (p + u2 ** 2 * sums.tau2),
-                          0.5 * u2 * prior.nu1)
-    theta = sample_tilted(tp, rng)
+    theta = sample_tilted(TiltedParams(
+        p, prior.L + p * da, 0.5 * (p + u2 ** 2 * sums.tau2),
+        u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
 

@@ -72,6 +72,8 @@ class RegressionData:
         X = np.asarray(X, dtype=float)
         if y.ndim != 1 or X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("y must be (n,), X must be (n, p)")
+        if X.shape[1] == 0:
+            raise ValueError("X has no predictor columns")
         if y.shape[0] < 3:
             raise ValueError("need at least 3 observations")
         check_finite_cells(y, X)
@@ -199,7 +201,9 @@ class CoefficientSums(NamedTuple):
     from (beta, tau2), reduced once per sweep.
 
     Only the fields of the prior's form and representation are set; the
-    others keep their zero defaults.
+    others keep their zero defaults, a contract: _log_prior and the
+    kernels' rejection scale blocks write one expression per form over
+    all fields, and a 0 drops the terms a representation does not have.
 
     * always: rss (nan where no likelihood is evaluated) and p;
     * direct: bb = b'b, b1 = |b|_1;
@@ -264,59 +268,43 @@ def _log_likelihood(n, rss_value, sigma2):
             - 0.5 * rss_value / sigma2)
 
 
-def _latent_scale_norm(form, sigma2, lambda1, lambda2):
-    """(r, const) of the latent scales' prior: const is the log
-    normalizer per coordinate, r the common form's rate
-    lambda1 / (2 sigma sqrt(lambda2)) or the differential form's
-    lambda1 / sqrt(lambda2)."""
-    if form == "common":
-        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
-        return r, (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-r)
-                   + math.log(r))
-    th = lambda1 / math.sqrt(lambda2)
-    return th, (-math.log(2.0) - 0.5 * _LOG_2PI - log_std_normal_cdf(-th)
-                + math.log(lambda1) + 0.5 * math.log(lambda2)
-                - 0.5 * th * th)
-
-
 def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
     """Normalized joint log prior of beta (and tau2) from their sums.
 
     Direct: two-piece truncated normals.  Augmented: beta_j | tau_j^2 is
     normal with variance tau2_conditional_var, times the latent scales'
     prior (log_prior_tau2 in tests/helpers.py).  In the differential form
-    the log(1 + lam2 tau_j^2) terms of the two factors cancel.
+    the log(1 + lam2 tau_j^2) terms of the two factors cancel.  Sums a
+    representation leaves unset are 0, so one expression per form covers
+    both; the augmented one adds p (log r - log(2 pi)/2), lam1 for r in
+    the differential form.
     """
-    p = sums.p
-    if representation == "direct":
-        sigma = math.sqrt(sigma2)
-        if form == "common":
-            r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
-            penalty = -(lambda2 * sums.bb + lambda1 * sums.b1) / (2.0 * sigma2)
-        elif form == "differential":
-            r = lambda1 / math.sqrt(lambda2)
-            penalty = (-lambda2 * sums.bb / (2.0 * sigma2)
-                       - lambda1 * sums.b1 / sigma)
-        else:
-            raise ValueError(f"unknown form {form!r}")
-        return (-p * math.log(2.0)
-                - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
-                - 0.5 * p * r * r
-                - p * log_std_normal_cdf(-r)
-                + penalty)
     if not sums.in_support:
         return -math.inf
-    r, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
+    p, da = sums.p, representation == "da"
+    sigma = math.sqrt(sigma2)
     if form == "common":
-        log_beta = (-0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
-                    - 0.5 * sums.log_w
-                    - 0.5 * lambda2 * sums.beta2_w / sigma2)
-        return (log_beta + p * const
-                - 1.5 * sums.log_tau2 - 0.5 * r * r * sums.inv_tau2)
-    log_beta = (-0.5 * p * (_LOG_2PI + math.log(sigma2))
-                - 0.5 * sums.log_tau2
-                - 0.5 * (sums.beta2_w + lambda2 * sums.bb) / sigma2)
-    return log_beta + p * const - 0.5 * lambda1 * lambda1 * sums.tau2
+        r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
+        lead, r2_weight = r, sums.inv_tau2 if da else p
+        rest = (-(lambda2 * (sums.bb + sums.beta2_w) + lambda1 * sums.b1)
+                / (2.0 * sigma2)
+                - 0.5 * sums.log_w - 1.5 * sums.log_tau2)
+    elif form == "differential":
+        r = lambda1 / math.sqrt(lambda2)
+        lead, r2_weight = lambda1, p
+        rest = (-(lambda2 * sums.bb + sums.beta2_w) / (2.0 * sigma2)
+                - lambda1 * sums.b1 / sigma
+                - 0.5 * lambda1 * lambda1 * sums.tau2 - 0.5 * sums.log_tau2)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    val = (-p * math.log(2.0)
+           - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
+           - 0.5 * r2_weight * r * r
+           - p * log_std_normal_cdf(-r)
+           + rest)
+    if da:
+        val += p * (math.log(lead) - 0.5 * _LOG_2PI)
+    return val
 
 
 def tau2_conditional_var(form, tau2, sigma2, lambda2):

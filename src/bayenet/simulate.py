@@ -123,20 +123,35 @@ def write_csv(path, header, rows):
 
 
 def read_dataset_csv(path):
-    """(y, X) from a delimited file whose header names the response 'y'."""
+    """(y, X) from a delimited file whose header names the response 'y'.
+
+    Blank lines are skipped.  A refusal names the first bad row (from 1
+    after the header) and cell as check_finite_cells does.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or "y" not in rows[0]:
         raise ValueError(f"{path}: need a header row with a 'y' column")
     header = rows[0]
-    yi = header.index("y")
+    if len(header) < 2:
+        raise ValueError(f"{path}: no predictor columns besides 'y'")
     body = [r for r in rows[1:] if r]
-    try:
-        vals = np.array([[float(v) for v in r] for r in body])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell ({exc})") from None
-    if vals.ndim != 2 or vals.shape[1] != len(header) or vals.shape[1] < 2:
-        raise ValueError(f"{path}: ragged rows or no predictor columns")
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    width, yi = len(header), header.index("y")
+    vals = np.empty((len(body), width))
+    for i, row in enumerate(body):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, "
+                             f"the header {width}")
+        for j, cell in enumerate(row):
+            try:
+                vals[i, j] = float(cell)
+            except ValueError:
+                where = ("y" if j == yi
+                         else f"predictor column {j + (j < yi)}")
+                raise ValueError(f"{path}: non-numeric cell {cell!r} in "
+                                 f"row {i + 1}, {where}") from None
     y = vals[:, yi]
     X = np.delete(vals, yi, axis=1)
     try:

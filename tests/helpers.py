@@ -17,9 +17,10 @@ from bisect import bisect_right
 
 import numpy as np
 
-from bayenet.model import (_latent_scale_norm, _log_likelihood, _log_prior,
-                           _sums, log_posterior_unnorm, rss, to_transformed)
+from bayenet.model import (_log_likelihood, _log_prior, _sums,
+                           log_posterior_unnorm, rss, to_transformed)
 from bayenet.simulate import format_cell, write_csv
+from bayenet.special import log_std_normal_cdf
 
 
 def cdf_table(logpdf, lo, hi, n=20001):
@@ -95,6 +96,22 @@ def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
                       sigma2, lambda1, lambda2)
 
 
+def latent_scale_norm(form, sigma2, lambda1, lambda2):
+    """(r, const) of the latent scales' prior: const is the log
+    normalizer per coordinate, r the common form's rate
+    lambda1 / (2 sigma sqrt(lambda2)) or the differential form's
+    lambda1 / sqrt(lambda2)."""
+    half_log_2pi = 0.5 * math.log(2.0 * math.pi)
+    if form == "common":
+        r = lambda1 / (2.0 * math.sqrt(sigma2) * math.sqrt(lambda2))
+        return r, (-math.log(2.0) - half_log_2pi - log_std_normal_cdf(-r)
+                   + math.log(r))
+    th = lambda1 / math.sqrt(lambda2)
+    return th, (-math.log(2.0) - half_log_2pi - log_std_normal_cdf(-th)
+                + math.log(lambda1) + 0.5 * math.log(lambda2)
+                - 0.5 * th * th)
+
+
 def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
     """Normalized log density of the latent scales, summed over j."""
     tau2 = np.asarray(tau2, dtype=float)
@@ -102,12 +119,12 @@ def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
     if form == "common":
         if np.any(tau2 <= 0.0) or np.any(tau2 >= 1.0):
             return -math.inf
-        r, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
+        r, const = latent_scale_norm(form, sigma2, lambda1, lambda2)
         return float(p * const
                      + np.sum(-1.5 * np.log(tau2) - 0.5 * r * r / tau2))
     if np.any(tau2 <= 0.0):
         return -math.inf
-    _, const = _latent_scale_norm(form, sigma2, lambda1, lambda2)
+    _, const = latent_scale_norm(form, sigma2, lambda1, lambda2)
     return float(p * const
                  + np.sum(-0.5 * np.log1p(lambda2 * tau2)
                           - 0.5 * lambda1 * lambda1 * tau2))

@@ -318,7 +318,7 @@ def test_mhn_rectangle_brackets_mode_and_bounds_every_point(alpha, beta,
 
 @pytest.mark.parametrize("i,alpha,beta,gamma", [
     (0, 28.0, 294.0, 233.0), (1, 140.0, 33157.0, 1.4),
-    (2, 11.0, 0.54, 0.0014)])
+    (2, 11.0, 0.54, 0.0014), (3, 140.0, 33157.0, 0.0)])
 def test_mhn_sweep_range_parameters(i, alpha, beta, gamma):
     # the parameter range the u2 and 1/sigma draws of the rs sweeps reach
     rng = RngStream(104, 30 + i)

@@ -236,3 +236,45 @@ def test_stored_attributes_are_read():
         f"stored but never read in src/, not listed: "
         f"{sorted(found - listed)}; listed but read in src/: "
         f"{sorted(listed - found)}")
+
+
+# The rejection scale blocks: one parameter expression per prior form,
+# with the representation entering only through the coefficient sums.
+SCALE_BLOCKS = ("update_u1_common", "update_u2_common", "update_theta_common",
+                "update_sigma2_differential_rs", "update_u2_differential",
+                "update_theta_differential")
+
+
+def representation_branches(source, functions):
+    """(function, line) of each if statement or conditional expression
+    in the named module-level functions whose test reads an attribute
+    or name called `representation`, and the names of those functions
+    the module does not define."""
+    defined = {node.name: node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    found = [(name, node.lineno)
+             for name in functions if name in defined
+             for node in ast.walk(defined[name])
+             if isinstance(node, (ast.If, ast.IfExp))
+             and "representation" in referenced_names(ast.unparse(node.test))]
+    return found, [name for name in functions if name not in defined]
+
+
+def test_scanner_finds_representation_branches():
+    lib = ("def a(prior):\n    if prior.representation == 'da':\n"
+           "        return 1\n    return 2\n\n"
+           "def b(prior, representation):\n"
+           "    return 1 if representation else 2\n\n"
+           "def c(prior):\n    da = prior.representation == 'da'\n"
+           "    return 1 if da else 2\n")
+    assert representation_branches(lib, ("a", "b", "c", "d")) == (
+        [("a", 2), ("b", 7)], ["d"])
+
+
+def test_scale_blocks_do_not_branch_on_the_representation():
+    source = (ROOT / "src" / "bayenet" / "kernels.py").read_text()
+    found, missing = representation_branches(source, SCALE_BLOCKS)
+    assert not missing, f"scale blocks not found: {missing}"
+    assert not found, (
+        "scale blocks branching on the representation (read it through "
+        f"the coefficient sums instead): {found}")

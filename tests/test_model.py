@@ -148,6 +148,9 @@ def test_data_centering_and_flags():
     assert abs(data.y.mean()) < 1e-12
     with pytest.raises(ValueError):
         RegressionData(y[:2], X[:2])
+    # p >= 1 is what the theta blocks' tilted draws (q = p) rely on
+    with pytest.raises(ValueError, match="^X has no predictor columns$"):
+        RegressionData(y, X[:, :0])
 
 
 @pytest.mark.parametrize("row,col,value,needle", [

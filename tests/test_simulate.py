@@ -177,6 +177,23 @@ def test_dataset_csv_rejects_bad_files(tmp_path):
         read_dataset_csv(nan_cell)
     assert str(err.value) == f"{nan_cell}: non-finite value nan in row 2, y"
 
+    # each refusal names its cause and the first bad row, counted from 1
+    # after the header as above, blank lines skipped
+    for name, text, message in [
+            ("e.csv", "y,x1,x2\n1,2,3\n\n4,5\n6,7\n",
+             "row 2 has 2 cells, the header 3"),
+            ("f.csv", "y,x1\n1,2\n3,4,5\n",
+             "row 2 has 3 cells, the header 2"),
+            ("g.csv", "y,x1\n", "no data rows"),
+            ("h.csv", "x1,y,x2\n1,2,3\n4,5,six\n",
+             "non-numeric cell 'six' in row 2, predictor column 2"),
+            ("i.csv", "x1,y\n1,\n", "non-numeric cell '' in row 1, y")]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 def test_chain_stream_ids_are_pinned():
     # the ids are part of every simulate chain's seed, so reordering the
