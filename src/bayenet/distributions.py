@@ -9,6 +9,11 @@ Conventions:
   to x^(lam-1) exp(-(psi x + chi / x)/2) on x > 0.
 * modified half normal mhn(alpha, beta, gamma): density proportional to
   x^(alpha-1) exp(-beta x^2 - gamma x) on x > 0.
+* hazard-tilted gamma hgamma(a, c, q, t): density proportional to
+  x^(a-1) exp(-c x) (sqrt(x) h(t / sqrt(x)))^q on x > 0, where
+  h(z) = phi(z)/Phi(-z) is the standard normal hazard.  lambda2 given
+  lambda1 in the differential form is hgamma(R, nu2/2 + b'b/(2 sigma2),
+  p, lambda1).
 
 gig is sampled on the log scale, where the density is strictly concave
 for every order lam, so one piecewise-exponential hull covers all
@@ -21,6 +26,15 @@ to the mode, with the minimal rectangle in closed form; Dagpunar 1989,
 Leydold 2000); alpha < 1 has an unbounded density at 0 and is handled by
 a two-piece proposal (power law below a split point, truncated normal
 above it).
+hgamma is proposed from a gamma density.  On w = log x its log density
+is a w - c e^w + q L(w) with L(w) = w/2 + log h(t e^(-w/2)), and L is
+convex in w and concave in x = e^w: with z = t e^(-w/2), L'(w) is half
+the second moment of the overshoot Z - z of a standard normal Z given
+Z > z, which falls as z grows while z^2 times it rises (both by
+exponential-family monotonicity), so 0 < L' < 1/2.  The tangent of L in
+x at the mode folds into exp(-c x), which leaves a gamma(a, rate)
+envelope; the tangent in w bounds L from below, a squeeze that skips
+the hazard for most proposals.
 
 Every sampler refuses a non-finite argument with a ValueError that names
 it, before it draws: a nan or an infinity would otherwise fail deep in
@@ -37,7 +51,7 @@ from .envelope import (
     sample_from_envelope,
 )
 from .rng import log_uniform
-from .special import log_std_normal_cdf
+from .special import log_std_normal_cdf, mills_ratio_excess
 
 _EXP_CLIP = 700.0
 _INF = math.inf
@@ -305,3 +319,101 @@ def sample_inverse_gamma(shape, scale, rng):
     while g == 0.0:
         g = rng.gen.gamma(shape, 1.0)
     return scale / g
+
+
+_HGAMMA_MAX_PROPOSALS = 100000
+_SQRT8 = math.sqrt(8.0)
+
+
+def _hazard_term(w, log_t):
+    """(L(w), L'(w)) for hgamma: L(w) = w/2 + log h(z), z = t e^(-w/2).
+
+    L' = (1 - z (h(z) - z))/2 is about 1/z^2 for large z, so it takes
+    h - z from mills_ratio_excess: h - z from the hazard itself would
+    leave L' an error of z^2 times the machine epsilon.  Above z = 2e17,
+    where e^(-w/2) may overflow, h(z)/z is 1 to double precision and L
+    is log t.
+    """
+    lz = log_t - 0.5 * w
+    if lz > 40.0:
+        return log_t, 0.0
+    z = math.exp(lz)
+    excess = mills_ratio_excess(z)
+    return 0.5 * w + math.log(z + excess), 0.5 - 0.5 * z * excess
+
+
+def _hgamma_mode(a, c, q, t):
+    """An estimate of the mode of hgamma's log density in w.
+
+    L' is replaced by 4 / (z + sqrt(z^2 + 8))^2, within 6 % of it for
+    every z >= 0, and two Newton steps solve c e^w = a + q L'(w) from the
+    right end of [log(a/c), log((a + q/2)/c)], which holds the mode.
+    Only the envelope's touching point depends on the estimate.
+    """
+    exp, log, hypot = math.exp, math.log, math.hypot
+    log_c = log(c)
+    lo = log(a) - log_c
+    w = hi = log(a + 0.5 * q) - log_c
+    for _ in range(2):
+        z = t * exp(-0.5 * w if w > -1400.0 else 700.0)
+        root = hypot(z, _SQRT8)
+        qa = 4.0 * q / ((root + z) * (root + z))
+        w -= (w - log(a + qa) + log_c) / (1.0 - qa * z / (root * (a + qa)))
+        w = lo if w < lo else hi if w > hi else w
+    return w
+
+
+def _hgamma_envelope(a, c, q, t):
+    """(m, L(m), L'(m), rate): the gamma envelope of hgamma that touches
+    its density at w = m.
+
+    L is concave in x = e^w, so L(w) <= L(m) + L'(m)(x e^(-m) - 1) for
+    every w, and the density is at most a constant times
+    x^(a-1) exp(-rate x) with rate = c - q L'(m) e^(-m).  That needs
+    rate > 0, which holds near the mode (there c e^m = a + q L'(m)); if
+    the estimate misses, m moves to log(q/c), where c e^m = q > 2 q L'.
+    """
+    log_t = math.log(t)
+    m = _hgamma_mode(a, c, q, t)
+    value, slope = _hazard_term(m, log_t)
+    rate = c - q * slope * math.exp(-m)
+    if not rate > 0.0:
+        m = math.log(q / c)
+        value, slope = _hazard_term(m, log_t)
+        rate = c - q * slope * math.exp(-m)
+    return m, value, slope, rate
+
+
+def sample_hazard_gamma(a, c, q, t, rng):
+    """One draw of hgamma(a, c, q, t).
+
+    A gamma(a, rate) proposal x = e^w from _hgamma_envelope is accepted
+    with probability exp(q (L(w) - L(m) - L'(m)(x e^(-m) - 1))).  L is
+    convex in w, so L(w) >= L(m) + L'(m)(w - m), and a proposal that
+    passes with that bound in place of L(w) is accepted without
+    evaluating h.  A draw of 0 or of an infinity is redrawn.
+    """
+    if not (0.0 < a < _INF and 0.0 < c < _INF and 0.0 < q < _INF
+            and 0.0 < t < _INF):
+        require_finite(a=a, c=c, q=q, t=t)
+        raise ValueError("a, c, q and t must be positive")
+    m, value, slope, rate = _hgamma_envelope(a, c, q, t)
+    log_t = math.log(t)
+    scale = 1.0 / rate
+    inv_em = math.exp(-m)
+    gamma, log = rng.gen.gamma, math.log
+    for _ in range(_HGAMMA_MAX_PROPOSALS):
+        x = gamma(a, scale)
+        u = rng.uniform()
+        if not (0.0 < x < _INF and u > 0.0):
+            continue
+        w = log(x)
+        lu = log(u)
+        rise = x * inv_em - 1.0
+        if lu <= q * slope * (w - m - rise):
+            return x
+        if lu <= q * (_hazard_term(w, log_t)[0] - value - slope * rise):
+            return x
+    raise RuntimeError(
+        f"hgamma sampler failed to accept in {_HGAMMA_MAX_PROPOSALS} "
+        f"proposals (a={a}, c={c}, q={q}, t={t})")

@@ -9,6 +9,10 @@ data-augmented); the algorithm is one of
   (u1, u2, theta), whose full conditionals are generalized inverse
   Gaussian, modified half normal, and tail-tilted respectively (the
   differential form draws 1/sigma, modified half normal, for u1).
+  The differential form then draws lambda2 once more, at fixed
+  lambda1: hazard-tilted gamma, not log-concave, proposed from a
+  gamma envelope.  u2 and theta are correlated so strongly on a wide
+  design that their two blocks alone move lambda2 slowly.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -36,7 +40,9 @@ the transformed coordinates it conditions on and maps its draw back to
 Within a form both representations give each scale the same family, so
 each rejection scale block has one expression per form: the
 representation enters through the sums (0 where unset) and a p added to
-the power of theta's and the differential u2's conditionals.
+the power of theta's and the differential u2's conditionals.  The
+differential lambda2 block reads only b'b, which both representations
+set.
 """
 
 import math
@@ -47,6 +53,7 @@ import numpy as np
 from .diagnostics import ChainOutput, DERIVED_NAMES, derived_penalty_columns
 from .distributions import (
     sample_gig,
+    sample_hazard_gamma,
     sample_inverse_gaussian,
     sample_mhn,
     sample_truncated_normal,
@@ -256,6 +263,20 @@ def update_theta_differential(data, prior, state, sums, rng):
         "differential", state.sigma2, u2, theta)
 
 
+def update_lambda2_differential(data, prior, state, sums, rng):
+    """lambda2 with lambda1 held fixed: hazard-tilted gamma.
+
+    The u2 and theta blocks move lambda2 only through u2 = sqrt(lambda2)
+    at fixed theta = lambda1/sqrt(lambda2); this draw moves it at fixed
+    lambda1, the other parameterization (an interweaving step, Yu & Meng
+    2011).  The same in both representations: the augmented
+    log(1 + lambda2 tau2) terms cancel.
+    """
+    state.lambda2 = sample_hazard_gamma(
+        prior.R, 0.5 * (prior.nu2 + sums.bb / state.sigma2), data.p,
+        state.lambda1, rng)
+
+
 # the scales Metropolis moves, in update order
 MH_SCALES = ("sigma2", "lambda1", "lambda2")
 
@@ -313,6 +334,7 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
             update_sigma2_differential_rs(data, prior, state, sums, rng)
             update_u2_differential(data, prior, state, sums, rng)
             update_theta_differential(data, prior, state, sums, rng)
+            update_lambda2_differential(data, prior, state, sums, rng)
     else:
         if counts is None:
             counts = new_counts(algorithm)

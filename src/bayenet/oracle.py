@@ -29,6 +29,7 @@ from .distributions import (
 from .kernels import (
     update_beta_block,
     update_beta_coordinate,
+    update_lambda2_differential,
     update_sigma2_differential_rs,
     update_tau2,
     update_theta_common,
@@ -534,8 +535,9 @@ def scale_slice_log_density(data, prior, state, which):
     """Log joint posterior as a function of one scale coordinate.
 
     The free coordinate is one of the sweep's transformed scales ("u1",
-    "u2", "theta") or the natural "sigma2" (differential form, where
-    the variance is not coupled to the rates).  Everything else stays
+    "u2", "theta"), the natural "sigma2" (differential form, where the
+    variance is not coupled to the rates) or the natural "lambda2"
+    (differential form, at fixed lambda1).  Everything else stays
     frozen.  For the transformed coordinates the change of variables
     from (sigma2, lambda1, lambda2) contributes 4 u1^2 u2^2 under the
     common scaling and 2 u2^2 under the differential one.
@@ -554,6 +556,8 @@ def scale_slice_log_density(data, prior, state, which):
     def scales(x):
         # (sigma2, lambda1, lambda2) with the free coordinate at x, and
         # the log Jacobian of the change of variables
+        if which == "lambda2":
+            return (state.sigma2, state.lambda1, x), 0.0
         u1, u2, theta = (x if i == idx else v for i, v in enumerate(base))
         if form == "common":
             nat = (u1, 2.0 * theta * u2 * u1, u1 * u2 * u2)
@@ -562,7 +566,8 @@ def scale_slice_log_density(data, prior, state, which):
             nat, log_jac = (u1, theta * u2, u2 * u2), 2.0 * np.log(u2)
         return nat, 0.0 if which == "sigma2" else log_jac
 
-    ends, _ = scales(np.array([1.0, 2.0]) * base[idx])
+    ends, _ = scales(np.array([1.0, 2.0])
+                     * slice_coordinate(form, which, state))
     restated = _log_joint_scales(data, prior, sums, *ends)
     ref = [log_posterior_unnorm(data, prior, replace(
         state, sigma2=s2, lambda1=l1, lambda2=l2), sums)
@@ -666,10 +671,20 @@ _SCALE_CASES = {
                ("theta", update_theta_common)),
     "differential": (("sigma2", update_sigma2_differential_rs),
                      ("u2", update_u2_differential),
-                     ("theta", update_theta_differential)),
+                     ("theta", update_theta_differential),
+                     ("lambda2", update_lambda2_differential)),
 }
 
-_COORD_INDEX = {"u1": 0, "sigma2": 0, "u2": 1, "theta": 2}
+# the sweep coordinate each slice frees; None for the natural lambda2
+_COORD_INDEX = {"u1": 0, "sigma2": 0, "u2": 1, "theta": 2, "lambda2": None}
+
+
+def slice_coordinate(form, which, state):
+    """The value in state of the coordinate a scale slice frees."""
+    if which == "lambda2":
+        return state.lambda2
+    return sweep_coordinates(form, state.sigma2, state.lambda1,
+                             state.lambda2)[_COORD_INDEX[which]]
 
 
 def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
@@ -687,12 +702,10 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
             data, prior, state = kernel_check_setup(form, representation)
             sums = coefficient_sums(data, prior, state)
             for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
-                idx = _COORD_INDEX[which]
                 draws = _kernel_refresh_draws(
                     lambda d, pr, st, r: kernel(d, pr, st, sums, r),
                     data, prior, state, n, root.substream(fi, ri, ci),
-                    lambda st: sweep_coordinates(
-                        form, st.sigma2, st.lambda1, st.lambda2)[idx])
+                    lambda st: slice_coordinate(form, which, st))
                 lp = scale_slice_log_density(data, prior, state, which)
                 checks.append(_ks_result(
                     f"kernel-{form}-{representation}-{which}", draws,

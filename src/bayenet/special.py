@@ -18,9 +18,13 @@ _SQRT_PI = math.sqrt(math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Switch-over to the continued fraction.  At x = 5 the fraction with 64
-# levels agrees with 50-digit arithmetic to ~1e-16 relative.
+# levels agrees with 50-digit arithmetic to ~1e-16 relative, and from
+# there on, where the fraction only converges faster, 40 levels return
+# the 64-level value bit for bit: on 200,001 points over [5, 1e6] and
+# 402,000 random points in [5, 40] (32 levels and 28 do not everywhere).
+# test_special checks a grid of such points.
 _TAIL_CUT = 5.0
-_CF_LEVELS = 64
+_CF_LEVELS = 40
 
 
 def std_normal_pdf(x):
@@ -35,13 +39,17 @@ def std_normal_cdf(x):
     return 1.0 - 0.5 * math.erfc(x / _SQRT2)
 
 
-def _hazard_cf(x):
-    # Backward evaluation of the Mills-ratio continued fraction; valid
-    # for x >= _TAIL_CUT.
+def _hazard_cf_excess(x):
+    # Backward evaluation of the Mills-ratio continued fraction without
+    # its leading x; valid for x >= _TAIL_CUT.
     acc = 0.0
     for k in range(_CF_LEVELS, 0, -1):
         acc = k / (x + acc)
-    return x + acc
+    return acc
+
+
+def _hazard_cf(x):
+    return x + _hazard_cf_excess(x)
 
 
 def mills_ratio(x):
@@ -53,6 +61,19 @@ def mills_ratio(x):
         return _hazard_cf(x)
     # Phi(-x) with -x >= -5 is far from underflow, so the quotient is safe.
     return std_normal_pdf(x) / std_normal_cdf(-x)
+
+
+def mills_ratio_excess(x):
+    """mills_ratio(x) - x, accurate to rounding where it is small.
+
+    Far in the right tail the hazard is x + 1/x - ..., so subtracting x
+    from mills_ratio(x) would leave an error of order x times the
+    machine epsilon; the continued fraction's tail gives the excess
+    directly.
+    """
+    if x > _TAIL_CUT:
+        return _hazard_cf_excess(x)
+    return mills_ratio(x) - x
 
 
 def log_std_normal_cdf(x):

@@ -8,10 +8,13 @@ import pytest
 
 from bayenet import distributions
 from bayenet.distributions import (
+    _hazard_term,
+    _hgamma_envelope,
     _mhn_mode,
     _mhn_rectangle,
     sample_gamma,
     sample_gig,
+    sample_hazard_gamma,
     sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_mhn,
@@ -389,6 +392,96 @@ def test_gamma_and_inverse_gamma():
         for name, args in (("shape", (bad, 2.0)), ("scale", (2.0, bad))):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 sample_inverse_gamma(*args, rng)
+
+
+def _hgamma_log_density(w, a, c, q, t):
+    """hgamma's log density in w = log x."""
+    z = t * math.exp(-0.5 * w)
+    return a * w - c * math.exp(w) + q * (0.5 * w + math.log(mills_ratio(z)))
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+def test_hazard_term_is_convex_in_log_x_and_concave_in_x(t):
+    # L(w) = w/2 + log h(z), z = t e^(-w/2): its slope lies in (0, 1/2)
+    # and rises with w (L convex in w, which the squeeze needs), and z^2
+    # times it rises with z (L'' <= L', L concave in e^w, which the
+    # gamma envelope needs)
+    zs = np.geomspace(1e-4, 100.0, 4001)[::-1]
+    ws = 2.0 * np.log(t / zs)
+    slopes = np.array([_hazard_term(w, math.log(t))[1] for w in ws])
+    assert np.all((slopes > 0.0) & (slopes < 0.5))
+    assert np.all(np.diff(slopes) > 0.0)
+    assert np.all(np.diff(zs * zs * slopes) < 0.0)
+    for w, z in zip(ws[::400], zs[::400]):
+        value, slope = _hazard_term(w, math.log(t))
+        h = mp.npdf(z) / mp.ncdf(-z)
+        assert value == pytest.approx(float(w / 2 + mp.log(h)),
+                                      rel=1e-12, abs=1e-12)
+        assert slope == pytest.approx(float(0.5 - 0.5 * z * (h - z)),
+                                      rel=1e-9, abs=1e-15)
+
+
+# (a, c, q, t) at the extremes of the lambda2 conditional's parameters:
+# shape R, rate nu2/2 + b'b/(2 sigma2), power p and lambda1
+HGAMMA_EXTREMES = [(a, c, q, t)
+                   for a in (0.05, 1.0, 20.0)
+                   for c in (1e-6, 1.0, 1e6)
+                   for q in (1, 40, 400)
+                   for t in (1e-3, 1.0, 1e3)]
+
+
+def test_hgamma_envelope_covers_the_density_tails_included():
+    # the gamma envelope touches the log density at m and lies above it
+    # everywhere, from where t e^(-w/2) is 1e7 to where c e^w is 1e4
+    # (the density there is below exp(-1e4))
+    for a, c, q, t in HGAMMA_EXTREMES:
+        m, value, slope, rate = _hgamma_envelope(a, c, q, t)
+        assert rate > 0.0
+        top = _hgamma_log_density(m, a, c, q, t)
+        lift = top - (a * m - rate * math.exp(m))
+        assert lift == pytest.approx(q * (value - slope), rel=1e-9,
+                                     abs=1e-9 * abs(top))
+        lo = 2.0 * math.log(t / 1e7)
+        hi = math.log(1e4 / c)
+        for w in np.linspace(lo, hi, 3001):
+            ell = _hgamma_log_density(w, a, c, q, t)
+            bound = a * w - rate * math.exp(w) + lift
+            assert bound >= ell - 1e-9 * (1.0 + abs(ell)), (a, c, q, t, w)
+
+
+def test_hgamma_draws_at_the_extremes():
+    # no overflow, no loop: finite positive draws everywhere
+    rng = RngStream(107, 0)
+    for a, c, q, t in HGAMMA_EXTREMES:
+        for _ in range(20):
+            x = sample_hazard_gamma(a, c, q, t, rng)
+            assert 0.0 < x < math.inf, (a, c, q, t)
+
+
+@pytest.mark.parametrize("a, c, q, t", [
+    (1.0, 1.5, 8, 1.3),      # design 1, weak prior: z near 1
+    (2.0, 2.8, 40, 5.3),     # design 3, strong prior: z near 5.5
+    (0.5, 2.8, 40, 1.0),     # shape below 1: about 6 proposals per draw
+])
+def test_hazard_gamma_matches_quadrature(a, c, q, t):
+    rng = RngStream(108, 0)
+    draws = np.log([sample_hazard_gamma(a, c, q, t, rng) for _ in range(N)])
+    assert _ks_ok(draws, lambda w: _hgamma_log_density(w, a, c, q, t),
+                  draws.min() - 5.0, draws.max() + 2.0)
+
+
+def test_hazard_gamma_validates():
+    rng = RngStream(109, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i, name in enumerate("acqt"):
+            args = [1.0, 1.0, 4.0, 1.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                sample_hazard_gamma(*args, rng)
+    for args in ((0.0, 1.0, 4.0, 1.0), (1.0, -1.0, 4.0, 1.0),
+                 (1.0, 1.0, 0.0, 1.0), (1.0, 1.0, 4.0, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            sample_hazard_gamma(*args, rng)
 
 
 def test_rng_streams_reproducible_and_distinct():

@@ -242,7 +242,7 @@ def test_stored_attributes_are_read():
 # with the representation entering only through the coefficient sums.
 SCALE_BLOCKS = ("update_u1_common", "update_u2_common", "update_theta_common",
                 "update_sigma2_differential_rs", "update_u2_differential",
-                "update_theta_differential")
+                "update_theta_differential", "update_lambda2_differential")
 
 
 def representation_branches(source, functions):

@@ -29,6 +29,7 @@ from bayenet.kernels import (
     run_sweep,
     update_beta_block,
     update_beta_coordinate,
+    update_lambda2_differential,
     update_sigma2_differential_rs,
     update_tau2,
     update_theta_common,
@@ -199,6 +200,30 @@ def test_tilt_ratio_slice(form, rep):
                  lambda st: coords(form, st)[2], update,
                  1e-9, max(theta, 0.2) * 80.0, seed=303)
     assert d < ks_threshold(N_SLICE_DRAWS)
+
+
+@pytest.mark.parametrize("rep", ["direct", "da"])
+def test_penalty_rate_slice_at_fixed_lambda1(rep):
+    # the differential sweep's lambda2 block, in natural coordinates:
+    # the slice is the joint posterior itself, with no Jacobian
+    data, prior, state = frozen("differential", rep)
+    sums = coefficient_sums(data, prior, state)
+
+    def logf(v):
+        st = clone(state)
+        st.lambda2 = v
+        return log_posterior_unnorm(data, prior, st)
+
+    lo, hi = auto_window(logf, state.lambda2 / 300.0, state.lambda2 * 60.0)
+    xs, cdf = cdf_table(logf, lo, hi)
+    rng = RngStream(404, 1)
+    draws = np.empty(N_SLICE_DRAWS)
+    for i in range(N_SLICE_DRAWS):
+        st = clone(state)
+        update_lambda2_differential(data, prior, st, sums, rng)
+        assert (st.sigma2, st.lambda1) == (state.sigma2, state.lambda1)
+        draws[i] = st.lambda2
+    assert ks_statistic(draws, xs, cdf) < ks_threshold(N_SLICE_DRAWS)
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])
@@ -568,6 +593,12 @@ _SCALE_BLOCKS = {
     "differential": (update_sigma2_differential_rs, update_u2_differential,
                      update_theta_differential),
 }
+# blocks checked after the Metropolis one, which keeps its stream; at
+# stream (88, 4) its three unit-step proposals are all rejected
+_LATER_SCALE_BLOCKS = {
+    "common": (),
+    "differential": (update_lambda2_differential,),
+}
 
 
 @pytest.mark.parametrize("form,rep", COMBOS)
@@ -589,7 +620,8 @@ def test_scale_blocks_read_coefficients_only_through_sums(form, rep):
                          counts)
         return counts
 
-    for i, block in enumerate(_SCALE_BLOCKS[form] + (metropolis,)):
+    for i, block in enumerate(_SCALE_BLOCKS[form] + (metropolis,)
+                              + _LATER_SCALE_BLOCKS[form]):
         real, nan = clone(state), clone(blind)
         wrote_real = block(data, prior, real, sums, RngStream(88, i))
         wrote_nan = block(data, prior, nan, sums, RngStream(88, i))

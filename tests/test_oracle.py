@@ -11,7 +11,8 @@ import pytest
 from bayenet import kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.model import (ModelState, RegressionData, from_transformed,
-                           sample_beta_prior_da, tau2_conditional_var)
+                           log_posterior_unnorm, sample_beta_prior_da,
+                           tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
@@ -29,6 +30,7 @@ from bayenet.oracle import (
     quadrature_cdf,
     ridge_mean,
     scale_slice_log_density,
+    slice_coordinate,
     sweep_coordinates,
 )
 from bayenet.rng import RngStream
@@ -381,7 +383,7 @@ def test_validation_suite_quick_all_pass(validate_quick):
                                                beta_updater=None)
     checks = validate_quick.checks
     names = [c.name for c in checks]
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 40
     for expect in ("quadrature-self-test", "ks-gig", "ks-tilted-q4",
                    "prior-equivalence-common", "tilted-property-suite",
                    "mills-gordon-sandwich", "transform-round-trip",
@@ -389,6 +391,8 @@ def test_validation_suite_quick_all_pass(validate_quick):
                    "coefficient-kernel-ks-differential",
                    "kernel-common-direct-u1",
                    "kernel-common-da-tau2", "kernel-differential-da-sigma2",
+                   "kernel-differential-direct-lambda2",
+                   "kernel-differential-da-lambda2",
                    "kernel-differential-da-beta-block",
                    "grid2d-ridge-reduction", "grid2d-axis-mode"):
         assert expect in names
@@ -446,6 +450,20 @@ def test_scale_slice_matches_transformed_posterior(form, representation,
     assert at_once.shape == (len(xs),)
     for v, x in zip(at_once, xs):
         assert abs(v - reference(x) - gaps[0]) < 1e-9
+
+
+@pytest.mark.parametrize("representation", ["direct", "da"])
+def test_lambda2_slice_matches_posterior(representation):
+    """The natural lambda2 slice differs from the model's joint posterior
+    by a constant: lambda1 is held fixed and there is no Jacobian."""
+    data, prior, state = kernel_check_setup("differential", representation)
+    assert slice_coordinate("differential", "lambda2", state) == state.lambda2
+    lp = scale_slice_log_density(data, prior, state, "lambda2")
+    xs = (0.05, 0.4, 0.9, 2.6, 11.0)
+    gaps = [lp(x) - log_posterior_unnorm(data, prior, replace(
+        state, lambda2=x)) for x in xs]
+    for g in gaps[1:]:
+        assert abs(g - gaps[0]) < 1e-9
 
 
 def test_scale_slice_refuses_a_restatement_that_disagrees():

@@ -7,6 +7,7 @@ implementation was written; a live mpmath grid cross-check backs them up.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from bayenet.special import (
     log_std_normal_cdf,
     log_upper_incomplete_gamma_half,
     mills_ratio,
+    mills_ratio_excess,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -82,6 +84,38 @@ def test_mills_frozen_values():
 def test_mills_continuous_at_branch_switch():
     assert mills_ratio(5.0) == pytest.approx(5.186503967125842116, rel=1e-12)
     assert mills_ratio(5.0000001) == pytest.approx(5.186504063856198708, rel=1e-12)
+
+
+def _hazard_cf_64(x):
+    # the continued fraction at 64 levels, which the 40 in use must match
+    acc = 0.0
+    for k in range(64, 0, -1):
+        acc = k / (x + acc)
+    return x + acc
+
+
+def test_far_tail_matches_the_64_level_fraction_bit_for_bit():
+    # both tail functions that read the fraction, on a geometric grid
+    # over (5, 1e6] and random points in (5, 40], where h is evaluated
+    # most (the theta and lambda2 draws of the wide design)
+    grid = np.geomspace(np.nextafter(5.0, 6.0), 1e6, 20001)
+    rand = np.random.default_rng(20261019).uniform(
+        np.nextafter(5.0, 6.0), 40.0, 20000)
+    for x in np.concatenate([grid, rand]).tolist():
+        want = _hazard_cf_64(x)
+        assert mills_ratio(x) == want, x
+        assert log_std_normal_cdf(-x) == (-0.5 * math.log(2.0 * math.pi)
+                                          - 0.5 * x * x - math.log(want)), x
+
+
+def test_mills_excess_is_accurate_far_out():
+    # h(x) - x to 1e-13 relative where it is 1/x and smaller: the
+    # difference of two nearly equal numbers would keep only
+    # x * 2.2e-16 of it
+    for x in [0.0, 0.5, 4.9, 5.0, 5.5, 12.0, 1e2, 1e4, 1e6, 1e9]:
+        xm = mp.mpf(x)
+        want = float(mp.npdf(xm) / mp.ncdf(-xm) - xm)
+        assert mills_ratio_excess(x) == pytest.approx(want, rel=1e-13), x
 
 
 @given(st.floats(min_value=1e-6, max_value=30.0))
