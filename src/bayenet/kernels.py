@@ -29,18 +29,30 @@ representation draws beta with one Cholesky factor and one solve with
 the precision, and all p latent scales with one vectorized
 inverse-Gaussian call.
 
-Update order within a sweep: beta, then tau2 where present, then the
-scales.  beta and tau2 do not move while the scales do, so run_sweep
-reduces them once to a model.CoefficientSums, and every scale block,
-rejection or Metropolis, reads them only through those sums.  The state
-holds only the natural parameters; each rejection scale kernel derives
-the transformed coordinates it conditions on and maps its draw back to
-(sigma2, lambda1, lambda2).
+Update order within a sweep: beta, then the scales, then tau2 where
+present.  An augmented sweep draws the scales under the prior's direct
+twin (PriorSpec.direct_twin), whose conditionals read beta alone, so
+tau2 is integrated out of them; update_tau2 then draws tau2 at the new
+scales.  This is partially collapsed Gibbs (van Dyk & Park 2008, JASA
+103): each step leaves the posterior invariant.  Drawn given tau2,
+lambda1 mixes like a data-augmentation scale: in chains of 1000 kept
+draws on designs 1 and 3, integrating tau2 out raised its ESS in the
+four augmented samplers 2.4-13 fold, to about the level of their direct
+twins.  The exception is a rejection sweep with L < 1, whose direct
+theta conditional is not certified log-concave
+(direct_scales_supported): it draws tau2 right after beta, and the
+scales given tau2.  beta (and tau2) do not move while the scales do, so
+run_sweep reduces them once to a model.CoefficientSums, and every scale
+block, rejection or Metropolis, reads them only through those sums.  The
+state holds only the natural parameters; each rejection scale kernel
+derives the transformed coordinates it conditions on and maps its draw
+back to (sigma2, lambda1, lambda2).
 
 Within a form both representations give each scale the same family, so
 each rejection scale block has one expression per form: the
 representation enters through the sums (0 where unset) and a p added to
-the power of theta's and the differential u2's conditionals.  The
+the power of theta's and the differential u2's conditionals.  Only the
+rejection sweeps with L < 1 reach the augmented expressions.  The
 differential lambda2 block reads only b'b, which both representations
 set.
 """
@@ -94,13 +106,21 @@ def parse_sampler(text):
     return tuple(label.split("-"))
 
 
+def direct_scales_supported(algorithm, prior):
+    """Whether the prior's scale blocks may run on the direct
+    representation's conditionals: always for Metropolis; for rejection
+    sweeps only with L >= 1, since below it the direct theta conditional
+    is not certified log-concave."""
+    return algorithm == "mh" or prior.L >= 1.0
+
+
 def check_sweep_supported(algorithm, prior):
     """Reject combinations whose conditionals fall outside the certified
     log-concave family."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if (algorithm == "rs" and prior.representation == "direct"
-            and prior.L < 1.0):
+    if (prior.representation == "direct"
+            and not direct_scales_supported(algorithm, prior)):
         raise ValueError(
             "rejection sweeps in the direct representation need L >= 1 "
             "(the rate conditional is not certified log-concave); "
@@ -320,10 +340,23 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
     steps are the Metropolis log-scale steps, in MH_SCALES order."""
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
+        _update_scales(algorithm, data, prior, state, rng, counts, steps)
+    elif direct_scales_supported(algorithm, prior):
+        # partially collapsed Gibbs: the scales given beta alone, whose
+        # conditionals are the direct representation's, then tau2
+        update_beta_block(data, prior, state, rng)
+        _update_scales(algorithm, data, prior.direct_twin, state, rng,
+                       counts, steps)
+        update_tau2(data, prior, state, rng)
     else:
         update_beta_block(data, prior, state, rng)
         update_tau2(data, prior, state, rng)
-    # beta and tau2 stay put while the scales move
+        _update_scales(algorithm, data, prior, state, rng, counts, steps)
+    return state
+
+
+def _update_scales(algorithm, data, prior, state, rng, counts, steps):
+    # beta (and tau2) stay put while the scales move
     sums = coefficient_sums(data, prior, state)
     if algorithm == "rs":
         if prior.form == "common":
@@ -339,7 +372,6 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
         if counts is None:
             counts = new_counts(algorithm)
         mh_update_scales(data, prior, state, sums, steps, rng, counts)
-    return state
 
 
 def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):

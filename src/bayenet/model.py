@@ -27,7 +27,8 @@ nu_a = nu_b = 0 allowed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -139,6 +140,15 @@ class PriorSpec:
             self.R * math.log(0.5 * self.nu2) - math.lgamma(self.R),
             a * math.log(b) - math.lgamma(a) if a > 0.0 and b > 0.0 else 0.0))
 
+    @cached_property
+    def direct_twin(self):
+        """This prior in the direct representation: the same posterior
+        of (beta, sigma2, lambda1, lambda2), with the latent scales
+        integrated out."""
+        if self.representation == "direct":
+            return self
+        return replace(self, representation="direct")
+
 
 def make_prior(form, representation, preset=None, **params):
     """PriorSpec from a named preset ('weak'/'strong') or explicit values."""
@@ -199,6 +209,11 @@ def rss(data, beta):
 class CoefficientSums(NamedTuple):
     """What the joint log density and the scale full conditionals read
     from (beta, tau2), reduced once per sweep.
+
+    A sweep reduces the sums of the prior its scale blocks run under.
+    An augmented sweep runs them under the direct twin, so it reduces
+    rss, b'b and |b|_1 only; a rejection sweep with L < 1 runs them
+    under the augmented prior and reduces that form's sums over tau2.
 
     Only the fields of the prior's form and representation are set; the
     others keep their zero defaults, a contract: _log_prior and the

@@ -102,10 +102,12 @@ def mode_bounds(p):
     t = 2.0 * p.b - p.q
     if t <= 1e-12 * p.q:
         return (p.a - 1.0) / p.c, (p.a - 1.0 + p.q) / p.c
-    # the root of t x^2 + c x - (a-1) in its cancellation-free form
+    # the roots of t x^2 + c x - k for k = a-1 and k = a-1+q, each in
+    # its cancellation-free form
     lo = 2.0 * (p.a - 1.0) / (math.sqrt(p.c * p.c + 4.0 * (p.a - 1.0) * t)
                               + p.c)
-    hi = (math.sqrt(p.c * p.c + 4.0 * (p.a - 1.0 + p.q) * t) - p.c) / (2.0 * t)
+    k = p.a - 1.0 + p.q
+    hi = 2.0 * k / (math.sqrt(p.c * p.c + 4.0 * k * t) + p.c)
     return lo, hi
 
 

@@ -381,6 +381,80 @@ def test_direct_rejection_refuses_small_shape():
         check_sweep_supported("gibbs", prior)
 
 
+# the scale blocks of a sweep, in order, by algorithm and form
+SCALE_BLOCKS = {
+    ("rs", "common"): ("update_u1_common", "update_u2_common",
+                       "update_theta_common"),
+    ("rs", "differential"): ("update_sigma2_differential_rs",
+                             "update_u2_differential",
+                             "update_theta_differential",
+                             "update_lambda2_differential"),
+    ("mh", "common"): ("mh_update_scales",),
+    ("mh", "differential"): ("mh_update_scales",),
+}
+
+
+def _sweep_calls(monkeypatch, algorithm, prior):
+    """(block, representation of the prior it was given) for each block
+    function one augmented sweep calls, in order."""
+    calls = []
+    for name in {"update_beta_block", "update_tau2", "coefficient_sums",
+                 *SCALE_BLOCKS[algorithm, prior.form]}:
+        def recording(data, block_prior, *args, _name=name,
+                      _block=getattr(kernels, name)):
+            calls.append((_name, block_prior.representation))
+            return _block(data, block_prior, *args)
+        monkeypatch.setattr(kernels, name, recording)
+    data = make_data()
+    run_sweep(algorithm, data, prior, initial_state(data, prior),
+              RngStream(12, 0))
+    return calls
+
+
+@pytest.mark.parametrize("algorithm,form,L", [
+    ("rs", "common", 1.0), ("rs", "common", 6.0),
+    ("rs", "differential", 1.0), ("rs", "differential", 6.0),
+    ("mh", "common", 1.0), ("mh", "common", 0.5),
+    ("mh", "differential", 1.0), ("mh", "differential", 0.5)])
+def test_augmented_sweep_draws_the_scales_with_tau2_integrated_out(
+        algorithm, form, L, monkeypatch):
+    # beta, then the scales under the direct twin of the prior, which
+    # read beta alone, then tau2 at the new scales
+    prior = make_prior(form, "da", L=L, nu1=1.0, R=1.0, nu2=1.0)
+    assert _sweep_calls(monkeypatch, algorithm, prior) == (
+        [("update_beta_block", "da"), ("coefficient_sums", "direct")]
+        + [(name, "direct") for name in SCALE_BLOCKS[algorithm, form]]
+        + [("update_tau2", "da")])
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_small_shape_augmented_rejection_sweep_keeps_tau2_first(
+        form, monkeypatch):
+    # below L = 1 the direct theta conditional is not certified
+    # log-concave, so the scales are drawn given tau2, after it
+    prior = make_prior(form, "da", L=0.5, nu1=1.0, R=1.0, nu2=1.0)
+    assert not kernels.direct_scales_supported("rs", prior)
+    assert _sweep_calls(monkeypatch, "rs", prior) == (
+        [("update_beta_block", "da"), ("update_tau2", "da"),
+         ("coefficient_sums", "da")]
+        + [(name, "da") for name in SCALE_BLOCKS["rs", form]])
+    # and run_chain's draws are those of that scan, bit for bit
+    monkeypatch.undo()
+    data = make_data()
+    out = run_chain("rs", data, prior, RngStream(13, 0), iters=40,
+                    burnin=0)
+    state, rng = initial_state(data, prior), RngStream(13, 0)
+    for row in out.draws:
+        update_beta_block(data, prior, state, rng)
+        update_tau2(data, prior, state, rng)
+        sums = coefficient_sums(data, prior, state)
+        for name in SCALE_BLOCKS["rs", form]:
+            getattr(kernels, name)(data, prior, state, sums, rng)
+        assert row[:data.p + 3].tobytes() == np.array(
+            [*state.beta, state.sigma2, state.lambda1,
+             state.lambda2]).tobytes()
+
+
 def test_parse_sampler():
     assert parse_sampler("rs-common-direct") == ("rs", "common", "direct")
     assert parse_sampler(" MH-Differential-DA ") == (

@@ -119,6 +119,15 @@ def test_mode_bounds_positive_slack_general():
     assert lo < m < hi
 
 
+def test_mode_bounds_upper_end_without_cancellation():
+    # 4 (a-1+q) t is far below c^2 here, so sqrt(c^2 + 4kt) - c would
+    # cancel to 0; the mode is about 2.0003e-4
+    p = TiltedParams(2, 3.0, 1.0 + 2e-12, 1e4)
+    lo, hi = mode_bounds(p)
+    assert lo <= find_mode(p) <= hi
+    assert hi == pytest.approx(4e-4, rel=1e-12)
+
+
 def test_mode_bounds_rejects_uncertified():
     with pytest.raises(ValueError):
         mode_bounds(TiltedParams(0, 2.0, 1.0, 1.0))
@@ -165,11 +174,11 @@ def _mode_by_bisection(p):
     return lo
 
 
-def test_find_mode_does_not_trust_the_mode_bracket():
-    # 2b = q + 4e-12 puts mode_bounds' upper end at 0, below the mode,
-    # so a bisection inside that bracket cannot reach it
+def test_find_mode_does_not_trust_the_mode_bracket(monkeypatch):
+    # a bracket whose upper end, 0, lies below the mode: a bisection
+    # inside it could not reach the mode
     p = TiltedParams(2, 3.0, 1.0 + 2e-12, 1e4)
-    assert mode_bounds(p)[1] < 2e-4
+    monkeypatch.setattr(tilted, "mode_bounds", lambda p: (2e-4, 0.0))
     assert find_mode(p) == pytest.approx(_mode_by_bisection(p), rel=1e-9)
     assert find_mode(p) == pytest.approx(2.0003e-4, rel=1e-4)
 
