@@ -19,13 +19,12 @@ gig is sampled on the log scale, where the density is strictly concave
 for every order lam, so one piecewise-exponential hull covers all
 interior cases; its limits chi = 0 and psi = 0 are drawn by
 sample_gamma and sample_inverse_gamma.
-mhn splits into four regimes, tried in order: gamma = 0 makes x^2
-gamma(alpha/2, rate beta); alpha = 1 reduces to a truncated normal;
-alpha > 1 is log-concave with an interior mode (ratio of uniforms shifted
-to the mode, with the minimal rectangle in closed form; Dagpunar 1989,
-Leydold 2000); alpha < 1 has an unbounded density at 0 and is handled by
-a two-piece proposal (power law below a split point, truncated normal
-above it).
+mhn splits on alpha alone into two regimes: alpha > 1 is log-concave
+with an interior mode (ratio of uniforms shifted to the mode, with the
+minimal rectangle in closed form; Dagpunar 1989, Leydold 2000);
+alpha <= 1 is handled by a two-piece proposal (power law below a split
+point, truncated normal above it), which covers the density unbounded
+at 0 for alpha < 1 and is exact for alpha = 1.
 hgamma is proposed from a gamma density.  On w = log x its log density
 is a w - c e^w + q L(w) with L(w) = w/2 + log h(t e^(-w/2)), and L is
 convex in w and concave in x = e^w: with z = t e^(-w/2), L'(w) is half
@@ -188,15 +187,6 @@ def sample_mhn(alpha, beta, gamma, rng):
         require_finite(alpha=alpha, beta=beta, gamma=gamma)
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("alpha and beta must be positive")
-    if gamma == 0.0:
-        # a draw of exactly 0 is redrawn, as in sample_inverse_gamma
-        while True:
-            x = math.sqrt(rng.gen.gamma(0.5 * alpha, 1.0) / beta)
-            if x > 0.0:
-                return x
-    if alpha == 1.0:
-        return sample_truncated_normal(
-            -gamma / (2.0 * beta), 0.5 / beta, "nonnegative", rng)
     if alpha > 1.0:
         return _sample_mhn_rou(alpha, beta, gamma, rng)
     return _sample_mhn_small_alpha(alpha, beta, gamma, rng)
@@ -275,9 +265,11 @@ def _sample_mhn_rou(alpha, beta, gamma, rng):
 
 
 def _sample_mhn_small_alpha(alpha, beta, gamma, rng):
-    # Split at the mode of the alpha+1 tilt: below it a pure power-law
-    # proposal dominated by the max of exp(-beta x^2 - gamma x); above it
-    # a truncated normal carrying the power factor frozen at the split.
+    # alpha <= 1.  Split at the mode of the alpha+1 tilt: below it a pure
+    # power-law proposal dominated by the max of exp(-beta x^2 - gamma x);
+    # above it a truncated normal carrying the power factor frozen at the
+    # split, which x^(alpha-1) can only lower.  At alpha = 1 that factor
+    # is 1 and every upper proposal is accepted.
     s = _mhn_mode(alpha, beta, gamma)
     c0 = gamma / (2.0 * beta)
     x1 = min(max(0.0, -c0), s)

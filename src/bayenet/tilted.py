@@ -21,8 +21,7 @@ instead:
 import math
 from dataclasses import dataclass
 
-from .distributions import (require_finite, sample_gamma, sample_gig,
-                            sample_mhn)
+from .distributions import require_finite, sample_gig, sample_mhn
 from .envelope import (
     LogDensityTarget,
     ars_sample,
@@ -153,12 +152,11 @@ def sample_tilted(p, rng):
         raise ValueError(
             "density not certified log-concave for these parameters")
     if p.q == 0:
-        if p.d == 0.0:
-            if p.b == 0.0:
-                return sample_gamma(p.a, p.c, rng)
-            return sample_mhn(p.a, p.b, p.c, rng)
         if p.b == 0.0:
+            # gig's chi = 0 limit is the gamma(a, rate c) draw when d = 0
             return sample_gig(p.a, 2.0 * p.c, 2.0 * p.d, rng)
+        if p.d == 0.0:
+            return sample_mhn(p.a, p.b, p.c, rng)
         mode = find_mode(p)
         target = LogDensityTarget(
             lambda x: log_density(p, x), lambda x: dlog_density(p, x),

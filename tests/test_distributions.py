@@ -25,7 +25,6 @@ from bayenet.special import mills_ratio
 
 from helpers import cdf_table, ks_statistic, ks_threshold
 
-mp.mp.dps = 30
 N = 20000
 
 
@@ -241,7 +240,9 @@ def test_mhn_negative_linear_coefficient():
     assert _ks_ok(draws, _mhn_logpdf(2.0, 1.0, -3.0), 1e-9, 8.0)
 
 
-def test_mhn_exact_truncated_normal_regime():
+def test_mhn_two_piece_sampler_at_power_one_is_truncated_normal():
+    # at alpha = 1 the law is N(-gamma/(2 beta), 1/(2 beta)) on x >= 0,
+    # drawn by the two-piece sampler, whose upper piece always accepts
     rng = RngStream(104, 2)
     draws = [sample_mhn(1.0, 0.5, -1.0, rng) for _ in range(N)]
     assert _ks_ok(draws, lambda x: -0.5 * x * x + x, 1e-9, 10.0)
@@ -401,6 +402,7 @@ def _hgamma_log_density(w, a, c, q, t):
 
 
 @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+@mp.workdps(30)
 def test_hazard_term_is_convex_in_log_x_and_concave_in_x(t):
     # L(w) = w/2 + log h(z), z = t e^(-w/2): its slope lies in (0, 1/2)
     # and rises with w (L convex in w, which the squeeze needs), and z^2

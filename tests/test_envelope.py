@@ -21,8 +21,6 @@ from bayenet.tilted import (TiltedParams, d2log_density, dlog_density,
 
 from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
 
-mp.mp.dps = 30
-
 
 def _mhn_322_target():
     a, b, c = 3.0, 2.0, 2.0
@@ -54,6 +52,7 @@ def _tilted_target(p):
         support_lower=0.0, mode=mode, curvature=d2log_density(p, mode))
 
 
+@mp.workdps(30)
 def test_segment_log_mass_against_mpmath():
     cases = [
         (0.0, 2.0, -1.5, 0.3),
@@ -153,6 +152,7 @@ def test_hull_invariants(target, K):
                                    rel=1e-12, abs=1e-12)
 
 
+@mp.workdps(30)
 def test_hull_acceptance_matches_mass_ratio():
     # target mass / hull mass, the exact acceptance probability
     t = _mhn_322_target()

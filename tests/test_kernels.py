@@ -17,7 +17,6 @@ import pytest
 
 from bayenet import kernels
 from bayenet.diagnostics import ess_batch_means
-from bayenet.distributions import sample_inverse_gamma
 from bayenet.kernels import (
     MH_SCALES,
     MH_TARGET,
@@ -703,24 +702,6 @@ def test_scale_blocks_read_coefficients_only_through_sums(form, rep):
         assert scales(nan) == scales(real), block.__name__
         assert wrote_nan == wrote_real, block.__name__
         assert np.isnan(nan.beta).all()
-
-
-def test_augmented_differential_variance_draws_one_gamma_variate():
-    # b1 is 0 in the augmented representation, so 1/sigma is mhn's
-    # gamma = 0 regime: the block takes the one gamma variate an
-    # inverse-gamma draw of sigma2 takes, and writes that draw up to
-    # rounding (a ratio-of-uniforms draw of 1/sigma would not)
-    data, prior, state = frozen("differential", "da")
-    sums = coefficient_sums(data, prior, state)
-    assert sums.b1 == 0.0
-    shape = 0.5 * (data.p + prior.nu_a + data.n - 1.0)
-    scale = 0.5 * (prior.nu_b + sums.rss + sums.beta2_w
-                   + state.lambda2 * sums.bb)
-    for i in range(20):
-        st = clone(state)
-        update_sigma2_differential_rs(data, prior, st, sums, RngStream(89, i))
-        want = sample_inverse_gamma(shape, scale, RngStream(89, i))
-        assert st.sigma2 == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _degenerate_design(case):

@@ -31,8 +31,6 @@ from helpers import (cdf_table, ks_statistic, ks_threshold,
                      log_integrated_likelihood, log_prior_beta, log_prior_da,
                      log_prior_tau2)
 
-mp.mp.dps = 30
-
 pos = st.floats(min_value=0.05, max_value=50.0)
 
 
@@ -58,6 +56,7 @@ def test_transform_known_values():
     assert theta == pytest.approx(1.0)
 
 
+@mp.workdps(30)
 def test_prior_beta_is_normalized():
     for form in ("common", "differential"):
         for (s2, l1, l2) in [(1.0, 1.0, 1.0), (4.0, 0.5, 2.0), (0.25, 3.0, 0.7)]:
@@ -67,6 +66,7 @@ def test_prior_beta_is_normalized():
             assert float(total) == pytest.approx(1.0, rel=1e-8), (form, s2, l1, l2)
 
 
+@mp.workdps(30)
 def test_tau2_prior_is_normalized():
     for (s2, l1, l2) in [(1.0, 1.0, 1.0), (2.0, 0.8, 3.0)]:
         tc = mp.quad(
@@ -80,6 +80,7 @@ def test_tau2_prior_is_normalized():
         assert float(td) == pytest.approx(1.0, rel=1e-8)
 
 
+@mp.workdps(30)
 def test_scale_mixture_marginalizes_to_direct_prior():
     # integrating the latent scale out of the augmented prior recovers the
     # direct prior density pointwise
@@ -252,6 +253,7 @@ def test_da_prior_rejects_out_of_range_scales():
     assert v[0] == pytest.approx(2.0 * 0.25 / 2.0)
 
 
+@mp.workdps(30)
 def _reference_log_prior(form, representation, beta, tau2, s2, l1, l2):
     """The joint log prior written out over the arrays beta and tau2."""
     p = beta.size

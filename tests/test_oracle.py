@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayenet import kernels, oracle
+from bayenet import distributions, kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.model import (ModelState, RegressionData, from_transformed,
                            log_posterior_unnorm, sample_beta_prior_da,
@@ -376,6 +376,19 @@ def test_appendix_a_refuses_nonfinite_parameters(name, value):
         with pytest.raises(ValueError,
                            match=f"^{name} must be finite, got {value}$"):
             appendix_a_demonstration(**args)
+
+
+def test_distribution_lines_draw_both_mhn_regimes(monkeypatch):
+    # every mhn regime is certified by some validate line, so neither
+    # can be left as a sampler nothing checks
+    calls = dict.fromkeys(("_sample_mhn_rou", "_sample_mhn_small_alpha"), 0)
+    for name in calls:
+        def counted(*args, name=name, sampler=getattr(distributions, name)):
+            calls[name] += 1
+            return sampler(*args)
+        monkeypatch.setattr(distributions, name, counted)
+    oracle.distribution_ks_checks(1000, RngStream(0, 1))
+    assert min(calls.values()) >= 1000, calls
 
 
 def test_validation_suite_quick_all_pass(validate_quick):

@@ -20,8 +20,6 @@ from bayenet.special import (
     std_normal_pdf,
 )
 
-mp.mp.dps = 50
-
 
 def test_cdf_frozen_values():
     assert std_normal_cdf(0.0) == 0.5
@@ -60,6 +58,7 @@ def test_log_cdf_frozen_values():
     )
 
 
+@mp.workdps(50)
 def test_log_cdf_mpmath_grid():
     # 1e-10 absolute over the contract range, including both branch switches
     xs = [-38.0, -30.0, -20.0, -10.0, -5.0000001, -5.0, -4.9999999,
@@ -108,6 +107,7 @@ def test_far_tail_matches_the_64_level_fraction_bit_for_bit():
                                           - 0.5 * x * x - math.log(want)), x
 
 
+@mp.workdps(50)
 def test_mills_excess_is_accurate_far_out():
     # h(x) - x to 1e-13 relative where it is 1/x and smaller: the
     # difference of two nearly equal numbers would keep only
@@ -142,6 +142,7 @@ def test_upper_gamma_half_rejects_negative():
         log_upper_incomplete_gamma_half(-0.1)
 
 
+@mp.workdps(50)
 def test_log_upper_gamma_half_consistent_and_deep():
     # from just above 0 to far beyond float underflow of Gamma(1/2, x)
     for x in [0.0, 1e-12, 1e-6, 0.01, 0.5, 3.0, 12.5, 40.0, 1e3, 1e6]:

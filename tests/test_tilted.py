@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bayenet import oracle, tilted
+from bayenet.distributions import sample_gamma
 from bayenet.oracle import _tilted_property_check
 from bayenet.rng import RngStream
 from bayenet.tilted import (
@@ -23,8 +24,6 @@ from bayenet.tilted import (
 
 from helpers import cdf_table, ks_statistic, ks_threshold
 
-mp.mp.dps = 40
-
 
 def _mp_log_density(p, x):
     x = mp.mpf(x)
@@ -35,6 +34,7 @@ def _mp_log_density(p, x):
     return v
 
 
+@mp.workdps(40)
 def test_log_density_matches_mpmath():
     cases = [TiltedParams(2, 1.0, 1.0, 0.5), TiltedParams(8, 9.0, 30.0, 0.2),
              TiltedParams(0, 2.0, 1.0, -0.5, 0.3),
@@ -47,6 +47,7 @@ def test_log_density_matches_mpmath():
     assert log_density(cases[0], -1.0) == -math.inf
 
 
+@mp.workdps(40)
 def test_derivatives_match_mpmath():
     p = TiltedParams(3, 2.0, 2.0, 1.0)
     for x in [0.2, 0.9, 3.0, 12.0]:
@@ -233,6 +234,10 @@ def test_sample_tilted_dispatches_q0():
     assert ks < thr
     ks, thr = _ks_tilted(TiltedParams(0, 2.0, 0.0, 3.0), 3, 1e-9, 15.0)
     assert ks < thr
+    # b = 0, d = 0 goes through gig's chi = 0 limit: the gamma draw itself
+    for i in range(20):
+        got = sample_tilted(TiltedParams(0, 2.0, 0.0, 3.0), RngStream(203, i))
+        assert got == sample_gamma(2.0, 3.0, RngStream(203, i))
     ks, thr = _ks_tilted(TiltedParams(0, 2.0, 0.0, 3.0, 1.2), 4, 1e-9, 15.0)
     assert ks < thr
     ks, thr = _ks_tilted(TiltedParams(0, 1.5, 0.5, 0.3, 0.7), 5, 1e-9, 12.0)
