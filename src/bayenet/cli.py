@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diagnostics import summarize
-from .kernels import check_sweep_supported, parse_sampler, run_chain
+from .kernels import parse_sampler, run_chain
 from .model import PRIOR_PRESETS, RegressionData, make_prior
 from .oracle import broken_coordinate_update, run_validation_suite
 from .rng import RngStream
@@ -197,7 +197,8 @@ def _explicit_prior_values(cfg):
 
 
 def sampler_and_prior(cfg):
-    """Resolve the algorithm and prior, rejecting unsupported pairs."""
+    """Resolve the algorithm and prior, rejecting an unknown sampler or
+    prior."""
     explicit = _explicit_prior_values(cfg)
     try:
         algorithm, form, representation = parse_sampler(cfg.sampler)
@@ -221,7 +222,6 @@ def sampler_and_prior(cfg):
             raise UserError(
                 f"prior must be weak, strong, or explicit, got "
                 f"{cfg.prior!r}")
-        check_sweep_supported(algorithm, prior)
     except UserError:
         raise
     except ValueError as exc:

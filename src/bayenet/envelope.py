@@ -76,10 +76,11 @@ def _segment_inverse_cdf(lo, hi, slope, v):
 
 class PiecewiseExpEnvelope:
     """Tangent hull: segment i carries exp(intercepts[i] + slopes[i]*x)
-    on (bounds[i], bounds[i+1])."""
+    on (bounds[i], bounds[i+1]); log_integral is the log of its integral."""
 
     # built once per draw; slots spare each instance a __dict__
-    __slots__ = ("knots", "slopes", "intercepts", "bounds", "_cum")
+    __slots__ = ("knots", "slopes", "intercepts", "bounds", "log_integral",
+                 "_cum")
 
     def __init__(self, knots, slopes, intercepts, bounds, log_masses):
         self.knots = knots
@@ -92,6 +93,7 @@ class PiecewiseExpEnvelope:
         for lm in log_masses:
             tot += math.exp(lm - m)
             cum.append(tot)
+        self.log_integral = m + math.log(tot)
         # the last weight is tot / tot == 1.0 exactly, so a uniform in
         # [0, 1) always lands on a segment
         self._cum = [c / tot for c in cum]

@@ -30,31 +30,22 @@ the precision, and all p latent scales with one vectorized
 inverse-Gaussian call.
 
 Update order within a sweep: beta, then the scales, then tau2 where
-present.  An augmented sweep draws the scales under the prior's direct
-twin (PriorSpec.direct_twin), whose conditionals read beta alone, so
-tau2 is integrated out of them; update_tau2 then draws tau2 at the new
-scales.  This is partially collapsed Gibbs (van Dyk & Park 2008, JASA
-103): each step leaves the posterior invariant.  Drawn given tau2,
-lambda1 mixes like a data-augmentation scale: in chains of 1000 kept
-draws on designs 1 and 3, integrating tau2 out raised its ESS in the
-four augmented samplers 2.4-13 fold, to about the level of their direct
-twins.  The exception is a rejection sweep with L < 1, whose direct
-theta conditional is not certified log-concave
-(direct_scales_supported): it draws tau2 right after beta, and the
-scales given tau2.  beta (and tau2) do not move while the scales do, so
-run_sweep reduces them once to a model.CoefficientSums, and every scale
-block, rejection or Metropolis, reads them only through those sums.  The
-state holds only the natural parameters; each rejection scale kernel
-derives the transformed coordinates it conditions on and maps its draw
-back to (sigma2, lambda1, lambda2).
-
-Within a form both representations give each scale the same family, so
-each rejection scale block has one expression per form: the
-representation enters through the sums (0 where unset) and a p added to
-the power of theta's and the differential u2's conditionals.  Only the
-rejection sweeps with L < 1 reach the augmented expressions.  The
-differential lambda2 block reads only b'b, which both representations
-set.
+present.  Every sweep draws the scales from the conditionals of the
+posterior of (beta, sigma2, lambda1, lambda2), which read beta alone;
+in the augmented representation tau2 is integrated out of them, and
+update_tau2 then draws tau2 at the new scales.  This is partially
+collapsed Gibbs (van Dyk & Park 2008, JASA 103): each step leaves the
+posterior invariant.  Drawn given tau2, lambda1 would mix like a
+data-augmentation scale: in chains of 1000 kept draws on designs 1 and
+3, integrating tau2 out raised its ESS in the four augmented samplers
+2.4-13 fold, to about the level of their direct twins.  So the
+representation decides only the coefficient block and update_tau2.
+beta does not move while the scales do, so run_sweep reduces it once to
+a model.CoefficientSums, and every scale block, rejection or
+Metropolis, reads it only through those sums.  The state holds only the
+natural parameters; each rejection scale kernel derives the transformed
+coordinates it conditions on and maps its draw back to (sigma2,
+lambda1, lambda2).
 """
 
 import math
@@ -104,27 +95,6 @@ def parse_sampler(text):
         raise ValueError(f"sampler must be one of {', '.join(SAMPLERS)}; "
                          f"got {text!r}")
     return tuple(label.split("-"))
-
-
-def direct_scales_supported(algorithm, prior):
-    """Whether the prior's scale blocks may run on the direct
-    representation's conditionals: always for Metropolis; for rejection
-    sweeps only with L >= 1, since below it the direct theta conditional
-    is not certified log-concave."""
-    return algorithm == "mh" or prior.L >= 1.0
-
-
-def check_sweep_supported(algorithm, prior):
-    """Reject combinations whose conditionals fall outside the certified
-    log-concave family."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if (prior.representation == "direct"
-            and not direct_scales_supported(algorithm, prior)):
-        raise ValueError(
-            "rejection sweeps in the direct representation need L >= 1 "
-            "(the rate conditional is not certified log-concave); "
-            "use the augmented representation instead")
 
 
 def update_beta_coordinate(data, prior, state, j, rng):
@@ -208,11 +178,7 @@ def update_tau2(data, prior, state, rng):
 
 
 def update_u1_common(data, prior, state, sums, rng):
-    """u1 = sigma^2 under the common scaling: generalized inverse Gaussian.
-
-    Identical in both representations (the augmented beta and tau2 priors
-    carry no u1 once written in the transformed coordinates).
-    """
+    """u1 = sigma^2 under the common scaling: generalized inverse Gaussian."""
     _, u2, theta = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
     order = prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
@@ -227,20 +193,20 @@ def update_u2_common(data, prior, state, sums, rng):
     u1, _, theta = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
     u2 = sample_mhn(2.0 * prior.R + prior.L + data.p,
-                    0.5 * (u1 * prior.nu2 + sums.bb + sums.beta2_w),
+                    0.5 * (u1 * prior.nu2 + sums.bb),
                     theta * (u1 * prior.nu1 + sums.b1), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
 
 def update_theta_common(data, prior, state, sums, rng):
-    """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional."""
-    p, da = data.p, prior.representation == "da"
+    """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional, not
+    log-concave for L < 1."""
     u1, u2, _ = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
     theta = sample_tilted(TiltedParams(
-        p, prior.L + p * da, 0.5 * (sums.inv_tau2 if da else p),
-        u2 * (u1 * prior.nu1 + sums.b1)), rng)
+        data.p, prior.L, 0.5 * data.p, u2 * (u1 * prior.nu1 + sums.b1)),
+        rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
@@ -248,36 +214,33 @@ def update_theta_common(data, prior, state, sums, rng):
 def update_sigma2_differential_rs(data, prior, state, sums, rng):
     """Exact sigma2 update for the differential scaling: 1/sigma is
     modified half normal with power n + p + nu_a - 1 (the change of
-    variables from sigma2 contributes the extra cubic factor).  In the
-    augmented representation b1 = 0, and sigma2 is inverse gamma."""
+    variables from sigma2 contributes the extra cubic factor)."""
     x = sample_mhn(
         data.n + data.p + prior.nu_a - 1.0,
-        0.5 * (sums.rss + state.lambda2 * sums.bb + sums.beta2_w
-               + prior.nu_b),
+        0.5 * (sums.rss + state.lambda2 * sums.bb + prior.nu_b),
         state.lambda1 * sums.b1, rng)
     state.sigma2 = 1.0 / (x * x)
 
 
 def update_u2_differential(data, prior, state, sums, rng):
     """u2 = sqrt(lam2) under the differential scaling: modified half normal."""
-    p, da = data.p, prior.representation == "da"
     _, _, theta = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
     u2 = sample_mhn(
-        2.0 * prior.R + prior.L + p + p * da,
-        0.5 * (sums.bb / state.sigma2 + prior.nu2 + theta ** 2 * sums.tau2),
+        2.0 * prior.R + prior.L + data.p,
+        0.5 * (sums.bb / state.sigma2 + prior.nu2),
         theta * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
 
 
 def update_theta_differential(data, prior, state, sums, rng):
-    """theta = lam1/sqrt(lam2): tail-tilted conditional."""
-    p, da = data.p, prior.representation == "da"
+    """theta = lam1/sqrt(lam2): tail-tilted conditional, not log-concave
+    for L < 1."""
     _, u2, _ = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
     theta = sample_tilted(TiltedParams(
-        p, prior.L + p * da, 0.5 * (p + u2 ** 2 * sums.tau2),
+        data.p, prior.L, 0.5 * data.p,
         u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)), rng)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
@@ -289,8 +252,7 @@ def update_lambda2_differential(data, prior, state, sums, rng):
     The u2 and theta blocks move lambda2 only through u2 = sqrt(lambda2)
     at fixed theta = lambda1/sqrt(lambda2); this draw moves it at fixed
     lambda1, the other parameterization (an interweaving step, Yu & Meng
-    2011).  The same in both representations: the augmented
-    log(1 + lambda2 tau2) terms cancel.
+    2011).
     """
     state.lambda2 = sample_hazard_gamma(
         prior.R, 0.5 * (prior.nu2 + sums.bb / state.sigma2), data.p,
@@ -310,7 +272,7 @@ def mh_update_scales(data, prior, state, sums, steps, rng, counts):
     """Random-walk Metropolis on log sigma2, log lambda1, log lambda2;
     steps holds each one's log-scale step, in MH_SCALES order.
 
-    sums must equal coefficient_sums(data, prior, state); each of the
+    sums must equal coefficient_sums(data, state); each of the
     four log posteriors is then O(1) scalar arithmetic.
     """
     cur_lp = log_posterior_unnorm(data, prior, state, sums)
@@ -341,23 +303,18 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
         _update_scales(algorithm, data, prior, state, rng, counts, steps)
-    elif direct_scales_supported(algorithm, prior):
-        # partially collapsed Gibbs: the scales given beta alone, whose
-        # conditionals are the direct representation's, then tau2
-        update_beta_block(data, prior, state, rng)
-        _update_scales(algorithm, data, prior.direct_twin, state, rng,
-                       counts, steps)
-        update_tau2(data, prior, state, rng)
     else:
+        # partially collapsed Gibbs: the scales given beta alone, with
+        # tau2 integrated out, then tau2
         update_beta_block(data, prior, state, rng)
-        update_tau2(data, prior, state, rng)
         _update_scales(algorithm, data, prior, state, rng, counts, steps)
+        update_tau2(data, prior, state, rng)
     return state
 
 
 def _update_scales(algorithm, data, prior, state, rng, counts, steps):
-    # beta (and tau2) stay put while the scales move
-    sums = coefficient_sums(data, prior, state)
+    # beta stays put while the scales move
+    sums = coefficient_sums(data, state)
     if algorithm == "rs":
         if prior.form == "common":
             update_u1_common(data, prior, state, sums, rng)
@@ -385,7 +342,8 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
     """
-    check_sweep_supported(algorithm, prior)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     state = initial_state(data, prior)

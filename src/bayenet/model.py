@@ -8,10 +8,13 @@ with the noise variance:
 
 Each form has a direct representation (independent two-piece truncated
 normals per coordinate) and a data-augmented one (a normal scale mixture
-with one latent tau_j^2 per coordinate).  The response and predictors
-are mean-centered, and the intercept is integrated out of the
-likelihood, which contributes an extra factor n^(-1/2) and reduces the
-exponent to (n-1)/2.
+with one latent tau_j^2 per coordinate).  The representation decides
+only how beta is drawn, and whether tau2 is: the log posterior and the
+scale conditionals are those of (beta, sigma2, lambda1, lambda2) with
+tau2 integrated out, the same in both.  The response and predictors are
+mean-centered, and the intercept is integrated out of the likelihood,
+which contributes an extra factor n^(-1/2) and reduces the exponent to
+(n-1)/2.
 
 The sampler state stores only the natural parameters (sigma2, lambda1,
 lambda2).  The rejection kernels draw in the transformed coordinates
@@ -27,8 +30,7 @@ nu_a = nu_b = 0 allowed.
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -140,15 +142,6 @@ class PriorSpec:
             self.R * math.log(0.5 * self.nu2) - math.lgamma(self.R),
             a * math.log(b) - math.lgamma(a) if a > 0.0 and b > 0.0 else 0.0))
 
-    @cached_property
-    def direct_twin(self):
-        """This prior in the direct representation: the same posterior
-        of (beta, sigma2, lambda1, lambda2), with the latent scales
-        integrated out."""
-        if self.representation == "direct":
-            return self
-        return replace(self, representation="direct")
-
 
 def make_prior(form, representation, preset=None, **params):
     """PriorSpec from a named preset ('weak'/'strong') or explicit values."""
@@ -208,71 +201,24 @@ def rss(data, beta):
 
 class CoefficientSums(NamedTuple):
     """What the joint log density and the scale full conditionals read
-    from (beta, tau2), reduced once per sweep.
-
-    A sweep reduces the sums of the prior its scale blocks run under.
-    An augmented sweep runs them under the direct twin, so it reduces
-    rss, b'b and |b|_1 only; a rejection sweep with L < 1 runs them
-    under the augmented prior and reduces that form's sums over tau2.
-
-    Only the fields of the prior's form and representation are set; the
-    others keep their zero defaults, a contract: _log_prior and the
-    kernels' rejection scale blocks write one expression per form over
-    all fields, and a 0 drops the terms a representation does not have.
-
-    * always: rss (nan where no likelihood is evaluated) and p;
-    * direct: bb = b'b, b1 = |b|_1;
-    * augmented, common: log_tau2 = sum log tau2, inv_tau2 = sum 1/tau2,
-      log_w = sum log(1 - tau2), beta2_w = sum beta^2/(1 - tau2);
-    * augmented, differential: log_tau2, bb, tau2 = sum tau2,
-      beta2_w = sum beta^2/tau2.
-
-    in_support is False when some tau2 lies outside its prior's support,
-    (0, 1) for the common form and (0, inf) for the differential one;
-    the sums of the augmented representation are then left unset.
-    """
+    from beta, reduced once per sweep: p, rss (nan where no likelihood
+    is evaluated), bb = b'b and b1 = |b|_1."""
     p: int
-    rss: float = math.nan
-    bb: float = 0.0
-    b1: float = 0.0
-    log_tau2: float = 0.0
-    inv_tau2: float = 0.0
-    tau2: float = 0.0
-    log_w: float = 0.0
-    beta2_w: float = 0.0
-    in_support: bool = True
+    rss: float
+    bb: float
+    b1: float
 
 
-def _sums(form, representation, beta, tau2, rss_value=math.nan):
+def _sums(beta, rss_value=math.nan):
     beta = np.asarray(beta, dtype=float)
-    p = beta.size
-    if representation == "direct":
-        return CoefficientSums(p, rss_value, bb=float(beta @ beta),
-                               b1=float(np.abs(beta).sum()))
-    if tau2 is None:
-        raise ValueError("augmented state requires tau2")
-    tau2 = np.asarray(tau2, dtype=float)
-    b2 = beta * beta
-    if form == "common":
-        if not np.all((tau2 > 0.0) & (tau2 < 1.0)):
-            return CoefficientSums(p, rss_value, in_support=False)
-        w = 1.0 - tau2
-        return CoefficientSums(
-            p, rss_value, log_tau2=float(np.log(tau2).sum()),
-            inv_tau2=float((1.0 / tau2).sum()),
-            log_w=float(np.log(w).sum()), beta2_w=float((b2 / w).sum()))
-    if not np.all(tau2 > 0.0):
-        return CoefficientSums(p, rss_value, in_support=False)
-    return CoefficientSums(
-        p, rss_value, bb=float(b2.sum()), log_tau2=float(np.log(tau2).sum()),
-        tau2=float(tau2.sum()), beta2_w=float((b2 / tau2).sum()))
+    return CoefficientSums(beta.size, rss_value, float(beta @ beta),
+                           float(np.abs(beta).sum()))
 
 
-def coefficient_sums(data, prior, state):
-    """The sums of the state's beta and tau2 that log_posterior_unnorm
-    and the scale kernels read."""
-    return _sums(prior.form, prior.representation, state.beta, state.tau2,
-                 rss(data, state.beta))
+def coefficient_sums(data, state):
+    """The sums of the state's beta that log_posterior_unnorm and the
+    scale kernels read."""
+    return _sums(state.beta, rss(data, state.beta))
 
 
 def _log_likelihood(n, rss_value, sigma2):
@@ -283,43 +229,26 @@ def _log_likelihood(n, rss_value, sigma2):
             - 0.5 * rss_value / sigma2)
 
 
-def _log_prior(form, representation, sums, sigma2, lambda1, lambda2):
-    """Normalized joint log prior of beta (and tau2) from their sums.
-
-    Direct: two-piece truncated normals.  Augmented: beta_j | tau_j^2 is
-    normal with variance tau2_conditional_var, times the latent scales'
-    prior (log_prior_tau2 in tests/helpers.py).  In the differential form
-    the log(1 + lam2 tau_j^2) terms of the two factors cancel.  Sums a
-    representation leaves unset are 0, so one expression per form covers
-    both; the augmented one adds p (log r - log(2 pi)/2), lam1 for r in
-    the differential form.
-    """
-    if not sums.in_support:
-        return -math.inf
-    p, da = sums.p, representation == "da"
+def _log_prior(form, sums, sigma2, lambda1, lambda2):
+    """Normalized joint log prior of beta from its sums: two-piece
+    truncated normals, whatever the representation (the augmented
+    prior with tau2 integrated out)."""
+    p = sums.p
     sigma = math.sqrt(sigma2)
     if form == "common":
         r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
-        lead, r2_weight = r, sums.inv_tau2 if da else p
-        rest = (-(lambda2 * (sums.bb + sums.beta2_w) + lambda1 * sums.b1)
-                / (2.0 * sigma2)
-                - 0.5 * sums.log_w - 1.5 * sums.log_tau2)
+        rest = -(lambda2 * sums.bb + lambda1 * sums.b1) / (2.0 * sigma2)
     elif form == "differential":
         r = lambda1 / math.sqrt(lambda2)
-        lead, r2_weight = lambda1, p
-        rest = (-(lambda2 * sums.bb + sums.beta2_w) / (2.0 * sigma2)
-                - lambda1 * sums.b1 / sigma
-                - 0.5 * lambda1 * lambda1 * sums.tau2 - 0.5 * sums.log_tau2)
+        rest = (-lambda2 * sums.bb / (2.0 * sigma2)
+                - lambda1 * sums.b1 / sigma)
     else:
         raise ValueError(f"unknown form {form!r}")
-    val = (-p * math.log(2.0)
-           - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
-           - 0.5 * r2_weight * r * r
-           - p * log_std_normal_cdf(-r)
-           + rest)
-    if da:
-        val += p * (math.log(lead) - 0.5 * _LOG_2PI)
-    return val
+    return (-p * math.log(2.0)
+            - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
+            - 0.5 * p * r * r
+            - p * log_std_normal_cdf(-r)
+            + rest)
 
 
 def tau2_conditional_var(form, tau2, sigma2, lambda2):
@@ -344,17 +273,18 @@ def log_hyperprior(prior, sigma2, lambda1, lambda2):
 
 
 def log_posterior_unnorm(data, prior, state, sums=None):
-    """Joint log posterior up to a constant, in the state's representation.
+    """Joint log posterior of (beta, sigma2, lambda1, lambda2) up to a
+    constant, with tau2 integrated out in the augmented representation.
 
-    sums, when given, must equal coefficient_sums(data, prior, state);
-    callers that hold beta and tau2 fixed across many calls pass it, and
-    each call is then O(1) scalar arithmetic.
+    sums, when given, must equal coefficient_sums(data, state); callers
+    that hold beta fixed across many calls pass it, and each call is
+    then O(1) scalar arithmetic.
     """
     if sums is None:
-        sums = coefficient_sums(data, prior, state)
+        sums = coefficient_sums(data, state)
     val = _log_likelihood(data.n, sums.rss, state.sigma2)
-    val += _log_prior(prior.form, prior.representation, sums,
-                      state.sigma2, state.lambda1, state.lambda2)
+    val += _log_prior(prior.form, sums, state.sigma2, state.lambda1,
+                      state.lambda2)
     val += log_hyperprior(prior, state.sigma2, state.lambda1, state.lambda2)
     return val
 

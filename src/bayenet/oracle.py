@@ -506,11 +506,8 @@ def kernel_check_setup(form, representation):
 def _log_joint_scales(data, prior, sums, s2, l1, l2):
     """log_posterior_unnorm over arrays of (sigma2, lambda1, lambda2) at
     frozen coefficient sums, restated without the terms that depend on
-    no scale.  The sums a representation leaves unset are zero, so one
-    expression per form covers both representations."""
-    if not sums.in_support:
-        return np.full(np.shape(s2 * l1 * l2), -np.inf)
-    p, da = sums.p, prior.representation == "da"
+    no scale."""
+    p = sums.p
     log_s2, log_l2 = np.log(s2), np.log(l2)
     val = (-(0.5 * (data.n - 1 + prior.nu_a) + 1.0) * log_s2
            - 0.5 * (sums.rss + prior.nu_b) / s2
@@ -519,16 +516,13 @@ def _log_joint_scales(data, prior, sums, s2, l1, l2):
            - 0.5 * p * (log_s2 - log_l2))
     if prior.form == "common":
         r = l1 / (2.0 * np.sqrt(s2 * l2))
-        val = (val - 0.5 * (l2 * (sums.bb + sums.beta2_w) + l1 * sums.b1) / s2
-               - 0.5 * r * r * (sums.inv_tau2 if da else p))
-        lead = np.log(r)
+        val = (val - 0.5 * (l2 * sums.bb + l1 * sums.b1) / s2
+               - 0.5 * r * r * p)
     else:
         r = l1 / np.sqrt(l2)
-        val = (val - 0.5 * (l2 * sums.bb + sums.beta2_w) / s2
-               - l1 * sums.b1 / np.sqrt(s2) - 0.5 * p * r * r
-               - 0.5 * l1 * l1 * sums.tau2)
-        lead = np.log(l1)
-    return val - p * _log_phi_distinct(-r) + (p * lead if da else 0.0)
+        val = (val - 0.5 * l2 * sums.bb / s2
+               - l1 * sums.b1 / np.sqrt(s2) - 0.5 * p * r * r)
+    return val - p * _log_phi_distinct(-r)
 
 
 def scale_slice_log_density(data, prior, state, which):
@@ -551,7 +545,7 @@ def scale_slice_log_density(data, prior, state, which):
     form, idx = prior.form, _COORD_INDEX[which]
     base = sweep_coordinates(form, state.sigma2, state.lambda1,
                              state.lambda2)
-    sums = coefficient_sums(data, prior, state)
+    sums = coefficient_sums(data, state)
 
     def scales(x):
         # (sigma2, lambda1, lambda2) with the free coordinate at x, and
@@ -690,32 +684,32 @@ def slice_coordinate(form, which, state):
 def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
     """KS of every scale and latent kernel the four rejection sweeps
     use, each against quadrature of the matching joint-posterior slice.
-    The coordinate update of beta has its own check
-    (beta_kernel_ks_check); the block update is covered here.
+    The scale blocks read beta alone, through its sums, in both
+    representations, so the direct check state covers them; the
+    augmented one checks the tau2 and block beta updates.  The
+    coordinate update of beta has its own check (beta_kernel_ks_check).
     """
     checks = []
     # a private substream per check keeps each verdict independent of
     # the others and of the order the checks run in
     root = RngStream(seed, 71)
     for fi, form in enumerate(("common", "differential")):
-        for ri, representation in enumerate(("direct", "da")):
-            data, prior, state = kernel_check_setup(form, representation)
-            sums = coefficient_sums(data, prior, state)
-            for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
-                draws = _kernel_refresh_draws(
-                    lambda d, pr, st, r: kernel(d, pr, st, sums, r),
-                    data, prior, state, n, root.substream(fi, ri, ci),
-                    lambda st: slice_coordinate(form, which, st))
-                lp = scale_slice_log_density(data, prior, state, which)
-                checks.append(_ks_result(
-                    f"kernel-{form}-{representation}-{which}", draws,
-                    auto_cdf(lp, (1e-10, 1e6))))
-            if representation == "da":
-                checks.append(tau2_kernel_ks(
-                    data, prior, state, n, root.substream(fi, ri, 7)))
-                checks.append(beta_block_ks(
-                    data, prior, state, n, root.substream(fi, ri, 8),
-                    nodes=grid_nodes))
+        data, prior, state = kernel_check_setup(form, "direct")
+        sums = coefficient_sums(data, state)
+        for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
+            draws = _kernel_refresh_draws(
+                lambda d, pr, st, r: kernel(d, pr, st, sums, r),
+                data, prior, state, n, root.substream(fi, 0, ci),
+                lambda st: slice_coordinate(form, which, st))
+            lp = scale_slice_log_density(data, prior, state, which)
+            checks.append(_ks_result(f"kernel-{form}-direct-{which}", draws,
+                                     auto_cdf(lp, (1e-10, 1e6))))
+        data, prior, state = kernel_check_setup(form, "da")
+        checks.append(tau2_kernel_ks(
+            data, prior, state, n, root.substream(fi, 1, 7)))
+        checks.append(beta_block_ks(
+            data, prior, state, n, root.substream(fi, 1, 8),
+            nodes=grid_nodes))
     return checks
 
 
@@ -754,6 +748,13 @@ def distribution_ks_checks(n, rng):
         p = TiltedParams(q, 3.5, 0.5 * q + 1.0, 1.1)
         cases.append((f"tilted-q{q}", lambda x, p=p: _tilted_log_density(p, x),
                       (1e-8, 1e3), lambda r, p=p: sample_tilted(p, r)))
+    # a < 1 is unbounded at 0, so this line tests log x, whose density
+    # x f(x) is bounded; the KS distance is the same on either scale
+    small = TiltedParams(4, 0.4, 2.0, 0.9)
+    cases.append(("tilted-small-shape",
+                  lambda y: y + _tilted_log_density(small, np.exp(y)),
+                  (-200.0, 8.0),
+                  lambda r: math.log(sample_tilted(small, r))))
     return checks + [_ks_result(f"ks-{name}",
                                 np.array([draw(rng) for _ in range(n)]),
                                 auto_cdf(ld, bracket))

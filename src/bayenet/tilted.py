@@ -14,12 +14,15 @@ instead:
 * mode_bounds returns a closed-form bracket of the mode built from the
   two-sided hazard inequality x < phi(x)/Phi(-x) < x + 1/x.
 * sample_tilted draws exactly, dispatching q = 0 members to the matching
-  named sampler and q >= 1 members to adaptive rejection sampling seeded
-  with knots at the mode bracket.
+  named sampler, log-concave q >= 1 members to adaptive rejection
+  sampling seeded with knots at the mode bracket, and q >= 1 members
+  with 0 < a < 1 whose a = 1 twin is log-concave to a two-piece
+  envelope on the log scale (_sample_small_shape).
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .distributions import require_finite, sample_gig, sample_mhn
 from .envelope import (
@@ -28,7 +31,8 @@ from .envelope import (
     build_envelope,
     sample_from_envelope,
 )
-from .special import log_std_normal_cdf, mills_ratio
+from .rng import log_uniform
+from .special import log_std_normal_cdf, mills_ratio, mills_ratio_excess
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,11 @@ def find_mode(p):
 
 
 def sample_tilted(p, rng):
-    """One exact draw from a log-concave member of the family."""
+    """One exact draw from a log-concave member of the family, or from a
+    q >= 1 member with 0 < a < 1 whose a = 1 twin is log-concave."""
+    if p.q >= 1 and p.a < 1.0 and is_logconcave(
+            TiltedParams(p.q, 1.0, p.b, p.c, p.d)):
+        return _sample_small_shape(p, rng)
     if not is_logconcave(p):
         raise ValueError(
             "density not certified log-concave for these parameters")
@@ -168,3 +176,89 @@ def sample_tilted(p, rng):
         lambda x: log_density(p, x), lambda x: dlog_density(p, x),
         support_lower=0.0)
     return ars_sample(target, knots, rng)
+
+
+# the normal hazard at 0
+_HAZARD_AT_0 = math.sqrt(2.0 / math.pi)
+_MAX_PROPOSALS = 100000
+
+
+def _log_factor(p, x):
+    """(l, l', l' + x l'') at x for l = log g, g = x^(1-a) f, of a d = 0
+    member: l = -e x^2 - c x + q log h(x) up to a constant, with
+    e = b - q/2 and h the normal hazard, whose terms do not cancel.
+    (log h)' is the excess D = h - x, and D' = h D - 1."""
+    e = p.b - 0.5 * p.q
+    excess = mills_ratio_excess(x)
+    slope = p.q * excess - 2.0 * e * x - p.c
+    bend = slope + x * (p.q * ((x + excess) * excess - 1.0) - 2.0 * e)
+    return p.q * math.log(x + excess) - (e * x + p.c) * x, slope, bend
+
+
+def _sample_small_shape(p, rng):
+    """One draw of a q >= 1 member with 0 < a < 1, b >= q/2, c > 0 and
+    d = 0: x^(a-1) makes f unbounded at 0 and not log-concave.
+
+    On y = log x the log density is psi(y) = a y + l(e^y), and psi'' is
+    x (l' + x l'') = x (q F(x) - c - 4 e x), where F = (x D)' falls from
+    sqrt(2/pi) at 0 and stays below 4/x^3 (tests/test_tilted.py checks
+    both against mpmath).  So psi is concave above the one root of
+    F = (c + 4 e x)/q, everywhere if c >= q sqrt(2/pi).  Above a split s
+    at or past that root the envelope is a tangent hull of psi; below
+    it, x^(a-1) times the bound of g on (0, s] from l's tangent at s.
+    Both masses are exact, so any such s gives an exact sampler; s is
+    found to within 10 % of the root.  A draw that underflows to 0 is
+    drawn again, which drops the mass below the smallest double: about
+    (c x_min)^a, 6e-4 at a = 0.01 and c = 1.
+    """
+    a = p.a
+    # the hull and the mode search read psi at the same nodes
+    terms = lru_cache(None)(lambda y: _log_factor(p, math.exp(y)))
+    s = 0.0
+    if p.q * _HAZARD_AT_0 > p.c:
+        bend = lambda x: _log_factor(p, x)[2]
+        lo = s = (4.0 * p.q / p.c) ** (1.0 / 3.0)
+        while bend(lo) <= 0.0:
+            s, lo = lo, 0.5 * lo
+        while s > 1.1 * lo:
+            mid = math.sqrt(lo * s)
+            lo, s = (mid, s) if bend(mid) > 0.0 else (lo, mid)
+    # psi's mode is that of x^a g: safeguarded Newton steps in y inside
+    # the a + 1 member's mode bracket, above s
+    lo, hi = mode_bounds(TiltedParams(p.q, a + 1.0, p.b, p.c))
+    y_lo, y_hi = math.log(max(lo, s)), math.log(hi)
+    y = y_hi
+    for _ in range(100):
+        _, slope, bend = terms(y)
+        x = math.exp(y)
+        if a + x * slope > 0.0:
+            y_lo = y
+        else:
+            y_hi = y
+        step = (a + x * slope) / (x * bend)
+        if abs(step) <= 1e-9 or y_hi - y_lo <= 1e-9:
+            break
+        y = y - step if y_lo < y - step < y_hi else 0.5 * (y_lo + y_hi)
+    hull = build_envelope(LogDensityTarget(
+        lambda y: a * y + terms(y)[0],
+        lambda y: a + math.exp(y) * terms(y)[1],
+        support_lower=math.log(s) if s else -math.inf, mode=y,
+        curvature=math.exp(y) * terms(y)[2]), K=2)
+    lower = 0.0
+    if s:
+        log_g, slope, _ = _log_factor(p, s)
+        top = log_g + max(0.0, -s * slope)
+        lower = 1.0 / (1.0 + math.exp(min(hull.log_integral - (
+            a * math.log(s) + top - math.log(a)), 700.0)))
+    for _ in range(_MAX_PROPOSALS):
+        if lower and rng.gen.random() < lower:
+            x = s * (1.0 - rng.gen.random()) ** (1.0 / a)
+            log_ratio = _log_factor(p, x)[0] - top if x > 0.0 else -1.0
+        else:
+            y, log_hull = hull.propose(rng)
+            x = math.exp(y)
+            log_ratio = a * y + _log_factor(p, x)[0] - log_hull
+        if x > 0.0 and log_uniform(rng) <= log_ratio:
+            return x
+    raise RuntimeError(f"tilted sampler failed to accept in "
+                       f"{_MAX_PROPOSALS} proposals ({p})")

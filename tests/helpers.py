@@ -4,10 +4,11 @@ The CDF tables here are built directly from explicit log-density
 formulas by dense trapezoid integration (error far below the KS
 resolution used), independently of the package's own quadrature module.
 log_posterior_transformed is the slice target the kernel checks compare
-the rejection blocks against.  The single-term log densities
-(log_integrated_likelihood, log_prior_beta, log_prior_da) reach the
-package's likelihood and prior through their sums, which is how the
-tests pin those pieces to closed forms.
+the rejection blocks against.  log_integrated_likelihood and
+log_prior_beta reach the package's likelihood and prior through their
+sums, which is how the tests pin those pieces to closed forms;
+log_prior_da writes the augmented prior out here, independently of the
+package, which reads it only with tau2 integrated out.
 """
 
 import csv
@@ -18,7 +19,8 @@ from bisect import bisect_right
 import numpy as np
 
 from bayenet.model import (_log_likelihood, _log_prior, _sums,
-                           log_posterior_unnorm, rss, to_transformed)
+                           log_posterior_unnorm, rss, tau2_conditional_var,
+                           to_transformed)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -86,14 +88,20 @@ def log_integrated_likelihood(data, beta, sigma2):
 
 def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
     """Normalized log density of beta under either prior form."""
-    return _log_prior(form, "direct", _sums(form, "direct", beta, None),
-                      sigma2, lambda1, lambda2)
+    return _log_prior(form, _sums(beta), sigma2, lambda1, lambda2)
 
 
 def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
-    """Joint log density of (beta, tau2) in the augmented representation."""
-    return _log_prior(form, "da", _sums(form, "da", beta, tau2),
-                      sigma2, lambda1, lambda2)
+    """Joint log density of (beta, tau2) in the augmented representation:
+    beta_j given tau_j^2 is normal with variance tau2_conditional_var,
+    times the latent scales' prior; -inf outside their support."""
+    tau = log_prior_tau2(form, tau2, sigma2, lambda1, lambda2)
+    if tau == -math.inf:
+        return tau
+    beta = np.asarray(beta, dtype=float)
+    v = tau2_conditional_var(form, tau2, sigma2, lambda2)
+    return tau + float(np.sum(-0.5 * np.log(2.0 * math.pi * v)
+                              - 0.5 * beta * beta / v))
 
 
 def latent_scale_norm(form, sigma2, lambda1, lambda2):

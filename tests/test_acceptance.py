@@ -141,18 +141,19 @@ _AGREEING_PAIRS = (
 )
 
 
-def test_06_rejection_and_metropolis_chains_agree():
-    # every pair on one dataset
+def _largest_mean_gap(pairs, **prior_values):
+    """(z, parameter, pair) of the largest gap between the posterior
+    means of two chains of a pair, in combined batch-means standard
+    errors, over every pair on one design-1 dataset."""
     y, X = generate_dataset(design(1), RngStream(0, (0, 1, 0)))
     data = RegressionData(y, X)
     names = [f"beta_{j}" for j in range(1, 9)] + ["sigma2", "lambda1",
                                                   "lambda2"]
-    t0 = time.perf_counter()
-    worst = ("", "", 0.0)
-    for form, iters, chains in _AGREEING_PAIRS:
+    worst = (0.0, "", "")
+    for form, iters, chains in pairs:
         outs = []
         for algorithm, representation, key in chains:
-            prior = make_prior(form, representation, preset="weak")
+            prior = make_prior(form, representation, **prior_values)
             outs.append(run_chain(algorithm, data, prior, RngStream(0, key),
                                   iters=iters, burnin=500))
         for name in names:
@@ -163,15 +164,42 @@ def test_06_rejection_and_metropolis_chains_agree():
                 stats.append((float(col.mean()), se))
             (m1, se1), (m2, se2) = stats
             z = abs(m1 - m2) / math.hypot(se1, se2)
-            if z > worst[2]:
-                worst = (" vs ".join(o.kind_label for o in outs), name, z)
+            if z > worst[0]:
+                worst = (z, name, " vs ".join(o.kind_label for o in outs))
+    return worst, len(names)
+
+
+def test_06_rejection_and_metropolis_chains_agree():
+    t0 = time.perf_counter()
+    (z, name, pair), n_names = _largest_mean_gap(_AGREEING_PAIRS,
+                                                 preset="weak")
     elapsed = time.perf_counter() - t0
-    ok = worst[2] <= 3.0 and elapsed < 180.0
+    ok = z <= 3.0 and elapsed < 180.0
     _report(6, ok,
-            f"posterior means of {len(names)} parameters agree across"
+            f"posterior means of {n_names} parameters agree across"
             f" {len(_AGREEING_PAIRS)} pairs of samplers; largest gap"
-            f" {worst[2]:.2f} combined standard errors ({worst[1]},"
-            f" {worst[0]}, limit 3) in {elapsed:.1f}s")
+            f" {z:.2f} combined standard errors ({name},"
+            f" {pair}, limit 3) in {elapsed:.1f}s")
+
+
+def test_06_small_shape_sweeps_agree_with_metropolis():
+    # the composed rejection sweeps at L < 1, whose theta blocks draw
+    # the tilted conditional's unbounded small-shape members: one direct
+    # and one augmented sampler, each against its Metropolis twin
+    pairs = (("common", 10000, (("rs", "direct", (16, 0)),
+                                ("mh", "direct", (16, 1)))),
+             ("differential", 10000, (("rs", "da", (16, 2)),
+                                      ("mh", "da", (16, 3)))))
+    t0 = time.perf_counter()
+    (z, name, pair), n_names = _largest_mean_gap(
+        pairs, L=0.5, nu1=1.0, R=1.0, nu2=1.0)
+    elapsed = time.perf_counter() - t0
+    ok = z <= 3.0 and elapsed < 180.0
+    _report("6b", ok,
+            f"at L = 0.5, posterior means of {n_names} parameters agree"
+            f" across {len(pairs)} pairs of samplers; largest gap"
+            f" {z:.2f} combined standard errors ({name}, {pair}, limit 3)"
+            f" in {elapsed:.1f}s")
 
 
 def test_07_always_accept_sampler_is_not_exact():

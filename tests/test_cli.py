@@ -65,6 +65,22 @@ def test_fit_writes_draws_and_summary(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_fit_direct_rejection_sweep_at_small_shape(tmp_path):
+    # with L < 1 the theta conditional is unbounded at 0; the direct
+    # rejection sweep draws it all the same
+    out = tmp_path / "run"
+    code = main(["fit", "--sim", "1", "--prior", "explicit", "--L", "0.5",
+                 "--nu1", "1", "--R", "1", "--nu2", "1", "--sampler",
+                 "rs-common-direct", "--iters", "150", "--burnin", "20",
+                 "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out / "draws.csv")
+    assert len(rows) == 1 + 150
+    vals = np.array([[float(v) for v in r] for r in rows[1:]])
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals[:, 8:11] > 0.0)
+
+
 def _summary_rows_one_column_at_a_time(chain):
     rows = []
     for name in chain.parameter_names:
@@ -445,10 +461,12 @@ def test_simulate_reads_its_own_run_config(tmp_path):
 
 @pytest.mark.parametrize("argv, needle", [
     (["fit", "--sim", "1", "--burnin", "-1"], "burnin"),
+    # any positive L is sampled (test_fit_direct_rejection_sweep_at_
+    # small_shape), but not L = 0
     (["fit", "--sim", "1", "--sampler", "rs-common-direct",
-      "--prior", "explicit", "--L", "0.5", "--nu1", "1", "--R", "1",
+      "--prior", "explicit", "--L", "0", "--nu1", "1", "--R", "1",
       "--nu2", "1"],
-     "augmented representation"),
+     "L must be positive"),
     (["simulate", "--sim", "5"], "design id must be in 1..4"),
     (["fit", "--data", "/no/such/file.csv"], "not found"),
     (["fit"], "dataset file"),
@@ -571,6 +589,12 @@ def test_config_text_rejections(text, needle, tmp_path):
         config_via_file("subcommand=fit\n" + text, "fit", tmp_path)
 
 
+def test_readme_validate_line_count_is_the_suite_size(validate_quick):
+    count = re.search(r"bayenet validate +# (\d+) checks",
+                      README.read_text())
+    assert int(count.group(1)) == len(validate_quick.checks)
+
+
 def test_validate_quick_passes_and_mutation_fails(validate_quick,
                                                   validate_quick_mutant):
     assert validate_quick.code == 0
@@ -578,14 +602,14 @@ def test_validate_quick_passes_and_mutation_fails(validate_quick,
     assert "FAIL" not in out
     assert "PASS coefficient-kernel-ks:" in out
     assert "PASS coefficient-kernel-ks-differential:" in out
-    assert out.endswith("\n40/40 checks passed\n")
+    assert out.endswith("\n34/34 checks passed\n")
 
     assert validate_quick_mutant.code == 2
     out = validate_quick_mutant.out
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert [line.split(":")[0] for line in failed] == [
         "FAIL coefficient-kernel-ks", "FAIL coefficient-kernel-ks-differential"]
-    assert out.endswith("\n38/40 checks passed\n")
+    assert out.endswith("\n32/34 checks passed\n")
 
 
 def test_appendix_a_outputs(tmp_path, capsys):

@@ -256,43 +256,56 @@ def test_stored_attributes_are_read():
         f"{sorted(listed - found)}")
 
 
-# The rejection scale blocks: one parameter expression per prior form,
-# with the representation entering only through the coefficient sums.
-SCALE_BLOCKS = ("update_u1_common", "update_u2_common", "update_theta_common",
-                "update_sigma2_differential_rs", "update_u2_differential",
-                "update_theta_differential", "update_lambda2_differential")
+# The scale blocks, rejection and Metropolis, and the sums and log
+# densities they read: one expression per prior form, the same in both
+# representations, which decide only the coefficient and latent-scale
+# blocks.
+SCALE_FUNCTIONS = {
+    "kernels.py": ("update_u1_common", "update_u2_common",
+                   "update_theta_common", "update_sigma2_differential_rs",
+                   "update_u2_differential", "update_theta_differential",
+                   "update_lambda2_differential", "mh_update_scales"),
+    "model.py": ("coefficient_sums", "_sums", "_log_prior",
+                 "log_posterior_unnorm"),
+}
+REPRESENTATION_NAMES = {"representation", "da"}
 
 
-def representation_branches(source, functions):
-    """(function, line) of each if statement or conditional expression
-    in the named module-level functions whose test reads an attribute
-    or name called `representation`, and the names of those functions
-    the module does not define."""
+def representation_reads(source, functions):
+    """(function, line) of each name, attribute or parameter called
+    `representation` or `da` in the named module-level functions, and
+    the names of those functions the module does not define."""
     defined = {node.name: node for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
-    found = [(name, node.lineno)
-             for name in functions if name in defined
-             for node in ast.walk(defined[name])
-             if isinstance(node, (ast.If, ast.IfExp))
-             and "representation" in referenced_names(ast.unparse(node.test))]
+    found = sorted({
+        (name, node.lineno)
+        for name in functions if name in defined
+        for node in ast.walk(defined[name])
+        if (isinstance(node, ast.Name) and node.id in REPRESENTATION_NAMES)
+        or (isinstance(node, ast.Attribute)
+            and node.attr in REPRESENTATION_NAMES)
+        or (isinstance(node, ast.arg) and node.arg in REPRESENTATION_NAMES)})
     return found, [name for name in functions if name not in defined]
 
 
 def test_scanner_finds_representation_branches():
+    # every read counts, a branch on the representation among them
     lib = ("def a(prior):\n    if prior.representation == 'da':\n"
            "        return 1\n    return 2\n\n"
            "def b(prior, representation):\n"
-           "    return 1 if representation else 2\n\n"
-           "def c(prior):\n    da = prior.representation == 'da'\n"
-           "    return 1 if da else 2\n")
-    assert representation_branches(lib, ("a", "b", "c", "d")) == (
-        [("a", 2), ("b", 7)], ["d"])
+           "    return 1\n\n"
+           "def c(prior, p):\n    return p * (prior.L + da)\n\n"
+           "def d(prior, sums):\n    return prior.form, sums.bb\n")
+    assert representation_reads(lib, ("a", "b", "c", "d", "e")) == (
+        [("a", 2), ("b", 6), ("c", 10)], ["e"])
 
 
 def test_scale_blocks_do_not_branch_on_the_representation():
-    source = (ROOT / "src" / "bayenet" / "kernels.py").read_text()
-    found, missing = representation_branches(source, SCALE_BLOCKS)
-    assert not missing, f"scale blocks not found: {missing}"
-    assert not found, (
-        "scale blocks branching on the representation (read it through "
-        f"the coefficient sums instead): {found}")
+    # nor read it at all
+    for module, functions in SCALE_FUNCTIONS.items():
+        source = (ROOT / "src" / "bayenet" / module).read_text()
+        found, missing = representation_reads(source, functions)
+        assert not missing, f"{module}: functions not found: {missing}"
+        assert not found, (
+            f"{module}: scale functions reading the representation, which "
+            f"decides only the coefficient and latent blocks: {found}")

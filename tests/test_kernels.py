@@ -21,7 +21,6 @@ from bayenet.kernels import (
     MH_SCALES,
     MH_TARGET,
     SAMPLERS,
-    check_sweep_supported,
     mh_update_scales,
     parse_sampler,
     run_chain,
@@ -50,7 +49,7 @@ from bayenet.rng import BLOCK, RngStream, log_uniform
 from bayenet.simulate import data_stream, design, generate_dataset
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
-                     log_posterior_transformed)
+                     log_posterior_transformed, log_prior_da)
 
 N_SLICE_DRAWS = 4000
 
@@ -112,11 +111,11 @@ def auto_window(logf, lo, hi, drop=46.0, coarse=4001):
 
 
 def slice_ks(data, prior, state0, set_coord, get_coord, update,
-             lo, hi, seed):
+             lo, hi, seed, log_density=log_posterior_transformed):
     def logf(v):
         st = clone(state0)
         set_coord(st, v)
-        return log_posterior_transformed(data, prior, st)
+        return log_density(data, prior, st)
 
     lo, hi = auto_window(logf, lo, hi)
     xs, cdf = cdf_table(logf, lo, hi)
@@ -136,7 +135,7 @@ COMBOS = [("common", "direct"), ("common", "da"),
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_variance_scale_slice(form, rep):
     data, prior, state = frozen(form, rep)
-    sums = coefficient_sums(data, prior, state)
+    sums = coefficient_sums(data, state)
     if form == "common":
         def set_coord(st, v):
             set_coords("common", st, 0, v)
@@ -160,7 +159,7 @@ def test_variance_scale_slice(form, rep):
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_ridge_scale_slice(form, rep):
     data, prior, state = frozen(form, rep)
-    sums = coefficient_sums(data, prior, state)
+    sums = coefficient_sums(data, state)
 
     def set_coord(st, v):
         set_coords(form, st, 1, v)
@@ -182,7 +181,7 @@ def test_ridge_scale_slice(form, rep):
 @pytest.mark.parametrize("form,rep", COMBOS)
 def test_tilt_ratio_slice(form, rep):
     data, prior, state = frozen(form, rep)
-    sums = coefficient_sums(data, prior, state)
+    sums = coefficient_sums(data, state)
 
     def set_coord(st, v):
         set_coords(form, st, 2, v)
@@ -206,7 +205,7 @@ def test_penalty_rate_slice_at_fixed_lambda1(rep):
     # the differential sweep's lambda2 block, in natural coordinates:
     # the slice is the joint posterior itself, with no Jacobian
     data, prior, state = frozen("differential", rep)
-    sums = coefficient_sums(data, prior, state)
+    sums = coefficient_sums(data, state)
 
     def logf(v):
         st = clone(state)
@@ -324,8 +323,13 @@ def test_latent_scale_slice_da(form):
         lo, hi = 1e-9, 1.0 - 1e-9
     else:
         lo, hi = 1e-9, state.tau2[j] * 200.0 + 80.0 / state.lambda1 ** 2
+    # the likelihood and the log posterior carry no tau2: the slice is
+    # the augmented prior's
     d = slice_ks(data, prior, state, set_coord, lambda st: st.tau2[j],
-                 update, lo, hi, seed=505)
+                 update, lo, hi, seed=505,
+                 log_density=lambda d, pr, st: log_prior_da(
+                     pr.form, st.beta, st.tau2, st.sigma2, st.lambda1,
+                     st.lambda2))
     assert d < ks_threshold(N_SLICE_DRAWS)
 
 
@@ -370,16 +374,6 @@ def test_sweep_keeps_transforms_in_sync(label):
                 assert np.all(state.tau2 > 0)
 
 
-def test_direct_rejection_refuses_small_shape():
-    prior = make_prior("common", "direct", L=0.5, nu1=1.0, R=1.0, nu2=1.0)
-    with pytest.raises(ValueError, match="augmented"):
-        check_sweep_supported("rs", prior)
-    # the Metropolis scan has no such restriction
-    check_sweep_supported("mh", prior)
-    with pytest.raises(ValueError, match="algorithm"):
-        check_sweep_supported("gibbs", prior)
-
-
 # the scale blocks of a sweep, in order, by algorithm and form
 SCALE_BLOCKS = {
     ("rs", "common"): ("update_u1_common", "update_u2_common",
@@ -394,15 +388,13 @@ SCALE_BLOCKS = {
 
 
 def _sweep_calls(monkeypatch, algorithm, prior):
-    """(block, representation of the prior it was given) for each block
-    function one augmented sweep calls, in order."""
+    """The block functions one augmented sweep calls, in order."""
     calls = []
     for name in {"update_beta_block", "update_tau2", "coefficient_sums",
                  *SCALE_BLOCKS[algorithm, prior.form]}:
-        def recording(data, block_prior, *args, _name=name,
-                      _block=getattr(kernels, name)):
-            calls.append((_name, block_prior.representation))
-            return _block(data, block_prior, *args)
+        def recording(*args, _name=name, _block=getattr(kernels, name)):
+            calls.append(_name)
+            return _block(*args)
         monkeypatch.setattr(kernels, name, recording)
     data = make_data()
     run_sweep(algorithm, data, prior, initial_state(data, prior),
@@ -411,44 +403,35 @@ def _sweep_calls(monkeypatch, algorithm, prior):
 
 
 @pytest.mark.parametrize("algorithm,form,L", [
-    ("rs", "common", 1.0), ("rs", "common", 6.0),
-    ("rs", "differential", 1.0), ("rs", "differential", 6.0),
+    ("rs", "common", 0.5), ("rs", "common", 1.0), ("rs", "common", 6.0),
+    ("rs", "differential", 0.5), ("rs", "differential", 1.0),
+    ("rs", "differential", 6.0),
     ("mh", "common", 1.0), ("mh", "common", 0.5),
     ("mh", "differential", 1.0), ("mh", "differential", 0.5)])
 def test_augmented_sweep_draws_the_scales_with_tau2_integrated_out(
         algorithm, form, L, monkeypatch):
-    # beta, then the scales under the direct twin of the prior, which
-    # read beta alone, then tau2 at the new scales
+    # beta, then the scales from the sums of beta alone, then tau2 at
+    # the new scales, at every L
     prior = make_prior(form, "da", L=L, nu1=1.0, R=1.0, nu2=1.0)
-    assert _sweep_calls(monkeypatch, algorithm, prior) == (
-        [("update_beta_block", "da"), ("coefficient_sums", "direct")]
-        + [(name, "direct") for name in SCALE_BLOCKS[algorithm, form]]
-        + [("update_tau2", "da")])
-
-
-@pytest.mark.parametrize("form", ["common", "differential"])
-def test_small_shape_augmented_rejection_sweep_keeps_tau2_first(
-        form, monkeypatch):
-    # below L = 1 the direct theta conditional is not certified
-    # log-concave, so the scales are drawn given tau2, after it
-    prior = make_prior(form, "da", L=0.5, nu1=1.0, R=1.0, nu2=1.0)
-    assert not kernels.direct_scales_supported("rs", prior)
-    assert _sweep_calls(monkeypatch, "rs", prior) == (
-        [("update_beta_block", "da"), ("update_tau2", "da"),
-         ("coefficient_sums", "da")]
-        + [(name, "da") for name in SCALE_BLOCKS["rs", form]])
+    assert _sweep_calls(monkeypatch, algorithm, prior) == [
+        "update_beta_block", "coefficient_sums",
+        *SCALE_BLOCKS[algorithm, form], "update_tau2"]
     # and run_chain's draws are those of that scan, bit for bit
     monkeypatch.undo()
     data = make_data()
-    out = run_chain("rs", data, prior, RngStream(13, 0), iters=40,
+    out = run_chain(algorithm, data, prior, RngStream(13, 0), iters=40,
                     burnin=0)
     state, rng = initial_state(data, prior), RngStream(13, 0)
     for row in out.draws:
         update_beta_block(data, prior, state, rng)
+        sums = coefficient_sums(data, state)
+        if algorithm == "rs":
+            for name in SCALE_BLOCKS["rs", form]:
+                getattr(kernels, name)(data, prior, state, sums, rng)
+        else:
+            mh_update_scales(data, prior, state, sums, (1.0,) * 3, rng,
+                             kernels.new_counts("mh"))
         update_tau2(data, prior, state, rng)
-        sums = coefficient_sums(data, prior, state)
-        for name in SCALE_BLOCKS["rs", form]:
-            getattr(kernels, name)(data, prior, state, sums, rng)
         assert row[:data.p + 3].tobytes() == np.array(
             [*state.beta, state.sigma2, state.lambda1,
              state.lambda2]).tobytes()
@@ -489,6 +472,8 @@ def test_run_chain_output_layout():
         out.column("nope")
     with pytest.raises(ValueError):
         run_chain("rs", data, prior, RngStream(1, 1), iters=0)
+    with pytest.raises(ValueError, match="algorithm must be one of"):
+        run_chain("gibbs", data, prior, RngStream(1, 1), iters=5)
 
 
 def test_run_chain_metropolis_acceptance_rates():
@@ -646,7 +631,7 @@ def test_mh_scale_block_matches_full_posterior_reference(form, rep):
         rng_fast, rng_ref = RngStream(77, 1), RngStream(77, 1)
         counts_fast = {name: [0, 0] for name in MH_SCALES}
         counts_ref = {name: [0, 0] for name in MH_SCALES}
-        sums = coefficient_sums(data, prior, fast)
+        sums = coefficient_sums(data, fast)
         for _ in range(200):
             mh_update_scales(data, prior, fast, sums, steps, rng_fast,
                              counts_fast)
@@ -680,7 +665,7 @@ def test_scale_blocks_read_coefficients_only_through_sums(form, rep):
     # every scale block must write bit for bit what it writes on the
     # real state from the same seed
     data, prior, state = frozen(form, rep)
-    sums = coefficient_sums(data, prior, state)
+    sums = coefficient_sums(data, state)
     blind = clone(state)
     blind.beta = np.full(data.p, np.nan)
     if rep == "da":

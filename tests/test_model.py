@@ -227,11 +227,12 @@ def test_log_posterior_finite_and_guards():
             prior = make_prior(form, repre, preset="weak")
             state = initial_state(data, prior)
             assert math.isfinite(log_posterior_unnorm(data, prior, state))
+    # the augmented prior's log posterior has tau2 integrated out
     prior = make_prior("common", "da", preset="weak")
     state = initial_state(data, prior)
+    with_tau2 = log_posterior_unnorm(data, prior, state)
     state.tau2 = None
-    with pytest.raises(ValueError):
-        log_posterior_unnorm(data, prior, state)
+    assert log_posterior_unnorm(data, prior, state) == with_tau2
     with pytest.raises(ValueError):
         ModelState(np.zeros(5), -1.0, 1.0, 1.0)
 
@@ -301,6 +302,9 @@ def _random_state(gen, form, representation, p):
 @pytest.mark.parametrize("form", ["common", "differential"])
 @pytest.mark.parametrize("representation", ["direct", "da"])
 def test_log_posterior_matches_array_reference(form, representation):
+    # in both representations the log posterior is that of beta and the
+    # scales, the augmented prior's with tau2 integrated out: the direct
+    # prior
     gen = RngStream(303, 0).gen
     X = gen.standard_normal((25, 5))
     y = X @ np.array([1.0, 0.0, -2.0, 0.5, 0.0]) + gen.standard_normal(25)
@@ -310,32 +314,40 @@ def test_log_posterior_matches_array_reference(form, representation):
         st = _random_state(gen, form, representation, data.p)
         args = (st.sigma2, st.lambda1, st.lambda2)
         resid = data.y - data.X @ st.beta
-        want_prior = _reference_log_prior(form, representation, st.beta,
-                                          st.tau2, *args)
+        want_prior = _reference_log_prior(form, "direct", st.beta, None,
+                                          *args)
         want = (-0.5 * (data.n - 1) * math.log(2.0 * math.pi * st.sigma2)
                 - 0.5 * math.log(data.n)
                 - 0.5 * float(resid @ resid) / st.sigma2
                 + want_prior + log_hyperprior(prior, *args))
         got = log_posterior_unnorm(data, prior, st)
         assert got == pytest.approx(want, rel=1e-12)
-        sums = coefficient_sums(data, prior, st)
+        sums = coefficient_sums(data, st)
         assert log_posterior_unnorm(data, prior, st, sums) == got
-        if representation == "direct":
-            got_prior = log_prior_beta(form, st.beta, *args)
-        else:
-            got_prior = log_prior_da(form, st.beta, st.tau2, *args)
-        assert got_prior == pytest.approx(want_prior, rel=1e-12, abs=1e-12)
+        assert log_prior_beta(form, st.beta, *args) == pytest.approx(
+            want_prior, rel=1e-12, abs=1e-12)
+        if representation == "da":
+            # the tests' augmented prior against its own array reference
+            assert log_prior_da(form, st.beta, st.tau2, *args) == (
+                pytest.approx(_reference_log_prior(
+                    form, "da", st.beta, st.tau2, *args), rel=1e-12))
 
 
 @pytest.mark.parametrize("form,bad", [
     ("common", 1.0), ("common", 1.3), ("common", 0.0),
     ("differential", 0.0), ("differential", -0.2)])
 def test_log_posterior_outside_tau2_support(form, bad):
+    # tau2 is integrated out of the log posterior, so a latent scale
+    # outside its support does not reach it (log_prior_da, which keeps
+    # tau2, is -inf there: test_da_prior_rejects_out_of_range_scales)
     data = RegressionData(np.arange(6.0), np.arange(12.0).reshape(6, 2) ** 1.5)
     prior = make_prior(form, "da", preset="weak")
     st = initial_state(data, prior)
+    want = log_posterior_unnorm(data, make_prior(form, "direct",
+                                                 preset="weak"), st)
     st.tau2[1] = bad
-    assert log_posterior_unnorm(data, prior, st) == -math.inf
+    assert math.isfinite(want)
+    assert log_posterior_unnorm(data, prior, st) == want
 
 
 def test_log_posterior_rejects_nonpositive_scales():
@@ -344,7 +356,7 @@ def test_log_posterior_rejects_nonpositive_scales():
         for representation in ("direct", "da"):
             prior = make_prior(form, representation, preset="weak")
             st = initial_state(data, prior)
-            sums = coefficient_sums(data, prior, st)
+            sums = coefficient_sums(data, st)
             st.sigma2 = 0.0
             with pytest.raises(ValueError, match="sigma2 must be positive"):
                 log_posterior_unnorm(data, prior, st, sums)

@@ -245,8 +245,11 @@ def test_sample_tilted_dispatches_q0():
 
 
 def test_sample_tilted_rejects_uncertified():
+    # a < 1 is sampled only where the a = 1 twin is log-concave
     with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(2, 0.5, 2.0, 1.0), RngStream(1))
+        sample_tilted(TiltedParams(2, 0.5, 0.9, 1.0), RngStream(1))
+    with pytest.raises(ValueError):
+        sample_tilted(TiltedParams(0, 0.5, 2.0, 1.0), RngStream(1))
     with pytest.raises(ValueError):
         sample_tilted(TiltedParams(1, 1.0, 0.5, 1.0, 0.1), RngStream(1))
 
@@ -265,3 +268,53 @@ def test_params_validate():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 TiltedParams(2, **dict(good, **{name: bad}))
+
+
+def _mp_hazard_excess_product(x):
+    # x D(x), D = h(x) - x the excess of the normal hazard over x
+    x = mp.mpf(x)
+    return x * (mp.npdf(x) / mp.ncdf(-x) - x)
+
+
+@mp.workdps(40)
+def test_small_shape_split_rests_on_a_concave_hazard_excess():
+    # _sample_small_shape's log-scale density is concave above the root
+    # of F = (x D)' = (c + 4 e x)/q only if x D is concave, so that F
+    # falls from F(0) = sqrt(2/pi); the root's search starts from
+    # (4 q/c)^(1/3), which needs F < 4/x^3
+    for x in np.geomspace(1e-3, 300.0, 25):
+        F = mp.diff(_mp_hazard_excess_product, mp.mpf(x))
+        assert mp.diff(_mp_hazard_excess_product, mp.mpf(x), 2) < 0, x
+        assert F * mp.mpf(x) ** 3 < 4, x
+        assert 0 < F < math.sqrt(2.0 / math.pi), x
+        # and the sampler's own F, from its psi''/x at c = e = 0, q = 1
+        got = tilted._log_factor(TiltedParams(1, 0.5, 0.5, 0.0), float(x))
+        assert got[2] == pytest.approx(float(F), rel=1e-6, abs=1e-12), x
+
+
+def _ks_small_shape(p, seed, lo, hi, n=10000):
+    # on y = log x, where the density x f(x) is bounded; the KS distance
+    # is the same on either scale.  The table resolves a bulk as narrow
+    # as 0.16 (the first case below) on a span of 900
+    rng = RngStream(204, seed)
+    draws = [math.log(sample_tilted(p, rng)) for _ in range(n)]
+    xs, c = cdf_table(lambda y: y + log_density(p, math.exp(y)), lo, hi,
+                      n=200001)
+    return ks_statistic(draws, xs, c), ks_threshold(n)
+
+
+@pytest.mark.parametrize("seed, p, lo, hi", [
+    # a tiny shape with a small tilt and rate: the bulk lies near
+    # x = 4000, far above the split
+    (0, TiltedParams(40, 0.05, 20.0, 0.01), -900.0, 10.0),
+    # with one normal-CDF factor and quadratic slack, the spike at 0 and
+    # the bulk share the mass, so both pieces of the envelope draw
+    (1, TiltedParams(1, 0.05, 1.2, 0.1), -900.0, 6.0),
+    # psi concave on the whole line, the mode of f at 0
+    (2, TiltedParams(8, 0.3, 4.0, 30.0), -160.0, 1.0),
+    # the shape just below 1, with quadratic slack
+    (3, TiltedParams(8, 0.999, 4.5, 1.0), -60.0, 3.0),
+], ids=["a0.05-q40-c0.01", "a0.05-q1-slack", "a0.3-c30", "a0.999"])
+def test_sample_tilted_small_shape(seed, p, lo, hi):
+    ks, thr = _ks_small_shape(p, seed, lo, hi)
+    assert ks < thr
