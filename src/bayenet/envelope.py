@@ -11,9 +11,11 @@ Two entry points:
   at every rejected point, with a chordal squeeze to avoid most target
   evaluations.
 
-Both work on a support of (0, inf) or the whole line.  Hull masses and
-segment inverse CDFs are computed in log space so far-out tangents never
-overflow.
+Both work on a support of (0, inf) or the whole line.  A caller may
+also open a hull with a rising segment of its own on (-inf, bounds[1]]
+and pass its log mass: on the log scale, a power law in x.  Hull masses
+and segment inverse CDFs are computed in log space so far-out tangents
+never overflow.
 
 A hull has 7-9 knots and usually serves a single draw, so it is kept in
 plain Python floats and lists: at that size the per-call overhead of
@@ -75,11 +77,12 @@ def _segment_inverse_cdf(lo, hi, slope, v):
 
 
 class PiecewiseExpEnvelope:
-    """Tangent hull: segment i carries exp(intercepts[i] + slopes[i]*x)
-    on (bounds[i], bounds[i+1]); log_integral is the log of its integral."""
+    """Piecewise-exponential hull: segment i carries
+    exp(intercepts[i] + slopes[i]*x) on (bounds[i], bounds[i+1]), and
+    log_masses[i] is the log of its integral there."""
 
     # built once per draw; slots spare each instance a __dict__
-    __slots__ = ("knots", "slopes", "intercepts", "bounds", "log_integral",
+    __slots__ = ("knots", "slopes", "intercepts", "bounds", "log_masses",
                  "_cum")
 
     def __init__(self, knots, slopes, intercepts, bounds, log_masses):
@@ -87,13 +90,13 @@ class PiecewiseExpEnvelope:
         self.slopes = slopes
         self.intercepts = intercepts
         self.bounds = bounds
+        self.log_masses = log_masses
         m = max(log_masses)
         cum = []
         tot = 0.0
         for lm in log_masses:
             tot += math.exp(lm - m)
             cum.append(tot)
-        self.log_integral = m + math.log(tot)
         # the last weight is tot / tot == 1.0 exactly, so a uniform in
         # [0, 1) always lands on a segment
         self._cum = [c / tot for c in cum]

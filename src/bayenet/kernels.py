@@ -300,6 +300,9 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
               steps=(1.0,) * len(MH_SCALES)):
     """One full scan over all blocks; mutates and returns the state.
     steps are the Metropolis log-scale steps, in MH_SCALES order."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
         _update_scales(algorithm, data, prior, state, rng, counts, steps)
@@ -342,8 +345,6 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     state = initial_state(data, prior)

@@ -2,22 +2,24 @@
 
 Members have unnormalized density
 
-    f(x) = Phi(-x)^(-q) x^(a-1) exp(-b x^2 - c x - d/x),    x > 0,
+    f(x) = Phi(-x)^(-q) x^(a-1) exp(-b x^2 - c x),    x > 0,
 
-with integer q >= 0.  The reciprocal normal tail makes f heavier than
-its power-exponential factor, so naive Gaussian-style envelopes fail;
-instead:
+with integer q >= 0: a generalization of the gamma (q = b = 0) and
+modified half-normal (q = 0) laws.  The reciprocal normal tail makes f
+heavier than its power-exponential factor, so naive Gaussian-style
+envelopes fail; instead:
 
 * is_logconcave gives sufficient conditions under which f is integrable
-  and log-concave (for q >= 1: a >= 1, b >= q/2, c > 0, d = 0; for
-  q = 0 the classical power-exponential conditions).
+  and log-concave (for q >= 1: a >= 1, b >= q/2, c > 0; for q = 0 the
+  classical power-exponential conditions).
 * mode_bounds returns a closed-form bracket of the mode built from the
   two-sided hazard inequality x < phi(x)/Phi(-x) < x + 1/x.
-* sample_tilted draws exactly, dispatching q = 0 members to the matching
-  named sampler, log-concave q >= 1 members to adaptive rejection
-  sampling seeded with knots at the mode bracket, and q >= 1 members
-  with 0 < a < 1 whose a = 1 twin is log-concave to a two-piece
-  envelope on the log scale (_sample_small_shape).
+* sample_tilted draws exactly, dispatching q = 0 members to the gamma
+  (through gig) or modified half-normal sampler, log-concave q >= 1
+  members to adaptive rejection sampling seeded with knots at the mode
+  bracket, and q >= 1 members with 0 < a < 1 whose a = 1 twin is
+  log-concave to one fixed hull on the log scale: a power law below a
+  split, tangents above it (_sample_small_shape).
 """
 
 import math
@@ -27,11 +29,11 @@ from functools import lru_cache
 from .distributions import require_finite, sample_gig, sample_mhn
 from .envelope import (
     LogDensityTarget,
+    PiecewiseExpEnvelope,
     ars_sample,
     build_envelope,
     sample_from_envelope,
 )
-from .rng import log_uniform
 from .special import log_std_normal_cdf, mills_ratio, mills_ratio_excess
 
 
@@ -41,20 +43,19 @@ class TiltedParams:
     a: float
     b: float
     c: float
-    d: float = 0.0
 
     def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+        a, b, c = self.a, self.b, self.c
         if not (-math.inf < a < math.inf and -math.inf < b < math.inf
-                and -math.inf < c < math.inf and -math.inf < d < math.inf):
+                and -math.inf < c < math.inf):
             # an infinity leaves the hull no usable knot
-            require_finite(a=a, b=b, c=c, d=d)
+            require_finite(a=a, b=b, c=c)
         if int(self.q) != self.q or self.q < 0:
             raise ValueError("q must be a nonnegative integer")
         if not self.a > 0.0:
             raise ValueError("a must be positive")
-        if self.b < 0.0 or self.d < 0.0:
-            raise ValueError("b and d must be nonnegative")
+        if self.b < 0.0:
+            raise ValueError("b must be nonnegative")
 
 
 def log_density(p, x):
@@ -63,8 +64,6 @@ def log_density(p, x):
     val = (p.a - 1.0) * math.log(x) - p.b * x * x - p.c * x
     if p.q:
         val -= p.q * log_std_normal_cdf(-x)
-    if p.d:
-        val -= p.d / x
     return val
 
 
@@ -72,8 +71,6 @@ def dlog_density(p, x):
     val = (p.a - 1.0) / x - 2.0 * p.b * x - p.c
     if p.q:
         val += p.q * mills_ratio(x)
-    if p.d:
-        val += p.d / (x * x)
     return val
 
 
@@ -82,8 +79,6 @@ def d2log_density(p, x):
     if p.q:
         m = mills_ratio(x)
         val += p.q * m * (m - x)
-    if p.d:
-        val -= 2.0 * p.d / (x * x * x)
     return val
 
 
@@ -91,7 +86,7 @@ def is_logconcave(p):
     """Sufficient conditions for integrability plus log-concavity."""
     if p.q == 0:
         return p.a >= 1.0 and (p.b > 0.0 or p.c > 0.0)
-    return p.a >= 1.0 and p.b >= 0.5 * p.q and p.c > 0.0 and p.d == 0.0
+    return p.a >= 1.0 and p.b >= 0.5 * p.q and p.c > 0.0
 
 
 def mode_bounds(p):
@@ -154,22 +149,16 @@ def sample_tilted(p, rng):
     """One exact draw from a log-concave member of the family, or from a
     q >= 1 member with 0 < a < 1 whose a = 1 twin is log-concave."""
     if p.q >= 1 and p.a < 1.0 and is_logconcave(
-            TiltedParams(p.q, 1.0, p.b, p.c, p.d)):
+            TiltedParams(p.q, 1.0, p.b, p.c)):
         return _sample_small_shape(p, rng)
     if not is_logconcave(p):
         raise ValueError(
             "density not certified log-concave for these parameters")
     if p.q == 0:
         if p.b == 0.0:
-            # gig's chi = 0 limit is the gamma(a, rate c) draw when d = 0
-            return sample_gig(p.a, 2.0 * p.c, 2.0 * p.d, rng)
-        if p.d == 0.0:
-            return sample_mhn(p.a, p.b, p.c, rng)
-        mode = find_mode(p)
-        target = LogDensityTarget(
-            lambda x: log_density(p, x), lambda x: dlog_density(p, x),
-            support_lower=0.0, mode=mode, curvature=d2log_density(p, mode))
-        return sample_from_envelope(target, build_envelope(target, K=2), rng)
+            # gig's chi = 0 limit is the gamma(a, rate c) draw
+            return sample_gig(p.a, 2.0 * p.c, 0.0, rng)
+        return sample_mhn(p.a, p.b, p.c, rng)
     lo, hi = mode_bounds(p)
     knots = [hi] if lo <= 0.0 else [lo, hi]
     target = LogDensityTarget(
@@ -180,14 +169,15 @@ def sample_tilted(p, rng):
 
 # the normal hazard at 0
 _HAZARD_AT_0 = math.sqrt(2.0 / math.pi)
-_MAX_PROPOSALS = 100000
+# log of the smallest positive double: e^y underflows to 0 at or below it
+_LOG_SMALLEST_X = math.log(5e-324)
 
 
 def _log_factor(p, x):
-    """(l, l', l' + x l'') at x for l = log g, g = x^(1-a) f, of a d = 0
-    member: l = -e x^2 - c x + q log h(x) up to a constant, with
-    e = b - q/2 and h the normal hazard, whose terms do not cancel.
-    (log h)' is the excess D = h - x, and D' = h D - 1."""
+    """(l, l', l' + x l'') at x for l = log g, g = x^(1-a) f:
+    l = -e x^2 - c x + q log h(x) up to a constant, with e = b - q/2 and
+    h the normal hazard, whose terms do not cancel.  (log h)' is the
+    excess D = h - x, and D' = h D - 1."""
     e = p.b - 0.5 * p.q
     excess = mills_ratio_excess(x)
     slope = p.q * excess - 2.0 * e * x - p.c
@@ -196,8 +186,8 @@ def _log_factor(p, x):
 
 
 def _sample_small_shape(p, rng):
-    """One draw of a q >= 1 member with 0 < a < 1, b >= q/2, c > 0 and
-    d = 0: x^(a-1) makes f unbounded at 0 and not log-concave.
+    """One draw of a q >= 1 member with 0 < a < 1, b >= q/2 and c > 0:
+    x^(a-1) makes f unbounded at 0 and not log-concave.
 
     On y = log x the log density is psi(y) = a y + l(e^y), and psi'' is
     x (l' + x l'') = x (q F(x) - c - 4 e x), where F = (x D)' falls from
@@ -205,11 +195,11 @@ def _sample_small_shape(p, rng):
     both against mpmath).  So psi is concave above the one root of
     F = (c + 4 e x)/q, everywhere if c >= q sqrt(2/pi).  Above a split s
     at or past that root the envelope is a tangent hull of psi; below
-    it, x^(a-1) times the bound of g on (0, s] from l's tangent at s.
-    Both masses are exact, so any such s gives an exact sampler; s is
-    found to within 10 % of the root.  A draw that underflows to 0 is
-    drawn again, which drops the mass below the smallest double: about
-    (c x_min)^a, 6e-4 at a = 0.01 and c = 1.
+    it, e^(a y) times the bound of g on (0, s] from l's tangent at s.
+    The two form one fixed hull with exact segment masses, so any such s
+    gives an exact sampler; s is found to within 10 % of the root.  A
+    draw that underflows to 0 is drawn again, which drops the mass below
+    the smallest double: about (c x_min)^a, 6e-4 at a = 0.01 and c = 1.
     """
     a = p.a
     # the hull and the mode search read psi at the same nodes
@@ -239,26 +229,21 @@ def _sample_small_shape(p, rng):
         if abs(step) <= 1e-9 or y_hi - y_lo <= 1e-9:
             break
         y = y - step if y_lo < y - step < y_hi else 0.5 * (y_lo + y_hi)
-    hull = build_envelope(LogDensityTarget(
+    target = LogDensityTarget(
         lambda y: a * y + terms(y)[0],
         lambda y: a + math.exp(y) * terms(y)[1],
         support_lower=math.log(s) if s else -math.inf, mode=y,
-        curvature=math.exp(y) * terms(y)[2]), K=2)
-    lower = 0.0
+        curvature=math.exp(y) * terms(y)[2])
+    hull = build_envelope(target, K=2)
     if s:
+        # the power law e^(a y + top) on (-inf, log s] opens the hull
+        log_s = math.log(s)
         log_g, slope, _ = _log_factor(p, s)
         top = log_g + max(0.0, -s * slope)
-        lower = 1.0 / (1.0 + math.exp(min(hull.log_integral - (
-            a * math.log(s) + top - math.log(a)), 700.0)))
-    for _ in range(_MAX_PROPOSALS):
-        if lower and rng.gen.random() < lower:
-            x = s * (1.0 - rng.gen.random()) ** (1.0 / a)
-            log_ratio = _log_factor(p, x)[0] - top if x > 0.0 else -1.0
-        else:
-            y, log_hull = hull.propose(rng)
-            x = math.exp(y)
-            log_ratio = a * y + _log_factor(p, x)[0] - log_hull
-        if x > 0.0 and log_uniform(rng) <= log_ratio:
-            return x
-    raise RuntimeError(f"tilted sampler failed to accept in "
-                       f"{_MAX_PROPOSALS} proposals ({p})")
+        hull = PiecewiseExpEnvelope(
+            [log_s] + hull.knots, [a] + hull.slopes, [top] + hull.intercepts,
+            [-math.inf] + hull.bounds,
+            [a * log_s + top - math.log(a)] + hull.log_masses)
+    # a proposal whose e^y underflows to 0 is drawn again
+    target.support_lower = _LOG_SMALLEST_X
+    return math.exp(sample_from_envelope(target, hull, rng))

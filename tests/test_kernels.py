@@ -476,6 +476,19 @@ def test_run_chain_output_layout():
         run_chain("gibbs", data, prior, RngStream(1, 1), iters=5)
 
 
+@pytest.mark.parametrize("rep", ["direct", "da"])
+def test_run_sweep_refuses_an_unknown_algorithm(rep):
+    # refused by name before any block moves the state or the stream
+    data = make_data()
+    prior = make_prior("common", rep, preset="weak")
+    state, rng = initial_state(data, prior), RngStream(1, 2)
+    before = clone(state)
+    with pytest.raises(ValueError, match="algorithm must be one of .*'gibbs'"):
+        run_sweep("gibbs", data, prior, state, rng, counts={})
+    assert state.beta.tobytes() == before.beta.tobytes()
+    assert rng.gen.random() == RngStream(1, 2).gen.random()
+
+
 def test_run_chain_metropolis_acceptance_rates():
     data = make_data()
     prior = make_prior("common", "direct", preset="weak")

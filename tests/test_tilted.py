@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bayenet import oracle, tilted
 from bayenet.distributions import sample_gamma
+from bayenet.envelope import _segment_log_mass
 from bayenet.oracle import _tilted_property_check
 from bayenet.rng import RngStream
 from bayenet.tilted import (
@@ -22,22 +23,20 @@ from bayenet.tilted import (
     sample_tilted,
 )
 
-from helpers import cdf_table, ks_statistic, ks_threshold
+from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
 
 
 def _mp_log_density(p, x):
     x = mp.mpf(x)
     v = ((p.a - 1) * mp.log(x) - p.b * x ** 2 - p.c * x
          - p.q * mp.log(mp.ncdf(-x)))
-    if p.d:
-        v -= p.d / x
     return v
 
 
 @mp.workdps(40)
 def test_log_density_matches_mpmath():
     cases = [TiltedParams(2, 1.0, 1.0, 0.5), TiltedParams(8, 9.0, 30.0, 0.2),
-             TiltedParams(0, 2.0, 1.0, -0.5, 0.3),
+             TiltedParams(0, 2.0, 1.0, -0.5),
              TiltedParams(3, 4.0, 1.5, 2.0)]
     for p in cases:
         for x in [0.05, 0.5, 1.7, 6.0, 20.0]:
@@ -55,10 +54,10 @@ def test_derivatives_match_mpmath():
         d2 = float(mp.diff(lambda t: _mp_log_density(p, t), mp.mpf(x), 2))
         assert dlog_density(p, x) == pytest.approx(d1, rel=1e-8, abs=1e-8)
         assert d2log_density(p, x) == pytest.approx(d2, rel=1e-7, abs=1e-7)
-    pd = TiltedParams(0, 1.5, 0.5, 0.3, 0.7)
+    p0 = TiltedParams(0, 1.5, 0.5, 0.3)
     for x in [0.1, 1.0, 4.0]:
-        d1 = float(mp.diff(lambda t: _mp_log_density(pd, t), mp.mpf(x)))
-        assert dlog_density(pd, x) == pytest.approx(d1, rel=1e-8)
+        d1 = float(mp.diff(lambda t: _mp_log_density(p0, t), mp.mpf(x)))
+        assert dlog_density(p0, x) == pytest.approx(d1, rel=1e-8)
 
 
 def test_concavity_certificate_truth_table():
@@ -66,7 +65,6 @@ def test_concavity_certificate_truth_table():
     assert not is_logconcave(TiltedParams(2, 1.0, 0.9, 1.0))   # b < q/2
     assert not is_logconcave(TiltedParams(2, 0.5, 2.0, 1.0))   # a < 1
     assert not is_logconcave(TiltedParams(2, 1.0, 1.0, 0.0))   # c = 0
-    assert not is_logconcave(TiltedParams(1, 1.0, 0.5, 1.0, 0.1))  # d > 0
     assert is_logconcave(TiltedParams(0, 2.0, 1.0, 0.0))
     assert is_logconcave(TiltedParams(0, 1.0, 0.0, 3.0))
     assert not is_logconcave(TiltedParams(0, 0.5, 1.0, 0.0))
@@ -234,13 +232,12 @@ def test_sample_tilted_dispatches_q0():
     assert ks < thr
     ks, thr = _ks_tilted(TiltedParams(0, 2.0, 0.0, 3.0), 3, 1e-9, 15.0)
     assert ks < thr
-    # b = 0, d = 0 goes through gig's chi = 0 limit: the gamma draw itself
+    # b = 0 goes through gig's chi = 0 limit: the gamma draw itself
     for i in range(20):
         got = sample_tilted(TiltedParams(0, 2.0, 0.0, 3.0), RngStream(203, i))
         assert got == sample_gamma(2.0, 3.0, RngStream(203, i))
-    ks, thr = _ks_tilted(TiltedParams(0, 2.0, 0.0, 3.0, 1.2), 4, 1e-9, 15.0)
-    assert ks < thr
-    ks, thr = _ks_tilted(TiltedParams(0, 1.5, 0.5, 0.3, 0.7), 5, 1e-9, 12.0)
+    # a shape below 2 and a small rate: the modified half-normal draw
+    ks, thr = _ks_tilted(TiltedParams(0, 1.5, 0.5, 0.3), 5, 1e-9, 12.0)
     assert ks < thr
 
 
@@ -251,7 +248,7 @@ def test_sample_tilted_rejects_uncertified():
     with pytest.raises(ValueError):
         sample_tilted(TiltedParams(0, 0.5, 2.0, 1.0), RngStream(1))
     with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(1, 1.0, 0.5, 1.0, 0.1), RngStream(1))
+        sample_tilted(TiltedParams(1, 1.0, 0.5, 0.0), RngStream(1))   # c = 0
 
 
 def test_params_validate():
@@ -263,7 +260,7 @@ def test_params_validate():
         TiltedParams(2, 1.0, -0.5, 1.0)
     # non-finite input fails when the member is built, naming the field:
     # an infinity used to leave sample_tilted's hull no usable knot
-    good = {"a": 2.0, "b": 3.0, "c": 1.0, "d": 0.5}
+    good = {"a": 2.0, "b": 3.0, "c": 1.0}
     for name in good:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -290,6 +287,38 @@ def test_small_shape_split_rests_on_a_concave_hazard_excess():
         # and the sampler's own F, from its psi''/x at c = e = 0, q = 1
         got = tilted._log_factor(TiltedParams(1, 0.5, 0.5, 0.0), float(x))
         assert got[2] == pytest.approx(float(F), rel=1e-6, abs=1e-12), x
+
+
+@pytest.mark.parametrize("q, a, c", [
+    (40, 0.05, 0.01), (1, 0.05, 0.1), (8, 0.999, 1.0),   # split s > 0
+    (8, 0.3, 30.0),                                       # s = 0
+])
+def test_small_shape_hull_bounds_psi_with_exact_masses(monkeypatch, q, a, c):
+    p = TiltedParams(q, a, 0.5 * q, c)
+    hulls = []
+    real = tilted.sample_from_envelope
+
+    def capture(target, env, rng):
+        hulls.append(env)
+        return real(target, env, rng)
+
+    monkeypatch.setattr(tilted, "sample_from_envelope", capture)
+    sample_tilted(p, RngStream(205, q))
+    (env,) = hulls
+    assert env.bounds[0] == -math.inf
+    if q * math.sqrt(2.0 / math.pi) > c:
+        # the power law e^(a y + top) below log s opens the hull
+        assert env.slopes[0] == a
+    for i, log_mass in enumerate(env.log_masses):
+        assert log_mass == pytest.approx(_segment_log_mass(
+            env.bounds[i], env.bounds[i + 1], env.slopes[i],
+            env.intercepts[i]), rel=1e-12, abs=1e-12), i
+    # psi(y) = y + log f(e^y) with the constant of q log h, h the hazard;
+    # env.bounds[1] is log s when s > 0
+    for y in np.linspace(env.bounds[1] - 40.0, env.bounds[-2] + 4.0, 8001):
+        psi = (y + log_density(p, math.exp(y))
+               - 0.5 * q * math.log(2.0 * math.pi))
+        assert hull_log_value(env, y) >= psi - 1e-9 * (1.0 + abs(psi)), y
 
 
 def _ks_small_shape(p, seed, lo, hi, n=10000):

@@ -13,8 +13,8 @@ from bayenet.simulate import design, generate_dataset
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # Sites only the validation battery reaches: the oracle's and the command
-# line's own lookups, and find_mode, which sample_tilted calls for q = 0
-# members only (every sweep's tilted conditional has q = p).
+# line's own lookups, and find_mode, which sample_tilted never calls; only
+# the oracle's property suite reads it.
 NOT_SWEPT_OWNERS = ("bayenet.oracle", "bayenet.cli")
 NOT_SWEPT_KEYS = {"tilted.find_mode"}
 
