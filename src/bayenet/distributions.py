@@ -12,8 +12,9 @@ Conventions:
 * hazard-tilted gamma hgamma(a, c, q, t): density proportional to
   x^(a-1) exp(-c x) (sqrt(x) h(t / sqrt(x)))^q on x > 0, where
   h(z) = phi(z)/Phi(-z) is the standard normal hazard.  lambda2 given
-  lambda1 in the differential form is hgamma(R, nu2/2 + b'b/(2 sigma2),
-  p, lambda1).
+  sigma2 and lambda1 is hgamma(R, nu2/2 + b'b/(2 sigma2), p, t), with
+  t = lambda1/(2 sigma) in the common form and lambda1 in the
+  differential one.
 
 gig is sampled on the log scale, where the density is strictly concave
 for every order lam, so one piecewise-exponential hull covers all
@@ -156,11 +157,21 @@ def sample_gig(lam, psi, chi, rng):
         # conjugate form, no cancellation when psi*chi << lam^2
         x_mode = chi / (disc - lam)
 
+    # the hull reads log_f and dlog_f at each knot in turn, so both keep
+    # the last t's pair (psi e^t, chi e^-t)
+    knot = up = down = math.nan
+
     def log_f(t):
-        return lam * t - 0.5 * (psi * _exp(t) + chi * _exp(-t))
+        nonlocal knot, up, down
+        if t != knot:
+            knot, up, down = t, psi * _exp(t), chi * _exp(-t)
+        return lam * t - 0.5 * (up + down)
 
     def dlog_f(t):
-        return lam - 0.5 * (psi * _exp(t) - chi * _exp(-t))
+        nonlocal knot, up, down
+        if t != knot:
+            knot, up, down = t, psi * _exp(t), chi * _exp(-t)
+        return lam - 0.5 * (up - down)
 
     target = LogDensityTarget(
         log_f, dlog_f, support_lower=-math.inf,

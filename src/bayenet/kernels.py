@@ -9,10 +9,11 @@ data-augmented); the algorithm is one of
   (u1, u2, theta), whose full conditionals are generalized inverse
   Gaussian, modified half normal, and tail-tilted respectively (the
   differential form draws 1/sigma, modified half normal, for u1).
-  The differential form then draws lambda2 once more, at fixed
-  lambda1: hazard-tilted gamma, not log-concave, proposed from a
-  gamma envelope.  u2 and theta are correlated so strongly on a wide
-  design that their two blocks alone move lambda2 slowly.
+  Both forms also draw lambda2 at fixed sigma2 and lambda1:
+  hazard-tilted gamma, not log-concave, proposed from a gamma
+  envelope.  The common sweep draws it between u2 and theta, the
+  differential one last.  u2 and theta are correlated so strongly
+  that their two blocks alone move lambda2 slowly.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -246,17 +247,21 @@ def update_theta_differential(data, prior, state, sums, rng):
         "differential", state.sigma2, u2, theta)
 
 
-def update_lambda2_differential(data, prior, state, sums, rng):
-    """lambda2 with lambda1 held fixed: hazard-tilted gamma.
+def update_lambda2(data, prior, state, sums, rng):
+    """lambda2 with sigma2 and lambda1 held fixed: hazard-tilted gamma
+    hgamma(R, (nu2 + b'b/sigma2)/2, p, t), the same in both forms but
+    for t, lambda1/(2 sigma) in the common form and lambda1 in the
+    differential one.
 
-    The u2 and theta blocks move lambda2 only through u2 = sqrt(lambda2)
-    at fixed theta = lambda1/sqrt(lambda2); this draw moves it at fixed
-    lambda1, the other parameterization (an interweaving step, Yu & Meng
-    2011).
+    The u2 and theta blocks move lambda2 only at fixed theta; this draw
+    moves it at fixed lambda1, the other parameterization (an
+    interweaving step, Yu & Meng 2011).
     """
+    s2 = state.sigma2
+    t = (0.5 * state.lambda1 / math.sqrt(s2) if prior.form == "common"
+         else state.lambda1)
     state.lambda2 = sample_hazard_gamma(
-        prior.R, 0.5 * (prior.nu2 + sums.bb / state.sigma2), data.p,
-        state.lambda1, rng)
+        prior.R, 0.5 * (prior.nu2 + sums.bb / s2), data.p, t, rng)
 
 
 # the scales Metropolis moves, in update order
@@ -322,12 +327,13 @@ def _update_scales(algorithm, data, prior, state, rng, counts, steps):
         if prior.form == "common":
             update_u1_common(data, prior, state, sums, rng)
             update_u2_common(data, prior, state, sums, rng)
+            update_lambda2(data, prior, state, sums, rng)
             update_theta_common(data, prior, state, sums, rng)
         else:
             update_sigma2_differential_rs(data, prior, state, sums, rng)
             update_u2_differential(data, prior, state, sums, rng)
             update_theta_differential(data, prior, state, sums, rng)
-            update_lambda2_differential(data, prior, state, sums, rng)
+            update_lambda2(data, prior, state, sums, rng)
     else:
         if counts is None:
             counts = new_counts(algorithm)

@@ -29,7 +29,7 @@ from .distributions import (
 from .kernels import (
     update_beta_block,
     update_beta_coordinate,
-    update_lambda2_differential,
+    update_lambda2,
     update_sigma2_differential_rs,
     update_tau2,
     update_theta_common,
@@ -530,8 +530,8 @@ def scale_slice_log_density(data, prior, state, which):
 
     The free coordinate is one of the sweep's transformed scales ("u1",
     "u2", "theta"), the natural "sigma2" (differential form, where the
-    variance is not coupled to the rates) or the natural "lambda2"
-    (differential form, at fixed lambda1).  Everything else stays
+    variance is not coupled to the rates) or the natural "lambda2" (both
+    forms, at fixed sigma2 and lambda1).  Everything else stays
     frozen.  For the transformed coordinates the change of variables
     from (sigma2, lambda1, lambda2) contributes 4 u1^2 u2^2 under the
     common scaling and 2 u2^2 under the differential one.
@@ -659,14 +659,17 @@ def beta_block_ks(data, prior, state, n, rng, nodes=321):
                       da_beta_marginal_cdf(data, prior, state, nodes=nodes))
 
 
+# each form's scale blocks; a line's substream is its index here, so a
+# block added at the end leaves every other line's draws unchanged
 _SCALE_CASES = {
     "common": (("u1", update_u1_common),
                ("u2", update_u2_common),
-               ("theta", update_theta_common)),
+               ("theta", update_theta_common),
+               ("lambda2", update_lambda2)),
     "differential": (("sigma2", update_sigma2_differential_rs),
                      ("u2", update_u2_differential),
                      ("theta", update_theta_differential),
-                     ("lambda2", update_lambda2_differential)),
+                     ("lambda2", update_lambda2)),
 }
 
 # the sweep coordinate each slice frees; None for the natural lambda2

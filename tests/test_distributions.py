@@ -173,6 +173,34 @@ def test_gig_interior_orders():
         assert _ks_ok(draws, _gig_logpdf(lam, psi, chi), 1e-9, 80.0), (lam, psi, chi)
 
 
+def _gig_two_closures(lam, psi, chi, rng):
+    """sample_gig's interior draw with log_f and dlog_f each computing
+    psi e^t and chi e^-t for themselves."""
+    exp = distributions._exp
+    disc = math.hypot(lam, math.sqrt(psi) * math.sqrt(chi))
+    x_mode = (lam + disc) / psi if lam >= 0.0 else chi / (disc - lam)
+    target = distributions.LogDensityTarget(
+        lambda t: lam * t - 0.5 * (psi * exp(t) + chi * exp(-t)),
+        lambda t: lam - 0.5 * (psi * exp(t) - chi * exp(-t)),
+        support_lower=-math.inf, mode=math.log(x_mode),
+        curvature=-0.5 * (psi * x_mode + chi / x_mode))
+    env = distributions.build_envelope(target, K=3)
+    return math.exp(distributions.sample_from_envelope(target, env, rng))
+
+
+def test_gig_shares_each_knots_exponentials_without_moving_a_draw():
+    # log_f and dlog_f share the pair (psi e^t, chi e^-t) of the last t;
+    # the draws must be those of two closures that compute it apart,
+    # modes near both ends of the double range included
+    cases = [(2.5, 3.0, 1.7), (-0.5, 2.0, 4.0), (0.7, 2.0, 3.0),
+             (-3.5, 5.0, 0.4), (40.0, 1e-3, 1e-3), (-0.01, 1e-250, 1e250),
+             (1e3, 1e-300, 1e-300), (-1e3, 1e-300, 1e-300)]
+    fast, ref = RngStream(103, 15), RngStream(103, 15)
+    for _ in range(200):
+        for case in cases:
+            assert sample_gig(*case, fast) == _gig_two_closures(*case, ref)
+
+
 def test_gig_gamma_boundary():
     rng = RngStream(103, 10)
     draws = [sample_gig(2.0, 3.0, 0.0, rng) for _ in range(N)]

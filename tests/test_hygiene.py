@@ -264,7 +264,7 @@ SCALE_FUNCTIONS = {
     "kernels.py": ("update_u1_common", "update_u2_common",
                    "update_theta_common", "update_sigma2_differential_rs",
                    "update_u2_differential", "update_theta_differential",
-                   "update_lambda2_differential", "mh_update_scales"),
+                   "update_lambda2", "mh_update_scales"),
     "model.py": ("coefficient_sums", "_sums", "_log_prior",
                  "log_posterior_unnorm"),
 }

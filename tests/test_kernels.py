@@ -27,7 +27,7 @@ from bayenet.kernels import (
     run_sweep,
     update_beta_block,
     update_beta_coordinate,
-    update_lambda2_differential,
+    update_lambda2,
     update_sigma2_differential_rs,
     update_tau2,
     update_theta_common,
@@ -200,11 +200,11 @@ def test_tilt_ratio_slice(form, rep):
     assert d < ks_threshold(N_SLICE_DRAWS)
 
 
-@pytest.mark.parametrize("rep", ["direct", "da"])
-def test_penalty_rate_slice_at_fixed_lambda1(rep):
-    # the differential sweep's lambda2 block, in natural coordinates:
-    # the slice is the joint posterior itself, with no Jacobian
-    data, prior, state = frozen("differential", rep)
+@pytest.mark.parametrize("form,rep", COMBOS)
+def test_penalty_rate_slice_at_fixed_lambda1(form, rep):
+    # the lambda2 block of both sweeps, in natural coordinates: the
+    # slice is the joint posterior itself, with no Jacobian
+    data, prior, state = frozen(form, rep)
     sums = coefficient_sums(data, state)
 
     def logf(v):
@@ -218,7 +218,7 @@ def test_penalty_rate_slice_at_fixed_lambda1(rep):
     draws = np.empty(N_SLICE_DRAWS)
     for i in range(N_SLICE_DRAWS):
         st = clone(state)
-        update_lambda2_differential(data, prior, st, sums, rng)
+        update_lambda2(data, prior, st, sums, rng)
         assert (st.sigma2, st.lambda1) == (state.sigma2, state.lambda1)
         draws[i] = st.lambda2
     assert ks_statistic(draws, xs, cdf) < ks_threshold(N_SLICE_DRAWS)
@@ -377,11 +377,10 @@ def test_sweep_keeps_transforms_in_sync(label):
 # the scale blocks of a sweep, in order, by algorithm and form
 SCALE_BLOCKS = {
     ("rs", "common"): ("update_u1_common", "update_u2_common",
-                       "update_theta_common"),
+                       "update_lambda2", "update_theta_common"),
     ("rs", "differential"): ("update_sigma2_differential_rs",
                              "update_u2_differential",
-                             "update_theta_differential",
-                             "update_lambda2_differential"),
+                             "update_theta_differential", "update_lambda2"),
     ("mh", "common"): ("mh_update_scales",),
     ("mh", "differential"): ("mh_update_scales",),
 }
@@ -667,8 +666,8 @@ _SCALE_BLOCKS = {
 # blocks checked after the Metropolis one, which keeps its stream; at
 # stream (88, 4) its three unit-step proposals are all rejected
 _LATER_SCALE_BLOCKS = {
-    "common": (),
-    "differential": (update_lambda2_differential,),
+    "common": (update_lambda2,),
+    "differential": (update_lambda2,),
 }
 
 

@@ -396,7 +396,7 @@ def test_validation_suite_quick_all_pass(validate_quick):
                                                beta_updater=None)
     checks = validate_quick.checks
     names = [c.name for c in checks]
-    assert len(names) == len(set(names)) == 34
+    assert len(names) == len(set(names)) == 35
     for expect in ("quadrature-self-test", "ks-gig", "ks-tilted-q4",
                    "ks-tilted-small-shape",
                    "prior-equivalence-common", "tilted-property-suite",
@@ -404,6 +404,7 @@ def test_validation_suite_quick_all_pass(validate_quick):
                    "coefficient-kernel-ks",
                    "coefficient-kernel-ks-differential",
                    "kernel-common-direct-u1",
+                   "kernel-common-direct-lambda2",
                    "kernel-common-da-tau2",
                    "kernel-differential-direct-sigma2",
                    "kernel-differential-direct-lambda2",
