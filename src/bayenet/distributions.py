@@ -157,8 +157,8 @@ def sample_gig(lam, psi, chi, rng):
         # conjugate form, no cancellation when psi*chi << lam^2
         x_mode = chi / (disc - lam)
 
-    # the hull reads log_f and dlog_f at each knot in turn, so both keep
-    # the last t's pair (psi e^t, chi e^-t)
+    # the hull reads dlog_f at a knot right after log_f, so log_f keeps
+    # the last t's pair (psi e^t, chi e^-t) and dlog_f reuses it
     knot = up = down = math.nan
 
     def log_f(t):
@@ -168,9 +168,8 @@ def sample_gig(lam, psi, chi, rng):
         return lam * t - 0.5 * (up + down)
 
     def dlog_f(t):
-        nonlocal knot, up, down
         if t != knot:
-            knot, up, down = t, psi * _exp(t), chi * _exp(-t)
+            log_f(t)
         return lam - 0.5 * (up - down)
 
     target = LogDensityTarget(

@@ -148,8 +148,8 @@ def find_mode(p):
 def sample_tilted(p, rng):
     """One exact draw from a log-concave member of the family, or from a
     q >= 1 member with 0 < a < 1 whose a = 1 twin is log-concave."""
-    # is_logconcave of the a = 1 twin, tested in place
-    if p.q >= 1 and p.a < 1.0 and p.b >= 0.5 * p.q and p.c > 0.0:
+    if p.q >= 1 and p.a < 1.0 and is_logconcave(
+            TiltedParams(p.q, 1.0, p.b, p.c)):
         return _sample_small_shape(p, rng)
     if not is_logconcave(p):
         raise ValueError(

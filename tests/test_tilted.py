@@ -251,31 +251,6 @@ def test_sample_tilted_rejects_uncertified():
         sample_tilted(TiltedParams(1, 1.0, 0.5, 0.0), RngStream(1))   # c = 0
 
 
-def test_small_shape_dispatch_is_the_unit_shape_twins_certificate(
-        monkeypatch):
-    # sample_tilted tests the a = 1 twin's certificate in place; it must
-    # send a member to _sample_small_shape exactly when is_logconcave
-    # certifies that twin, and refuse what neither path covers
-    for name in ("_sample_small_shape", "ars_sample", "sample_gig",
-                 "sample_mhn"):
-        monkeypatch.setattr(tilted, name, lambda *args, _name=name: _name)
-    for q in (0, 1, 3):
-        for a in (0.3, 1.0 - 1e-16, 1.0, 2.0):
-            for b in (0.0, 0.5 * q - 1e-9, 0.5 * q, 0.5 * q + 1.0):
-                for c in (0.0, 1e-300, 2.0):
-                    if b < 0.0:
-                        continue
-                    p = TiltedParams(q, a, b, c)
-                    small = (q >= 1 and a < 1.0
-                             and is_logconcave(TiltedParams(q, 1.0, b, c)))
-                    if small or is_logconcave(p):
-                        got = sample_tilted(p, RngStream(1))
-                        assert (got == "_sample_small_shape") == small, p
-                    else:
-                        with pytest.raises(ValueError):
-                            sample_tilted(p, RngStream(1))
-
-
 def test_params_validate():
     with pytest.raises(ValueError):
         TiltedParams(-1, 1.0, 1.0, 1.0)
