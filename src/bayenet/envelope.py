@@ -6,21 +6,26 @@ Two entry points:
   known mode using the local curvature scale s = |c''(mode)|^{-1/2}
   (knots at mode, mode +- s/2 and mode +- k*s for k = 1..K).  Sampling
   then loops propose/accept against the unchanged hull.
-* ars_sample: adaptive rejection sampling for targets where only a
-  rough bracket of the mode is known; the hull is refined with a tangent
-  at every rejected point, with a chordal squeeze to avoid most target
-  evaluations.
+* ars_sample: adaptive rejection sampling of exp(g(x) - c x) through a
+  TangentHull of the concave g, which persists across draws: the
+  tangents of g do not depend on the rate c, so a caller drawing the
+  same g at a moving c (theta's conditional, once per sweep of a chain)
+  keeps one hull and pays each draw only for reweighing its segments at
+  the new c.  The hull gains a tangent at every rejected point, and a
+  chordal squeeze avoids most evaluations of g.  The draws stay exact:
+  each is a rejection draw under a hull that dominates its target and
+  depends only on earlier draws.
 
 Both work on a support of (0, inf) or the whole line.  A caller may
 also open a hull with a rising segment of its own on (-inf, bounds[1]]
 and pass its log mass: on the log scale, a power law in x.  Hull masses
-and segment inverse CDFs are computed in log space so far-out tangents
-never overflow.
+and segment inverse CDFs are computed in log space, or relative to the
+hull's highest point, so far-out tangents never overflow.
 
-A hull has 7-9 knots and usually serves a single draw, so it is kept in
-plain Python floats and lists: at that size the per-call overhead of
-numpy arrays costs more than the arithmetic.  Segments are found with
-bisect.bisect_right on the bounds or the cumulative weights.
+A hull has at most 9 knots, so it is kept in plain Python floats and
+lists: at that size the per-call overhead of numpy arrays costs more
+than the arithmetic.  Segments are found with bisect.bisect_right on
+the bounds or the cumulative weights.
 """
 
 import math
@@ -133,20 +138,22 @@ def _hull_from_points(points, support_lower):
     if not isfinite(support_lower) and ms[0] <= 0.0:
         raise EnvelopeError(
             "leftmost tangent slope must be positive on an unbounded support")
-    # segment i runs from the tangent crossing with segment i-1 to the one
-    # with segment i+1, clipped to its neighbouring knots
+    bounds = _tangent_bounds(xs, ms, bs, support_lower)
+    masses = [_segment_log_mass(lo, hi, m, b)
+              for lo, hi, m, b in zip(bounds, bounds[1:], ms, bs)]
+    return PiecewiseExpEnvelope(xs, ms, bs, bounds, masses)
+
+
+def _tangent_bounds(xs, ms, bs, support_lower):
+    """Segment bounds of the tangents b_i + m_i x at knots xs: segment i
+    runs from the tangent crossing with segment i-1 to the one with
+    segment i+1, clipped to its neighbouring knots."""
     bounds = [support_lower]
-    masses = []
-    lo = support_lower
     for i in range(len(xs) - 1):
         z = (bs[i + 1] - bs[i]) / (ms[i] - ms[i + 1])
-        hi = min(max(z, xs[i]), xs[i + 1])
-        bounds.append(hi)
-        masses.append(_segment_log_mass(lo, hi, ms[i], bs[i]))
-        lo = hi
+        bounds.append(min(max(z, xs[i]), xs[i + 1]))
     bounds.append(math.inf)
-    masses.append(_segment_log_mass(lo, math.inf, ms[-1], bs[-1]))
-    return PiecewiseExpEnvelope(xs, ms, bs, bounds, masses)
+    return bounds
 
 
 def build_envelope(target, K=2):
@@ -203,70 +210,161 @@ def _squeeze(xs, hs, x):
     return hs[i] + t * (hs[i + 1] - hs[i])
 
 
-def _step_out(points, target, max_steps=60):
-    """Extend the knot set until the hull has integrable tails."""
-    def add(x):
-        h = target.log_f(x)
-        dh = target.dlog_f(x)
-        if math.isfinite(h) and math.isfinite(dh):
-            points.append((x, h, dh))
-            points.sort()
-            return True
-        return False
+# Most knots a TangentHull keeps.  Replaying theta's conditionals from
+# the rs chains of the fit-small and fit-wide workloads, a draw cost
+# least at 8 (of 4-10 tried): fewer knots miss the modes of the
+# differential form's widely moving rates, more cost reweighing.
+MAX_KNOTS = 8
 
-    for _ in range(max_steps):
-        if points and points[-1][2] < 0.0:
-            break
-        x = points[-1][0]
-        step = 1.0 + abs(x)
-        if not add(x + step):
-            break
-    if not math.isfinite(target.support_lower):
-        for _ in range(max_steps):
-            if points and points[0][2] > 0.0:
+# steps a tail may take outward before the target is declared
+# nonintegrable at the rate asked for
+_MAX_STEPS = 60
+
+
+class TangentHull(PiecewiseExpEnvelope):
+    """Tangents of a concave log density g, kept across draws from the
+    targets exp(g(x) - c x) at any rate c.
+
+    target holds g, g' and the support; seed(c) gives knots near the
+    mode of g - c x, where an empty hull opens and a tail steps out to.
+    Adding -c x to every tangent moves none of their crossings, so the
+    knots, crossings, squeeze and accept tests are those of g alone, and
+    at_rate(c) only tilts each segment to slope g'(x_i) - c and
+    reweighs it; the hull is then the PiecewiseExpEnvelope of the rate c
+    target (log_masses aside, which it does not keep).  Knots come from
+    the seed, from tail steps and from rejected proposals; at MAX_KNOTS
+    the knot farthest from a new one goes, never the rightmost (nor the
+    leftmost on the whole line), so the tails stay integrable at the
+    rate being drawn.
+
+    Every draw is exact: the hull depends only on earlier draws, and
+    given any dominating hull, rejection returns an exact draw from the
+    current target, so a chain drawing through a kept hull has the same
+    transition kernel as one building a hull per draw.
+    """
+
+    __slots__ = ("target", "seed", "key", "g_values", "g_slopes")
+
+    def __init__(self, target, seed, key=None):
+        self.target = target
+        self.seed = seed
+        # names the family g belongs to, for a caller to check
+        self.key = key
+        self.knots, self.g_values, self.g_slopes = [], [], []
+        self.intercepts, self.bounds = [], []
+
+    def add(self, x, h, dh):
+        """Add the tangent (h, dh) of g at x; False if it is not kept (a
+        nonfinite value, or a slope tied with a neighbour's)."""
+        if not (math.isfinite(h) and math.isfinite(dh)):
+            return False
+        xs, ms = self.knots, self.g_slopes
+        i = bisect_right(xs, x)
+        # log-concavity makes slopes fall; merge numerical ties
+        if i and dh >= ms[i - 1] - 1e-12 * (1.0 + abs(ms[i - 1])):
+            return False
+        if i < len(xs) and ms[i] >= dh - 1e-12 * (1.0 + abs(dh)):
+            return False
+        columns = (xs, self.g_values, ms, self.intercepts)
+        for col, v in zip(columns, (x, h, dh, h - dh * x)):
+            col.insert(i, v)
+        if len(xs) > MAX_KNOTS:
+            lo = 0 if math.isfinite(self.target.support_lower) else 1
+            hi = len(xs) - 2
+            j = lo if x - xs[lo] > xs[hi] - x else hi
+            for col in columns:
+                del col[j]
+        self.bounds = _tangent_bounds(xs, ms, self.intercepts,
+                                      self.target.support_lower)
+        return True
+
+    def _add_at(self, x):
+        t = self.target
+        return x > t.support_lower and self.add(x, t.log_f(x), t.dlog_f(x))
+
+    def cover(self, c):
+        """Open an empty hull at the seed knots, then step each tail out
+        until its slope at rate c is integrable."""
+        if not self.knots:
+            for x in self.seed(c):
+                self._add_at(x)
+            if not self.knots:
+                raise EnvelopeError("no usable initial knots")
+        xs, ms = self.knots, self.g_slopes
+        for _ in range(_MAX_STEPS):
+            if ms[-1] < c:
                 break
-            x = points[0][0]
-            if not add(x - (1.0 + abs(x))):
-                break
-    return points
+            x = xs[-1]
+            far = max(self.seed(c))
+            if not (far > x and self._add_at(far)):
+                self._add_at(x + 1.0 + abs(x))
+        else:
+            raise EnvelopeError(
+                f"rightmost tangent slope must fall below the rate {c}")
+        if not math.isfinite(self.target.support_lower):
+            for _ in range(_MAX_STEPS):
+                if ms[0] > c:
+                    break
+                x = xs[0]
+                near = min(self.seed(c))
+                if not (near < x and self._add_at(near)):
+                    self._add_at(x - 1.0 - abs(x))
+            else:
+                raise EnvelopeError(
+                    f"leftmost tangent slope must rise above the rate {c}")
+
+    def at_rate(self, c):
+        """Tilt every tangent by -c x and reweigh the segments."""
+        expm1 = math.expm1
+        self.slopes = slopes = [m - c for m in self.g_slopes]
+        bounds, bs = self.bounds, self.intercepts
+        # each segment's highest log value (at its left end if it falls,
+        # its right end if it rises) and its mass over e^(that value):
+        # _segment_log_mass without the logs
+        tops, spans = [], []
+        lo = bounds[0]
+        for hi, m, b in zip(bounds[1:], slopes, bs):
+            if m < 0.0:
+                tops.append(b + m * lo)
+                spans.append(expm1(m * (hi - lo)) / m)
+            elif m > 0.0:
+                tops.append(b + m * hi)
+                spans.append(-expm1(m * (lo - hi)) / m)
+            else:
+                tops.append(b)
+                spans.append(hi - lo)
+            lo = hi
+        top = max(tops)
+        cum = []
+        tot = 0.0
+        for t, w in zip(tops, spans):
+            tot += math.exp(t - top) * w
+            cum.append(tot)
+        self._cum = [v / tot for v in cum]
 
 
-def ars_sample(target, init_knots, rng, max_knots=64, max_iter=10000):
-    """Adaptive rejection sampling (tangent hull with chordal squeeze)."""
+def ars_sample(hull, c, rng, max_iter=10000):
+    """One exact draw from exp(g(x) - c x), by adaptive rejection
+    sampling (Gilks & Wild 1992) through the kept TangentHull of g: a
+    tangent is added at every rejected point, and a chordal squeeze
+    spares most evaluations of g."""
+    hull.cover(c)
+    hull.at_rate(c)
+    target = hull.target
     sl = target.support_lower
-    points = []
-    for x in sorted(set(float(k) for k in init_knots)):
-        if not x > sl:
-            continue
-        h = target.log_f(x)
-        dh = target.dlog_f(x)
-        if math.isfinite(h) and math.isfinite(dh):
-            points.append((x, h, dh))
-    if not points:
-        raise EnvelopeError("no usable initial knots")
-    points = _step_out(points, target)
-
-    env = None
     for _ in range(max_iter):
-        if env is None:
-            env = _hull_from_points(points, sl)
-            xs = [p[0] for p in points]
-            hs = [p[1] for p in points]
-        x, ux = env.propose(rng)
+        x, ux = hull.propose(rng)
         if not x > sl:
             continue
-        logw = log_uniform(rng)
-        if logw <= _squeeze(xs, hs, x) - ux:
+        # log w against g minus g's hull at x, which is ux + c x
+        gap = log_uniform(rng) + ux + c * x
+        if gap <= _squeeze(hull.knots, hull.g_values, x):
             return x
         hx = target.log_f(x)
-        if logw <= hx - ux:
+        if gap <= hx:
             return x
-        if len(points) < max_knots and math.isfinite(hx):
-            dhx = target.dlog_f(x)
-            if math.isfinite(dhx):
-                points.append((x, hx, dhx))
-                points.sort()
-                env = None
+        if math.isfinite(hx) and hull.add(x, hx, target.dlog_f(x)):
+            hull.at_rate(c)
     raise RuntimeError(
         f"adaptive rejection sampler failed to accept in {max_iter} "
-        f"proposals ({_describe(target, len(points))})")
+        f"proposals at rate {c} ({_describe(target, len(hull.knots))})")

@@ -14,6 +14,12 @@ data-augmented); the algorithm is one of
   envelope.  The common sweep draws it between u2 and theta, the
   differential one last.  u2 and theta are correlated so strongly
   that their two blocks alone move lambda2 slowly.
+  theta's conditional changes from sweep to sweep only in its rate c,
+  which moves none of the tangents of its adaptive rejection hull, so
+  each chain keeps one hull for all its theta draws (theta_hull) and a
+  draw reweighs it at the new c instead of building one.  The draws
+  stay exact: each is a rejection draw under a hull that dominates its
+  target and depends only on earlier draws.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -73,7 +79,7 @@ from .model import (
 )
 from .rng import log_uniform
 from .special import log_std_normal_cdf
-from .tilted import TiltedParams, sample_tilted
+from .tilted import TiltedParams, sample_tilted, tangent_hull
 
 ALGORITHMS = ("rs", "mh")
 
@@ -200,14 +206,15 @@ def update_u2_common(data, prior, state, sums, rng):
         "common", u1, u2, theta)
 
 
-def update_theta_common(data, prior, state, sums, rng):
+def update_theta_common(data, prior, state, sums, rng, hull=None):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional, not
-    log-concave for L < 1."""
+    log-concave for L < 1; hull is theta_hull's, or None for a fresh
+    one."""
     u1, u2, _ = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
     theta = sample_tilted(TiltedParams(
         data.p, prior.L, 0.5 * data.p, u2 * (u1 * prior.nu1 + sums.b1)),
-        rng)
+        rng, hull)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
@@ -235,14 +242,15 @@ def update_u2_differential(data, prior, state, sums, rng):
         "differential", state.sigma2, u2, theta)
 
 
-def update_theta_differential(data, prior, state, sums, rng):
+def update_theta_differential(data, prior, state, sums, rng, hull=None):
     """theta = lam1/sqrt(lam2): tail-tilted conditional, not log-concave
-    for L < 1."""
+    for L < 1; hull as in update_theta_common."""
     _, u2, _ = to_transformed(
         "differential", state.sigma2, state.lambda1, state.lambda2)
     theta = sample_tilted(TiltedParams(
         data.p, prior.L, 0.5 * data.p,
-        u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)), rng)
+        u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)),
+        rng, hull)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "differential", state.sigma2, u2, theta)
 
@@ -301,26 +309,36 @@ def new_counts(algorithm):
             else {})
 
 
+def theta_hull(data, prior):
+    """An empty hull for theta's draws in one chain.  In both forms theta's
+    conditional is the tilted member (p, L, p/2, c), and only c moves
+    from sweep to sweep, so the tangents one draw adds serve the next."""
+    return tangent_hull(data.p, prior.L, 0.5 * data.p)
+
+
 def run_sweep(algorithm, data, prior, state, rng, counts=None,
-              steps=(1.0,) * len(MH_SCALES)):
+              steps=(1.0,) * len(MH_SCALES), hull=None):
     """One full scan over all blocks; mutates and returns the state.
-    steps are the Metropolis log-scale steps, in MH_SCALES order."""
+    steps are the Metropolis log-scale steps, in MH_SCALES order; hull
+    is the chain's theta_hull, or None for a fresh one per draw."""
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
-        _update_scales(algorithm, data, prior, state, rng, counts, steps)
+        _update_scales(algorithm, data, prior, state, rng, counts, steps,
+                       hull)
     else:
         # partially collapsed Gibbs: the scales given beta alone, with
         # tau2 integrated out, then tau2
         update_beta_block(data, prior, state, rng)
-        _update_scales(algorithm, data, prior, state, rng, counts, steps)
+        _update_scales(algorithm, data, prior, state, rng, counts, steps,
+                       hull)
         update_tau2(data, prior, state, rng)
     return state
 
 
-def _update_scales(algorithm, data, prior, state, rng, counts, steps):
+def _update_scales(algorithm, data, prior, state, rng, counts, steps, hull):
     # beta stays put while the scales move
     sums = coefficient_sums(data, state)
     if algorithm == "rs":
@@ -328,11 +346,11 @@ def _update_scales(algorithm, data, prior, state, rng, counts, steps):
             update_u1_common(data, prior, state, sums, rng)
             update_u2_common(data, prior, state, sums, rng)
             update_lambda2(data, prior, state, sums, rng)
-            update_theta_common(data, prior, state, sums, rng)
+            update_theta_common(data, prior, state, sums, rng, hull)
         else:
             update_sigma2_differential_rs(data, prior, state, sums, rng)
             update_u2_differential(data, prior, state, sums, rng)
-            update_theta_differential(data, prior, state, sums, rng)
+            update_theta_differential(data, prior, state, sums, rng, hull)
             update_lambda2(data, prior, state, sums, rng)
     else:
         if counts is None:
@@ -346,7 +364,8 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     Burn-in sweep t of a Metropolis chain moves each scale's log step by
     (t + 1)^-1/2 (accepted - MH_TARGET); the kept sweeps run at the
     steps burn-in ends with, and only they count towards the acceptance.
-    The tuning draws no random numbers.
+    The tuning draws no random numbers.  theta's hull is the chain's
+    own (theta_hull), made here and dropped with the chain.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
@@ -354,6 +373,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     state = initial_state(data, prior)
+    hull = theta_hull(data, prior)
     log_steps = [0.0] * len(MH_SCALES)
     steps = [1.0] * len(MH_SCALES)
     p = data.p
@@ -361,7 +381,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     t0 = time.perf_counter()
     for t in range(burnin):
         counts = new_counts(algorithm)
-        run_sweep(algorithm, data, prior, state, rng, counts, steps)
+        run_sweep(algorithm, data, prior, state, rng, counts, steps, hull)
         if counts:
             gain = (t + 1.0) ** -0.5
             for i, name in enumerate(MH_SCALES):
@@ -369,7 +389,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
                 steps[i] = math.exp(log_steps[i])
     counts = new_counts(algorithm)
     for it in range(iters * thin):
-        run_sweep(algorithm, data, prior, state, rng, counts, steps)
+        run_sweep(algorithm, data, prior, state, rng, counts, steps, hull)
         if it % thin == 0:
             k = it // thin
             kept[k, :p] = state.beta

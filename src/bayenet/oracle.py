@@ -58,6 +58,7 @@ from .tilted import (
     is_logconcave,
     mode_bounds,
     sample_tilted,
+    tangent_hull,
 )
 
 KS_COEFF = 1.63
@@ -764,6 +765,22 @@ def distribution_ks_checks(n, rng):
                      for name, ld, bracket, draw in cases]
 
 
+def kept_hull_ks_check(n, rng):
+    """KS of the b = q/2, a = 1 member (8, 1, 4, 2) drawn through one
+    tangent hull, each draw after one at a rate up to 10 times higher
+    or lower through the same hull, as a chain's theta draws share it."""
+    p = TiltedParams(8, 1.0, 4.0, 2.0)
+    hull = tangent_hull(p.q, p.a, p.b)
+    spread = math.log(10.0)
+    draws = np.empty(n)
+    for i in range(n):
+        other = p.c * math.exp(rng.gen.uniform(-spread, spread))
+        sample_tilted(replace(p, c=other), rng, hull)
+        draws[i] = sample_tilted(p, rng, hull)
+    return _ks_result("ks-tilted-kept-hull", draws, auto_cdf(
+        lambda x: _tilted_log_density(p, x), (1e-8, 1e3)))
+
+
 def _tilted_log_density(p, x):
     """tilted.log_density over a node array."""
     return _within(lambda x: (p.a - 1.0) * np.log(x) - p.b * x * x - p.c * x
@@ -894,6 +911,7 @@ def run_validation_suite(seed=0, quick=False, beta_updater=None):
     g_nodes = 161 if quick else 321
 
     checks = distribution_ks_checks(n_ks, RngStream(seed, 201))
+    checks.append(kept_hull_ks_check(n_ks, RngStream(seed, 207)))
     checks.append(_prior_equivalence_check(
         "common", n_eq, RngStream(seed, 202)))
     checks.append(_prior_equivalence_check(

@@ -16,10 +16,19 @@ envelopes fail; instead:
   two-sided hazard inequality x < phi(x)/Phi(-x) < x + 1/x.
 * sample_tilted draws exactly, dispatching q = 0 members to the gamma
   (through gig) or modified half-normal sampler, log-concave q >= 1
-  members to adaptive rejection sampling seeded with knots at the mode
-  bracket, and q >= 1 members with 0 < a < 1 whose a = 1 twin is
-  log-concave to one fixed hull on the log scale: a power law below a
-  split, tangents above it (_sample_small_shape).
+  members to adaptive rejection sampling, and q >= 1 members with
+  0 < a < 1 whose a = 1 twin is log-concave to one fixed hull on the
+  log scale: a power law below a split, tangents above it
+  (_sample_small_shape).
+* tangent_hull is the adaptive hull of the members (q, a, b, c) at
+  every c.  It opens at the mode bracket, and log f + c x, whose
+  tangents it keeps, does not depend on c.  A chain's theta
+  conditionals differ only in c, so the chain keeps one such hull for
+  all its theta draws (kernels.theta_hull): a draw then costs a
+  reweighing of the hull's segments at the new c, and log f is
+  evaluated only where the squeeze fails.  Each draw stays exact: it
+  is a rejection draw under a hull that dominates its target, and the
+  hull depends only on earlier draws.
 """
 
 import math
@@ -30,6 +39,7 @@ from .distributions import require_finite, sample_gig, sample_mhn
 from .envelope import (
     LogDensityTarget,
     PiecewiseExpEnvelope,
+    TangentHull,
     ars_sample,
     build_envelope,
     sample_from_envelope,
@@ -145,9 +155,15 @@ def find_mode(p):
     return _bisect_root(df, lo, hi)
 
 
-def sample_tilted(p, rng):
+def sample_tilted(p, rng, hull=None):
     """One exact draw from a log-concave member of the family, or from a
-    q >= 1 member with 0 < a < 1 whose a = 1 twin is log-concave."""
+    q >= 1 member with 0 < a < 1 whose a = 1 twin is log-concave.
+
+    A log-concave q >= 1 member is drawn by adaptive rejection through
+    hull, a tangent_hull(p.q, p.a, p.b) that earlier draws at other c may
+    have refined; a fresh one if None.  The draw is exact whatever the
+    hull holds.
+    """
     if p.q >= 1 and p.a < 1.0 and is_logconcave(
             TiltedParams(p.q, 1.0, p.b, p.c)):
         return _sample_small_shape(p, rng)
@@ -159,12 +175,28 @@ def sample_tilted(p, rng):
             # gig's chi = 0 limit is the gamma(a, rate c) draw
             return sample_gig(p.a, 2.0 * p.c, 0.0, rng)
         return sample_mhn(p.a, p.b, p.c, rng)
-    lo, hi = mode_bounds(p)
-    knots = [hi] if lo <= 0.0 else [lo, hi]
-    target = LogDensityTarget(
-        lambda x: log_density(p, x), lambda x: dlog_density(p, x),
-        support_lower=0.0)
-    return ars_sample(target, knots, rng)
+    if hull is None:
+        hull = tangent_hull(p.q, p.a, p.b)
+    elif hull.key != (p.q, p.a, p.b):
+        raise ValueError(f"hull is for (q, a, b) = {hull.key}, not "
+                         f"{(p.q, p.a, p.b)}")
+    return ars_sample(hull, p.c, rng)
+
+
+def tangent_hull(q, a, b):
+    """An empty hull for the log-concave members (q, a, b, c) at every
+    c: it keeps the tangents of log f + c x, which no c moves
+    (envelope.TangentHull).  It opens at mode_bounds' knots and steps its
+    right tail out to mode_bounds' upper end."""
+    g = TiltedParams(q, a, b, 0.0)
+
+    def seed(c):
+        lo, hi = mode_bounds(TiltedParams(q, a, b, c))
+        return (hi,) if lo <= 0.0 else (lo, hi)
+
+    return TangentHull(LogDensityTarget(
+        lambda x: log_density(g, x), lambda x: dlog_density(g, x),
+        support_lower=0.0), seed, key=(q, a, b))
 
 
 # the normal hazard at 0

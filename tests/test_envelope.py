@@ -9,6 +9,7 @@ import pytest
 from bayenet.envelope import (
     EnvelopeError,
     LogDensityTarget,
+    TangentHull,
     _segment_inverse_cdf,
     _segment_log_mass,
     ars_sample,
@@ -209,45 +210,61 @@ def test_rejection_failures_name_the_target():
     for part in ("in 0 proposals", "mode=0.5", "curvature=-12.0",
                  "support=(0.0, inf)", "knots=6"):
         assert part in msg
-    normal = LogDensityTarget(lambda x: -0.5 * x * x, lambda x: -x,
-                              support_lower=-math.inf)
+    normal = _kept_hull(lambda x: -0.5 * x * x, lambda x: -x, (-1.0, 2.0),
+                        support_lower=-math.inf)
     with pytest.raises(RuntimeError) as err:
-        ars_sample(normal, [-1.0, 2.0], RngStream(3, 1), max_iter=0)
+        ars_sample(normal, 0.0, RngStream(3, 1), max_iter=0)
     msg = str(err.value)
-    for part in ("adaptive", "in 0 proposals", "mode=None",
+    for part in ("adaptive", "in 0 proposals", "at rate 0.0", "mode=None",
                  "support=(-inf, inf)", "knots=2"):
         assert part in msg
 
 
+def _kept_hull(log_g, dlog_g, knots, support_lower=0.0):
+    """A TangentHull of g that opens at the same knots at every rate."""
+    return TangentHull(LogDensityTarget(log_g, dlog_g, support_lower),
+                       lambda c: knots)
+
+
 def test_ars_standard_normal_whole_line():
-    t = LogDensityTarget(lambda x: -0.5 * x * x, lambda x: -x,
-                         support_lower=-math.inf)
+    hull = _kept_hull(lambda x: -0.5 * x * x, lambda x: -x, (-1.0, 2.0),
+                      support_lower=-math.inf)
     rng = RngStream(11, 0)
-    draws = [ars_sample(t, [-1.0, 2.0], rng) for _ in range(20000)]
+    draws = [ars_sample(hull, 0.0, rng) for _ in range(20000)]
     xs, c = cdf_table(lambda x: -0.5 * x * x, -8.0, 8.0)
     assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
 
 
 def test_ars_gamma_positive_support():
-    t = LogDensityTarget(lambda x: 2.0 * math.log(x) - x,
-                         lambda x: 2.0 / x - 1.0)
+    # g = 2 log x at rate 1: the gamma(3, 1) density
+    hull = _kept_hull(lambda x: 2.0 * math.log(x), lambda x: 2.0 / x,
+                      (0.5, 4.0))
     rng = RngStream(11, 1)
-    draws = [ars_sample(t, [0.5, 4.0], rng) for _ in range(20000)]
+    draws = [ars_sample(hull, 1.0, rng) for _ in range(20000)]
     xs, c = cdf_table(lambda x: 2.0 * math.log(x) - x, 1e-9, 40.0)
     assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
 
 
 def test_ars_steps_out_from_one_sided_knots():
-    # both initial knots sit left of the mode (positive slopes)
-    t = LogDensityTarget(lambda x: 5.0 * math.log(x) - x,
-                         lambda x: 5.0 / x - 1.0)
+    # both initial knots sit left of the mode (slopes above the rate), so
+    # the right tail steps out before the first proposal
+    hull = _kept_hull(lambda x: 5.0 * math.log(x), lambda x: 5.0 / x,
+                      (0.2, 0.4))
     rng = RngStream(11, 2)
-    draws = [ars_sample(t, [0.2, 0.4], rng) for _ in range(5000)]
+    draws = [ars_sample(hull, 1.0, rng) for _ in range(5000)]
+    assert hull.g_slopes[-1] < 1.0
     xs, c = cdf_table(lambda x: 5.0 * math.log(x) - x, 1e-9, 60.0)
     assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
 
 
 def test_ars_rejects_nonintegrable_target():
-    t = LogDensityTarget(lambda x: x, lambda x: 1.0)
+    hull = _kept_hull(lambda x: x, lambda x: 1.0, (1.0,))
     with pytest.raises(EnvelopeError):
-        ars_sample(t, [1.0], RngStream(11, 3))
+        ars_sample(hull, 0.0, RngStream(11, 3))
+    # a kept hull of an integrable draw is refused at a rate its right
+    # tail cannot reach
+    hull = _kept_hull(lambda x: 5.0 * math.log(x), lambda x: 5.0 / x,
+                      (2.0, 8.0))
+    ars_sample(hull, 1.0, RngStream(11, 4))
+    with pytest.raises(EnvelopeError):
+        ars_sample(hull, 0.0, RngStream(11, 4))

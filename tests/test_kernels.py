@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayenet import kernels
+from bayenet import kernels, tilted
 from bayenet.diagnostics import ess_batch_means
 from bayenet.kernels import (
     MH_SCALES,
@@ -421,12 +421,15 @@ def test_augmented_sweep_draws_the_scales_with_tau2_integrated_out(
     out = run_chain(algorithm, data, prior, RngStream(13, 0), iters=40,
                     burnin=0)
     state, rng = initial_state(data, prior), RngStream(13, 0)
+    hull = kernels.theta_hull(data, prior)
     for row in out.draws:
         update_beta_block(data, prior, state, rng)
         sums = coefficient_sums(data, state)
         if algorithm == "rs":
             for name in SCALE_BLOCKS["rs", form]:
-                getattr(kernels, name)(data, prior, state, sums, rng)
+                # theta draws through the chain's one hull
+                kept = (hull,) if "theta" in name else ()
+                getattr(kernels, name)(data, prior, state, sums, rng, *kept)
         else:
             mh_update_scales(data, prior, state, sums, (1.0,) * 3, rng,
                              kernels.new_counts("mh"))
@@ -434,6 +437,57 @@ def test_augmented_sweep_draws_the_scales_with_tau2_integrated_out(
         assert row[:data.p + 3].tobytes() == np.array(
             [*state.beta, state.sigma2, state.lambda1,
              state.lambda2]).tobytes()
+
+
+@pytest.mark.parametrize("label", SAMPLERS[:4])
+def test_each_chain_keeps_its_own_theta_hull(label):
+    # a hull outliving its chain, or held in module state, would carry
+    # one chain's tangents into the next and move that chain's draws
+    algorithm, form, rep = parse_sampler(label)
+    data = make_data()
+    prior = make_prior(form, rep, preset="weak")
+
+    def draws(stream):
+        return run_chain(algorithm, data, prior, RngStream(61, stream),
+                         iters=40, burnin=10).draws.tobytes()
+
+    first, second = draws(1), draws(2)
+    assert draws(2) == second
+    assert draws(1) == first
+
+
+def test_theta_target_evaluations_per_draw_are_pinned(monkeypatch):
+    # log f calls per theta draw over seeded design-1 chains (weak prior,
+    # L = 1): the kept hull evaluates log f only where its squeeze fails,
+    # 157-218 times in 500 draws, where a hull built per draw evaluates
+    # it 2.2-2.5 times per draw
+    y, X = generate_dataset(design(1), data_stream(5, 1, 0))
+    data = RegressionData(y, X)
+    calls = [0]
+
+    def counted(p, x, _log_density=tilted.log_density):
+        calls[0] += 1
+        return _log_density(p, x)
+
+    monkeypatch.setattr(tilted, "log_density", counted)
+
+    def evaluations():
+        out = {}
+        for label in SAMPLERS[:4]:
+            algorithm, form, rep = parse_sampler(label)
+            calls[0] = 0
+            run_chain(algorithm, data, make_prior(form, rep, preset="weak"),
+                      RngStream(5, 2), iters=400, burnin=100)
+            out[label] = calls[0]
+        return out
+
+    assert evaluations() == {
+        "rs-common-direct": 195, "rs-common-da": 157,
+        "rs-differential-direct": 171, "rs-differential-da": 218}
+    monkeypatch.setattr(kernels, "theta_hull", lambda data, prior: None)
+    assert evaluations() == {
+        "rs-common-direct": 1106, "rs-common-da": 1099,
+        "rs-differential-direct": 1237, "rs-differential-da": 1238}
 
 
 def test_parse_sampler():
@@ -528,11 +582,12 @@ def _recorded_chain(monkeypatch, data, prior, seed, **kw):
     Metropolis accepts it added."""
     sweeps = []
 
-    def recording_sweep(algorithm, data, prior, state, rng, counts, steps):
+    def recording_sweep(algorithm, data, prior, state, rng, counts, steps,
+                        hull):
         before = [counts[name][0] for name in MH_SCALES]
         sweeps.append({"state": clone(state), "rng": copy.deepcopy(rng),
                        "steps": tuple(steps)})
-        run_sweep(algorithm, data, prior, state, rng, counts, steps)
+        run_sweep(algorithm, data, prior, state, rng, counts, steps, hull)
         sweeps[-1]["accepted"] = [counts[name][0] - a
                                   for name, a in zip(MH_SCALES, before)]
         return state

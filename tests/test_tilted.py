@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bayenet import oracle, tilted
 from bayenet.distributions import sample_gamma
-from bayenet.envelope import _segment_log_mass
+from bayenet.envelope import MAX_KNOTS, _segment_log_mass
 from bayenet.oracle import _tilted_property_check
 from bayenet.rng import RngStream
 from bayenet.tilted import (
@@ -21,6 +21,7 @@ from bayenet.tilted import (
     log_density,
     mode_bounds,
     sample_tilted,
+    tangent_hull,
 )
 
 from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
@@ -347,3 +348,33 @@ def _ks_small_shape(p, seed, lo, hi, n=10000):
 def test_sample_tilted_small_shape(seed, p, lo, hi):
     ks, thr = _ks_small_shape(p, seed, lo, hi)
     assert ks < thr
+
+
+@pytest.mark.parametrize("q, a", [(8, 1.0), (40, 6.0)])
+def test_kept_hull_dominates_the_density_over_a_sweep_of_rates(q, a):
+    # the knots draws add, replace at the cap and step out as c moves
+    # must leave a hull above log f at the rate each draw was at
+    b = 0.5 * q
+    hull = tangent_hull(q, a, b)
+    rng = RngStream(211, q)
+    gen = rng.gen
+    replaced = False
+    for _ in range(300):
+        p = TiltedParams(q, a, b, math.exp(gen.uniform(math.log(0.05),
+                                                       math.log(300.0))))
+        knots, right = list(hull.knots), hull.knots[-1:]
+        sample_tilted(p, rng, hull)
+        replaced |= len(knots) == MAX_KNOTS and hull.knots != knots
+        assert len(hull.knots) <= MAX_KNOTS
+        # the rightmost knot is never dropped
+        assert hull.knots[-1] >= max(right, default=0.0)
+        for x in np.exp(gen.uniform(math.log(1e-4), math.log(1e3), 20)):
+            tol = 1e-10 * (1.0 + b * x * x + p.c * x)
+            assert hull_log_value(hull, x) >= log_density(p, x) - tol
+    assert replaced
+
+
+def test_sample_tilted_refuses_another_familys_hull():
+    with pytest.raises(ValueError, match="hull is for"):
+        sample_tilted(TiltedParams(8, 1.0, 4.0, 1.0), RngStream(1),
+                      tangent_hull(8, 2.0, 4.0))
