@@ -16,10 +16,15 @@ Conventions:
   t = lambda1/(2 sigma) in the common form and lambda1 in the
   differential one.
 
-gig is sampled on the log scale, where the density is strictly concave
-for every order lam, so one piecewise-exponential hull covers all
-interior cases; its limits chi = 0 and psi = 0 are drawn by
-sample_gamma and sample_inverse_gamma.
+gig is sampled on s = log x - log(chi/psi)/2, where its log density is
+lam s - omega cosh s with omega = sqrt(psi chi): strictly concave for
+every order lam, so one piecewise-exponential hull covers all interior
+cases.  The tangents of -omega cosh s at fixed knots cross at points
+that depend on neither omega nor lam, so a GigHull kept across draws
+of one order serves every omega: a draw resets its tangents and
+reweighs them, and rebuilds it only when the mode or the width has
+moved too far from the knots.  Its limits chi = 0 and psi = 0 are drawn
+by sample_gamma and sample_inverse_gamma.
 mhn splits on alpha alone into two regimes: alpha > 1 is log-concave
 with an interior mode (ratio of uniforms shifted to the mode, with the
 minimal rectangle in closed form; Dagpunar 1989, Leydold 2000);
@@ -47,6 +52,7 @@ import numpy as np
 
 from .envelope import (
     LogDensityTarget,
+    PiecewiseExpEnvelope,
     build_envelope,
     sample_from_envelope,
 )
@@ -55,6 +61,7 @@ from .special import log_std_normal_cdf, mills_ratio_excess
 
 _EXP_CLIP = 700.0
 _INF = math.inf
+_LOG_2 = math.log(2.0)
 
 
 def require_finite(**values):
@@ -118,28 +125,93 @@ def sample_inverse_gaussian(mean, shape, rng):
     the standard textbook expression would cancel to rounding noise.
     """
     mean = np.asarray(mean, dtype=float)
-    if not (0.0 < shape < _INF and ((mean > 0.0) & (mean < _INF)).all()):
+    # a nan mean fails both comparisons
+    if not (0.0 < shape < _INF and 0.0 < mean.min() and mean.max() < _INF):
         require_finite(shape=shape)
         for value in mean.flat:
             require_finite(mean=value)
         raise ValueError("mean and shape must be positive")
-    y = rng.gen.standard_normal(mean.shape) ** 2
-    w = mean * y / (2.0 * shape)
-    x = mean / (1.0 + w + np.sqrt(w * (w + 2.0)))
-    keep = rng.gen.random(mean.shape) <= mean / (mean + x)
-    draws = np.where(keep, x, mean * mean / x)
-    return draws if draws.ndim else float(draws)
+    # in place, in two buffers: w holds mean y^2 / (2 shape), then the
+    # root x; t holds sqrt(w (w + 2)), then the acceptance bound, then
+    # the draws.  Both are arrays, 0-d for a float mean.
+    w = rng.gen.standard_normal(mean.shape)
+    np.square(w, out=w)
+    w *= mean
+    w /= 2.0 * shape
+    t = np.empty_like(w)
+    np.add(w, 2.0, out=t)
+    t *= w
+    np.sqrt(t, out=t)
+    w += 1.0
+    w += t
+    np.divide(mean, w, out=w)
+    np.add(mean, w, out=t)
+    np.divide(mean, t, out=t)
+    keep = rng.gen.random(mean.shape) <= t
+    np.multiply(mean, mean, out=t)
+    t /= w
+    np.copyto(t, w, where=keep)
+    return t if t.ndim else float(t)
 
 
-def sample_gig(lam, psi, chi, rng):
+class GigHull(PiecewiseExpEnvelope):
+    """The hull of gig(lam, psi, chi) on s, kept across draws at every
+    omega (build_envelope's kept hull).
+
+    On s = log x - log(chi/psi)/2 the log density is
+    lam s - omega cosh s, with omega = sqrt(psi chi).  Its tangent at
+    the knot s_i has slope lam - omega sinh s_i and intercept
+    -omega (cosh s_i - s_i sinh s_i), so two tangents cross where
+    neither omega nor lam moves them: a new omega only resets each
+    segment's tangent and reweighs it.  sinh s_i and
+    cosh s_i - s_i sinh s_i are kept per knot from the last rebuild.
+    cosh is convex, so the tangents lie above the log density at every
+    omega > 0, and each draw stays exact: the hull depends only on
+    earlier draws.
+    """
+
+    __slots__ = ("lam", "sinhs", "bends")
+
+    def __init__(self, lam):
+        # empty: the first draw builds it
+        self.lam = lam
+        self.knots = []
+
+    def adopt(self, env):
+        """Take the knots, tangents and weights of a hull built at the
+        current omega.  Past |s| = 700, s sinh s nears overflow: a hull
+        with a knot there keeps no knots, so the next draw builds its
+        own."""
+        self.bounds, self.slopes, self.intercepts, self._cum = (
+            env.bounds, env.slopes, env.intercepts, env._cum)
+        knots = env.knots if max(map(abs, env.knots)) < 700.0 else []
+        self.knots = knots
+        self.sinhs = [math.sinh(s) for s in knots]
+        self.bends = [math.cosh(s) - s * sh
+                      for s, sh in zip(knots, self.sinhs)]
+
+    def retarget(self, target):
+        """Reset each tangent to the member at omega = target.params."""
+        lam, omega = self.lam, target.params
+        self.slopes = [lam - omega * sh for sh in self.sinhs]
+        self.intercepts = [-omega * b for b in self.bends]
+        self.reweigh()
+
+
+def sample_gig(lam, psi, chi, rng, hull=None):
     """One draw of gig(lam, psi, chi), boundary cases included.
 
     chi = 0 needs lam > 0 and is gamma(lam, rate psi/2); psi = 0 needs
-    lam < 0 and is inverse-gamma(-lam, scale chi/2).
+    lam < 0 and is inverse-gamma(-lam, scale chi/2).  An interior draw
+    goes through hull, a GigHull(lam) kept from earlier draws at other
+    (psi, chi), or a hull built for this draw if None; it is exact
+    whatever the hull holds.
     """
     if not (-_INF < lam < _INF and 0.0 <= psi < _INF and 0.0 <= chi < _INF):
         require_finite(lam=lam, psi=psi, chi=chi)
         raise ValueError("psi and chi must be nonnegative")
+    if hull is not None and hull.lam != lam:
+        raise ValueError(f"hull is for lam = {hull.lam}, not {lam}")
     if chi == 0.0:
         if not (lam > 0.0 and psi > 0.0):
             raise ValueError("chi = 0 requires lam > 0 and psi > 0")
@@ -149,36 +221,44 @@ def sample_gig(lam, psi, chi, rng):
             raise ValueError("psi = 0 requires lam < 0")
         return sample_inverse_gamma(-lam, 0.5 * chi, rng)
 
-    root = math.sqrt(psi) * math.sqrt(chi)
-    disc = math.hypot(lam, root)
-    if lam >= 0.0:
-        x_mode = (lam + disc) / psi
-    else:
-        # conjugate form, no cancellation when psi*chi << lam^2
-        x_mode = chi / (disc - lam)
+    # on s = log x - log(chi/psi)/2 the log density is lam s - omega cosh s
+    log_psi, log_chi = math.log(psi), math.log(chi)
+    log_omega = 0.5 * (log_psi + log_chi)
+    omega = math.sqrt(psi) * math.sqrt(chi)
+    ratio = lam / omega
+    # asinh(r) is log(2 |r|) to double precision long before r overflows
+    mode = (math.asinh(ratio) if -_INF < ratio < _INF
+            else math.copysign(_LOG_2 + math.log(abs(lam)) - log_omega, lam))
 
     # the hull reads dlog_f at a knot right after log_f, so log_f keeps
-    # the last t's pair (psi e^t, chi e^-t) and dlog_f reuses it
+    # the last s's pair (omega e^s, omega e^-s) and dlog_f reuses it;
+    # each is formed on the log scale, so omega and e^s may lie outside
+    # the double range while their product does not
     knot = up = down = math.nan
 
-    def log_f(t):
+    def log_f(s):
         nonlocal knot, up, down
-        if t != knot:
-            knot, up, down = t, psi * _exp(t), chi * _exp(-t)
-        return lam * t - 0.5 * (up + down)
+        if s != knot:
+            knot = s
+            up, down = _exp(log_omega + s), _exp(log_omega - s)
+        return lam * s - 0.5 * (up + down)
 
-    def dlog_f(t):
-        if t != knot:
-            log_f(t)
+    def dlog_f(s):
+        if s != knot:
+            log_f(s)
         return lam - 0.5 * (up - down)
 
+    # omega cosh(mode) = hypot(lam, omega)
     target = LogDensityTarget(
-        log_f, dlog_f, support_lower=-math.inf,
-        mode=math.log(x_mode),
-        curvature=-0.5 * (psi * x_mode + chi / x_mode),
-    )
-    env = build_envelope(target, K=3)
-    return math.exp(sample_from_envelope(target, env, rng))
+        log_f, dlog_f, support_lower=-math.inf, mode=mode,
+        curvature=-math.hypot(lam, omega), params=omega)
+    env = build_envelope(target, K=3, hull=hull)
+    s = sample_from_envelope(target, env, rng)
+    try:
+        return math.exp(s + 0.5 * (log_chi - log_psi))
+    except OverflowError:
+        raise ValueError(f"gig({lam}, {psi}, {chi}) drew a value out of "
+                         "floating-point range") from None
 
 
 def _mhn_mode(a_minus_1, beta, gamma):

@@ -5,7 +5,11 @@ Two entry points:
 * build_envelope: a fixed hull from tangents at knots placed around a
   known mode using the local curvature scale s = |c''(mode)|^{-1/2}
   (knots at mode, mode +- s/2 and mode +- k*s for k = 1..K).  Sampling
-  then loops propose/accept against the unchanged hull.
+  then loops propose/accept against the unchanged hull.  For a family
+  whose tangents at fixed knots cross where no member moves them (gig
+  on its centred log scale), a caller may keep the hull across members:
+  build_envelope then only resets its tangents and reweighs them while
+  the mode and width still fit its knots, and rebuilds it otherwise.
 * ars_sample: adaptive rejection sampling of exp(g(x) - c x) through a
   TangentHull of the concave g, which persists across draws: the
   tangents of g do not depend on the rate c, so a caller drawing the
@@ -42,12 +46,15 @@ class LogDensityTarget:
     """An unnormalized log density with derivative on (support_lower, inf)."""
 
     def __init__(self, log_f, dlog_f, support_lower=0.0, mode=None,
-                 curvature=None):
+                 curvature=None, params=None):
         self.log_f = log_f
         self.dlog_f = dlog_f
         self.support_lower = float(support_lower)
         self.mode = mode
         self.curvature = curvature
+        # the member's parameters, from which a kept hull of its family
+        # resets its tangents (build_envelope)
+        self.params = params
 
 
 def _segment_log_mass(lo, hi, slope, intercept):
@@ -86,7 +93,7 @@ class PiecewiseExpEnvelope:
     exp(intercepts[i] + slopes[i]*x) on (bounds[i], bounds[i+1]), and
     log_masses[i] is the log of its integral there."""
 
-    # built once per draw; slots spare each instance a __dict__
+    # built once per draw unless kept; slots spare each instance a __dict__
     __slots__ = ("knots", "slopes", "intercepts", "bounds", "log_masses",
                  "_cum")
 
@@ -102,9 +109,41 @@ class PiecewiseExpEnvelope:
         for lm in log_masses:
             tot += math.exp(lm - m)
             cum.append(tot)
+        if not 0.0 < tot < math.inf:
+            # an infinite or nan log mass
+            raise EnvelopeError("hull mass is not finite")
         # the last weight is tot / tot == 1.0 exactly, so a uniform in
         # [0, 1) always lands on a segment
         self._cum = [c / tot for c in cum]
+
+    def reweigh(self):
+        """Recompute the segment weights from the tangents and bounds, as
+        a kept hull does after resetting its tangents: _segment_log_mass
+        without the logs, which assumes both tails integrable."""
+        expm1 = math.expm1
+        bounds = self.bounds
+        # each segment's highest log value (at its left end if it falls,
+        # its right end if it rises) and its mass over e^(that value)
+        tops, spans = [], []
+        lo = bounds[0]
+        for hi, m, b in zip(bounds[1:], self.slopes, self.intercepts):
+            if m < 0.0:
+                tops.append(b + m * lo)
+                spans.append(expm1(m * (hi - lo)) / m)
+            elif m > 0.0:
+                tops.append(b + m * hi)
+                spans.append(-expm1(m * (lo - hi)) / m)
+            else:
+                tops.append(b)
+                spans.append(hi - lo)
+            lo = hi
+        top = max(tops)
+        cum = []
+        tot = 0.0
+        for t, w in zip(tops, spans):
+            tot += math.exp(t - top) * w
+            cum.append(tot)
+        self._cum = [v / tot for v in cum]
 
     def propose(self, rng):
         """One draw from the normalized hull; returns (x, hull log value)."""
@@ -156,12 +195,24 @@ def _tangent_bounds(xs, ms, bs, support_lower):
     return bounds
 
 
-def build_envelope(target, K=2):
+def build_envelope(target, K=2, hull=None):
     """Fixed hull with knots placed from the mode and curvature.
 
     Needs target.mode finite and target.curvature < 0.  On a positive
     support, nonpositive knots are dropped and a knot at mode/2 is added
     if none remains below the mode.
+
+    hull, if given, is a kept hull of the target's family, one whose
+    tangents at fixed knots cross where no member moves them
+    (distributions.GigHull).  It keeps its knots, and only resets its
+    tangents to the target's (hull.retarget), while the mode stays
+    strictly between its second and second-to-last knots and those two
+    knots stay 2 to 8 of the target's widths s apart (4 when built).
+    The mode rule keeps both tails integrable on a strictly concave log
+    density: the leftmost tangent rises and the rightmost falls.  The
+    width rule keeps the hull tight: kept while the curvature grew
+    100-fold, a gig hull accepted 0.14 of its proposals.  Otherwise the
+    hull adopts one built here.  Either way it is returned.
     """
     x0 = target.mode
     c2 = target.curvature
@@ -169,6 +220,12 @@ def build_envelope(target, K=2):
         raise EnvelopeError("mode must be finite")
     if c2 is None or not c2 < 0.0:
         raise EnvelopeError("curvature at the mode must be negative")
+    if hull is not None:
+        knots = hull.knots
+        if (len(knots) > 2 and knots[1] < x0 < knots[-2]
+                and 4.0 <= (knots[-2] - knots[1]) ** 2 * -c2 <= 64.0):
+            hull.retarget(target)
+            return hull
     s = 1.0 / math.sqrt(-c2)
     knots = [x0, x0 - 0.5 * s, x0 + 0.5 * s]
     for k in range(1, K + 1):
@@ -179,7 +236,11 @@ def build_envelope(target, K=2):
             knots.append(target.support_lower + 0.5 * (x0 - target.support_lower))
     log_f, dlog_f = target.log_f, target.dlog_f
     pts = [(x, log_f(x), dlog_f(x)) for x in sorted(set(knots))]
-    return _hull_from_points(pts, target.support_lower)
+    env = _hull_from_points(pts, target.support_lower)
+    if hull is None:
+        return env
+    hull.adopt(env)
+    return hull
 
 
 def _describe(target, n_knots):
@@ -315,32 +376,8 @@ class TangentHull(PiecewiseExpEnvelope):
 
     def at_rate(self, c):
         """Tilt every tangent by -c x and reweigh the segments."""
-        expm1 = math.expm1
-        self.slopes = slopes = [m - c for m in self.g_slopes]
-        bounds, bs = self.bounds, self.intercepts
-        # each segment's highest log value (at its left end if it falls,
-        # its right end if it rises) and its mass over e^(that value):
-        # _segment_log_mass without the logs
-        tops, spans = [], []
-        lo = bounds[0]
-        for hi, m, b in zip(bounds[1:], slopes, bs):
-            if m < 0.0:
-                tops.append(b + m * lo)
-                spans.append(expm1(m * (hi - lo)) / m)
-            elif m > 0.0:
-                tops.append(b + m * hi)
-                spans.append(-expm1(m * (lo - hi)) / m)
-            else:
-                tops.append(b)
-                spans.append(hi - lo)
-            lo = hi
-        top = max(tops)
-        cum = []
-        tot = 0.0
-        for t, w in zip(tops, spans):
-            tot += math.exp(t - top) * w
-            cum.append(tot)
-        self._cum = [v / tot for v in cum]
+        self.slopes = [m - c for m in self.g_slopes]
+        self.reweigh()
 
 
 def ars_sample(hull, c, rng, max_iter=10000):

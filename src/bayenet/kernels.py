@@ -14,12 +14,18 @@ data-augmented); the algorithm is one of
   envelope.  The common sweep draws it between u2 and theta, the
   differential one last.  u2 and theta are correlated so strongly
   that their two blocks alone move lambda2 slowly.
-  theta's conditional changes from sweep to sweep only in its rate c,
-  which moves none of the tangents of its adaptive rejection hull, so
-  each chain keeps one hull for all its theta draws (theta_hull) and a
-  draw reweighs it at the new c instead of building one.  The draws
-  stay exact: each is a rejection draw under a hull that dominates its
-  target and depends only on earlier draws.
+  Two blocks keep their hull across sweeps.  theta's conditional
+  changes from sweep to sweep only in its rate c, which moves none of
+  the tangents of its adaptive rejection hull, so each chain keeps one
+  hull for all its theta draws (theta_hull) and a draw reweighs it at
+  the new c instead of building one.  u1's gig conditional keeps its
+  order, and on its centred log scale only omega = sqrt(psi chi)
+  moves, which moves none of the crossings of its hull's tangents, so
+  each chain also keeps one gig hull (u1_hull), whose draws reset its
+  tangents and reweigh them and rebuild it only when the mode or width
+  has moved too far.  The draws stay exact: each is a rejection draw
+  under a hull that dominates its target and depends only on earlier
+  draws.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -62,6 +68,7 @@ import numpy as np
 
 from .diagnostics import ChainOutput, DERIVED_NAMES, derived_penalty_columns
 from .distributions import (
+    GigHull,
     sample_gig,
     sample_hazard_gamma,
     sample_inverse_gaussian,
@@ -158,7 +165,8 @@ def update_beta_block(data, prior, state, rng):
         extra = state.lambda2 / om
     else:
         extra = 1.0 / state.tau2 + state.lambda2
-    prec = data.xtx + np.diag(extra)
+    prec = data.xtx.copy()
+    prec.flat[::data.p + 1] += extra
     chol = np.linalg.cholesky(prec)
     z = rng.gen.standard_normal(data.p)
     state.beta = np.linalg.solve(
@@ -174,7 +182,8 @@ def update_tau2(data, prior, state, rng):
     """
     lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     sigma = math.sqrt(s2)
-    mag = np.maximum(np.abs(state.beta), 1e-12 * sigma)
+    mag = np.abs(state.beta)
+    np.maximum(mag, 1e-12 * sigma, out=mag)
     if prior.form == "common":
         z = sample_inverse_gaussian((lam1 / (2.0 * lam2)) / mag,
                                     lam1 * lam1 / (4.0 * lam2 * s2), rng)
@@ -184,13 +193,19 @@ def update_tau2(data, prior, state, rng):
         np.divide(1.0, z, out=state.tau2)
 
 
-def update_u1_common(data, prior, state, sums, rng):
-    """u1 = sigma^2 under the common scaling: generalized inverse Gaussian."""
+def _u1_order(data, prior):
+    """The order of u1's gig conditional, fixed for a chain."""
+    return prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
+
+
+def update_u1_common(data, prior, state, sums, rng, hull=None):
+    """u1 = sigma^2 under the common scaling: generalized inverse
+    Gaussian; hull is u1_hull's, or None for a fresh one."""
     _, u2, theta = to_transformed(
         "common", state.sigma2, state.lambda1, state.lambda2)
-    order = prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
     psi = u2 ** 2 * prior.nu2 + 2.0 * u2 * theta * prior.nu1
-    u1 = sample_gig(order, psi, sums.rss + prior.nu_b, rng)
+    u1 = sample_gig(_u1_order(data, prior), psi, sums.rss + prior.nu_b, rng,
+                    hull)
     state.sigma2, state.lambda1, state.lambda2 = from_transformed(
         "common", u1, u2, theta)
 
@@ -316,41 +331,53 @@ def theta_hull(data, prior):
     return tangent_hull(data.p, prior.L, 0.5 * data.p)
 
 
+def u1_hull(data, prior):
+    """An empty hull for u1's draws in one common-form chain: u1's gig
+    conditional keeps its order from sweep to sweep, and the tangents of
+    the gig on its centred log scale cross where no (psi, chi) moves
+    them."""
+    return GigHull(_u1_order(data, prior))
+
+
 def run_sweep(algorithm, data, prior, state, rng, counts=None,
-              steps=(1.0,) * len(MH_SCALES), hull=None):
+              steps=(1.0,) * len(MH_SCALES), hulls=None):
     """One full scan over all blocks; mutates and returns the state.
-    steps are the Metropolis log-scale steps, in MH_SCALES order; hull
-    is the chain's theta_hull, or None for a fresh one per draw."""
+    steps are the Metropolis log-scale steps, in MH_SCALES order; hulls
+    is the chain's (theta_hull, u1_hull) pair, or None for fresh ones
+    per draw."""
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
     if prior.representation == "direct":
         update_beta_direct(data, prior, state, rng)
         _update_scales(algorithm, data, prior, state, rng, counts, steps,
-                       hull)
+                       hulls)
     else:
         # partially collapsed Gibbs: the scales given beta alone, with
         # tau2 integrated out, then tau2
         update_beta_block(data, prior, state, rng)
         _update_scales(algorithm, data, prior, state, rng, counts, steps,
-                       hull)
+                       hulls)
         update_tau2(data, prior, state, rng)
     return state
 
 
-def _update_scales(algorithm, data, prior, state, rng, counts, steps, hull):
+def _update_scales(algorithm, data, prior, state, rng, counts, steps,
+                   hulls):
     # beta stays put while the scales move
     sums = coefficient_sums(data, state)
     if algorithm == "rs":
+        theta_kept, u1_kept = hulls or (None, None)
         if prior.form == "common":
-            update_u1_common(data, prior, state, sums, rng)
+            update_u1_common(data, prior, state, sums, rng, u1_kept)
             update_u2_common(data, prior, state, sums, rng)
             update_lambda2(data, prior, state, sums, rng)
-            update_theta_common(data, prior, state, sums, rng, hull)
+            update_theta_common(data, prior, state, sums, rng, theta_kept)
         else:
             update_sigma2_differential_rs(data, prior, state, sums, rng)
             update_u2_differential(data, prior, state, sums, rng)
-            update_theta_differential(data, prior, state, sums, rng, hull)
+            update_theta_differential(data, prior, state, sums, rng,
+                                      theta_kept)
             update_lambda2(data, prior, state, sums, rng)
     else:
         if counts is None:
@@ -364,8 +391,9 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     Burn-in sweep t of a Metropolis chain moves each scale's log step by
     (t + 1)^-1/2 (accepted - MH_TARGET); the kept sweeps run at the
     steps burn-in ends with, and only they count towards the acceptance.
-    The tuning draws no random numbers.  theta's hull is the chain's
-    own (theta_hull), made here and dropped with the chain.
+    The tuning draws no random numbers.  The kept hulls of theta's and
+    u1's draws are the chain's own (theta_hull, u1_hull), made here and
+    dropped with the chain.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
@@ -373,7 +401,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     if iters < 1 or burnin < 0 or thin < 1:
         raise ValueError("iters >= 1, burnin >= 0, thin >= 1 required")
     state = initial_state(data, prior)
-    hull = theta_hull(data, prior)
+    hulls = (theta_hull(data, prior), u1_hull(data, prior))
     log_steps = [0.0] * len(MH_SCALES)
     steps = [1.0] * len(MH_SCALES)
     p = data.p
@@ -381,7 +409,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     t0 = time.perf_counter()
     for t in range(burnin):
         counts = new_counts(algorithm)
-        run_sweep(algorithm, data, prior, state, rng, counts, steps, hull)
+        run_sweep(algorithm, data, prior, state, rng, counts, steps, hulls)
         if counts:
             gain = (t + 1.0) ** -0.5
             for i, name in enumerate(MH_SCALES):
@@ -389,7 +417,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
                 steps[i] = math.exp(log_steps[i])
     counts = new_counts(algorithm)
     for it in range(iters * thin):
-        run_sweep(algorithm, data, prior, state, rng, counts, steps, hull)
+        run_sweep(algorithm, data, prior, state, rng, counts, steps, hulls)
         if it % thin == 0:
             k = it // thin
             kept[k, :p] = state.beta

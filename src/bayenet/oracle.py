@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (
+    GigHull,
     sample_gig,
     sample_inverse_gaussian,
     sample_mhn,
@@ -781,6 +782,23 @@ def kept_hull_ks_check(n, rng):
         lambda x: _tilted_log_density(p, x), (1e-8, 1e3)))
 
 
+def gig_kept_hull_ks_check(n, rng):
+    """KS of the design-1 u1 member gig(-8, 0.57, 159) drawn through one
+    kept hull, each draw after one at psi up to 3 times higher or lower
+    through the same hull, as a chain's u1 draws share it."""
+    lam, psi, chi = -8.0, 0.57, 159.0
+    hull = GigHull(lam)
+    spread = math.log(3.0)
+    draws = np.empty(n)
+    for i in range(n):
+        sample_gig(lam, psi * math.exp(rng.gen.uniform(-spread, spread)),
+                   chi, rng, hull)
+        draws[i] = sample_gig(lam, psi, chi, rng, hull)
+    return _ks_result("ks-gig-kept-hull", draws, auto_cdf(
+        lambda x: (lam - 1.0) * np.log(x) - 0.5 * (psi * x + chi / x),
+        (1e-8, 1e4)))
+
+
 def _tilted_log_density(p, x):
     """tilted.log_density over a node array."""
     return _within(lambda x: (p.a - 1.0) * np.log(x) - p.b * x * x - p.c * x
@@ -912,6 +930,7 @@ def run_validation_suite(seed=0, quick=False, beta_updater=None):
 
     checks = distribution_ks_checks(n_ks, RngStream(seed, 201))
     checks.append(kept_hull_ks_check(n_ks, RngStream(seed, 207)))
+    checks.append(gig_kept_hull_ks_check(n_ks, RngStream(seed, 208)))
     checks.append(_prior_equivalence_check(
         "common", n_eq, RngStream(seed, 202)))
     checks.append(_prior_equivalence_check(

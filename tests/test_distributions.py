@@ -8,6 +8,7 @@ import pytest
 
 from bayenet import distributions
 from bayenet.distributions import (
+    GigHull,
     _hazard_term,
     _hgamma_envelope,
     _mhn_mode,
@@ -20,10 +21,11 @@ from bayenet.distributions import (
     sample_mhn,
     sample_truncated_normal,
 )
+from bayenet.envelope import EnvelopeError, _segment_log_mass
 from bayenet.rng import RngStream
 from bayenet.special import mills_ratio
 
-from helpers import cdf_table, ks_statistic, ks_threshold
+from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
 
 N = 20000
 
@@ -173,32 +175,108 @@ def test_gig_interior_orders():
         assert _ks_ok(draws, _gig_logpdf(lam, psi, chi), 1e-9, 80.0), (lam, psi, chi)
 
 
-def _gig_two_closures(lam, psi, chi, rng):
-    """sample_gig's interior draw with log_f and dlog_f each computing
-    psi e^t and chi e^-t for themselves."""
+def _gig_two_closures(lam, psi, chi, rng, mode=None):
+    """sample_gig's fresh interior draw with log_f and dlog_f each
+    computing omega e^s and omega e^-s for themselves, on
+    s = log x - log(chi/psi)/2."""
     exp = distributions._exp
-    disc = math.hypot(lam, math.sqrt(psi) * math.sqrt(chi))
-    x_mode = (lam + disc) / psi if lam >= 0.0 else chi / (disc - lam)
+    lw = 0.5 * (math.log(psi) + math.log(chi))
+    omega = math.sqrt(psi) * math.sqrt(chi)
     target = distributions.LogDensityTarget(
-        lambda t: lam * t - 0.5 * (psi * exp(t) + chi * exp(-t)),
-        lambda t: lam - 0.5 * (psi * exp(t) - chi * exp(-t)),
-        support_lower=-math.inf, mode=math.log(x_mode),
-        curvature=-0.5 * (psi * x_mode + chi / x_mode))
+        lambda s: lam * s - 0.5 * (exp(lw + s) + exp(lw - s)),
+        lambda s: lam - 0.5 * (exp(lw + s) - exp(lw - s)),
+        support_lower=-math.inf,
+        mode=math.asinh(lam / omega) if mode is None else mode,
+        curvature=-math.hypot(lam, omega))
     env = distributions.build_envelope(target, K=3)
-    return math.exp(distributions.sample_from_envelope(target, env, rng))
+    s = distributions.sample_from_envelope(target, env, rng)
+    return math.exp(s + 0.5 * (math.log(chi) - math.log(psi)))
 
 
 def test_gig_shares_each_knots_exponentials_without_moving_a_draw():
-    # log_f and dlog_f share the pair (psi e^t, chi e^-t) of the last t;
-    # the draws must be those of two closures that compute it apart,
-    # modes near both ends of the double range included
+    # log_f and dlog_f share the pair (omega e^s, omega e^-s) of the
+    # last s; the draws must be those of two closures that compute it
+    # apart, modes near both ends of the double range included
     cases = [(2.5, 3.0, 1.7), (-0.5, 2.0, 4.0), (0.7, 2.0, 3.0),
              (-3.5, 5.0, 0.4), (40.0, 1e-3, 1e-3), (-0.01, 1e-250, 1e250),
              (1e3, 1e-300, 1e-300), (-1e3, 1e-300, 1e-300)]
     fast, ref = RngStream(103, 15), RngStream(103, 15)
     for _ in range(200):
         for case in cases:
-            assert sample_gig(*case, fast) == _gig_two_closures(*case, ref)
+            x = sample_gig(*case, fast)
+            assert 0.0 < x < math.inf
+            assert x == _gig_two_closures(*case, ref)
+    # lam / omega overflows, and omega e^s at the mode is about 1 though
+    # e^s is not finite: the mode is log(2 |lam| / omega)
+    for lam, psi, chi in ((1.0, 1e-300, 1e-320), (-1.0, 1e-320, 1e-300)):
+        mode = math.copysign(math.log(2.0) - 0.5 * (math.log(psi)
+                                                    + math.log(chi)), lam)
+        for _ in range(200):
+            x = sample_gig(lam, psi, chi, fast)
+            assert 0.0 < x < math.inf
+            assert x == _gig_two_closures(lam, psi, chi, ref, mode)
+
+
+@pytest.mark.parametrize("lam", [-42.0, -8.0, 2.5])
+def test_gig_hull_is_kept_across_omega_and_dominates(lam):
+    # one hull drawn at omega from 1e-3 to 1e4 and back, in random order.
+    # It keeps its knots while the mode stays in (knots[1], knots[-2])
+    # and that span stays 2 to 8 widths, and rebuilds otherwise; it lies
+    # above lam s - omega cosh s on both sides of the mode, with each
+    # segment weighed by its mass
+    rng = RngStream(103, 20)
+    gen = rng.gen
+    hull = GigHull(lam)
+    omegas = np.exp(gen.uniform(math.log(1e-3), math.log(1e4), 300))
+    kept = mode_rebuilds = width_rebuilds = 0
+    for omega in np.concatenate([np.sort(omegas), omegas]):
+        # psi = chi puts s at log x
+        omega = float(omega)
+        w = math.sqrt(omega) * math.sqrt(omega)
+        mode = math.asinh(lam / w)
+        width = 1.0 / math.sqrt(math.hypot(lam, w))
+        before = hull.knots
+        inside = len(before) > 2 and before[1] < mode < before[-2]
+        fits = inside and 2.0 <= (before[-2] - before[1]) / width <= 8.0
+        sample_gig(lam, omega, omega, rng, hull)
+        assert (hull.knots is before) == fits
+        kept += fits
+        mode_rebuilds += not inside
+        width_rebuilds += inside and not fits
+        assert hull.knots[1] < mode < hull.knots[-2]
+        for s in mode + 4.0 * width * gen.standard_normal(40):
+            s = float(s)
+            log_f = lam * s - w * math.cosh(s)
+            assert hull_log_value(hull, s) >= log_f - 1e-9 * (1.0 + abs(log_f))
+        masses = [_segment_log_mass(lo, hi, m, b) for lo, hi, m, b in zip(
+            hull.bounds, hull.bounds[1:], hull.slopes, hull.intercepts)]
+        cum = np.cumsum(np.exp(np.array(masses) - max(masses)))
+        np.testing.assert_allclose(hull._cum, cum / cum[-1], rtol=1e-9,
+                                   atol=1e-15)
+    assert kept > 100 and mode_rebuilds > 1 and width_rebuilds > 1
+
+
+def test_gig_hull_for_another_order_is_refused():
+    rng = RngStream(103, 21)
+    hull = GigHull(-8.0)
+    sample_gig(-8.0, 0.57, 159.0, rng, hull)
+    with pytest.raises(ValueError, match="hull is for lam = -8.0, not 2.5"):
+        sample_gig(2.5, 0.57, 159.0, rng, hull)
+    # the limits build no hull, but a wrong one is still refused
+    with pytest.raises(ValueError, match="hull is for lam = -8.0, not -2.0"):
+        sample_gig(-2.0, 0.0, 3.0, rng, hull)
+
+
+def test_gig_hull_keeps_no_knots_past_the_sinh_range():
+    # the mode asinh(1e305) = 703.3 puts knots where s sinh s nears
+    # overflow: the hull keeps none, and each draw builds its own, the
+    # draws of a fresh hull
+    hull = GigHull(1e5)
+    kept, fresh = RngStream(103, 22), RngStream(103, 22)
+    for _ in range(20):
+        x = sample_gig(1e5, 1e-300, 1e-300, kept, hull)
+        assert hull.knots == []
+        assert x == sample_gig(1e5, 1e-300, 1e-300, fresh)
 
 
 def test_gig_gamma_boundary():
@@ -231,6 +309,12 @@ def test_gig_validates():
                 sample_gig(args["lam"], args["psi"], args["chi"], rng)
     with pytest.raises(ValueError, match="chi must be finite"):
         sample_gig(-1.0, 0.0, math.inf, rng)
+    # a draw near 2e310 cannot be returned, and a hull whose mass is not
+    # finite is refused before it proposes
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        sample_gig(1.0, 1e-320, 1e-300, rng)
+    with pytest.raises(EnvelopeError, match="hull mass is not finite"):
+        sample_gig(1e-300, 5e-324, 5e-324, rng)
 
 
 def test_gig_limit_draws_are_pinned():

@@ -37,13 +37,14 @@ def _mhn_322_target():
 
 
 def _gig_log_target(lam, psi, chi):
-    """gig(lam, psi, chi) on the log scale, as sample_gig builds it."""
-    x_mode = (lam + math.hypot(lam, math.sqrt(psi * chi))) / psi
+    """gig(lam, psi, chi) on s = log x - log(chi/psi)/2, where its log
+    density is lam s - omega cosh s, as sample_gig builds it."""
+    omega = math.sqrt(psi * chi)
     return LogDensityTarget(
-        lambda t: lam * t - 0.5 * (psi * math.exp(t) + chi * math.exp(-t)),
-        lambda t: lam - 0.5 * (psi * math.exp(t) - chi * math.exp(-t)),
-        support_lower=-math.inf, mode=math.log(x_mode),
-        curvature=-0.5 * (psi * x_mode + chi / x_mode))
+        lambda s: lam * s - omega * math.cosh(s),
+        lambda s: lam - omega * math.sinh(s),
+        support_lower=-math.inf, mode=math.asinh(lam / omega),
+        curvature=-math.hypot(lam, omega))
 
 
 def _tilted_target(p):

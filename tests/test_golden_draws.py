@@ -9,7 +9,8 @@ the draws regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden_draws.py
 
-and says why in CHANGES.md.
+which first prints, for each sampler, whether its rows differ from the
+committed file, and says why in CHANGES.md.
 """
 
 import csv
@@ -50,17 +51,59 @@ def read_fixture():
     return header[2:], {k: np.array(v) for k, v in table.items()}
 
 
+def fixture_rows():
+    """The fixture's rows as written: a header, then each sampler's."""
+    rows = []
+    for i, label in enumerate(SAMPLERS):
+        draws, names = golden_chain(i)
+        if i == 0:
+            rows.append(["sampler", "sweep"] + names)
+        rows.extend([label, str(t + 1)] + [f"{v:.17g}" for v in row]
+                    for t, row in enumerate(draws))
+    return rows
+
+
+def moved_rows(old, new):
+    """sampler -> how many of its rows differ between two fixtures' rows
+    (a row only one of them has counts too)."""
+    def by_sampler(rows):
+        table = {}
+        for row in rows[1:]:
+            table.setdefault(row[0], []).append(row)
+        return table
+
+    old, new = by_sampler(old), by_sampler(new)
+    moved = {}
+    for label in SAMPLERS:
+        a, b = old.get(label, []), new.get(label, [])
+        moved[label] = (sum(x != y for x, y in zip(a, b))
+                        + abs(len(a) - len(b)))
+    return moved
+
+
 def write_fixture():
+    """Rewrite the fixture, first printing which samplers' rows move."""
+    rows = fixture_rows()
+    old = []
+    if os.path.exists(FIXTURE):
+        with open(FIXTURE, newline="") as fh:
+            old = list(csv.reader(fh))
+    for label, n in moved_rows(old, rows).items():
+        print(f"{label}: {f'{n} rows differ' if n else 'unchanged'}")
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for i, label in enumerate(SAMPLERS):
-            draws, names = golden_chain(i)
-            if i == 0:
-                w.writerow(["sampler", "sweep"] + names)
-            for t, row in enumerate(draws):
-                w.writerow([label, t + 1]
-                           + [f"{v:.17g}" for v in row])
+        csv.writer(fh).writerows(rows)
+
+
+def test_moved_rows_counts_each_samplers_differing_rows():
+    head = ["sampler", "sweep", "x"]
+    old = [head, [SAMPLERS[0], "1", "1.5"], [SAMPLERS[0], "2", "2.5"],
+           [SAMPLERS[1], "1", "3"]]
+    new = [head, [SAMPLERS[0], "1", "1.5"], [SAMPLERS[0], "2", "2.25"],
+           [SAMPLERS[1], "1", "3"], [SAMPLERS[1], "2", "4"]]
+    moved = moved_rows(old, new)
+    assert moved[SAMPLERS[0]] == moved[SAMPLERS[1]] == 1
+    assert sum(moved.values()) == 2
 
 
 @pytest.mark.parametrize("kind_index", range(len(SAMPLERS)), ids=SAMPLERS)

@@ -17,6 +17,7 @@ import pytest
 
 from bayenet import kernels, tilted
 from bayenet.diagnostics import ess_batch_means
+from bayenet.envelope import PiecewiseExpEnvelope
 from bayenet.kernels import (
     MH_SCALES,
     MH_TARGET,
@@ -421,15 +422,17 @@ def test_augmented_sweep_draws_the_scales_with_tau2_integrated_out(
     out = run_chain(algorithm, data, prior, RngStream(13, 0), iters=40,
                     burnin=0)
     state, rng = initial_state(data, prior), RngStream(13, 0)
-    hull = kernels.theta_hull(data, prior)
+    # theta and u1 draw through the chain's own kept hulls
+    kept = {"update_theta_common": kernels.theta_hull(data, prior),
+            "update_u1_common": kernels.u1_hull(data, prior)}
+    kept["update_theta_differential"] = kept["update_theta_common"]
     for row in out.draws:
         update_beta_block(data, prior, state, rng)
         sums = coefficient_sums(data, state)
         if algorithm == "rs":
             for name in SCALE_BLOCKS["rs", form]:
-                # theta draws through the chain's one hull
-                kept = (hull,) if "theta" in name else ()
-                getattr(kernels, name)(data, prior, state, sums, rng, *kept)
+                hull = (kept[name],) if name in kept else ()
+                getattr(kernels, name)(data, prior, state, sums, rng, *hull)
         else:
             mh_update_scales(data, prior, state, sums, (1.0,) * 3, rng,
                              kernels.new_counts("mh"))
@@ -459,7 +462,7 @@ def test_each_chain_keeps_its_own_theta_hull(label):
 def test_theta_target_evaluations_per_draw_are_pinned(monkeypatch):
     # log f calls per theta draw over seeded design-1 chains (weak prior,
     # L = 1): the kept hull evaluates log f only where its squeeze fails,
-    # 157-218 times in 500 draws, where a hull built per draw evaluates
+    # 112-218 times in 500 draws, where a hull built per draw evaluates
     # it 2.2-2.5 times per draw
     y, X = generate_dataset(design(1), data_stream(5, 1, 0))
     data = RegressionData(y, X)
@@ -482,12 +485,43 @@ def test_theta_target_evaluations_per_draw_are_pinned(monkeypatch):
         return out
 
     assert evaluations() == {
-        "rs-common-direct": 195, "rs-common-da": 157,
+        "rs-common-direct": 209, "rs-common-da": 112,
         "rs-differential-direct": 171, "rs-differential-da": 218}
     monkeypatch.setattr(kernels, "theta_hull", lambda data, prior: None)
     assert evaluations() == {
-        "rs-common-direct": 1106, "rs-common-da": 1099,
+        "rs-common-direct": 1103, "rs-common-da": 1085,
         "rs-differential-direct": 1237, "rs-differential-da": 1238}
+
+
+def test_gig_hull_builds_per_chain_are_pinned(monkeypatch):
+    # hulls built for u1's 500 gig draws over seeded design-1 chains
+    # (weak prior): the kept hull is rebuilt 7-11 times, mostly in
+    # burn-in, where a hull per draw builds 500
+    y, X = generate_dataset(design(1), data_stream(5, 1, 0))
+    data = RegressionData(y, X)
+    builds = [0]
+    init = PiecewiseExpEnvelope.__init__
+
+    def counted(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    # at L = 1 theta's hull is a TangentHull, which builds no such hull
+    monkeypatch.setattr(PiecewiseExpEnvelope, "__init__", counted)
+
+    def hulls_built():
+        out = {}
+        for label in SAMPLERS[:2]:
+            algorithm, form, rep = parse_sampler(label)
+            builds[0] = 0
+            run_chain(algorithm, data, make_prior(form, rep, preset="weak"),
+                      RngStream(5, 2), iters=400, burnin=100)
+            out[label] = builds[0]
+        return out
+
+    assert hulls_built() == {"rs-common-direct": 7, "rs-common-da": 11}
+    monkeypatch.setattr(kernels, "u1_hull", lambda data, prior: None)
+    assert hulls_built() == {"rs-common-direct": 500, "rs-common-da": 500}
 
 
 def test_parse_sampler():
