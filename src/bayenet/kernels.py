@@ -36,10 +36,12 @@ A sampler's label is "algorithm-form-representation", e.g.
 "rs-differential-da"; SAMPLERS lists all eight in a fixed order.
 
 The coefficient blocks avoid per-element numpy work: the direct scan
-does each coordinate's arithmetic in Python floats and takes its scalar
-draws from the stream's buffered blocks (rng.RngStream); the augmented
-representation draws beta with one Cholesky factor and one solve with
-the precision, and all p latent scales with one vectorized
+does each coordinate's arithmetic in Python floats, inlines log Phi's
+erfc branches and the truncated normal's a <= 0.5 regime (the far tail
+and Robert's regime still call special and distributions), and takes
+its scalar draws from the stream's buffered blocks (rng.RngStream); the
+augmented representation draws beta with one Cholesky factor and one
+solve with the precision, and all p latent scales with one vectorized
 inverse-Gaussian call.
 
 Update order within a sweep: beta, then the scales, then tau2 where
@@ -85,7 +87,7 @@ from .model import (
     to_transformed,
 )
 from .rng import log_uniform
-from .special import log_std_normal_cdf
+from .special import _SQRT2, _TAIL_CUT, log_std_normal_cdf
 from .tilted import TiltedParams, sample_tilted, tangent_hull
 
 ALGORITHMS = ("rs", "mh")
@@ -129,29 +131,71 @@ def _scan_beta(data, prior, state, coords, rng):
     (log Phi(mu/s) + mu^2/(2 s^2)); the shared Gaussian constant cancels.
     The arithmetic is on Python floats, with the scales and data read
     once per call; the one array operation per coordinate is the dot
-    product with row j of X'X.
+    product with row j of X'X.  log Phi's two erfc branches and the
+    truncated normal's a <= 0.5 regime run inline, with the operations
+    of special.log_std_normal_cdf and
+    distributions.sample_truncated_normal in their order, so the draws
+    are theirs bit for bit; the far tail x < -5, Robert's regime
+    a > 0.5 and a non-finite mean or variance still call them.
     """
     beta = state.beta
     lam2, s2 = state.lambda2, state.sigma2
     t = (0.5 * state.lambda1 if prior.form == "common"
          else math.sqrt(s2) * state.lambda1)
-    col_sq_norms, xtx_rows, xty = data.col_sq_norms, data.xtx_rows, data.xty
-    uniform = rng.uniform
+    col_sq_norms, xtx_rows = data.col_sq_norms, data.xtx_rows
+    xty = data.xty.tolist()
+    uniform, normal = rng.uniform, rng.normal
+    erfc, log, log1p, exp, sqrt = (math.erfc, math.log, math.log1p,
+                                   math.exp, math.sqrt)
+    sqrt2, tail, inf = _SQRT2, -_TAIL_CUT, math.inf
     for j in coords:
         xtx_jj = col_sq_norms[j]
         prec = xtx_jj + lam2
         sj2 = s2 / prec
-        sj = math.sqrt(sj2)
-        r = xty.item(j) - (float(xtx_rows[j].dot(beta))
-                           - xtx_jj * beta.item(j))
+        sj = sqrt(sj2)
+        r = xty[j] - (float(xtx_rows[j].dot(beta)) - xtx_jj * beta.item(j))
         mu_pos = (r - t) / prec
         mu_neg = (r + t) / prec
-        lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2
-        lw_neg = (log_std_normal_cdf(-mu_neg / sj)
-                  + 0.5 * mu_neg * mu_neg / sj2)
-        gap = min(lw_neg - lw_pos, 700.0)
-        if uniform() < 1.0 / (1.0 + math.exp(gap)):
-            beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative", rng)
+        x_pos = mu_pos / sj
+        x_neg = -mu_neg / sj
+        if x_pos > 0.0:
+            lw_pos = log1p(-0.5 * erfc(x_pos / sqrt2))
+        elif x_pos >= tail:
+            lw_pos = log(0.5 * erfc(-x_pos / sqrt2))
+        else:
+            lw_pos = log_std_normal_cdf(x_pos)
+        if x_neg > 0.0:
+            lw_neg = log1p(-0.5 * erfc(x_neg / sqrt2))
+        elif x_neg >= tail:
+            lw_neg = log(0.5 * erfc(-x_neg / sqrt2))
+        else:
+            lw_neg = log_std_normal_cdf(x_neg)
+        gap = ((lw_neg + 0.5 * mu_neg * mu_neg / sj2)
+               - (lw_pos + 0.5 * mu_pos * mu_pos / sj2))
+        if gap > 700.0:
+            gap = 700.0
+        # -x is the truncation point a, as (-m)/s == -(m/s) exactly
+        if uniform() < 1.0 / (1.0 + exp(gap)):
+            if x_pos >= -0.5 and -inf < mu_pos < inf and sj2 < inf:
+                a = -x_pos
+                z = normal()
+                while z < a:
+                    z = normal()
+                b = mu_pos + sj * z
+                beta[j] = 0.0 if b < 0.0 else b
+            else:
+                beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative",
+                                                  rng)
+        elif x_neg >= -0.5 and -inf < mu_neg < inf and sj2 < inf:
+            # an exact 0 is redrawn: the negative side is x < 0
+            a = -x_neg
+            while True:
+                z = normal()
+                if z >= a:
+                    b = -mu_neg + sj * z
+                    if b > 0.0:
+                        break
+            beta[j] = -b
         else:
             beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)
 

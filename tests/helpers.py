@@ -8,7 +8,10 @@ the rejection blocks against.  log_integrated_likelihood and
 log_prior_beta reach the package's likelihood and prior through their
 sums, which is how the tests pin those pieces to closed forms;
 log_prior_da writes the augmented prior out here, independently of the
-package, which reads it only with tau2 integrated out.
+package, which reads it only with tau2 integrated out.  reference_scan_beta
+is the direct coefficient scan written plainly, through
+log_std_normal_cdf and sample_truncated_normal, which the package's scan
+inlines.
 """
 
 import csv
@@ -18,6 +21,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from bayenet.distributions import sample_truncated_normal
 from bayenet.model import (_log_likelihood, _log_prior, _sums,
                            log_posterior_unnorm, rss, tau2_conditional_var,
                            to_transformed)
@@ -153,3 +157,30 @@ def axis_slope_jump(grid, at, eps=1e-6):
     left = (mid - grid.log_unnorm(at, -eps)) / eps
     right = (grid.log_unnorm(at, eps) - mid) / eps
     return left - right
+
+
+def reference_scan_beta(data, prior, state, rng):
+    """The direct coefficient scan over j = 0..p-1, each coordinate drawn
+    by calling log_std_normal_cdf for its side weights and
+    sample_truncated_normal for its draw."""
+    beta = state.beta
+    lam2, s2 = state.lambda2, state.sigma2
+    t = (0.5 * state.lambda1 if prior.form == "common"
+         else math.sqrt(s2) * state.lambda1)
+    for j in range(data.p):
+        xtx_jj = data.col_sq_norms[j]
+        prec = xtx_jj + lam2
+        sj2 = s2 / prec
+        sj = math.sqrt(sj2)
+        r = data.xty.item(j) - (float(data.xtx_rows[j].dot(beta))
+                                - xtx_jj * beta.item(j))
+        mu_pos = (r - t) / prec
+        mu_neg = (r + t) / prec
+        lw_pos = log_std_normal_cdf(mu_pos / sj) + 0.5 * mu_pos * mu_pos / sj2
+        lw_neg = (log_std_normal_cdf(-mu_neg / sj)
+                  + 0.5 * mu_neg * mu_neg / sj2)
+        gap = min(lw_neg - lw_pos, 700.0)
+        if rng.uniform() < 1.0 / (1.0 + math.exp(gap)):
+            beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative", rng)
+        else:
+            beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)

@@ -17,6 +17,7 @@ import pytest
 
 from bayenet import kernels, tilted
 from bayenet.diagnostics import ess_batch_means
+from bayenet.distributions import sample_truncated_normal
 from bayenet.envelope import PiecewiseExpEnvelope
 from bayenet.kernels import (
     MH_SCALES,
@@ -48,9 +49,11 @@ from bayenet.model import (
 )
 from bayenet.rng import BLOCK, RngStream, log_uniform
 from bayenet.simulate import data_stream, design, generate_dataset
+from bayenet.special import log_std_normal_cdf
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
-                     log_posterior_transformed, log_prior_da)
+                     log_posterior_transformed, log_prior_da,
+                     reference_scan_beta)
 
 N_SLICE_DRAWS = 4000
 
@@ -307,6 +310,97 @@ def test_direct_scan_draws_in_blocks_not_per_coordinate(form):
     assert counting.calls
     assert all(args == (BLOCK,) for _, args in counting.calls)
     assert len(counting.calls) <= 6 < data.p
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_direct_scan_is_the_reference_scan_bit_for_bit(form, monkeypatch):
+    """The scan inlines log Phi's erfc branches and the truncated
+    normal's a <= 0.5 regime; the plain scan that calls
+    log_std_normal_cdf and sample_truncated_normal must draw the same
+    bits from the same stream.  A last-bit drift in a side weight almost
+    never flips a side, so both scans' erfc, log, log1p and exp calls,
+    arguments and results, must match bit for bit too.  The far tail
+    and Robert's regime on each side, which the scan still calls out
+    for, and the inline negative side are each reached, so the
+    comparison is not vacuous."""
+    seen = {"far tail": 0, "nonnegative": 0, "negative": 0,
+            "negative inline": 0}
+    calls = []
+
+    def recorded(name):
+        fn = getattr(math, name)
+
+        def call(x):
+            y = fn(x)
+            calls.append((name, float(x).hex(), y.hex()))
+            return y
+        return call
+
+    def counted_log_cdf(x):
+        seen["far tail"] += 1
+        return log_std_normal_cdf(x)
+
+    def counted_truncated_normal(mean, var, side, rng):
+        seen[side] += 1
+        return sample_truncated_normal(mean, var, side, rng)
+
+    for name in ("erfc", "exp", "log", "log1p"):
+        monkeypatch.setattr(math, name, recorded(name))
+    monkeypatch.setattr(kernels, "log_std_normal_cdf", counted_log_cdf)
+    monkeypatch.setattr(kernels, "sample_truncated_normal",
+                        counted_truncated_normal)
+    for d in (1, 2, 3):
+        y, X = generate_dataset(design(d), data_stream(7, d, 0))
+        data = RegressionData(y, X)
+        prior = make_prior(form, "direct",
+                           preset="weak" if d == 1 else "strong")
+        for algorithm in kernels.ALGORITHMS:
+            state = initial_state(data, prior)
+            rng = RngStream(7, (d, 1))
+            for _ in range(5):
+                run_sweep(algorithm, data, prior, state, rng)
+            fast, ref = clone(state), clone(state)
+            fast_rng, ref_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+            for _ in range(5):
+                negative_calls = seen["negative"]
+                calls.clear()
+                kernels.update_beta_direct(data, prior, fast, fast_rng)
+                fast_calls = calls[:]
+                calls.clear()
+                reference_scan_beta(data, prior, ref, ref_rng)
+                assert fast.beta.tobytes() == ref.beta.tobytes()
+                assert fast_calls == calls
+                seen["negative inline"] += (int((fast.beta < 0.0).sum())
+                                            - (seen["negative"]
+                                               - negative_calls))
+            for name in ("uniform", "normal", "exponential"):
+                assert getattr(fast_rng, name)() == getattr(ref_rng, name)()
+            assert fast_rng.gen.random() == ref_rng.gen.random()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+@pytest.mark.parametrize("name", ["sigma2", "lambda1", "lambda2"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_direct_scan_refuses_what_the_reference_refuses(form, name, bad):
+    """A non-finite scale must fail as the plain scan fails, naming the
+    mean or variance that is not finite, and never be drawn inline: a
+    common-form sigma2 = inf leaves every mean finite and only the
+    variance infinite.  lambda2 = inf makes every variance 0, which both
+    scans meet as a division by zero."""
+    expected = (ZeroDivisionError if (name, bad) == ("lambda2", math.inf)
+                else ValueError)
+    y, X = generate_dataset(design(3), data_stream(7, 3, 0))
+    data = RegressionData(y, X)
+    prior = make_prior(form, "direct", preset="strong")
+    errors = []
+    for scan in (reference_scan_beta, kernels.update_beta_direct):
+        state = initial_state(data, prior)
+        setattr(state, name, bad)
+        with pytest.raises(expected) as caught:
+            scan(data, prior, state, RngStream(7, 2))
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])
