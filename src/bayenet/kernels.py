@@ -40,8 +40,8 @@ does each coordinate's arithmetic in Python floats, inlines log Phi's
 erfc branches and the truncated normal's a <= 0.5 regime (the far tail
 and Robert's regime still call special and distributions), and takes
 its scalar draws from the stream's buffered blocks (rng.RngStream); the
-augmented representation draws beta with one Cholesky factor and one
-solve with the precision, and all p latent scales with one vectorized
+augmented representation draws beta with one solve with the precision
+and no factor of it, and all p latent scales with one vectorized
 inverse-Gaussian call.
 
 Update order within a sweep: beta, then the scales, then tau2 where
@@ -71,6 +71,7 @@ import numpy as np
 from .diagnostics import ChainOutput, DERIVED_NAMES, derived_penalty_columns
 from .distributions import (
     GigHull,
+    require_finite,
     sample_gig,
     sample_hazard_gamma,
     sample_inverse_gaussian,
@@ -140,6 +141,9 @@ def _scan_beta(data, prior, state, coords, rng):
     """
     beta = state.beta
     lam2, s2 = state.lambda2, state.sigma2
+    if not lam2 < math.inf:
+        # every conditional variance would be 0, and mu / s divide by it
+        require_finite(lambda2=lam2)
     t = (0.5 * state.lambda1 if prior.form == "common"
          else math.sqrt(s2) * state.lambda1)
     col_sq_norms, xtx_rows = data.col_sq_norms, data.xtx_rows
@@ -201,9 +205,13 @@ def _scan_beta(data, prior, state, coords, rng):
 
 
 def update_beta_block(data, prior, state, rng):
-    """Joint Gaussian update of beta given the latent scales: with the
-    precision Q = L L', beta = Q^-1 (X'y + sigma L z) is distributed
-    N(Q^-1 X'y, sigma^2 Q^-1)."""
+    """Joint Gaussian update of beta given the latent scales, with one
+    solve and no factor of the precision Q = X'X + D: with the data's
+    fixed root R'R = X'X (k x p) and z, e standard normal of sizes p and
+    k, D^1/2 z + R'e has covariance Q, so
+    beta = Q^-1 (X'y + sigma (D^1/2 z + R'e)) is distributed
+    N(Q^-1 X'y, sigma^2 Q^-1) (Bhattacharya, Chakraborty & Mallick 2016).
+    """
     if prior.form == "common":
         om = np.maximum(1.0 - state.tau2, 1e-14)
         extra = state.lambda2 / om
@@ -211,10 +219,11 @@ def update_beta_block(data, prior, state, rng):
         extra = 1.0 / state.tau2 + state.lambda2
     prec = data.xtx.copy()
     prec.flat[::data.p + 1] += extra
-    chol = np.linalg.cholesky(prec)
-    z = rng.gen.standard_normal(data.p)
+    root = data.xtx_root
+    ze = rng.gen.standard_normal(data.p + root.shape[0])
+    noise = np.sqrt(extra) * ze[:data.p] + ze[data.p:].dot(root)
     state.beta = np.linalg.solve(
-        prec, data.xty + math.sqrt(state.sigma2) * (chol @ z))
+        prec, data.xty + math.sqrt(state.sigma2) * noise)
 
 
 def update_tau2(data, prior, state, rng):

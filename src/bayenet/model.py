@@ -105,6 +105,9 @@ class RegressionData:
         if bad.any():
             raise ValueError(f"predictor column {int(np.argmax(bad)) + 1} "
                              "is too large: its cross products overflow")
+        # a k x p root of X'X, R'R = X'X with k = min(n, p), so the block
+        # draw's noise costs k * p per sweep whatever n is
+        self.xtx_root = np.linalg.qr(self.X, mode="r")
         # floats and row views for the coordinate scan's scalar arithmetic
         self.col_sq_norms = self.xtx.diagonal().tolist()
         self.xtx_rows = list(self.xtx)
@@ -178,8 +181,11 @@ class ModelState:
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
-        if not (self.sigma2 > 0 and self.lambda1 > 0 and self.lambda2 > 0):
-            raise ValueError("sigma2, lambda1, lambda2 must be positive")
+        for name in ("sigma2", "lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 def initial_state(data, prior):
@@ -196,7 +202,10 @@ def initial_state(data, prior):
 
 
 def rss(data, beta):
-    return float(data.yty - 2.0 * beta @ data.xty + beta @ data.xtx @ beta)
+    # ndarray.dot skips the matmul operator's dispatch; doubling the
+    # product instead of beta is exact, so the sum is the same bits
+    return float(data.yty - 2.0 * beta.dot(data.xty)
+                 + beta.dot(data.xtx).dot(beta))
 
 
 class CoefficientSums(NamedTuple):
@@ -211,8 +220,8 @@ class CoefficientSums(NamedTuple):
 
 def _sums(beta, rss_value=math.nan):
     beta = np.asarray(beta, dtype=float)
-    return CoefficientSums(beta.size, rss_value, float(beta @ beta),
-                           float(np.abs(beta).sum()))
+    return CoefficientSums(beta.size, rss_value, float(beta.dot(beta)),
+                           float(np.add.reduce(np.abs(beta))))
 
 
 def coefficient_sums(data, state):

@@ -11,7 +11,8 @@ log_prior_da writes the augmented prior out here, independently of the
 package, which reads it only with tau2 integrated out.  reference_scan_beta
 is the direct coefficient scan written plainly, through
 log_std_normal_cdf and sample_truncated_normal, which the package's scan
-inlines.
+inlines; reference_coefficient_sums reduces beta with the matmul
+operator, where the package calls ndarray.dot.
 """
 
 import csv
@@ -21,10 +22,10 @@ from bisect import bisect_right
 
 import numpy as np
 
-from bayenet.distributions import sample_truncated_normal
-from bayenet.model import (_log_likelihood, _log_prior, _sums,
-                           log_posterior_unnorm, rss, tau2_conditional_var,
-                           to_transformed)
+from bayenet.distributions import require_finite, sample_truncated_normal
+from bayenet.model import (CoefficientSums, _log_likelihood, _log_prior,
+                           _sums, log_posterior_unnorm, rss,
+                           tau2_conditional_var, to_transformed)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -165,6 +166,8 @@ def reference_scan_beta(data, prior, state, rng):
     sample_truncated_normal for its draw."""
     beta = state.beta
     lam2, s2 = state.lambda2, state.sigma2
+    if not lam2 < math.inf:
+        require_finite(lambda2=lam2)
     t = (0.5 * state.lambda1 if prior.form == "common"
          else math.sqrt(s2) * state.lambda1)
     for j in range(data.p):
@@ -184,3 +187,11 @@ def reference_scan_beta(data, prior, state, rng):
             beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative", rng)
         else:
             beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)
+
+
+def reference_coefficient_sums(data, beta):
+    """model.coefficient_sums of beta through the matmul operator."""
+    return CoefficientSums(
+        beta.size,
+        float(data.yty - 2.0 * beta @ data.xty + beta @ data.xtx @ beta),
+        float(beta @ beta), float(np.abs(beta).sum()))

@@ -154,6 +154,18 @@ def test_data_centering_and_flags():
         RegressionData(y, X[:, :0])
 
 
+@pytest.mark.parametrize("n,p", [(20, 8), (6, 10)])
+def test_data_root_of_cross_products(n, p):
+    # the block draw's noise R'e has covariance X'X only if R'R = X'X,
+    # with k = min(n, p) rows also when n < p or a column is constant
+    X = np.random.default_rng(n).standard_normal((n, p))
+    X[:, 1] = 3.0
+    data = RegressionData(X[:, 0] + np.arange(n), X)
+    assert data.xtx_root.shape == (min(n, p), p)
+    assert np.allclose(data.xtx_root.T @ data.xtx_root, data.xtx,
+                       rtol=0.0, atol=1e-12 * np.abs(data.xtx).max())
+
+
 @pytest.mark.parametrize("row,col,value,needle", [
     (2, None, math.nan, "row 3, y"),
     (0, 1, math.inf, "row 1, predictor column 2"),
@@ -233,8 +245,16 @@ def test_log_posterior_finite_and_guards():
     with_tau2 = log_posterior_unnorm(data, prior, state)
     state.tau2 = None
     assert log_posterior_unnorm(data, prior, state) == with_tau2
-    with pytest.raises(ValueError):
-        ModelState(np.zeros(5), -1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["sigma2", "lambda1", "lambda2"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_state_refuses_scales_not_finite_and_positive(name, bad):
+    scales = dict(sigma2=1.0, lambda1=1.0, lambda2=1.0)
+    scales[name] = bad
+    with pytest.raises(ValueError, match=(
+            f"^{name} must be finite and positive, got {bad}$")):
+        ModelState(np.zeros(5), **scales)
 
 
 def test_hyperprior_improper_limit():

@@ -1,5 +1,6 @@
 """Quadrature tables, KS testing, planar grids, and the named checks."""
 
+import copy
 import math
 import re
 import warnings
@@ -286,6 +287,16 @@ def _block_update_without_lambda2(data, prior, state, rng):
         state.lambda2 = lambda2
 
 
+def _block_update_without_data_noise(data, prior, state, rng):
+    """The block update of beta with R'e dropped from its noise, so only
+    D^1/2 z perturbs the solve and the draw is too narrow: it runs
+    kernels.update_beta_block on a copy of the data whose root of X'X is
+    zero, with X'X and X'y kept."""
+    blind = copy.copy(data)
+    blind.xtx_root = np.zeros_like(data.xtx_root)
+    kernels.update_beta_block(blind, prior, state, rng)
+
+
 def test_log_phi_distinct_matches_log_phi_bit_for_bit():
     theta = 0.7
     u = np.linspace(0.05, 9.0, 2001)
@@ -300,15 +311,18 @@ def test_log_phi_distinct_matches_log_phi_bit_for_bit():
 
 
 def test_beta_block_check_passes_and_catches_dropped_lambda2():
+    # and a block that drops R'e, the one-solve draw's own failure mode
     for form in ("common", "differential"):
         data, prior, state = kernel_check_setup(form, "da")
         good = beta_block_ks(data, prior, state, 2000, RngStream(0, 8))
         assert good.passed, (form, good.detail)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "update_beta_block",
-                       _block_update_without_lambda2)
-            bad = beta_block_ks(data, prior, state, 2000, RngStream(0, 8))
-        assert not bad.passed, (form, bad.detail)
+        for mutant in (_block_update_without_lambda2,
+                       _block_update_without_data_noise):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "update_beta_block", mutant)
+                bad = beta_block_ks(data, prior, state, 2000,
+                                    RngStream(0, 8))
+            assert not bad.passed, (form, mutant.__name__, bad.detail)
 
 
 def test_appendix_a_headline_findings():
