@@ -21,10 +21,11 @@ lam s - omega cosh s with omega = sqrt(psi chi): strictly concave for
 every order lam, so one piecewise-exponential hull covers all interior
 cases.  The tangents of -omega cosh s at fixed knots cross at points
 that depend on neither omega nor lam, so a GigHull kept across draws
-of one order serves every omega: a draw resets its tangents and
-reweighs them, and rebuilds it only when the mode or the width has
-moved too far from the knots.  Its limits chi = 0 and psi = 0 are drawn
-by sample_gamma and sample_inverse_gamma.
+of one order serves every omega.  GigHull.fit holds its keep-or-rebuild
+rule: a draw resets the hull's tangents at the new omega and reweighs
+them, or, when the mode or the width has moved too far from its knots,
+adopts a fixed hull from envelope.build_envelope.  Its limits chi = 0
+and psi = 0 are drawn by sample_gamma and sample_inverse_gamma.
 mhn splits on alpha alone into two regimes: alpha > 1 is log-concave
 with an interior mode (ratio of uniforms shifted to the mode, with the
 minimal rectangle in closed form; Dagpunar 1989, Leydold 2000);
@@ -156,7 +157,7 @@ def sample_inverse_gaussian(mean, shape, rng):
 
 class GigHull(PiecewiseExpEnvelope):
     """The hull of gig(lam, psi, chi) on s, kept across draws at every
-    omega (build_envelope's kept hull).
+    omega.
 
     On s = log x - log(chi/psi)/2 the log density is
     lam s - omega cosh s, with omega = sqrt(psi chi).  Its tangent at
@@ -177,6 +178,28 @@ class GigHull(PiecewiseExpEnvelope):
         self.lam = lam
         self.knots = []
 
+    def fit(self, target, omega):
+        """Fit the hull to the member at omega, whose mode and curvature
+        target holds, and return it.
+
+        It keeps its knots, and only resets its tangents (retarget),
+        while the mode stays strictly between its second and
+        second-to-last knots and those two knots stay 2 to 8 of the
+        target's widths s apart (4 when built).  The mode rule keeps
+        both tails integrable: the leftmost tangent rises and the
+        rightmost falls.  The width rule keeps the hull tight: kept
+        while the curvature grew 100-fold, a hull accepted 0.14 of its
+        proposals.  Otherwise it adopts a hull built at this omega.
+        """
+        knots = self.knots
+        if (len(knots) > 2 and knots[1] < target.mode < knots[-2]
+                and 4.0 <= (knots[-2] - knots[1]) ** 2 * -target.curvature
+                <= 64.0):
+            self.retarget(omega)
+        else:
+            self.adopt(build_envelope(target, K=3))
+        return self
+
     def adopt(self, env):
         """Take the knots, tangents and weights of a hull built at the
         current omega.  Past |s| = 700, s sinh s nears overflow: a hull
@@ -190,9 +213,9 @@ class GigHull(PiecewiseExpEnvelope):
         self.bends = [math.cosh(s) - s * sh
                       for s, sh in zip(knots, self.sinhs)]
 
-    def retarget(self, target):
-        """Reset each tangent to the member at omega = target.params."""
-        lam, omega = self.lam, target.params
+    def retarget(self, omega):
+        """Reset each tangent to the member at omega."""
+        lam = self.lam
         self.slopes = [lam - omega * sh for sh in self.sinhs]
         self.intercepts = [-omega * b for b in self.bends]
         self.reweigh()
@@ -251,8 +274,9 @@ def sample_gig(lam, psi, chi, rng, hull=None):
     # omega cosh(mode) = hypot(lam, omega)
     target = LogDensityTarget(
         log_f, dlog_f, support_lower=-math.inf, mode=mode,
-        curvature=-math.hypot(lam, omega), params=omega)
-    env = build_envelope(target, K=3, hull=hull)
+        curvature=-math.hypot(lam, omega))
+    env = (build_envelope(target, K=3) if hull is None
+           else hull.fit(target, omega))
     s = sample_from_envelope(target, env, rng)
     try:
         return math.exp(s + 0.5 * (log_chi - log_psi))

@@ -5,11 +5,9 @@ Two entry points:
 * build_envelope: a fixed hull from tangents at knots placed around a
   known mode using the local curvature scale s = |c''(mode)|^{-1/2}
   (knots at mode, mode +- s/2 and mode +- k*s for k = 1..K).  Sampling
-  then loops propose/accept against the unchanged hull.  For a family
-  whose tangents at fixed knots cross where no member moves them (gig
-  on its centred log scale), a caller may keep the hull across members:
-  build_envelope then only resets its tangents and reweighs them while
-  the mode and width still fit its knots, and rebuilds it otherwise.
+  then loops propose/accept against the unchanged hull.  A kept hull
+  may adopt one and later reset its tangents in place: gig's, whose
+  keep-or-rebuild rule is distributions.GigHull.fit.
 * ars_sample: adaptive rejection sampling of exp(g(x) - c x) through a
   TangentHull of the concave g, which persists across draws: the
   tangents of g do not depend on the rate c, so a caller drawing the
@@ -21,10 +19,10 @@ Two entry points:
   depends only on earlier draws.
 
 Both work on a support of (0, inf) or the whole line.  A caller may
-also open a hull with a rising segment of its own on (-inf, bounds[1]]
-and pass its log mass: on the log scale, a power law in x.  Hull masses
-and segment inverse CDFs are computed in log space, or relative to the
-hull's highest point, so far-out tangents never overflow.
+also open a hull with a rising segment of its own on (-inf, bounds[1]]:
+on the log scale, a power law in x.  Every hull, fixed or kept, weighs
+its segments one way (PiecewiseExpEnvelope.reweigh), relative to its
+highest point, so far-out tangents never overflow.
 
 A hull has at most 9 knots, so it is kept in plain Python floats and
 lists: at that size the per-call overhead of numpy arrays costs more
@@ -46,34 +44,12 @@ class LogDensityTarget:
     """An unnormalized log density with derivative on (support_lower, inf)."""
 
     def __init__(self, log_f, dlog_f, support_lower=0.0, mode=None,
-                 curvature=None, params=None):
+                 curvature=None):
         self.log_f = log_f
         self.dlog_f = dlog_f
         self.support_lower = float(support_lower)
         self.mode = mode
         self.curvature = curvature
-        # the member's parameters, from which a kept hull of its family
-        # resets its tangents (build_envelope)
-        self.params = params
-
-
-def _segment_log_mass(lo, hi, slope, intercept):
-    """log integral of exp(intercept + slope*x) over (lo, hi)."""
-    if slope == 0.0:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise EnvelopeError("flat tangent on an unbounded segment")
-        return intercept + math.log(hi - lo) if hi > lo else -math.inf
-    if slope > 0.0:
-        if not math.isfinite(hi):
-            raise EnvelopeError("rising tangent on a right-unbounded segment")
-        d = slope * (lo - hi)
-        tail = math.log(-math.expm1(d)) if d < 0.0 else -math.inf
-        return intercept + slope * hi + tail - math.log(slope)
-    if not math.isfinite(lo):
-        raise EnvelopeError("falling tangent on a left-unbounded segment")
-    d = slope * (hi - lo)
-    tail = math.log(-math.expm1(d)) if d < 0.0 else -math.inf
-    return intercept + slope * lo + tail - math.log(-slope)
 
 
 def _segment_inverse_cdf(lo, hi, slope, v):
@@ -91,35 +67,23 @@ def _segment_inverse_cdf(lo, hi, slope, v):
 class PiecewiseExpEnvelope:
     """Piecewise-exponential hull: segment i carries
     exp(intercepts[i] + slopes[i]*x) on (bounds[i], bounds[i+1]), and
-    log_masses[i] is the log of its integral there."""
+    _cum[i] is the share of the hull's mass on segments 0..i."""
 
     # built once per draw unless kept; slots spare each instance a __dict__
-    __slots__ = ("knots", "slopes", "intercepts", "bounds", "log_masses",
-                 "_cum")
+    __slots__ = ("knots", "slopes", "intercepts", "bounds", "_cum")
 
-    def __init__(self, knots, slopes, intercepts, bounds, log_masses):
+    def __init__(self, knots, slopes, intercepts, bounds):
         self.knots = knots
         self.slopes = slopes
         self.intercepts = intercepts
         self.bounds = bounds
-        self.log_masses = log_masses
-        m = max(log_masses)
-        cum = []
-        tot = 0.0
-        for lm in log_masses:
-            tot += math.exp(lm - m)
-            cum.append(tot)
-        if not 0.0 < tot < math.inf:
-            # an infinite or nan log mass
-            raise EnvelopeError("hull mass is not finite")
-        # the last weight is tot / tot == 1.0 exactly, so a uniform in
-        # [0, 1) always lands on a segment
-        self._cum = [c / tot for c in cum]
+        self.reweigh()
 
     def reweigh(self):
-        """Recompute the segment weights from the tangents and bounds, as
-        a kept hull does after resetting its tangents: _segment_log_mass
-        without the logs, which assumes both tails integrable."""
+        """Weigh the segments from the tangents and bounds, as a kept hull
+        does again after moving its tangents.  A hull of infinite or nan
+        mass, as from a tangent that does not fall toward an unbounded
+        end of its segment, is refused."""
         expm1 = math.expm1
         bounds = self.bounds
         # each segment's highest log value (at its left end if it falls,
@@ -143,6 +107,10 @@ class PiecewiseExpEnvelope:
         for t, w in zip(tops, spans):
             tot += math.exp(t - top) * w
             cum.append(tot)
+        if not 0.0 < tot < math.inf:
+            raise EnvelopeError("hull mass is not finite")
+        # the last weight is tot / tot == 1.0 exactly, so a uniform in
+        # [0, 1) always lands on a segment
         self._cum = [v / tot for v in cum]
 
     def propose(self, rng):
@@ -157,6 +125,13 @@ class PiecewiseExpEnvelope:
         return x, self.intercepts[i] + m * x
 
 
+def _tied(left, right):
+    """Whether the slope right of a knot fails to fall below the slope
+    left of it by more than rounding: log-concavity makes slopes fall,
+    so such a pair is a numerical tie, merged into one tangent."""
+    return right >= left - 1e-12 * (1.0 + abs(left))
+
+
 def _hull_from_points(points, support_lower):
     """Assemble the hull from (x, log_f(x), dlog_f(x)) triples."""
     isfinite = math.isfinite
@@ -164,8 +139,7 @@ def _hull_from_points(points, support_lower):
     for x, h, dh in sorted(points):
         if not (isfinite(x) and isfinite(h) and isfinite(dh)):
             continue
-        if ms and dh >= ms[-1] - 1e-12 * (1.0 + abs(ms[-1])):
-            # log-concavity makes slopes nonincreasing; merge numerical ties
+        if ms and _tied(ms[-1], dh):
             continue
         xs.append(x)
         ms.append(dh)
@@ -177,10 +151,8 @@ def _hull_from_points(points, support_lower):
     if not isfinite(support_lower) and ms[0] <= 0.0:
         raise EnvelopeError(
             "leftmost tangent slope must be positive on an unbounded support")
-    bounds = _tangent_bounds(xs, ms, bs, support_lower)
-    masses = [_segment_log_mass(lo, hi, m, b)
-              for lo, hi, m, b in zip(bounds, bounds[1:], ms, bs)]
-    return PiecewiseExpEnvelope(xs, ms, bs, bounds, masses)
+    return PiecewiseExpEnvelope(xs, ms, bs,
+                                _tangent_bounds(xs, ms, bs, support_lower))
 
 
 def _tangent_bounds(xs, ms, bs, support_lower):
@@ -195,24 +167,12 @@ def _tangent_bounds(xs, ms, bs, support_lower):
     return bounds
 
 
-def build_envelope(target, K=2, hull=None):
+def build_envelope(target, K=2):
     """Fixed hull with knots placed from the mode and curvature.
 
     Needs target.mode finite and target.curvature < 0.  On a positive
     support, nonpositive knots are dropped and a knot at mode/2 is added
     if none remains below the mode.
-
-    hull, if given, is a kept hull of the target's family, one whose
-    tangents at fixed knots cross where no member moves them
-    (distributions.GigHull).  It keeps its knots, and only resets its
-    tangents to the target's (hull.retarget), while the mode stays
-    strictly between its second and second-to-last knots and those two
-    knots stay 2 to 8 of the target's widths s apart (4 when built).
-    The mode rule keeps both tails integrable on a strictly concave log
-    density: the leftmost tangent rises and the rightmost falls.  The
-    width rule keeps the hull tight: kept while the curvature grew
-    100-fold, a gig hull accepted 0.14 of its proposals.  Otherwise the
-    hull adopts one built here.  Either way it is returned.
     """
     x0 = target.mode
     c2 = target.curvature
@@ -220,12 +180,6 @@ def build_envelope(target, K=2, hull=None):
         raise EnvelopeError("mode must be finite")
     if c2 is None or not c2 < 0.0:
         raise EnvelopeError("curvature at the mode must be negative")
-    if hull is not None:
-        knots = hull.knots
-        if (len(knots) > 2 and knots[1] < x0 < knots[-2]
-                and 4.0 <= (knots[-2] - knots[1]) ** 2 * -c2 <= 64.0):
-            hull.retarget(target)
-            return hull
     s = 1.0 / math.sqrt(-c2)
     knots = [x0, x0 - 0.5 * s, x0 + 0.5 * s]
     for k in range(1, K + 1):
@@ -236,17 +190,15 @@ def build_envelope(target, K=2, hull=None):
             knots.append(target.support_lower + 0.5 * (x0 - target.support_lower))
     log_f, dlog_f = target.log_f, target.dlog_f
     pts = [(x, log_f(x), dlog_f(x)) for x in sorted(set(knots))]
-    env = _hull_from_points(pts, target.support_lower)
-    if hull is None:
-        return env
-    hull.adopt(env)
-    return hull
+    return _hull_from_points(pts, target.support_lower)
 
 
-def _describe(target, n_knots):
-    """The target's parameters, for a rejection-failure message."""
+def _describe(target, env):
+    """The target's parameters and the hull's size, for a
+    rejection-failure message."""
     return (f"mode={target.mode}, curvature={target.curvature}, "
-            f"support=({target.support_lower}, inf), knots={n_knots}")
+            f"support=({target.support_lower}, inf), "
+            f"segments={len(env.slopes)}")
 
 
 def sample_from_envelope(target, env, rng, max_iter=100000):
@@ -259,7 +211,7 @@ def sample_from_envelope(target, env, rng, max_iter=100000):
             return x
     raise RuntimeError(
         f"envelope sampler failed to accept in {max_iter} proposals "
-        f"({_describe(target, len(env.knots))})")
+        f"({_describe(target, env)})")
 
 
 def _squeeze(xs, hs, x):
@@ -292,11 +244,10 @@ class TangentHull(PiecewiseExpEnvelope):
     knots, crossings, squeeze and accept tests are those of g alone, and
     at_rate(c) only tilts each segment to slope g'(x_i) - c and
     reweighs it; the hull is then the PiecewiseExpEnvelope of the rate c
-    target (log_masses aside, which it does not keep).  Knots come from
-    the seed, from tail steps and from rejected proposals; at MAX_KNOTS
-    the knot farthest from a new one goes, never the rightmost (nor the
-    leftmost on the whole line), so the tails stay integrable at the
-    rate being drawn.
+    target.  Knots come from the seed, from tail steps and from rejected
+    proposals; at MAX_KNOTS the knot farthest from a new one goes, never
+    the rightmost (nor the leftmost on the whole line), so the tails
+    stay integrable at the rate being drawn.
 
     Every draw is exact: the hull depends only on earlier draws, and
     given any dominating hull, rejection returns an exact draw from the
@@ -321,10 +272,7 @@ class TangentHull(PiecewiseExpEnvelope):
             return False
         xs, ms = self.knots, self.g_slopes
         i = bisect_right(xs, x)
-        # log-concavity makes slopes fall; merge numerical ties
-        if i and dh >= ms[i - 1] - 1e-12 * (1.0 + abs(ms[i - 1])):
-            return False
-        if i < len(xs) and ms[i] >= dh - 1e-12 * (1.0 + abs(dh)):
+        if i and _tied(ms[i - 1], dh) or i < len(xs) and _tied(dh, ms[i]):
             return False
         columns = (xs, self.g_values, ms, self.intercepts)
         for col, v in zip(columns, (x, h, dh, h - dh * x)):
@@ -404,4 +352,4 @@ def ars_sample(hull, c, rng, max_iter=10000):
             hull.at_rate(c)
     raise RuntimeError(
         f"adaptive rejection sampler failed to accept in {max_iter} "
-        f"proposals at rate {c} ({_describe(target, len(hull.knots))})")
+        f"proposals at rate {c} ({_describe(target, hull)})")

@@ -21,9 +21,10 @@ data-augmented); the algorithm is one of
   the new c instead of building one.  u1's gig conditional keeps its
   order, and on its centred log scale only omega = sqrt(psi chi)
   moves, which moves none of the crossings of its hull's tangents, so
-  each chain also keeps one gig hull (u1_hull), whose draws reset its
-  tangents and reweigh them and rebuild it only when the mode or width
-  has moved too far.  The draws stay exact: each is a rejection draw
+  each chain also keeps one gig hull (u1_hull, a
+  distributions.GigHull).  Its fit at each draw resets its tangents and
+  reweighs them, and rebuilds it only when the mode or width has moved
+  too far from its knots.  The draws stay exact: each is a rejection draw
   under a hull that dominates its target and depends only on earlier
   draws.
 * "mh": beta (and tau2 in the augmented representation) keep

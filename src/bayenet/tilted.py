@@ -274,8 +274,7 @@ def _sample_small_shape(p, rng):
         top = log_g + max(0.0, -s * slope)
         hull = PiecewiseExpEnvelope(
             [log_s] + hull.knots, [a] + hull.slopes, [top] + hull.intercepts,
-            [-math.inf] + hull.bounds,
-            [a * log_s + top - math.log(a)] + hull.log_masses)
+            [-math.inf] + hull.bounds)
     # a proposal whose e^y underflows to 0 is drawn again
     target.support_lower = _LOG_SMALLEST_X
     return math.exp(sample_from_envelope(target, hull, rng))

@@ -3,6 +3,8 @@
 The CDF tables here are built directly from explicit log-density
 formulas by dense trapezoid integration (error far below the KS
 resolution used), independently of the package's own quadrature module.
+segment_log_mass is the exact mass of one hull segment, from which
+reference_weights gives the segment weights a hull should hold.
 log_posterior_transformed is the slice target the kernel checks compare
 the rejection blocks against.  log_integrated_likelihood and
 log_prior_beta reach the package's likelihood and prior through their
@@ -141,6 +143,30 @@ def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
     return float(p * const
                  + np.sum(-0.5 * np.log1p(lambda2 * tau2)
                           - 0.5 * lambda1 * lambda1 * tau2))
+
+
+def segment_log_mass(lo, hi, slope, intercept):
+    """log integral of exp(intercept + slope*x) over (lo, hi), inf where
+    it diverges: the reference for the hulls' segment weights, itself
+    checked against mpmath."""
+    if slope == 0.0:
+        return intercept + math.log(hi - lo) if hi > lo else -math.inf
+    if slope > 0.0:
+        d = slope * (lo - hi)
+        tail = math.log(-math.expm1(d)) if d < 0.0 else -math.inf
+        return intercept + slope * hi + tail - math.log(slope)
+    d = slope * (hi - lo)
+    tail = math.log(-math.expm1(d)) if d < 0.0 else -math.inf
+    return intercept + slope * lo + tail - math.log(-slope)
+
+
+def reference_weights(env):
+    """The cumulative segment weights a hull should hold as its _cum,
+    from the segment_log_mass of each of its segments."""
+    masses = np.array([segment_log_mass(lo, hi, m, b) for lo, hi, m, b in zip(
+        env.bounds, env.bounds[1:], env.slopes, env.intercepts)])
+    cum = np.cumsum(np.exp(masses - masses.max()))
+    return cum / cum[-1]
 
 
 def hull_log_value(env, x):

@@ -21,11 +21,12 @@ from bayenet.distributions import (
     sample_mhn,
     sample_truncated_normal,
 )
-from bayenet.envelope import EnvelopeError, _segment_log_mass
+from bayenet.envelope import EnvelopeError
 from bayenet.rng import RngStream
 from bayenet.special import mills_ratio
 
-from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
+from helpers import (cdf_table, hull_log_value, ks_statistic, ks_threshold,
+                     reference_weights)
 
 N = 20000
 
@@ -218,12 +219,21 @@ def test_gig_shares_each_knots_exponentials_without_moving_a_draw():
 
 
 @pytest.mark.parametrize("lam", [-42.0, -8.0, 2.5])
-def test_gig_hull_is_kept_across_omega_and_dominates(lam):
+def test_gig_hull_is_kept_across_omega_and_dominates(monkeypatch, lam):
     # one hull drawn at omega from 1e-3 to 1e4 and back, in random order.
     # It keeps its knots while the mode stays in (knots[1], knots[-2])
-    # and that span stays 2 to 8 widths, and rebuilds otherwise; it lies
-    # above lam s - omega cosh s on both sides of the mode, with each
-    # segment weighed by its mass
+    # and that span stays 2 to 8 widths, and rebuilds otherwise, each
+    # rebuild one call of build_envelope; it lies above
+    # lam s - omega cosh s on both sides of the mode, with each segment
+    # weighed by its mass
+    builds = [0]
+    real = distributions.build_envelope
+
+    def counted(target, K):
+        builds[0] += 1
+        return real(target, K)
+
+    monkeypatch.setattr(distributions, "build_envelope", counted)
     rng = RngStream(103, 20)
     gen = rng.gen
     hull = GigHull(lam)
@@ -248,12 +258,10 @@ def test_gig_hull_is_kept_across_omega_and_dominates(lam):
             s = float(s)
             log_f = lam * s - w * math.cosh(s)
             assert hull_log_value(hull, s) >= log_f - 1e-9 * (1.0 + abs(log_f))
-        masses = [_segment_log_mass(lo, hi, m, b) for lo, hi, m, b in zip(
-            hull.bounds, hull.bounds[1:], hull.slopes, hull.intercepts)]
-        cum = np.cumsum(np.exp(np.array(masses) - max(masses)))
-        np.testing.assert_allclose(hull._cum, cum / cum[-1], rtol=1e-9,
-                                   atol=1e-15)
+        np.testing.assert_allclose(hull._cum, reference_weights(hull),
+                                   rtol=1e-9, atol=1e-15)
     assert kept > 100 and mode_rebuilds > 1 and width_rebuilds > 1
+    assert builds[0] == mode_rebuilds + width_rebuilds
 
 
 def test_gig_hull_for_another_order_is_refused():

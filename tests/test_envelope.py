@@ -6,12 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bayenet.distributions import GigHull, sample_gig
 from bayenet.envelope import (
     EnvelopeError,
     LogDensityTarget,
+    PiecewiseExpEnvelope,
     TangentHull,
     _segment_inverse_cdf,
-    _segment_log_mass,
     ars_sample,
     build_envelope,
     sample_from_envelope,
@@ -20,7 +21,8 @@ from bayenet.rng import RngStream
 from bayenet.tilted import (TiltedParams, d2log_density, dlog_density,
                             find_mode, log_density)
 
-from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
+from helpers import (cdf_table, hull_log_value, ks_statistic, ks_threshold,
+                     segment_log_mass)
 
 
 def _mhn_322_target():
@@ -68,17 +70,18 @@ def test_segment_log_mass_against_mpmath():
             lambda t: mp.e ** (b + m * t),
             [mp.mpf(lo) if math.isfinite(lo) else mp.ninf,
              mp.mpf(hi) if math.isfinite(hi) else mp.inf])))
-        got = _segment_log_mass(lo, hi, m, b)
+        got = segment_log_mass(lo, hi, m, b)
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_segment_log_mass_rejects_divergent():
-    with pytest.raises(EnvelopeError):
-        _segment_log_mass(0.0, math.inf, 0.5, 0.0)
-    with pytest.raises(EnvelopeError):
-        _segment_log_mass(-math.inf, 1.0, -0.5, 0.0)
-    with pytest.raises(EnvelopeError):
-        _segment_log_mass(-math.inf, math.inf, 0.0, 0.0)
+def test_hull_rejects_divergent_segments():
+    # a rising tangent on a right-unbounded segment, a falling one on a
+    # left-unbounded segment, and a flat one on an unbounded segment
+    for knots, slopes, bounds in (([1.0], [0.5], [0.0, math.inf]),
+                                  ([0.0], [-0.5], [-math.inf, 1.0]),
+                                  ([0.0], [0.0], [-math.inf, math.inf])):
+        with pytest.raises(EnvelopeError, match="hull mass is not finite"):
+            PiecewiseExpEnvelope(knots, slopes, [0.0], bounds)
 
 
 def test_segment_inverse_cdf_roundtrip():
@@ -89,8 +92,8 @@ def test_segment_inverse_cdf_roundtrip():
             x = _segment_inverse_cdf(lo, hi, m, v)
             assert (lo <= x <= hi) or math.isclose(x, lo) or math.isclose(x, hi)
             # forward CDF of the exponential segment at x recovers v
-            num = _segment_log_mass(lo, x, m, 0.0) if x > lo else -math.inf
-            den = _segment_log_mass(lo, hi, m, 0.0)
+            num = segment_log_mass(lo, x, m, 0.0) if x > lo else -math.inf
+            den = segment_log_mass(lo, hi, m, 0.0)
             got = math.exp(num - den) if num > -math.inf else 0.0
             assert got == pytest.approx(v, abs=1e-9)
 
@@ -162,7 +165,7 @@ def test_hull_acceptance_matches_mass_ratio():
     target_mass = float(mp.quad(
         lambda x: x ** 2 * mp.e ** (-2 * x ** 2 - 2 * x), [0, mp.inf]))
     hull_mass = sum(
-        math.exp(_segment_log_mass(lo, hi, m, b)) for lo, hi, m, b in zip(
+        math.exp(segment_log_mass(lo, hi, m, b)) for lo, hi, m, b in zip(
             env.bounds, env.bounds[1:], env.slopes, env.intercepts))
     ratio = target_mass / hull_mass
     assert ratio == pytest.approx(0.9541, abs=0.002)
@@ -209,15 +212,26 @@ def test_rejection_failures_name_the_target():
         sample_from_envelope(t, env, RngStream(3, 0), max_iter=0)
     msg = str(err.value)
     for part in ("in 0 proposals", "mode=0.5", "curvature=-12.0",
-                 "support=(0.0, inf)", "knots=6"):
+                 "support=(0.0, inf)", "segments=6"):
         assert part in msg
+    # a gig hull that kept no knots past |s| = 700 still proposes from
+    # the 9 segments of the hull it adopted
+    hull = GigHull(1e5)
+    sample_gig(1e5, 1e-300, 1e-300, RngStream(3, 2), hull)
+    assert hull.knots == []
+    # no proposal is made, so the target's log density is never read
+    far = LogDensityTarget(None, None, -math.inf, mode=703.3,
+                           curvature=-1e5)
+    with pytest.raises(RuntimeError) as err:
+        sample_from_envelope(far, hull, RngStream(3, 3), max_iter=0)
+    assert "segments=9" in str(err.value)
     normal = _kept_hull(lambda x: -0.5 * x * x, lambda x: -x, (-1.0, 2.0),
                         support_lower=-math.inf)
     with pytest.raises(RuntimeError) as err:
         ars_sample(normal, 0.0, RngStream(3, 1), max_iter=0)
     msg = str(err.value)
     for part in ("adaptive", "in 0 proposals", "at rate 0.0", "mode=None",
-                 "support=(-inf, inf)", "knots=2"):
+                 "support=(-inf, inf)", "segments=2"):
         assert part in msg
 
 

@@ -256,6 +256,81 @@ def test_stored_attributes_are_read():
         f"{sorted(listed - found)}")
 
 
+def class_table(sources):
+    """Class name -> (base names, __slots__ names, {method: attribute
+    names it stores on its first argument}) for each class the sources
+    define."""
+    table = {}
+    for source in sources:
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots, methods = (), {}
+            for item in cls.body:
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets):
+                    slots = ast.literal_eval(item.value)
+                    slots = (slots,) if isinstance(slots, str) else slots
+                elif isinstance(item, ast.FunctionDef) and item.args.args:
+                    me = item.args.args[0].arg
+                    methods[item.name] = {
+                        node.attr for node in ast.walk(item)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == me}
+            bases = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+            table[cls.name] = (bases, tuple(slots), methods)
+    return table
+
+
+def unstored_slots(sources):
+    """"Class.name" for each __slots__ name of a class, its own or
+    inherited, that no method the class resolves stores: a slot never
+    stored is dead, and reading it raises AttributeError."""
+    table = class_table(sources)
+
+    def lineage(name):
+        # the class, then its ancestors among the sources' classes,
+        # depth first: the method order of single inheritance
+        order = [name]
+        for base in table[name][0]:
+            if base in table:
+                order += [c for c in lineage(base) if c not in order]
+        return order
+
+    found = []
+    for name in table:
+        chain = lineage(name)
+        resolved = {}
+        for cls in chain:
+            for method, stored in table[cls][2].items():
+                resolved.setdefault(method, stored)
+        stored = set().union(*resolved.values())
+        found.extend(f"{name}.{slot}" for cls in chain
+                     for slot in table[cls][1] if slot not in stored)
+    return found
+
+
+def test_scanner_finds_unstored_slots():
+    # Kid's own __init__ hides Base's, the only method storing b
+    lib = ("class Base:\n    __slots__ = ('a', 'b')\n\n"
+           "    def __init__(self):\n        self.a = self.b = 1\n\n"
+           "class Kid(Base):\n    __slots__ = 'c'\n\n"
+           "    def __init__(me):\n        me.c = 2\n\n"
+           "    def more(me):\n        me.a, x = 3, 4\n\n"
+           "class Plain(ValueError):\n    pass\n")
+    assert unstored_slots([lib]) == ["Kid.b"]
+
+
+def test_every_slot_is_stored():
+    found = unstored_slots(
+        [p.read_text()
+         for p in sorted((ROOT / "src" / "bayenet").glob("*.py"))])
+    assert not found, "slots no resolved method stores: " + ", ".join(found)
+
+
 # The scale blocks, rejection and Metropolis, and the sums and log
 # densities they read: one expression per prior form, the same in both
 # representations, which decide only the coefficient and latent-scale

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bayenet import oracle, tilted
 from bayenet.distributions import sample_gamma
-from bayenet.envelope import MAX_KNOTS, _segment_log_mass
+from bayenet.envelope import MAX_KNOTS
 from bayenet.oracle import _tilted_property_check
 from bayenet.rng import RngStream
 from bayenet.tilted import (
@@ -24,7 +24,8 @@ from bayenet.tilted import (
     tangent_hull,
 )
 
-from helpers import cdf_table, hull_log_value, ks_statistic, ks_threshold
+from helpers import (cdf_table, hull_log_value, ks_statistic, ks_threshold,
+                     reference_weights)
 
 
 def _mp_log_density(p, x):
@@ -310,10 +311,8 @@ def test_small_shape_hull_bounds_psi_with_exact_masses(monkeypatch, q, a, c):
     if q * math.sqrt(2.0 / math.pi) > c:
         # the power law e^(a y + top) below log s opens the hull
         assert env.slopes[0] == a
-    for i, log_mass in enumerate(env.log_masses):
-        assert log_mass == pytest.approx(_segment_log_mass(
-            env.bounds[i], env.bounds[i + 1], env.slopes[i],
-            env.intercepts[i]), rel=1e-12, abs=1e-12), i
+    np.testing.assert_allclose(env._cum, reference_weights(env),
+                               rtol=1e-9, atol=1e-15)
     # psi(y) = y + log f(e^y) with the constant of q log h, h the hazard;
     # env.bounds[1] is log s when s > 0
     for y in np.linspace(env.bounds[1] - 40.0, env.bounds[-2] + 4.0, 8001):
