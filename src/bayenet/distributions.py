@@ -24,8 +24,10 @@ that depend on neither omega nor lam, so a GigHull kept across draws
 of one order serves every omega.  GigHull.fit holds its keep-or-rebuild
 rule: a draw resets the hull's tangents at the new omega and reweighs
 them, or, when the mode or the width has moved too far from its knots,
-adopts a fixed hull from envelope.build_envelope.  Its limits chi = 0
-and psi = 0 are drawn by sample_gamma and sample_inverse_gamma.
+adopts a fixed hull from envelope.build_envelope; a draw without a kept
+hull goes through a fresh one, which adopts such a hull at once.  Its
+limit chi = 0 is drawn by sample_gamma.  psi = 0, whose law is an
+inverse gamma, is refused: no conditional the sweeps draw reaches it.
 mhn splits on alpha alone into two regimes: alpha > 1 is log-concave
 with an interior mode (ratio of uniforms shifted to the mode, with the
 minimal rectangle in closed form; Dagpunar 1989, Leydold 2000);
@@ -222,27 +224,24 @@ class GigHull(PiecewiseExpEnvelope):
 
 
 def sample_gig(lam, psi, chi, rng, hull=None):
-    """One draw of gig(lam, psi, chi), boundary cases included.
+    """One draw of gig(lam, psi, chi) with psi > 0.
 
-    chi = 0 needs lam > 0 and is gamma(lam, rate psi/2); psi = 0 needs
-    lam < 0 and is inverse-gamma(-lam, scale chi/2).  An interior draw
-    goes through hull, a GigHull(lam) kept from earlier draws at other
-    (psi, chi), or a hull built for this draw if None; it is exact
+    chi = 0 needs lam > 0 and is gamma(lam, rate psi/2).  An interior
+    draw goes through hull, a GigHull(lam) kept from earlier draws at
+    other (psi, chi), or a fresh GigHull(lam) if None; it is exact
     whatever the hull holds.
     """
-    if not (-_INF < lam < _INF and 0.0 <= psi < _INF and 0.0 <= chi < _INF):
+    if not (-_INF < lam < _INF and 0.0 < psi < _INF and 0.0 <= chi < _INF):
         require_finite(lam=lam, psi=psi, chi=chi)
-        raise ValueError("psi and chi must be nonnegative")
+        if not psi > 0.0:
+            raise ValueError(f"psi must be positive, got {psi}")
+        raise ValueError(f"chi must be nonnegative, got {chi}")
     if hull is not None and hull.lam != lam:
         raise ValueError(f"hull is for lam = {hull.lam}, not {lam}")
     if chi == 0.0:
-        if not (lam > 0.0 and psi > 0.0):
-            raise ValueError("chi = 0 requires lam > 0 and psi > 0")
+        if not lam > 0.0:
+            raise ValueError("chi = 0 requires lam > 0")
         return sample_gamma(lam, 0.5 * psi, rng)
-    if psi == 0.0:
-        if not lam < 0.0:
-            raise ValueError("psi = 0 requires lam < 0")
-        return sample_inverse_gamma(-lam, 0.5 * chi, rng)
 
     # on s = log x - log(chi/psi)/2 the log density is lam s - omega cosh s
     log_psi, log_chi = math.log(psi), math.log(chi)
@@ -275,9 +274,9 @@ def sample_gig(lam, psi, chi, rng, hull=None):
     target = LogDensityTarget(
         log_f, dlog_f, support_lower=-math.inf, mode=mode,
         curvature=-math.hypot(lam, omega))
-    env = (build_envelope(target, K=3) if hull is None
-           else hull.fit(target, omega))
-    s = sample_from_envelope(target, env, rng)
+    if hull is None:
+        hull = GigHull(lam)
+    s = sample_from_envelope(target, hull.fit(target, omega), rng)
     try:
         return math.exp(s + 0.5 * (log_chi - log_psi))
     except OverflowError:
@@ -414,17 +413,6 @@ def sample_gamma(shape, rate, rng):
         require_finite(shape=shape, rate=rate)
         raise ValueError("shape and rate must be positive")
     return rng.gen.gamma(shape, 1.0 / rate)
-
-
-def sample_inverse_gamma(shape, scale, rng):
-    """One inverse-gamma draw; density propto x^(-shape-1) exp(-scale/x)."""
-    if not (0.0 < shape < _INF and 0.0 < scale < _INF):
-        require_finite(shape=shape, scale=scale)
-        raise ValueError("shape and scale must be positive")
-    g = rng.gen.gamma(shape, 1.0)
-    while g == 0.0:
-        g = rng.gen.gamma(shape, 1.0)
-    return scale / g
 
 
 _HGAMMA_MAX_PROPOSALS = 100000

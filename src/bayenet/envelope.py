@@ -18,9 +18,10 @@ Two entry points:
   each is a rejection draw under a hull that dominates its target and
   depends only on earlier draws.
 
-Both work on a support of (0, inf) or the whole line.  A caller may
-also open a hull with a rising segment of its own on (-inf, bounds[1]]:
-on the log scale, a power law in x.  Every hull, fixed or kept, weighs
+build_envelope works on a support of (0, inf) or the whole line; a
+TangentHull needs a support bounded below.  A caller may also open a
+fixed hull with a rising segment of its own on (-inf, bounds[1]]: on
+the log scale, a power law in x.  Every hull, fixed or kept, weighs
 its segments one way (PiecewiseExpEnvelope.reweigh), relative to its
 highest point, so far-out tangents never overflow.
 
@@ -201,17 +202,22 @@ def _describe(target, env):
             f"segments={len(env.slopes)}")
 
 
-def sample_from_envelope(target, env, rng, max_iter=100000):
+# Proposals a rejection loop makes before it gives up on its target
+_ENVELOPE_MAX_PROPOSALS = 100000
+_ARS_MAX_PROPOSALS = 10000
+
+
+def sample_from_envelope(target, env, rng):
     """Rejection-sample the target under a fixed dominating hull."""
-    for _ in range(max_iter):
+    for _ in range(_ENVELOPE_MAX_PROPOSALS):
         x, ux = env.propose(rng)
         if not x > target.support_lower:
             continue
         if log_uniform(rng) <= target.log_f(x) - ux:
             return x
     raise RuntimeError(
-        f"envelope sampler failed to accept in {max_iter} proposals "
-        f"({_describe(target, env)})")
+        f"envelope sampler failed to accept in {_ENVELOPE_MAX_PROPOSALS} "
+        f"proposals ({_describe(target, env)})")
 
 
 def _squeeze(xs, hs, x):
@@ -229,7 +235,7 @@ def _squeeze(xs, hs, x):
 # differential form's widely moving rates, more cost reweighing.
 MAX_KNOTS = 8
 
-# steps a tail may take outward before the target is declared
+# steps the right tail may take outward before the target is declared
 # nonintegrable at the rate asked for
 _MAX_STEPS = 60
 
@@ -238,16 +244,17 @@ class TangentHull(PiecewiseExpEnvelope):
     """Tangents of a concave log density g, kept across draws from the
     targets exp(g(x) - c x) at any rate c.
 
-    target holds g, g' and the support; seed(c) gives knots near the
-    mode of g - c x, where an empty hull opens and a tail steps out to.
+    target holds g, g' and a support bounded below; seed(c) gives
+    knots near the mode of g - c x, where an empty hull opens and the
+    right tail steps out to.
     Adding -c x to every tangent moves none of their crossings, so the
     knots, crossings, squeeze and accept tests are those of g alone, and
     at_rate(c) only tilts each segment to slope g'(x_i) - c and
     reweighs it; the hull is then the PiecewiseExpEnvelope of the rate c
     target.  Knots come from the seed, from tail steps and from rejected
     proposals; at MAX_KNOTS the knot farthest from a new one goes, never
-    the rightmost (nor the leftmost on the whole line), so the tails
-    stay integrable at the rate being drawn.
+    the rightmost, so the right tail stays integrable at the rate being
+    drawn.
 
     Every draw is exact: the hull depends only on earlier draws, and
     given any dominating hull, rejection returns an exact draw from the
@@ -258,6 +265,10 @@ class TangentHull(PiecewiseExpEnvelope):
     __slots__ = ("target", "seed", "key", "g_values", "g_slopes")
 
     def __init__(self, target, seed, key=None):
+        if not -math.inf < target.support_lower < math.inf:
+            raise EnvelopeError(
+                "TangentHull needs a support bounded below, got "
+                f"support_lower={target.support_lower}")
         self.target = target
         self.seed = seed
         # names the family g belongs to, for a caller to check
@@ -278,9 +289,8 @@ class TangentHull(PiecewiseExpEnvelope):
         for col, v in zip(columns, (x, h, dh, h - dh * x)):
             col.insert(i, v)
         if len(xs) > MAX_KNOTS:
-            lo = 0 if math.isfinite(self.target.support_lower) else 1
             hi = len(xs) - 2
-            j = lo if x - xs[lo] > xs[hi] - x else hi
+            j = 0 if x - xs[0] > xs[hi] - x else hi
             for col in columns:
                 del col[j]
         self.bounds = _tangent_bounds(xs, ms, self.intercepts,
@@ -292,8 +302,8 @@ class TangentHull(PiecewiseExpEnvelope):
         return x > t.support_lower and self.add(x, t.log_f(x), t.dlog_f(x))
 
     def cover(self, c):
-        """Open an empty hull at the seed knots, then step each tail out
-        until its slope at rate c is integrable."""
+        """Open an empty hull at the seed knots, then step the right tail
+        out until its slope at rate c is integrable."""
         if not self.knots:
             for x in self.seed(c):
                 self._add_at(x)
@@ -310,17 +320,6 @@ class TangentHull(PiecewiseExpEnvelope):
         else:
             raise EnvelopeError(
                 f"rightmost tangent slope must fall below the rate {c}")
-        if not math.isfinite(self.target.support_lower):
-            for _ in range(_MAX_STEPS):
-                if ms[0] > c:
-                    break
-                x = xs[0]
-                near = min(self.seed(c))
-                if not (near < x and self._add_at(near)):
-                    self._add_at(x - 1.0 - abs(x))
-            else:
-                raise EnvelopeError(
-                    f"leftmost tangent slope must rise above the rate {c}")
 
     def at_rate(self, c):
         """Tilt every tangent by -c x and reweigh the segments."""
@@ -328,7 +327,7 @@ class TangentHull(PiecewiseExpEnvelope):
         self.reweigh()
 
 
-def ars_sample(hull, c, rng, max_iter=10000):
+def ars_sample(hull, c, rng):
     """One exact draw from exp(g(x) - c x), by adaptive rejection
     sampling (Gilks & Wild 1992) through the kept TangentHull of g: a
     tangent is added at every rejected point, and a chordal squeeze
@@ -337,7 +336,7 @@ def ars_sample(hull, c, rng, max_iter=10000):
     hull.at_rate(c)
     target = hull.target
     sl = target.support_lower
-    for _ in range(max_iter):
+    for _ in range(_ARS_MAX_PROPOSALS):
         x, ux = hull.propose(rng)
         if not x > sl:
             continue
@@ -351,5 +350,6 @@ def ars_sample(hull, c, rng, max_iter=10000):
         if math.isfinite(hx) and hull.add(x, hx, target.dlog_f(x)):
             hull.at_rate(c)
     raise RuntimeError(
-        f"adaptive rejection sampler failed to accept in {max_iter} "
-        f"proposals at rate {c} ({_describe(target, hull)})")
+        f"adaptive rejection sampler failed to accept in "
+        f"{_ARS_MAX_PROPOSALS} proposals at rate {c} "
+        f"({_describe(target, hull)})")

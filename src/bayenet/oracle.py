@@ -739,8 +739,6 @@ def distribution_ks_checks(n, rng):
          (1e-8, 1e3), lambda r: sample_gig(-0.7, 1.1, 2.3, r)),
         ("gig-gamma-limit", lambda x: 1.1 * np.log(x) - 0.85 * x,
          (1e-8, 1e4), lambda r: sample_gig(2.1, 1.7, 0.0, r)),
-        ("gig-inverse-gamma-limit", lambda x: -7.0 * np.log(x) - 3.5 / x,
-         (1e-10, 1e5), lambda r: sample_gig(-6.0, 0.0, 7.0, r)),
         ("modified-half-normal-concave",
          lambda x: np.where(x > 0.0, 2.0 * np.log(np.maximum(x, 1e-300))
                             - 2.0 * x * x - 2.0 * x, -np.inf),

@@ -590,9 +590,20 @@ def test_config_text_rejections(text, needle, tmp_path):
 
 
 def test_readme_validate_line_count_is_the_suite_size(validate_quick):
-    count = re.search(r"bayenet validate +# (\d+) checks",
-                      README.read_text())
-    assert int(count.group(1)) == len(validate_quick.checks)
+    text = " ".join(README.read_text().split())
+    checks = validate_quick.checks
+    count = re.search(r"bayenet validate +# (\d+) checks", text)
+    assert int(count.group(1)) == len(checks)
+    # a KS line reports each of its tests' statistics as D=...
+    ks_lines = sum("D=" in c.detail for c in checks)
+    ks_tests = sum(c.detail.count("D=") for c in checks)
+    lines = re.search(r"Of the (\d+) lines, (\d+) are KS tests .*? hold two "
+                      r"tests each: (\d+) tests\. The other (\d+) lines", text)
+    assert [int(g) for g in lines.groups()] == [
+        len(checks), ks_lines, ks_tests, len(checks) - ks_lines]
+    alarm = re.search(r"1 - 0\.99\^(\d+), about ([\d.]+)%", text)
+    assert int(alarm.group(1)) == ks_tests
+    assert alarm.group(2) == f"{100.0 * (1.0 - 0.99 ** ks_tests):.1f}"
 
 
 def test_validate_quick_passes_and_mutation_fails(validate_quick,
@@ -602,14 +613,14 @@ def test_validate_quick_passes_and_mutation_fails(validate_quick,
     assert "FAIL" not in out
     assert "PASS coefficient-kernel-ks:" in out
     assert "PASS coefficient-kernel-ks-differential:" in out
-    assert out.endswith("\n37/37 checks passed\n")
+    assert out.endswith("\n36/36 checks passed\n")
 
     assert validate_quick_mutant.code == 2
     out = validate_quick_mutant.out
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert [line.split(":")[0] for line in failed] == [
         "FAIL coefficient-kernel-ks", "FAIL coefficient-kernel-ks-differential"]
-    assert out.endswith("\n35/37 checks passed\n")
+    assert out.endswith("\n34/36 checks passed\n")
 
 
 def test_appendix_a_outputs(tmp_path, capsys):

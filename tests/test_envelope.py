@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bayenet import envelope
 from bayenet.distributions import GigHull, sample_gig
 from bayenet.envelope import (
     EnvelopeError,
@@ -205,33 +206,35 @@ def test_build_envelope_validates_inputs():
                                         mode=0.5, curvature=None))
 
 
-def test_rejection_failures_name_the_target():
-    t = _mhn_322_target()
-    env = build_envelope(t, K=2)
-    with pytest.raises(RuntimeError) as err:
-        sample_from_envelope(t, env, RngStream(3, 0), max_iter=0)
-    msg = str(err.value)
-    for part in ("in 0 proposals", "mode=0.5", "curvature=-12.0",
-                 "support=(0.0, inf)", "segments=6"):
-        assert part in msg
+def test_rejection_failures_name_the_target(monkeypatch):
     # a gig hull that kept no knots past |s| = 700 still proposes from
     # the 9 segments of the hull it adopted
     hull = GigHull(1e5)
     sample_gig(1e5, 1e-300, 1e-300, RngStream(3, 2), hull)
     assert hull.knots == []
+    monkeypatch.setattr(envelope, "_ENVELOPE_MAX_PROPOSALS", 0)
+    monkeypatch.setattr(envelope, "_ARS_MAX_PROPOSALS", 0)
+    t = _mhn_322_target()
+    env = build_envelope(t, K=2)
+    with pytest.raises(RuntimeError) as err:
+        sample_from_envelope(t, env, RngStream(3, 0))
+    msg = str(err.value)
+    for part in ("in 0 proposals", "mode=0.5", "curvature=-12.0",
+                 "support=(0.0, inf)", "segments=6"):
+        assert part in msg
     # no proposal is made, so the target's log density is never read
     far = LogDensityTarget(None, None, -math.inf, mode=703.3,
                            curvature=-1e5)
     with pytest.raises(RuntimeError) as err:
-        sample_from_envelope(far, hull, RngStream(3, 3), max_iter=0)
+        sample_from_envelope(far, hull, RngStream(3, 3))
     assert "segments=9" in str(err.value)
-    normal = _kept_hull(lambda x: -0.5 * x * x, lambda x: -x, (-1.0, 2.0),
-                        support_lower=-math.inf)
+    gamma = _kept_hull(lambda x: 2.0 * math.log(x), lambda x: 2.0 / x,
+                       (0.5, 4.0))
     with pytest.raises(RuntimeError) as err:
-        ars_sample(normal, 0.0, RngStream(3, 1), max_iter=0)
+        ars_sample(gamma, 1.0, RngStream(3, 1))
     msg = str(err.value)
-    for part in ("adaptive", "in 0 proposals", "at rate 0.0", "mode=None",
-                 "support=(-inf, inf)", "segments=2"):
+    for part in ("adaptive", "in 0 proposals", "at rate 1.0", "mode=None",
+                 "support=(0.0, inf)", "segments=2"):
         assert part in msg
 
 
@@ -241,13 +244,14 @@ def _kept_hull(log_g, dlog_g, knots, support_lower=0.0):
                        lambda c: knots)
 
 
-def test_ars_standard_normal_whole_line():
-    hull = _kept_hull(lambda x: -0.5 * x * x, lambda x: -x, (-1.0, 2.0),
-                      support_lower=-math.inf)
-    rng = RngStream(11, 0)
-    draws = [ars_sample(hull, 0.0, rng) for _ in range(20000)]
-    xs, c = cdf_table(lambda x: -0.5 * x * x, -8.0, 8.0)
-    assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
+def test_tangent_hull_needs_a_support_bounded_below():
+    # theta's hull lives on (0, inf): a kept hull steps out only its
+    # right tail, so a whole-line target is refused by name
+    for lower in (-math.inf, math.nan):
+        with pytest.raises(EnvelopeError,
+                           match="TangentHull needs a support bounded below"):
+            _kept_hull(lambda x: -0.5 * x * x, lambda x: -x, (-1.0, 2.0),
+                       support_lower=lower)
 
 
 def test_ars_gamma_positive_support():

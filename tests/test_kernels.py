@@ -474,7 +474,7 @@ def test_block_coefficient_update_moments(form):
 
 
 @pytest.mark.parametrize("label", SAMPLERS)
-def test_sweep_keeps_transforms_in_sync(label):
+def test_sweep_keeps_latent_scales_in_range(label):
     algorithm, form, representation = parse_sampler(label)
     data = make_data()
     prior = make_prior(form, representation, preset="weak")

@@ -410,7 +410,7 @@ def test_validation_suite_quick_all_pass(validate_quick):
                                                beta_updater=None)
     checks = validate_quick.checks
     names = [c.name for c in checks]
-    assert len(names) == len(set(names)) == 37
+    assert len(names) == len(set(names)) == 36
     for expect in ("quadrature-self-test", "ks-gig", "ks-tilted-q4",
                    "ks-tilted-small-shape", "ks-tilted-kept-hull",
                    "ks-gig-kept-hull",
