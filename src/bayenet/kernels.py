@@ -45,23 +45,23 @@ augmented representation draws beta with one solve with the precision
 and no factor of it, and all p latent scales with one vectorized
 inverse-Gaussian call.
 
-Update order within a sweep: beta, then the scales, then tau2 where
-present.  Every sweep draws the scales from the conditionals of the
-posterior of (beta, sigma2, lambda1, lambda2), which read beta alone;
-in the augmented representation tau2 is integrated out of them, and
-update_tau2 then draws tau2 at the new scales.  This is partially
-collapsed Gibbs (van Dyk & Park 2008, JASA 103): each step leaves the
-posterior invariant.  Drawn given tau2, lambda1 would mix like a
+Update order: run_sweep, one body for all eight samplers, draws beta
+by the representation's block, reduces it once to a
+model.CoefficientSums (beta does not move while the scales do, and
+every scale block, rejection or Metropolis, reads it only through those
+sums), draws the scale blocks the algorithm and form choose, and in the
+augmented representation ends with update_tau2.  The scales are drawn
+from the conditionals of the posterior of (beta, sigma2, lambda1,
+lambda2), which read beta alone, with tau2 integrated out.  This is
+partially collapsed Gibbs (van Dyk & Park 2008, JASA 103): each step
+leaves the posterior invariant.  Drawn given tau2, lambda1 would mix like a
 data-augmentation scale: in chains of 1000 kept draws on designs 1 and
 3, integrating tau2 out raised its ESS in the four augmented samplers
 2.4-13 fold, to about the level of their direct twins.  So the
 representation decides only the coefficient block and update_tau2.
-beta does not move while the scales do, so run_sweep reduces it once to
-a model.CoefficientSums, and every scale block, rejection or
-Metropolis, reads it only through those sums.  The state holds only the
-natural parameters; each rejection scale kernel derives the transformed
-coordinates it conditions on and maps its draw back to (sigma2,
-lambda1, lambda2).
+The state holds only the natural parameters; each rejection scale
+kernel derives the transformed coordinates it conditions on and maps
+its draw back to (sigma2, lambda1, lambda2).
 """
 
 import math
@@ -402,22 +402,11 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
-    if prior.representation == "direct":
+    direct = prior.representation == "direct"
+    if direct:
         update_beta_direct(data, prior, state, rng)
-        _update_scales(algorithm, data, prior, state, rng, counts, steps,
-                       hulls)
     else:
-        # partially collapsed Gibbs: the scales given beta alone, with
-        # tau2 integrated out, then tau2
         update_beta_block(data, prior, state, rng)
-        _update_scales(algorithm, data, prior, state, rng, counts, steps,
-                       hulls)
-        update_tau2(data, prior, state, rng)
-    return state
-
-
-def _update_scales(algorithm, data, prior, state, rng, counts, steps,
-                   hulls):
     # beta stays put while the scales move
     sums = coefficient_sums(data, state)
     if algorithm == "rs":
@@ -437,6 +426,10 @@ def _update_scales(algorithm, data, prior, state, rng, counts, steps,
         if counts is None:
             counts = new_counts(algorithm)
         mh_update_scales(data, prior, state, sums, steps, rng, counts)
+    if not direct:
+        # partially collapsed Gibbs: tau2 last, at the new scales
+        update_tau2(data, prior, state, rng)
+    return state
 
 
 def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):

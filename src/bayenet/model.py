@@ -86,9 +86,9 @@ class RegressionData:
         # nothing to fit, is refused below rather than deep in a kernel
         with np.errstate(over="ignore", invalid="ignore"):
             self.y = y - y.mean()
-            self.X = X - X.mean(axis=0)
-            self.xtx = self.X.T @ self.X
-            self.xty = self.X.T @ self.y
+            X = X - X.mean(axis=0)
+            self.xtx = X.T @ X
+            self.xty = X.T @ self.y
             self.yty = float(self.y @ self.y)
         if not math.isfinite(self.yty):
             raise ValueError("y is too large: its centred sum of squares "
@@ -107,7 +107,7 @@ class RegressionData:
                              "is too large: its cross products overflow")
         # a k x p root of X'X, R'R = X'X with k = min(n, p), so the block
         # draw's noise costs k * p per sweep whatever n is
-        self.xtx_root = np.linalg.qr(self.X, mode="r")
+        self.xtx_root = np.linalg.qr(X, mode="r")
         # floats and row views for the coordinate scan's scalar arithmetic
         self.col_sq_norms = self.xtx.diagonal().tolist()
         self.xtx_rows = list(self.xtx)
@@ -281,16 +281,14 @@ def log_hyperprior(prior, sigma2, lambda1, lambda2):
     return val + norm_s2
 
 
-def log_posterior_unnorm(data, prior, state, sums=None):
+def log_posterior_unnorm(data, prior, state, sums):
     """Joint log posterior of (beta, sigma2, lambda1, lambda2) up to a
     constant, with tau2 integrated out in the augmented representation.
 
-    sums, when given, must equal coefficient_sums(data, state); callers
-    that hold beta fixed across many calls pass it, and each call is
-    then O(1) scalar arithmetic.
+    sums must equal coefficient_sums(data, state): beta is reduced once
+    by the caller, which holds it fixed across many calls, and each
+    call is then O(1) scalar arithmetic.
     """
-    if sums is None:
-        sums = coefficient_sums(data, state)
     val = _log_likelihood(data.n, sums.rss, state.sigma2)
     val += _log_prior(prior.form, sums, state.sigma2, state.lambda1,
                       state.lambda2)

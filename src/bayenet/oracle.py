@@ -8,7 +8,10 @@ posterior grid (the oracle for the block update of beta, and for the
 shape of the direct posterior), hierarchical-versus-closed-form prior
 equivalence checks, and a named validation suite for the command
 line.  The coordinate update of beta and the scale kernels are judged
-on one-dimensional slices of the joint posterior.
+on one-dimensional slices of the joint posterior.  Every KS line of
+the suite is one _ks_line: n values of a draw(rng) function, drawn in
+order from the line's stream, against a certified table; a kernel's
+draw (_refresh) runs it on a fresh copy of a frozen state.
 
 Every table target takes an array of nodes and returns one log density
 per node, -inf outside its support; the slice targets restate the joint
@@ -390,8 +393,9 @@ def axis_continuity_gap(grid, eps=1e-12, points=17):
 # ---------------------------------------------------------------------------
 # hierarchical versus closed-form prior
 
-def direct_beta_cdf(form, sigma2, lambda1, lambda2):
-    """Quadrature CDF of the closed-form single-coefficient prior."""
+def prior_equivalence_check(form, sigma2, lambda1, lambda2, size, rng):
+    """KS of one coefficient drawn through the latent scales against
+    quadrature of the closed-form prior."""
     sigma = math.sqrt(sigma2)
     if form == "common":
         ld = lambda x: -(lambda2 * x * x + lambda1 * np.abs(x)) / (2.0 * sigma2)
@@ -399,13 +403,9 @@ def direct_beta_cdf(form, sigma2, lambda1, lambda2):
         ld = (lambda x: -lambda2 * x * x / (2.0 * sigma2)
               - lambda1 * np.abs(x) / sigma)
     half = 16.0 * math.sqrt(sigma2 / lambda2)
-    return quadrature_cdf(ld, QuadratureGrid(-half, half, 80001))
-
-
-def prior_equivalence_check(form, sigma2, lambda1, lambda2, size, rng):
-    draws = sample_beta_prior_da(form, size, sigma2, lambda1, lambda2,
-                                 rng)
-    return ks_test(draws, direct_beta_cdf(form, sigma2, lambda1, lambda2))
+    return ks_test(
+        sample_beta_prior_da(form, size, sigma2, lambda1, lambda2, rng),
+        quadrature_cdf(ld, QuadratureGrid(-half, half, 80001)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +418,23 @@ class CheckResult:
     detail: str
 
 
-def _ks_result(name, draws, table):
-    """The KS verdict of draws against a certified table, as a check."""
-    d, ok = ks_test(draws, table)
-    n = len(draws)
+def _ks_line(name, n, rng, draw, table):
+    """The KS verdict of n values of draw(rng) against a certified
+    table, as a check."""
+    d, ok = ks_test([draw(rng) for _ in range(n)], table)
     return CheckResult(
         name, ok, f"D={d:.4f} threshold={ks_threshold(n):.4f} N={n}")
+
+
+def _refresh(kernel, data, prior, state, read):
+    """A draw(rng) that reads one value off a fresh copy of the frozen
+    state after kernel(data, prior, copy, rng): a draw of its conditional."""
+    def draw(rng):
+        st = replace(state, beta=state.beta.copy(),
+                     tau2=None if state.tau2 is None else state.tau2.copy())
+        kernel(data, prior, st, rng)
+        return read(st)
+    return draw
 
 
 def _fixed_check_data():
@@ -468,15 +479,13 @@ def beta_kernel_ks_check(n=5000, seed=0, updater=None, form="common"):
     if updater is None:
         updater = update_beta_coordinate
     data, prior, state = kernel_check_setup(form, "direct")
-    draws = _kernel_refresh_draws(
-        lambda d, pr, st, r: updater(d, pr, st, 0, r), data, prior, state,
-        n, RngStream(seed, 61), lambda st: st.beta[0])
     lu = beta_pair_log_unnorm(data, state.sigma2, state.lambda1,
                               state.lambda2, form)
-    table = auto_cdf(lambda x: lu(x, state.beta[1]), bracket=(-25.0, 25.0))
-    name = "coefficient-kernel-ks"
-    return _ks_result(name if form == "common" else f"{name}-{form}",
-                      draws, table)
+    name = "coefficient-kernel-ks" + ("" if form == "common" else f"-{form}")
+    return _ks_line(name, n, RngStream(seed, 61), _refresh(
+        lambda d, pr, st, r: updater(d, pr, st, 0, r), data, prior, state,
+        lambda st: st.beta[0]),
+        auto_cdf(lambda x: lu(x, state.beta[1]), bracket=(-25.0, 25.0)))
 
 
 def sweep_coordinates(form, sigma2, lambda1, lambda2):
@@ -597,31 +606,6 @@ def tau2_slice_log_density(prior, state):
         x)
 
 
-def _clone_state(state):
-    return replace(state, beta=state.beta.copy(),
-                   tau2=None if state.tau2 is None else state.tau2.copy())
-
-
-def _kernel_refresh_draws(kernel, data, prior, state, n, rng, read):
-    out = np.empty(n)
-    for i in range(n):
-        st = _clone_state(state)
-        kernel(data, prior, st, rng)
-        out[i] = read(st)
-    return out
-
-
-def tau2_kernel_ks(data, prior, state, n, rng):
-    """The latent-scale update for coordinate 0 against quadrature of
-    the augmented prior's slice (the likelihood carries no tau2)."""
-    draws = _kernel_refresh_draws(update_tau2, data, prior, state, n, rng,
-                                  lambda st: st.tau2[0])
-    hi = 1.0 - 1e-12 if prior.form == "common" else 1e6
-    return _ks_result(f"kernel-{prior.form}-da-tau2", draws,
-                      auto_cdf(tau2_slice_log_density(prior, state),
-                               (1e-10, hi)))
-
-
 def da_beta_marginal_cdf(data, prior, state, nodes=321):
     """CDF table for the first coefficient of the augmented conditional,
     marginalized over the second by planar quadrature of the joint.
@@ -655,10 +639,12 @@ def da_beta_marginal_cdf(data, prior, state, nodes=321):
 
 
 def beta_block_ks(data, prior, state, n, rng, nodes=321):
-    draws = _kernel_refresh_draws(update_beta_block, data, prior, state,
-                                  n, rng, lambda st: st.beta[0])
-    return _ks_result(f"kernel-{prior.form}-da-beta-block", draws,
-                      da_beta_marginal_cdf(data, prior, state, nodes=nodes))
+    """The block update's first coefficient against the planar marginal
+    of the augmented conditional (da_beta_marginal_cdf)."""
+    return _ks_line(f"kernel-{prior.form}-da-beta-block", n, rng,
+                    _refresh(update_beta_block, data, prior, state,
+                             lambda st: st.beta[0]),
+                    da_beta_marginal_cdf(data, prior, state, nodes=nodes))
 
 
 # each form's scale blocks; a line's substream is its index here, so a
@@ -691,8 +677,9 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
     use, each against quadrature of the matching joint-posterior slice.
     The scale blocks read beta alone, through its sums, in both
     representations, so the direct check state covers them; the
-    augmented one checks the tau2 and block beta updates.  The
-    coordinate update of beta has its own check (beta_kernel_ks_check).
+    augmented one checks tau2 (against the prior's slice: the likelihood
+    carries no tau2) and the block update of beta.  The coordinate
+    update of beta has its own check (beta_kernel_ks_check).
     """
     checks = []
     # a private substream per check keeps each verdict independent of
@@ -702,16 +689,19 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
         data, prior, state = kernel_check_setup(form, "direct")
         sums = coefficient_sums(data, state)
         for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
-            draws = _kernel_refresh_draws(
-                lambda d, pr, st, r: kernel(d, pr, st, sums, r),
-                data, prior, state, n, root.substream(fi, 0, ci),
-                lambda st: slice_coordinate(form, which, st))
             lp = scale_slice_log_density(data, prior, state, which)
-            checks.append(_ks_result(f"kernel-{form}-direct-{which}", draws,
-                                     auto_cdf(lp, (1e-10, 1e6))))
+            checks.append(_ks_line(
+                f"kernel-{form}-direct-{which}", n, root.substream(fi, 0, ci),
+                _refresh(lambda d, pr, st, r: kernel(d, pr, st, sums, r),
+                         data, prior, state,
+                         lambda st: slice_coordinate(form, which, st)),
+                auto_cdf(lp, (1e-10, 1e6))))
         data, prior, state = kernel_check_setup(form, "da")
-        checks.append(tau2_kernel_ks(
-            data, prior, state, n, root.substream(fi, 1, 7)))
+        checks.append(_ks_line(
+            f"kernel-{form}-da-tau2", n, root.substream(fi, 1, 7),
+            _refresh(update_tau2, data, prior, state, lambda st: st.tau2[0]),
+            auto_cdf(tau2_slice_log_density(prior, state),
+                     (1e-10, 1.0 - 1e-12 if form == "common" else 1e6))))
         checks.append(beta_block_ks(
             data, prior, state, n, root.substream(fi, 1, 8),
             nodes=grid_nodes))
@@ -723,8 +713,8 @@ def distribution_ks_checks(n, rng):
     drawn in a fixed order from one stream."""
     table = quadrature_cdf(lambda x: -0.5 * x * x,
                            QuadratureGrid(-10.0, 10.0))
-    checks = [_ks_result("quadrature-self-test",
-                         table.inverse(rng.gen.random(n)), table)]
+    checks = [_ks_line("quadrature-self-test", n, rng,
+                       lambda r: table.inverse(r.gen.random()), table)]
     tn = lambda x: np.where(x >= 0.0, -(x + 0.3) ** 2 / 3.4, -np.inf)
     # (name, log density, bracket, one draw)
     cases = [
@@ -758,43 +748,41 @@ def distribution_ks_checks(n, rng):
                   lambda y: y + _tilted_log_density(small, np.exp(y)),
                   (-200.0, 8.0),
                   lambda r: math.log(sample_tilted(small, r))))
-    return checks + [_ks_result(f"ks-{name}",
-                                np.array([draw(rng) for _ in range(n)]),
-                                auto_cdf(ld, bracket))
+    return checks + [_ks_line(f"ks-{name}", n, rng, draw,
+                              auto_cdf(ld, bracket))
                      for name, ld, bracket, draw in cases]
 
 
-def kept_hull_ks_check(n, rng):
-    """KS of the b = q/2, a = 1 member (8, 1, 4, 2) drawn through one
-    tangent hull, each draw after one at a rate up to 10 times higher
-    or lower through the same hull, as a chain's theta draws share it."""
+def kept_hull_ks_checks(n, seed):
+    """KS of two members each drawn through one kept hull, as a chain's
+    draws share it, each draw after one at a rate up to spread times
+    higher or lower: the b = q/2, a = 1 tilted member (8, 1, 4, 2) at
+    scaled c, and the design-1 u1 member gig(-8, 0.57, 159) at scaled
+    psi."""
     p = TiltedParams(8, 1.0, 4.0, 2.0)
-    hull = tangent_hull(p.q, p.a, p.b)
-    spread = math.log(10.0)
-    draws = np.empty(n)
-    for i in range(n):
-        other = p.c * math.exp(rng.gen.uniform(-spread, spread))
-        sample_tilted(replace(p, c=other), rng, hull)
-        draws[i] = sample_tilted(p, rng, hull)
-    return _ks_result("ks-tilted-kept-hull", draws, auto_cdf(
-        lambda x: _tilted_log_density(p, x), (1e-8, 1e3)))
-
-
-def gig_kept_hull_ks_check(n, rng):
-    """KS of the design-1 u1 member gig(-8, 0.57, 159) drawn through one
-    kept hull, each draw after one at psi up to 3 times higher or lower
-    through the same hull, as a chain's u1 draws share it."""
+    theta_kept = tangent_hull(p.q, p.a, p.b)
     lam, psi, chi = -8.0, 0.57, 159.0
-    hull = GigHull(lam)
-    spread = math.log(3.0)
-    draws = np.empty(n)
-    for i in range(n):
-        sample_gig(lam, psi * math.exp(rng.gen.uniform(-spread, spread)),
-                   chi, rng, hull)
-        draws[i] = sample_gig(lam, psi, chi, rng, hull)
-    return _ks_result("ks-gig-kept-hull", draws, auto_cdf(
-        lambda x: (lam - 1.0) * np.log(x) - 0.5 * (psi * x + chi / x),
-        (1e-8, 1e4)))
+    u1_kept = GigHull(lam)
+    # (name, stream, log spread, sample(scale, rng), log density, bracket)
+    cases = (
+        ("ks-tilted-kept-hull", 207, math.log(10.0),
+         lambda k, r: sample_tilted(replace(p, c=p.c * k), r, theta_kept),
+         lambda x: _tilted_log_density(p, x), (1e-8, 1e3)),
+        ("ks-gig-kept-hull", 208, math.log(3.0),
+         lambda k, r: sample_gig(lam, psi * k, chi, r, u1_kept),
+         lambda x: (lam - 1.0) * np.log(x) - 0.5 * (psi * x + chi / x),
+         (1e-8, 1e4)),
+    )
+    checks = []
+    for name, stream, spread, sample, ld, bracket in cases:
+        def draw(r):
+            # a draw at a scaled rate, then the one the line keeps
+            sample(math.exp(r.gen.uniform(-spread, spread)), r)
+            return sample(1.0, r)
+
+        checks.append(_ks_line(name, n, RngStream(seed, stream), draw,
+                               auto_cdf(ld, bracket)))
+    return checks
 
 
 def _tilted_log_density(p, x):
@@ -927,8 +915,7 @@ def run_validation_suite(seed=0, quick=False, beta_updater=None):
     g_nodes = 161 if quick else 321
 
     checks = distribution_ks_checks(n_ks, RngStream(seed, 201))
-    checks.append(kept_hull_ks_check(n_ks, RngStream(seed, 207)))
-    checks.append(gig_kept_hull_ks_check(n_ks, RngStream(seed, 208)))
+    checks.extend(kept_hull_ks_checks(n_ks, seed))
     checks.append(_prior_equivalence_check(
         "common", n_eq, RngStream(seed, 202)))
     checks.append(_prior_equivalence_check(

@@ -227,11 +227,21 @@ def _sample_small_shape(p, rng):
     both against mpmath).  So psi is concave above the one root of
     F = (c + 4 e x)/q, everywhere if c >= q sqrt(2/pi).  Above a split s
     at or past that root the envelope is a tangent hull of psi; below
-    it, e^(a y) times the bound of g on (0, s] from l's tangent at s.
-    The two form one fixed hull with exact segment masses, so any such s
-    gives an exact sampler; s is found to within 10 % of the root.  A
-    draw that underflows to 0 is drawn again, which drops the mass below
-    the smallest double: about (c x_min)^a, 6e-4 at a = 0.01 and c = 1.
+    it, e^(a y) g(s).  The two form one fixed hull with exact segment
+    masses, so any such s gives an exact sampler; s is found to within
+    10 % of the root.  A draw that underflows to 0 is drawn again, which
+    drops the mass below the smallest double: about (c x_min)^a, 6e-4 at
+    a = 0.01 and c = 1.
+
+    g(s) bounds g on (0, s].  The hazard h has 0 < h' < 1, and h' = h D
+    rises, since h is convex (Sampford 1953, Ann. Math. Stat. 24;
+    tests/test_tilted.py checks both against mpmath on [0, 1000]).  So
+    D' = h' - 1 < 0 rises, and l'' = q D' - 2 e < 0.  At the root r of
+    bend = l' + x l'' = q F - 4 e x - c, l'(r) = r (q |D'(r)| + 2 e) > 0,
+    and past r, l'' >= -(q |D'(r)| + 2 e).  The search starts where
+    bend < 0 (F < 4/x^3) and ends with r <= s < 1.1 r, so
+    l'(s) >= (2 r - s)(q |D'(r)| + 2 e) > 0, and the concave l rises on
+    (0, s].
     """
     a = p.a
     # the hull and the mode search read psi at the same nodes
@@ -268,12 +278,10 @@ def _sample_small_shape(p, rng):
         curvature=math.exp(y) * terms(y)[2])
     hull = build_envelope(target, K=2)
     if s:
-        # the power law e^(a y + top) on (-inf, log s] opens the hull
-        log_s = math.log(s)
-        log_g, slope, _ = _log_factor(p, s)
-        top = log_g + max(0.0, -s * slope)
+        # the power law e^(a y) g(s) on (-inf, log s] opens the hull
         hull = PiecewiseExpEnvelope(
-            [log_s] + hull.knots, [a] + hull.slopes, [top] + hull.intercepts,
+            [math.log(s)] + hull.knots, [a] + hull.slopes,
+            [_log_factor(p, s)[0]] + hull.intercepts,
             [-math.inf] + hull.bounds)
     # a proposal whose e^y underflows to 0 is drawn again
     target.support_lower = _LOG_SMALLEST_X

@@ -36,13 +36,21 @@ def _run_validate(argv):
     return ValidateRun(code, out.getvalue(), checks, kwargs)
 
 
-# The quick battery takes about 5 s; test_cli checks the command's exit
-# code and output and test_oracle its checks, so each run is shared.
+# The arguments of each shared validate run, by fixture name.  The quick
+# battery takes about 5 s; test_cli checks the command's exit code and
+# output, test_oracle its checks and test_validate_lines its printed
+# lines, so each run is shared.
+VALIDATE_RUNS = {
+    "validate_quick": ["validate", "--quick"],
+    "validate_quick_mutant": ["validate", "--quick", "--mutate-kernel"],
+}
+
+
 @pytest.fixture(scope="session")
 def validate_quick():
-    return _run_validate(["validate", "--quick"])
+    return _run_validate(VALIDATE_RUNS["validate_quick"])
 
 
 @pytest.fixture(scope="session")
 def validate_quick_mutant():
-    return _run_validate(["validate", "--quick", "--mutate-kernel"])
+    return _run_validate(VALIDATE_RUNS["validate_quick_mutant"])

@@ -26,8 +26,8 @@ import numpy as np
 
 from bayenet.distributions import require_finite, sample_truncated_normal
 from bayenet.model import (CoefficientSums, _log_likelihood, _log_prior,
-                           _sums, log_posterior_unnorm, rss,
-                           tau2_conditional_var, to_transformed)
+                           _sums, coefficient_sums, log_posterior_unnorm,
+                           rss, tau2_conditional_var, to_transformed)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -80,7 +80,8 @@ def log_posterior_transformed(data, prior, state):
     This is the target the rejection kernels sample; the change of
     variables contributes 4 u1^2 u2^2 (common) or 2 u2^2 (differential).
     """
-    val = log_posterior_unnorm(data, prior, state)
+    val = log_posterior_unnorm(data, prior, state,
+                               coefficient_sums(data, state))
     u1, u2, _ = to_transformed(prior.form, state.sigma2, state.lambda1,
                                state.lambda2)
     if prior.form == "common":

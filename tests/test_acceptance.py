@@ -15,8 +15,8 @@ from bayenet.diagnostics import ess_batch_means
 from bayenet.envelope import (LogDensityTarget, build_envelope,
                               sample_from_envelope)
 from bayenet.kernels import run_chain
-from bayenet.model import (ModelState, RegressionData, log_posterior_unnorm,
-                           make_prior)
+from bayenet.model import (ModelState, RegressionData, coefficient_sums,
+                           log_posterior_unnorm, make_prior)
 from bayenet.oracle import (_gordon_check, _prior_equivalence_check,
                             _tilted_property_check, beta_kernel_ks_check,
                             distribution_ks_checks, full_conditional_checks)
@@ -105,12 +105,12 @@ def test_05_penalized_objective_identity():
     gen = RngStream(11, 5).gen
 
     def log_post(b):
-        return log_posterior_unnorm(
-            data, prior,
-            ModelState(beta=b, sigma2=s2, lambda1=l1, lambda2=l2))
+        st = ModelState(beta=b, sigma2=s2, lambda1=l1, lambda2=l2)
+        return log_posterior_unnorm(data, prior, st,
+                                    coefficient_sums(data, st))
 
     def objective(b):
-        resid = data.y - data.X @ b
+        resid = data.y - (X - X.mean(axis=0)) @ b
         return (float(resid @ resid) + l2 * float(b @ b)
                 + l1 * float(np.abs(b).sum()))
 

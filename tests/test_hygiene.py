@@ -239,9 +239,6 @@ def test_scanner_finds_unread_attributes():
 UNREAD_IN_SRC = {
     "CdfTable.log_mass":
         "tests check the quadrature normalizer through it",
-    "RegressionData.X":
-        "tests form residuals from the centred design; the samplers use "
-        "its cross products",
 }
 
 

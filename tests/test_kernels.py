@@ -214,7 +214,7 @@ def test_penalty_rate_slice_at_fixed_lambda1(form, rep):
     def logf(v):
         st = clone(state)
         st.lambda2 = v
-        return log_posterior_unnorm(data, prior, st)
+        return log_posterior_unnorm(data, prior, st, sums)
 
     lo, hi = auto_window(logf, state.lambda2 / 300.0, state.lambda2 * 60.0)
     xs, cdf = cdf_table(logf, lo, hi)
@@ -820,14 +820,16 @@ def test_metropolis_scan_targets_same_posterior():
 
 
 def _mh_scales_reference(data, prior, state, steps, rng, counts):
-    """mh_update_scales with the full log posterior at every evaluation,
-    at the same log-scale steps."""
-    cur_lp = log_posterior_unnorm(data, prior, state)
+    """mh_update_scales with the full log posterior, beta reduced
+    afresh, at every evaluation, at the same log-scale steps."""
+    cur_lp = log_posterior_unnorm(data, prior, state,
+                                  coefficient_sums(data, state))
     for name, step in zip(("sigma2", "lambda1", "lambda2"), steps):
         cur = getattr(state, name)
         prop = cur * math.exp(step * rng.gen.standard_normal())
         trial = replace(state, **{name: prop})
-        trial_lp = log_posterior_unnorm(data, prior, trial)
+        trial_lp = log_posterior_unnorm(data, prior, trial,
+                                        coefficient_sums(data, trial))
         counts[name][1] += 1
         if log_uniform(rng) < (trial_lp - cur_lp
                                + math.log(prop) - math.log(cur)):

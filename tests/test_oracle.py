@@ -11,9 +11,9 @@ import pytest
 
 from bayenet import distributions, kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
-from bayenet.model import (ModelState, RegressionData, from_transformed,
-                           log_posterior_unnorm, sample_beta_prior_da,
-                           tau2_conditional_var)
+from bayenet.model import (ModelState, RegressionData, coefficient_sums,
+                           from_transformed, log_posterior_unnorm,
+                           sample_beta_prior_da, tau2_conditional_var)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
@@ -494,8 +494,9 @@ def test_lambda2_slice_matches_posterior(representation):
     assert slice_coordinate("differential", "lambda2", state) == state.lambda2
     lp = scale_slice_log_density(data, prior, state, "lambda2")
     xs = (0.05, 0.4, 0.9, 2.6, 11.0)
+    sums = coefficient_sums(data, state)
     gaps = [lp(x) - log_posterior_unnorm(data, prior, replace(
-        state, lambda2=x)) for x in xs]
+        state, lambda2=x), sums) for x in xs]
     for g in gaps[1:]:
         assert abs(g - gaps[0]) < 1e-9
 

@@ -291,6 +291,20 @@ def test_small_shape_split_rests_on_a_concave_hazard_excess():
         assert got[2] == pytest.approx(float(F), rel=1e-6, abs=1e-12), x
 
 
+@mp.workdps(50)
+def test_small_shape_power_law_rests_on_a_convex_hazard():
+    # _sample_small_shape bounds g on (0, s] by g(s): its proof needs the
+    # normal hazard h to have 0 < h' < 1 with h' = h (h - x) rising
+    def slope(x):
+        h = mp.npdf(x) / mp.ncdf(-x)
+        return h * (h - x)
+
+    xs = [mp.mpf(0)] + [mp.mpf(x) for x in np.geomspace(1e-3, 1000.0, 120)]
+    slopes = [slope(x) for x in xs]
+    assert all(0 < v < 1 for v in slopes)
+    assert all(u < v for u, v in zip(slopes, slopes[1:]))
+
+
 @pytest.mark.parametrize("q, a, c", [
     (40, 0.05, 0.01), (1, 0.05, 0.1), (8, 0.999, 1.0),   # split s > 0
     (8, 0.3, 30.0),                                       # s = 0
@@ -309,7 +323,7 @@ def test_small_shape_hull_bounds_psi_with_exact_masses(monkeypatch, q, a, c):
     (env,) = hulls
     assert env.bounds[0] == -math.inf
     if q * math.sqrt(2.0 / math.pi) > c:
-        # the power law e^(a y + top) below log s opens the hull
+        # the power law e^(a y) g(s) below log s opens the hull
         assert env.slopes[0] == a
     np.testing.assert_allclose(env._cum, reference_weights(env),
                                rtol=1e-9, atol=1e-15)
