@@ -82,39 +82,63 @@ def _exp(t):
     return math.exp(min(t, _EXP_CLIP))
 
 
-def _std_normal_lower_truncated(a, rng):
-    """Z ~ N(0,1) conditioned on Z >= a, from the stream's buffered
-    scalar draws."""
-    if a <= 0.5:
-        while True:
-            z = rng.normal()
-            if z >= a:
-                return z
-    # Robert's exponential proposal for a hard truncation
-    alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
+def _std_normal_excess(a, rng):
+    """Z - a for Z ~ N(0,1) conditioned on Z >= a > 0.5: Robert's (1995)
+    exponential proposal with rate alpha, whose excess e/alpha is
+    returned as drawn, so a far truncation point costs it no digits.
+    The acceptance term z - alpha is e/alpha - (alpha - a), with
+    alpha - a = 2/(a + sqrt(a^2 + 4)) free of cancellation, and hypot
+    keeps a^2 from overflowing."""
+    gap = 2.0 / (a + math.hypot(a, 2.0))
+    alpha = a + gap
     while True:
-        z = a + rng.exponential() / alpha
-        d = z - alpha
+        x = rng.exponential() / alpha
+        d = x - gap
         if rng.uniform() <= math.exp(-0.5 * d * d):
-            return z
+            return x
+
+
+def _nonnegative_normal(mean, s, rng):
+    """N(mean, s^2) restricted to x >= 0, from the stream's buffered
+    scalar draws: up to a truncation point a = -mean/s of 0.5, a
+    standard normal redrawn until it passes a; past it, Robert's
+    excess."""
+    a = -mean / s
+    if a > 0.5:
+        return s * _std_normal_excess(a, rng)
+    z = rng.normal()
+    while z < a:
+        z = rng.normal()
+    return max(mean + s * z, 0.0)
+
+
+# redraws of an exact 0 before the negative side gives up
+_TN_MAX_REDRAWS = 100000
 
 
 def sample_truncated_normal(mean, var, side, rng):
-    """One draw of N(mean, var) restricted to x >= 0 or x < 0."""
+    """One draw of N(mean, var) restricted to x >= 0 or x < 0.
+
+    Past the truncation point a = |mean|/sd > 0.5 the draw is the scaled
+    excess over 0 itself, not mean + sd z, which would cancel to 0 once
+    a passes about 1e8.
+    """
     if not (-_INF < mean < _INF and 0.0 < var < _INF):
         # a nan truncation point would never be accepted
         require_finite(mean=mean, var=var)
         raise ValueError("var must be positive")
     s = math.sqrt(var)
     if side == "nonnegative":
-        z = _std_normal_lower_truncated(-mean / s, rng)
-        return max(mean + s * z, 0.0)
+        return _nonnegative_normal(mean, s, rng)
     if side == "negative":
-        while True:
-            z = _std_normal_lower_truncated(mean / s, rng)
-            x = -max(-mean + s * z, 0.0)
-            if x < 0.0:
-                return x
+        # an exact 0 is redrawn: the negative side is x < 0
+        for _ in range(_TN_MAX_REDRAWS):
+            x = _nonnegative_normal(-mean, s, rng)
+            if x > 0.0:
+                return -x
+        raise RuntimeError(
+            f"truncated normal drew 0 in {_TN_MAX_REDRAWS} draws of the "
+            f"negative side (mean={mean}, var={var})")
     raise ValueError(f"unknown side {side!r}")
 
 

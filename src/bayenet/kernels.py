@@ -59,9 +59,10 @@ data-augmentation scale: in chains of 1000 kept draws on designs 1 and
 3, integrating tau2 out raised its ESS in the four augmented samplers
 2.4-13 fold, to about the level of their direct twins.  So the
 representation decides only the coefficient block and update_tau2.
-The state holds only the natural parameters; each rejection scale
-kernel derives the transformed coordinates it conditions on and maps
-its draw back to (sigma2, lambda1, lambda2).
+The state holds only the natural parameters.  Each rejection scale
+block computes the one or two sweep coordinates its conditional holds
+fixed and assigns only the natural parameters its draw moves: u1 all
+three, u2 lambda1 and lambda2, theta lambda1 alone.
 """
 
 import math
@@ -83,10 +84,8 @@ from .model import (
     FORMS,
     REPRESENTATIONS,
     coefficient_sums,
-    from_transformed,
     initial_state,
     log_posterior_unnorm,
-    to_transformed,
 )
 from .rng import log_uniform
 from .special import _SQRT2, _TAIL_CUT, log_std_normal_cdf
@@ -255,37 +254,35 @@ def _u1_order(data, prior):
 def update_u1_common(data, prior, state, sums, rng, hull=None):
     """u1 = sigma^2 under the common scaling: generalized inverse
     Gaussian; hull is u1_hull's, or None for a fresh one."""
-    _, u2, theta = to_transformed(
-        "common", state.sigma2, state.lambda1, state.lambda2)
+    u2 = math.sqrt(state.lambda2 / state.sigma2)
+    theta = state.lambda1 / (2.0 * state.sigma2 * u2)
     psi = u2 ** 2 * prior.nu2 + 2.0 * u2 * theta * prior.nu1
     u1 = sample_gig(_u1_order(data, prior), psi, sums.rss + prior.nu_b, rng,
                     hull)
-    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
-        "common", u1, u2, theta)
+    state.sigma2 = u1
+    state.lambda1, state.lambda2 = 2.0 * theta * u2 * u1, u1 * u2 * u2
 
 
 def update_u2_common(data, prior, state, sums, rng):
     """u2 = sqrt(lam2)/sigma: modified half normal."""
-    u1, _, theta = to_transformed(
-        "common", state.sigma2, state.lambda1, state.lambda2)
+    u1 = state.sigma2
+    theta = state.lambda1 / (2.0 * u1 * math.sqrt(state.lambda2 / u1))
     u2 = sample_mhn(2.0 * prior.R + prior.L + data.p,
                     0.5 * (u1 * prior.nu2 + sums.bb),
                     theta * (u1 * prior.nu1 + sums.b1), rng)
-    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
-        "common", u1, u2, theta)
+    state.lambda1, state.lambda2 = 2.0 * theta * u2 * u1, u1 * u2 * u2
 
 
 def update_theta_common(data, prior, state, sums, rng, hull=None):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional, not
     log-concave for L < 1; hull is theta_hull's, or None for a fresh
     one."""
-    u1, u2, _ = to_transformed(
-        "common", state.sigma2, state.lambda1, state.lambda2)
+    u1 = state.sigma2
+    u2 = math.sqrt(state.lambda2 / u1)
     theta = sample_tilted(TiltedParams(
         data.p, prior.L, 0.5 * data.p, u2 * (u1 * prior.nu1 + sums.b1)),
         rng, hull)
-    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
-        "common", u1, u2, theta)
+    state.lambda1 = 2.0 * theta * u2 * u1
 
 
 def update_sigma2_differential_rs(data, prior, state, sums, rng):
@@ -301,27 +298,23 @@ def update_sigma2_differential_rs(data, prior, state, sums, rng):
 
 def update_u2_differential(data, prior, state, sums, rng):
     """u2 = sqrt(lam2) under the differential scaling: modified half normal."""
-    _, _, theta = to_transformed(
-        "differential", state.sigma2, state.lambda1, state.lambda2)
+    theta = state.lambda1 / math.sqrt(state.lambda2)
     u2 = sample_mhn(
         2.0 * prior.R + prior.L + data.p,
         0.5 * (sums.bb / state.sigma2 + prior.nu2),
         theta * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1), rng)
-    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
-        "differential", state.sigma2, u2, theta)
+    state.lambda1, state.lambda2 = theta * u2, u2 * u2
 
 
 def update_theta_differential(data, prior, state, sums, rng, hull=None):
     """theta = lam1/sqrt(lam2): tail-tilted conditional, not log-concave
     for L < 1; hull as in update_theta_common."""
-    _, u2, _ = to_transformed(
-        "differential", state.sigma2, state.lambda1, state.lambda2)
+    u2 = math.sqrt(state.lambda2)
     theta = sample_tilted(TiltedParams(
         data.p, prior.L, 0.5 * data.p,
         u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)),
         rng, hull)
-    state.sigma2, state.lambda1, state.lambda2 = from_transformed(
-        "differential", state.sigma2, u2, theta)
+    state.lambda1 = theta * u2
 
 
 def update_lambda2(data, prior, state, sums, rng):

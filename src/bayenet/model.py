@@ -17,9 +17,10 @@ which contributes an extra factor n^(-1/2) and reduces the exponent to
 (n-1)/2.
 
 The sampler state stores only the natural parameters (sigma2, lambda1,
-lambda2).  The rejection kernels draw in the transformed coordinates
-(u1, u2, theta), derived with to_transformed where a kernel needs them
-and mapped back with from_transformed after the draw:
+lambda2).  The rejection kernels draw in the sweep coordinates
+(u1, u2, theta); each block computes from the state the coordinates its
+conditional holds fixed and assigns the natural parameters its draw
+moves:
 
 * common:       u1 = sigma^2, u2 = sqrt(lam2)/sigma, theta = lam1/(2 sigma sqrt(lam2))
 * differential: u1 = sigma^2, u2 = sqrt(lam2),       theta = lam1/sqrt(lam2)
@@ -155,20 +156,6 @@ def make_prior(form, representation, preset=None, **params):
         merged.update(params)
         return PriorSpec(form, representation, **merged)
     return PriorSpec(form, representation, **params)
-
-
-def to_transformed(form, sigma2, lambda1, lambda2):
-    if form == "common":
-        u2 = math.sqrt(lambda2 / sigma2)
-        return sigma2, u2, lambda1 / (2.0 * sigma2 * u2)
-    u2 = math.sqrt(lambda2)
-    return sigma2, u2, lambda1 / u2
-
-
-def from_transformed(form, u1, u2, theta):
-    if form == "common":
-        return u1, 2.0 * theta * u2 * u1, u1 * u2 * u2
-    return u1, theta * u2, u2 * u2
 
 
 @dataclass

@@ -39,17 +39,18 @@ def std_normal_cdf(x):
     return 1.0 - 0.5 * math.erfc(x / _SQRT2)
 
 
-def _hazard_cf_excess(x):
+def _hazard_cf_levels(x, last):
     # Backward evaluation of the Mills-ratio continued fraction without
-    # its leading x; valid for x >= _TAIL_CUT.
+    # its leading x, from its deepest level up to level `last`; valid
+    # for x >= _TAIL_CUT.  Down to level 1 it is the excess h - x.
     acc = 0.0
-    for k in range(_CF_LEVELS, 0, -1):
+    for k in range(_CF_LEVELS, last - 1, -1):
         acc = k / (x + acc)
     return acc
 
 
 def _hazard_cf(x):
-    return x + _hazard_cf_excess(x)
+    return x + _hazard_cf_levels(x, 1)
 
 
 def mills_ratio(x):
@@ -72,8 +73,29 @@ def mills_ratio_excess(x):
     directly.
     """
     if x > _TAIL_CUT:
-        return _hazard_cf_excess(x)
+        return _hazard_cf_levels(x, 1)
     return mills_ratio(x) - x
+
+
+def mills_ratio_excess_rise(x):
+    """(D, F): the excess D = h(x) - x of the hazard, as
+    mills_ratio_excess, and the rise F = (x D)' = D + x D', where
+    D' = h D - 1.
+
+    Past _TAIL_CUT, h D - 1 would keep only x^2 times the machine
+    epsilon of its value, about -1/x^2, and D + x D' cancels again to
+    about 4/x^3.  There both come from the continued fraction's levels:
+    with R3 its value from level 3 down, R = 2/(x + R3) and
+    D = 1/(x + R), 1 - h D = D (R - D) and F = D R (R3 - D), and no
+    factor cancels.
+    """
+    if x > _TAIL_CUT:
+        r3 = _hazard_cf_levels(x, 3)
+        r = 2.0 / (x + r3)
+        d = 1.0 / (x + r)
+        return d, d * r * (r3 - d)
+    d = mills_ratio(x) - x
+    return d, d + x * ((x + d) * d - 1.0)
 
 
 def log_std_normal_cdf(x):

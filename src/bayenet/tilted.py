@@ -44,7 +44,7 @@ from .envelope import (
     build_envelope,
     sample_from_envelope,
 )
-from .special import log_std_normal_cdf, mills_ratio, mills_ratio_excess
+from .special import log_std_normal_cdf, mills_ratio, mills_ratio_excess_rise
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,12 @@ def _log_factor(p, x):
     """(l, l', l' + x l'') at x for l = log g, g = x^(1-a) f:
     l = -e x^2 - c x + q log h(x) up to a constant, with e = b - q/2 and
     h the normal hazard, whose terms do not cancel.  (log h)' is the
-    excess D = h - x, and D' = h D - 1."""
+    excess D = h - x, so l' + x l'' = q F - 4 e x - c with F = (x D)',
+    which mills_ratio_excess_rise keeps accurate far into the tail."""
     e = p.b - 0.5 * p.q
-    excess = mills_ratio_excess(x)
+    excess, rise = mills_ratio_excess_rise(x)
     slope = p.q * excess - 2.0 * e * x - p.c
-    bend = slope + x * (p.q * ((x + excess) * excess - 1.0) - 2.0 * e)
+    bend = p.q * rise - 4.0 * e * x - p.c
     return p.q * math.log(x + excess) - (e * x + p.c) * x, slope, bend
 
 

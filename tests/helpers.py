@@ -5,10 +5,13 @@ formulas by dense trapezoid integration (error far below the KS
 resolution used), independently of the package's own quadrature module.
 segment_log_mass is the exact mass of one hull segment, from which
 reference_weights gives the segment weights a hull should hold.
-log_posterior_transformed is the slice target the kernel checks compare
-the rejection blocks against.  log_integrated_likelihood and
-log_prior_beta reach the package's likelihood and prior through their
-sums, which is how the tests pin those pieces to closed forms;
+to_transformed and from_transformed map the natural scales to the
+rejection sweeps' coordinates (u1, u2, theta) and back, which the
+kernels never do as a whole; log_posterior_transformed is the slice
+target the kernel checks compare the rejection blocks against.
+log_integrated_likelihood and log_prior_beta reach the package's
+likelihood and prior through their sums, which is how the tests pin
+those pieces to closed forms;
 log_prior_da writes the augmented prior out here, independently of the
 package, which reads it only with tau2 integrated out.  reference_scan_beta
 is the direct coefficient scan written plainly, through
@@ -27,7 +30,7 @@ import numpy as np
 from bayenet.distributions import require_finite, sample_truncated_normal
 from bayenet.model import (CoefficientSums, _log_likelihood, _log_prior,
                            _sums, coefficient_sums, log_posterior_unnorm,
-                           rss, tau2_conditional_var, to_transformed)
+                           rss, tau2_conditional_var)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -72,6 +75,25 @@ def csv_cell_by_cell(header, rows):
     w.writerow(header)
     w.writerows([format_cell(v) for v in row] for row in rows)
     return buf.getvalue().encode()
+
+
+def to_transformed(form, sigma2, lambda1, lambda2):
+    """(u1, u2, theta): u1 = sigma2 in both forms, u2 = sqrt(lam2)/sigma
+    and theta = lam1/(2 sigma sqrt(lam2)) in the common one, u2 =
+    sqrt(lam2) and theta = lam1/sqrt(lam2) in the differential one."""
+    if form == "common":
+        u2 = math.sqrt(lambda2 / sigma2)
+        return sigma2, u2, lambda1 / (2.0 * sigma2 * u2)
+    u2 = math.sqrt(lambda2)
+    return sigma2, u2, lambda1 / u2
+
+
+def from_transformed(form, u1, u2, theta):
+    """(sigma2, lambda1, lambda2) of the sweep coordinates (u1, u2,
+    theta): to_transformed's inverse."""
+    if form == "common":
+        return u1, 2.0 * theta * u2 * u1, u1 * u2 * u2
+    return u1, theta * u2, u2 * u2
 
 
 def log_posterior_transformed(data, prior, state):

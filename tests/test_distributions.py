@@ -69,6 +69,42 @@ def test_truncated_normal_negative_side():
     assert _ks_ok(draws, lambda x: -0.5 * (x - m) ** 2 / v, -7.0, 0.0)
 
 
+@pytest.mark.parametrize("a", [1e3, 1e6, 1e9])
+def test_truncated_normal_far_tail_excess(a):
+    # N(-a, 1) above 0 and N(a, 1) below it: |X| is the excess of Z over
+    # a given Z > a, P(|X| > t) = Phi(-(a + t))/Phi(-a).  With
+    # log_std_normal_cdf's far-tail form, log Phi(-x) = -x^2/2 -
+    # log(sqrt(2 pi) h(x)) with h the hazard, that is
+    # exp(-t (a + t/2)) h(a)/h(a + t), where the rounding of a + t
+    # reaches only the slowly varying h: at a = 1e9, a + t is a itself
+    rng = RngStream(101, 3)
+    n = 4000
+
+    def survival(t):
+        return math.exp(-t * (a + 0.5 * t)) * mills_ratio(a) / mills_ratio(
+            a + t)
+
+    for mean, side in ((-a, "nonnegative"), (a, "negative")):
+        draws = [abs(sample_truncated_normal(mean, 1.0, side, rng))
+                 for _ in range(n)]
+        assert min(draws) > 0.0, side
+        u = np.sort([1.0 - survival(x) for x in draws])
+        i = np.arange(1, n + 1)
+        d = max((i / n - u).max(), (u - (i - 1) / n).max())
+        assert d < ks_threshold(n), (side, d)
+
+
+def test_truncated_normal_gives_up_on_a_negative_side_it_cannot_reach(
+        monkeypatch):
+    # sd 1e-160 at a truncation point 1e260 sds out: every excess
+    # underflows to 0, which the negative side (x < 0) must redraw
+    monkeypatch.setattr(distributions, "_TN_MAX_REDRAWS", 50)
+    assert sample_truncated_normal(-1e100, 1e-320, "nonnegative",
+                                   RngStream(1)) == 0.0
+    with pytest.raises(RuntimeError, match="drew 0 in 50 draws"):
+        sample_truncated_normal(1e100, 1e-320, "negative", RngStream(1))
+
+
 def test_truncated_normal_validates():
     with pytest.raises(ValueError):
         sample_truncated_normal(0.0, 0.0, "nonnegative", RngStream(1))

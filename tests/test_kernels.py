@@ -41,19 +41,19 @@ from bayenet.kernels import (
 from bayenet.model import (
     RegressionData,
     coefficient_sums,
-    from_transformed,
     initial_state,
     log_posterior_unnorm,
     make_prior,
-    to_transformed,
 )
+from bayenet.oracle import sweep_coordinates
 from bayenet.rng import BLOCK, RngStream, log_uniform
 from bayenet.simulate import data_stream, design, generate_dataset
 from bayenet.special import log_std_normal_cdf
 
-from helpers import (cdf_table, ks_statistic, ks_threshold,
-                     log_posterior_transformed, log_prior_da,
-                     reference_coefficient_sums, reference_scan_beta)
+from helpers import (cdf_table, from_transformed, ks_statistic,
+                     ks_threshold, log_posterior_transformed, log_prior_da,
+                     reference_coefficient_sums, reference_scan_beta,
+                     to_transformed)
 
 N_SLICE_DRAWS = 4000
 
@@ -226,6 +226,51 @@ def test_penalty_rate_slice_at_fixed_lambda1(form, rep):
         assert (st.sigma2, st.lambda1) == (state.sigma2, state.lambda1)
         draws[i] = st.lambda2
     assert ks_statistic(draws, xs, cdf) < ks_threshold(N_SLICE_DRAWS)
+
+
+# each rejection scale block, the natural scales its draw moves, and
+# the sweep coordinates (u1, u2, theta) its conditional holds fixed
+SCALE_BLOCK_WRITES = {
+    "common": [(update_u1_common, {"sigma2", "lambda1", "lambda2"}, (1, 2)),
+               (update_u2_common, {"lambda1", "lambda2"}, (0, 2)),
+               (update_lambda2, {"lambda2"}, ()),
+               (update_theta_common, {"lambda1"}, (0, 1))],
+    "differential": [
+        (update_sigma2_differential_rs, {"sigma2"}, ()),
+        (update_u2_differential, {"lambda1", "lambda2"}, (0, 2)),
+        (update_theta_differential, {"lambda1"}, (0, 1)),
+        (update_lambda2, {"lambda2"}, ())],
+}
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_scale_blocks_write_only_what_they_draw(form):
+    # a natural scale the draw does not move keeps its bits, and the
+    # coordinates the conditional fixes hold to rounding.  Each block
+    # starts from the random state itself: in sweep order a u2 draw
+    # leaves lambda2 a square, whose square root is exact
+    data = make_data()
+    prior = make_prior(form, "direct", preset="weak")
+    gen = RngStream(77).gen
+    rng = RngStream(77, 1)
+    for _ in range(20):
+        s2, l1, l2 = np.exp(gen.uniform(-3.0, 3.0, size=3)).tolist()
+        start = initial_state(data, prior)
+        start.beta = gen.standard_normal(data.p)
+        start.sigma2, start.lambda1, start.lambda2 = s2, l1, l2
+        sums = coefficient_sums(data, start)
+        old = sweep_coordinates(form, s2, l1, l2)
+        for block, moves, held in SCALE_BLOCK_WRITES[form]:
+            state = clone(start)
+            block(data, prior, state, sums, rng)
+            for name in set(MH_SCALES) - moves:
+                assert getattr(state, name) == getattr(start, name), (
+                    block.__name__, name)
+            new = sweep_coordinates(form, state.sigma2, state.lambda1,
+                                    state.lambda2)
+            for i in held:
+                assert new[i] == pytest.approx(old[i], rel=1e-12), (
+                    block.__name__, i)
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])

@@ -1,4 +1,4 @@
-"""Priors, transforms and posterior pieces against quadrature oracles."""
+"""Priors and posterior pieces against quadrature oracles."""
 
 import math
 from dataclasses import fields
@@ -6,14 +6,12 @@ from dataclasses import fields
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bayenet.model import (
     ModelState,
     PriorSpec,
     RegressionData,
     coefficient_sums,
-    from_transformed,
     initial_state,
     log_hyperprior,
     log_posterior_unnorm,
@@ -23,37 +21,12 @@ from bayenet.model import (
     sample_beta_prior_direct,
     sample_tau2_prior,
     tau2_conditional_var,
-    to_transformed,
 )
 from bayenet.rng import RngStream
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
                      log_integrated_likelihood, log_prior_beta, log_prior_da,
                      log_prior_tau2)
-
-pos = st.floats(min_value=0.05, max_value=50.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["common", "differential"]), pos, pos, pos)
-def test_transform_round_trip(form, sigma2, lambda1, lambda2):
-    u1, u2, theta = to_transformed(form, sigma2, lambda1, lambda2)
-    s2, l1, l2 = from_transformed(form, u1, u2, theta)
-    assert s2 == pytest.approx(sigma2, rel=1e-12)
-    assert l1 == pytest.approx(lambda1, rel=1e-12)
-    assert l2 == pytest.approx(lambda2, rel=1e-12)
-
-
-def test_transform_known_values():
-    # common: u2 = sqrt(lam2)/sigma, theta = lam1/(2 sigma sqrt(lam2))
-    u1, u2, theta = to_transformed("common", 4.0, 3.0, 9.0)
-    assert u1 == 4.0
-    assert u2 == pytest.approx(1.5)
-    assert theta == pytest.approx(3.0 / (2.0 * 2.0 * 3.0))
-    # differential: u2 = sqrt(lam2), theta = lam1/sqrt(lam2)
-    u1, u2, theta = to_transformed("differential", 4.0, 3.0, 9.0)
-    assert (u1, u2) == (4.0, 3.0)
-    assert theta == pytest.approx(1.0)
 
 
 @mp.workdps(30)

@@ -1,0 +1,46 @@
+"""Scale battery: every sampler fits a response in very small and very
+large units to finite draws, and none hangs.
+
+The warm start puts lambda1 at 1 whatever the data's units, so in small
+units the coordinate scan meets truncation points hundreds of millions
+of standard deviations out in its first sweeps.
+"""
+
+import signal
+
+import numpy as np
+import pytest
+
+from bayenet.kernels import SAMPLERS, parse_sampler, run_chain
+from bayenet.model import RegressionData, make_prior
+from bayenet.rng import RngStream
+
+# a fit here samples for about 0.05 s; a hang fails after this long
+TIME_LIMIT_S = 10
+
+
+@pytest.fixture
+def time_limit():
+    def expire(signum, frame):
+        raise TimeoutError(f"the fit ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+@pytest.mark.parametrize("label", SAMPLERS)
+def test_every_sampler_fits_a_response_in_extreme_units(label, scale,
+                                                        time_limit):
+    gen = RngStream(2026).gen
+    X = gen.standard_normal((20, 8))
+    y = X[:, 0] + gen.standard_normal(20)
+    algorithm, form, representation = parse_sampler(label)
+    out = run_chain(algorithm, RegressionData(scale * y, X),
+                    make_prior(form, representation, preset="weak"),
+                    RngStream(2026, SAMPLERS.index(label)),
+                    iters=300, burnin=100)
+    assert np.isfinite(out.draws).all()

@@ -16,6 +16,7 @@ from bayenet.special import (
     log_upper_incomplete_gamma_half,
     mills_ratio,
     mills_ratio_excess,
+    mills_ratio_excess_rise,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -116,6 +117,24 @@ def test_mills_excess_is_accurate_far_out():
         xm = mp.mpf(x)
         want = float(mp.npdf(xm) / mp.ncdf(-xm) - xm)
         assert mills_ratio_excess(x) == pytest.approx(want, rel=1e-13), x
+
+
+@mp.workdps(150)
+def test_mills_excess_rise_is_accurate_far_out():
+    # D = h - x and F = (x D)' = D + x (h D - 1) to 1e-13 relative on
+    # (5, 1e15], where F is about 4/x^3: in doubles h D - 1 keeps only
+    # x^2 times the machine epsilon and F cancels once more.  The
+    # reference loses about 3 log10(x) digits to the same
+    # cancellations, so 60 digits are too few past 1e9
+    for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
+        xm = mp.mpf(x)
+        h = mp.npdf(xm) / mp.ncdf(-xm)
+        d = h - xm
+        excess, rise = mills_ratio_excess_rise(x)
+        assert excess == mills_ratio_excess(x), x
+        assert excess == pytest.approx(float(d), rel=1e-13), x
+        assert rise == pytest.approx(float(d + xm * (h * d - 1)),
+                                     rel=1e-13), x
 
 
 @given(st.floats(min_value=1e-6, max_value=30.0))

@@ -291,6 +291,47 @@ def test_small_shape_split_rests_on_a_concave_hazard_excess():
         assert got[2] == pytest.approx(float(F), rel=1e-6, abs=1e-12), x
 
 
+@mp.workdps(150)
+@pytest.mark.parametrize("b, c", [(4.0, 2.3e-22), (5.0, 1.0)])
+def test_small_shape_bend_is_accurate_far_out(b, c):
+    # l' + x l'' = q F - 4 e x - c with F = (x D)' about 4/x^3, to 1e-13
+    # of its terms on (5, 1e15]: the split's root search reads its sign
+    # where q F and c nearly cancel (x near 5e7 at c = 2.3e-22), and the
+    # mode's Newton steps divide by it.  150 digits, as in test_special
+    p = TiltedParams(8, 0.02, b, c)
+    e = b - 4.0
+    for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
+        xm = mp.mpf(x)
+        h = mp.npdf(xm) / mp.ncdf(-xm)
+        d = h - xm
+        rise = d + xm * (h * d - 1)
+        want = 8 * rise - 4 * e * xm - c
+        got = tilted._log_factor(p, x)[2]
+        scale = 8 * rise + 4 * e * xm + c
+        assert abs(got - want) <= 1e-13 * scale, x
+
+
+# members (p, L, p/2, c) of L = R = 0.02 chains on a design with n = 20
+# and p = 8, whose rates fell to 1e-22: the mode search overflowed
+# (the first two) or the hull's right tail turned up (the third) while
+# the bend lost every digit past x = 1e6
+@pytest.mark.parametrize("c", [5.607396714734979e-12, 2.296964702699318e-22,
+                               8.571555425126005e-22])
+@mp.workdps(20)
+def test_small_shape_draws_at_tiny_rates(c):
+    # past x = 1e11, Phi(-x)^-q exp(-q x^2/2) is (2 pi)^(q/2) (x + D)^q
+    # with D about 1/x, so the member is gamma(q + a, rate c) to 1e-21
+    p = TiltedParams(8, 0.02, 4.0, c)
+    rng = RngStream(206, int(-math.log10(c)))
+    n = 400
+    draws = np.array([sample_tilted(p, rng) for _ in range(n)])
+    assert np.isfinite(draws).all() and draws.min() > 0.0
+    u = np.sort([float(mp.gammainc(8.02, 0, c * x, regularized=True))
+                 for x in draws])
+    i = np.arange(1, n + 1)
+    assert max((i / n - u).max(), (u - (i - 1) / n).max()) < ks_threshold(n)
+
+
 @mp.workdps(50)
 def test_small_shape_power_law_rests_on_a_convex_hazard():
     # _sample_small_shape bounds g on (0, s] by g(s): its proof needs the
