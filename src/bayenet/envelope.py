@@ -129,8 +129,11 @@ class PiecewiseExpEnvelope:
 def _tied(left, right):
     """Whether the slope right of a knot fails to fall below the slope
     left of it by more than rounding: log-concavity makes slopes fall,
-    so such a pair is a numerical tie, merged into one tangent."""
-    return right >= left - 1e-12 * (1.0 + abs(left))
+    so such a pair is a numerical tie, merged into one tangent.  The
+    tolerance scales with the slopes alone: near the mode of
+    exp(g(x) - c x) the slopes of g are about c, and at c far below
+    1e-12 an absolute floor would merge them all."""
+    return right >= left - 1e-12 * (abs(left) + abs(right))
 
 
 def _hull_from_points(points, support_lower):

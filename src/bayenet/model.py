@@ -197,24 +197,20 @@ def rss(data, beta):
 
 class CoefficientSums(NamedTuple):
     """What the joint log density and the scale full conditionals read
-    from beta, reduced once per sweep: p, rss (nan where no likelihood
-    is evaluated), bb = b'b and b1 = |b|_1."""
+    from beta, reduced once per sweep: p, rss, bb = b'b and
+    b1 = |b|_1."""
     p: int
     rss: float
     bb: float
     b1: float
 
 
-def _sums(beta, rss_value=math.nan):
-    beta = np.asarray(beta, dtype=float)
-    return CoefficientSums(beta.size, rss_value, float(beta.dot(beta)),
-                           float(np.add.reduce(np.abs(beta))))
-
-
 def coefficient_sums(data, state):
     """The sums of the state's beta that log_posterior_unnorm and the
     scale kernels read."""
-    return _sums(state.beta, rss(data, state.beta))
+    beta = state.beta
+    return CoefficientSums(beta.size, rss(data, beta), float(beta.dot(beta)),
+                           float(np.add.reduce(np.abs(beta))))
 
 
 def _log_likelihood(n, rss_value, sigma2):

@@ -74,6 +74,8 @@ _LINE_DOUBLINGS = 7
 _PLANE_DOUBLINGS = 3
 # a planar grid reaches this many standard deviations past its center
 _SPAN = 9.0
+# nodes per axis of the two-coefficient posterior's plane
+_GRID2D_NODES = 401
 # log Phi over a node array
 _log_phi = np.vectorize(log_std_normal_cdf, otypes=[float])
 
@@ -88,7 +90,7 @@ def _log_phi_distinct(x):
 
 
 class OracleError(ValueError):
-    """A quadrature table could not certify its own accuracy."""
+    """A quadrature table could not vouch for its own accuracy."""
 
 
 @dataclass(frozen=True)
@@ -277,18 +279,27 @@ def _pair_rss(data, b1, b2):
             + a11 * b1 * b1 + 2.0 * a12 * b1 * b2 + a22 * b2 * b2)
 
 
-def _axis_nodes(lo, hi, nodes):
-    """Uniform nodes covering [lo, hi], lo < 0 < hi, on a lattice
-    anchored at zero.
+def _grid2d_axis(data, sigma2, lambda2):
+    """axis(j, n): about n uniform nodes on coefficient j's axis of the
+    two-coefficient plane, centered on the ridge solution, stretched to
+    nine standard deviations per side and always straddling zero.
 
-    A spliced-in zero node would break the uniform spacing and leave an
-    O(h^3) quadrature error at the splice, so the axis is laid out as
-    exact multiples of the step instead.
+    The nodes are exact multiples of the step, so the density's kinks on
+    the coordinate axes lie on grid lines; a spliced-in zero node would
+    break the uniform spacing and leave an O(h^3) quadrature error at
+    the splice.
     """
-    h = (hi - lo) / (nodes - 1)
-    below = math.ceil(-lo / h)
-    above = math.ceil(hi / h)
-    return h * np.arange(-below, above + 1)
+    prec = data.xtx + lambda2 * np.eye(2)
+    center = np.linalg.solve(prec, data.xty)
+    sds = np.sqrt(sigma2 * np.diag(np.linalg.inv(prec)))
+    lo = np.minimum(center - _SPAN * sds, -2.0 * sds)
+    hi = np.maximum(center + _SPAN * sds, 2.0 * sds)
+
+    def axis(j, n):
+        h = (hi[j] - lo[j]) / (n - 1)
+        return h * np.arange(-math.ceil(-lo[j] / h), math.ceil(hi[j] / h) + 1)
+
+    return axis
 
 
 @dataclass
@@ -297,7 +308,6 @@ class BetaGrid2d:
     axis2: np.ndarray
     weight: np.ndarray
     mass: float
-    log_unnorm: object
 
     def marginal(self, axis):
         if axis == 0:
@@ -325,19 +335,14 @@ def _plane(log_unnorm, axis, n):
     top = float(logw.max())
     w = np.exp(logw - top)
     mass = float(np.trapezoid(np.trapezoid(w, g2, axis=1), g1))
-    return top + math.log(mass), BetaGrid2d(g1, g2, w, mass, log_unnorm)
+    return top + math.log(mass), BetaGrid2d(g1, g2, w, mass)
 
 
-def _planar_grid(log_unnorm, axis, nodes, certify):
+def _planar_grid(log_unnorm, axis, nodes):
     """(log mass, grid) of a planar grid with nodes per axis (the
     zero-anchored lattice may add one), certified by comparing its mass
     with the grid of half the resolution and doubling until the two
-    agree, and by requiring both marginals to vanish at the edges.  With
-    certify=False the grid is returned as built; only readouts that
-    depend on node placement alone (such as argmax) should be trusted
-    from it."""
-    if not certify:
-        return _plane(log_unnorm, axis, nodes)
+    agree, and by requiring both marginals to vanish at the edges."""
     lm, grid = _settle(lambda n: _plane(log_unnorm, axis, n),
                        nodes // 2 + 1, _PLANE_DOUBLINGS)
     for j in (0, 1):
@@ -347,43 +352,32 @@ def _planar_grid(log_unnorm, axis, nodes, certify):
     return lm, grid
 
 
-def grid2d_beta_posterior(data, sigma2, lambda1, lambda2, form,
-                          certify=True):
-    """Normalized two-coefficient posterior on a plane grid.
-
-    The grid is centered on the ridge solution, stretched to nine
-    standard deviations per side, always straddles both axes, and
-    carries an exact node on each axis so the non-differentiable ridge
-    of the density lies on grid lines.  certify=False skips the
-    certificate of _planar_grid.
-    """
+def grid2d_beta_posterior(data, sigma2, lambda1, lambda2, form):
+    """Normalized two-coefficient posterior on the certified planar grid
+    (_planar_grid) of _grid2d_axis's lattice."""
     lu = beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form)
-    prec = data.xtx + lambda2 * np.eye(2)
-    center = np.linalg.solve(prec, data.xty)
-    sds = np.sqrt(sigma2 * np.diag(np.linalg.inv(prec)))
-    lo = np.minimum(center - _SPAN * sds, -2.0 * sds)
-    hi = np.maximum(center + _SPAN * sds, 2.0 * sds)
-    axis = lambda j, n: _axis_nodes(lo[j], hi[j], n)
-    return _planar_grid(lu, axis, 401, certify)[1]
+    return _planar_grid(lu, _grid2d_axis(data, sigma2, lambda2),
+                        _GRID2D_NODES)[1]
 
 
 def ridge_mean(data, lambda2):
     return np.linalg.solve(data.xtx + lambda2 * np.eye(data.p), data.xty)
 
 
-def axis_continuity_gap(grid, eps=1e-12, points=17):
-    """Largest relative density gap between the two sides of an axis.
+def axis_continuity_gap(log_unnorm, axis1, axis2, eps=1e-12, points=17):
+    """Largest relative gap of the density exp(log_unnorm) between the
+    two sides of a coordinate axis, at points on it inside the span of
+    axis1 (the axis b2 = 0) and of axis2 (b1 = 0).
 
     The offset is tiny so the smooth part of the density moves by far
     less than the tolerance; any remaining gap above ~eps*gradient is a
     genuine discontinuity.
     """
     worst = 0.0
-    for xs, flip in ((grid.axis1, False), (grid.axis2, True)):
+    for xs, flip in ((axis1, False), (axis2, True)):
         t = np.linspace(xs[2], xs[-3], points)
         above, below = ((eps, t), (-eps, t)) if flip else ((t, eps), (t, -eps))
-        gap = np.abs(np.expm1(grid.log_unnorm(*above)
-                              - grid.log_unnorm(*below)))
+        gap = np.abs(np.expm1(log_unnorm(*above) - log_unnorm(*below)))
         worst = max(worst, float(gap.max()))
     return worst
 
@@ -630,7 +624,7 @@ def da_beta_marginal_cdf(data, prior, state, nodes=321):
         return np.linspace(center[j] - _SPAN * sds[j],
                            center[j] + _SPAN * sds[j], n)
 
-    lm, grid = _planar_grid(log_joint, axis, nodes, True)
+    lm, grid = _planar_grid(log_joint, axis, nodes)
     xs, pdf = grid.marginal(0)
     cdf = _cum_trapz(pdf, xs)
     return CdfTable(xs, cdf / cdf[-1], lm)
@@ -864,24 +858,21 @@ def _grid2d_checks():
         "grid2d-ridge-reduction", err <= 1e-6,
         f"max |grid mean - ridge solution| = {err:.2e}"))
 
-    # continuity and slope probes read the density pointwise, so the
-    # integral certificate (which a kinked integrand cannot meet at this
-    # resolution) is not required
-    gaps = []
-    for form in ("common", "differential"):
-        g = grid2d_beta_posterior(data, 1.2, 1.7, 0.8, form, certify=False)
-        gaps.append(axis_continuity_gap(g))
-    worst = max(gaps)
+    # the probe reads the density pointwise, inside the lattice's span
+    axis = _grid2d_axis(data, 1.2, 0.8)
+    worst = max(axis_continuity_gap(
+        beta_pair_log_unnorm(data, 1.2, 1.7, 0.8, form),
+        axis(0, _GRID2D_NODES), axis(1, _GRID2D_NODES))
+        for form in ("common", "differential"))
     checks.append(CheckResult(
         "grid2d-axis-continuity", worst <= 1e-8,
         f"max relative side gap {worst:.2e}"))
 
-    # a penalty this sharp cannot pass the mass certificate at default
-    # resolution, and argmax only needs node placement
+    # a penalty this sharp cannot pass the mass certificate at this
+    # resolution; the argmax of one plane reads node placement only
     lam_big = 4.0 * float(np.abs(data.xty).max())
-    g1 = grid2d_beta_posterior(data, 1.2, lam_big, 0.8, "common",
-                               certify=False)
-    am = g1.argmax()
+    am = _plane(beta_pair_log_unnorm(data, 1.2, lam_big, 0.8, "common"),
+                axis, _GRID2D_NODES)[1].argmax()
     on_axis = float(np.abs(am).min()) == 0.0
     checks.append(CheckResult(
         "grid2d-axis-mode", on_axis,

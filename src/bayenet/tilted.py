@@ -29,6 +29,12 @@ envelopes fail; instead:
   evaluated only where the squeeze fails.  Each draw stays exact: it
   is a rejection draw under a hull that dominates its target, and the
   hull depends only on earlier draws.
+* log_density and dlog_density past the tail cut (special._TAIL_CUT)
+  read -b x^2 - q log Phi(-x) as (q/2 - b) x^2 + q log h(x) plus a
+  constant, h the normal hazard, through _log_factor.  Formed apart,
+  the two would cancel at b = q/2, leaving the slope 50 % off at
+  x = 1e8 and both at 0 by 1e10, where a small rate c makes the kept
+  hull propose.
 """
 
 import math
@@ -44,7 +50,13 @@ from .envelope import (
     build_envelope,
     sample_from_envelope,
 )
-from .special import log_std_normal_cdf, mills_ratio, mills_ratio_excess_rise
+from .special import (
+    _LOG_SQRT_2PI,
+    _TAIL_CUT,
+    log_std_normal_cdf,
+    mills_ratio,
+    mills_ratio_excess_rise,
+)
 
 
 @dataclass(frozen=True)
@@ -71,17 +83,20 @@ class TiltedParams:
 def log_density(p, x):
     if x <= 0.0:
         return -math.inf
-    val = (p.a - 1.0) * math.log(x) - p.b * x * x - p.c * x
-    if p.q:
-        val -= p.q * log_std_normal_cdf(-x)
-    return val
+    if x > _TAIL_CUT:
+        # -b x^2 - c x - q log Phi(-x) is l + q log sqrt(2 pi), and the
+        # terms of l do not cancel
+        return ((p.a - 1.0) * math.log(x) + _log_factor(p, x)[0]
+                + p.q * _LOG_SQRT_2PI)
+    return ((p.a - 1.0) * math.log(x) - p.b * x * x - p.c * x
+            - p.q * log_std_normal_cdf(-x))
 
 
 def dlog_density(p, x):
-    val = (p.a - 1.0) / x - 2.0 * p.b * x - p.c
-    if p.q:
-        val += p.q * mills_ratio(x)
-    return val
+    if x > _TAIL_CUT:
+        # -2 b x - c + q h(x) is l', which reads q (h - x) directly
+        return (p.a - 1.0) / x + _log_factor(p, x)[1]
+    return (p.a - 1.0) / x - 2.0 * p.b * x - p.c + p.q * mills_ratio(x)
 
 
 def d2log_density(p, x):

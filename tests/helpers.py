@@ -29,8 +29,8 @@ import numpy as np
 
 from bayenet.distributions import require_finite, sample_truncated_normal
 from bayenet.model import (CoefficientSums, _log_likelihood, _log_prior,
-                           _sums, coefficient_sums, log_posterior_unnorm,
-                           rss, tau2_conditional_var)
+                           coefficient_sums, log_posterior_unnorm, rss,
+                           tau2_conditional_var)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -118,7 +118,11 @@ def log_integrated_likelihood(data, beta, sigma2):
 
 def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
     """Normalized log density of beta under either prior form."""
-    return _log_prior(form, _sums(beta), sigma2, lambda1, lambda2)
+    beta = np.asarray(beta, dtype=float)
+    # the prior reads no rss
+    sums = CoefficientSums(beta.size, math.nan, float(beta @ beta),
+                           float(np.abs(beta).sum()))
+    return _log_prior(form, sums, sigma2, lambda1, lambda2)
 
 
 def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
@@ -200,12 +204,12 @@ def hull_log_value(env, x):
     return env.intercepts[i] + env.slopes[i] * x
 
 
-def axis_slope_jump(grid, at, eps=1e-6):
-    """Drop in the cross-axis log-density slope of a planar oracle grid
-    at (at, 0)."""
-    mid = grid.log_unnorm(at, 0.0)
-    left = (mid - grid.log_unnorm(at, -eps)) / eps
-    right = (grid.log_unnorm(at, eps) - mid) / eps
+def axis_slope_jump(log_unnorm, at, eps=1e-6):
+    """Drop in the cross-axis slope of a planar log density
+    log_unnorm(b1, b2) at (at, 0)."""
+    mid = log_unnorm(at, 0.0)
+    left = (mid - log_unnorm(at, -eps)) / eps
+    right = (log_unnorm(at, eps) - mid) / eps
     return left - right
 
 

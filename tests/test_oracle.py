@@ -196,22 +196,21 @@ def test_grid2d_ridge_reduction():
 
 def test_grid2d_axis_continuity_and_slope_jump():
     data = _pair_data()
+    axis = oracle._grid2d_axis(data, 1.2, 0.8)
     for form, jump in (("common", 1.7 / 1.2),
                        ("differential", 2.0 * 1.7 / math.sqrt(1.2))):
-        grid = grid2d_beta_posterior(data, 1.2, 1.7, 0.8, form,
-                                     certify=False)
-        assert axis_continuity_gap(grid) < 1e-8
-        got = axis_slope_jump(grid, at=0.9)
-        assert got == pytest.approx(jump, rel=1e-4)
+        lu = beta_pair_log_unnorm(data, 1.2, 1.7, 0.8, form)
+        assert axis_continuity_gap(lu, axis(0, 401), axis(1, 401)) < 1e-8
+        assert axis_slope_jump(lu, at=0.9) == pytest.approx(jump, rel=1e-4)
 
 
 def test_grid2d_mode_moves_onto_axes_for_heavy_penalty():
     data = _pair_data()
     lam = 4.0 * float(np.abs(data.xty).max())
-    grid = grid2d_beta_posterior(data, 1.2, lam, 0.8, "common",
-                                 certify=False)
-    assert grid.argmax() == pytest.approx((0.0, 0.0))
-    # and the same grid refuses the integral certificate, because the
+    lu = beta_pair_log_unnorm(data, 1.2, lam, 0.8, "common")
+    _, plane = oracle._plane(lu, oracle._grid2d_axis(data, 1.2, 0.8), 401)
+    assert plane.argmax() == pytest.approx((0.0, 0.0))
+    # and the certified grid refuses the same density, because the
     # spike is far below the resolvable scale
     with pytest.raises(OracleError, match="stabilize"):
         grid2d_beta_posterior(data, 1.2, lam, 0.8, "common")
@@ -220,8 +219,10 @@ def test_grid2d_mode_moves_onto_axes_for_heavy_penalty():
 def test_grid2d_penalty_pulls_mean_toward_zero():
     data = _pair_data()
     g0 = grid2d_beta_posterior(data, 1.2, 0.0, 0.8, "common")
-    g1 = grid2d_beta_posterior(data, 1.2, 1.5, 0.8, "common",
-                               certify=False)
+    # the kinked density at lambda1 = 1.5 cannot pass the certificate at
+    # this resolution: one plane of the same lattice
+    _, g1 = oracle._plane(beta_pair_log_unnorm(data, 1.2, 1.5, 0.8, "common"),
+                          oracle._grid2d_axis(data, 1.2, 0.8), 401)
     assert np.abs(g1.mean()).sum() < np.abs(g0.mean()).sum()
 
 

@@ -62,6 +62,24 @@ def test_derivatives_match_mpmath():
         assert dlog_density(p0, x) == pytest.approx(d1, rel=1e-8)
 
 
+@mp.workdps(100)
+@pytest.mark.parametrize("p", [
+    TiltedParams(8, 1.0, 4.0, 0.0), TiltedParams(8, 1.0, 4.0, 1e-8),
+    TiltedParams(40, 1.0, 20.0, 1e-3), TiltedParams(4, 2.0, 2.0, 1.0)])
+def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
+    # at b = q/2, -b x^2 - q log Phi(-x) and -2 b x + q h(x) cancel to
+    # q log h + q log sqrt(2 pi) and q D = q (h - x), about q/x, far
+    # past the tail cut, where the sweeps' kept hull proposes at small c
+    for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
+        want = _mp_log_density(p, x)
+        assert log_density(p, x) == pytest.approx(float(want), rel=1e-12), x
+        xm = mp.mpf(x)
+        slope = ((p.a - 1) / xm - 2 * p.b * xm - p.c
+                 + p.q * mp.npdf(xm) / mp.ncdf(-xm))
+        assert dlog_density(p, x) == pytest.approx(float(slope),
+                                                   rel=1e-12), x
+
+
 def test_concavity_certificate_truth_table():
     assert is_logconcave(TiltedParams(2, 1.0, 1.0, 0.5))
     assert not is_logconcave(TiltedParams(2, 1.0, 0.9, 1.0))   # b < q/2
@@ -426,6 +444,25 @@ def test_kept_hull_dominates_the_density_over_a_sweep_of_rates(q, a):
             tol = 1e-10 * (1.0 + b * x * x + p.c * x)
             assert hull_log_value(hull, x) >= log_density(p, x) - tol
     assert replaced
+
+
+# explicit R < 1 priors let lambda2 fall near 0 and theta's rate c with
+# it: the kept hull's seed tangent is then nearly flat and proposes far
+# past the tail cut, where b x^2 and q log Phi(-x) must not be formed
+# apart, and its slopes are of order c, far below any absolute tie floor
+@pytest.mark.parametrize("c", [1e-3, 1e-8, 1e-30])
+@pytest.mark.parametrize("q", [8, 40])
+def test_kept_hull_draws_at_small_rates(q, c):
+    # with b = q/2, Phi(-x)^-q exp(-q x^2/2) is (2 pi)^(q/2) h(x)^q, and
+    # h(x)^q = x^q (1 + D/x)^q with 0 < D < 1/x, so c x is gamma(1 + q)
+    # to a relative q/x^2, below 1e-5 over the bulk
+    p = TiltedParams(q, 1.0, 0.5 * q, c)
+    hull = tangent_hull(p.q, p.a, p.b)
+    rng = RngStream(212, q)
+    draws = [c * sample_tilted(p, rng, hull) for _ in range(5000)]
+    table = oracle.auto_cdf(lambda y: q * np.log(y) - y, (1e-8, 1e3))
+    d, ok = oracle.ks_test(draws, table)
+    assert ok, d
 
 
 def test_sample_tilted_refuses_another_familys_hull():
