@@ -137,7 +137,13 @@ def _scan_beta(data, prior, state, coords, rng):
     of special.log_std_normal_cdf and
     distributions.sample_truncated_normal in their order, so the draws
     are theirs bit for bit; the far tail x < -5, Robert's regime
-    a > 0.5 and a non-finite mean or variance still call them.
+    a > 0.5 and a non-finite mean or variance still call them.  The
+    uniforms and normals are popped from the stream's blocks in place,
+    through rng.uniform() and rng.normal() only to refill them.
+
+    A conditional standard deviation that underflows to 0 (sigma2 tiny
+    against X'X + lambda2, as a response in units far too small puts
+    it) is refused with a ValueError that names the response's scale.
     """
     beta = state.beta
     lam2, s2 = state.lambda2, state.sigma2
@@ -149,59 +155,69 @@ def _scan_beta(data, prior, state, coords, rng):
     col_sq_norms, xtx_rows = data.col_sq_norms, data.xtx_rows
     xty = data.xty.tolist()
     uniform, normal = rng.uniform, rng.normal
+    us, zs = rng.uniforms, rng.normals
     erfc, log, log1p, exp, sqrt = (math.erfc, math.log, math.log1p,
                                    math.exp, math.sqrt)
     sqrt2, tail, inf = _SQRT2, -_TAIL_CUT, math.inf
-    for j in coords:
-        xtx_jj = col_sq_norms[j]
-        prec = xtx_jj + lam2
-        sj2 = s2 / prec
-        sj = sqrt(sj2)
-        r = xty[j] - (float(xtx_rows[j].dot(beta)) - xtx_jj * beta.item(j))
-        mu_pos = (r - t) / prec
-        mu_neg = (r + t) / prec
-        x_pos = mu_pos / sj
-        x_neg = -mu_neg / sj
-        if x_pos > 0.0:
-            lw_pos = log1p(-0.5 * erfc(x_pos / sqrt2))
-        elif x_pos >= tail:
-            lw_pos = log(0.5 * erfc(-x_pos / sqrt2))
-        else:
-            lw_pos = log_std_normal_cdf(x_pos)
-        if x_neg > 0.0:
-            lw_neg = log1p(-0.5 * erfc(x_neg / sqrt2))
-        elif x_neg >= tail:
-            lw_neg = log(0.5 * erfc(-x_neg / sqrt2))
-        else:
-            lw_neg = log_std_normal_cdf(x_neg)
-        gap = ((lw_neg + 0.5 * mu_neg * mu_neg / sj2)
-               - (lw_pos + 0.5 * mu_pos * mu_pos / sj2))
-        if gap > 700.0:
-            gap = 700.0
-        # -x is the truncation point a, as (-m)/s == -(m/s) exactly
-        if uniform() < 1.0 / (1.0 + exp(gap)):
-            if x_pos >= -0.5 and -inf < mu_pos < inf and sj2 < inf:
-                a = -x_pos
-                z = normal()
-                while z < a:
-                    z = normal()
-                b = mu_pos + sj * z
-                beta[j] = 0.0 if b < 0.0 else b
+    try:
+        for j in coords:
+            xtx_jj = col_sq_norms[j]
+            prec = xtx_jj + lam2
+            sj2 = s2 / prec
+            sj = sqrt(sj2)
+            r = xty[j] - (float(xtx_rows[j].dot(beta))
+                          - xtx_jj * beta.item(j))
+            mu_pos = (r - t) / prec
+            mu_neg = (r + t) / prec
+            x_pos = mu_pos / sj
+            x_neg = -mu_neg / sj
+            if x_pos > 0.0:
+                lw_pos = log1p(-0.5 * erfc(x_pos / sqrt2))
+            elif x_pos >= tail:
+                lw_pos = log(0.5 * erfc(-x_pos / sqrt2))
             else:
-                beta[j] = sample_truncated_normal(mu_pos, sj2, "nonnegative",
+                lw_pos = log_std_normal_cdf(x_pos)
+            if x_neg > 0.0:
+                lw_neg = log1p(-0.5 * erfc(x_neg / sqrt2))
+            elif x_neg >= tail:
+                lw_neg = log(0.5 * erfc(-x_neg / sqrt2))
+            else:
+                lw_neg = log_std_normal_cdf(x_neg)
+            gap = ((lw_neg + 0.5 * mu_neg * mu_neg / sj2)
+                   - (lw_pos + 0.5 * mu_pos * mu_pos / sj2))
+            if gap > 700.0:
+                gap = 700.0
+            # -x is the truncation point a, as (-m)/s == -(m/s) exactly
+            if (us.pop() if us else uniform()) < 1.0 / (1.0 + exp(gap)):
+                if x_pos >= -0.5 and -inf < mu_pos < inf and sj2 < inf:
+                    a = -x_pos
+                    z = zs.pop() if zs else normal()
+                    while z < a:
+                        z = zs.pop() if zs else normal()
+                    b = mu_pos + sj * z
+                    beta[j] = 0.0 if b < 0.0 else b
+                else:
+                    beta[j] = sample_truncated_normal(mu_pos, sj2,
+                                                      "nonnegative", rng)
+            elif x_neg >= -0.5 and -inf < mu_neg < inf and sj2 < inf:
+                # an exact 0 is redrawn: the negative side is x < 0
+                a = -x_neg
+                while True:
+                    z = zs.pop() if zs else normal()
+                    if z >= a:
+                        b = -mu_neg + sj * z
+                        if b > 0.0:
+                            break
+                beta[j] = -b
+            else:
+                beta[j] = sample_truncated_normal(mu_neg, sj2, "negative",
                                                   rng)
-        elif x_neg >= -0.5 and -inf < mu_neg < inf and sj2 < inf:
-            # an exact 0 is redrawn: the negative side is x < 0
-            a = -x_neg
-            while True:
-                z = normal()
-                if z >= a:
-                    b = -mu_neg + sj * z
-                    if b > 0.0:
-                        break
-            beta[j] = -b
-        else:
-            beta[j] = sample_truncated_normal(mu_neg, sj2, "negative", rng)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"beta_{j + 1}'s conditional standard deviation underflows to "
+            f"0 at sigma2 = {s2:.3g}, lambda2 = {lam2:.3g}: the response's "
+            f"scale (centred sum of squares {data.yty:.3g}) is too small "
+            "for the sampler in doubles; rescale y") from None
 
 
 def update_beta_block(data, prior, state, rng):
@@ -218,7 +234,7 @@ def update_beta_block(data, prior, state, rng):
     else:
         extra = 1.0 / state.tau2 + state.lambda2
     prec = data.xtx.copy()
-    prec.flat[::data.p + 1] += extra
+    prec.ravel()[::data.p + 1] += extra
     root = data.xtx_root
     ze = rng.gen.standard_normal(data.p + root.shape[0])
     noise = np.sqrt(extra) * ze[:data.p] + ze[data.p:].dot(root)
@@ -231,18 +247,28 @@ def update_tau2(data, prior, state, rng):
     draw of all p of them, written into state.tau2.
 
     |beta_j| is clamped below at 1e-12 sigma so the inverse-Gaussian mean
-    stays finite when a coefficient collapses onto zero.
+    stays finite when a coefficient collapses onto zero.  A shape that
+    underflows to 0, as lambda1 near 1e-200 under a prior with L << 1
+    makes it, is refused with a ValueError naming lambda1 and L.
     """
     lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     sigma = math.sqrt(s2)
+    # the inverse-Gaussian mean is numer / |beta_j|
+    if prior.form == "common":
+        numer, shape = lam1 / (2.0 * lam2), lam1 * lam1 / (4.0 * lam2 * s2)
+    else:
+        numer, shape = sigma * lam1, lam1 * lam1
+    if shape == 0.0:
+        raise ValueError(
+            f"lambda1 = {lam1:.3g} is too small for the latent scales' "
+            "draw: their inverse-Gaussian shape underflows to 0 (the "
+            f"prior's L = {prior.L:g} puts lambda1's mass near 0)")
     mag = np.abs(state.beta)
     np.maximum(mag, 1e-12 * sigma, out=mag)
+    z = sample_inverse_gaussian(numer / mag, shape, rng)
     if prior.form == "common":
-        z = sample_inverse_gaussian((lam1 / (2.0 * lam2)) / mag,
-                                    lam1 * lam1 / (4.0 * lam2 * s2), rng)
         np.minimum(z / (1.0 + z), 1.0 - 1e-15, out=state.tau2)
     else:
-        z = sample_inverse_gaussian((sigma * lam1) / mag, lam1 * lam1, rng)
         np.divide(1.0, z, out=state.tau2)
 
 
@@ -446,6 +472,8 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     steps = [1.0] * len(MH_SCALES)
     p = data.p
     kept = np.empty((iters, p + 3))
+    # one row write per kept draw: the scales go in once, at the end
+    scales = []
     t0 = time.perf_counter()
     for t in range(burnin):
         counts = new_counts(algorithm)
@@ -459,11 +487,9 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     for it in range(iters * thin):
         run_sweep(algorithm, data, prior, state, rng, counts, steps, hulls)
         if it % thin == 0:
-            k = it // thin
-            kept[k, :p] = state.beta
-            kept[k, p] = state.sigma2
-            kept[k, p + 1] = state.lambda1
-            kept[k, p + 2] = state.lambda2
+            kept[it // thin, :p] = state.beta
+            scales.append((state.sigma2, state.lambda1, state.lambda2))
+    kept[:, p:] = scales
     wall_ms = 1e3 * (time.perf_counter() - t0)
     names = ([f"beta_{j + 1}" for j in range(p)]
              + ["sigma2", "lambda1", "lambda2"] + list(DERIVED_NAMES))

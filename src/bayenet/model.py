@@ -28,6 +28,15 @@ moves:
 Hyperpriors: lam1 ~ gamma(L, rate nu1/2), lam2 ~ gamma(R, rate nu2/2),
 sigma^2 ~ inverse-gamma(nu_a/2, nu_b/2), with the improper limit
 nu_a = nu_b = 0 allowed.
+
+log_posterior_unnorm is one flat body, the Metropolis sweeps' inner
+loop: it takes one logarithm of each scale and forms the coefficient
+prior's normalizer from log sigma2 - log lambda2, which stays finite
+where the quotient sigma2/lambda2 underflows.  Its constants are
+computed once: the likelihood's (1/2) log n per dataset
+(RegressionData.half_log_n), and per prior the hyperpriors' summed log
+normalizers and coefficients L - 1, nu1/2, R - 1, nu2/2, nu_a/2 + 1 and
+nu_b/2 (PriorSpec.hyper_terms).
 """
 
 import math
@@ -48,6 +57,8 @@ PRIOR_PRESETS = {
 }
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# log 2 sqrt(2 pi): the two-piece normal prior's constant per coordinate
+_LOG_2_SQRT_2PI = math.log(2.0) + 0.5 * _LOG_2PI
 
 
 def check_finite_cells(y, X):
@@ -112,6 +123,8 @@ class RegressionData:
         # floats and row views for the coordinate scan's scalar arithmetic
         self.col_sq_norms = self.xtx.diagonal().tolist()
         self.xtx_rows = list(self.xtx)
+        # the likelihood's constant n^(-1/2), once per dataset
+        self.half_log_n = 0.5 * math.log(self.n)
 
 
 @dataclass(frozen=True)
@@ -138,13 +151,20 @@ class PriorSpec:
                 raise ValueError(f"{name} must be positive")
         if self.nu_a < 0.0 or self.nu_b < 0.0:
             raise ValueError("nu_a and nu_b must be nonnegative")
-        # log normalizers of the lambda1, lambda2 and sigma2 hyperpriors
-        # (0 for an improper sigma2 prior), read by every log_hyperprior
+        # the hyperpriors' joint log density is log_norm + (L - 1) log
+        # lambda1 - nu1/2 lambda1 + (R - 1) log lambda2 - nu2/2 lambda2
+        # - (nu_a/2 + 1) log sigma2 - nu_b/2 / sigma2: log_norm (no sigma2
+        # term for an improper sigma2 prior) and the six coefficients,
+        # once per prior, for every log_posterior_unnorm
         a, b = 0.5 * self.nu_a, 0.5 * self.nu_b
-        object.__setattr__(self, "log_norms", (
-            self.L * math.log(0.5 * self.nu1) - math.lgamma(self.L),
-            self.R * math.log(0.5 * self.nu2) - math.lgamma(self.R),
-            a * math.log(b) - math.lgamma(a) if a > 0.0 and b > 0.0 else 0.0))
+        log_norm = (self.L * math.log(0.5 * self.nu1) - math.lgamma(self.L)
+                    + self.R * math.log(0.5 * self.nu2)
+                    - math.lgamma(self.R))
+        if a > 0.0 and b > 0.0:
+            log_norm += a * math.log(b) - math.lgamma(a)
+        object.__setattr__(self, "hyper_terms", (
+            log_norm, self.L - 1.0, 0.5 * self.nu1, self.R - 1.0,
+            0.5 * self.nu2, a + 1.0, b))
 
 
 def make_prior(form, representation, preset=None, **params):
@@ -190,9 +210,10 @@ def initial_state(data, prior):
 
 def rss(data, beta):
     # ndarray.dot skips the matmul operator's dispatch; doubling the
-    # product instead of beta is exact, so the sum is the same bits
-    return float(data.yty - 2.0 * beta.dot(data.xty)
-                 + beta.dot(data.xtx).dot(beta))
+    # product instead of beta is exact, so the sum is the same bits, and
+    # reducing in Python floats skips numpy's scalar arithmetic
+    return (data.yty - 2.0 * float(beta.dot(data.xty))
+            + float(beta.dot(data.xtx).dot(beta)))
 
 
 class CoefficientSums(NamedTuple):
@@ -213,36 +234,6 @@ def coefficient_sums(data, state):
                            float(np.add.reduce(np.abs(beta))))
 
 
-def _log_likelihood(n, rss_value, sigma2):
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
-    return (-0.5 * (n - 1) * (_LOG_2PI + math.log(sigma2))
-            - 0.5 * math.log(n)
-            - 0.5 * rss_value / sigma2)
-
-
-def _log_prior(form, sums, sigma2, lambda1, lambda2):
-    """Normalized joint log prior of beta from its sums: two-piece
-    truncated normals, whatever the representation (the augmented
-    prior with tau2 integrated out)."""
-    p = sums.p
-    sigma = math.sqrt(sigma2)
-    if form == "common":
-        r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
-        rest = -(lambda2 * sums.bb + lambda1 * sums.b1) / (2.0 * sigma2)
-    elif form == "differential":
-        r = lambda1 / math.sqrt(lambda2)
-        rest = (-lambda2 * sums.bb / (2.0 * sigma2)
-                - lambda1 * sums.b1 / sigma)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return (-p * math.log(2.0)
-            - 0.5 * p * (_LOG_2PI + math.log(sigma2 / lambda2))
-            - 0.5 * p * r * r
-            - p * log_std_normal_cdf(-r)
-            + rest)
-
-
 def tau2_conditional_var(form, tau2, sigma2, lambda2):
     """Var(beta_j | tau_j^2) for the scale-mixture representation."""
     tau2 = np.asarray(tau2, dtype=float)
@@ -251,32 +242,41 @@ def tau2_conditional_var(form, tau2, sigma2, lambda2):
     return sigma2 * tau2 / (1.0 + lambda2 * tau2)
 
 
-def log_hyperprior(prior, sigma2, lambda1, lambda2):
-    if not (sigma2 > 0.0 and lambda1 > 0.0 and lambda2 > 0.0):
-        raise ValueError("hyperparameters must be positive")
-    norm1, norm2, norm_s2 = prior.log_norms
-    val = (norm1 + (prior.L - 1.0) * math.log(lambda1)
-           - 0.5 * prior.nu1 * lambda1)
-    val += (norm2 + (prior.R - 1.0) * math.log(lambda2)
-            - 0.5 * prior.nu2 * lambda2)
-    a, b = 0.5 * prior.nu_a, 0.5 * prior.nu_b
-    val += -(a + 1.0) * math.log(sigma2) - b / sigma2
-    return val + norm_s2
-
-
 def log_posterior_unnorm(data, prior, state, sums):
     """Joint log posterior of (beta, sigma2, lambda1, lambda2) up to a
-    constant, with tau2 integrated out in the augmented representation.
+    constant, with tau2 integrated out in the augmented representation:
+    the likelihood with the intercept integrated out, beta's prior as p
+    two-piece truncated normals, and the hyperpriors, in one flat body
+    whose constants come from data and prior (module docstring).
 
     sums must equal coefficient_sums(data, state): beta is reduced once
     by the caller, which holds it fixed across many calls, and each
-    call is then O(1) scalar arithmetic.
+    call is then O(1) scalar arithmetic, with one logarithm per scale.
     """
-    val = _log_likelihood(data.n, sums.rss, state.sigma2)
-    val += _log_prior(prior.form, sums, state.sigma2, state.lambda1,
-                      state.lambda2)
-    val += log_hyperprior(prior, state.sigma2, state.lambda1, state.lambda2)
-    return val
+    sigma2, lambda1, lambda2 = state.sigma2, state.lambda1, state.lambda2
+    if not sigma2 > 0.0:
+        raise ValueError("sigma2 must be positive")
+    if not (lambda1 > 0.0 and lambda2 > 0.0):
+        raise ValueError("hyperparameters must be positive")
+    log_s2, log_l2 = math.log(sigma2), math.log(lambda2)
+    sigma = math.sqrt(sigma2)
+    p, bb, b1 = sums.p, sums.bb, sums.b1
+    if prior.form == "common":
+        r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
+        penalty = -(lambda2 * bb + lambda1 * b1) / (2.0 * sigma2)
+    else:
+        r = lambda1 / math.sqrt(lambda2)
+        penalty = -lambda2 * bb / (2.0 * sigma2) - lambda1 * b1 / sigma
+    log_norm, l1_power, l1_rate, l2_power, l2_rate, s2_power, s2_rate = (
+        prior.hyper_terms)
+    return (-0.5 * (data.n - 1) * (_LOG_2PI + log_s2) - data.half_log_n
+            - 0.5 * sums.rss / sigma2
+            - p * (_LOG_2_SQRT_2PI + 0.5 * (log_s2 - log_l2 + r * r)
+                   + log_std_normal_cdf(-r))
+            + penalty
+            + log_norm + l1_power * math.log(lambda1) - l1_rate * lambda1
+            + l2_power * log_l2 - l2_rate * lambda2
+            - s2_power * log_s2 - s2_rate / sigma2)
 
 
 def sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng):

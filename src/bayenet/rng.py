@@ -14,6 +14,11 @@ exact; only which generator output feeds which proposal changes.  The
 O(1)-per-sweep sites (hull proposals, log_uniform, the mhn ratio of
 uniforms, the Metropolis steps) still call gen, so their streams move
 only once, when the samplers behind them are rewritten.
+
+A stream's uniforms, normals and exponentials lists hold what is left
+of each block, reversed, so pop() serves it in order.  A hot loop may
+pop a non-empty list itself and call the method only to refill it
+(kernels._scan_beta): the values come in the same order either way.
 """
 
 import math
@@ -32,22 +37,22 @@ class RngStream:
         self.stream_id = tuple(int(k) for k in stream_id)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.stream_id)
         self.gen = np.random.Generator(np.random.PCG64(seq))
-        self._uniforms, self._normals, self._exponentials = [], [], []
+        self.uniforms, self.normals, self.exponentials = [], [], []
 
     def uniform(self):
         """A draw of gen.random(), from the buffered block."""
-        return (self._uniforms or self._refill(self._uniforms,
-                                               self.gen.random)).pop()
+        return (self.uniforms or self._refill(self.uniforms,
+                                              self.gen.random)).pop()
 
     def normal(self):
         """A draw of gen.standard_normal(), from the buffered block."""
-        return (self._normals or self._refill(self._normals,
-                                              self.gen.standard_normal)).pop()
+        return (self.normals or self._refill(self.normals,
+                                             self.gen.standard_normal)).pop()
 
     def exponential(self):
         """A draw of gen.standard_exponential(), from the buffered block."""
-        return (self._exponentials or self._refill(
-            self._exponentials, self.gen.standard_exponential)).pop()
+        return (self.exponentials or self._refill(
+            self.exponentials, self.gen.standard_exponential)).pop()
 
     @staticmethod
     def _refill(buf, draw):

@@ -29,12 +29,13 @@ envelopes fail; instead:
   evaluated only where the squeeze fails.  Each draw stays exact: it
   is a rejection draw under a hull that dominates its target, and the
   hull depends only on earlier draws.
-* log_density and dlog_density past the tail cut (special._TAIL_CUT)
-  read -b x^2 - q log Phi(-x) as (q/2 - b) x^2 + q log h(x) plus a
-  constant, h the normal hazard, through _log_factor.  Formed apart,
-  the two would cancel at b = q/2, leaving the slope 50 % off at
-  x = 1e8 and both at 0 by 1e10, where a small rate c makes the kept
-  hull propose.
+* log_density, dlog_density and d2log_density past the tail cut
+  (special._TAIL_CUT) read -b x^2 - q log Phi(-x) as
+  (q/2 - b) x^2 + q log h(x) plus a constant, h the normal hazard,
+  through _log_factor and the hazard's excess.  Formed apart, the two
+  would cancel at b = q/2, leaving the slope 50 % off at x = 1e8 and
+  both at 0 by 1e10, where a small rate c makes the kept hull propose,
+  and the curvature with the wrong sign at 1e6.
 """
 
 import math
@@ -100,6 +101,13 @@ def dlog_density(p, x):
 
 
 def d2log_density(p, x):
+    if x > _TAIL_CUT:
+        # l'' = (bend - slope)/x in _log_factor's terms, which is
+        # q (F - D)/x - 2 e: formed from D and F directly, so neither c
+        # nor the pair -2 b and q h (h - x) cancels
+        excess, rise = mills_ratio_excess_rise(x)
+        return (-(p.a - 1.0) / (x * x) + p.q * (rise - excess) / x
+                - 2.0 * (p.b - 0.5 * p.q))
     val = -(p.a - 1.0) / (x * x) - 2.0 * p.b
     if p.q:
         m = mills_ratio(x)

@@ -9,9 +9,12 @@ to_transformed and from_transformed map the natural scales to the
 rejection sweeps' coordinates (u1, u2, theta) and back, which the
 kernels never do as a whole; log_posterior_transformed is the slice
 target the kernel checks compare the rejection blocks against.
-log_integrated_likelihood and log_prior_beta reach the package's
-likelihood and prior through their sums, which is how the tests pin
-those pieces to closed forms;
+log_likelihood_from_rss, log_prior_from_sums and log_hyperprior are
+the log posterior's three terms, each written out apart, with its
+constants formed at every call: reference_log_posterior sums them, the
+reference model.log_posterior_unnorm's flat body is pinned to, and
+log_integrated_likelihood and log_prior_beta reach them from beta, which
+is how the tests pin those pieces to closed forms;
 log_prior_da writes the augmented prior out here, independently of the
 package, which reads it only with tau2 integrated out.  reference_scan_beta
 is the direct coefficient scan written plainly, through
@@ -28,9 +31,8 @@ from bisect import bisect_right
 import numpy as np
 
 from bayenet.distributions import require_finite, sample_truncated_normal
-from bayenet.model import (CoefficientSums, _log_likelihood, _log_prior,
-                           coefficient_sums, log_posterior_unnorm, rss,
-                           tau2_conditional_var)
+from bayenet.model import (CoefficientSums, coefficient_sums,
+                           log_posterior_unnorm, rss, tau2_conditional_var)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -111,9 +113,66 @@ def log_posterior_transformed(data, prior, state):
     return val + math.log(2.0) + 2.0 * math.log(u2)
 
 
+def log_likelihood_from_rss(n, rss_value, sigma2):
+    """Log likelihood with the flat intercept integrated out, from the
+    residual sum of squares."""
+    if not sigma2 > 0.0:
+        raise ValueError("sigma2 must be positive")
+    return (-0.5 * (n - 1) * (math.log(2.0 * math.pi) + math.log(sigma2))
+            - 0.5 * math.log(n)
+            - 0.5 * rss_value / sigma2)
+
+
+def log_prior_from_sums(form, sums, sigma2, lambda1, lambda2):
+    """Normalized joint log prior of beta from its sums: two-piece
+    truncated normals, whatever the representation (the augmented
+    prior with tau2 integrated out)."""
+    p = sums.p
+    sigma = math.sqrt(sigma2)
+    if form == "common":
+        r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
+        rest = -(lambda2 * sums.bb + lambda1 * sums.b1) / (2.0 * sigma2)
+    elif form == "differential":
+        r = lambda1 / math.sqrt(lambda2)
+        rest = (-lambda2 * sums.bb / (2.0 * sigma2)
+                - lambda1 * sums.b1 / sigma)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return (-p * math.log(2.0)
+            - 0.5 * p * (math.log(2.0 * math.pi) + math.log(sigma2 / lambda2))
+            - 0.5 * p * r * r
+            - p * log_std_normal_cdf(-r)
+            + rest)
+
+
+def log_hyperprior(prior, sigma2, lambda1, lambda2):
+    """Normalized joint log density of the gamma(L, nu1/2) and
+    gamma(R, nu2/2) rates and the inverse-gamma(nu_a/2, nu_b/2) sigma2,
+    without the last's normalizer when it is improper."""
+    if not (sigma2 > 0.0 and lambda1 > 0.0 and lambda2 > 0.0):
+        raise ValueError("hyperparameters must be positive")
+    val = (prior.L * math.log(0.5 * prior.nu1) - math.lgamma(prior.L)
+           + (prior.L - 1.0) * math.log(lambda1) - 0.5 * prior.nu1 * lambda1)
+    val += (prior.R * math.log(0.5 * prior.nu2) - math.lgamma(prior.R)
+            + (prior.R - 1.0) * math.log(lambda2) - 0.5 * prior.nu2 * lambda2)
+    a, b = 0.5 * prior.nu_a, 0.5 * prior.nu_b
+    val += -(a + 1.0) * math.log(sigma2) - b / sigma2
+    if a > 0.0 and b > 0.0:
+        val += a * math.log(b) - math.lgamma(a)
+    return val
+
+
+def reference_log_posterior(data, prior, state, sums):
+    """model.log_posterior_unnorm as the sum of its three terms."""
+    args = (state.sigma2, state.lambda1, state.lambda2)
+    return (log_likelihood_from_rss(data.n, sums.rss, state.sigma2)
+            + log_prior_from_sums(prior.form, sums, *args)
+            + log_hyperprior(prior, *args))
+
+
 def log_integrated_likelihood(data, beta, sigma2):
     """Likelihood with the flat intercept integrated out."""
-    return _log_likelihood(data.n, rss(data, beta), sigma2)
+    return log_likelihood_from_rss(data.n, rss(data, beta), sigma2)
 
 
 def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
@@ -122,7 +181,7 @@ def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
     # the prior reads no rss
     sums = CoefficientSums(beta.size, math.nan, float(beta @ beta),
                            float(np.abs(beta).sum()))
-    return _log_prior(form, sums, sigma2, lambda1, lambda2)
+    return log_prior_from_sums(form, sums, sigma2, lambda1, lambda2)
 
 
 def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):

@@ -337,7 +337,7 @@ SCALE_FUNCTIONS = {
                    "update_theta_common", "update_sigma2_differential_rs",
                    "update_u2_differential", "update_theta_differential",
                    "update_lambda2", "mh_update_scales"),
-    "model.py": ("coefficient_sums", "_log_prior", "log_posterior_unnorm"),
+    "model.py": ("coefficient_sums", "log_posterior_unnorm"),
 }
 REPRESENTATION_NAMES = {"representation", "da"}
 

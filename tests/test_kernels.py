@@ -495,6 +495,20 @@ def test_latent_scale_slice_da(form):
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])
+def test_latent_scales_refuse_an_underflowed_shape_by_name(form):
+    # lambda1 near 1e-200, where a gamma(0.02) prior on it puts chains,
+    # squares the inverse-Gaussian shape to 0
+    data, prior, state = frozen(form, "da")
+    prior = replace(prior, L=0.02)
+    state.lambda1 = 1e-200
+    before = state.tau2.copy()
+    with pytest.raises(ValueError, match=(
+            r"^lambda1 = 1e-200 is too small .* prior's L = 0\.02 ")):
+        update_tau2(data, prior, state, RngStream(506, 0))
+    assert (state.tau2 == before).all()
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
 def test_block_coefficient_update_moments(form):
     data, prior, state = frozen(form, "da")
     if form == "common":

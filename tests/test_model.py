@@ -13,7 +13,6 @@ from bayenet.model import (
     RegressionData,
     coefficient_sums,
     initial_state,
-    log_hyperprior,
     log_posterior_unnorm,
     make_prior,
     rss,
@@ -25,8 +24,9 @@ from bayenet.model import (
 from bayenet.rng import RngStream
 
 from helpers import (cdf_table, ks_statistic, ks_threshold,
-                     log_integrated_likelihood, log_prior_beta, log_prior_da,
-                     log_prior_tau2)
+                     log_hyperprior, log_integrated_likelihood,
+                     log_prior_beta, log_prior_da, log_prior_tau2,
+                     reference_log_posterior)
 
 
 @mp.workdps(30)
@@ -329,6 +329,58 @@ def test_log_posterior_matches_array_reference(form, representation):
                     form, "da", st.beta, st.tau2, *args), rel=1e-12))
 
 
+PINNED_PRIORS = {
+    "weak": dict(preset="weak"),
+    "strong": dict(preset="strong"),
+    "explicit": dict(L=0.4, nu1=1.0, R=1.0, nu2=1.0, nu_a=3.0, nu_b=0.5),
+    "improper": dict(preset="weak", nu_a=0.0, nu_b=0.0),
+}
+
+
+@pytest.mark.parametrize("prior_name", sorted(PINNED_PRIORS))
+@pytest.mark.parametrize("form", ["common", "differential"])
+@pytest.mark.parametrize("representation", ["direct", "da"])
+def test_flat_log_posterior_matches_termwise_reference(form, representation,
+                                                       prior_name):
+    # the flat body against its three terms written out apart, with r
+    # = lambda1 / (2 sigma sqrt(lambda2)) (common) or lambda1 /
+    # sqrt(lambda2) on both sides of the tail cut, where log Phi(-r)
+    # leaves erfc for its continued fraction
+    gen = RngStream(304, 0).gen
+    X = gen.standard_normal((30, 6))
+    y = X @ np.array([2.0, 0.0, -1.0, 0.0, 0.5, 0.0]) + gen.standard_normal(30)
+    data = RegressionData(y, X)
+    prior = make_prior(form, representation, **PINNED_PRIORS[prior_name])
+    tail = 0
+    for k in range(40):
+        st = _random_state(gen, form, representation, data.p)
+        r = (gen.uniform(0.01, 4.9) if k % 2 else gen.uniform(5.1, 40.0))
+        root = math.sqrt(st.lambda2)
+        st.lambda1 = r * root * (2.0 * math.sqrt(st.sigma2)
+                                 if form == "common" else 1.0)
+        tail += r > 5.0
+        sums = coefficient_sums(data, st)
+        assert log_posterior_unnorm(data, prior, st, sums) == pytest.approx(
+            reference_log_posterior(data, prior, st, sums), rel=1e-12)
+    assert tail == 20
+
+
+def test_rss_is_its_numpy_scalar_form_bit_for_bit():
+    # reduced in Python floats, the same operations in the same order
+    # as numpy's scalars
+    gen = RngStream(305, 0).gen
+    for n, p in ((20, 8), (100, 40), (6, 12)):
+        X = gen.standard_normal((n, p))
+        data = RegressionData(X[:, 0] + gen.standard_normal(n), X)
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            beta = scale * gen.standard_normal(p)
+            want = float(data.yty - 2.0 * beta.dot(data.xty)
+                         + beta.dot(data.xtx).dot(beta))
+            got = rss(data, beta)
+            assert type(got) is float
+            assert float.hex(got) == float.hex(want)
+
+
 @pytest.mark.parametrize("form,bad", [
     ("common", 1.0), ("common", 1.3), ("common", 0.0),
     ("differential", 0.0), ("differential", -0.2)])
@@ -357,6 +409,10 @@ def test_log_posterior_rejects_nonpositive_scales():
             st.sigma2 = 0.0
             with pytest.raises(ValueError, match="sigma2 must be positive"):
                 log_posterior_unnorm(data, prior, st, sums)
-    for args in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
-        with pytest.raises(ValueError, match="must be positive"):
-            log_hyperprior(prior, *args)
+            for name, bad in (("lambda1", -1.0), ("lambda2", 0.0),
+                              ("lambda2", math.nan)):
+                st = initial_state(data, prior)
+                setattr(st, name, bad)
+                with pytest.raises(ValueError,
+                                   match="hyperparameters must be positive"):
+                    log_posterior_unnorm(data, prior, st, sums)

@@ -3,7 +3,10 @@ large units to finite draws, and none hangs.
 
 The warm start puts lambda1 at 1 whatever the data's units, so in small
 units the coordinate scan meets truncation points hundreds of millions
-of standard deviations out in its first sweeps.
+of standard deviations out in its first sweeps.  At y x 1e-100 a
+Metropolis chain may also wander to a state whose coordinate standard
+deviations underflow; it must then refuse by naming the response's
+scale.
 """
 
 import signal
@@ -31,16 +34,35 @@ def time_limit():
     signal.signal(signal.SIGALRM, previous)
 
 
+def battery_data(scale):
+    gen = RngStream(2026).gen
+    X = gen.standard_normal((20, 8))
+    y = X[:, 0] + gen.standard_normal(20)
+    return RegressionData(scale * y, X)
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
 @pytest.mark.parametrize("label", SAMPLERS)
 def test_every_sampler_fits_a_response_in_extreme_units(label, scale,
                                                         time_limit):
-    gen = RngStream(2026).gen
-    X = gen.standard_normal((20, 8))
-    y = X[:, 0] + gen.standard_normal(20)
     algorithm, form, representation = parse_sampler(label)
-    out = run_chain(algorithm, RegressionData(scale * y, X),
+    out = run_chain(algorithm, battery_data(scale),
                     make_prior(form, representation, preset="weak"),
                     RngStream(2026, SAMPLERS.index(label)),
                     iters=300, burnin=100)
     assert np.isfinite(out.draws).all()
+
+
+@pytest.mark.parametrize("label", [s for s in SAMPLERS if s.startswith("mh")])
+def test_metropolis_fits_a_response_in_tiny_units_or_names_its_scale(
+        label, time_limit):
+    algorithm, form, representation = parse_sampler(label)
+    try:
+        out = run_chain(algorithm, battery_data(1e-100),
+                        make_prior(form, representation, preset="weak"),
+                        RngStream(2026, SAMPLERS.index(label)),
+                        iters=300, burnin=100)
+    except ValueError as err:
+        assert "the response's scale" in str(err)
+    else:
+        assert np.isfinite(out.draws).all()

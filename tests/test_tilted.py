@@ -62,10 +62,14 @@ def test_derivatives_match_mpmath():
         assert dlog_density(p0, x) == pytest.approx(d1, rel=1e-8)
 
 
-@mp.workdps(100)
-@pytest.mark.parametrize("p", [
+# members with b = q/2, as every theta conditional of the sweeps
+B_HALF_Q_MEMBERS = [
     TiltedParams(8, 1.0, 4.0, 0.0), TiltedParams(8, 1.0, 4.0, 1e-8),
-    TiltedParams(40, 1.0, 20.0, 1e-3), TiltedParams(4, 2.0, 2.0, 1.0)])
+    TiltedParams(40, 1.0, 20.0, 1e-3), TiltedParams(4, 2.0, 2.0, 1.0)]
+
+
+@mp.workdps(100)
+@pytest.mark.parametrize("p", B_HALF_Q_MEMBERS)
 def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
     # at b = q/2, -b x^2 - q log Phi(-x) and -2 b x + q h(x) cancel to
     # q log h + q log sqrt(2 pi) and q D = q (h - x), about q/x, far
@@ -78,6 +82,19 @@ def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
                  + p.q * mp.npdf(xm) / mp.ncdf(-xm))
         assert dlog_density(p, x) == pytest.approx(float(slope),
                                                    rel=1e-12), x
+
+
+@mp.workdps(100)
+@pytest.mark.parametrize("p", B_HALF_Q_MEMBERS)
+def test_curvature_matches_mpmath_far_out_at_b_half_q(p):
+    # -2 b + q h (h - x) cancels at b = q/2 to about -q/x^2, which the
+    # difference of the two read positive by x = 1e6
+    for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
+        xm = mp.mpf(x)
+        h = mp.npdf(xm) / mp.ncdf(-xm)
+        want = -(p.a - 1) / (xm * xm) - 2 * p.b + p.q * h * (h - xm)
+        assert d2log_density(p, x) == pytest.approx(float(want),
+                                                    rel=1e-12), x
 
 
 def test_concavity_certificate_truth_table():
