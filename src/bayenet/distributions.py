@@ -60,7 +60,7 @@ from .envelope import (
     sample_from_envelope,
 )
 from .rng import log_uniform
-from .special import log_std_normal_cdf, mills_ratio_excess
+from .special import log_std_normal_cdf, mills_ratio_excess_rise
 
 _EXP_CLIP = 700.0
 _INF = math.inf
@@ -150,10 +150,15 @@ def sample_inverse_gaussian(mean, shape, rng):
     The smaller root of the defining quadratic is computed in conjugate
     form mean/(1 + w + sqrt(w (w + 2))), which stays positive even when
     the standard textbook expression would cancel to rounding noise.
+    Past w = 1e150, where w (w + 2) overflows, its root rounds to w, and
+    the draw to the Levy limit shape/y^2; at a mean past 1e150 or below
+    1e-150 the other root mean^2/x is that of mean/s and shape/s, with
+    s = 2^600 or 2^-600, times s, which rounds alike.
     """
     mean = np.asarray(mean, dtype=float)
+    bottom, top = float(mean.min()), float(mean.max())
     # a nan mean fails both comparisons
-    if not (0.0 < shape < _INF and 0.0 < mean.min() and mean.max() < _INF):
+    if not (0.0 < shape < _INF and 0.0 < bottom and top < _INF):
         require_finite(shape=shape)
         for value in mean.flat:
             require_finite(mean=value)
@@ -167,16 +172,27 @@ def sample_inverse_gaussian(mean, shape, rng):
     w /= 2.0 * shape
     t = np.empty_like(w)
     np.add(w, 2.0, out=t)
-    t *= w
-    np.sqrt(t, out=t)
+    # True unless some w passes 1e150, where t keeps w + 2 = w (above):
+    # no double normal passes 40, so w <= 800 mean/shape
+    fits = top <= 1e147 * shape or w <= 1e150
+    np.multiply(t, w, out=t, where=fits)
+    np.sqrt(t, out=t, where=fits)
     w += 1.0
     w += t
     np.divide(mean, w, out=w)
     np.add(mean, w, out=t)
     np.divide(mean, t, out=t)
     keep = rng.gen.random(mean.shape) <= t
-    np.multiply(mean, mean, out=t)
-    t /= w
+    if 1e-150 <= bottom and top <= 1e150:
+        np.multiply(mean, mean, out=t)
+        t /= w
+    else:
+        # the scaled problem's other root: mean^2 over- or underflows here;
+        # where x is kept it is not needed and may overflow
+        scale = np.select([mean > 1e150, mean < 1e-150],
+                          [2.0 ** 600, 2.0 ** -600], 1.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            t[...] = (mean / scale) ** 2 / (w / scale) * scale
     np.copyto(t, w, where=keep)
     return t if t.ndim else float(t)
 
@@ -447,7 +463,7 @@ def _hazard_term(w, log_t):
     """(L(w), L'(w)) for hgamma: L(w) = w/2 + log h(z), z = t e^(-w/2).
 
     L' = (1 - z (h(z) - z))/2 is about 1/z^2 for large z, so it takes
-    h - z from mills_ratio_excess: h - z from the hazard itself would
+    h - z from mills_ratio_excess_rise: h - z from the hazard itself would
     leave L' an error of z^2 times the machine epsilon.  Above z = 2e17,
     where e^(-w/2) may overflow, h(z)/z is 1 to double precision and L
     is log t.
@@ -456,7 +472,7 @@ def _hazard_term(w, log_t):
     if lz > 40.0:
         return log_t, 0.0
     z = math.exp(lz)
-    excess = mills_ratio_excess(z)
+    excess = mills_ratio_excess_rise(z)[0]
     return 0.5 * w + math.log(z + excess), 0.5 - 0.5 * z * excess
 
 

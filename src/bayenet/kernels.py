@@ -42,8 +42,8 @@ erfc branches and the truncated normal's a <= 0.5 regime (the far tail
 and Robert's regime still call special and distributions), and takes
 its scalar draws from the stream's buffered blocks (rng.RngStream); the
 augmented representation draws beta with one solve with the precision
-and no factor of it, and all p latent scales with one vectorized
-inverse-Gaussian call.
+and no factor of it, and all p latents with one vectorized
+inverse-Gaussian call, whose draws the state keeps as they are.
 
 Update order: run_sweep, one body for all eight samplers, draws beta
 by the representation's block, reduces it once to a
@@ -85,6 +85,7 @@ from .model import (
     REPRESENTATIONS,
     coefficient_sums,
     initial_state,
+    latent_precision,
     log_posterior_unnorm,
 )
 from .rng import log_uniform
@@ -221,18 +222,14 @@ def _scan_beta(data, prior, state, coords, rng):
 
 
 def update_beta_block(data, prior, state, rng):
-    """Joint Gaussian update of beta given the latent scales, with one
-    solve and no factor of the precision Q = X'X + D: with the data's
-    fixed root R'R = X'X (k x p) and z, e standard normal of sizes p and
-    k, D^1/2 z + R'e has covariance Q, so
+    """Joint Gaussian update of beta given the latents, with one solve and
+    no factor of the precision Q = X'X + diag(latent_precision) = X'X + D:
+    with the data's fixed root R'R = X'X (k x p) and z, e standard normal
+    of sizes p and k, D^1/2 z + R'e has covariance Q, so
     beta = Q^-1 (X'y + sigma (D^1/2 z + R'e)) is distributed
     N(Q^-1 X'y, sigma^2 Q^-1) (Bhattacharya, Chakraborty & Mallick 2016).
     """
-    if prior.form == "common":
-        om = np.maximum(1.0 - state.tau2, 1e-14)
-        extra = state.lambda2 / om
-    else:
-        extra = 1.0 / state.tau2 + state.lambda2
+    extra = latent_precision(prior.form, state.tau2, state.lambda2)
     prec = data.xtx.copy()
     prec.ravel()[::data.p + 1] += extra
     root = data.xtx_root
@@ -243,8 +240,8 @@ def update_beta_block(data, prior, state, rng):
 
 
 def update_tau2(data, prior, state, rng):
-    """Exact update of the latent scales: one vectorized inverse-Gaussian
-    draw of all p of them, written into state.tau2.
+    """Exact update of the latents: one vectorized inverse-Gaussian draw
+    of all p of them, stored in state.tau2 as drawn (model's z).
 
     |beta_j| is clamped below at 1e-12 sigma so the inverse-Gaussian mean
     stays finite when a coefficient collapses onto zero.  A shape that
@@ -265,11 +262,7 @@ def update_tau2(data, prior, state, rng):
             f"prior's L = {prior.L:g} puts lambda1's mass near 0)")
     mag = np.abs(state.beta)
     np.maximum(mag, 1e-12 * sigma, out=mag)
-    z = sample_inverse_gaussian(numer / mag, shape, rng)
-    if prior.form == "common":
-        np.minimum(z / (1.0 + z), 1.0 - 1e-15, out=state.tau2)
-    else:
-        np.divide(1.0, z, out=state.tau2)
+    state.tau2 = sample_inverse_gaussian(numer / mag, shape, rng)
 
 
 def _u1_order(data, prior):

@@ -8,10 +8,14 @@ with the noise variance:
 
 Each form has a direct representation (independent two-piece truncated
 normals per coordinate) and a data-augmented one (a normal scale mixture
-with one latent tau_j^2 per coordinate).  The representation decides
-only how beta is drawn, and whether tau2 is: the log posterior and the
-scale conditionals are those of (beta, sigma2, lambda1, lambda2) with
-tau2 integrated out, the same in both.  The response and predictors are
+with one latent z_j per coordinate, held in ModelState.tau2 as the
+inverse-Gaussian draw that updates it: 1/(tau_j - 1) in the common form
+(Li & Lin 2010), 1/t_j in the differential one, as sample_tau2_prior
+draws them; beta_j given z_j is N(0, sigma2 / latent_precision)).  The
+representation decides only how beta is drawn, and whether the latents
+are: the log posterior and the scale conditionals are those of (beta,
+sigma2, lambda1, lambda2) with the latents integrated out, the same in
+both.  The response and predictors are
 mean-centered, and the intercept is integrated out of the likelihood,
 which contributes an extra factor n^(-1/2) and reduces the exponent to
 (n-1)/2.
@@ -204,7 +208,7 @@ def initial_state(data, prior):
         lambda2=1.0,
     )
     if prior.representation == "da":
-        state.tau2 = np.full(data.p, 0.5 if prior.form == "common" else 1.0)
+        state.tau2 = np.ones(data.p)
     return state
 
 
@@ -234,12 +238,10 @@ def coefficient_sums(data, state):
                            float(np.add.reduce(np.abs(beta))))
 
 
-def tau2_conditional_var(form, tau2, sigma2, lambda2):
-    """Var(beta_j | tau_j^2) for the scale-mixture representation."""
-    tau2 = np.asarray(tau2, dtype=float)
-    if form == "common":
-        return (sigma2 / lambda2) * (1.0 - tau2)
-    return sigma2 * tau2 / (1.0 + lambda2 * tau2)
+def latent_precision(form, tau2, lambda2):
+    """sigma2 times the prior precision of beta_j given its latent
+    z_j = tau2[j]: lambda2 (1 + z) (common form) or z + lambda2."""
+    return lambda2 * (1.0 + tau2) if form == "common" else tau2 + lambda2
 
 
 def log_posterior_unnorm(data, prior, state, sums):
@@ -280,17 +282,17 @@ def log_posterior_unnorm(data, prior, state, sums):
 
 
 def sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng):
-    """p draws of the latent scales from their prior."""
+    """p draws of the latents z from their prior."""
     tau2 = np.empty(p)
     got = 0
     if form == "common":
-        # latent precision is a unit-lower-truncated gamma variate
+        # tau_j = g is gamma(1/2, rate) truncated to (1, inf)
         rate = lambda1 ** 2 / (8.0 * sigma2 * lambda2)
         while got < p:
             m = 8 * (p - got) + 1000
             g = rng.gen.gamma(0.5, 1.0 / rate, size=m)
             g = g[g > 1.0][:p - got]
-            tau2[got:got + g.size] = 1.0 / g
+            tau2[got:got + g.size] = 1.0 / (g - 1.0)
             got += g.size
     elif form == "differential":
         rate = 0.5 * lambda1 ** 2
@@ -299,7 +301,7 @@ def sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng):
             t = rng.gen.exponential(1.0 / rate, size=m)
             t = t[rng.gen.random(m) * np.sqrt(1.0 + lambda2 * t) <= 1.0]
             t = t[:p - got]
-            tau2[got:got + t.size] = t
+            tau2[got:got + t.size] = 1.0 / t
             got += t.size
     else:
         raise ValueError(f"unknown form {form!r}")
@@ -322,5 +324,5 @@ def sample_beta_prior_direct(form, p, sigma2, lambda1, lambda2, rng):
 def sample_beta_prior_da(form, p, sigma2, lambda1, lambda2, rng):
     """p draws of beta from the prior via the scale-mixture route."""
     tau2 = sample_tau2_prior(form, p, sigma2, lambda1, lambda2, rng)
-    v = tau2_conditional_var(form, tau2, sigma2, lambda2)
+    v = sigma2 / latent_precision(form, tau2, lambda2)
     return np.sqrt(v) * rng.gen.standard_normal(p)

@@ -49,7 +49,6 @@ from .model import (
     log_posterior_unnorm,
     make_prior,
     sample_beta_prior_da,
-    tau2_conditional_var,
 )
 from .rng import RngStream
 from .special import log_std_normal_cdf, mills_ratio
@@ -129,11 +128,11 @@ def _eval_log(log_density, xs):
     return vals
 
 
-def _within(f, x, upper=math.inf):
-    """f at the nodes of x inside (0, upper), -inf at the others."""
+def _within(f, x):
+    """f at the positive nodes of x, -inf at the others."""
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, -np.inf)
-    inside = (x > 0.0) & (x < upper)
+    inside = x > 0.0
     out[inside] = f(x[inside])
     return out
 
@@ -499,8 +498,8 @@ def kernel_check_setup(form, representation):
     prior = make_prior(form, representation, preset="strong")
     tau2 = None
     if representation == "da":
-        tau2 = (np.array([0.4, 0.7]) if form == "common"
-                else np.array([0.8, 1.6]))
+        t = np.array([0.4, 0.7] if form == "common" else [0.8, 1.6])
+        tau2 = t / (1.0 - t) if form == "common" else 1.0 / t
     state = ModelState(beta=np.array([0.6, 1.2]), sigma2=1.3,
                        lambda1=2.0, lambda2=0.9, tau2=tau2)
     return data, prior, state
@@ -583,34 +582,37 @@ def scale_slice_log_density(data, prior, state, which):
 
 
 def tau2_slice_log_density(prior, state):
-    """Log joint prior of (beta, tau2) as a function of the first latent
-    scale, the rest frozen, over a node array; the terms free of it are
-    dropped.  The likelihood carries no tau2."""
+    """Log joint prior of (beta, z) as a function of the first latent
+    z = tau2[0], the rest frozen, over a node array; the terms free of
+    it are dropped.  The likelihood carries no latent.  From the density
+    of tau = 1 + 1/z (common form), propto tau^(-1/2) exp(-B tau) above
+    1, or of t = 1/z, propto exp(-B t) (1 + lambda2 t)^(-1/2), times the
+    Jacobian 1/z^2 and beta_1's normal density given z, both forms give
+    z^(-3/2) exp(-A z - B/z), with A and B below."""
     b2 = state.beta[0] ** 2
     s2, l1, l2 = state.sigma2, state.lambda1, state.lambda2
     if prior.form == "common":
-        r2 = l1 * l1 / (4.0 * s2 * l2)
-        return lambda x: _within(
-            lambda t: (-0.5 * np.log1p(-t) - 0.5 * l2 * b2 / (s2 * (1.0 - t))
-                       - 1.5 * np.log(t) - 0.5 * r2 / t), x, upper=1.0)
+        a, b = l2 * b2 / (2.0 * s2), l1 * l1 / (8.0 * s2 * l2)
+    else:
+        a, b = b2 / (2.0 * s2), 0.5 * l1 * l1
     return lambda x: _within(
-        lambda t: -0.5 * np.log(t) - 0.5 * b2 / (s2 * t) - 0.5 * l1 * l1 * t,
-        x)
+        lambda z: -1.5 * np.log(z) - a * z - b / z, x)
 
 
 def da_beta_marginal_cdf(data, prior, state, nodes=321):
     """CDF table for the first coefficient of the augmented conditional,
     marginalized over the second by planar quadrature of the joint.
 
-    Given tau2 the log joint is the quadratic -rss/(2 sigma2) -
-    sum_j b_j^2/(2 v_j) with v = tau2_conditional_var.  The
+    Given the latents z the log joint is the quadratic -rss/(2 sigma2)
+    - sum_j b_j^2/(2 v_j), with v = sigma2/(lambda2 (1 + z)) (common) or
+    sigma2/(z + lambda2), restated apart from model.latent_precision.  The
     Gaussian-solve center and spread fix node placement only; the mass
     is certified like the direct-representation planar grid.
     """
     if data.p != 2:
         raise OracleError("the block-update oracle needs p = 2")
-    s2 = state.sigma2
-    v = tau2_conditional_var(prior.form, state.tau2, s2, state.lambda2)
+    s2, z, l2 = state.sigma2, state.tau2, state.lambda2
+    v = s2 / (l2 * (1.0 + z) if prior.form == "common" else z + l2)
     prec = data.xtx / s2 + np.diag(1.0 / v)
     cov = np.linalg.inv(prec)
     center = cov @ (data.xty / s2)
@@ -692,8 +694,7 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
         checks.append(_ks_line(
             f"kernel-{form}-da-tau2", n, root.substream(fi, 1, 7),
             _refresh(update_tau2, data, prior, state, lambda st: st.tau2[0]),
-            auto_cdf(tau2_slice_log_density(prior, state),
-                     (1e-10, 1.0 - 1e-12 if form == "common" else 1e6))))
+            auto_cdf(tau2_slice_log_density(prior, state), (1e-10, 1e6))))
         checks.append(beta_block_ks(
             data, prior, state, n, root.substream(fi, 1, 8),
             nodes=grid_nodes))

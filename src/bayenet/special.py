@@ -64,23 +64,10 @@ def mills_ratio(x):
     return std_normal_pdf(x) / std_normal_cdf(-x)
 
 
-def mills_ratio_excess(x):
-    """mills_ratio(x) - x, accurate to rounding where it is small.
-
-    Far in the right tail the hazard is x + 1/x - ..., so subtracting x
-    from mills_ratio(x) would leave an error of order x times the
-    machine epsilon; the continued fraction's tail gives the excess
-    directly.
-    """
-    if x > _TAIL_CUT:
-        return _hazard_cf_levels(x, 1)
-    return mills_ratio(x) - x
-
-
 def mills_ratio_excess_rise(x):
-    """(D, F): the excess D = h(x) - x of the hazard, as
-    mills_ratio_excess, and the rise F = (x D)' = D + x D', where
-    D' = h D - 1.
+    """(D, F): the excess D = h(x) - x of the hazard, accurate to
+    rounding where it is small, and the rise F = (x D)' = D + x D',
+    where D' = h D - 1.
 
     Past _TAIL_CUT, h D - 1 would keep only x^2 times the machine
     epsilon of its value, about -1/x^2, and D + x D' cancels again to

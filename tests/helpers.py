@@ -16,7 +16,9 @@ reference model.log_posterior_unnorm's flat body is pinned to, and
 log_integrated_likelihood and log_prior_beta reach them from beta, which
 is how the tests pin those pieces to closed forms;
 log_prior_da writes the augmented prior out here, independently of the
-package, which reads it only with tau2 integrated out.  reference_scan_beta
+package, which reads it only with the latents integrated out: over the
+stored latents z, through their old coordinate t (latent_t_coordinate),
+in which latent_t_slice is the oracle's former tau2 slice.  reference_scan_beta
 is the direct coefficient scan written plainly, through
 log_std_normal_cdf and sample_truncated_normal, which the package's scan
 inlines; reference_coefficient_sums reduces beta with the matmul
@@ -32,7 +34,7 @@ import numpy as np
 
 from bayenet.distributions import require_finite, sample_truncated_normal
 from bayenet.model import (CoefficientSums, coefficient_sums,
-                           log_posterior_unnorm, rss, tau2_conditional_var)
+                           log_posterior_unnorm, rss)
 from bayenet.simulate import format_cell, write_csv
 from bayenet.special import log_std_normal_cdf
 
@@ -184,17 +186,50 @@ def log_prior_beta(form, beta, sigma2, lambda1, lambda2):
     return log_prior_from_sums(form, sums, sigma2, lambda1, lambda2)
 
 
+def latent_t_coordinate(form, tau2):
+    """(t, log |dt/dz|) of the latents z = tau2: t = z/(1 + z) = 1/tau
+    in the common form and t = 1/z in the differential one, the
+    coordinate the augmented prior is written in below."""
+    z = np.asarray(tau2, dtype=float)
+    if form == "common":
+        return z / (1.0 + z), -2.0 * np.log1p(z)
+    return 1.0 / z, -2.0 * np.log(z)
+
+
 def log_prior_da(form, beta, tau2, sigma2, lambda1, lambda2):
-    """Joint log density of (beta, tau2) in the augmented representation:
-    beta_j given tau_j^2 is normal with variance tau2_conditional_var,
-    times the latent scales' prior; -inf outside their support."""
+    """Joint log density of (beta, z) in the augmented representation:
+    beta_j given z_j is normal with variance (sigma2/lambda2)(1 - t)
+    (common) or sigma2 t/(1 + lambda2 t) (differential), t as in
+    latent_t_coordinate, times the latents' prior; -inf outside their
+    support."""
     tau = log_prior_tau2(form, tau2, sigma2, lambda1, lambda2)
     if tau == -math.inf:
         return tau
     beta = np.asarray(beta, dtype=float)
-    v = tau2_conditional_var(form, tau2, sigma2, lambda2)
+    z = np.asarray(tau2, dtype=float)
+    if form == "common":
+        # 1 - t = 1/(1 + z), which 1 - z/(1 + z) loses once z is large
+        v = (sigma2 / lambda2) / (1.0 + z)
+    else:
+        t = 1.0 / z
+        v = sigma2 * t / (1.0 + lambda2 * t)
     return tau + float(np.sum(-0.5 * np.log(2.0 * math.pi * v)
                               - 0.5 * beta * beta / v))
+
+
+def latent_t_slice(form, b, sigma2, lambda1, lambda2):
+    """log of the joint density of (beta_1 = b, t) as a function of t
+    over a node array, the terms free of t dropped: the latent's slice
+    in the coordinate t of latent_t_coordinate, where it carries no
+    Jacobian."""
+    b2, s2, l1, l2 = b * b, sigma2, lambda1, lambda2
+    if form == "common":
+        r2 = l1 * l1 / (4.0 * s2 * l2)
+        return lambda t: (-0.5 * np.log1p(-t)
+                          - 0.5 * l2 * b2 / (s2 * (1.0 - t))
+                          - 1.5 * np.log(t) - 0.5 * r2 / t)
+    return lambda t: (-0.5 * np.log(t) - 0.5 * b2 / (s2 * t)
+                      - 0.5 * l1 * l1 * t)
 
 
 def latent_scale_norm(form, sigma2, lambda1, lambda2):
@@ -214,21 +249,21 @@ def latent_scale_norm(form, sigma2, lambda1, lambda2):
 
 
 def log_prior_tau2(form, tau2, sigma2, lambda1, lambda2):
-    """Normalized log density of the latent scales, summed over j."""
-    tau2 = np.asarray(tau2, dtype=float)
-    p = tau2.size
-    if form == "common":
-        if np.any(tau2 <= 0.0) or np.any(tau2 >= 1.0):
-            return -math.inf
-        r, const = latent_scale_norm(form, sigma2, lambda1, lambda2)
-        return float(p * const
-                     + np.sum(-1.5 * np.log(tau2) - 0.5 * r * r / tau2))
-    if np.any(tau2 <= 0.0):
+    """Normalized log density of the latents z, summed over j: their
+    density in t (latent_t_coordinate) plus the log Jacobian."""
+    z = np.asarray(tau2, dtype=float)
+    p = z.size
+    if not np.all((z > 0.0) & (z < math.inf)):
         return -math.inf
+    t, log_jac = latent_t_coordinate(form, z)
+    if form == "common":
+        r, const = latent_scale_norm(form, sigma2, lambda1, lambda2)
+        return float(p * const + np.sum(log_jac)
+                     + np.sum(-1.5 * np.log(t) - 0.5 * r * r / t))
     _, const = latent_scale_norm(form, sigma2, lambda1, lambda2)
-    return float(p * const
-                 + np.sum(-0.5 * np.log1p(lambda2 * tau2)
-                          - 0.5 * lambda1 * lambda1 * tau2))
+    return float(p * const + np.sum(log_jac)
+                 + np.sum(-0.5 * np.log1p(lambda2 * t)
+                          - 0.5 * lambda1 * lambda1 * t))
 
 
 def segment_log_mass(lo, hi, slope, intercept):

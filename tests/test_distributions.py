@@ -1,12 +1,13 @@
 """KS and moment checks for the base samplers against quadrature CDFs."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from bayenet import distributions
+from bayenet import distributions, oracle
 from bayenet.distributions import (
     GigHull,
     _hazard_term,
@@ -195,6 +196,56 @@ def test_inverse_gaussian_draws_are_pinned():
     want = [0.4229218539809062, 2.3048722578618994, 4.60507413903954,
             0.03238107211910849]
     np.testing.assert_array_equal(got, want)
+
+
+def test_inverse_gaussian_draws_the_levy_limit_at_huge_means():
+    # past w = mean y^2/(2 shape) of about 1e154 the product w (w + 2)
+    # overflowed, with a RuntimeWarning, and the draws came back 0.  To
+    # rounding the law there is the Levy limit, CDF erfc(sqrt(shape/(2x)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mean in (1e160, 1e200, 1e250, 1e300):
+            got = sample_inverse_gaussian(np.full(4, mean), 1.0,
+                                          RngStream(1, 2))
+            assert np.all((got > 0.0) & (got < math.inf)), mean
+            assert 0.0 < sample_inverse_gaussian(mean, 1.0,
+                                                 RngStream(1, 2)) < math.inf
+        shape = 2.5
+        draws = np.sort(sample_inverse_gaussian(np.full(N, 1e200), shape,
+                                                RngStream(102, 6)))
+    cdf = np.array([math.erfc(math.sqrt(shape / (2.0 * x)))
+                    for x in draws.tolist()])
+    i = np.arange(1, N + 1)
+    d = max((i / N - cdf).max(), (cdf - (i - 1) / N).max())
+    assert d < oracle.ks_threshold(N)
+
+
+@pytest.mark.parametrize("scale, means, shape", [
+    (2.0 ** 600, [7.679754087604107e158, 1e155, 3e158, 5e157],
+     1.2131161818920183e158),
+    (2.0 ** -600, [1e-300, 3e-170, 1e-151, 1e-160], 1e-290),
+], ids=["huge", "tiny"])
+def test_inverse_gaussian_other_root_scales_exactly(scale, means, shape):
+    # the other root mean^2/x overflowed past mean = 1.3e154, to inf: a
+    # common-form latent draw at mean 7.7e158, shape 1.2e158 came back
+    # inf in 4 of 8 coordinates, and the next sweep's u1 draw raised.
+    # Below 1e-154 mean^2 underflowed, and the other root came back 0.
+    # Scaling mean and shape by a power of 2 is exact, so the draws must
+    # be the scaled call's, scaled back, bit for bit, and the ordinary
+    # means of a mixed call must keep their bits
+    means = np.tile(means, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_inverse_gaussian(means, shape, RngStream(102, 7))
+    want = scale * sample_inverse_gaussian(means / scale, shape / scale,
+                                           RngStream(102, 7))
+    assert np.all((got > 0.0) & (got < math.inf)) and (got > means).any()
+    assert got.tobytes() == want.tobytes()
+    mixed = sample_inverse_gaussian(
+        np.array([0.5, means[0], 3.0, means[1]]), 2.0, RngStream(102, 8))
+    tame = sample_inverse_gaussian(np.array([0.5, 1.0, 3.0, 1.0]), 2.0,
+                                   RngStream(102, 8))
+    assert mixed[[0, 2]].tobytes() == tame[[0, 2]].tobytes()
 
 
 def _gig_logpdf(lam, psi, chi):

@@ -17,7 +17,8 @@ import pytest
 
 from bayenet import kernels, tilted
 from bayenet.diagnostics import ess_batch_means
-from bayenet.distributions import sample_truncated_normal
+from bayenet.distributions import (sample_inverse_gaussian,
+                                   sample_truncated_normal)
 from bayenet.envelope import PiecewiseExpEnvelope
 from bayenet.kernels import (
     MH_SCALES,
@@ -51,7 +52,8 @@ from bayenet.simulate import data_stream, design, generate_dataset
 from bayenet.special import log_std_normal_cdf
 
 from helpers import (cdf_table, from_transformed, ks_statistic,
-                     ks_threshold, log_posterior_transformed, log_prior_da,
+                     ks_threshold, latent_t_coordinate,
+                     log_posterior_transformed, log_prior_da,
                      reference_coefficient_sums, reference_scan_beta,
                      to_transformed)
 
@@ -480,11 +482,11 @@ def test_latent_scale_slice_da(form):
     def update(st, rng):
         update_tau2(data, prior, st, rng)
 
-    if form == "common":
-        lo, hi = 1e-9, 1.0 - 1e-9
-    else:
-        lo, hi = 1e-9, state.tau2[j] * 200.0 + 80.0 / state.lambda1 ** 2
-    # the likelihood and the log posterior carry no tau2: the slice is
+    # z's density falls like exp(-z prec b^2/(2 sigma2)), prec lambda2
+    # (common) or 1 (differential) per unit of z
+    prec = state.lambda2 if form == "common" else 1.0
+    lo, hi = 1e-9, 100.0 * state.sigma2 / (prec * state.beta[j] ** 2)
+    # the likelihood and the log posterior carry no latent: the slice is
     # the augmented prior's
     d = slice_ks(data, prior, state, set_coord, lambda st: st.tau2[j],
                  update, lo, hi, seed=505,
@@ -511,11 +513,12 @@ def test_latent_scales_refuse_an_underflowed_shape_by_name(form):
 @pytest.mark.parametrize("form", ["common", "differential"])
 def test_block_coefficient_update_moments(form):
     data, prior, state = frozen(form, "da")
+    # the prior precision in the latents' former coordinate t
+    t, _ = latent_t_coordinate(form, state.tau2)
     if form == "common":
-        om = np.maximum(1.0 - state.tau2, 1e-14)
-        extra = state.lambda2 / om
+        extra = state.lambda2 / (1.0 - t)
     else:
-        extra = 1.0 / state.tau2 + state.lambda2
+        extra = 1.0 / t + state.lambda2
     prec = data.xtx + np.diag(extra)
     cov = state.sigma2 * np.linalg.inv(prec)
     mean = np.linalg.inv(prec) @ data.xty
@@ -543,10 +546,27 @@ def test_sweep_keeps_latent_scales_in_range(label):
         run_sweep(algorithm, data, prior, state, rng)
         if representation == "da":
             assert state.tau2 is not None
-            if form == "common":
-                assert np.all((state.tau2 > 0) & (state.tau2 < 1))
-            else:
-                assert np.all(state.tau2 > 0)
+            assert np.all((state.tau2 > 0) & (state.tau2 < math.inf))
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_latent_update_stores_the_inverse_gaussian_draw(form):
+    # z_j | beta_j is inverse Gaussian with mean lambda1/(2 lambda2 |b|)
+    # and shape lambda1^2/(4 lambda2 sigma2) (common), or sigma lambda1/|b|
+    # and lambda1^2 (differential): the state keeps the draw bit for bit
+    data, prior, state = frozen(form, "da")
+    rng = RngStream(508, 0)
+    for _ in range(5):
+        run_sweep("rs", data, prior, state, rng)
+        l1, l2, s2 = state.lambda1, state.lambda2, state.sigma2
+        mag = np.abs(state.beta)
+        if form == "common":
+            mean, shape = l1 / (2.0 * l2) / mag, l1 * l1 / (4.0 * l2 * s2)
+        else:
+            mean, shape = math.sqrt(s2) * l1 / mag, l1 * l1
+        want = sample_inverse_gaussian(mean, shape, copy.deepcopy(rng))
+        update_tau2(data, prior, state, rng)
+        assert state.tau2.tobytes() == want.tobytes()
 
 
 # the scale blocks of a sweep, in order, by algorithm and form

@@ -13,13 +13,13 @@ from bayenet.model import (
     RegressionData,
     coefficient_sums,
     initial_state,
+    latent_precision,
     log_posterior_unnorm,
     make_prior,
     rss,
     sample_beta_prior_da,
     sample_beta_prior_direct,
     sample_tau2_prior,
-    tau2_conditional_var,
 )
 from bayenet.rng import RngStream
 
@@ -44,12 +44,12 @@ def test_tau2_prior_is_normalized():
     for (s2, l1, l2) in [(1.0, 1.0, 1.0), (2.0, 0.8, 3.0)]:
         tc = mp.quad(
             lambda v: mp.e ** log_prior_tau2("common", [float(v)], s2, l1, l2),
-            [0, 1])
+            [0, 1, mp.inf])
         assert float(tc) == pytest.approx(1.0, rel=1e-8)
         td = mp.quad(
             lambda v: mp.e ** log_prior_tau2(
                 "differential", [float(v)], s2, l1, l2),
-            [0, mp.inf])
+            [0, 1, mp.inf])
         assert float(td) == pytest.approx(1.0, rel=1e-8)
 
 
@@ -59,30 +59,31 @@ def test_scale_mixture_marginalizes_to_direct_prior():
     # direct prior density pointwise
     for form in ("common", "differential"):
         s2, l1, l2 = 1.3, 0.9, 1.7
-        hi = 1 if form == "common" else mp.inf
         for b in [0.0, 0.2, -0.7, 1.5, -3.0]:
             got = mp.quad(
                 lambda v: mp.e ** log_prior_da(
                     form, [b], [float(v)], s2, l1, l2),
-                [0, hi])
+                [0, 1, mp.inf])
             want = mp.e ** log_prior_beta(form, [b], s2, l1, l2)
             assert float(got) == pytest.approx(float(want), rel=1e-7), (form, b)
 
 
 def test_tau2_prior_sampler_matches_density():
+    # z has a tail like 1/z^2 in both forms, so the table is on log z
     rng = RngStream(301, 0)
     s2, l1, l2 = 1.5, 1.2, 0.8
     draws = sample_tau2_prior("common", 20000, s2, l1, l2, rng)
-    assert 0.0 < min(draws) and max(draws) < 1.0
-    xs, c = cdf_table(
-        lambda v: log_prior_tau2("common", [v], s2, l1, l2), 1e-6, 1.0 - 1e-9)
-    assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
+    assert 0.0 < min(draws) and max(draws) < math.inf
+    xs, c = cdf_table(lambda u: u + log_prior_tau2(
+        "common", [math.exp(u)], s2, l1, l2), -20.0, 35.0)
+    assert ks_statistic(np.log(draws), xs, c) < ks_threshold(len(draws))
 
     rng = RngStream(301, 1)
     draws = sample_tau2_prior("differential", 20000, s2, l1, l2, rng)
-    xs, c = cdf_table(
-        lambda v: log_prior_tau2("differential", [v], s2, l1, l2), 1e-9, 25.0)
-    assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
+    assert 0.0 < min(draws) and max(draws) < math.inf
+    xs, c = cdf_table(lambda u: u + log_prior_tau2(
+        "differential", [math.exp(u)], s2, l1, l2), -20.0, 35.0)
+    assert ks_statistic(np.log(draws), xs, c) < ks_threshold(len(draws))
 
 
 def test_beta_prior_routes_agree():
@@ -243,12 +244,31 @@ def test_hyperprior_improper_limit():
 
 
 def test_da_prior_rejects_out_of_range_scales():
-    assert log_prior_da("common", [0.1], [1.2], 1.0, 1.0, 1.0) == -math.inf
+    # z > 0 in both forms; t = 0.25 is z = 1/3 (common) and z = 4
+    # (differential), where beta_j's variance is 0.375 and 0.25
+    assert log_prior_da("common", [0.1], [-1.2], 1.0, 1.0, 1.0) == -math.inf
     assert log_prior_da("differential", [0.1], [-0.5], 1.0, 1.0, 1.0) == -math.inf
-    v = tau2_conditional_var("common", np.array([0.25]), 2.0, 4.0)
+    v = 2.0 / latent_precision("common", np.array([1.0 / 3.0]), 4.0)
     assert v[0] == pytest.approx(0.375)
-    v = tau2_conditional_var("differential", np.array([0.25]), 2.0, 4.0)
+    v = 2.0 / latent_precision("differential", np.array([4.0]), 4.0)
     assert v[0] == pytest.approx(2.0 * 0.25 / 2.0)
+
+
+@mp.workdps(50)
+def test_latent_precision_is_the_old_coordinates_precision():
+    # lambda2 / (1 - t) with t = z/(1 + z), and 1/t + lambda2 with
+    # t = 1/z: the two forms' precisions in their former coordinates,
+    # in 50 digits, since 1 - t cancels in doubles once z is large
+    for lambda2 in (1e-3, 0.7, 40.0):
+        l2 = mp.mpf(lambda2)
+        for z in np.geomspace(1e-12, 1e12, 241).tolist():
+            zm = mp.mpf(z)
+            common = float(l2 / (1 - zm / (1 + zm)))
+            differential = float(1 / (1 / zm) + l2)
+            got = (float(latent_precision("common", z, lambda2)),
+                   float(latent_precision("differential", z, lambda2)))
+            assert got == pytest.approx((common, differential), rel=1e-12,
+                                        abs=0.0), (z, lambda2)
 
 
 @mp.workdps(30)
@@ -267,21 +287,24 @@ def _reference_log_prior(form, representation, beta, tau2, s2, l1, l2):
                 - 0.5 * p * math.log(2.0 * math.pi * s2 / l2)
                 - 0.5 * p * r * r - p * float(mp.log(mp.ncdf(-r)))
                 + penalty)
+    # written directly in the stored latents z
+    z = tau2
     if form == "common":
-        v = (s2 / l2) * (1.0 - tau2)
+        v = s2 / (l2 * (1.0 + z))
         r = l1 / (2.0 * math.sqrt(s2) * math.sqrt(l2))
         const = (-math.log(2.0 * math.sqrt(2.0 * math.pi))
                  - float(mp.log(mp.ncdf(-r))) + math.log(r))
-        log_tau2 = p * const + float(np.sum(-1.5 * np.log(tau2)
-                                            - 0.5 * r * r / tau2))
+        log_tau2 = p * const + float(np.sum(
+            -1.5 * np.log(z) - 0.5 * np.log1p(z)
+            - 0.5 * r * r * (1.0 + 1.0 / z)))
     else:
-        v = s2 * tau2 / (1.0 + l2 * tau2)
+        v = s2 / (z + l2)
         th = l1 / math.sqrt(l2)
         const = (-math.log(2.0 * math.sqrt(2.0 * math.pi))
                  - float(mp.log(mp.ncdf(-th))) + math.log(l1)
                  + 0.5 * math.log(l2) - 0.5 * th * th)
-        log_tau2 = p * const + float(np.sum(-0.5 * np.log1p(l2 * tau2)
-                                            - 0.5 * l1 * l1 * tau2))
+        log_tau2 = p * const + float(np.sum(
+            -0.5 * np.log1p(l2 / z) - 0.5 * l1 * l1 / z - 2.0 * np.log(z)))
     log_beta = float(np.sum(-0.5 * np.log(2.0 * math.pi * v)
                             - 0.5 * beta * beta / v))
     return log_beta + log_tau2
@@ -290,8 +313,11 @@ def _reference_log_prior(form, representation, beta, tau2, s2, l1, l2):
 def _random_state(gen, form, representation, p):
     tau2 = None
     if representation == "da":
-        tau2 = (gen.uniform(0.02, 0.98, p) if form == "common"
-                else np.exp(gen.normal(0.0, 1.0, p)))
+        if form == "common":
+            t = gen.uniform(0.02, 0.98, p)
+            tau2 = t / (1.0 - t)
+        else:
+            tau2 = np.exp(gen.normal(0.0, 1.0, p))
     s2, l1, l2 = np.exp(gen.uniform(-1.5, 1.5, 3))
     return ModelState(gen.normal(0.0, 1.5, p), s2, l1, l2, tau2)
 
@@ -385,9 +411,10 @@ def test_rss_is_its_numpy_scalar_form_bit_for_bit():
     ("common", 1.0), ("common", 1.3), ("common", 0.0),
     ("differential", 0.0), ("differential", -0.2)])
 def test_log_posterior_outside_tau2_support(form, bad):
-    # tau2 is integrated out of the log posterior, so a latent scale
-    # outside its support does not reach it (log_prior_da, which keeps
-    # tau2, is -inf there: test_da_prior_rejects_out_of_range_scales)
+    # the latents are integrated out of the log posterior, so no value
+    # of one reaches it, outside its support z > 0 (log_prior_da, which
+    # keeps them, is -inf there: test_da_prior_rejects_out_of_range_scales)
+    # or in it
     data = RegressionData(np.arange(6.0), np.arange(12.0).reshape(6, 2) ** 1.5)
     prior = make_prior(form, "da", preset="weak")
     st = initial_state(data, prior)

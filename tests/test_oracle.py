@@ -12,8 +12,8 @@ import pytest
 from bayenet import distributions, kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.model import (ModelState, RegressionData, coefficient_sums,
-                           log_posterior_unnorm, sample_beta_prior_da,
-                           tau2_conditional_var)
+                           latent_precision, log_posterior_unnorm,
+                           sample_beta_prior_da)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
@@ -39,6 +39,7 @@ from bayenet.simulate import write_csv
 from bayenet.tilted import TiltedParams, log_density as tilted_log_density
 
 from helpers import (axis_slope_jump, from_transformed,
+                     latent_t_coordinate, latent_t_slice,
                      log_posterior_transformed, log_prior_da)
 
 
@@ -278,8 +279,8 @@ def test_broken_coordinate_update_restores_lambda1_when_it_raises():
 
 def _block_update_without_lambda2(data, prior, state, rng):
     """The block update of beta run at lambda2 = 0: the common form's
-    prior term lambda2 / (1 - tau2) vanishes, the differential form keeps
-    only 1/tau2.  It calls kernels.update_beta_block, because the test
+    prior precision lambda2 (1 + z) vanishes, the differential form keeps
+    only z.  It calls kernels.update_beta_block, because the test
     patches the oracle's name with this function."""
     lambda2 = state.lambda2
     state.lambda2 = 0.0
@@ -517,22 +518,41 @@ def test_scale_slice_refuses_a_restatement_that_disagrees():
 
 
 @pytest.mark.parametrize("form, nodes", [
-    ("common", (1e-6, 0.05, 0.4, 0.9, 0.999)),
+    ("common", (1e-6, 0.05, 0.7, 9.0, 1e3)),
     ("differential", (1e-6, 0.05, 0.8, 3.0, 40.0)),
 ])
 def test_tau2_slice_matches_augmented_prior(form, nodes):
-    """Differences of the tau2 slice target equal differences of the
-    package's own log_prior_da; outside the support it is -inf."""
+    """Differences of the latent slice target equal differences of the
+    tests' own log_prior_da; outside the support z > 0 it is -inf."""
     _, prior, state = kernel_check_setup(form, "da")
     lp = oracle.tau2_slice_log_density(prior, state)
     got = lp(np.array(nodes))
-    ref = [log_prior_da(form, state.beta, np.array([t, state.tau2[1]]),
+    ref = [log_prior_da(form, state.beta, np.array([z, state.tau2[1]]),
                         state.sigma2, state.lambda1, state.lambda2)
-           for t in nodes]
+           for z in nodes]
     for g, r in zip(got, ref):
         assert abs((g - got[0]) - (r - ref[0])) < 1e-9
-    outside = (-0.5, 0.0, 1.0, 1.5) if form == "common" else (-0.5, 0.0)
-    assert np.all(lp(np.array(outside)) == -np.inf)
+    assert np.all(lp(np.array((-1.5, -0.5, 0.0, -0.0))) == -np.inf)
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_latent_slice_is_the_t_slice_changed_in_variables(form):
+    """The z slice is the former slice in t = z/(1 + z) (common) or
+    t = 1/z (differential) plus log |dt/dz|, -2 log(1 + z) or -2 log z,
+    up to a constant, at random states."""
+    gen = RngStream(523, 0).gen
+    _, prior, state = kernel_check_setup(form, "da")
+    for _ in range(20):
+        b = gen.normal(0.0, 1.5)
+        s2, l1, l2 = np.exp(gen.uniform(-1.5, 1.5, 3)).tolist()
+        st = replace(state, beta=np.array([b, state.beta[1]]), sigma2=s2,
+                     lambda1=l1, lambda2=l2)
+        z = np.geomspace(1e-3, 1e3, 61)
+        t, log_jac = latent_t_coordinate(form, z)
+        got = oracle.tau2_slice_log_density(prior, st)(z)
+        want = latent_t_slice(form, b, s2, l1, l2)(t) + log_jac
+        gap = got - want
+        assert np.all(np.abs(gap - gap[30]) <= 1e-12 * (1.0 + np.abs(got)))
 
 
 @pytest.mark.parametrize("q", [1, 2, 4])
@@ -568,9 +588,8 @@ def test_da_beta_marginal_is_the_gaussian_it_should_be():
     for form in ("common", "differential"):
         data, prior, state = kernel_check_setup(form, "da")
         table = da_beta_marginal_cdf(data, prior, state, nodes=241)
-        v = tau2_conditional_var(form, state.tau2, state.sigma2,
-                                 state.lambda2)
-        prec = data.xtx / state.sigma2 + np.diag(1.0 / np.asarray(v))
+        v = state.sigma2 / latent_precision(form, state.tau2, state.lambda2)
+        prec = data.xtx / state.sigma2 + np.diag(1.0 / v)
         cov = np.linalg.inv(prec)
         center = cov @ (data.xty / state.sigma2)
         sd = math.sqrt(cov[0, 0])

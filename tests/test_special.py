@@ -15,7 +15,6 @@ from bayenet.special import (
     log_std_normal_cdf,
     log_upper_incomplete_gamma_half,
     mills_ratio,
-    mills_ratio_excess,
     mills_ratio_excess_rise,
     std_normal_cdf,
     std_normal_pdf,
@@ -116,7 +115,8 @@ def test_mills_excess_is_accurate_far_out():
     for x in [0.0, 0.5, 4.9, 5.0, 5.5, 12.0, 1e2, 1e4, 1e6, 1e9]:
         xm = mp.mpf(x)
         want = float(mp.npdf(xm) / mp.ncdf(-xm) - xm)
-        assert mills_ratio_excess(x) == pytest.approx(want, rel=1e-13), x
+        assert mills_ratio_excess_rise(x)[0] == pytest.approx(
+            want, rel=1e-13), x
 
 
 @mp.workdps(150)
@@ -131,7 +131,6 @@ def test_mills_excess_rise_is_accurate_far_out():
         h = mp.npdf(xm) / mp.ncdf(-xm)
         d = h - xm
         excess, rise = mills_ratio_excess_rise(x)
-        assert excess == mills_ratio_excess(x), x
         assert excess == pytest.approx(float(d), rel=1e-13), x
         assert rise == pytest.approx(float(d + xm * (h * d - 1)),
                                      rel=1e-13), x
