@@ -148,10 +148,11 @@ def sample_inverse_gaussian(mean, shape, rng):
     all uniforms.
 
     The smaller root of the defining quadratic is computed in conjugate
-    form mean/(1 + w + sqrt(w (w + 2))), which stays positive even when
-    the standard textbook expression would cancel to rounding noise.
-    Past w = 1e150, where w (w + 2) overflows, its root rounds to w, and
-    the draw to the Levy limit shape/y^2; at a mean past 1e150 or below
+    form mean/(1 + w + sqrt(w (w + 2))), with w = mean y^2/(2 shape),
+    which stays positive even when the standard textbook expression
+    would cancel to rounding noise.  Where w (w + 2) or w itself
+    overflows the root is (2 shape/y^2)/(1 + 1/w + sqrt(1 + 2/w)), which
+    rounds to the Levy limit shape/y^2; at a mean past 1e150 or below
     1e-150 the other root mean^2/x is that of mean/s and shape/s, with
     s = 2^600 or 2^-600, times s, which rounds alike.
     """
@@ -163,23 +164,30 @@ def sample_inverse_gaussian(mean, shape, rng):
         for value in mean.flat:
             require_finite(mean=value)
         raise ValueError("mean and shape must be positive")
-    # in place, in two buffers: w holds mean y^2 / (2 shape), then the
-    # root x; t holds sqrt(w (w + 2)), then the acceptance bound, then
-    # the draws.  Both are arrays, 0-d for a float mean.
+    # in place, in two buffers: w holds y^2, then mean y^2 / (2 shape),
+    # then the root x; t holds sqrt(w (w + 2)), then the acceptance
+    # bound, then the draws.  Both are arrays, 0-d for a float mean.
     w = rng.gen.standard_normal(mean.shape)
     np.square(w, out=w)
+    # no double normal passes 40, so w <= 800 mean/shape, and nothing
+    # overflows unless mean/shape passes 1e147
+    far = not top <= 1e147 * shape
+    if far:
+        y2 = w.copy()
+        # an overflow below is replaced, or lies where x is kept (the
+        # other root mean^2/x, as its bound rounds to 1)
+        errors = np.seterr(over="ignore", divide="ignore")
     w *= mean
     w /= 2.0 * shape
     t = np.empty_like(w)
     np.add(w, 2.0, out=t)
-    # True unless some w passes 1e150, where t keeps w + 2 = w (above):
-    # no double normal passes 40, so w <= 800 mean/shape
-    fits = top <= 1e147 * shape or w <= 1e150
-    np.multiply(t, w, out=t, where=fits)
-    np.sqrt(t, out=t, where=fits)
+    np.multiply(t, w, out=t)
+    np.sqrt(t, out=t)
     w += 1.0
     w += t
     np.divide(mean, w, out=w)
+    if far:
+        np.divide(shape, y2, out=w, where=t == _INF)
     np.add(mean, w, out=t)
     np.divide(mean, t, out=t)
     keep = rng.gen.random(mean.shape) <= t
@@ -194,6 +202,8 @@ def sample_inverse_gaussian(mean, shape, rng):
         with np.errstate(over="ignore", divide="ignore"):
             t[...] = (mean / scale) ** 2 / (w / scale) * scale
     np.copyto(t, w, where=keep)
+    if far:
+        np.seterr(**errors)
     return t if t.ndim else float(t)
 
 

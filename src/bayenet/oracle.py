@@ -4,14 +4,14 @@ Nothing here feeds the fitting paths.  The module provides quadrature
 CDF tables with self-certification (mass must stabilize under grid
 doubling and the truncated tails must be provably negligible), a
 Kolmogorov-Smirnov test against such tables, a certified two-coefficient
-posterior grid (the oracle for the block update of beta, and for the
-shape of the direct posterior), hierarchical-versus-closed-form prior
-equivalence checks, and a named validation suite for the command
-line.  The coordinate update of beta and the scale kernels are judged
-on one-dimensional slices of the joint posterior.  Every KS line of
-the suite is one _ks_line: n values of a draw(rng) function, drawn in
-order from the line's stream, against a certified table; a kernel's
-draw (_refresh) runs it on a fresh copy of a frozen state.
+posterior grid (the oracle for the block update of beta),
+hierarchical-versus-closed-form prior equivalence checks, and a named
+validation suite for the command line.  The coordinate update of beta
+and the scale kernels are judged on one-dimensional slices of the joint
+posterior.  Every KS line of the suite is one _ks_line: n values of a
+draw(rng) function, drawn in order from the line's stream, against a
+certified table; a kernel's draw (_refresh) runs it on a fresh copy of
+a frozen state.
 
 Every table target takes an array of nodes and returns one log density
 per node, -inf outside its support; the slice targets restate the joint
@@ -73,8 +73,6 @@ _LINE_DOUBLINGS = 7
 _PLANE_DOUBLINGS = 3
 # a planar grid reaches this many standard deviations past its center
 _SPAN = 9.0
-# nodes per axis of the two-coefficient posterior's plane
-_GRID2D_NODES = 401
 # log Phi over a node array
 _log_phi = np.vectorize(log_std_normal_cdf, otypes=[float])
 
@@ -252,7 +250,7 @@ def ks_test(draws, table):
 def beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form):
     """Unnormalized log posterior of (beta_1, beta_2) at fixed scales."""
     if data.p != 2:
-        raise ValueError("the planar oracle needs exactly two predictors")
+        raise ValueError("the pair density needs exactly two predictors")
     if form not in ("common", "differential"):
         raise ValueError(f"unknown form {form!r}")
     if lambda1 < 0.0 or lambda2 <= 0.0 or sigma2 <= 0.0:
@@ -278,107 +276,31 @@ def _pair_rss(data, b1, b2):
             + a11 * b1 * b1 + 2.0 * a12 * b1 * b2 + a22 * b2 * b2)
 
 
-def _grid2d_axis(data, sigma2, lambda2):
-    """axis(j, n): about n uniform nodes on coefficient j's axis of the
-    two-coefficient plane, centered on the ridge solution, stretched to
-    nine standard deviations per side and always straddling zero.
-
-    The nodes are exact multiples of the step, so the density's kinks on
-    the coordinate axes lie on grid lines; a spliced-in zero node would
-    break the uniform spacing and leave an O(h^3) quadrature error at
-    the splice.
-    """
-    prec = data.xtx + lambda2 * np.eye(2)
-    center = np.linalg.solve(prec, data.xty)
-    sds = np.sqrt(sigma2 * np.diag(np.linalg.inv(prec)))
-    lo = np.minimum(center - _SPAN * sds, -2.0 * sds)
-    hi = np.maximum(center + _SPAN * sds, 2.0 * sds)
-
-    def axis(j, n):
-        h = (hi[j] - lo[j]) / (n - 1)
-        return h * np.arange(-math.ceil(-lo[j] / h), math.ceil(hi[j] / h) + 1)
-
-    return axis
-
-
-@dataclass
-class BetaGrid2d:
-    axis1: np.ndarray
-    axis2: np.ndarray
-    weight: np.ndarray
-    mass: float
-
-    def marginal(self, axis):
-        if axis == 0:
-            pdf = np.trapezoid(self.weight, self.axis2, axis=1) / self.mass
-            return self.axis1, pdf
-        pdf = np.trapezoid(self.weight, self.axis1, axis=0) / self.mass
-        return self.axis2, pdf
-
-    def mean(self):
-        x1, p1 = self.marginal(0)
-        x2, p2 = self.marginal(1)
-        return np.array([np.trapezoid(x1 * p1, x1), np.trapezoid(x2 * p2, x2)])
-
-    def argmax(self):
-        i, j = np.unravel_index(int(np.argmax(self.weight)),
-                                self.weight.shape)
-        return np.array([self.axis1[i], self.axis2[j]])
-
-
-def _plane(log_unnorm, axis, n):
-    """log_unnorm evaluated at once over the product of axis(0, n) and
-    axis(1, n), as (log mass, grid)."""
+def _plane(log_joint, axis, n):
+    """log_joint evaluated at once over the product of axis(0, n) and
+    axis(1, n), as (log mass, ((g1, p1), (g2, p2))): each coefficient's
+    nodes and normalized marginal density."""
     g1, g2 = axis(0, n), axis(1, n)
-    logw = log_unnorm(g1[:, None], g2[None, :])
+    logw = log_joint(g1[:, None], g2[None, :])
     top = float(logw.max())
     w = np.exp(logw - top)
-    mass = float(np.trapezoid(np.trapezoid(w, g2, axis=1), g1))
-    return top + math.log(mass), BetaGrid2d(g1, g2, w, mass)
+    p1 = np.trapezoid(w, g2, axis=1)
+    mass = float(np.trapezoid(p1, g1))
+    p2 = np.trapezoid(w, g1, axis=0)
+    return top + math.log(mass), ((g1, p1 / mass), (g2, p2 / mass))
 
 
-def _planar_grid(log_unnorm, axis, nodes):
-    """(log mass, grid) of a planar grid with nodes per axis (the
-    zero-anchored lattice may add one), certified by comparing its mass
-    with the grid of half the resolution and doubling until the two
-    agree, and by requiring both marginals to vanish at the edges."""
-    lm, grid = _settle(lambda n: _plane(log_unnorm, axis, n),
-                       nodes // 2 + 1, _PLANE_DOUBLINGS)
-    for j in (0, 1):
-        _, marg = grid.marginal(j)
+def _planar_grid(log_joint, axis, nodes):
+    """(log mass, marginals) of a planar grid with about nodes per axis,
+    certified by comparing its mass with the grid of half the resolution
+    and doubling until the two agree, and by requiring both marginals to
+    vanish at the edges."""
+    lm, marginals = _settle(lambda n: _plane(log_joint, axis, n),
+                            nodes // 2 + 1, _PLANE_DOUBLINGS)
+    for _, marg in marginals:
         if max(marg[0], marg[-1]) > TAIL_TOL * marg.max():
             raise OracleError("planar grid does not cover the tails")
-    return lm, grid
-
-
-def grid2d_beta_posterior(data, sigma2, lambda1, lambda2, form):
-    """Normalized two-coefficient posterior on the certified planar grid
-    (_planar_grid) of _grid2d_axis's lattice."""
-    lu = beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form)
-    return _planar_grid(lu, _grid2d_axis(data, sigma2, lambda2),
-                        _GRID2D_NODES)[1]
-
-
-def ridge_mean(data, lambda2):
-    return np.linalg.solve(data.xtx + lambda2 * np.eye(data.p), data.xty)
-
-
-def axis_continuity_gap(log_unnorm, axis1, axis2, eps=1e-12, points=17):
-    """Largest relative gap of the density exp(log_unnorm) between the
-    two sides of a coordinate axis, at points on it inside the span of
-    axis1 (the axis b2 = 0) and of axis2 (b1 = 0).
-
-    The offset is tiny so the smooth part of the density moves by far
-    less than the tolerance; any remaining gap above ~eps*gradient is a
-    genuine discontinuity.
-    """
-    worst = 0.0
-    for xs, flip in ((axis1, False), (axis2, True)):
-        t = np.linspace(xs[2], xs[-3], points)
-        above, below = ((eps, t), (-eps, t)) if flip else ((t, eps), (t, -eps))
-        gap = np.abs(np.expm1(log_unnorm(*above) - log_unnorm(*below)))
-        worst = max(worst, float(gap.max()))
-    return worst
+    return lm, marginals
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +351,7 @@ def _refresh(kernel, data, prior, state, read):
 
 
 def _fixed_check_data():
-    # small fixed two-predictor problem shared by the planar checks
+    # small fixed two-predictor problem shared by the kernel checks
     gen = RngStream(20210, 0).gen
     X = gen.standard_normal((12, 2))
     X[:, 1] = 0.6 * X[:, 0] + 0.8 * X[:, 1]
@@ -607,7 +529,7 @@ def da_beta_marginal_cdf(data, prior, state, nodes=321):
     - sum_j b_j^2/(2 v_j), with v = sigma2/(lambda2 (1 + z)) (common) or
     sigma2/(z + lambda2), restated apart from model.latent_precision.  The
     Gaussian-solve center and spread fix node placement only; the mass
-    is certified like the direct-representation planar grid.
+    and both marginals' tails are certified by _planar_grid.
     """
     if data.p != 2:
         raise OracleError("the block-update oracle needs p = 2")
@@ -626,8 +548,7 @@ def da_beta_marginal_cdf(data, prior, state, nodes=321):
         return np.linspace(center[j] - _SPAN * sds[j],
                            center[j] + _SPAN * sds[j], n)
 
-    lm, grid = _planar_grid(log_joint, axis, nodes)
-    xs, pdf = grid.marginal(0)
+    lm, ((xs, pdf), _) = _planar_grid(log_joint, axis, nodes)
     cdf = _cum_trapz(pdf, xs)
     return CdfTable(xs, cdf / cdf[-1], lm)
 
@@ -849,38 +770,6 @@ def _gordon_check(n, rng):
         f"{n} points in [0.01, 40]" if not bad else f"failed at {bad[:3]}")
 
 
-def _grid2d_checks():
-    data = _fixed_check_data()
-    checks = []
-
-    g0 = grid2d_beta_posterior(data, 1.2, 0.0, 2.3, "common")
-    err = float(np.abs(g0.mean() - ridge_mean(data, 2.3)).max())
-    checks.append(CheckResult(
-        "grid2d-ridge-reduction", err <= 1e-6,
-        f"max |grid mean - ridge solution| = {err:.2e}"))
-
-    # the probe reads the density pointwise, inside the lattice's span
-    axis = _grid2d_axis(data, 1.2, 0.8)
-    worst = max(axis_continuity_gap(
-        beta_pair_log_unnorm(data, 1.2, 1.7, 0.8, form),
-        axis(0, _GRID2D_NODES), axis(1, _GRID2D_NODES))
-        for form in ("common", "differential"))
-    checks.append(CheckResult(
-        "grid2d-axis-continuity", worst <= 1e-8,
-        f"max relative side gap {worst:.2e}"))
-
-    # a penalty this sharp cannot pass the mass certificate at this
-    # resolution; the argmax of one plane reads node placement only
-    lam_big = 4.0 * float(np.abs(data.xty).max())
-    am = _plane(beta_pair_log_unnorm(data, 1.2, lam_big, 0.8, "common"),
-                axis, _GRID2D_NODES)[1].argmax()
-    on_axis = float(np.abs(am).min()) == 0.0
-    checks.append(CheckResult(
-        "grid2d-axis-mode", on_axis,
-        f"argmax at ({am[0]:.3f}, {am[1]:.3f}) with lambda1={lam_big:.2f}"))
-    return checks
-
-
 def run_validation_suite(seed=0, quick=False, beta_updater=None):
     """Every named check, in a stable order, as CheckResult rows."""
     n_ks = 5000 if quick else 20000
@@ -903,5 +792,4 @@ def run_validation_suite(seed=0, quick=False, beta_updater=None):
             n=n_beta, seed=seed, updater=beta_updater, form=form))
     checks.extend(full_conditional_checks(
         n=n_kern, seed=seed, grid_nodes=g_nodes))
-    checks.extend(_grid2d_checks())
     return checks

@@ -613,14 +613,14 @@ def test_validate_quick_passes_and_mutation_fails(validate_quick,
     assert "FAIL" not in out
     assert "PASS coefficient-kernel-ks:" in out
     assert "PASS coefficient-kernel-ks-differential:" in out
-    assert out.endswith("\n35/35 checks passed\n")
+    assert out.endswith("\n32/32 checks passed\n")
 
     assert validate_quick_mutant.code == 2
     out = validate_quick_mutant.out
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert [line.split(":")[0] for line in failed] == [
         "FAIL coefficient-kernel-ks", "FAIL coefficient-kernel-ks-differential"]
-    assert out.endswith("\n33/35 checks passed\n")
+    assert out.endswith("\n30/32 checks passed\n")
 
 
 def test_appendix_a_outputs(tmp_path, capsys):

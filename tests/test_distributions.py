@@ -200,24 +200,31 @@ def test_inverse_gaussian_draws_are_pinned():
 
 def test_inverse_gaussian_draws_the_levy_limit_at_huge_means():
     # past w = mean y^2/(2 shape) of about 1e154 the product w (w + 2)
-    # overflowed, with a RuntimeWarning, and the draws came back 0.  To
-    # rounding the law there is the Levy limit, CDF erfc(sqrt(shape/(2x)))
+    # overflowed, with a RuntimeWarning, and the draws came back 0; past
+    # mean/shape of about 1e307 w itself did, and at mean 1e150, shape
+    # 1e-150 the unused other root warned.  The last two shapes are
+    # subnormal.  To rounding the law there is the Levy limit, CDF
+    # erfc(sqrt(shape/(2x)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for mean in (1e160, 1e200, 1e250, 1e300):
-            got = sample_inverse_gaussian(np.full(4, mean), 1.0,
+        for mean, shape in ((1e160, 1.0), (1e200, 1.0), (1e250, 1.0),
+                            (1e300, 1.0), (1e300, 1e-10), (1e305, 1e-5),
+                            (1e300, 1e-7), (1e150, 1e-150), (1e10, 1e-300),
+                            (1.0, 1e-310), (1e-10, 1e-310)):
+            got = sample_inverse_gaussian(np.full(4, mean), shape,
                                           RngStream(1, 2))
-            assert np.all((got > 0.0) & (got < math.inf)), mean
-            assert 0.0 < sample_inverse_gaussian(mean, 1.0,
+            assert np.all((got > 0.0) & (got < math.inf)), (mean, shape)
+            assert 0.0 < sample_inverse_gaussian(mean, shape,
                                                  RngStream(1, 2)) < math.inf
-        shape = 2.5
-        draws = np.sort(sample_inverse_gaussian(np.full(N, 1e200), shape,
-                                                RngStream(102, 6)))
-    cdf = np.array([math.erfc(math.sqrt(shape / (2.0 * x)))
-                    for x in draws.tolist()])
-    i = np.arange(1, N + 1)
-    d = max((i / N - cdf).max(), (cdf - (i - 1) / N).max())
-    assert d < oracle.ks_threshold(N)
+        assert np.geterr()["over"] == "warn"
+        for mean, shape, stream in ((1e200, 2.5, 6), (1e300, 1e-10, 9)):
+            draws = np.sort(sample_inverse_gaussian(
+                np.full(N, mean), shape, RngStream(102, stream)))
+            cdf = np.array([math.erfc(math.sqrt(shape / (2.0 * x)))
+                            for x in draws.tolist()])
+            i = np.arange(1, N + 1)
+            d = max((i / N - cdf).max(), (cdf - (i - 1) / N).max())
+            assert d < oracle.ks_threshold(N), (mean, shape)
 
 
 @pytest.mark.parametrize("scale, means, shape", [
