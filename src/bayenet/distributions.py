@@ -26,14 +26,14 @@ rule: a draw resets the hull's tangents at the new omega and reweighs
 them, or, when the mode or the width has moved too far from its knots,
 adopts a fixed hull from envelope.build_envelope; a draw without a kept
 hull goes through a fresh one, which adopts such a hull at once.  Its
-limit chi = 0 is drawn by sample_gamma.  psi = 0, whose law is an
-inverse gamma, is refused: no conditional the sweeps draw reaches it.
-mhn splits on alpha alone into two regimes: alpha > 1 is log-concave
-with an interior mode (ratio of uniforms shifted to the mode, with the
-minimal rectangle in closed form; Dagpunar 1989, Leydold 2000);
-alpha <= 1 is handled by a two-piece proposal (power law below a split
-point, truncated normal above it), which covers the density unbounded
-at 0 for alpha < 1 and is exact for alpha = 1.
+limits chi = 0 (a gamma law) and psi = 0 (an inverse gamma) are
+refused: u1, the one gig the sweeps draw, has psi > 0 and
+chi = rss + nu_b > 0.
+mhn is drawn for alpha > 1 only, where it is log-concave with an
+interior mode: ratio of uniforms shifted to the mode, with the minimal
+rectangle in closed form (Dagpunar 1989, Leydold 2000).  The sweeps'
+mhn draws have alpha = 2R + L + p > 1 (u2) and n + p + nu_a - 1 >= 3
+(the differential 1/sigma), so alpha <= 1 is refused.
 hgamma is proposed from a gamma density.  On w = log x its log density
 is a w - c e^w + q L(w) with L(w) = w/2 + log h(t e^(-w/2)), and L is
 convex in w and concave in x = e^w: with z = t e^(-w/2), L'(w) is half
@@ -59,7 +59,8 @@ from .envelope import (
     build_envelope,
     sample_from_envelope,
 )
-from .rng import log_uniform
+# no code here reads log_std_normal_cdf: perfbench/tracer.py patches the
+# name in this module, and it goes with that SITES row
 from .special import log_std_normal_cdf, mills_ratio_excess_rise
 
 _EXP_CLIP = 700.0
@@ -274,24 +275,19 @@ class GigHull(PiecewiseExpEnvelope):
 
 
 def sample_gig(lam, psi, chi, rng, hull=None):
-    """One draw of gig(lam, psi, chi) with psi > 0.
+    """One draw of gig(lam, psi, chi) with psi > 0 and chi > 0.
 
-    chi = 0 needs lam > 0 and is gamma(lam, rate psi/2).  An interior
-    draw goes through hull, a GigHull(lam) kept from earlier draws at
-    other (psi, chi), or a fresh GigHull(lam) if None; it is exact
+    The draw goes through hull, a GigHull(lam) kept from earlier draws
+    at other (psi, chi), or a fresh GigHull(lam) if None; it is exact
     whatever the hull holds.
     """
-    if not (-_INF < lam < _INF and 0.0 < psi < _INF and 0.0 <= chi < _INF):
+    if not (-_INF < lam < _INF and 0.0 < psi < _INF and 0.0 < chi < _INF):
         require_finite(lam=lam, psi=psi, chi=chi)
         if not psi > 0.0:
             raise ValueError(f"psi must be positive, got {psi}")
-        raise ValueError(f"chi must be nonnegative, got {chi}")
+        raise ValueError(f"chi must be positive, got {chi}")
     if hull is not None and hull.lam != lam:
         raise ValueError(f"hull is for lam = {hull.lam}, not {lam}")
-    if chi == 0.0:
-        if not lam > 0.0:
-            raise ValueError("chi = 0 requires lam > 0")
-        return sample_gamma(lam, 0.5 * psi, rng)
 
     # on s = log x - log(chi/psi)/2 the log density is lam s - omega cosh s
     log_psi, log_chi = math.log(psi), math.log(chi)
@@ -342,24 +338,11 @@ def _mhn_mode(a_minus_1, beta, gamma):
     return (disc - gamma) / (4.0 * beta)
 
 
-def sample_mhn(alpha, beta, gamma, rng):
-    """One draw of mhn(alpha, beta, gamma)."""
-    if not (-_INF < alpha < _INF and -_INF < beta < _INF
-            and -_INF < gamma < _INF):
-        # a nan would make every rejection test false and never return
-        require_finite(alpha=alpha, beta=beta, gamma=gamma)
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("alpha and beta must be positive")
-    if alpha > 1.0:
-        return _sample_mhn_rou(alpha, beta, gamma, rng)
-    return _sample_mhn_small_alpha(alpha, beta, gamma, rng)
-
-
 _MHN_MAX_PROPOSALS = 100000
 
 
 def _mhn_rectangle(a_minus_1, a):
-    """Ratio-of-uniforms rectangle for the mhn draw with power above 1.
+    """Ratio-of-uniforms rectangle for the mhn draw.
 
     On the relative scale d = x/mode - 1 the log density ratio is
 
@@ -401,7 +384,16 @@ def _mhn_rectangle(a_minus_1, a):
     return d_lo, v_lo, d_hi, v_hi
 
 
-def _sample_mhn_rou(alpha, beta, gamma, rng):
+def sample_mhn(alpha, beta, gamma, rng):
+    """One draw of mhn(alpha, beta, gamma) with alpha > 1."""
+    if not (-_INF < alpha < _INF and -_INF < beta < _INF
+            and -_INF < gamma < _INF):
+        # a nan would make every rejection test false and never return
+        require_finite(alpha=alpha, beta=beta, gamma=gamma)
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     # ratio of uniforms shifted to the mode: (u, v) uniform on the
     # rectangle (0, 1] x [v_lo, v_hi], d = v/u accepted when
     # u^2 <= exp(h(d)); see _mhn_rectangle.  u = 1 - U for U in [0, 1)
@@ -425,44 +417,6 @@ def _sample_mhn_rou(alpha, beta, gamma, rng):
         f"mhn ratio-of-uniforms sampler failed to accept in "
         f"{_MHN_MAX_PROPOSALS} proposals (alpha={alpha}, beta={beta}, "
         f"gamma={gamma}, mode={m})")
-
-
-def _sample_mhn_small_alpha(alpha, beta, gamma, rng):
-    # alpha <= 1.  Split at the mode of the alpha+1 tilt: below it a pure
-    # power-law proposal dominated by the max of exp(-beta x^2 - gamma x);
-    # above it a truncated normal carrying the power factor frozen at the
-    # split, which x^(alpha-1) can only lower.  At alpha = 1 that factor
-    # is 1 and every upper proposal is accepted.
-    s = _mhn_mode(alpha, beta, gamma)
-    c0 = gamma / (2.0 * beta)
-    x1 = min(max(0.0, -c0), s)
-    log_g1 = -beta * x1 * x1 - gamma * x1
-    log_m1 = log_g1 + alpha * math.log(s) - math.log(alpha)
-    log_m2 = ((alpha - 1.0) * math.log(s) + beta * c0 * c0
-              + 0.5 * math.log(math.pi / beta)
-              + log_std_normal_cdf(-(s + c0) * math.sqrt(2.0 * beta)))
-    p1 = 1.0 / (1.0 + math.exp(min(log_m2 - log_m1, _EXP_CLIP)))
-    while True:
-        if rng.gen.random() < p1:
-            u = rng.gen.random()
-            x = s * u ** (1.0 / alpha)
-            if x <= 0.0:
-                continue
-            if log_uniform(rng) <= (-beta * x * x - gamma * x) - log_g1:
-                return x
-        else:
-            x = s + sample_truncated_normal(
-                -c0 - s, 0.5 / beta, "nonnegative", rng)
-            if log_uniform(rng) <= (alpha - 1.0) * (math.log(x) - math.log(s)):
-                return x
-
-
-def sample_gamma(shape, rate, rng):
-    """One gamma draw with the rate convention."""
-    if not (0.0 < shape < _INF and 0.0 < rate < _INF):
-        require_finite(shape=shape, rate=rate)
-        raise ValueError("shape and rate must be positive")
-    return rng.gen.gamma(shape, 1.0 / rate)
 
 
 _HGAMMA_MAX_PROPOSALS = 100000

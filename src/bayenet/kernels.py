@@ -299,8 +299,7 @@ def update_theta_common(data, prior, state, sums, rng, hull=None):
     u1 = state.sigma2
     u2 = math.sqrt(state.lambda2 / u1)
     theta = sample_tilted(TiltedParams(
-        data.p, prior.L, 0.5 * data.p, u2 * (u1 * prior.nu1 + sums.b1)),
-        rng, hull)
+        data.p, prior.L, u2 * (u1 * prior.nu1 + sums.b1)), rng, hull)
     state.lambda1 = 2.0 * theta * u2 * u1
 
 
@@ -330,7 +329,7 @@ def update_theta_differential(data, prior, state, sums, rng, hull=None):
     for L < 1; hull as in update_theta_common."""
     u2 = math.sqrt(state.lambda2)
     theta = sample_tilted(TiltedParams(
-        data.p, prior.L, 0.5 * data.p,
+        data.p, prior.L,
         u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)),
         rng, hull)
     state.lambda1 = theta * u2
@@ -392,9 +391,9 @@ def new_counts(algorithm):
 
 def theta_hull(data, prior):
     """An empty hull for theta's draws in one chain.  In both forms theta's
-    conditional is the tilted member (p, L, p/2, c), and only c moves
-    from sweep to sweep, so the tangents one draw adds serve the next."""
-    return tangent_hull(data.p, prior.L, 0.5 * data.p)
+    conditional is the tilted member (p, L, c), and only c moves from
+    sweep to sweep, so the tangents one draw adds serve the next."""
+    return tangent_hull(data.p, prior.L)
 
 
 def u1_hull(data, prior):

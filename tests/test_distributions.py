@@ -14,7 +14,6 @@ from bayenet.distributions import (
     _hgamma_envelope,
     _mhn_mode,
     _mhn_rectangle,
-    sample_gamma,
     sample_gig,
     sample_hazard_gamma,
     sample_inverse_gaussian,
@@ -363,9 +362,6 @@ def test_gig_hull_for_another_order_is_refused():
     sample_gig(-8.0, 0.57, 159.0, rng, hull)
     with pytest.raises(ValueError, match="hull is for lam = -8.0, not 2.5"):
         sample_gig(2.5, 0.57, 159.0, rng, hull)
-    # the chi = 0 limit builds no hull, but a wrong one is still refused
-    with pytest.raises(ValueError, match="hull is for lam = -8.0, not 2.0"):
-        sample_gig(2.0, 3.0, 0.0, rng, hull)
 
 
 def test_gig_hull_keeps_no_knots_past_the_sinh_range():
@@ -380,18 +376,15 @@ def test_gig_hull_keeps_no_knots_past_the_sinh_range():
         assert x == sample_gig(1e5, 1e-300, 1e-300, fresh)
 
 
-def test_gig_gamma_boundary():
-    rng = RngStream(103, 10)
-    draws = [sample_gig(2.0, 3.0, 0.0, rng) for _ in range(N)]
-    assert _ks_ok(draws, lambda x: math.log(x) - 1.5 * x, 1e-9, 30.0)
-
-
 def test_gig_validates():
     rng = RngStream(103, 12)
     with pytest.raises(ValueError):
         sample_gig(1.0, -1.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        sample_gig(-1.0, 1.0, 0.0, rng)
+    # chi = 0, the gamma limit, is refused by name at either sign of the
+    # order: no sweep draws it
+    for lam in (2.0, -1.0):
+        with pytest.raises(ValueError, match="chi must be positive, got 0.0"):
+            sample_gig(lam, 3.0, 0.0, rng)
     # psi = 0, the inverse-gamma limit, is refused by name at either
     # sign of the order
     for lam in (1.0, -1.0):
@@ -415,18 +408,6 @@ def test_gig_validates():
         sample_gig(1e-300, 5e-324, 5e-324, rng)
 
 
-def test_gig_limit_draws_are_pinned():
-    # the gamma (chi = 0) limit, recorded when sample_gig drew it
-    # through its own gamma calls
-    rng = RngStream(103, 13)
-    got = [sample_gig(lam, psi, 0.0, rng)
-           for lam, psi in ((2.0, 3.0), (0.3, 1e-300), (5.0, 0.5),
-                            (0.05, 2.0), (1.0, 1.0))]
-    assert got == [0.644757189730186, 2.8475726040950807e+296,
-                   26.27570031763464, 7.62119270546576e-11,
-                   4.985206757237819]
-
-
 def _mhn_logpdf(a, b, c):
     return lambda x: (a - 1.0) * math.log(x) - b * x * x - c * x
 
@@ -443,37 +424,15 @@ def test_mhn_negative_linear_coefficient():
     assert _ks_ok(draws, _mhn_logpdf(2.0, 1.0, -3.0), 1e-9, 8.0)
 
 
-def test_mhn_two_piece_sampler_at_power_one_is_truncated_normal():
-    # at alpha = 1 the law is N(-gamma/(2 beta), 1/(2 beta)) on x >= 0,
-    # drawn by the two-piece sampler, whose upper piece always accepts
-    rng = RngStream(104, 2)
-    draws = [sample_mhn(1.0, 0.5, -1.0, rng) for _ in range(N)]
-    assert _ks_ok(draws, lambda x: -0.5 * x * x + x, 1e-9, 10.0)
-
-
-def test_mhn_unbounded_at_zero_regime():
-    # KS is invariant under monotone maps; checking y = x^a removes the
-    # integrable singularity at 0 so the trapezoid oracle converges
-    cases = [(0.4, 2.0, 1.5), (0.05, 1.0, 0.0), (0.9, 0.3, -2.0)]
-    for i, (a, b, c) in enumerate(cases):
-        rng = RngStream(104, 10 + i)
-        draws = [sample_mhn(a, b, c, rng) for _ in range(N)]
-        assert min(draws) > 0.0
-
-        def log_pdf_y(y, a=a, b=b, c=c):
-            x = y ** (1.0 / a)
-            return -b * x * x - c * x
-
-        ys = [d ** a for d in draws]
-        assert _ks_ok(ys, log_pdf_y, 1e-12, 12.0 ** a), (a, b, c)
-
-
 def test_mhn_validates():
     rng = RngStream(104, 20)
-    with pytest.raises(ValueError):
-        sample_mhn(0.0, 1.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        sample_mhn(1.0, 0.0, 0.0, rng)
+    # alpha <= 1 is refused by name: no sweep draws it
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match=f"alpha must exceed 1, got "
+                                             f"{alpha}"):
+            sample_mhn(alpha, 1.0, 0.0, rng)
+    with pytest.raises(ValueError, match="beta must be positive, got 0.0"):
+        sample_mhn(2.0, 0.0, 0.0, rng)
     # non-finite input fails early, naming the argument: a nan would
     # make every proposal fail the acceptance test
     good = {"alpha": 3.0, "beta": 2.0, "gamma": 1.0}
@@ -569,22 +528,6 @@ def test_mhn_gives_up_after_the_proposal_cap(monkeypatch):
     monkeypatch.setattr(distributions, "_MHN_MAX_PROPOSALS", 50)
     with pytest.raises(RuntimeError, match=r"50 proposals \(alpha=3.0"):
         sample_mhn(3.0, 2.0, 2.0, _StuckStream())
-
-
-def test_gamma():
-    rng = RngStream(105, 0)
-    draws = [sample_gamma(4.0, 2.0, rng) for _ in range(N)]
-    # mean shape/rate, var shape/rate^2
-    assert abs(np.mean(draws) - 2.0) < 5 * math.sqrt(1.0 / N)
-    assert _ks_ok(draws, lambda x: 3.0 * math.log(x) - 2.0 * x, 1e-9, 25.0)
-
-    with pytest.raises(ValueError):
-        sample_gamma(-1.0, 1.0, rng)
-    # an infinite rate used to come back as 0.0
-    for bad in (math.nan, math.inf, -math.inf):
-        for name, args in (("shape", (bad, 2.0)), ("rate", (2.0, bad))):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                sample_gamma(*args, rng)
 
 
 def _hgamma_log_density(w, a, c, q, t):

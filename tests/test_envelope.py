@@ -138,9 +138,9 @@ def test_hull_dominates_target():
     (_gig_log_target(0.7, 2.0, 3.0), 3),
     (_gig_log_target(-4.5, 0.01, 80.0), 3),
     (_mhn_322_target(), 2),
-    (_tilted_target(TiltedParams(40, 3.0, 25.0, 4.0)), 2),
-    (_tilted_target(TiltedParams(0, 2.0, 1.0, 1.0)), 2),
-], ids=["gig", "gig-negative-order", "mhn", "tilted-q40", "tilted-q0"])
+    (_tilted_target(TiltedParams(40, 3.0, 4.0)), 2),
+    (_tilted_target(TiltedParams(1, 2.0, 1.0)), 2),
+], ids=["gig", "gig-negative-order", "mhn", "tilted-q40", "tilted-q1"])
 def test_hull_invariants(target, K):
     env = build_envelope(target, K=K)
     n = len(env.knots)

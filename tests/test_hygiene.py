@@ -32,12 +32,47 @@ def test_scanner_finds_unused_names():
     assert unused_imports(src) == [(1, "os"), (2, "np"), (3, "exp")]
 
 
+# Imports that no code in their module reads, kept only because
+# perfbench/tracer.py patches the name in that module and refuses to run
+# when a site is missing.  Each goes with its SITES row.
+TRACER_ONLY_IMPORTS = {
+    ("bayenet.distributions", "log_std_normal_cdf"):
+        "its only reader, mhn's alpha <= 1 sampler, is gone",
+    ("bayenet.tilted", "sample_gig"):
+        "its only reader, the q = 0 dispatch of sample_tilted, is gone",
+    ("bayenet.tilted", "sample_mhn"):
+        "its only reader, the q = 0 dispatch of sample_tilted, is gone",
+}
+
+
+def _module_name(path):
+    return ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+
+
 def test_no_unused_imports():
     assert SCANNED
     found = [f"{p.relative_to(ROOT)}:{line}: {name}"
              for p in SCANNED
-             for line, name in unused_imports(p.read_text())]
+             for line, name in unused_imports(p.read_text())
+             if not (p.is_relative_to(ROOT / "src")
+                     and (_module_name(p), name) in TRACER_ONLY_IMPORTS)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_tracer_only_imports_are_unused_tracer_sites():
+    # an entry whose import gains a reader, or whose tracer row is gone,
+    # must leave the list
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    sites = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SITES"])
+    unused = {(_module_name(p), name)
+              for p in sorted((ROOT / "src" / "bayenet").glob("*.py"))
+              for _, name in unused_imports(p.read_text())}
+    listed = set(TRACER_ONLY_IMPORTS)
+    assert listed <= unused, f"read after all: {sorted(listed - unused)}"
+    traced = {(owner, name) for owner, name, _, _ in sites}
+    assert listed <= traced, f"no tracer site: {sorted(listed - traced)}"
 
 
 def top_level_definitions(source):

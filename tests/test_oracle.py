@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayenet import distributions, kernels, oracle
+from bayenet import kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
 from bayenet.model import (ModelState, RegressionData, coefficient_sums,
                            latent_precision, log_posterior_unnorm,
@@ -434,25 +434,12 @@ def test_appendix_a_refuses_nonfinite_parameters(name, value):
             appendix_a_demonstration(**args)
 
 
-def test_distribution_lines_draw_both_mhn_regimes(monkeypatch):
-    # every mhn regime is certified by some validate line, so neither
-    # can be left as a sampler nothing checks
-    calls = dict.fromkeys(("_sample_mhn_rou", "_sample_mhn_small_alpha"), 0)
-    for name in calls:
-        def counted(*args, name=name, sampler=getattr(distributions, name)):
-            calls[name] += 1
-            return sampler(*args)
-        monkeypatch.setattr(distributions, name, counted)
-    oracle.distribution_ks_checks(1000, RngStream(0, 1))
-    assert min(calls.values()) >= 1000, calls
-
-
 def test_validation_suite_quick_all_pass(validate_quick):
     assert validate_quick.suite_kwargs == dict(seed=0, quick=True,
                                                beta_updater=None)
     checks = validate_quick.checks
     names = [c.name for c in checks]
-    assert len(names) == len(set(names)) == 32
+    assert len(names) == len(set(names)) == 30
     for expect in ("quadrature-self-test", "ks-gig", "ks-tilted-q4",
                    "ks-tilted-small-shape", "ks-tilted-kept-hull",
                    "ks-gig-kept-hull",
@@ -595,7 +582,7 @@ def test_latent_slice_is_the_t_slice_changed_in_variables(form):
 
 @pytest.mark.parametrize("q", [1, 2, 4])
 def test_tilted_array_density_matches_scalar(q):
-    p = TiltedParams(q, 3.5, 0.5 * q + 1.0, 1.1)
+    p = TiltedParams(q, 3.5, 1.1)
     xs = np.concatenate([[-2.0, -1e-300, 0.0],
                          np.geomspace(1e-8, 1e3, 400)])
     got = oracle._tilted_log_density(p, xs)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bayenet import oracle, tilted
-from bayenet.distributions import sample_gamma
 from bayenet.envelope import MAX_KNOTS
 from bayenet.oracle import _tilted_property_check
 from bayenet.rng import RngStream
@@ -30,16 +29,15 @@ from helpers import (cdf_table, hull_log_value, ks_statistic, ks_threshold,
 
 def _mp_log_density(p, x):
     x = mp.mpf(x)
-    v = ((p.a - 1) * mp.log(x) - p.b * x ** 2 - p.c * x
+    v = ((p.a - 1) * mp.log(x) - p.q * x ** 2 / 2 - p.c * x
          - p.q * mp.log(mp.ncdf(-x)))
     return v
 
 
 @mp.workdps(40)
 def test_log_density_matches_mpmath():
-    cases = [TiltedParams(2, 1.0, 1.0, 0.5), TiltedParams(8, 9.0, 30.0, 0.2),
-             TiltedParams(0, 2.0, 1.0, -0.5),
-             TiltedParams(3, 4.0, 1.5, 2.0)]
+    cases = [TiltedParams(2, 1.0, 0.5), TiltedParams(8, 9.0, 0.2),
+             TiltedParams(1, 2.0, -0.5), TiltedParams(3, 4.0, 2.0)]
     for p in cases:
         for x in [0.05, 0.5, 1.7, 6.0, 20.0]:
             want = float(_mp_log_density(p, x))
@@ -50,35 +48,36 @@ def test_log_density_matches_mpmath():
 
 @mp.workdps(40)
 def test_derivatives_match_mpmath():
-    p = TiltedParams(3, 2.0, 2.0, 1.0)
+    p = TiltedParams(3, 2.0, 1.0)
     for x in [0.2, 0.9, 3.0, 12.0]:
         d1 = float(mp.diff(lambda t: _mp_log_density(p, t), mp.mpf(x)))
         d2 = float(mp.diff(lambda t: _mp_log_density(p, t), mp.mpf(x), 2))
         assert dlog_density(p, x) == pytest.approx(d1, rel=1e-8, abs=1e-8)
         assert d2log_density(p, x) == pytest.approx(d2, rel=1e-7, abs=1e-7)
-    p0 = TiltedParams(0, 1.5, 0.5, 0.3)
+    p0 = TiltedParams(1, 1.5, 0.3)
     for x in [0.1, 1.0, 4.0]:
         d1 = float(mp.diff(lambda t: _mp_log_density(p0, t), mp.mpf(x)))
         assert dlog_density(p0, x) == pytest.approx(d1, rel=1e-8)
 
 
-# members with b = q/2, as every theta conditional of the sweeps
+# members with the exponent q x^2/2 of every theta conditional of the
+# sweeps
 B_HALF_Q_MEMBERS = [
-    TiltedParams(8, 1.0, 4.0, 0.0), TiltedParams(8, 1.0, 4.0, 1e-8),
-    TiltedParams(40, 1.0, 20.0, 1e-3), TiltedParams(4, 2.0, 2.0, 1.0)]
+    TiltedParams(8, 1.0, 0.0), TiltedParams(8, 1.0, 1e-8),
+    TiltedParams(40, 1.0, 1e-3), TiltedParams(4, 2.0, 1.0)]
 
 
 @mp.workdps(100)
 @pytest.mark.parametrize("p", B_HALF_Q_MEMBERS)
 def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
-    # at b = q/2, -b x^2 - q log Phi(-x) and -2 b x + q h(x) cancel to
+    # -q x^2/2 - q log Phi(-x) and -q x + q h(x) cancel to
     # q log h + q log sqrt(2 pi) and q D = q (h - x), about q/x, far
     # past the tail cut, where the sweeps' kept hull proposes at small c
     for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
         want = _mp_log_density(p, x)
         assert log_density(p, x) == pytest.approx(float(want), rel=1e-12), x
         xm = mp.mpf(x)
-        slope = ((p.a - 1) / xm - 2 * p.b * xm - p.c
+        slope = ((p.a - 1) / xm - p.q * xm - p.c
                  + p.q * mp.npdf(xm) / mp.ncdf(-xm))
         assert dlog_density(p, x) == pytest.approx(float(slope),
                                                    rel=1e-12), x
@@ -87,47 +86,35 @@ def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
 @mp.workdps(100)
 @pytest.mark.parametrize("p", B_HALF_Q_MEMBERS)
 def test_curvature_matches_mpmath_far_out_at_b_half_q(p):
-    # -2 b + q h (h - x) cancels at b = q/2 to about -q/x^2, which the
-    # difference of the two read positive by x = 1e6
+    # -q + q h (h - x) cancels to about -q/x^2, which the difference of
+    # the two read positive by x = 1e6
     for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
         xm = mp.mpf(x)
         h = mp.npdf(xm) / mp.ncdf(-xm)
-        want = -(p.a - 1) / (xm * xm) - 2 * p.b + p.q * h * (h - xm)
+        want = -(p.a - 1) / (xm * xm) - p.q + p.q * h * (h - xm)
         assert d2log_density(p, x) == pytest.approx(float(want),
                                                     rel=1e-12), x
 
 
 def test_concavity_certificate_truth_table():
-    assert is_logconcave(TiltedParams(2, 1.0, 1.0, 0.5))
-    assert not is_logconcave(TiltedParams(2, 1.0, 0.9, 1.0))   # b < q/2
-    assert not is_logconcave(TiltedParams(2, 0.5, 2.0, 1.0))   # a < 1
-    assert not is_logconcave(TiltedParams(2, 1.0, 1.0, 0.0))   # c = 0
-    assert is_logconcave(TiltedParams(0, 2.0, 1.0, 0.0))
-    assert is_logconcave(TiltedParams(0, 1.0, 0.0, 3.0))
-    assert not is_logconcave(TiltedParams(0, 0.5, 1.0, 0.0))
-    assert not is_logconcave(TiltedParams(0, 2.0, 0.0, 0.0))   # not integrable
+    assert is_logconcave(TiltedParams(2, 1.0, 0.5))
+    assert not is_logconcave(TiltedParams(2, 0.5, 1.0))    # a < 1
+    assert not is_logconcave(TiltedParams(2, 1.0, 0.0))    # c = 0
+    assert not is_logconcave(TiltedParams(2, 3.0, -1.0))   # not integrable
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.floats(1.0, 8.0), st.floats(0.0, 4.0),
-       st.floats(0.01, 5.0))
-def test_certified_members_are_concave_on_grid(q, a, b_extra, c):
-    p = TiltedParams(q, a, 0.5 * q + b_extra, c)
+@given(st.integers(1, 12), st.floats(1.0, 8.0), st.floats(0.01, 5.0))
+def test_certified_members_are_concave_on_grid(q, a, c):
+    p = TiltedParams(q, a, c)
     assert is_logconcave(p)
     for x in np.geomspace(1e-3, 50.0, 80):
         assert d2log_density(p, x) <= 1e-9
 
 
-def test_slack_violation_breaks_concavity_in_the_tail():
-    # b slightly below q/2 turns the second derivative positive far out
-    p = TiltedParams(4, 1.0, 1.9, 1.0)
-    assert not is_logconcave(p)
-    assert max(d2log_density(p, x) for x in np.geomspace(1.0, 200.0, 200)) > 0
-
-
 def test_mode_bounds_quadratic_slack_zero():
-    # 2b = q: bracket is ((a-1)/c, (a-1+q)/c)
-    p = TiltedParams(3, 2.0, 1.5, 2.0)
+    # the bracket is ((a-1)/c, (a-1+q)/c)
+    p = TiltedParams(3, 2.0, 2.0)
     lo, hi = mode_bounds(p)
     assert lo == pytest.approx(0.5)
     assert hi == pytest.approx(2.0)
@@ -136,29 +123,10 @@ def test_mode_bounds_quadratic_slack_zero():
     assert dlog_density(p, m) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_mode_bounds_positive_slack_unit_shape():
-    # a = 1, 2b > q: zero lower bound, closed-form upper bound
-    p = TiltedParams(2, 1.0, 2.0, 1.0)
-    lo, hi = mode_bounds(p)
-    t = 2.0 * p.b - p.q
-    assert lo == 0.0
-    assert hi == pytest.approx((math.sqrt(1.0 + 4.0 * p.q * t) - 1.0) / (2 * t))
-    assert dlog_density(p, hi) < 0.0
-
-
-def test_mode_bounds_positive_slack_general():
-    p = TiltedParams(2, 3.0, 4.0, 0.5)
-    lo, hi = mode_bounds(p)
-    assert 0.0 < lo < hi
-    assert dlog_density(p, lo) > 0.0 > dlog_density(p, hi)
-    m = find_mode(p)
-    assert lo < m < hi
-
-
 def test_mode_bounds_upper_end_without_cancellation():
-    # 4 (a-1+q) t is far below c^2 here, so sqrt(c^2 + 4kt) - c would
-    # cancel to 0; the mode is about 2.0003e-4
-    p = TiltedParams(2, 3.0, 1.0 + 2e-12, 1e4)
+    # a large rate: the closed-form bracket (2e-4, 4e-4) holds the mode,
+    # about 2.0003e-4, with nothing to cancel at either end
+    p = TiltedParams(2, 3.0, 1e4)
     lo, hi = mode_bounds(p)
     assert lo <= find_mode(p) <= hi
     assert hi == pytest.approx(4e-4, rel=1e-12)
@@ -166,22 +134,19 @@ def test_mode_bounds_upper_end_without_cancellation():
 
 def test_mode_bounds_rejects_uncertified():
     with pytest.raises(ValueError):
-        mode_bounds(TiltedParams(0, 2.0, 1.0, 1.0))
+        mode_bounds(TiltedParams(2, 0.5, 1.0))
     with pytest.raises(ValueError):
-        mode_bounds(TiltedParams(2, 1.0, 0.5, 1.0))
+        mode_bounds(TiltedParams(2, 1.0, 0.0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10), st.floats(1.0, 6.0), st.floats(0.0, 3.0),
-       st.floats(0.05, 4.0))
-# modes of about 1e-15 and 1e-16: the first is far below the bracket
-# width an absolute stop accepts, the second below the rounded lower
-# bound of mode_bounds
-@example(q=1, a=1.0000000000000002, b_extra=0.0, c=1.0)
-@example(q=1, a=1.0000000000000002, b_extra=0.5412782301114079,
-         c=3.8558216968412675)
-def test_mode_always_inside_bracket(q, a, b_extra, c):
-    p = TiltedParams(q, a, 0.5 * q + b_extra, c)
+@given(st.integers(1, 10), st.floats(1.0, 6.0), st.floats(0.05, 4.0))
+# modes of about 1e-15 and 1e-16, far below the bracket width an
+# absolute stop accepts
+@example(q=1, a=1.0000000000000002, c=1.0)
+@example(q=1, a=1.0000000000000002, c=3.8558216968412675)
+def test_mode_always_inside_bracket(q, a, c):
+    p = TiltedParams(q, a, c)
     lo, hi = mode_bounds(p)
     m = find_mode(p)
     if a > 1.0:
@@ -213,7 +178,7 @@ def _mode_by_bisection(p):
 def test_find_mode_does_not_trust_the_mode_bracket(monkeypatch):
     # a bracket whose upper end, 0, lies below the mode: a bisection
     # inside it could not reach the mode
-    p = TiltedParams(2, 3.0, 1.0 + 2e-12, 1e4)
+    p = TiltedParams(2, 3.0, 1e4)
     monkeypatch.setattr(tilted, "mode_bounds", lambda p: (2e-4, 0.0))
     assert find_mode(p) == pytest.approx(_mode_by_bisection(p), rel=1e-9)
     assert find_mode(p) == pytest.approx(2.0003e-4, rel=1e-4)
@@ -235,7 +200,7 @@ def test_property_suite_flags_an_upper_bound_below_the_mode(monkeypatch):
 
 def test_boundary_mode_member_still_samples():
     # a = 1 with c big enough that the density decreases from 0+
-    p = TiltedParams(2, 1.0, 1.0, 3.0)
+    p = TiltedParams(2, 1.0, 3.0)
     assert find_mode(p) == 0.0
     rng = RngStream(201, 0)
     draws = [sample_tilted(p, rng) for _ in range(20000)]
@@ -251,53 +216,38 @@ def _ks_tilted(p, seed, lo, hi, n=20000):
 
 
 def test_sample_tilted_interior_mode():
-    # 2b = q cancels the Gaussian decay exactly: the tail is gamma-like
+    # q x^2/2 cancels the Gaussian decay exactly: the tail is gamma-like
     # (x^(q+a-1) e^(-cx)), so the oracle grid must run far out
-    ks, thr = _ks_tilted(TiltedParams(4, 2.0, 2.0, 1.0), 0, 1e-9, 45.0)
+    ks, thr = _ks_tilted(TiltedParams(4, 2.0, 1.0), 0, 1e-9, 45.0)
     assert ks < thr
 
 
 def test_sample_tilted_high_order_tilt():
-    # parameters shaped like a data-augmented rate conditional
-    ks, thr = _ks_tilted(TiltedParams(8, 9.0, 30.0, 0.2), 1, 1e-9, 4.0)
-    assert ks < thr
-
-
-def test_sample_tilted_dispatches_q0():
-    # power-exponential member: matching named sampler paths
-    ks, thr = _ks_tilted(TiltedParams(0, 2.0, 1.0, 0.5), 2, 1e-9, 8.0)
-    assert ks < thr
-    ks, thr = _ks_tilted(TiltedParams(0, 2.0, 0.0, 3.0), 3, 1e-9, 15.0)
-    assert ks < thr
-    # b = 0 goes through gig's chi = 0 limit: the gamma draw itself
-    for i in range(20):
-        got = sample_tilted(TiltedParams(0, 2.0, 0.0, 3.0), RngStream(203, i))
-        assert got == sample_gamma(2.0, 3.0, RngStream(203, i))
-    # a shape below 2 and a small rate: the modified half-normal draw
-    ks, thr = _ks_tilted(TiltedParams(0, 1.5, 0.5, 0.3), 5, 1e-9, 12.0)
+    # a high tilt and a small rate: the bulk is near (q + a - 1)/c = 80
+    ks, thr = _ks_tilted(TiltedParams(8, 9.0, 0.2), 1, 1e-9, 400.0)
     assert ks < thr
 
 
 def test_sample_tilted_rejects_uncertified():
     # a < 1 is sampled only where the a = 1 twin is log-concave
     with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(2, 0.5, 0.9, 1.0), RngStream(1))
+        sample_tilted(TiltedParams(2, 0.5, 0.0), RngStream(1))
     with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(0, 0.5, 2.0, 1.0), RngStream(1))
-    with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(1, 1.0, 0.5, 0.0), RngStream(1))   # c = 0
+        sample_tilted(TiltedParams(1, 1.0, 0.0), RngStream(1))   # c = 0
 
 
 def test_params_validate():
+    # q = 0, the gamma and modified half-normal members, is refused by
+    # name: every theta draw has q = p >= 1
+    for q in (0, -1):
+        with pytest.raises(ValueError,
+                           match=f"q must be a positive integer, got {q}"):
+            TiltedParams(q, 1.0, 1.0)
     with pytest.raises(ValueError):
-        TiltedParams(-1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        TiltedParams(2, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        TiltedParams(2, 1.0, -0.5, 1.0)
+        TiltedParams(2, 0.0, 1.0)
     # non-finite input fails when the member is built, naming the field:
     # an infinity used to leave sample_tilted's hull no usable knot
-    good = {"a": 2.0, "b": 3.0, "c": 1.0}
+    good = {"a": 2.0, "c": 1.0}
     for name in good:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -313,7 +263,7 @@ def _mp_hazard_excess_product(x):
 @mp.workdps(40)
 def test_small_shape_split_rests_on_a_concave_hazard_excess():
     # _sample_small_shape's log-scale density is concave above the root
-    # of F = (x D)' = (c + 4 e x)/q only if x D is concave, so that F
+    # of F = (x D)' = c/q only if x D is concave, so that F
     # falls from F(0) = sqrt(2/pi); the root's search starts from
     # (4 q/c)^(1/3), which needs F < 4/x^3
     for x in np.geomspace(1e-3, 300.0, 25):
@@ -321,32 +271,31 @@ def test_small_shape_split_rests_on_a_concave_hazard_excess():
         assert mp.diff(_mp_hazard_excess_product, mp.mpf(x), 2) < 0, x
         assert F * mp.mpf(x) ** 3 < 4, x
         assert 0 < F < math.sqrt(2.0 / math.pi), x
-        # and the sampler's own F, from its psi''/x at c = e = 0, q = 1
-        got = tilted._log_factor(TiltedParams(1, 0.5, 0.5, 0.0), float(x))
+        # and the sampler's own F, from its psi''/x at c = 0, q = 1
+        got = tilted._log_factor(TiltedParams(1, 0.5, 0.0), float(x))
         assert got[2] == pytest.approx(float(F), rel=1e-6, abs=1e-12), x
 
 
 @mp.workdps(150)
-@pytest.mark.parametrize("b, c", [(4.0, 2.3e-22), (5.0, 1.0)])
-def test_small_shape_bend_is_accurate_far_out(b, c):
-    # l' + x l'' = q F - 4 e x - c with F = (x D)' about 4/x^3, to 1e-13
-    # of its terms on (5, 1e15]: the split's root search reads its sign
-    # where q F and c nearly cancel (x near 5e7 at c = 2.3e-22), and the
+@pytest.mark.parametrize("c", [2.3e-22, 1.0])
+def test_small_shape_bend_is_accurate_far_out(c):
+    # l' + x l'' = q F - c with F = (x D)' about 4/x^3, to 1e-13 of its
+    # terms on (5, 1e15]: the split's root search reads its sign where
+    # q F and c nearly cancel (x near 5e7 at c = 2.3e-22), and the
     # mode's Newton steps divide by it.  150 digits, as in test_special
-    p = TiltedParams(8, 0.02, b, c)
-    e = b - 4.0
+    p = TiltedParams(8, 0.02, c)
     for x in np.geomspace(np.nextafter(5.0, 6.0), 1e15, 41).tolist():
         xm = mp.mpf(x)
         h = mp.npdf(xm) / mp.ncdf(-xm)
         d = h - xm
         rise = d + xm * (h * d - 1)
-        want = 8 * rise - 4 * e * xm - c
+        want = 8 * rise - c
         got = tilted._log_factor(p, x)[2]
-        scale = 8 * rise + 4 * e * xm + c
+        scale = 8 * rise + c
         assert abs(got - want) <= 1e-13 * scale, x
 
 
-# members (p, L, p/2, c) of L = R = 0.02 chains on a design with n = 20
+# members (p, L, c) of L = R = 0.02 chains on a design with n = 20
 # and p = 8, whose rates fell to 1e-22: the mode search overflowed
 # (the first two) or the hull's right tail turned up (the third) while
 # the bend lost every digit past x = 1e6
@@ -356,7 +305,7 @@ def test_small_shape_bend_is_accurate_far_out(b, c):
 def test_small_shape_draws_at_tiny_rates(c):
     # past x = 1e11, Phi(-x)^-q exp(-q x^2/2) is (2 pi)^(q/2) (x + D)^q
     # with D about 1/x, so the member is gamma(q + a, rate c) to 1e-21
-    p = TiltedParams(8, 0.02, 4.0, c)
+    p = TiltedParams(8, 0.02, c)
     rng = RngStream(206, int(-math.log10(c)))
     n = 400
     draws = np.array([sample_tilted(p, rng) for _ in range(n)])
@@ -386,7 +335,7 @@ def test_small_shape_power_law_rests_on_a_convex_hazard():
     (8, 0.3, 30.0),                                       # s = 0
 ])
 def test_small_shape_hull_bounds_psi_with_exact_masses(monkeypatch, q, a, c):
-    p = TiltedParams(q, a, 0.5 * q, c)
+    p = TiltedParams(q, a, c)
     hulls = []
     real = tilted.sample_from_envelope
 
@@ -425,15 +374,15 @@ def _ks_small_shape(p, seed, lo, hi, n=10000):
 @pytest.mark.parametrize("seed, p, lo, hi", [
     # a tiny shape with a small tilt and rate: the bulk lies near
     # x = 4000, far above the split
-    (0, TiltedParams(40, 0.05, 20.0, 0.01), -900.0, 10.0),
-    # with one normal-CDF factor and quadratic slack, the spike at 0 and
-    # the bulk share the mass, so both pieces of the envelope draw
-    (1, TiltedParams(1, 0.05, 1.2, 0.1), -900.0, 6.0),
+    (0, TiltedParams(40, 0.05, 0.01), -900.0, 10.0),
+    # with one normal-CDF factor, the spike at 0 and the bulk share the
+    # mass, so both pieces of the envelope draw
+    (1, TiltedParams(1, 0.05, 0.1), -900.0, 6.0),
     # psi concave on the whole line, the mode of f at 0
-    (2, TiltedParams(8, 0.3, 4.0, 30.0), -160.0, 1.0),
-    # the shape just below 1, with quadratic slack
-    (3, TiltedParams(8, 0.999, 4.5, 1.0), -60.0, 3.0),
-], ids=["a0.05-q40-c0.01", "a0.05-q1-slack", "a0.3-c30", "a0.999"])
+    (2, TiltedParams(8, 0.3, 30.0), -160.0, 1.0),
+    # the shape just below 1: the bulk is near q + a - 1 = 8
+    (3, TiltedParams(8, 0.999, 1.0), -60.0, 4.0),
+], ids=["a0.05-q40-c0.01", "a0.05-q1", "a0.3-c30", "a0.999"])
 def test_sample_tilted_small_shape(seed, p, lo, hi):
     ks, thr = _ks_small_shape(p, seed, lo, hi)
     assert ks < thr
@@ -443,14 +392,13 @@ def test_sample_tilted_small_shape(seed, p, lo, hi):
 def test_kept_hull_dominates_the_density_over_a_sweep_of_rates(q, a):
     # the knots draws add, replace at the cap and step out as c moves
     # must leave a hull above log f at the rate each draw was at
-    b = 0.5 * q
-    hull = tangent_hull(q, a, b)
+    hull = tangent_hull(q, a)
     rng = RngStream(211, q)
     gen = rng.gen
     replaced = False
     for _ in range(300):
-        p = TiltedParams(q, a, b, math.exp(gen.uniform(math.log(0.05),
-                                                       math.log(300.0))))
+        p = TiltedParams(q, a, math.exp(gen.uniform(math.log(0.05),
+                                                    math.log(300.0))))
         knots, right = list(hull.knots), hull.knots[-1:]
         sample_tilted(p, rng, hull)
         replaced |= len(knots) == MAX_KNOTS and hull.knots != knots
@@ -458,23 +406,23 @@ def test_kept_hull_dominates_the_density_over_a_sweep_of_rates(q, a):
         # the rightmost knot is never dropped
         assert hull.knots[-1] >= max(right, default=0.0)
         for x in np.exp(gen.uniform(math.log(1e-4), math.log(1e3), 20)):
-            tol = 1e-10 * (1.0 + b * x * x + p.c * x)
+            tol = 1e-10 * (1.0 + 0.5 * q * x * x + p.c * x)
             assert hull_log_value(hull, x) >= log_density(p, x) - tol
     assert replaced
 
 
 # explicit R < 1 priors let lambda2 fall near 0 and theta's rate c with
 # it: the kept hull's seed tangent is then nearly flat and proposes far
-# past the tail cut, where b x^2 and q log Phi(-x) must not be formed
+# past the tail cut, where q x^2/2 and q log Phi(-x) must not be formed
 # apart, and its slopes are of order c, far below any absolute tie floor
 @pytest.mark.parametrize("c", [1e-3, 1e-8, 1e-30])
 @pytest.mark.parametrize("q", [8, 40])
 def test_kept_hull_draws_at_small_rates(q, c):
-    # with b = q/2, Phi(-x)^-q exp(-q x^2/2) is (2 pi)^(q/2) h(x)^q, and
+    # Phi(-x)^-q exp(-q x^2/2) is (2 pi)^(q/2) h(x)^q, and
     # h(x)^q = x^q (1 + D/x)^q with 0 < D < 1/x, so c x is gamma(1 + q)
     # to a relative q/x^2, below 1e-5 over the bulk
-    p = TiltedParams(q, 1.0, 0.5 * q, c)
-    hull = tangent_hull(p.q, p.a, p.b)
+    p = TiltedParams(q, 1.0, c)
+    hull = tangent_hull(p.q, p.a)
     rng = RngStream(212, q)
     draws = [c * sample_tilted(p, rng, hull) for _ in range(5000)]
     table = oracle.auto_cdf(lambda y: q * np.log(y) - y, (1e-8, 1e3))
@@ -484,5 +432,5 @@ def test_kept_hull_draws_at_small_rates(q, c):
 
 def test_sample_tilted_refuses_another_familys_hull():
     with pytest.raises(ValueError, match="hull is for"):
-        sample_tilted(TiltedParams(8, 1.0, 4.0, 1.0), RngStream(1),
-                      tangent_hull(8, 2.0, 4.0))
+        sample_tilted(TiltedParams(8, 1.0, 1.0), RngStream(1),
+                      tangent_hull(8, 2.0))
