@@ -744,8 +744,7 @@ def _prior_equivalence_check(form, n, rng):
     return CheckResult(f"prior-equivalence-{form}", ok, " ".join(details))
 
 
-def _concave_on_grid(p):
-    mode = find_mode(p)
+def _concave_on_grid(p, mode):
     sd = 1.0 / math.sqrt(max(-d2log_density(p, max(mode, 0.1)), 1e-6))
     lo = max(mode - 8.0 * sd, 1e-4 * max(mode, sd))
     hi = mode + 8.0 * sd
@@ -769,10 +768,11 @@ def _tilted_property_check(n_sets, rng):
         if not is_logconcave(p):
             bad.append((k, "not flagged log-concave"))
             continue
-        if not _concave_on_grid(p):
+        mode = find_mode(p)
+        if not _concave_on_grid(p, mode):
             bad.append((k, "second differences"))
         lo, hi = mode_bounds(p)
-        if not (lo - 1e-9 <= find_mode(p) <= hi + 1e-9):
+        if not (lo - 1e-9 <= mode <= hi + 1e-9):
             bad.append((k, "mode outside bounds"))
     detail = (f"{3 * n_sets} parameter sets" if not bad
               else f"failed: {bad[:3]}")

@@ -61,14 +61,15 @@ def test_derivatives_match_mpmath():
 
 
 # members with the exponent q x^2/2 of every theta conditional of the
-# sweeps
-B_HALF_Q_MEMBERS = [
+# sweeps; the test names keep b = q/2, that exponent's coefficient when
+# the family had one
+FAR_OUT_MEMBERS = [
     TiltedParams(8, 1.0, 0.0), TiltedParams(8, 1.0, 1e-8),
     TiltedParams(40, 1.0, 1e-3), TiltedParams(4, 2.0, 1.0)]
 
 
 @mp.workdps(100)
-@pytest.mark.parametrize("p", B_HALF_Q_MEMBERS)
+@pytest.mark.parametrize("p", FAR_OUT_MEMBERS)
 def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
     # -q x^2/2 - q log Phi(-x) and -q x + q h(x) cancel to
     # q log h + q log sqrt(2 pi) and q D = q (h - x), about q/x, far
@@ -84,7 +85,7 @@ def test_density_and_slope_match_mpmath_far_out_at_b_half_q(p):
 
 
 @mp.workdps(100)
-@pytest.mark.parametrize("p", B_HALF_Q_MEMBERS)
+@pytest.mark.parametrize("p", FAR_OUT_MEMBERS)
 def test_curvature_matches_mpmath_far_out_at_b_half_q(p):
     # -q + q h (h - x) cancels to about -q/x^2, which the difference of
     # the two read positive by x = 1e6
@@ -124,8 +125,9 @@ def test_mode_bounds_quadratic_slack_zero():
 
 
 def test_mode_bounds_upper_end_without_cancellation():
-    # a large rate: the closed-form bracket (2e-4, 4e-4) holds the mode,
-    # about 2.0003e-4, with nothing to cancel at either end
+    # a large rate: the upper end (a-1+q)/c = 4e-4 is a single quotient,
+    # exact to rounding, and the bracket (2e-4, 4e-4) holds the mode,
+    # about 2.0003e-4
     p = TiltedParams(2, 3.0, 1e4)
     lo, hi = mode_bounds(p)
     assert lo <= find_mode(p) <= hi
