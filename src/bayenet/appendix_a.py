@@ -87,6 +87,8 @@ def appendix_a_demonstration(a, b, lambda1, lambda2, p,
     law.  Quarantined here: nothing in the fitting paths calls it.
     """
     require_finite(a=a, b=b, lambda1=lambda1, lambda2=lambda2, p=p)
+    if p != int(p):
+        raise ValueError(f"p must be an integer, got {p}")
     if not (a > 0 and b > 0 and lambda1 > 0 and lambda2 > 0 and p >= 1):
         raise ValueError("all parameters must be positive")
     p = int(p)

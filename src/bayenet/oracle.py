@@ -3,16 +3,17 @@
 Nothing here feeds the fitting paths.  The module provides quadrature
 CDF tables with self-certification (mass must stabilize under grid
 doubling and the truncated tails must be provably negligible), a
-Kolmogorov-Smirnov test against such tables, a certified two-coefficient
-posterior grid (the oracle for the block update of beta),
-hierarchical-versus-closed-form prior equivalence checks, and a named
-validation suite for the command line.  The coordinate update of beta
-and the scale kernels are judged on one-dimensional slices of the joint
-posterior.  Every KS line of the suite is one _ks_line: n values of a
-draw(rng) function, drawn in order from the line's stream, against a
-certified table; a kernel's draw (_refresh) runs it on a fresh copy of
-a frozen state.  A line whose draws or table raise is reported as a
-failed line naming the exception (_guarded), and the suite goes on.
+Kolmogorov-Smirnov test against such tables, hierarchical-versus-
+closed-form prior equivalence checks, and a named validation suite for
+the command line.  Every table is one-dimensional.  The coordinate
+update of beta and the scale kernels are judged on one-dimensional
+slices of the joint posterior; the block update of beta on its first
+coefficient's closed-form Gaussian marginal.  Every KS line of the
+suite is one _ks_line: n values of a draw(rng) function, drawn in
+order from the line's stream, against a certified table; a kernel's
+draw (_refresh) runs it on a fresh copy of a frozen state.  A line
+whose draws or table raise is reported as a failed line naming the
+exception (_guarded), and the suite goes on.
 
 Every table target takes an array of nodes and returns one log density
 per node, -inf outside its support; the slice targets restate the joint
@@ -73,12 +74,8 @@ MASS_TOL = 1e-6
 TAIL_TOL = 1e-8
 # log drop below the mode at which a tail is certainly negligible
 _DROP = 46.0
-# grid doublings a table may take before it gives up; a plane stops at
-# three (a 1601-node axis pair is already 2.6 million points)
-_LINE_DOUBLINGS = 7
-_PLANE_DOUBLINGS = 3
-# a planar grid reaches this many standard deviations past its center
-_SPAN = 9.0
+# grid doublings a table may take before it gives up
+_DOUBLINGS = 7
 # log Phi and the normal hazard over a node array
 _log_phi = np.vectorize(log_std_normal_cdf, otypes=[float])
 _hazard = np.vectorize(mills_ratio, otypes=[float])
@@ -142,29 +139,6 @@ def _within(f, x):
     return out
 
 
-def _cum_trapz(w, xs):
-    inc = 0.5 * (w[1:] + w[:-1]) * np.diff(xs)
-    return np.concatenate([[0.0], np.cumsum(inc)])
-
-
-def _settle(mass_at, nodes, doublings):
-    """Double the resolution from nodes until two successive log masses
-    agree to MASS_TOL and return the finer one's mass_at(n), a tuple
-    that starts with its log mass."""
-    coarse = mass_at(nodes)
-    delta = math.inf
-    for _ in range(doublings):
-        nodes = 2 * (nodes - 1) + 1
-        fine = mass_at(nodes)
-        delta = abs(fine[0] - coarse[0])
-        if delta <= MASS_TOL:
-            return fine
-        coarse = fine
-    raise OracleError(
-        f"mass did not stabilize under grid doubling (last change "
-        f"{delta:.2e} in log mass)")
-
-
 def _log_mass(log_density, xs):
     logf = _eval_log(log_density, xs)
     if np.isnan(logf).any() or np.isposinf(logf).any():
@@ -173,7 +147,8 @@ def _log_mass(log_density, xs):
     if not math.isfinite(m):
         raise OracleError("log density has no finite value on the grid")
     w = np.exp(logf - m)
-    c = _cum_trapz(w, xs)
+    c = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1])
+                                         * np.diff(xs))])
     if not c[-1] > 0.0:
         raise OracleError("zero mass on the grid")
     return m + math.log(float(c[-1])), xs, logf, w, c
@@ -204,11 +179,20 @@ def quadrature_cdf(log_density, grid):
     """Normalized CDF table on the grid, doubled until its mass settles,
     or OracleError if the table cannot vouch for itself (unstable mass
     or non-negligible tails)."""
-    nodes = lambda n: np.linspace(grid.lower, grid.upper, n)
-    lm, xs, logf, w, c = _settle(lambda n: _log_mass(log_density, nodes(n)),
-                                 grid.nodes, _LINE_DOUBLINGS)
-    _check_tails(log_density, xs, logf, w, float(c[-1]))
-    return CdfTable(xs, c / c[-1], lm)
+    n = grid.nodes
+    coarse = _log_mass(log_density, np.linspace(grid.lower, grid.upper, n))[0]
+    for _ in range(_DOUBLINGS):
+        n = 2 * (n - 1) + 1
+        lm, xs, logf, w, c = _log_mass(
+            log_density, np.linspace(grid.lower, grid.upper, n))
+        delta = abs(lm - coarse)
+        if delta <= MASS_TOL:
+            _check_tails(log_density, xs, logf, w, float(c[-1]))
+            return CdfTable(xs, c / c[-1], lm)
+        coarse = lm
+    raise OracleError(
+        f"mass did not stabilize under grid doubling (last change "
+        f"{delta:.2e} in log mass)")
 
 
 def auto_cdf(log_density, bracket):
@@ -249,65 +233,6 @@ def ks_test(draws, table):
     i = np.arange(1, n + 1)
     d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
     return d, d < ks_threshold(n)
-
-
-# ---------------------------------------------------------------------------
-# two-coefficient posterior grid
-
-def beta_pair_log_unnorm(data, sigma2, lambda1, lambda2, form):
-    """Unnormalized log posterior of (beta_1, beta_2) at fixed scales."""
-    if data.p != 2:
-        raise ValueError("the pair density needs exactly two predictors")
-    if form not in ("common", "differential"):
-        raise ValueError(f"unknown form {form!r}")
-    if lambda1 < 0.0 or lambda2 <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("scales must be positive (lambda1 may be zero)")
-    sigma = math.sqrt(sigma2)
-
-    def log_unnorm(b1, b2):
-        quad = _pair_rss(data, b1, b2)
-        val = -0.5 * (quad + lambda2 * (b1 * b1 + b2 * b2)) / sigma2
-        l1 = np.abs(b1) + np.abs(b2)
-        if form == "common":
-            return val - 0.5 * lambda1 * l1 / sigma2
-        return val - lambda1 * l1 / sigma
-
-    return log_unnorm
-
-
-def _pair_rss(data, b1, b2):
-    """Residual sum of squares at (b1, b2), elementwise over arrays."""
-    a11, a12, a22 = data.xtx[0, 0], data.xtx[0, 1], data.xtx[1, 1]
-    g1, g2 = data.xty[0], data.xty[1]
-    return (data.yty - 2.0 * (b1 * g1 + b2 * g2)
-            + a11 * b1 * b1 + 2.0 * a12 * b1 * b2 + a22 * b2 * b2)
-
-
-def _plane(log_joint, axis, n):
-    """log_joint evaluated at once over the product of axis(0, n) and
-    axis(1, n), as (log mass, ((g1, p1), (g2, p2))): each coefficient's
-    nodes and normalized marginal density."""
-    g1, g2 = axis(0, n), axis(1, n)
-    logw = log_joint(g1[:, None], g2[None, :])
-    top = float(logw.max())
-    w = np.exp(logw - top)
-    p1 = np.trapezoid(w, g2, axis=1)
-    mass = float(np.trapezoid(p1, g1))
-    p2 = np.trapezoid(w, g1, axis=0)
-    return top + math.log(mass), ((g1, p1 / mass), (g2, p2 / mass))
-
-
-def _planar_grid(log_joint, axis, nodes):
-    """(log mass, marginals) of a planar grid with about nodes per axis,
-    certified by comparing its mass with the grid of half the resolution
-    and doubling until the two agree, and by requiring both marginals to
-    vanish at the edges."""
-    lm, marginals = _settle(lambda n: _plane(log_joint, axis, n),
-                            nodes // 2 + 1, _PLANE_DOUBLINGS)
-    for _, marg in marginals:
-        if max(marg[0], marg[-1]) > TAIL_TOL * marg.max():
-            raise OracleError("planar grid does not cover the tails")
-    return lm, marginals
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +336,12 @@ def beta_kernel_ks_check(n=5000, seed=0, updater=None, form="common"):
     if updater is None:
         updater = update_beta_coordinate
     data, prior, state = kernel_check_setup(form, "direct")
-    lu = beta_pair_log_unnorm(data, state.sigma2, state.lambda1,
-                              state.lambda2, form)
+    lp = coefficient_slice_log_density(data, prior, state)
     name = "coefficient-kernel-ks" + ("" if form == "common" else f"-{form}")
     return _ks_line(name, n, RngStream(seed, 61), _refresh(
         lambda d, pr, st, r: updater(d, pr, st, 0, r), data, prior, state,
         lambda st: st.beta[0]),
-        lambda: auto_cdf(lambda x: lu(x, state.beta[1]),
-                         bracket=(-25.0, 25.0)))
+        lambda: auto_cdf(lp, bracket=(-25.0, 25.0)))
 
 
 def sweep_coordinates(form, sigma2, lambda1, lambda2):
@@ -467,6 +390,31 @@ def _log_joint_scales(data, prior, sums, s2, l1, l2):
         val = (val - 0.5 * l2 * sums.bb / s2
                - l1 * sums.b1 / np.sqrt(s2) - 0.5 * p * r * r)
     return val - p * _log_phi_distinct(-r)
+
+
+def coefficient_slice_log_density(data, prior, state):
+    """Log joint posterior as a function of the first coefficient b1 of
+    the two-predictor check problem (kernel_check_setup), the second
+    coefficient and the scales frozen, over a node array.  It keeps the
+    terms free of b1: the residual sum of squares of the pair, its ridge
+    and its l1 penalty."""
+    s2, l1, l2 = state.sigma2, state.lambda1, state.lambda2
+    if l1 < 0.0 or l2 <= 0.0 or s2 <= 0.0:
+        raise ValueError("scales must be positive (lambda1 may be zero)")
+    a11, a12, a22 = data.xtx[0, 0], data.xtx[0, 1], data.xtx[1, 1]
+    g1, g2 = data.xty[0], data.xty[1]
+    b2 = state.beta[1]
+
+    def lp(b1):
+        rss = (data.yty - 2.0 * (b1 * g1 + b2 * g2)
+               + a11 * b1 * b1 + 2.0 * a12 * b1 * b2 + a22 * b2 * b2)
+        val = -0.5 * (rss + l2 * (b1 * b1 + b2 * b2)) / s2
+        norm1 = np.abs(b1) + np.abs(b2)
+        if prior.form == "common":
+            return val - 0.5 * l1 * norm1 / s2
+        return val - l1 * norm1 / math.sqrt(s2)
+
+    return lp
 
 
 def scale_slice_log_density(data, prior, state, which):
@@ -541,46 +489,33 @@ def tau2_slice_log_density(prior, state):
         lambda z: -1.5 * np.log(z) - a * z - b / z, x)
 
 
-def da_beta_marginal_cdf(data, prior, state, nodes=321):
-    """CDF table for the first coefficient of the augmented conditional,
-    marginalized over the second by planar quadrature of the joint.
+def da_beta_marginal_cdf(data, prior, state):
+    """CDF table for the first coefficient of the augmented conditional.
 
-    Given the latents z the log joint is the quadratic -rss/(2 sigma2)
-    - sum_j b_j^2/(2 v_j), with v = sigma2/(lambda2 (1 + z)) (common) or
-    sigma2/(z + lambda2), restated apart from model.latent_precision.  The
-    Gaussian-solve center and spread fix node placement only; the mass
-    and both marginals' tails are certified by _planar_grid.
+    Given the latents z, beta is exactly normal with precision
+    X'X/sigma2 + diag(1/v), v = sigma2/(lambda2 (1 + z)) (common) or
+    sigma2/(z + lambda2), restated apart from model.latent_precision,
+    and mean the inverse of the precision times X'y/sigma2.  The first
+    coefficient is N(m, sd^2), sd^2 the inverse's [0, 0] entry.  The
+    table is auto_cdf's certified quadrature of that log density, so it
+    shares no normal-tail code with the kernels.
     """
-    if data.p != 2:
-        raise OracleError("the block-update oracle needs p = 2")
     s2, z, l2 = state.sigma2, state.tau2, state.lambda2
     v = s2 / (l2 * (1.0 + z) if prior.form == "common" else z + l2)
-    prec = data.xtx / s2 + np.diag(1.0 / v)
-    cov = np.linalg.inv(prec)
-    center = cov @ (data.xty / s2)
-    sds = np.sqrt(np.diag(cov))
-
-    def log_joint(b1, b2):
-        return -0.5 * (_pair_rss(data, b1, b2) / s2
-                       + b1 * b1 / v[0] + b2 * b2 / v[1])
-
-    def axis(j, n):
-        return np.linspace(center[j] - _SPAN * sds[j],
-                           center[j] + _SPAN * sds[j], n)
-
-    lm, ((xs, pdf), _) = _planar_grid(log_joint, axis, nodes)
-    cdf = _cum_trapz(pdf, xs)
-    return CdfTable(xs, cdf / cdf[-1], lm)
+    cov = np.linalg.inv(data.xtx / s2 + np.diag(1.0 / v))
+    m, var = (cov @ (data.xty / s2))[0], cov[0, 0]
+    sd = math.sqrt(var)
+    return auto_cdf(lambda x: -(x - m) ** 2 / (2.0 * var),
+                    (m - 20.0 * sd, m + 20.0 * sd))
 
 
-def beta_block_ks(data, prior, state, n, rng, nodes=321):
-    """The block update's first coefficient against the planar marginal
-    of the augmented conditional (da_beta_marginal_cdf)."""
+def beta_block_ks(data, prior, state, n, rng):
+    """The block update's first coefficient against its exact Gaussian
+    marginal under the augmented conditional (da_beta_marginal_cdf)."""
     return _ks_line(f"kernel-{prior.form}-da-beta-block", n, rng,
                     _refresh(update_beta_block, data, prior, state,
                              lambda st: st.beta[0]),
-                    lambda: da_beta_marginal_cdf(data, prior, state,
-                                                 nodes=nodes))
+                    lambda: da_beta_marginal_cdf(data, prior, state))
 
 
 # each form's scale blocks; a line's substream is its index here, so a
@@ -608,7 +543,7 @@ def slice_coordinate(form, which, state):
                              state.lambda2)[_COORD_INDEX[which]]
 
 
-def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
+def full_conditional_checks(n=10000, seed=0):
     """KS of every scale and latent kernel the four rejection sweeps
     use, each against quadrature of the matching joint-posterior slice.
     The scale blocks read beta alone, through its sums, in both
@@ -638,9 +573,8 @@ def full_conditional_checks(n=10000, seed=0, grid_nodes=321):
             _refresh(update_tau2, data, prior, state, lambda st: st.tau2[0]),
             lambda: auto_cdf(tau2_slice_log_density(prior, state),
                              (1e-10, 1e6))))
-        checks.append(beta_block_ks(
-            data, prior, state, n, root.substream(fi, 1, 8),
-            nodes=grid_nodes))
+        checks.append(beta_block_ks(data, prior, state, n,
+                                    root.substream(fi, 1, 8)))
     return checks
 
 
@@ -795,7 +729,6 @@ def run_validation_suite(seed=0, quick=False, beta_updater=None):
     n_sets = 25 if quick else 100
     n_beta = 2000 if quick else 5000
     n_kern = 2000 if quick else 10000
-    g_nodes = 161 if quick else 321
 
     checks = distribution_ks_checks(n_ks, RngStream(seed, 201))
     checks.extend(kept_hull_ks_checks(n_ks, seed))
@@ -810,6 +743,5 @@ def run_validation_suite(seed=0, quick=False, beta_updater=None):
     for form in ("common", "differential"):
         checks.append(beta_kernel_ks_check(
             n=n_beta, seed=seed, updater=beta_updater, form=form))
-    checks.extend(full_conditional_checks(
-        n=n_kern, seed=seed, grid_nodes=g_nodes))
+    checks.extend(full_conditional_checks(n=n_kern, seed=seed))
     return checks

@@ -298,33 +298,6 @@ def hull_log_value(env, x):
     return env.intercepts[i] + env.slopes[i] * x
 
 
-def axis_continuity_gap(log_unnorm, axis1, axis2, eps=1e-12, points=17):
-    """Largest relative gap of the density exp(log_unnorm) between the
-    two sides of a coordinate axis, at points on it inside the span of
-    axis1 (the axis b2 = 0) and of axis2 (b1 = 0).
-
-    The offset is tiny so the smooth part of the density moves by far
-    less than the tolerance; any remaining gap above ~eps*gradient is a
-    genuine discontinuity.
-    """
-    worst = 0.0
-    for xs, flip in ((axis1, False), (axis2, True)):
-        t = np.linspace(xs[2], xs[-3], points)
-        above, below = ((eps, t), (-eps, t)) if flip else ((t, eps), (t, -eps))
-        gap = np.abs(np.expm1(log_unnorm(*above) - log_unnorm(*below)))
-        worst = max(worst, float(gap.max()))
-    return worst
-
-
-def axis_slope_jump(log_unnorm, at, eps=1e-6):
-    """Drop in the cross-axis slope of a planar log density
-    log_unnorm(b1, b2) at (at, 0)."""
-    mid = log_unnorm(at, 0.0)
-    left = (mid - log_unnorm(at, -eps)) / eps
-    right = (log_unnorm(at, eps) - mid) / eps
-    return left - right
-
-
 def reference_scan_beta(data, prior, state, rng):
     """The direct coefficient scan over j = 0..p-1, each coordinate drawn
     by calling log_std_normal_cdf for its side weights and

@@ -1,4 +1,5 @@
-"""Quadrature tables, KS testing, planar grids, and the named checks."""
+"""Quadrature tables, KS testing, the posterior slices, and the named
+checks."""
 
 import copy
 import math
@@ -11,17 +12,16 @@ import pytest
 
 from bayenet import kernels, oracle
 from bayenet.appendix_a import appendix_a_demonstration
-from bayenet.model import (ModelState, RegressionData, coefficient_sums,
-                           latent_precision, log_posterior_unnorm,
-                           sample_beta_prior_da)
+from bayenet.model import (ModelState, coefficient_sums, latent_precision,
+                           log_posterior_unnorm, sample_beta_prior_da)
 from bayenet.oracle import (
     OracleError,
     QuadratureGrid,
     auto_cdf,
     beta_block_ks,
     beta_kernel_ks_check,
-    beta_pair_log_unnorm,
     broken_coordinate_update,
+    coefficient_slice_log_density,
     da_beta_marginal_cdf,
     kernel_check_setup,
     ks_test,
@@ -35,8 +35,7 @@ from bayenet.rng import RngStream
 from bayenet.simulate import write_csv
 from bayenet.tilted import TiltedParams, log_density as tilted_log_density
 
-from helpers import (axis_continuity_gap, axis_slope_jump,
-                     from_transformed, latent_t_coordinate, latent_t_slice,
+from helpers import (from_transformed, latent_t_coordinate, latent_t_slice,
                      log_posterior_transformed, log_prior_da)
 
 
@@ -164,106 +163,66 @@ def test_ks_null_and_alternatives():
         ks_test(gen.standard_normal(999), table)
 
 
+def _coefficient_slice(form="common", lambda1=1.7, lambda2=0.8,
+                       sigma2=1.2):
+    """(data, state, the first coefficient's slice) of the two-predictor
+    check problem at the given scales, the second coefficient frozen."""
+    data, prior, state = kernel_check_setup(form, "direct")
+    # set after construction: ModelState refuses lambda1 = 0
+    state.sigma2, state.lambda1, state.lambda2 = sigma2, lambda1, lambda2
+    return data, state, coefficient_slice_log_density(data, prior, state)
+
+
+def _slice_mean(lp):
+    xs = np.linspace(-25.0, 25.0, 200001)
+    logw = lp(xs)
+    w = np.exp(logw - logw.max())
+    return np.trapezoid(xs * w, xs) / np.trapezoid(w, xs)
+
+
 def test_beta_pair_log_unnorm_validation():
-    gen = RngStream(11, 0).gen
-    data3 = RegressionData(gen.standard_normal(9), gen.standard_normal((9, 3)))
-    with pytest.raises(ValueError, match="two predictors"):
-        beta_pair_log_unnorm(data3, 1.0, 1.0, 1.0, "common")
-    data2 = RegressionData(gen.standard_normal(9), gen.standard_normal((9, 2)))
-    with pytest.raises(ValueError, match="form"):
-        beta_pair_log_unnorm(data2, 1.0, 1.0, 1.0, "ridge")
+    data, prior, state = kernel_check_setup("common", "direct")
+    state.lambda1 = -0.5
     with pytest.raises(ValueError, match="positive"):
-        beta_pair_log_unnorm(data2, 1.0, -0.5, 1.0, "common")
-
-
-def _pair_data(seed=20210):
-    gen = RngStream(seed, 0).gen
-    X = gen.standard_normal((12, 2))
-    X[:, 1] = 0.6 * X[:, 0] + 0.8 * X[:, 1]
-    y = 1.4 * X[:, 0] - 0.8 * X[:, 1] + 0.9 * gen.standard_normal(12)
-    return RegressionData(y, X)
-
-
-def _lattice(data, sigma2, lambda2):
-    """axis(j, n): about n uniform nodes on coefficient j's axis of the
-    two-coefficient plane, centered on the ridge solution, stretched to
-    nine standard deviations per side and always straddling zero.  The
-    nodes are exact multiples of the step, so the density's kinks on the
-    coordinate axes lie on grid lines."""
-    prec = data.xtx + lambda2 * np.eye(2)
-    center = np.linalg.solve(prec, data.xty)
-    sds = np.sqrt(sigma2 * np.diag(np.linalg.inv(prec)))
-    lo = np.minimum(center - 9.0 * sds, -2.0 * sds)
-    hi = np.maximum(center + 9.0 * sds, 2.0 * sds)
-
-    def axis(j, n):
-        h = (hi[j] - lo[j]) / (n - 1)
-        return h * np.arange(-math.ceil(-lo[j] / h), math.ceil(hi[j] / h) + 1)
-
-    return axis
-
-
-def _planar_mean(marginals):
-    return np.array([np.trapezoid(x * p, x) for x, p in marginals])
+        coefficient_slice_log_density(data, prior, state)
 
 
 def test_grid2d_ridge_reduction():
-    data = _pair_data()
-    lu = beta_pair_log_unnorm(data, 1.2, 0.0, 2.3, "common")
-    _, marginals = oracle._planar_grid(lu, _lattice(data, 1.2, 2.3), 401)
-    ridge = np.linalg.solve(data.xtx + 2.3 * np.eye(2), data.xty)
-    assert np.abs(_planar_mean(marginals) - ridge).max() < 1e-6
-    x1, p1 = marginals[0]
-    assert np.trapezoid(p1, x1) == pytest.approx(1.0, abs=1e-9)
+    # at lambda1 = 0 the slice is the conditional ridge posterior, whose
+    # mean is (g1 - a12 b2) / (a11 + lambda2)
+    data, state, lp = _coefficient_slice(lambda1=0.0, lambda2=2.3)
+    ridge = ((data.xty[0] - data.xtx[0, 1] * state.beta[1])
+             / (data.xtx[0, 0] + 2.3))
+    assert _slice_mean(lp) == pytest.approx(ridge, abs=1e-6)
 
 
 def test_grid2d_axis_continuity_and_slope_jump():
-    data = _pair_data()
-    axis = _lattice(data, 1.2, 0.8)
+    # the density is continuous at 0, and the l1 kink drops its slope by
+    # lambda1/sigma2 (common) or 2 lambda1/sigma (differential)
     for form, jump in (("common", 1.7 / 1.2),
                        ("differential", 2.0 * 1.7 / math.sqrt(1.2))):
-        lu = beta_pair_log_unnorm(data, 1.2, 1.7, 0.8, form)
-        assert axis_continuity_gap(lu, axis(0, 401), axis(1, 401)) < 1e-8
-        assert axis_slope_jump(lu, at=0.9) == pytest.approx(jump, rel=1e-4)
+        _, _, lp = _coefficient_slice(form)
+        eps = 1e-12
+        assert abs(math.expm1(lp(eps) - lp(-eps))) < 1e-8
+        eps = 1e-6
+        left = (lp(0.0) - lp(-eps)) / eps
+        right = (lp(eps) - lp(0.0)) / eps
+        assert left - right == pytest.approx(jump, rel=1e-4)
 
 
 def test_grid2d_mode_moves_onto_axes_for_heavy_penalty():
-    data = _pair_data()
-    lam = 4.0 * float(np.abs(data.xty).max())
-    lu = beta_pair_log_unnorm(data, 1.2, lam, 0.8, "common")
-    axis = _lattice(data, 1.2, 0.8)
-    g1, g2 = axis(0, 401), axis(1, 401)
-    logw = lu(g1[:, None], g2[None, :])
-    i, j = np.unravel_index(int(np.argmax(logw)), logw.shape)
-    assert (g1[i], g2[j]) == pytest.approx((0.0, 0.0))
-    # and the certified grid refuses the same density, because the
-    # spike is far below the resolvable scale
-    with pytest.raises(OracleError, match="stabilize"):
-        oracle._planar_grid(lu, axis, 401)
+    data, _, state = kernel_check_setup("common", "direct")
+    pull = data.xty[0] - data.xtx[0, 1] * state.beta[1]
+    _, _, lp = _coefficient_slice(lambda1=4.0 * abs(pull))
+    # exact multiples of the step, so 0 is a node
+    xs = 0.01 * np.arange(-400, 401)
+    assert xs[int(np.argmax(lp(xs)))] == 0.0
 
 
 def test_grid2d_penalty_pulls_mean_toward_zero():
-    data = _pair_data()
-    axis = _lattice(data, 1.2, 0.8)
-    _, g0 = oracle._planar_grid(
-        beta_pair_log_unnorm(data, 1.2, 0.0, 0.8, "common"), axis, 401)
-    # the kinked density at lambda1 = 1.5 cannot pass the certificate at
-    # this resolution: one plane of the same lattice
-    _, g1 = oracle._plane(beta_pair_log_unnorm(data, 1.2, 1.5, 0.8, "common"),
-                          axis, 401)
-    assert np.abs(_planar_mean(g1)).sum() < np.abs(_planar_mean(g0)).sum()
-
-
-def test_planar_grid_refuses_a_plane_that_cuts_its_tails():
-    def std_normal(b1, b2):
-        return -0.5 * (b1 * b1 + b2 * b2)
-
-    with pytest.raises(OracleError, match="does not cover the tails"):
-        oracle._planar_grid(std_normal,
-                            lambda j, n: np.linspace(-3.0, 3.0, n), 401)
-    lm, _ = oracle._planar_grid(std_normal,
-                                lambda j, n: np.linspace(-9.0, 9.0, n), 401)
-    assert lm == pytest.approx(math.log(2.0 * math.pi), abs=1e-12)
+    _, _, free = _coefficient_slice(lambda1=0.0)
+    _, _, pulled = _coefficient_slice(lambda1=1.5)
+    assert abs(_slice_mean(pulled)) < abs(_slice_mean(free))
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])
@@ -419,6 +378,9 @@ def test_appendix_a_rejects_improper_target():
         appendix_a_demonstration(14, 0.9, 3.0, 1.0, 8)
     with pytest.raises(ValueError, match="positive"):
         appendix_a_demonstration(-1.0, 3.0, 1.0, 1.0, 8)
+    # a fractional coefficient count is refused by name, not truncated
+    with pytest.raises(ValueError, match=r"^p must be an integer, got 2\.5$"):
+        appendix_a_demonstration(14, 3.0, 1.0, 1.0, 2.5)
 
 
 @pytest.mark.parametrize("name", ["a", "b", "lambda1", "lambda2", "p"])
@@ -609,31 +571,18 @@ def test_target_must_return_one_value_per_node(target, quad_shape,
 
 def test_da_beta_marginal_is_the_gaussian_it_should_be():
     # given the latent scales the conditional is exactly Gaussian, so the
-    # certified planar marginal must hit its symmetric quantiles
+    # certified table must hit its quantiles, restated here through
+    # model.latent_precision
     for form in ("common", "differential"):
         data, prior, state = kernel_check_setup(form, "da")
-        table = da_beta_marginal_cdf(data, prior, state, nodes=241)
+        table = da_beta_marginal_cdf(data, prior, state)
         v = state.sigma2 / latent_precision(form, state.tau2, state.lambda2)
         prec = data.xtx / state.sigma2 + np.diag(1.0 / v)
         cov = np.linalg.inv(prec)
         center = cov @ (data.xty / state.sigma2)
         sd = math.sqrt(cov[0, 0])
         assert abs(table.interp(center[0]) - 0.5) < 1e-6
-        # trapezoid error at 241 nodes is a few 1e-4; a variance off by
-        # even 1 percent would move Phi(-1) by ~2.4e-3, so 1e-3 still
-        # discriminates
+        # an sd off by 1e-5 relative would move Phi(-1) by ~2.4e-6
         for z, phi in ((-1.0, 0.15865525393145707),
                        (2.0, 0.9772498680518208)):
-            assert abs(table.interp(center[0] + z * sd) - phi) < 1e-3
-
-
-def test_da_beta_marginal_needs_two_coefficients():
-    gen = RngStream(7, 0).gen
-    X = gen.standard_normal((15, 3))
-    y = X @ np.array([1.0, 0.0, -1.0]) + gen.standard_normal(15)
-    data = RegressionData(y, X)
-    _, prior, state = kernel_check_setup("common", "da")
-    state.beta = np.zeros(3)
-    state.tau2 = np.full(3, 0.5)
-    with pytest.raises(OracleError, match="p = 2"):
-        da_beta_marginal_cdf(data, prior, state)
+            assert abs(table.interp(center[0] + z * sd) - phi) < 1e-6
