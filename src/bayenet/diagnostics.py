@@ -46,7 +46,10 @@ class ChainOutput:
     # log-scale step of each Metropolis scale
     acceptance: dict = field(default_factory=dict)
     mh_steps: dict = field(default_factory=dict)
+    # wall and CPU (time.thread_time) milliseconds of the whole chain,
+    # burn-in included: measured, so they differ from run to run
     wall_ms: float = 0.0
+    cpu_ms: float = 0.0
 
     def column(self, name):
         try:

@@ -44,6 +44,11 @@ x at the mode folds into exp(-c x), which leaves a gamma(a, rate)
 envelope; the tangent in w bounds L from below, a squeeze that skips
 the hazard for most proposals.
 
+The inverse Gaussian draws a list of means in Python floats and an array
+in numpy, with the same operations in the same order and so the same
+bits: on the few means of a small p numpy's fixed cost per call
+outweighs its arithmetic (kernels.LATENT_FLOAT_MAX is the cut).
+
 Every sampler refuses a non-finite argument with a ValueError that names
 it, before it draws: a nan or an infinity would otherwise fail deep in
 a hull, loop in a rejection test, or come back as a draw.
@@ -143,6 +148,19 @@ def sample_truncated_normal(mean, var, side, rng):
     raise ValueError(f"unknown side {side!r}")
 
 
+# the other root's scalings outside [1e-150, 1e150]
+_UP, _DOWN = 2.0 ** 600, 2.0 ** -600
+
+
+def _refuse_inverse_gaussian(means, shape):
+    """Raise the ValueError that names a bad inverse-Gaussian argument:
+    the shape first, then the first mean that is not finite."""
+    require_finite(shape=shape)
+    for value in means:
+        require_finite(mean=value)
+    raise ValueError("mean and shape must be positive")
+
+
 def sample_inverse_gaussian(mean, shape, rng):
     """Inverse-Gaussian draws via the squared-normal transform, one per
     element of mean (a float for a single draw): all normals first, then
@@ -156,15 +174,21 @@ def sample_inverse_gaussian(mean, shape, rng):
     rounds to the Levy limit shape/y^2; at a mean past 1e150 or below
     1e-150 the other root mean^2/x is that of mean/s and shape/s, with
     s = 2^600 or 2^-600, times s, which rounds alike.
+
+    A list of means is drawn in Python floats (_inverse_gaussian_floats)
+    and comes back as an array: the same two gen calls and the same
+    operations, in the same order, so every draw has the same bits as
+    from an array of those means.  On a few means numpy's fixed cost per
+    call outweighs its arithmetic; kernels.update_tau2 passes a list up
+    to its size cut, LATENT_FLOAT_MAX.
     """
+    if type(mean) is list:
+        return _inverse_gaussian_floats(mean, shape, rng)
     mean = np.asarray(mean, dtype=float)
     bottom, top = float(mean.min()), float(mean.max())
     # a nan mean fails both comparisons
     if not (0.0 < shape < _INF and 0.0 < bottom and top < _INF):
-        require_finite(shape=shape)
-        for value in mean.flat:
-            require_finite(mean=value)
-        raise ValueError("mean and shape must be positive")
+        _refuse_inverse_gaussian(mean.flat, shape)
     # in place, in two buffers: w holds y^2, then mean y^2 / (2 shape),
     # then the root x; t holds sqrt(w (w + 2)), then the acceptance
     # bound, then the draws.  Both are arrays, 0-d for a float mean.
@@ -198,14 +222,49 @@ def sample_inverse_gaussian(mean, shape, rng):
     else:
         # the scaled problem's other root: mean^2 over- or underflows here;
         # where x is kept it is not needed and may overflow
-        scale = np.select([mean > 1e150, mean < 1e-150],
-                          [2.0 ** 600, 2.0 ** -600], 1.0)
+        scale = np.select([mean > 1e150, mean < 1e-150], [_UP, _DOWN], 1.0)
         with np.errstate(over="ignore", divide="ignore"):
             t[...] = (mean / scale) ** 2 / (w / scale) * scale
     np.copyto(t, w, where=keep)
     if far:
         np.seterr(**errors)
     return t if t.ndim else float(t)
+
+
+def _inverse_gaussian_floats(means, shape, rng):
+    """sample_inverse_gaussian's array body over a list of floats, element
+    by element, bit for bit.  The Levy limit replaces x wherever
+    sqrt(w (w + 2)) overflows, which the array body tests only once
+    mean/shape passes 1e147, below which it cannot overflow; the other
+    root is formed only where x is rejected, so no overflow or division
+    by a zero x is ever computed."""
+    if not 0.0 < shape < _INF:
+        _refuse_inverse_gaussian(means, shape)
+    for m in means:
+        # a nan mean fails both comparisons
+        if not 0.0 < m < _INF:
+            _refuse_inverse_gaussian(means, shape)
+    n = len(means)
+    ys = rng.gen.standard_normal(n).tolist()
+    us = rng.gen.random(n).tolist()
+    two_shape, sqrt = 2.0 * shape, math.sqrt
+    draws = []
+    for m, y, u in zip(means, ys, us):
+        y2 = y * y
+        w = y2 * m / two_shape
+        t = sqrt((w + 2.0) * w)
+        x = m / ((w + 1.0) + t)
+        if t == _INF:
+            x = shape / y2
+        if u <= m / (m + x):
+            draws.append(x)
+        elif 1e-150 <= m <= 1e150:
+            draws.append(m * m / x)
+        else:
+            s = _UP if m > 1e150 else _DOWN
+            ms = m / s
+            draws.append(ms * ms / (x / s) * s)
+    return np.array(draws)
 
 
 class GigHull(PiecewiseExpEnvelope):

@@ -42,8 +42,12 @@ erfc branches and the truncated normal's a <= 0.5 regime (the far tail
 and Robert's regime still call special and distributions), and takes
 its scalar draws from the stream's buffered blocks (rng.RngStream); the
 augmented representation draws beta with one solve with the precision
-and no factor of it, and all p latents with one vectorized
-inverse-Gaussian call, whose draws the state keeps as they are.
+and no factor of it, and all p latents with one inverse-Gaussian call,
+whose draws the state keeps as they are.  That call's arithmetic runs in
+Python floats up to p = LATENT_FLOAT_MAX, where numpy's fixed cost per
+call outweighs its work, and in numpy above it, with the same draws bit
+for bit.  A Metropolis sweep draws its three step normals and three
+acceptance uniforms with one generator call each.
 
 Update order: run_sweep, one body for all eight samplers, draws beta
 by the representation's block, reduces it once to a
@@ -88,7 +92,6 @@ from .model import (
     latent_precision,
     log_posterior_unnorm,
 )
-from .rng import log_uniform
 from .special import _SQRT2, _TAIL_CUT, log_std_normal_cdf
 from .tilted import TiltedParams, sample_tilted, tangent_hull
 
@@ -239,14 +242,27 @@ def update_beta_block(data, prior, state, rng):
         prec, data.xty + math.sqrt(state.sigma2) * noise)
 
 
+# At or below this p, update_tau2 forms the inverse-Gaussian means in
+# Python floats and passes them as a list, which sample_inverse_gaussian
+# draws in floats, bit for bit as from an array.  update_tau2's us per
+# call in numpy against floats (best of 21 timeit runs, 2-core Xeon,
+# Python 3.11, numpy 2.4): 17.3 / 7.9 at p = 8, 18.5 / 12.9 at 16,
+# 19.7 / 16.7 at 24, 20.3 / 21.2 at 32, 22.9 / 24.4 at 40.
+LATENT_FLOAT_MAX = 16
+
+
 def update_tau2(data, prior, state, rng):
-    """Exact update of the latents: one vectorized inverse-Gaussian draw
-    of all p of them, stored in state.tau2 as drawn (model's z).
+    """Exact update of the latents: one inverse-Gaussian call for all p
+    of them, stored in state.tau2 as drawn (model's z).  At p up to
+    LATENT_FLOAT_MAX the means are a list of floats and the draw runs in
+    floats, above it in numpy; the draws are the same bits either way.
 
     |beta_j| is clamped below at 1e-12 sigma so the inverse-Gaussian mean
-    stays finite when a coefficient collapses onto zero.  A shape that
-    underflows to 0, as lambda1 near 1e-200 under a prior with L << 1
-    makes it, is refused with a ValueError naming lambda1 and L.
+    stays finite when a coefficient collapses onto zero; a nan |beta_j|
+    stays nan, as through np.maximum, and the draw refuses it by name.
+    A shape that underflows to 0, as lambda1 near 1e-200 under a prior
+    with L << 1 makes it, is refused with a ValueError naming lambda1
+    and L.
     """
     lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     sigma = math.sqrt(s2)
@@ -260,9 +276,16 @@ def update_tau2(data, prior, state, rng):
             f"lambda1 = {lam1:.3g} is too small for the latent scales' "
             "draw: their inverse-Gaussian shape underflows to 0 (the "
             f"prior's L = {prior.L:g} puts lambda1's mass near 0)")
-    mag = np.abs(state.beta)
-    np.maximum(mag, 1e-12 * sigma, out=mag)
-    state.tau2 = sample_inverse_gaussian(numer / mag, shape, rng)
+    floor = 1e-12 * sigma
+    if data.p <= LATENT_FLOAT_MAX:
+        # b < floor is False for a nan b, which stays
+        mean = [numer / (floor if b < floor else b)
+                for b in map(abs, state.beta.tolist())]
+    else:
+        mag = np.abs(state.beta)
+        np.maximum(mag, floor, out=mag)
+        mean = numer / mag
+    state.tau2 = sample_inverse_gaussian(mean, shape, rng)
 
 
 def _u1_order(data, prior):
@@ -366,17 +389,26 @@ def mh_update_scales(data, prior, state, sums, steps, rng, counts):
     steps holds each one's log-scale step, in MH_SCALES order.
 
     sums must equal coefficient_sums(data, state); each of the
-    four log posteriors is then O(1) scalar arithmetic.
+    four log posteriors is then O(1) scalar arithmetic.  The sweep's
+    three step normals and three acceptance uniforms come from one
+    gen.standard_normal(3) and one gen.random(3) call, in that order; a
+    uniform of exactly 0 is redrawn with gen.random() when its scale's
+    turn comes.
     """
+    gen = rng.gen
+    normals = gen.standard_normal(len(MH_SCALES)).tolist()
+    uniforms = gen.random(len(MH_SCALES)).tolist()
     cur_lp = log_posterior_unnorm(data, prior, state, sums)
-    for name, step in zip(MH_SCALES, steps):
+    for name, step, z, u in zip(MH_SCALES, steps, normals, uniforms):
         cur = getattr(state, name)
-        prop = cur * math.exp(step * rng.gen.standard_normal())
+        prop = cur * math.exp(step * z)
         setattr(state, name, prop)
         trial_lp = log_posterior_unnorm(data, prior, state, sums)
         counts[name][1] += 1
-        if log_uniform(rng) < (trial_lp - cur_lp
-                               + math.log(prop) - math.log(cur)):
+        while u <= 0.0:
+            u = gen.random()
+        if math.log(u) < (trial_lp - cur_lp
+                          + math.log(prop) - math.log(cur)):
             cur_lp = trial_lp
             counts[name][0] += 1
         else:
@@ -451,7 +483,8 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     steps burn-in ends with, and only they count towards the acceptance.
     The tuning draws no random numbers.  The kept hulls of theta's and
     u1's draws are the chain's own (theta_hull, u1_hull), made here and
-    dropped with the chain.
+    dropped with the chain.  wall_ms and cpu_ms time the whole chain,
+    burn-in included; cpu_ms is the calling thread's CPU time.
 
     Stored columns: beta_1..beta_p, sigma2, lambda1, lambda2, plus the
     derived penalty columns from the diagnostics module.
@@ -466,7 +499,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     kept = np.empty((iters, p + 3))
     # one row write per kept draw: the scales go in once, at the end
     scales = []
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.thread_time()
     for t in range(burnin):
         counts = new_counts(algorithm)
         run_sweep(algorithm, data, prior, state, rng, counts, steps, hulls)
@@ -483,6 +516,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
             scales.append((state.sigma2, state.lambda1, state.lambda2))
     kept[:, p:] = scales
     wall_ms = 1e3 * (time.perf_counter() - t0)
+    cpu_ms = 1e3 * (time.thread_time() - cpu0)
     names = ([f"beta_{j + 1}" for j in range(p)]
              + ["sigma2", "lambda1", "lambda2"] + list(DERIVED_NAMES))
     derived = derived_penalty_columns(kept[:, p + 1], kept[:, p + 2])
@@ -495,4 +529,5 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
         acceptance={name: tuple(v) for name, v in counts.items()},
         mh_steps=dict(zip(counts, steps)),
         wall_ms=wall_ms,
+        cpu_ms=cpu_ms,
     )

@@ -11,9 +11,12 @@ coefficient scan and the truncated normal it calls) draw through the
 buffered uniform(), normal() and exponential(): each serves, in order,
 the values of one vectorized gen call of BLOCK variates.  Draws stay
 exact; only which generator output feeds which proposal changes.  The
-O(1)-per-sweep sites (hull proposals, log_uniform, the mhn ratio of
-uniforms, the Metropolis steps) still call gen, so their streams move
-only once, when the samplers behind them are rewritten.
+Metropolis sweep (kernels.mh_update_scales) draws its three step normals
+and three acceptance uniforms as one block each, with one gen call per
+block.  The other O(1)-per-sweep sites (hull proposals, the envelope
+loops' log_uniform, the mhn ratio of uniforms) still call gen per draw,
+so their streams move only once, when the samplers behind them are
+rewritten.
 
 A stream's uniforms, normals and exponentials lists hold what is left
 of each block, reversed, so pop() serves it in order.  A hot loop may

@@ -7,7 +7,8 @@ uniform correlation and large noise (3), and a blockwise nearly
 collinear design (4).  The grid driver runs one sampler on one prior
 preset over design x replicate cells, summarizes each chain, and
 reports each rejection sweep's percent improvement in effective sample
-size over its Metropolis twin on the identical dataset.
+size over its Metropolis twin on the identical dataset and, on request,
+its effective samples per CPU second beside the twin's.
 """
 
 import csv
@@ -23,7 +24,7 @@ from .rng import RngStream
 
 RESULT_COLUMNS = ("design", "sampler", "prior", "replicate", "parameter",
                   "ess", "pct_improvement", "acceptance_rate", "mh_step",
-                  "wall_ms")
+                  "wall_ms", "ess_per_cpu_s", "ess_per_cpu_s_ratio")
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,7 @@ class CellResult:
     # diagnostics.summarize's row per parameter
     summary: list = None
     wall_ms: float = 0.0
+    cpu_ms: float = 0.0
     error: str = None
 
 
@@ -204,7 +206,8 @@ def run_cell(design_id, kind_label, prior_name, replicate,
         out = run_chain(algorithm, data, prior, rng, iters=iters,
                         burnin=burnin)
         return CellResult(design_id, kind_label, prior_name, replicate,
-                          summary=summarize(out), wall_ms=out.wall_ms)
+                          summary=summarize(out), wall_ms=out.wall_ms,
+                          cpu_ms=out.cpu_ms)
     except Exception as exc:
         return CellResult(design_id, kind_label, prior_name, replicate,
                           error=f"{type(exc).__name__}: {exc}")
@@ -215,7 +218,8 @@ def _run_cell_args(args):
 
 
 def run_experiment(design_ids, sampler, prior_name, replicates,
-                   iters=10000, burnin=100, seed=0, workers=None):
+                   iters=10000, burnin=100, seed=0, workers=None,
+                   cpu_rates=False):
     """Run one sampler on one prior preset over designs x replicates;
     returns (result rows, failed cells).  An unknown label raises.
 
@@ -223,6 +227,13 @@ def run_experiment(design_ids, sampler, prior_name, replicates,
     form and representation.  A rejection row's pct_improvement is
     measured against the twin on the same design and replicate (hence
     the same dataset); it is None for an "mh" row or a failed twin.
+
+    With cpu_rates, a row's ess_per_cpu_s is its ESS over the chain's
+    CPU seconds (burn-in included), and a rejection row's
+    ess_per_cpu_s_ratio is that over its twin's (None for an "mh" row
+    or a failed twin).  Both are measured, as wall_ms is; without
+    cpu_rates they are None, and every column but wall_ms is the same
+    from run to run.
     """
     algorithm, form, representation = parse_sampler(sampler)
     labels = [sampler_label(algorithm, form, representation)]
@@ -245,18 +256,24 @@ def run_experiment(design_ids, sampler, prior_name, replicates,
 
     failures = [c for c in cells if c.error is not None]
     good = [c for c in cells if c.error is None]
-    twin_ess = {(c.design_id, c.replicate):
-                {row["parameter"]: row["ess"] for row in c.summary}
-                for c in good if c.sampler == twin}
+    twins = {(c.design_id, c.replicate): c for c in good if c.sampler == twin}
 
     rows = []
     for c in good:
-        base = None if c.sampler == twin else twin_ess.get(
+        base = None if c.sampler == twin else twins.get(
             (c.design_id, c.replicate))
+        base_ess = (None if base is None else
+                    {row["parameter"]: row["ess"] for row in base.summary})
         for row in c.summary:
-            pct = None
+            pct = rate = ratio = None
             if base is not None:
-                pct = percent_improvement(row["ess"], base[row["parameter"]])
+                pct = percent_improvement(row["ess"],
+                                          base_ess[row["parameter"]])
+            if cpu_rates:
+                rate = row["ess"] / (1e-3 * c.cpu_ms)
+                if base is not None:
+                    ratio = rate / (base_ess[row["parameter"]]
+                                    / (1e-3 * base.cpu_ms))
             rows.append({
                 "design": c.design_id,
                 "sampler": c.sampler,
@@ -268,5 +285,7 @@ def run_experiment(design_ids, sampler, prior_name, replicates,
                 "acceptance_rate": row["acceptance_rate"],
                 "mh_step": row["mh_step"],
                 "wall_ms": c.wall_ms,
+                "ess_per_cpu_s": rate,
+                "ess_per_cpu_s_ratio": ratio,
             })
     return rows, failures

@@ -276,6 +276,42 @@ def test_simulate_row_accounting(tmp_path):
             assert r["pct_improvement"] == ""
 
 
+def test_simulate_writes_positive_cpu_rates(tmp_path):
+    # the measured columns: present, positive, and empty on an mh row
+    out = tmp_path / "grid"
+    assert main(["simulate", "--sim", "1", "--sampler", "rs-common-direct",
+                 "--replicates", "1", "--iters", "100", "--burnin", "0",
+                 "--out", str(out)]) == 0
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for r in rows:
+        assert float(r["ess_per_cpu_s"]) > 0.0
+        if r["sampler"].startswith("rs"):
+            assert float(r["ess_per_cpu_s_ratio"]) > 0.0
+        else:
+            assert r["ess_per_cpu_s_ratio"] == ""
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    try:
+        # each refusal comes after a full parse
+        for _ in range(3):
+            assert main(["fit", "--iters", "100"]) == 1
+        assert main(["validate", "--seed", "-1"]) == 1
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 # Runs argv through cli.main and prints, on its last line, every module
 # the interpreter then holds.
 _RUN_AND_LIST_MODULES = """

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bayenet import distributions, oracle
+from bayenet import distributions, kernels, oracle
 from bayenet.distributions import (
     GigHull,
     _hazard_term,
@@ -252,6 +252,51 @@ def test_inverse_gaussian_other_root_scales_exactly(scale, means, shape):
     tame = sample_inverse_gaussian(np.array([0.5, 1.0, 3.0, 1.0]), 2.0,
                                    RngStream(102, 8))
     assert mixed[[0, 2]].tobytes() == tame[[0, 2]].tobytes()
+
+
+_FLOAT_CUT = kernels.LATENT_FLOAT_MAX
+
+
+@pytest.mark.parametrize("size", [_FLOAT_CUT, _FLOAT_CUT + 1])
+@pytest.mark.parametrize("means, shape", [
+    ([0.5, 1e-200, 3e-170, 2.0, 1e-151], 1.0),
+    ([7.679754087604107e158, 1e155, 3e158, 5e157, 1.0], 1.2131161818920183e158),
+    ([1e200, 1e160, 2.0, 1e-200, 1e300], 1.0),
+    ([1e300, 1e305, 1e150, 1e-10], 1e-10),
+], ids=["tiny", "huge", "far", "levy"])
+def test_inverse_gaussian_float_draws_are_the_array_draws(size, means,
+                                                          shape):
+    # a list of means is drawn in Python floats: the same gen calls and
+    # the same bits as an array of them, at means 1e-200 and 1e200, in
+    # both extreme branches (the other root scaled by 2^600 or 2^-600,
+    # and the Levy limit where mean/shape passes 1e147), at the size
+    # cut of update_tau2's float path and one past it, with no warning
+    means = [means[k % len(means)] for k in range(size)]
+    as_floats, as_array = RngStream(102, 11), RngStream(102, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(100):
+            got = sample_inverse_gaussian(means, shape, as_floats)
+            want = sample_inverse_gaussian(np.array(means), shape, as_array)
+            assert type(got) is np.ndarray
+            assert got.tobytes() == want.tobytes()
+    assert (as_floats.gen.bit_generator.state
+            == as_array.gen.bit_generator.state)
+
+
+def test_inverse_gaussian_float_draws_refuse_by_name():
+    # a nan mean is refused before any draw, as from an array: a float
+    # min or max would step over it
+    for means in ([1.0, math.nan], [math.nan, 1.0], [1.0, math.inf]):
+        rng = RngStream(102, 12)
+        before = rng.gen.bit_generator.state
+        with pytest.raises(ValueError, match="mean must be finite"):
+            sample_inverse_gaussian(means, 1.0, rng)
+        assert rng.gen.bit_generator.state == before
+    with pytest.raises(ValueError, match="shape must be finite"):
+        sample_inverse_gaussian([1.0, 2.0], math.nan, RngStream(102, 12))
+    with pytest.raises(ValueError, match="must be positive"):
+        sample_inverse_gaussian([1.0, -2.0], 1.0, RngStream(102, 12))
 
 
 def _gig_logpdf(lam, psi, chi):

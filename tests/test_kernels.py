@@ -47,7 +47,7 @@ from bayenet.model import (
     make_prior,
 )
 from bayenet.oracle import sweep_coordinates
-from bayenet.rng import BLOCK, RngStream, log_uniform
+from bayenet.rng import BLOCK, RngStream
 from bayenet.simulate import data_stream, design, generate_dataset
 from bayenet.special import log_std_normal_cdf
 
@@ -569,6 +569,65 @@ def test_latent_update_stores_the_inverse_gaussian_draw(form):
         assert state.tau2.tobytes() == want.tobytes()
 
 
+def _latent_state(form, p, beta):
+    """A design-like dataset of p columns and an augmented state at beta."""
+    gen = RngStream(509, p).gen
+    X = gen.standard_normal((p + 6, p))
+    data = RegressionData(X[:, 0] + gen.standard_normal(p + 6), X)
+    prior = make_prior(form, "da", preset="weak")
+    state = initial_state(data, prior)
+    state.beta = np.array(beta, dtype=float)
+    return data, prior, state
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+@pytest.mark.parametrize("p", [kernels.LATENT_FLOAT_MAX,
+                               kernels.LATENT_FLOAT_MAX + 1])
+def test_latent_update_is_the_array_draw_either_side_of_the_float_cut(
+        form, p, monkeypatch):
+    # up to LATENT_FLOAT_MAX the means are formed in floats and drawn as
+    # a list, past it as an array; the clamp of |beta_j| at 1e-12 sigma
+    # and every draw keep their bits, at coefficients of 0, below the
+    # clamp, and of every size
+    beta = RngStream(509, 0).gen.standard_normal(p) * np.logspace(-6, 6, p)
+    beta[:3] = 0.0, -1e-300, 1e-13
+    data, prior, state = _latent_state(form, p, beta)
+    seen = []
+    monkeypatch.setattr(kernels, "sample_inverse_gaussian",
+                        lambda mean, *args: (seen.append(type(mean)),
+                                             sample_inverse_gaussian(
+                                                 mean, *args))[1])
+    rng = RngStream(509, 1)
+    for _ in range(20):
+        l1, l2, s2 = state.lambda1, state.lambda2, state.sigma2
+        if form == "common":
+            numer, shape = l1 / (2.0 * l2), l1 * l1 / (4.0 * l2 * s2)
+        else:
+            numer, shape = math.sqrt(s2) * l1, l1 * l1
+        mag = np.maximum(np.abs(state.beta), 1e-12 * math.sqrt(s2))
+        want = sample_inverse_gaussian(numer / mag, shape,
+                                       copy.deepcopy(rng))
+        update_tau2(data, prior, state, rng)
+        assert state.tau2.tobytes() == want.tobytes()
+        state.lambda1 *= 1.7
+        state.sigma2 *= 0.6
+    assert seen == [list if p <= kernels.LATENT_FLOAT_MAX
+                    else np.ndarray] * 20
+
+
+@pytest.mark.parametrize("p", [kernels.LATENT_FLOAT_MAX,
+                               kernels.LATENT_FLOAT_MAX + 1])
+def test_latent_update_refuses_a_nan_coefficient_by_name(p):
+    # a float clamp max(b, floor) or "b if b > floor" would turn a nan
+    # |beta_j| into the floor and draw from it
+    for j in (0, p - 1):
+        beta = np.ones(p)
+        beta[j] = math.nan
+        data, prior, state = _latent_state("differential", p, beta)
+        with pytest.raises(ValueError, match="mean must be finite, got nan"):
+            update_tau2(data, prior, state, RngStream(509, 2))
+
+
 # the scale blocks of a sweep, in order, by algorithm and form
 SCALE_BLOCKS = {
     ("rs", "common"): ("update_u1_common", "update_u2_common",
@@ -900,18 +959,24 @@ def test_metropolis_scan_targets_same_posterior():
 
 def _mh_scales_reference(data, prior, state, steps, rng, counts):
     """mh_update_scales with the full log posterior, beta reduced
-    afresh, at every evaluation, at the same log-scale steps."""
+    afresh, at every evaluation, at the same log-scale steps, and the
+    same draws: three step normals, then three uniforms, per call."""
+    normals = rng.gen.standard_normal(3)
+    uniforms = rng.gen.random(3)
     cur_lp = log_posterior_unnorm(data, prior, state,
                                   coefficient_sums(data, state))
-    for name, step in zip(("sigma2", "lambda1", "lambda2"), steps):
+    for name, step, z, u in zip(("sigma2", "lambda1", "lambda2"), steps,
+                                normals, uniforms):
         cur = getattr(state, name)
-        prop = cur * math.exp(step * rng.gen.standard_normal())
+        prop = cur * math.exp(step * z)
         trial = replace(state, **{name: prop})
         trial_lp = log_posterior_unnorm(data, prior, trial,
                                         coefficient_sums(data, trial))
         counts[name][1] += 1
-        if log_uniform(rng) < (trial_lp - cur_lp
-                               + math.log(prop) - math.log(cur)):
+        while u <= 0.0:
+            u = rng.gen.random()
+        if math.log(u) < (trial_lp - cur_lp
+                          + math.log(prop) - math.log(cur)):
             setattr(state, name, prop)
             cur_lp = trial_lp
             counts[name][0] += 1
@@ -941,6 +1006,62 @@ def test_mh_scale_block_matches_full_posterior_reference(form, rep):
         for name in MH_SCALES:
             accepted, proposed = counts_fast[name]
             assert 0 < accepted < proposed == 200, (steps, name)
+
+
+def test_metropolis_block_draws_one_normal_and_one_uniform_block():
+    # each call draws gen.standard_normal(3) and then gen.random(3), and
+    # nothing from the stream's buffered blocks
+    data, prior, state = frozen("differential", "direct")
+    sums = coefficient_sums(data, state)
+    rng, twin = RngStream(92, 0), RngStream(92, 0)
+    for _ in range(50):
+        mh_update_scales(data, prior, state, sums, (0.8, 1.5, 0.6), rng,
+                         kernels.new_counts("mh"))
+        twin.gen.standard_normal(3)
+        twin.gen.random(3)
+    assert rng.gen.bit_generator.state == twin.gen.bit_generator.state
+    assert rng.uniforms == rng.normals == rng.exponentials == []
+
+
+class _ZeroUniform:
+    """A generator whose first block of uniforms starts with an exact 0,
+    recording each call's size."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def standard_normal(self, size=None):
+        self.calls.append(("standard_normal", size))
+        return self.gen.standard_normal(size)
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        u = self.gen.random(size)
+        if size == 3 and self.calls.count(("random", 3)) == 1:
+            u[0] = 0.0
+        return u
+
+
+@pytest.mark.parametrize("form", ["common", "differential"])
+def test_metropolis_block_redraws_an_exact_zero_uniform(form):
+    # log 0 would raise: sigma2's uniform is redrawn with one scalar
+    # gen.random(), and the block decides as the reference does on the
+    # same draws
+    data, prior, state = frozen(form, "direct")
+    fast, ref = clone(state), clone(state)
+    rng_fast, rng_ref = RngStream(93, 0), RngStream(93, 0)
+    rng_fast.gen = _ZeroUniform(rng_fast.gen)
+    rng_ref.gen = _ZeroUniform(rng_ref.gen)
+    counts_fast, counts_ref = (kernels.new_counts("mh"),
+                               kernels.new_counts("mh"))
+    mh_update_scales(data, prior, fast, coefficient_sums(data, fast),
+                     (1.0,) * 3, rng_fast, counts_fast)
+    _mh_scales_reference(data, prior, ref, (1.0,) * 3, rng_ref, counts_ref)
+    assert rng_fast.gen.calls == [("standard_normal", 3), ("random", 3),
+                                  ("random", None)]
+    assert counts_fast == counts_ref
+    assert ((fast.sigma2, fast.lambda1, fast.lambda2)
+            == (ref.sigma2, ref.lambda1, ref.lambda2))
 
 
 _SCALE_BLOCKS = {

@@ -377,3 +377,31 @@ def test_results_csv_format(tmp_path):
     assert float(first["ess"]) == match["ess"]
     mh_line = [ln for ln in lines[1:] if ",mh-common-direct," in ln][0]
     assert mh_line.split(",")[RESULT_COLUMNS.index("pct_improvement")] == ""
+
+
+def test_cpu_rates_are_measured_on_request():
+    # ess_per_cpu_s is a row's ESS over its chain's CPU seconds, and an
+    # rs row's ess_per_cpu_s_ratio that over its twin's; both are
+    # measured, so only their presence and sign are pinned, and every
+    # other column but wall_ms is the run without them
+    grid = ([1], "rs-differential-direct", "weak", 1)
+    rows, _ = run_experiment(*grid, iters=150, burnin=10, seed=9,
+                             cpu_rates=True)
+    plain, _ = run_experiment(*grid, iters=150, burnin=10, seed=9)
+    measured = ("wall_ms", "ess_per_cpu_s", "ess_per_cpu_s_ratio")
+    strip = lambda rows: [{k: v for k, v in r.items() if k not in measured}
+                          for r in rows]
+    assert rows and strip(rows) == strip(plain)
+    assert all(r["ess_per_cpu_s"] is r["ess_per_cpu_s_ratio"] is None
+               for r in plain)
+    for r in rows:
+        assert r["ess_per_cpu_s"] > 0.0
+        if r["sampler"].startswith("rs"):
+            assert r["ess_per_cpu_s_ratio"] > 0.0
+        else:
+            assert r["ess_per_cpu_s_ratio"] is None
+    y, X = generate_dataset(design(1), data_stream(9, 1, 0))
+    chain = run_chain("rs", RegressionData(y, X),
+                      make_prior("common", "da", preset="weak"),
+                      RngStream(9, 1), iters=100, burnin=0)
+    assert chain.cpu_ms > 0.0 and chain.wall_ms > 0.0
