@@ -22,7 +22,6 @@ Exit codes: 0 success, 1 user error (bad flags, files, parameters),
 """
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -338,7 +337,7 @@ def cmd_simulate(cfg):
     rows, failures = run_experiment(
         cfg.sim, cfg.sampler, cfg.prior, cfg.replicates,
         iters=cfg.iters, burnin=cfg.burnin, seed=cfg.seed,
-        workers=cfg.workers, cpu_rates=True)
+        workers=cfg.workers)
     _ensure_out_dir(cfg)
     results_path = os.path.join(cfg.out, "results.csv")
     write_csv(results_path, RESULT_COLUMNS,
@@ -425,17 +424,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """build_parser's parser, built on the first call of main and reused:
-    parse_args keeps no state between calls, and building it costs about
-    a millisecond."""
-    return build_parser()
-
-
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = assemble_config(args)
         validate_config(cfg)
         return _DISPATCH[cfg.subcommand](cfg)

@@ -37,9 +37,8 @@ log_posterior_unnorm is one flat body, the Metropolis sweeps' inner
 loop: it takes one logarithm of each scale and forms the coefficient
 prior's normalizer from log sigma2 - log lambda2, which stays finite
 where the quotient sigma2/lambda2 underflows.  Its constants are
-computed once: the likelihood's (1/2) log n and power -(n - 1)/2 per
-dataset (RegressionData.half_log_n, lik_power), and per prior the
-form test (PriorSpec.common) and the hyperpriors' summed log
+computed once: the likelihood's (1/2) log n per dataset
+(RegressionData.half_log_n), and per prior the hyperpriors' summed log
 normalizers and coefficients L - 1, nu1/2, R - 1, nu2/2, nu_a/2 + 1 and
 nu_b/2 (PriorSpec.hyper_terms).
 """
@@ -128,10 +127,8 @@ class RegressionData:
         # floats and row views for the coordinate scan's scalar arithmetic
         self.col_sq_norms = self.xtx.diagonal().tolist()
         self.xtx_rows = list(self.xtx)
-        # the likelihood's constant n^(-1/2) and its power -(n - 1)/2 of
-        # 2 pi sigma2, once per dataset
+        # the likelihood's constant n^(-1/2), once per dataset
         self.half_log_n = 0.5 * math.log(self.n)
-        self.lik_power = -0.5 * (self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,6 @@ class PriorSpec:
         object.__setattr__(self, "hyper_terms", (
             log_norm, self.L - 1.0, 0.5 * self.nu1, self.R - 1.0,
             0.5 * self.nu2, a + 1.0, b))
-        object.__setattr__(self, "common", self.form == "common")
 
 
 def make_prior(form, representation, preset=None, **params):
@@ -267,7 +263,7 @@ def log_posterior_unnorm(data, prior, state, sums):
     log_s2, log_l2 = math.log(sigma2), math.log(lambda2)
     sigma = math.sqrt(sigma2)
     p, bb, b1 = sums.p, sums.bb, sums.b1
-    if prior.common:
+    if prior.form == "common":
         r = lambda1 / (2.0 * sigma * math.sqrt(lambda2))
         penalty = -(lambda2 * bb + lambda1 * b1) / (2.0 * sigma2)
     else:
@@ -275,7 +271,7 @@ def log_posterior_unnorm(data, prior, state, sums):
         penalty = -lambda2 * bb / (2.0 * sigma2) - lambda1 * b1 / sigma
     log_norm, l1_power, l1_rate, l2_power, l2_rate, s2_power, s2_rate = (
         prior.hyper_terms)
-    return (data.lik_power * (_LOG_2PI + log_s2) - data.half_log_n
+    return (-0.5 * (data.n - 1) * (_LOG_2PI + log_s2) - data.half_log_n
             - 0.5 * sums.rss / sigma2
             - p * (_LOG_2_SQRT_2PI + 0.5 * (log_s2 - log_l2 + r * r)
                    + log_std_normal_cdf(-r))

@@ -7,8 +7,8 @@ uniform correlation and large noise (3), and a blockwise nearly
 collinear design (4).  The grid driver runs one sampler on one prior
 preset over design x replicate cells, summarizes each chain, and
 reports each rejection sweep's percent improvement in effective sample
-size over its Metropolis twin on the identical dataset and, on request,
-its effective samples per CPU second beside the twin's.
+size over its Metropolis twin on the identical dataset and its
+effective samples per CPU second beside the twin's.
 """
 
 import csv
@@ -218,8 +218,7 @@ def _run_cell_args(args):
 
 
 def run_experiment(design_ids, sampler, prior_name, replicates,
-                   iters=10000, burnin=100, seed=0, workers=None,
-                   cpu_rates=False):
+                   iters=10000, burnin=100, seed=0, workers=None):
     """Run one sampler on one prior preset over designs x replicates;
     returns (result rows, failed cells).  An unknown label raises.
 
@@ -228,12 +227,11 @@ def run_experiment(design_ids, sampler, prior_name, replicates,
     measured against the twin on the same design and replicate (hence
     the same dataset); it is None for an "mh" row or a failed twin.
 
-    With cpu_rates, a row's ess_per_cpu_s is its ESS over the chain's
-    CPU seconds (burn-in included), and a rejection row's
-    ess_per_cpu_s_ratio is that over its twin's (None for an "mh" row
-    or a failed twin).  Both are measured, as wall_ms is; without
-    cpu_rates they are None, and every column but wall_ms is the same
-    from run to run.
+    A row's ess_per_cpu_s is its ESS over the chain's CPU seconds
+    (burn-in included), and a rejection row's ess_per_cpu_s_ratio is
+    that over its twin's (None for an "mh" row or a failed twin).  Both
+    are measured, as wall_ms is; every other column is the same from
+    run to run.
     """
     algorithm, form, representation = parse_sampler(sampler)
     labels = [sampler_label(algorithm, form, representation)]
@@ -265,15 +263,13 @@ def run_experiment(design_ids, sampler, prior_name, replicates,
         base_ess = (None if base is None else
                     {row["parameter"]: row["ess"] for row in base.summary})
         for row in c.summary:
-            pct = rate = ratio = None
+            pct = ratio = None
+            rate = row["ess"] / (1e-3 * c.cpu_ms)
             if base is not None:
                 pct = percent_improvement(row["ess"],
                                           base_ess[row["parameter"]])
-            if cpu_rates:
-                rate = row["ess"] / (1e-3 * c.cpu_ms)
-                if base is not None:
-                    ratio = rate / (base_ess[row["parameter"]]
-                                    / (1e-3 * base.cpu_ms))
+                ratio = rate / (base_ess[row["parameter"]]
+                                / (1e-3 * base.cpu_ms))
             rows.append({
                 "design": c.design_id,
                 "sampler": c.sampler,

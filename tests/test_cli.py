@@ -293,25 +293,6 @@ def test_simulate_writes_positive_cpu_rates(tmp_path):
             assert r["ess_per_cpu_s_ratio"] == ""
 
 
-def test_main_builds_its_parser_once(monkeypatch):
-    built = []
-
-    def counting_build():
-        built.append(1)
-        return build_parser()
-
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    try:
-        # each refusal comes after a full parse
-        for _ in range(3):
-            assert main(["fit", "--iters", "100"]) == 1
-        assert main(["validate", "--seed", "-1"]) == 1
-        assert built == [1]
-    finally:
-        cli._parser.cache_clear()
-
-
 # Runs argv through cli.main and prints, on its last line, every module
 # the interpreter then holds.
 _RUN_AND_LIST_MODULES = """

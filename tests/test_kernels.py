@@ -1069,8 +1069,9 @@ _SCALE_BLOCKS = {
     "differential": (update_sigma2_differential_rs, update_u2_differential,
                      update_theta_differential),
 }
-# blocks checked after the Metropolis one, which keeps its stream; at
-# stream (88, 4) its three unit-step proposals are all rejected
+# blocks checked after the Metropolis one, which keeps its stream
+# (88, 3): there every form accepts at least one of its three unit-step
+# proposals
 _LATER_SCALE_BLOCKS = {
     "common": (update_lambda2,),
     "differential": (update_lambda2,),
