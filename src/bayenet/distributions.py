@@ -42,12 +42,15 @@ Z > z, which falls as z grows while z^2 times it rises (both by
 exponential-family monotonicity), so 0 < L' < 1/2.  The tangent of L in
 x at the mode folds into exp(-c x), which leaves a gamma(a, rate)
 envelope; the tangent in w bounds L from below, a squeeze that skips
-the hazard for most proposals.
+the hazard for most proposals.  mhn's uniform pairs, and hgamma's
+uniforms and proposals (a scale times a standard gamma variate), come
+from the stream's buffered blocks (rng.RngStream.uniform and
+standard_gamma).
 
 The inverse Gaussian draws a list of means in Python floats and an array
 in numpy, with the same operations in the same order and so the same
 bits: on the few means of a small p numpy's fixed cost per call
-outweighs its arithmetic (kernels.LATENT_FLOAT_MAX is the cut).
+outweighs its arithmetic (model.LATENT_FLOAT_MAX is the cut).
 
 Every sampler refuses a non-finite argument with a ValueError that names
 it, before it draws: a nan or an infinity would otherwise fail deep in
@@ -326,11 +329,9 @@ class GigHull(PiecewiseExpEnvelope):
                       for s, sh in zip(knots, self.sinhs)]
 
     def retarget(self, omega):
-        """Reset each tangent to the member at omega."""
-        lam = self.lam
-        self.slopes = [lam - omega * sh for sh in self.sinhs]
-        self.intercepts = [-omega * b for b in self.bends]
-        self.reweigh()
+        """Reset each tangent to the member at omega, weighing the
+        segments in the same pass."""
+        self.retilt(self.lam, -omega, self.sinhs, -omega, self.bends)
 
 
 def sample_gig(lam, psi, chi, rng, hull=None):
@@ -465,7 +466,7 @@ def sample_mhn(alpha, beta, gamma, rng):
         raise ValueError(
             f"mhn({alpha}, {beta}, {gamma}) is out of floating-point range")
     width = v_hi - v_lo
-    random = rng.gen.random
+    random = rng.uniform
     log, log1p = math.log, math.log1p
     for _ in range(_MHN_MAX_PROPOSALS):
         u = 1.0 - random()
@@ -558,9 +559,9 @@ def sample_hazard_gamma(a, c, q, t, rng):
     log_t = math.log(t)
     scale = 1.0 / rate
     inv_em = math.exp(-m)
-    gamma, log = rng.gen.gamma, math.log
+    gamma, log = rng.standard_gamma, math.log
     for _ in range(_HGAMMA_MAX_PROPOSALS):
-        x = gamma(a, scale)
+        x = scale * gamma(a)
         u = rng.uniform()
         if not (0.0 < x < _INF and u > 0.0):
             continue

@@ -23,7 +23,11 @@ TangentHull needs a support bounded below.  A caller may also open a
 fixed hull with a rising segment of its own on (-inf, bounds[1]]: on
 the log scale, a power law in x.  Every hull, fixed or kept, weighs
 its segments one way (PiecewiseExpEnvelope.reweigh), relative to its
-highest point, so far-out tangents never overflow.
+highest point, so far-out tangents never overflow.  A kept hull that
+moves its tangents (TangentHull.at_rate, distributions.GigHull.retarget)
+forms each new tangent inside that weighing pass (retilt), not in lists
+built before it.  A proposal's two uniforms, and log_uniform's, come
+from the stream's buffered block (rng.RngStream.uniform).
 
 A hull has at most 9 knots, so it is kept in plain Python floats and
 lists: at that size the per-call overhead of numpy arrays costs more
@@ -81,17 +85,28 @@ class PiecewiseExpEnvelope:
         self.reweigh()
 
     def reweigh(self):
-        """Weigh the segments from the tangents and bounds, as a kept hull
-        does again after moving its tangents.  A hull of infinite or nan
-        mass, as from a tangent that does not fall toward an unbounded
-        end of its segment, is refused."""
+        """Weigh the segments from the tangents and bounds the hull
+        holds; a hull of infinite or nan mass, as from a tangent that
+        does not fall toward an unbounded end of its segment, is
+        refused."""
+        self.retilt(0.0, 1.0, self.slopes, 1.0, self.intercepts)
+
+    def retilt(self, base, k, units, scale, offsets):
+        """Set segment i's tangent to slope base + k units[i] and
+        intercept scale offsets[i], and weigh the segments, as reweigh
+        does, in the same pass: a kept hull moves its tangents this way
+        (TangentHull.at_rate, distributions.GigHull.retarget)."""
         expm1 = math.expm1
         bounds = self.bounds
-        # each segment's highest log value (at its left end if it falls,
-        # its right end if it rises) and its mass over e^(that value)
-        tops, spans = [], []
+        # each segment's tangent, highest log value (at its left end if
+        # it falls, its right end if it rises) and mass over e^(that value)
+        slopes, intercepts, tops, spans = [], [], [], []
         lo = bounds[0]
-        for hi, m, b in zip(bounds[1:], self.slopes, self.intercepts):
+        for hi, u, v in zip(bounds[1:], units, offsets):
+            m = base + k * u
+            b = scale * v
+            slopes.append(m)
+            intercepts.append(b)
             if m < 0.0:
                 tops.append(b + m * lo)
                 spans.append(expm1(m * (hi - lo)) / m)
@@ -102,6 +117,7 @@ class PiecewiseExpEnvelope:
                 tops.append(b)
                 spans.append(hi - lo)
             lo = hi
+        self.slopes, self.intercepts = slopes, intercepts
         top = max(tops)
         cum = []
         tot = 0.0
@@ -116,11 +132,11 @@ class PiecewiseExpEnvelope:
 
     def propose(self, rng):
         """One draw from the normalized hull; returns (x, hull log value)."""
-        gen = rng.gen
-        i = bisect_right(self._cum, gen.random())
-        v = gen.random()
+        uniform = rng.uniform
+        i = bisect_right(self._cum, uniform())
+        v = uniform()
         while v <= 0.0:
-            v = gen.random()
+            v = uniform()
         m = self.slopes[i]
         x = _segment_inverse_cdf(self.bounds[i], self.bounds[i + 1], m, v)
         return x, self.intercepts[i] + m * x
@@ -325,9 +341,9 @@ class TangentHull(PiecewiseExpEnvelope):
                 f"rightmost tangent slope must fall below the rate {c}")
 
     def at_rate(self, c):
-        """Tilt every tangent by -c x and reweigh the segments."""
-        self.slopes = [m - c for m in self.g_slopes]
-        self.reweigh()
+        """Tilt every tangent of g by -c x, weighing the segments in the
+        same pass."""
+        self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)
 
 
 def ars_sample(hull, c, rng):

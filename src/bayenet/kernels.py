@@ -18,7 +18,12 @@ data-augmented); the algorithm is one of
   changes from sweep to sweep only in its rate c, which moves none of
   the tangents of its adaptive rejection hull, so each chain keeps one
   hull for all its theta draws (theta_hull) and a draw reweighs it at
-  the new c instead of building one.  u1's gig conditional keeps its
+  the new c instead of building one.  theta_hull checks the family
+  (p, L), L >= 1, once per chain, so each draw passes sample_tilted the
+  rate c alone and checks only that c is finite and positive.  At
+  L < 1 the draws are small-shape ones and keep no hull.  Both hulls
+  re-tilt their tangents inside the pass that weighs their segments
+  (envelope.PiecewiseExpEnvelope.retilt).  u1's gig conditional keeps its
   order, and on its centred log scale only omega = sqrt(psi chi)
   moves, which moves none of the crossings of its hull's tangents, so
   each chain also keeps one gig hull (u1_hull, a
@@ -44,10 +49,12 @@ its scalar draws from the stream's buffered blocks (rng.RngStream); the
 augmented representation draws beta with one solve with the precision
 and no factor of it, and all p latents with one inverse-Gaussian call,
 whose draws the state keeps as they are.  That call's arithmetic runs in
-Python floats up to p = LATENT_FLOAT_MAX, where numpy's fixed cost per
-call outweighs its work, and in numpy above it, with the same draws bit
-for bit.  A Metropolis sweep draws its three step normals and three
-acceptance uniforms with one generator call each.
+Python floats up to p = model.LATENT_FLOAT_MAX, where numpy's fixed cost
+per call outweighs its work, and in numpy above it, with the same draws
+bit for bit; model.coefficient_sums takes the same cut.  A Metropolis
+sweep draws its three step normals and three acceptance uniforms with
+one generator call each, and the rejection scale blocks draw every
+scalar variate from the stream's buffered blocks.
 
 Update order: run_sweep, one body for all eight samplers, draws beta
 by the representation's block, reduces it once to a
@@ -86,6 +93,7 @@ from .distributions import (
 )
 from .model import (
     FORMS,
+    LATENT_FLOAT_MAX,
     REPRESENTATIONS,
     coefficient_sums,
     initial_state,
@@ -242,15 +250,6 @@ def update_beta_block(data, prior, state, rng):
         prec, data.xty + math.sqrt(state.sigma2) * noise)
 
 
-# At or below this p, update_tau2 forms the inverse-Gaussian means in
-# Python floats and passes them as a list, which sample_inverse_gaussian
-# draws in floats, bit for bit as from an array.  update_tau2's us per
-# call in numpy against floats (best of 21 timeit runs, 2-core Xeon,
-# Python 3.11, numpy 2.4): 17.3 / 7.9 at p = 8, 18.5 / 12.9 at 16,
-# 19.7 / 16.7 at 24, 20.3 / 21.2 at 32, 22.9 / 24.4 at 40.
-LATENT_FLOAT_MAX = 16
-
-
 def update_tau2(data, prior, state, rng):
     """Exact update of the latents: one inverse-Gaussian call for all p
     of them, stored in state.tau2 as drawn (model's z).  At p up to
@@ -317,12 +316,14 @@ def update_u2_common(data, prior, state, sums, rng):
 
 def update_theta_common(data, prior, state, sums, rng, hull=None):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional, not
-    log-concave for L < 1; hull is theta_hull's, or None for a fresh
-    one."""
+    log-concave for L < 1; hull is theta_hull's, whose family the chain
+    checked once, so the draw passes the rate alone, or None for the
+    member (p, L, c) in full."""
     u1 = state.sigma2
     u2 = math.sqrt(state.lambda2 / u1)
-    theta = sample_tilted(TiltedParams(
-        data.p, prior.L, u2 * (u1 * prior.nu1 + sums.b1)), rng, hull)
+    c = u2 * (u1 * prior.nu1 + sums.b1)
+    theta = sample_tilted(
+        TiltedParams(data.p, prior.L, c) if hull is None else c, rng, hull)
     state.lambda1 = 2.0 * theta * u2 * u1
 
 
@@ -351,10 +352,9 @@ def update_theta_differential(data, prior, state, sums, rng, hull=None):
     """theta = lam1/sqrt(lam2): tail-tilted conditional, not log-concave
     for L < 1; hull as in update_theta_common."""
     u2 = math.sqrt(state.lambda2)
-    theta = sample_tilted(TiltedParams(
-        data.p, prior.L,
-        u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)),
-        rng, hull)
+    c = u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
+    theta = sample_tilted(
+        TiltedParams(data.p, prior.L, c) if hull is None else c, rng, hull)
     state.lambda1 = theta * u2
 
 
@@ -422,10 +422,13 @@ def new_counts(algorithm):
 
 
 def theta_hull(data, prior):
-    """An empty hull for theta's draws in one chain.  In both forms theta's
+    """An empty hull for theta's draws in one chain, or None at L < 1,
+    whose small-shape draws keep none.  In both forms theta's
     conditional is the tilted member (p, L, c), and only c moves from
-    sweep to sweep, so the tangents one draw adds serve the next."""
-    return tangent_hull(data.p, prior.L)
+    sweep to sweep, so the tangents one draw adds serve the next.  The
+    family (p, L) is checked here, once per chain; each draw checks only
+    its rate c."""
+    return tangent_hull(data.p, prior.L) if prior.L >= 1.0 else None
 
 
 def u1_hull(data, prior):

@@ -26,7 +26,9 @@ instead:
   segments at the new c, and log f is evaluated only where the squeeze
   fails.  Each draw stays exact: it is a rejection draw under a hull
   that dominates its target, and the hull depends only on earlier
-  draws.
+  draws.  The hull checks its family when it is made, so a chain's draw
+  through it passes sample_tilted the rate c alone, and only c is
+  checked per draw.
 * log_density, dlog_density and d2log_density past the tail cut
   (special._TAIL_CUT) read -q x^2/2 - q log Phi(-x) as q log h(x) plus
   a constant, h the normal hazard, through _log_factor and the
@@ -166,7 +168,19 @@ def sample_tilted(p, rng, hull=None):
     tangent_hull(p.q, p.a) that earlier draws at other c may have
     refined; a fresh one if None.  The draw is exact whatever the hull
     holds.
+
+    p may also be the rate c alone, with hull a tangent_hull whose family
+    (q, a) the caller checked once for all its draws (a chain's theta
+    draws: kernels.theta_hull).  The draw is then that of
+    TiltedParams(q, a, c) through hull, bit for bit, and only c is
+    checked, with the messages the full path gives.
     """
+    if not isinstance(p, TiltedParams):
+        if not 0.0 < p < math.inf:
+            require_finite(c=p)
+            raise ValueError(
+                "density not certified log-concave for these parameters")
+        return ars_sample(hull, p, rng)
     if p.a < 1.0 and p.c > 0.0:
         return _sample_small_shape(p, rng)
     if not is_logconcave(p):
@@ -184,8 +198,11 @@ def tangent_hull(q, a):
     """An empty hull for the log-concave members (q, a, c) at every c:
     it keeps the tangents of log f + c x, which no c moves
     (envelope.TangentHull).  It opens at mode_bounds' knots and steps its
-    right tail out to mode_bounds' upper end."""
+    right tail out to mode_bounds' upper end.  The family is checked
+    here: q a positive integer and a >= 1, finite."""
     g = TiltedParams(q, a, 0.0)
+    if not a >= 1.0:
+        raise ValueError(f"a tangent hull needs a >= 1, got {a}")
 
     def seed(c):
         lo, hi = mode_bounds(TiltedParams(q, a, c))

@@ -22,7 +22,9 @@ in which latent_t_slice is the oracle's former tau2 slice.  reference_scan_beta
 is the direct coefficient scan written plainly, through
 log_std_normal_cdf and sample_truncated_normal, which the package's scan
 inlines; reference_coefficient_sums reduces beta with the matmul
-operator, where the package calls ndarray.dot.
+operator, where the package calls ndarray.dot above its float cut, and
+reference_float_coefficient_sums restates, term by term, the Python-float
+pass it takes at or below the cut.
 """
 
 import csv
@@ -333,3 +335,18 @@ def reference_coefficient_sums(data, beta):
         beta.size,
         float(data.yty - 2.0 * beta @ data.xty + beta @ data.xtx @ beta),
         float(beta @ beta), float(np.abs(beta).sum()))
+
+
+def reference_float_coefficient_sums(data, beta):
+    """model.coefficient_sums of beta at p <= model.LATENT_FLOAT_MAX:
+    each sum accumulated in Python floats in coefficient order, with
+    X'X beta the one numpy product."""
+    q = data.xtx.dot(beta)
+    b = [float(v) for v in beta]
+    bxy = bqb = bb = b1 = 0.0
+    for j in range(len(b)):
+        bxy = bxy + b[j] * float(data.xty[j])
+        bqb = bqb + b[j] * float(q[j])
+        bb = bb + b[j] * b[j]
+        b1 = b1 + math.fabs(b[j])
+    return CoefficientSums(len(b), data.yty - 2.0 * bxy + bqb, bb, b1)

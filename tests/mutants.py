@@ -36,8 +36,8 @@ MUTANTS = (
      "prior.R, 0.5 * (prior.nu2 + sums.bb / s2), data.p, t, rng)",
      "prior.R, 0.5 * (prior.nu2 + sums.bb / s2), data.p - 1, t, rng)"),
     ("theta's nu1 term halved", "block", "kernels.py",
-     "data.p, prior.L, u2 * (u1 * prior.nu1 + sums.b1)), rng, hull)",
-     "data.p, prior.L, u2 * (u1 * 0.5 * prior.nu1 + sums.b1)), rng, hull)"),
+     "    c = u2 * (u1 * prior.nu1 + sums.b1)",
+     "    c = u2 * (u1 * 0.5 * prior.nu1 + sums.b1)"),
     ("u1 gig order off by 1/2", "block", "kernels.py",
      "return prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)",
      "return prior.R + prior.L - 0.5 * (prior.nu_a + data.n)"),
@@ -52,9 +52,14 @@ MUTANTS = (
      "data.xty + state.sigma2 * noise)"),
     ("theta hull never re-tilts after its first rate", "hull",
      "envelope.py",
-     "self.slopes = [m - c for m in self.g_slopes]",
-     "self.slopes = (getattr(self, 'slopes', None)\n"
-     "                       or [m - c for m in self.g_slopes])"),
+     "        self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)",
+     # the first rate's slopes stay; the intercepts are g's, as they are
+     "        if hasattr(self, 'slopes'):\n"
+     "            intercepts = self.intercepts\n"
+     "            self.reweigh()\n"
+     "            self.intercepts = intercepts\n"
+     "        else:\n"
+     "            self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)"),
     ("gig hull keeps stale tangents (retarget skipped)", "hull",
      "distributions.py",
      "            self.retarget(omega)",

@@ -557,16 +557,12 @@ def test_mhn_above_one_builds_no_hull(monkeypatch):
         sample_gig(2.5, 3.0, 1.7, rng)
 
 
-class _StuckGenerator:
+class _StuckStream:
     """Every proposal is (u, v) = (1e-9, ~v_hi), far outside the
     acceptance region."""
 
-    def random(self):
+    def uniform(self):
         return 1.0 - 1e-9
-
-
-class _StuckStream:
-    gen = _StuckGenerator()
 
 
 def test_mhn_gives_up_after_the_proposal_cap(monkeypatch):

@@ -287,3 +287,18 @@ def test_ars_rejects_nonintegrable_target():
     ars_sample(hull, 1.0, RngStream(11, 4))
     with pytest.raises(EnvelopeError):
         ars_sample(hull, 0.0, RngStream(11, 4))
+
+
+def test_propose_redraws_an_exact_zero_position_uniform():
+    # the segment uniform may be 0; the position one is redrawn, since a
+    # segment's quantile at 0 is its left end, outside an open support
+    env = build_envelope(_mhn_322_target())
+    zero, ref = RngStream(9, 1), RngStream(9, 1)
+    # pop() serves the lists from their ends
+    zero.uniforms = [0.7, 0.0, 0.3]
+    ref.uniforms = [0.7, 0.3]
+    assert env.propose(zero) == env.propose(ref)
+    assert zero.uniforms == ref.uniforms == []
+    # both uniforms came from the buffer, none from the generator
+    assert (zero.gen.bit_generator.state
+            == RngStream(9, 1).gen.bit_generator.state)

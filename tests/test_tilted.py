@@ -436,3 +436,42 @@ def test_sample_tilted_refuses_another_familys_hull():
     with pytest.raises(ValueError, match="hull is for"):
         sample_tilted(TiltedParams(8, 1.0, 1.0), RngStream(1),
                       tangent_hull(8, 2.0))
+
+
+@pytest.mark.parametrize("q, a", [(8, 1.0), (40, 6.0)])
+def test_rate_alone_through_a_kept_hull_is_the_full_draw(q, a):
+    # a chain checks theta's family once and then passes the rate alone:
+    # the draws, the hull and the stream stay those of the full path
+    fast, full = tangent_hull(q, a), tangent_hull(q, a)
+    rng_fast, rng_full = RngStream(213, q), RngStream(213, q)
+    rates = np.exp(np.random.default_rng(q).uniform(-3.0, 5.0, 200))
+    for c in rates.tolist():
+        assert (sample_tilted(c, rng_fast, fast)
+                == sample_tilted(TiltedParams(q, a, c), rng_full, full))
+        assert fast.knots == full.knots
+    assert (rng_fast.gen.bit_generator.state
+            == rng_full.gen.bit_generator.state)
+    assert rng_fast.uniforms == rng_full.uniforms
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_rate_alone_is_refused_with_the_full_paths_message(c):
+    def message(draw):
+        with pytest.raises(ValueError) as caught:
+            draw()
+        return str(caught.value)
+
+    hull = tangent_hull(8, 1.0)
+    want = message(lambda: sample_tilted(TiltedParams(8, 1.0, c),
+                                         RngStream(1), hull))
+    assert message(lambda: sample_tilted(c, RngStream(1), hull)) == want
+    assert hull.knots == []
+
+
+def test_tangent_hull_checks_the_family_once():
+    assert tangent_hull(8, 2.5).key == (8, 2.5)
+    # the a < 1 members are not log-concave: they keep no hull
+    with pytest.raises(ValueError, match="needs a >= 1, got 0.5"):
+        tangent_hull(8, 0.5)
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        tangent_hull(0, 1.0)
