@@ -173,10 +173,13 @@ def sample_tilted(p, rng, hull=None):
     (q, a) the caller checked once for all its draws (a chain's theta
     draws: kernels.theta_hull).  The draw is then that of
     TiltedParams(q, a, c) through hull, bit for bit, and only c is
-    checked, with the messages the full path gives.
+    checked, with the messages the full path gives; a rate alone without
+    a hull is refused.
     """
     if not isinstance(p, TiltedParams):
-        if not 0.0 < p < math.inf:
+        if hull is None or not 0.0 < p < math.inf:
+            if hull is None:
+                raise ValueError("a rate alone needs its family's hull")
             require_finite(c=p)
             raise ValueError(
                 "density not certified log-concave for these parameters")

@@ -468,6 +468,13 @@ def test_rate_alone_is_refused_with_the_full_paths_message(c):
     assert hull.knots == []
 
 
+def test_rate_alone_without_a_hull_is_refused():
+    rng = RngStream(1)
+    with pytest.raises(ValueError, match="needs its family's hull"):
+        sample_tilted(1.0, rng)
+    assert rng.uniforms == []
+
+
 def test_tangent_hull_checks_the_family_once():
     assert tangent_hull(8, 2.5).key == (8, 2.5)
     # the a < 1 members are not log-concave: they keep no hull
