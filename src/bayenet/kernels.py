@@ -21,12 +21,12 @@ data-augmented); the algorithm is one of
   the new c instead of building one.  theta_hull checks the family
   (p, L), L >= 1, once per chain, so each draw passes sample_tilted the
   rate c alone and checks only that c is finite and positive.  At
-  L < 1 the draws are small-shape ones and keep no hull.  Both hulls
-  re-tilt their tangents inside the pass that weighs their segments
-  (envelope.PiecewiseExpEnvelope.retilt).  u1's gig conditional keeps its
-  order, and on its centred log scale only omega = sqrt(psi chi)
-  moves, which moves none of the crossings of its hull's tangents, so
-  each chain also keeps one gig hull (u1_hull, a
+  L < 1 the draws are small-shape ones and keep no hull.  This hull
+  and u1's gig hull below re-tilt their tangents inside the pass that
+  weighs their segments (envelope.PiecewiseExpEnvelope.retilt).  u1's
+  gig conditional keeps its order, and on its centred log scale only
+  omega = sqrt(psi chi) moves, which moves none of the crossings of its
+  hull's tangents, so each chain also keeps one gig hull (u1_hull, a
   distributions.GigHull).  Its fit at each draw resets its tangents and
   reweighs them, and rebuilds it only when the mode or width has moved
   too far from its knots.  The draws stay exact: each is a rejection draw

@@ -53,11 +53,8 @@ MUTANTS = (
     ("theta hull never re-tilts after its first rate", "hull",
      "envelope.py",
      "        self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)",
-     # the first rate's slopes stay; the intercepts are g's, as they are
      "        if hasattr(self, 'slopes'):\n"
-     "            intercepts = self.intercepts\n"
      "            self.reweigh()\n"
-     "            self.intercepts = intercepts\n"
      "        else:\n"
      "            self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)"),
     ("gig hull keeps stale tangents (retarget skipped)", "hull",
