@@ -329,9 +329,11 @@ class GigHull(PiecewiseExpEnvelope):
                       for s, sh in zip(knots, self.sinhs)]
 
     def retarget(self, omega):
-        """Reset each tangent to the member at omega, weighing the
-        segments in the same pass."""
-        self.retilt(self.lam, -omega, self.sinhs, -omega, self.bends)
+        """Reset each tangent to the member at omega."""
+        lam = self.lam
+        self.slopes = [lam - omega * sh for sh in self.sinhs]
+        self.intercepts = [-omega * b for b in self.bends]
+        self.reweigh()
 
 
 def sample_gig(lam, psi, chi, rng, hull=None):

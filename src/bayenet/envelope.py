@@ -21,12 +21,9 @@ Two entry points:
 build_envelope works on a support of (0, inf) or the whole line; a
 TangentHull needs a support bounded below.  A caller may also open a
 fixed hull with a rising segment of its own on (-inf, bounds[1]]: on
-the log scale, a power law in x.  Every hull weighs its segments
-relative to its highest point, so far-out tangents never overflow: a
-fixed hull once (PiecewiseExpEnvelope.reweigh), and a kept hull each
-time it moves its tangents (TangentHull.at_rate,
-distributions.GigHull.retarget), forming each new tangent inside that
-weighing pass (retilt), not in lists built before it.  A proposal's two
+the log scale, a power law in x.  Every hull, fixed or kept, weighs
+its segments one way (PiecewiseExpEnvelope.reweigh), relative to its
+highest point, so far-out tangents never overflow.  A proposal's two
 uniforms, and log_uniform's, come from the stream's buffered block
 (rng.RngStream.uniform).
 
@@ -86,8 +83,8 @@ class PiecewiseExpEnvelope:
         self.reweigh()
 
     def reweigh(self):
-        """Weigh the segments from the tangents and bounds the hull
-        holds, as a fixed hull does once.  A hull of infinite or nan
+        """Weigh the segments from the tangents and bounds, as a kept hull
+        does again after moving its tangents.  A hull of infinite or nan
         mass, as from a tangent that does not fall toward an unbounded
         end of its segment, is refused."""
         expm1 = math.expm1
@@ -107,40 +104,6 @@ class PiecewiseExpEnvelope:
                 tops.append(b)
                 spans.append(hi - lo)
             lo = hi
-        self._normalize(tops, spans)
-
-    def retilt(self, base, k, units, scale, offsets):
-        """Set segment i's tangent to slope base + k units[i] and
-        intercept scale offsets[i], and weigh the segments as reweigh
-        does, in the same pass: a kept hull moves its tangents this way
-        (TangentHull.at_rate, distributions.GigHull.retarget).  reweigh
-        keeps its own pass, which forms nothing, so a fixed hull's build
-        does not pay for the tangents it already holds."""
-        expm1 = math.expm1
-        bounds = self.bounds
-        slopes, intercepts, tops, spans = [], [], [], []
-        lo = bounds[0]
-        for hi, u, v in zip(bounds[1:], units, offsets):
-            m = base + k * u
-            b = scale * v
-            slopes.append(m)
-            intercepts.append(b)
-            if m < 0.0:
-                tops.append(b + m * lo)
-                spans.append(expm1(m * (hi - lo)) / m)
-            elif m > 0.0:
-                tops.append(b + m * hi)
-                spans.append(-expm1(m * (lo - hi)) / m)
-            else:
-                tops.append(b)
-                spans.append(hi - lo)
-            lo = hi
-        self.slopes, self.intercepts = slopes, intercepts
-        self._normalize(tops, spans)
-
-    def _normalize(self, tops, spans):
-        """Set _cum from each segment's highest log value and its mass
-        over e^(that value)."""
         top = max(tops)
         cum = []
         tot = 0.0
@@ -364,9 +327,9 @@ class TangentHull(PiecewiseExpEnvelope):
                 f"rightmost tangent slope must fall below the rate {c}")
 
     def at_rate(self, c):
-        """Tilt every tangent of g by -c x, weighing the segments in the
-        same pass."""
-        self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)
+        """Tilt every tangent by -c x and reweigh the segments."""
+        self.slopes = [m - c for m in self.g_slopes]
+        self.reweigh()
 
 
 def ars_sample(hull, c, rng):

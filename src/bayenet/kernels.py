@@ -19,12 +19,10 @@ data-augmented); the algorithm is one of
   the tangents of its adaptive rejection hull, so each chain keeps one
   hull for all its theta draws (theta_hull) and a draw reweighs it at
   the new c instead of building one.  theta_hull checks the family
-  (p, L), L >= 1, once per chain, so each draw passes sample_tilted the
+  (p, L) once per chain, so each draw passes sample_tilted the
   rate c alone and checks only that c is finite and positive.  At
-  L < 1 the draws are small-shape ones and keep no hull.  This hull
-  and u1's gig hull below re-tilt their tangents inside the pass that
-  weighs their segments (envelope.PiecewiseExpEnvelope.retilt).  u1's
-  gig conditional keeps its order, and on its centred log scale only
+  L < 1 the draws are small-shape ones and keep no hull.  u1's gig
+  conditional keeps its order, and on its centred log scale only
   omega = sqrt(psi chi) moves, which moves none of the crossings of its
   hull's tangents, so each chain also keeps one gig hull (u1_hull, a
   distributions.GigHull).  Its fit at each draw resets its tangents and
@@ -425,10 +423,10 @@ def theta_hull(data, prior):
     """An empty hull for theta's draws in one chain, or None at L < 1,
     whose small-shape draws keep none.  In both forms theta's
     conditional is the tilted member (p, L, c), and only c moves from
-    sweep to sweep, so the tangents one draw adds serve the next.  The
-    family (p, L) is checked here, once per chain; each draw checks only
-    its rate c."""
-    return tangent_hull(data.p, prior.L) if prior.L >= 1.0 else None
+    sweep to sweep, so the tangents one draw adds serve the next.
+    tangent_hull checks the family (p, L) here, once per chain; each
+    draw checks only its rate c."""
+    return tangent_hull(data.p, prior.L)
 
 
 def u1_hull(data, prior):

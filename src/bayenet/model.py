@@ -237,10 +237,12 @@ class CoefficientSums(NamedTuple):
 # beta: coefficient_sums reduces it in Python floats, and
 # kernels.update_tau2 forms the inverse-Gaussian means in Python floats
 # and passes them as a list, which sample_inverse_gaussian draws in
-# floats, bit for bit as from an array.  update_tau2's us per call in
-# numpy against floats (best of 21 timeit runs, 2-core Xeon, Python
-# 3.11, numpy 2.4): 17.3 / 7.9 at p = 8, 18.5 / 12.9 at 16, 19.7 / 16.7
-# at 24, 20.3 / 21.2 at 32, 22.9 / 24.4 at 40.
+# floats, bit for bit as from an array.  us per call in numpy against
+# floats (best of 21 timeit runs, 2-core Xeon, Python 3.11, numpy 2.4),
+# at p = 8, 16, 24, 32, 40: update_tau2 17.3 / 7.9, 18.5 / 12.9,
+# 19.7 / 16.7, 20.3 / 21.2, 22.9 / 24.4; coefficient_sums 8.4 / 5.4,
+# 8.6 / 7.5, 8.5 / 9.7, 8.4 / 11.6, 8.8 / 13.8.  The cut sits below both
+# crossovers, near p = 20 for the sums and p = 30 for update_tau2.
 LATENT_FLOAT_MAX = 16
 
 

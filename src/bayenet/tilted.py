@@ -160,6 +160,11 @@ def find_mode(p):
     return _bisect_root(df, lo, hi)
 
 
+# the refusal of a member outside is_logconcave, whether passed whole or
+# as a rate alone
+_NOT_LOGCONCAVE = "density not certified log-concave for these parameters"
+
+
 def sample_tilted(p, rng, hull=None):
     """One exact draw from a log-concave member of the family, or from a
     member with 0 < a < 1 and c > 0, whose a = 1 twin is log-concave.
@@ -181,14 +186,12 @@ def sample_tilted(p, rng, hull=None):
             if hull is None:
                 raise ValueError("a rate alone needs its family's hull")
             require_finite(c=p)
-            raise ValueError(
-                "density not certified log-concave for these parameters")
+            raise ValueError(_NOT_LOGCONCAVE)
         return ars_sample(hull, p, rng)
     if p.a < 1.0 and p.c > 0.0:
         return _sample_small_shape(p, rng)
     if not is_logconcave(p):
-        raise ValueError(
-            "density not certified log-concave for these parameters")
+        raise ValueError(_NOT_LOGCONCAVE)
     if hull is None:
         hull = tangent_hull(p.q, p.a)
     elif hull.key != (p.q, p.a):
@@ -202,10 +205,12 @@ def tangent_hull(q, a):
     it keeps the tangents of log f + c x, which no c moves
     (envelope.TangentHull).  It opens at mode_bounds' knots and steps its
     right tail out to mode_bounds' upper end.  The family is checked
-    here: q a positive integer and a >= 1, finite."""
+    here: q a positive integer and a finite and positive.  At a < 1 it
+    is None: those members are not log-concave, and sample_tilted draws
+    them by the small-shape sampler, which keeps no hull."""
     g = TiltedParams(q, a, 0.0)
-    if not a >= 1.0:
-        raise ValueError(f"a tangent hull needs a >= 1, got {a}")
+    if a < 1.0:
+        return None
 
     def seed(c):
         lo, hi = mode_bounds(TiltedParams(q, a, c))

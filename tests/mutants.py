@@ -52,11 +52,9 @@ MUTANTS = (
      "data.xty + state.sigma2 * noise)"),
     ("theta hull never re-tilts after its first rate", "hull",
      "envelope.py",
-     "        self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)",
-     "        if hasattr(self, 'slopes'):\n"
-     "            self.reweigh()\n"
-     "        else:\n"
-     "            self.retilt(-c, 1.0, self.g_slopes, 1.0, self.intercepts)"),
+     "self.slopes = [m - c for m in self.g_slopes]",
+     "self.slopes = (getattr(self, 'slopes', None)\n"
+     "                       or [m - c for m in self.g_slopes])"),
     ("gig hull keeps stale tangents (retarget skipped)", "hull",
      "distributions.py",
      "            self.retarget(omega)",

@@ -478,7 +478,10 @@ def test_rate_alone_without_a_hull_is_refused():
 def test_tangent_hull_checks_the_family_once():
     assert tangent_hull(8, 2.5).key == (8, 2.5)
     # the a < 1 members are not log-concave: they keep no hull
-    with pytest.raises(ValueError, match="needs a >= 1, got 0.5"):
-        tangent_hull(8, 0.5)
+    assert tangent_hull(8, 0.5) is None
+    with pytest.raises(ValueError, match="a must be positive"):
+        tangent_hull(8, 0.0)
+    with pytest.raises(ValueError, match="a must be finite"):
+        tangent_hull(8, math.nan)
     with pytest.raises(ValueError, match="q must be a positive integer"):
         tangent_hull(0, 1.0)
