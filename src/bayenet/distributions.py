@@ -24,9 +24,10 @@ that depend on neither omega nor lam, so a GigHull kept across draws
 of one order serves every omega.  GigHull.fit holds its keep-or-rebuild
 rule: a draw resets the hull's tangents at the new omega and reweighs
 them, or, when the mode or the width has moved too far from its knots,
-adopts a fixed hull from envelope.build_envelope; a draw without a kept
-hull goes through a fresh one, which adopts such a hull at once.  Its
-limits chi = 0 (a gamma law) and psi = 0 (an inverse gamma) are
+adopts a fixed hull from envelope.build_envelope, as an empty hull does
+at its first draw.  Every draw goes through a GigHull: the sweeps keep
+one per chain (kernels.u1_hull), and a single draw passes an empty one.
+Its limits chi = 0 (a gamma law) and psi = 0 (an inverse gamma) are
 refused: u1, the one gig the sweeps draw, has psi > 0 and
 chi = rss + nu_b > 0.
 mhn is drawn for alpha > 1 only, where it is log-concave with an
@@ -47,10 +48,10 @@ uniforms and proposals (a scale times a standard gamma variate), come
 from the stream's buffered blocks (rng.RngStream.uniform and
 standard_gamma).
 
-The inverse Gaussian draws a list of means in Python floats and an array
-in numpy, with the same operations in the same order and so the same
-bits: on the few means of a small p numpy's fixed cost per call
-outweighs its arithmetic (model.LATENT_FLOAT_MAX is the cut).
+The inverse Gaussian draws a list of means in Python floats, at every
+size, in one body: the sweeps draw p of them at once, and up to about 30
+means numpy's fixed cost per call outweighs its arithmetic (past that,
+numpy would save little; model.LATENT_FLOAT_MAX's comment has timings).
 
 Every sampler refuses a non-finite argument with a ValueError that names
 it, before it draws: a nan or an infinity would otherwise fail deep in
@@ -164,83 +165,22 @@ def _refuse_inverse_gaussian(means, shape):
     raise ValueError("mean and shape must be positive")
 
 
-def sample_inverse_gaussian(mean, shape, rng):
-    """Inverse-Gaussian draws via the squared-normal transform, one per
-    element of mean (a float for a single draw): all normals first, then
-    all uniforms.
+def sample_inverse_gaussian(means, shape, rng):
+    """Inverse-Gaussian draws via the squared-normal transform (Michael,
+    Schucany & Haas 1976), one per element of the list means, as an
+    array: all normals first, then all uniforms, each from one gen call.
+    A single draw passes a one-element list.
 
     The smaller root of the defining quadratic is computed in conjugate
     form mean/(1 + w + sqrt(w (w + 2))), with w = mean y^2/(2 shape),
     which stays positive even when the standard textbook expression
-    would cancel to rounding noise.  Where w (w + 2) or w itself
-    overflows the root is (2 shape/y^2)/(1 + 1/w + sqrt(1 + 2/w)), which
-    rounds to the Levy limit shape/y^2; at a mean past 1e150 or below
-    1e-150 the other root mean^2/x is that of mean/s and shape/s, with
-    s = 2^600 or 2^-600, times s, which rounds alike.
-
-    A list of means is drawn in Python floats (_inverse_gaussian_floats)
-    and comes back as an array: the same two gen calls and the same
-    operations, in the same order, so every draw has the same bits as
-    from an array of those means.  On a few means numpy's fixed cost per
-    call outweighs its arithmetic; kernels.update_tau2 passes a list up
-    to its size cut, LATENT_FLOAT_MAX.
+    would cancel to rounding noise.  Where
+    sqrt(w (w + 2)) overflows the root is the Levy limit shape/y^2, to
+    which it rounds.  The other root mean^2/x is formed only where x is
+    rejected; at a mean past 1e150 or below 1e-150 it is that of mean/s
+    and x/s, with s = 2^600 or 2^-600, times s, which rounds alike.  So
+    no overflow, and no division by a zero x, is ever computed.
     """
-    if type(mean) is list:
-        return _inverse_gaussian_floats(mean, shape, rng)
-    mean = np.asarray(mean, dtype=float)
-    bottom, top = float(mean.min()), float(mean.max())
-    # a nan mean fails both comparisons
-    if not (0.0 < shape < _INF and 0.0 < bottom and top < _INF):
-        _refuse_inverse_gaussian(mean.flat, shape)
-    # in place, in two buffers: w holds y^2, then mean y^2 / (2 shape),
-    # then the root x; t holds sqrt(w (w + 2)), then the acceptance
-    # bound, then the draws.  Both are arrays, 0-d for a float mean.
-    w = rng.gen.standard_normal(mean.shape)
-    np.square(w, out=w)
-    # no double normal passes 40, so w <= 800 mean/shape, and nothing
-    # overflows unless mean/shape passes 1e147
-    far = not top <= 1e147 * shape
-    if far:
-        y2 = w.copy()
-        # an overflow below is replaced, or lies where x is kept (the
-        # other root mean^2/x, as its bound rounds to 1)
-        errors = np.seterr(over="ignore", divide="ignore")
-    w *= mean
-    w /= 2.0 * shape
-    t = np.empty_like(w)
-    np.add(w, 2.0, out=t)
-    np.multiply(t, w, out=t)
-    np.sqrt(t, out=t)
-    w += 1.0
-    w += t
-    np.divide(mean, w, out=w)
-    if far:
-        np.divide(shape, y2, out=w, where=t == _INF)
-    np.add(mean, w, out=t)
-    np.divide(mean, t, out=t)
-    keep = rng.gen.random(mean.shape) <= t
-    if 1e-150 <= bottom and top <= 1e150:
-        np.multiply(mean, mean, out=t)
-        t /= w
-    else:
-        # the scaled problem's other root: mean^2 over- or underflows here;
-        # where x is kept it is not needed and may overflow
-        scale = np.select([mean > 1e150, mean < 1e-150], [_UP, _DOWN], 1.0)
-        with np.errstate(over="ignore", divide="ignore"):
-            t[...] = (mean / scale) ** 2 / (w / scale) * scale
-    np.copyto(t, w, where=keep)
-    if far:
-        np.seterr(**errors)
-    return t if t.ndim else float(t)
-
-
-def _inverse_gaussian_floats(means, shape, rng):
-    """sample_inverse_gaussian's array body over a list of floats, element
-    by element, bit for bit.  The Levy limit replaces x wherever
-    sqrt(w (w + 2)) overflows, which the array body tests only once
-    mean/shape passes 1e147, below which it cannot overflow; the other
-    root is formed only where x is rejected, so no overflow or division
-    by a zero x is ever computed."""
     if not 0.0 < shape < _INF:
         _refuse_inverse_gaussian(means, shape)
     for m in means:
@@ -336,11 +276,11 @@ class GigHull(PiecewiseExpEnvelope):
         self.reweigh()
 
 
-def sample_gig(lam, psi, chi, rng, hull=None):
+def sample_gig(lam, psi, chi, rng, hull):
     """One draw of gig(lam, psi, chi) with psi > 0 and chi > 0.
 
-    The draw goes through hull, a GigHull(lam) kept from earlier draws
-    at other (psi, chi), or a fresh GigHull(lam) if None; it is exact
+    The draw goes through hull, a GigHull(lam) that earlier draws at
+    other (psi, chi) may have fitted, or an empty one; it is exact
     whatever the hull holds.
     """
     if not (-_INF < lam < _INF and 0.0 < psi < _INF and 0.0 < chi < _INF):
@@ -348,7 +288,7 @@ def sample_gig(lam, psi, chi, rng, hull=None):
         if not psi > 0.0:
             raise ValueError(f"psi must be positive, got {psi}")
         raise ValueError(f"chi must be positive, got {chi}")
-    if hull is not None and hull.lam != lam:
+    if hull.lam != lam:
         raise ValueError(f"hull is for lam = {hull.lam}, not {lam}")
 
     # on s = log x - log(chi/psi)/2 the log density is lam s - omega cosh s
@@ -382,8 +322,6 @@ def sample_gig(lam, psi, chi, rng, hull=None):
     target = LogDensityTarget(
         log_f, dlog_f, support_lower=-math.inf, mode=mode,
         curvature=-math.hypot(lam, omega))
-    if hull is None:
-        hull = GigHull(lam)
     s = sample_from_envelope(target, hull.fit(target, omega), rng)
     try:
         return math.exp(s + 0.5 * (log_chi - log_psi))

@@ -13,10 +13,11 @@ Two entry points:
   tangents of g do not depend on the rate c, so a caller drawing the
   same g at a moving c (theta's conditional, once per sweep of a chain)
   keeps one hull and pays each draw only for reweighing its segments at
-  the new c.  The hull gains a tangent at every rejected point, and a
-  chordal squeeze avoids most evaluations of g.  The draws stay exact:
-  each is a rejection draw under a hull that dominates its target and
-  depends only on earlier draws.
+  the new c; every theta draw goes through such a hull, kept or new.
+  The hull gains a tangent at every rejected point, and a chordal
+  squeeze avoids most evaluations of g.  The draws stay exact: each is
+  a rejection draw under a hull that dominates its target and depends
+  only on earlier draws.
 
 build_envelope works on a support of (0, inf) or the whole line; a
 TangentHull needs a support bounded below.  A caller may also open a
@@ -267,17 +268,15 @@ class TangentHull(PiecewiseExpEnvelope):
     transition kernel as one building a hull per draw.
     """
 
-    __slots__ = ("target", "seed", "key", "g_values", "g_slopes")
+    __slots__ = ("target", "seed", "g_values", "g_slopes")
 
-    def __init__(self, target, seed, key=None):
+    def __init__(self, target, seed):
         if not -math.inf < target.support_lower < math.inf:
             raise EnvelopeError(
                 "TangentHull needs a support bounded below, got "
                 f"support_lower={target.support_lower}")
         self.target = target
         self.seed = seed
-        # names the family g belongs to, for a caller to check
-        self.key = key
         self.knots, self.g_values, self.g_slopes = [], [], []
         self.intercepts, self.bounds = [], []
 

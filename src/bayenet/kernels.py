@@ -29,7 +29,9 @@ data-augmented); the algorithm is one of
   reweighs them, and rebuilds it only when the mode or width has moved
   too far from its knots.  The draws stay exact: each is a rejection draw
   under a hull that dominates its target and depends only on earlier
-  draws.
+  draws.  Both blocks take their hull from the caller, as run_sweep
+  takes the pair from run_chain: no block draws through a hull of its
+  own making.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -46,10 +48,9 @@ and Robert's regime still call special and distributions), and takes
 its scalar draws from the stream's buffered blocks (rng.RngStream); the
 augmented representation draws beta with one solve with the precision
 and no factor of it, and all p latents with one inverse-Gaussian call,
-whose draws the state keeps as they are.  That call's arithmetic runs in
-Python floats up to p = model.LATENT_FLOAT_MAX, where numpy's fixed cost
-per call outweighs its work, and in numpy above it, with the same draws
-bit for bit; model.coefficient_sums takes the same cut.  A Metropolis
+whose draws the state keeps as they are.  That call forms its means and
+draws in Python floats at every p, in one body (model.LATENT_FLOAT_MAX's
+comment has the timings).  A Metropolis
 sweep draws its three step normals and three acceptance uniforms with
 one generator call each, and the rejection scale blocks draw every
 scalar variate from the stream's buffered blocks.
@@ -91,7 +92,6 @@ from .distributions import (
 )
 from .model import (
     FORMS,
-    LATENT_FLOAT_MAX,
     REPRESENTATIONS,
     coefficient_sums,
     initial_state,
@@ -250,16 +250,15 @@ def update_beta_block(data, prior, state, rng):
 
 def update_tau2(data, prior, state, rng):
     """Exact update of the latents: one inverse-Gaussian call for all p
-    of them, stored in state.tau2 as drawn (model's z).  At p up to
-    LATENT_FLOAT_MAX the means are a list of floats and the draw runs in
-    floats, above it in numpy; the draws are the same bits either way.
+    of them, on a list of means formed in floats, stored in state.tau2
+    as drawn (model's z).
 
     |beta_j| is clamped below at 1e-12 sigma so the inverse-Gaussian mean
     stays finite when a coefficient collapses onto zero; a nan |beta_j|
-    stays nan, as through np.maximum, and the draw refuses it by name.
-    A shape that underflows to 0, as lambda1 near 1e-200 under a prior
-    with L << 1 makes it, is refused with a ValueError naming lambda1
-    and L.
+    stays nan, and the draw refuses it by name.  A shape that underflows
+    to 0, as lambda1 near 1e-200 under a prior with L << 1 makes it, is
+    refused with a ValueError naming lambda1 and L; one that overflows,
+    as lambda1 past 1e154 makes it, with one naming lambda1.
     """
     lam1, lam2, s2 = state.lambda1, state.lambda2, state.sigma2
     sigma = math.sqrt(s2)
@@ -273,15 +272,14 @@ def update_tau2(data, prior, state, rng):
             f"lambda1 = {lam1:.3g} is too small for the latent scales' "
             "draw: their inverse-Gaussian shape underflows to 0 (the "
             f"prior's L = {prior.L:g} puts lambda1's mass near 0)")
+    if shape == math.inf:
+        raise ValueError(
+            f"lambda1 = {lam1:.3g} is too large for the latent scales' "
+            "draw: their inverse-Gaussian shape overflows")
     floor = 1e-12 * sigma
-    if data.p <= LATENT_FLOAT_MAX:
-        # b < floor is False for a nan b, which stays
-        mean = [numer / (floor if b < floor else b)
-                for b in map(abs, state.beta.tolist())]
-    else:
-        mag = np.abs(state.beta)
-        np.maximum(mag, floor, out=mag)
-        mean = numer / mag
+    # b < floor is False for a nan b, which stays
+    mean = [numer / (floor if b < floor else b)
+            for b in map(abs, state.beta.tolist())]
     state.tau2 = sample_inverse_gaussian(mean, shape, rng)
 
 
@@ -290,9 +288,9 @@ def _u1_order(data, prior):
     return prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
 
 
-def update_u1_common(data, prior, state, sums, rng, hull=None):
+def update_u1_common(data, prior, state, sums, rng, hull):
     """u1 = sigma^2 under the common scaling: generalized inverse
-    Gaussian; hull is u1_hull's, or None for a fresh one."""
+    Gaussian, drawn through hull, the chain's u1_hull."""
     u2 = math.sqrt(state.lambda2 / state.sigma2)
     theta = state.lambda1 / (2.0 * state.sigma2 * u2)
     psi = u2 ** 2 * prior.nu2 + 2.0 * u2 * theta * prior.nu1
@@ -312,11 +310,11 @@ def update_u2_common(data, prior, state, sums, rng):
     state.lambda1, state.lambda2 = 2.0 * theta * u2 * u1, u1 * u2 * u2
 
 
-def update_theta_common(data, prior, state, sums, rng, hull=None):
+def update_theta_common(data, prior, state, sums, rng, hull):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional, not
-    log-concave for L < 1; hull is theta_hull's, whose family the chain
-    checked once, so the draw passes the rate alone, or None for the
-    member (p, L, c) in full."""
+    log-concave for L < 1.  hull is the chain's theta_hull, whose family
+    the chain checked once, so the draw passes the rate alone; at L < 1
+    it is None, and the draw passes the member (p, L, c) in full."""
     u1 = state.sigma2
     u2 = math.sqrt(state.lambda2 / u1)
     c = u2 * (u1 * prior.nu1 + sums.b1)
@@ -346,7 +344,7 @@ def update_u2_differential(data, prior, state, sums, rng):
     state.lambda1, state.lambda2 = theta * u2, u2 * u2
 
 
-def update_theta_differential(data, prior, state, sums, rng, hull=None):
+def update_theta_differential(data, prior, state, sums, rng, hull):
     """theta = lam1/sqrt(lam2): tail-tilted conditional, not log-concave
     for L < 1; hull as in update_theta_common."""
     u2 = math.sqrt(state.lambda2)
@@ -437,12 +435,12 @@ def u1_hull(data, prior):
     return GigHull(_u1_order(data, prior))
 
 
-def run_sweep(algorithm, data, prior, state, rng, counts=None,
-              steps=(1.0,) * len(MH_SCALES), hulls=None):
+def run_sweep(algorithm, data, prior, state, rng, hulls, counts=None,
+              steps=(1.0,) * len(MH_SCALES)):
     """One full scan over all blocks; mutates and returns the state.
-    steps are the Metropolis log-scale steps, in MH_SCALES order; hulls
-    is the chain's (theta_hull, u1_hull) pair, or None for fresh ones
-    per draw."""
+    hulls is the chain's (theta_hull, u1_hull) pair, which the rejection
+    sweeps draw theta and u1 through; steps are the Metropolis log-scale
+    steps, in MH_SCALES order."""
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
@@ -454,7 +452,7 @@ def run_sweep(algorithm, data, prior, state, rng, counts=None,
     # beta stays put while the scales move
     sums = coefficient_sums(data, state)
     if algorithm == "rs":
-        theta_kept, u1_kept = hulls or (None, None)
+        theta_kept, u1_kept = hulls
         if prior.form == "common":
             update_u1_common(data, prior, state, sums, rng, u1_kept)
             update_u2_common(data, prior, state, sums, rng)
@@ -503,7 +501,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     t0, cpu0 = time.perf_counter(), time.thread_time()
     for t in range(burnin):
         counts = new_counts(algorithm)
-        run_sweep(algorithm, data, prior, state, rng, counts, steps, hulls)
+        run_sweep(algorithm, data, prior, state, rng, hulls, counts, steps)
         if counts:
             gain = (t + 1.0) ** -0.5
             for i, name in enumerate(MH_SCALES):
@@ -511,7 +509,7 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
                 steps[i] = math.exp(log_steps[i])
     counts = new_counts(algorithm)
     for it in range(iters * thin):
-        run_sweep(algorithm, data, prior, state, rng, counts, steps, hulls)
+        run_sweep(algorithm, data, prior, state, rng, hulls, counts, steps)
         if it % thin == 0:
             kept[it // thin, :p] = state.beta
             scales.append((state.sigma2, state.lambda1, state.lambda2))

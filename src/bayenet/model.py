@@ -42,8 +42,7 @@ computed once: the likelihood's (1/2) log n per dataset
 normalizers and coefficients L - 1, nu1/2, R - 1, nu2/2, nu_a/2 + 1 and
 nu_b/2 (PriorSpec.hyper_terms).  The sums of beta it reads
 (coefficient_sums) are reduced once per sweep: in one Python-float pass
-at p up to LATENT_FLOAT_MAX, the cut kernels.update_tau2 shares, and by
-numpy above it.
+at p up to LATENT_FLOAT_MAX, and by numpy above it.
 """
 
 import math
@@ -234,15 +233,13 @@ class CoefficientSums(NamedTuple):
 
 
 # At or below this p, numpy's fixed cost per call outweighs its work on
-# beta: coefficient_sums reduces it in Python floats, and
-# kernels.update_tau2 forms the inverse-Gaussian means in Python floats
-# and passes them as a list, which sample_inverse_gaussian draws in
-# floats, bit for bit as from an array.  us per call in numpy against
-# floats (best of 21 timeit runs, 2-core Xeon, Python 3.11, numpy 2.4),
-# at p = 8, 16, 24, 32, 40: update_tau2 17.3 / 7.9, 18.5 / 12.9,
-# 19.7 / 16.7, 20.3 / 21.2, 22.9 / 24.4; coefficient_sums 8.4 / 5.4,
-# 8.6 / 7.5, 8.5 / 9.7, 8.4 / 11.6, 8.8 / 13.8.  The cut sits below both
-# crossovers, near p = 20 for the sums and p = 30 for update_tau2.
+# beta, and coefficient_sums reduces it in Python floats; above it,
+# numpy's reductions, which do not round alike.  us per call in numpy
+# against floats (best of 21 timeit runs, 2-core Xeon, Python 3.11,
+# numpy 2.4), at p = 8, 16, 24, 32, 40: 8.4 / 5.4, 8.6 / 7.5,
+# 8.5 / 9.7, 8.4 / 11.6, 8.8 / 13.8.  The cut sits below the crossover,
+# near p = 20.  (kernels.update_tau2 forms its means and draws in floats
+# at every p: one body, at 24.4 against numpy's 22.9 us at p = 40.)
 LATENT_FLOAT_MAX = 16
 
 

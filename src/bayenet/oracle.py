@@ -33,6 +33,8 @@ from .distributions import (
     sample_truncated_normal,
 )
 from .kernels import (
+    theta_hull,
+    u1_hull,
     update_beta_block,
     update_beta_coordinate,
     update_lambda2,
@@ -518,16 +520,25 @@ def beta_block_ks(data, prior, state, n, rng):
                     lambda: da_beta_marginal_cdf(data, prior, state))
 
 
+def _through_fresh_hull(kernel, hull):
+    """kernel drawn through the hull a chain would keep for it, made
+    afresh by hull(data, prior) for each draw, as at a chain's first
+    sweep: the sweeps' own call path."""
+    return lambda d, pr, st, sums, r: kernel(d, pr, st, sums, r, hull(d, pr))
+
+
 # each form's scale blocks; a line's substream is its index here, so a
 # block added at the end leaves every other line's draws unchanged
 _SCALE_CASES = {
-    "common": (("u1", update_u1_common),
+    "common": (("u1", _through_fresh_hull(update_u1_common, u1_hull)),
                ("u2", update_u2_common),
-               ("theta", update_theta_common),
+               ("theta", _through_fresh_hull(update_theta_common,
+                                             theta_hull)),
                ("lambda2", update_lambda2)),
     "differential": (("sigma2", update_sigma2_differential_rs),
                      ("u2", update_u2_differential),
-                     ("theta", update_theta_differential),
+                     ("theta", _through_fresh_hull(update_theta_differential,
+                                                   theta_hull)),
                      ("lambda2", update_lambda2)),
 }
 
@@ -595,25 +606,29 @@ def distribution_ks_checks(n, rng):
          lambda r: -sample_truncated_normal(0.3, 1.7, "negative", r)),
         ("inverse-gaussian",
          lambda x: -1.5 * np.log(x) - 1.3 * (x - 2.0) ** 2 / (8.0 * x),
-         (1e-8, 1e3), lambda r: sample_inverse_gaussian(2.0, 1.3, r)),
+         (1e-8, 1e3), lambda r: sample_inverse_gaussian([2.0], 1.3, r)[0]),
         ("gig", lambda x: -1.7 * np.log(x) - 0.5 * (1.1 * x + 2.3 / x),
-         (1e-8, 1e3), lambda r: sample_gig(-0.7, 1.1, 2.3, r)),
+         (1e-8, 1e3), lambda r: sample_gig(-0.7, 1.1, 2.3, r, GigHull(-0.7))),
         ("modified-half-normal-concave",
          lambda x: np.where(x > 0.0, 2.0 * np.log(np.maximum(x, 1e-300))
                             - 2.0 * x * x - 2.0 * x, -np.inf),
          (1e-8, 1e3), lambda r: sample_mhn(3.0, 2.0, 2.0, r)),
     ]
+    # like gig's above, each draw of a log-concave member goes through a
+    # fresh hull of its own
     for q in (1, 2, 4):
         p = TiltedParams(q, 3.5, 1.1)
         cases.append((f"tilted-q{q}", lambda x, p=p: _tilted_log_density(p, x),
-                      (1e-8, 1e3), lambda r, p=p: sample_tilted(p, r)))
+                      (1e-8, 1e3),
+                      lambda r, p=p: sample_tilted(p.c, r,
+                                                   tangent_hull(p.q, p.a))))
     # a < 1 is unbounded at 0, so this line tests log x, whose density
     # x f(x) is bounded; the KS distance is the same on either scale
     small = TiltedParams(4, 0.4, 0.9)
     cases.append(("tilted-small-shape",
                   lambda y: y + _tilted_log_density(small, np.exp(y)),
                   (-200.0, 8.0),
-                  lambda r: math.log(sample_tilted(small, r))))
+                  lambda r: math.log(sample_tilted(small, r, None))))
     return checks + [_ks_line(f"ks-{name}", n, rng, draw,
                               lambda: auto_cdf(ld, bracket))
                      for name, ld, bracket, draw in cases]
@@ -622,8 +637,9 @@ def distribution_ks_checks(n, rng):
 def kept_hull_ks_checks(n, seed):
     """KS of two members each drawn through one kept hull, as a chain's
     draws share it, each draw after one at a rate up to spread times
-    higher or lower: the a = 1 tilted member (8, 1, 2) at scaled c, and
-    the design-1 u1 member gig(-8, 0.57, 159) at scaled psi."""
+    higher or lower: the a = 1 tilted member (8, 1, 2) at scaled c,
+    passed as the rate alone, as the sweeps pass it, and the design-1
+    u1 member gig(-8, 0.57, 159) at scaled psi."""
     p = TiltedParams(8, 1.0, 2.0)
     theta_kept = tangent_hull(p.q, p.a)
     lam, psi, chi = -8.0, 0.57, 159.0
@@ -631,7 +647,7 @@ def kept_hull_ks_checks(n, seed):
     # (name, stream, log spread, sample(scale, rng), log density, bracket)
     cases = (
         ("ks-tilted-kept-hull", 207, math.log(10.0),
-         lambda k, r: sample_tilted(replace(p, c=p.c * k), r, theta_kept),
+         lambda k, r: sample_tilted(p.c * k, r, theta_kept),
          lambda x: _tilted_log_density(p, x), (1e-8, 1e3)),
         ("ks-gig-kept-hull", 208, math.log(3.0),
          lambda k, r: sample_gig(lam, psi * k, chi, r, u1_kept),

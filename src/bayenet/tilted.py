@@ -15,9 +15,9 @@ instead:
   the mode, built from the two-sided hazard inequality
   x < phi(x)/Phi(-x) < x + 1/x.
 * sample_tilted draws exactly: log-concave members by adaptive
-  rejection sampling, and members with 0 < a < 1 and c > 0 from one
-  fixed hull on the log scale: a power law below a split, tangents
-  above it (_sample_small_shape).
+  rejection sampling through their family's tangent_hull, and members
+  with 0 < a < 1 and c > 0 from one fixed hull on the log scale: a
+  power law below a split, tangents above it (_sample_small_shape).
 * tangent_hull is the adaptive hull of the members (q, a, c) at every
   c.  It opens at the mode bracket, and log f + c x, whose tangents it
   keeps, does not depend on c.  A chain's theta conditionals differ
@@ -26,9 +26,9 @@ instead:
   segments at the new c, and log f is evaluated only where the squeeze
   fails.  Each draw stays exact: it is a rejection draw under a hull
   that dominates its target, and the hull depends only on earlier
-  draws.  The hull checks its family when it is made, so a chain's draw
+  draws.  The hull checks its family when it is made, so every draw
   through it passes sample_tilted the rate c alone, and only c is
-  checked per draw.
+  checked per draw; a single draw passes a fresh hull.
 * log_density, dlog_density and d2log_density past the tail cut
   (special._TAIL_CUT) read -q x^2/2 - q log Phi(-x) as q log h(x) plus
   a constant, h the normal hazard, through _log_factor and the
@@ -160,44 +160,32 @@ def find_mode(p):
     return _bisect_root(df, lo, hi)
 
 
-# the refusal of a member outside is_logconcave, whether passed whole or
-# as a rate alone
+# the refusal of a rate, or a small-shape member, outside is_logconcave
+# and its a = 1 twin's
 _NOT_LOGCONCAVE = "density not certified log-concave for these parameters"
 
 
-def sample_tilted(p, rng, hull=None):
-    """One exact draw from a log-concave member of the family, or from a
-    member with 0 < a < 1 and c > 0, whose a = 1 twin is log-concave.
+def sample_tilted(p, rng, hull):
+    """One exact draw from a member of the family, through its family's
+    hull: tangent_hull(q, a), which checked (q, a) once for all its
+    draws (a chain's theta draws: kernels.theta_hull).
 
-    A log-concave member is drawn by adaptive rejection through hull, a
-    tangent_hull(p.q, p.a) that earlier draws at other c may have
-    refined; a fresh one if None.  The draw is exact whatever the hull
-    holds.
-
-    p may also be the rate c alone, with hull a tangent_hull whose family
-    (q, a) the caller checked once for all its draws (a chain's theta
-    draws: kernels.theta_hull).  The draw is then that of
-    TiltedParams(q, a, c) through hull, bit for bit, and only c is
-    checked, with the messages the full path gives; a rate alone without
-    a hull is refused.
+    p is the rate c alone, and the draw is that of the log-concave member
+    (q, a, c), by adaptive rejection through hull, which earlier draws at
+    other c may have refined; it is exact whatever the hull holds, and
+    only c is checked.  At a < 1 tangent_hull is None, and p is the
+    member in full, with c > 0, whose a = 1 twin is log-concave: it is
+    drawn by the small-shape sampler, which keeps no hull.
     """
-    if not isinstance(p, TiltedParams):
-        if hull is None or not 0.0 < p < math.inf:
-            if hull is None:
-                raise ValueError("a rate alone needs its family's hull")
-            require_finite(c=p)
-            raise ValueError(_NOT_LOGCONCAVE)
-        return ars_sample(hull, p, rng)
-    if p.a < 1.0 and p.c > 0.0:
-        return _sample_small_shape(p, rng)
-    if not is_logconcave(p):
-        raise ValueError(_NOT_LOGCONCAVE)
     if hull is None:
-        hull = tangent_hull(p.q, p.a)
-    elif hull.key != (p.q, p.a):
-        raise ValueError(f"hull is for (q, a) = {hull.key}, not "
-                         f"{(p.q, p.a)}")
-    return ars_sample(hull, p.c, rng)
+        if p.a < 1.0 and p.c > 0.0:
+            return _sample_small_shape(p, rng)
+        raise ValueError(_NOT_LOGCONCAVE if p.a < 1.0
+                         else "a log-concave member needs its family's hull")
+    if not 0.0 < p < math.inf:
+        require_finite(c=p)
+        raise ValueError(_NOT_LOGCONCAVE)
+    return ars_sample(hull, p, rng)
 
 
 def tangent_hull(q, a):
@@ -205,9 +193,10 @@ def tangent_hull(q, a):
     it keeps the tangents of log f + c x, which no c moves
     (envelope.TangentHull).  It opens at mode_bounds' knots and steps its
     right tail out to mode_bounds' upper end.  The family is checked
-    here: q a positive integer and a finite and positive.  At a < 1 it
-    is None: those members are not log-concave, and sample_tilted draws
-    them by the small-shape sampler, which keeps no hull."""
+    here, once for every draw through the hull: q a positive integer and
+    a finite and positive.  At a < 1 it is None: those members are not
+    log-concave, and sample_tilted draws them by the small-shape
+    sampler, which keeps no hull."""
     g = TiltedParams(q, a, 0.0)
     if a < 1.0:
         return None
@@ -218,7 +207,7 @@ def tangent_hull(q, a):
 
     return TangentHull(LogDensityTarget(
         lambda x: log_density(g, x), lambda x: dlog_density(g, x),
-        support_lower=0.0), seed, key=(q, a))
+        support_lower=0.0), seed)
 
 
 # the normal hazard at 0

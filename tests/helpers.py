@@ -24,7 +24,9 @@ log_std_normal_cdf and sample_truncated_normal, which the package's scan
 inlines; reference_coefficient_sums reduces beta with the matmul
 operator, where the package calls ndarray.dot above its float cut, and
 reference_float_coefficient_sums restates, term by term, the Python-float
-pass it takes at or below the cut.
+pass it takes at or below the cut.  reference_inverse_gaussian restates
+the package's inverse-Gaussian draw, a loop over Python floats, as whole
+numpy arrays.
 """
 
 import csv
@@ -350,3 +352,21 @@ def reference_float_coefficient_sums(data, beta):
         bb = bb + b[j] * b[j]
         b1 = b1 + math.fabs(b[j])
     return CoefficientSums(len(b), data.yty - 2.0 * bxy + bqb, bb, b1)
+
+
+def reference_inverse_gaussian(means, shape, rng):
+    """distributions.sample_inverse_gaussian over an array of means,
+    formed with whole-array numpy operations: the same two gen calls,
+    the conjugate root, the Levy limit shape/y^2 where sqrt(w (w + 2))
+    overflows, and the other root of a mean outside [1e-150, 1e150] at
+    the mean and root scaled by 2^600 or 2^-600."""
+    y2 = np.square(rng.gen.standard_normal(means.size))
+    u = rng.gen.random(means.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = y2 * means / (2.0 * shape)
+        t = np.sqrt((w + 2.0) * w)
+        x = np.where(t == np.inf, shape / y2, means / ((w + 1.0) + t))
+        scale = np.select([means > 1e150, means < 1e-150],
+                          [2.0 ** 600, 2.0 ** -600], 1.0)
+        other = np.square(means / scale) / (x / scale) * scale
+    return np.where(u <= means / (means + x), x, other)

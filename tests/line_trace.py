@@ -44,8 +44,7 @@ SWEEPS = 500
 DRIVERS = {
     ("kernels.py", "run_chain"), ("kernels.py", "run_sweep"),
     ("kernels.py", "update_beta_direct"), ("kernels.py", "mh_update_scales"),
-    ("kernels.py", "new_counts"), ("kernels.py", "theta_hull"),
-    ("kernels.py", "u1_hull"), ("kernels.py", "sampler_label"),
+    ("kernels.py", "new_counts"), ("kernels.py", "sampler_label"),
     ("model.py", "initial_state"),
     ("diagnostics.py", "derived_penalty_columns"),
 }

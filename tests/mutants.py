@@ -50,6 +50,9 @@ MUTANTS = (
     ("DA beta noise scaled by sigma2, not sigma", "block", "kernels.py",
      "data.xty + math.sqrt(state.sigma2) * noise)",
      "data.xty + state.sigma2 * noise)"),
+    ("theta drawn at 1.1 times its rate", "block", "tilted.py",
+     "return ars_sample(hull, p, rng)",
+     "return ars_sample(hull, 1.1 * p, rng)"),
     ("theta hull never re-tilts after its first rate", "hull",
      "envelope.py",
      "self.slopes = [m - c for m in self.g_slopes]",

@@ -1,5 +1,6 @@
-"""Frozen draws: a short chain of every sampler must reproduce the
-committed fixture.
+"""Frozen draws: a short chain of every sampler on design 1 must
+reproduce the committed fixture, and one of each augmented sampler on
+design 3 (p = 40) its own.
 
 Refactors that claim to keep behaviour are checked against this file.
 The chains are short on purpose: rounding differences between two
@@ -10,12 +11,12 @@ the draws of some samplers regenerates their rows with
     PYTHONPATH=src python tests/test_golden_draws.py [SAMPLER ...]
 
 which rewrites only the named samplers' rows (all of them if none is
-named) and keeps every other row byte for byte.  It first prints, for
-each sampler, how many of its rows differ from the committed file and
-their largest relative difference, and whether that is within RTOL:
-a stream that moved differs far beyond it, while a platform's rounding
-of the solves and dot products differs in the last digits only.  Say
-why in CHANGES.md.
+named), in both fixtures, and keeps every other row byte for byte.  It
+first prints, for each sampler, how many of its rows differ from the
+committed file and their largest relative difference, and whether that
+is within RTOL: a stream that moved differs far beyond it, while a
+platform's rounding of the solves and dot products differs in the last
+digits only.  Say why in CHANGES.md.
 """
 
 import csv
@@ -26,29 +27,41 @@ import numpy as np
 import pytest
 
 from bayenet.kernels import SAMPLERS, parse_sampler, run_chain
-from bayenet.model import RegressionData, make_prior
+from bayenet.model import LATENT_FLOAT_MAX, RegressionData, make_prior
 from bayenet.rng import RngStream
 from bayenet.simulate import design, generate_dataset
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_draws.csv")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+FIXTURE = os.path.join(DATA, "golden_draws.csv")
+WIDE_FIXTURE = os.path.join(DATA, "golden_draws_wide.csv")
 SEED = 20250101
-SWEEPS = 25
 RTOL = 1e-9
+# fixture -> (design, preset, sweeps, samplers).  On design 3, p = 40 is
+# past model.LATENT_FLOAT_MAX, so the augmented samplers' coefficient
+# sums there take numpy's reductions, and their latent draw runs over
+# 40 means
+PINS = {
+    FIXTURE: (1, "weak", 25, SAMPLERS),
+    WIDE_FIXTURE: (3, "strong", 8,
+                   tuple(s for s in SAMPLERS if s.endswith("-da"))),
+}
 
 
-def golden_chain(kind_index):
-    """Draws (beta, sigma2, lambda1, lambda2) of one sampler on design 1."""
+def golden_chain(kind_index, fixture):
+    """Draws (beta, sigma2, lambda1, lambda2) of one sampler on the
+    fixture's design."""
+    d, preset, sweeps, _ = PINS[fixture]
     algorithm, form, representation = parse_sampler(SAMPLERS[kind_index])
-    y, X = generate_dataset(design(1), RngStream(SEED, 0))
+    y, X = generate_dataset(design(d), RngStream(SEED, 0))
     data = RegressionData(y, X)
-    prior = make_prior(form, representation, preset="weak")
-    out = run_chain(algorithm, data, prior, RngStream(SEED, (1, kind_index)),
-                    iters=SWEEPS, burnin=0)
+    prior = make_prior(form, representation, preset=preset)
+    out = run_chain(algorithm, data, prior, RngStream(SEED, (d, kind_index)),
+                    iters=sweeps, burnin=0)
     return out.draws[:, :data.p + 3], out.parameter_names[:data.p + 3]
 
 
-def read_fixture():
-    with open(FIXTURE, newline="") as fh:
+def read_fixture(fixture):
+    with open(fixture, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
     table = {}
@@ -57,12 +70,12 @@ def read_fixture():
     return header[2:], {k: np.array(v) for k, v in table.items()}
 
 
-def fixture_rows():
+def fixture_rows(fixture):
     """The fixture's rows as written: a header, then each sampler's."""
     rows = []
-    for i, label in enumerate(SAMPLERS):
-        draws, names = golden_chain(i)
-        if i == 0:
+    for label in PINS[fixture][3]:
+        draws, names = golden_chain(SAMPLERS.index(label), fixture)
+        if not rows:
             rows.append(["sampler", "sweep"] + names)
         rows.extend([label, str(t + 1)] + [f"{v:.17g}" for v in row]
                     for t, row in enumerate(draws))
@@ -126,31 +139,35 @@ def select_rows(old, new, samplers):
 
 
 def write_fixture(samplers=SAMPLERS):
-    """Rewrite the named samplers' rows of the fixture, first printing
+    """Rewrite the named samplers' rows of each fixture, first printing
     for each sampler how far its rows moved."""
     unknown = sorted(set(samplers) - set(SAMPLERS))
     if unknown:
         raise SystemExit(f"unknown samplers: {', '.join(unknown)}; "
                          f"choose from {', '.join(SAMPLERS)}")
-    rows = fixture_rows()
-    old = []
-    if os.path.exists(FIXTURE):
-        with open(FIXTURE, newline="") as fh:
-            old = list(csv.reader(fh))
-    largest = largest_relative_differences(old, rows)
-    for label, n in moved_rows(old, rows).items():
-        verdict = ("unchanged" if not n else
-                   f"{n} rows differ, largest relative difference "
-                   f"{largest[label]:.3g} "
-                   f"({'within' if largest[label] <= RTOL else 'past'} "
-                   f"RTOL {RTOL:g})")
-        action = "rewritten" if label in samplers else "kept"
-        print(f"{label}: {verdict}; {action}")
-    if old:
-        rows = select_rows(old, rows, samplers)
-    os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    for fixture, (_, _, _, pinned) in PINS.items():
+        print(os.path.basename(fixture))
+        rows = fixture_rows(fixture)
+        old = []
+        if os.path.exists(fixture):
+            with open(fixture, newline="") as fh:
+                old = list(csv.reader(fh))
+        largest = largest_relative_differences(old, rows)
+        moved = moved_rows(old, rows)
+        for label in pinned:
+            n = moved[label]
+            verdict = ("unchanged" if not n else
+                       f"{n} rows differ, largest relative difference "
+                       f"{largest[label]:.3g} "
+                       f"({'within' if largest[label] <= RTOL else 'past'} "
+                       f"RTOL {RTOL:g})")
+            action = "rewritten" if label in samplers else "kept"
+            print(f"  {label}: {verdict}; {action}")
+        if old:
+            rows = select_rows(old, rows, samplers)
+        os.makedirs(DATA, exist_ok=True)
+        with open(fixture, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def test_moved_rows_counts_each_samplers_differing_rows():
@@ -181,14 +198,25 @@ def test_select_rows_rewrites_only_the_named_samplers():
     assert select_rows(old, new, SAMPLERS) == new
 
 
-@pytest.mark.parametrize("kind_index", range(len(SAMPLERS)), ids=SAMPLERS)
-def test_golden_draws(kind_index):
-    names, table = read_fixture()
-    draws, got_names = golden_chain(kind_index)
+def _check_golden(kind_index, fixture):
+    names, table = read_fixture(fixture)
+    draws, got_names = golden_chain(kind_index, fixture)
     assert got_names == names
     want = table[SAMPLERS[kind_index]]
     assert want.shape == draws.shape
     np.testing.assert_allclose(draws, want, rtol=RTOL, atol=0.0)
+    return names
+
+
+@pytest.mark.parametrize("kind_index", range(len(SAMPLERS)), ids=SAMPLERS)
+def test_golden_draws(kind_index):
+    _check_golden(kind_index, FIXTURE)
+
+
+@pytest.mark.parametrize("label", PINS[WIDE_FIXTURE][3])
+def test_golden_draws_past_the_float_cut(label):
+    names = _check_golden(SAMPLERS.index(label), WIDE_FIXTURE)
+    assert len(names) - 3 > LATENT_FLOAT_MAX
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bayenet import kernels, tilted
+from bayenet import distributions, kernels, tilted
 from bayenet.diagnostics import ess_batch_means
-from bayenet.distributions import (sample_inverse_gaussian,
+from bayenet.distributions import (GigHull, sample_inverse_gaussian,
                                    sample_truncated_normal)
 from bayenet.envelope import PiecewiseExpEnvelope
 from bayenet.kernels import (
@@ -40,6 +40,7 @@ from bayenet.kernels import (
     update_u2_differential,
 )
 from bayenet.model import (
+    LATENT_FLOAT_MAX,
     RegressionData,
     coefficient_sums,
     initial_state,
@@ -74,6 +75,27 @@ def clone(state):
                    tau2=None if state.tau2 is None else state.tau2.copy())
 
 
+def fresh_hulls(data, prior):
+    """A chain's (theta, u1) hull pair, new: a sweep through a new pair
+    draws theta and u1 as a chain's first sweep does."""
+    return kernels.theta_hull(data, prior), kernels.u1_hull(data, prior)
+
+
+def with_fresh_hull(block, hull):
+    """The theta or u1 block, drawn at each call through a new
+    hull(data, prior), as at a chain's first sweep."""
+    def draw(data, prior, state, sums, rng):
+        return block(data, prior, state, sums, rng, hull(data, prior))
+    draw.__name__ = block.__name__
+    return draw
+
+
+u1_common = with_fresh_hull(update_u1_common, kernels.u1_hull)
+theta_common = with_fresh_hull(update_theta_common, kernels.theta_hull)
+theta_differential = with_fresh_hull(update_theta_differential,
+                                     kernels.theta_hull)
+
+
 def coords(form, st):
     """The state's transformed scales (u1, u2, theta)."""
     return to_transformed(form, st.sigma2, st.lambda1, st.lambda2)
@@ -98,7 +120,7 @@ def frozen(form, representation):
         state = initial_state(data, prior)
         rng = RngStream(42, COMBOS.index(key))
         for _ in range(30):
-            run_sweep("rs", data, prior, state, rng)
+            run_sweep("rs", data, prior, state, rng, fresh_hulls(data, prior))
         _FROZEN[key] = (data, prior, state)
     data, prior, state = _FROZEN[key]
     return data, prior, clone(state)
@@ -148,7 +170,7 @@ def test_variance_scale_slice(form, rep):
             set_coords("common", st, 0, v)
 
         def update(st, rng):
-            update_u1_common(data, prior, st, sums, rng)
+            u1_common(data, prior, st, sums, rng)
     else:
         def set_coord(st, v):
             st.sigma2 = v
@@ -195,10 +217,10 @@ def test_tilt_ratio_slice(form, rep):
 
     if form == "common":
         def update(st, rng):
-            update_theta_common(data, prior, st, sums, rng)
+            theta_common(data, prior, st, sums, rng)
     else:
         def update(st, rng):
-            update_theta_differential(data, prior, st, sums, rng)
+            theta_differential(data, prior, st, sums, rng)
 
     theta = coords(form, state)[2]
     d = slice_ks(data, prior, state, set_coord,
@@ -234,14 +256,14 @@ def test_penalty_rate_slice_at_fixed_lambda1(form, rep):
 # each rejection scale block, the natural scales its draw moves, and
 # the sweep coordinates (u1, u2, theta) its conditional holds fixed
 SCALE_BLOCK_WRITES = {
-    "common": [(update_u1_common, {"sigma2", "lambda1", "lambda2"}, (1, 2)),
+    "common": [(u1_common, {"sigma2", "lambda1", "lambda2"}, (1, 2)),
                (update_u2_common, {"lambda1", "lambda2"}, (0, 2)),
                (update_lambda2, {"lambda2"}, ()),
-               (update_theta_common, {"lambda1"}, (0, 1))],
+               (theta_common, {"lambda1"}, (0, 1))],
     "differential": [
         (update_sigma2_differential_rs, {"sigma2"}, ()),
         (update_u2_differential, {"lambda1", "lambda2"}, (0, 2)),
-        (update_theta_differential, {"lambda1"}, (0, 1)),
+        (theta_differential, {"lambda1"}, (0, 1)),
         (update_lambda2, {"lambda2"}, ())],
 }
 
@@ -305,7 +327,7 @@ def design3_direct(form, seed):
     state = initial_state(data, prior)
     rng = RngStream(seed, 1)
     for _ in range(3):
-        run_sweep("rs", data, prior, state, rng)
+        run_sweep("rs", data, prior, state, rng, fresh_hulls(data, prior))
     return data, prior, state, rng
 
 
@@ -406,7 +428,8 @@ def test_direct_scan_is_the_reference_scan_bit_for_bit(form, monkeypatch):
             state = initial_state(data, prior)
             rng = RngStream(7, (d, 1))
             for _ in range(5):
-                run_sweep(algorithm, data, prior, state, rng)
+                run_sweep(algorithm, data, prior, state, rng,
+                          fresh_hulls(data, prior))
             fast, ref = clone(state), clone(state)
             fast_rng, ref_rng = copy.deepcopy(rng), copy.deepcopy(rng)
             for _ in range(5):
@@ -466,10 +489,11 @@ def test_coefficient_sums_are_the_matmul_sums_bit_for_bit(label):
         state = initial_state(data, prior)
         rng = RngStream(7, (d, 3))
         for _ in range(20):
-            run_sweep(algorithm, data, prior, state, rng)
+            run_sweep(algorithm, data, prior, state, rng,
+                      fresh_hulls(data, prior))
             got = coefficient_sums(data, state)
             reference = (reference_float_coefficient_sums
-                         if data.p <= kernels.LATENT_FLOAT_MAX
+                         if data.p <= LATENT_FLOAT_MAX
                          else reference_coefficient_sums)
             want = reference(data, state.beta)
             assert got.p == want.p
@@ -484,8 +508,8 @@ def _sums_data(p):
                           + gen.standard_normal(p + 10), X)
 
 
-@pytest.mark.parametrize("p", [kernels.LATENT_FLOAT_MAX,
-                               kernels.LATENT_FLOAT_MAX + 1])
+@pytest.mark.parametrize("p", [LATENT_FLOAT_MAX,
+                               LATENT_FLOAT_MAX + 1])
 def test_coefficient_sums_on_either_side_of_the_float_cut(p):
     # the float pass and numpy's reductions agree to rounding, and each
     # side is its own restatement bit for bit
@@ -493,7 +517,7 @@ def test_coefficient_sums_on_either_side_of_the_float_cut(p):
     prior = make_prior("common", "direct", preset="weak")
     state = initial_state(data, prior)
     restated = (reference_float_coefficient_sums
-                if p <= kernels.LATENT_FLOAT_MAX
+                if p <= LATENT_FLOAT_MAX
                 else reference_coefficient_sums)
     gen = np.random.default_rng(40 + p)
     for scale in (1e-3, 1.0, 1e3):
@@ -506,8 +530,8 @@ def test_coefficient_sums_on_either_side_of_the_float_cut(p):
                 == [float.hex(v) for v in restated(data, state.beta)[1:]])
 
 
-@pytest.mark.parametrize("p", [kernels.LATENT_FLOAT_MAX,
-                               kernels.LATENT_FLOAT_MAX + 1])
+@pytest.mark.parametrize("p", [LATENT_FLOAT_MAX,
+                               LATENT_FLOAT_MAX + 1])
 def test_a_nan_coefficient_gives_nan_sums(p):
     data = _sums_data(p)
     state = initial_state(data, make_prior("common", "direct",
@@ -558,6 +582,22 @@ def test_latent_scales_refuse_an_underflowed_shape_by_name(form):
     assert (state.tau2 == before).all()
 
 
+def test_latent_scales_refuse_an_overflowed_shape_by_name():
+    # a Metropolis chain on a response in units of 1e-100 can carry
+    # lambda1 past 1e154, where the differential shape lambda1^2
+    # overflows: the refusal names lambda1, as the scale battery's
+    # REFUSALS read it, before any draw
+    data, prior, state = frozen("differential", "da")
+    state.lambda1 = 1e160
+    before = state.tau2.copy()
+    rng = RngStream(506, 1)
+    with pytest.raises(ValueError, match=(
+            r"^lambda1 = 1e\+160 is too large for the latent scales' draw")):
+        update_tau2(data, prior, state, rng)
+    assert (state.tau2 == before).all()
+    assert rng.gen.random() == RngStream(506, 1).gen.random()
+
+
 @pytest.mark.parametrize("form", ["common", "differential"])
 def test_block_coefficient_update_moments(form):
     data, prior, state = frozen(form, "da")
@@ -591,7 +631,8 @@ def test_sweep_keeps_latent_scales_in_range(label):
     state = initial_state(data, prior)
     rng = RngStream(707, 3)
     for _ in range(5):
-        run_sweep(algorithm, data, prior, state, rng)
+        run_sweep(algorithm, data, prior, state, rng,
+                  fresh_hulls(data, prior))
         if representation == "da":
             assert state.tau2 is not None
             assert np.all((state.tau2 > 0) & (state.tau2 < math.inf))
@@ -605,14 +646,15 @@ def test_latent_update_stores_the_inverse_gaussian_draw(form):
     data, prior, state = frozen(form, "da")
     rng = RngStream(508, 0)
     for _ in range(5):
-        run_sweep("rs", data, prior, state, rng)
+        run_sweep("rs", data, prior, state, rng, fresh_hulls(data, prior))
         l1, l2, s2 = state.lambda1, state.lambda2, state.sigma2
         mag = np.abs(state.beta)
         if form == "common":
             mean, shape = l1 / (2.0 * l2) / mag, l1 * l1 / (4.0 * l2 * s2)
         else:
             mean, shape = math.sqrt(s2) * l1 / mag, l1 * l1
-        want = sample_inverse_gaussian(mean, shape, copy.deepcopy(rng))
+        want = sample_inverse_gaussian(mean.tolist(), shape,
+                                       copy.deepcopy(rng))
         update_tau2(data, prior, state, rng)
         assert state.tau2.tobytes() == want.tobytes()
 
@@ -629,22 +671,18 @@ def _latent_state(form, p, beta):
 
 
 @pytest.mark.parametrize("form", ["common", "differential"])
-@pytest.mark.parametrize("p", [kernels.LATENT_FLOAT_MAX,
-                               kernels.LATENT_FLOAT_MAX + 1])
+@pytest.mark.parametrize("p", [LATENT_FLOAT_MAX,
+                               LATENT_FLOAT_MAX + 1])
 def test_latent_update_is_the_array_draw_either_side_of_the_float_cut(
-        form, p, monkeypatch):
-    # up to LATENT_FLOAT_MAX the means are formed in floats and drawn as
-    # a list, past it as an array; the clamp of |beta_j| at 1e-12 sigma
-    # and every draw keep their bits, at coefficients of 0, below the
-    # clamp, and of every size
+        form, p):
+    # the means are formed in floats at every p, the coefficient sums'
+    # float cut and one past it included: they and every draw are those
+    # of the means formed over arrays, the clamp of |beta_j| at
+    # 1e-12 sigma included, at coefficients of 0, below the clamp, and
+    # of every size
     beta = RngStream(509, 0).gen.standard_normal(p) * np.logspace(-6, 6, p)
     beta[:3] = 0.0, -1e-300, 1e-13
     data, prior, state = _latent_state(form, p, beta)
-    seen = []
-    monkeypatch.setattr(kernels, "sample_inverse_gaussian",
-                        lambda mean, *args: (seen.append(type(mean)),
-                                             sample_inverse_gaussian(
-                                                 mean, *args))[1])
     rng = RngStream(509, 1)
     for _ in range(20):
         l1, l2, s2 = state.lambda1, state.lambda2, state.sigma2
@@ -653,18 +691,16 @@ def test_latent_update_is_the_array_draw_either_side_of_the_float_cut(
         else:
             numer, shape = math.sqrt(s2) * l1, l1 * l1
         mag = np.maximum(np.abs(state.beta), 1e-12 * math.sqrt(s2))
-        want = sample_inverse_gaussian(numer / mag, shape,
+        want = sample_inverse_gaussian((numer / mag).tolist(), shape,
                                        copy.deepcopy(rng))
         update_tau2(data, prior, state, rng)
         assert state.tau2.tobytes() == want.tobytes()
         state.lambda1 *= 1.7
         state.sigma2 *= 0.6
-    assert seen == [list if p <= kernels.LATENT_FLOAT_MAX
-                    else np.ndarray] * 20
 
 
-@pytest.mark.parametrize("p", [kernels.LATENT_FLOAT_MAX,
-                               kernels.LATENT_FLOAT_MAX + 1])
+@pytest.mark.parametrize("p", [LATENT_FLOAT_MAX,
+                               LATENT_FLOAT_MAX + 1])
 def test_latent_update_refuses_a_nan_coefficient_by_name(p):
     # a float clamp max(b, floor) or "b if b > floor" would turn a nan
     # |beta_j| into the floor and draw from it
@@ -699,7 +735,7 @@ def _sweep_calls(monkeypatch, algorithm, prior):
         monkeypatch.setattr(kernels, name, recording)
     data = make_data()
     run_sweep(algorithm, data, prior, initial_state(data, prior),
-              RngStream(12, 0))
+              RngStream(12, 0), fresh_hulls(data, prior))
     return calls
 
 
@@ -772,8 +808,7 @@ def test_small_shape_theta_keeps_no_hull(form, monkeypatch):
                         lambda p, rng: seen.append(p) or 1.0)
     state = initial_state(data, prior)
     run_sweep("rs", data, prior, state, RngStream(14, 0),
-              hulls=(kernels.theta_hull(data, prior),
-                     kernels.u1_hull(data, prior)))
+              fresh_hulls(data, prior))
     assert [(p.q, p.a) for p in seen] == [(data.p, 0.5)]
     assert seen[0].c > 0.0
 
@@ -806,7 +841,11 @@ def test_theta_target_evaluations_per_draw_are_pinned(monkeypatch):
     assert evaluations() == {
         "rs-common-direct": 154, "rs-common-da": 191,
         "rs-differential-direct": 220, "rs-differential-da": 224}
-    monkeypatch.setattr(kernels, "theta_hull", lambda data, prior: None)
+    # each draw through a fresh hull of the chain's family
+    L = make_prior("common", "direct", preset="weak").L
+    monkeypatch.setattr(
+        kernels, "sample_tilted", lambda c, rng, hull: tilted.sample_tilted(
+            c, rng, tilted.tangent_hull(data.p, L)))
     assert evaluations() == {
         "rs-common-direct": 1095, "rs-common-da": 1097,
         "rs-differential-direct": 1226, "rs-differential-da": 1221}
@@ -839,7 +878,10 @@ def test_gig_hull_builds_per_chain_are_pinned(monkeypatch):
         return out
 
     assert hulls_built() == {"rs-common-direct": 11, "rs-common-da": 9}
-    monkeypatch.setattr(kernels, "u1_hull", lambda data, prior: None)
+    # each draw through a fresh hull of the chain's order
+    monkeypatch.setattr(
+        kernels, "sample_gig", lambda lam, psi, chi, rng, hull:
+        distributions.sample_gig(lam, psi, chi, rng, GigHull(lam)))
     assert hulls_built() == {"rs-common-direct": 500, "rs-common-da": 500}
 
 
@@ -890,7 +932,8 @@ def test_run_sweep_refuses_an_unknown_algorithm(rep):
     state, rng = initial_state(data, prior), RngStream(1, 2)
     before = clone(state)
     with pytest.raises(ValueError, match="algorithm must be one of .*'gibbs'"):
-        run_sweep("gibbs", data, prior, state, rng, counts={})
+        run_sweep("gibbs", data, prior, state, rng, fresh_hulls(data, prior),
+                  counts={})
     assert state.beta.tobytes() == before.beta.tobytes()
     assert rng.gen.random() == RngStream(1, 2).gen.random()
 
@@ -921,7 +964,7 @@ def test_no_burn_in_keeps_unit_steps(form, rep):
     assert out.mh_steps == {name: 1.0 for name in MH_SCALES}
     state, rng = initial_state(data, prior), RngStream(5, 1)
     for row in out.draws:
-        run_sweep("mh", data, prior, state, rng)
+        run_sweep("mh", data, prior, state, rng, fresh_hulls(data, prior))
         assert row[:data.p + 3].tobytes() == np.array(
             [*state.beta, state.sigma2, state.lambda1,
              state.lambda2]).tobytes()
@@ -935,12 +978,12 @@ def _recorded_chain(monkeypatch, data, prior, seed, **kw):
     Metropolis accepts it added."""
     sweeps = []
 
-    def recording_sweep(algorithm, data, prior, state, rng, counts, steps,
-                        hull):
+    def recording_sweep(algorithm, data, prior, state, rng, hulls, counts,
+                        steps):
         before = [counts[name][0] for name in MH_SCALES]
         sweeps.append({"state": clone(state), "rng": copy.deepcopy(rng),
                        "steps": tuple(steps)})
-        run_sweep(algorithm, data, prior, state, rng, counts, steps, hull)
+        run_sweep(algorithm, data, prior, state, rng, hulls, counts, steps)
         sweeps[-1]["accepted"] = [counts[name][0] - a
                                   for name, a in zip(MH_SCALES, before)]
         return state
@@ -982,7 +1025,8 @@ def test_burn_in_tunes_steps_then_freezes_them(form, rep, monkeypatch):
     state, rng = kept[0]["state"], kept[0]["rng"]
     redrawn = []
     for it in range(iters * thin):
-        run_sweep("mh", data, prior, state, rng, None, reported)
+        run_sweep("mh", data, prior, state, rng, fresh_hulls(data, prior),
+                  None, reported)
         if it % thin == 0:
             redrawn.append([*state.beta, state.sigma2, state.lambda1,
                             state.lambda2])
@@ -1131,9 +1175,9 @@ def test_metropolis_block_redraws_an_exact_zero_uniform(form):
 
 
 _SCALE_BLOCKS = {
-    "common": (update_u1_common, update_u2_common, update_theta_common),
+    "common": (u1_common, update_u2_common, theta_common),
     "differential": (update_sigma2_differential_rs, update_u2_differential,
-                     update_theta_differential),
+                     theta_differential),
 }
 # blocks checked after the Metropolis one, which keeps its stream
 # (88, 3): there every form accepts at least one of its three unit-step

@@ -200,19 +200,27 @@ def test_property_suite_flags_an_upper_bound_below_the_mode(monkeypatch):
     assert "mode outside bounds" in result.detail
 
 
+def _draw(p, rng):
+    """One draw of the member p as a chain's first theta draw makes it:
+    its rate alone through a fresh tangent_hull, or, at a < 1, where
+    there is none, the member whole."""
+    hull = tangent_hull(p.q, p.a)
+    return sample_tilted(p if hull is None else p.c, rng, hull)
+
+
 def test_boundary_mode_member_still_samples():
     # a = 1 with c big enough that the density decreases from 0+
     p = TiltedParams(2, 1.0, 3.0)
     assert find_mode(p) == 0.0
     rng = RngStream(201, 0)
-    draws = [sample_tilted(p, rng) for _ in range(20000)]
+    draws = [_draw(p, rng) for _ in range(20000)]
     xs, c = cdf_table(lambda x: log_density(p, x), 1e-9, 8.0)
     assert ks_statistic(draws, xs, c) < ks_threshold(len(draws))
 
 
 def _ks_tilted(p, seed, lo, hi, n=20000):
     rng = RngStream(202, seed)
-    draws = [sample_tilted(p, rng) for _ in range(n)]
+    draws = [_draw(p, rng) for _ in range(n)]
     xs, c = cdf_table(lambda x: log_density(p, x), lo, hi)
     return ks_statistic(draws, xs, c), ks_threshold(n)
 
@@ -233,9 +241,9 @@ def test_sample_tilted_high_order_tilt():
 def test_sample_tilted_rejects_uncertified():
     # a < 1 is sampled only where the a = 1 twin is log-concave
     with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(2, 0.5, 0.0), RngStream(1))
+        _draw(TiltedParams(2, 0.5, 0.0), RngStream(1))
     with pytest.raises(ValueError):
-        sample_tilted(TiltedParams(1, 1.0, 0.0), RngStream(1))   # c = 0
+        _draw(TiltedParams(1, 1.0, 0.0), RngStream(1))   # c = 0
 
 
 def test_params_validate():
@@ -310,7 +318,7 @@ def test_small_shape_draws_at_tiny_rates(c):
     p = TiltedParams(8, 0.02, c)
     rng = RngStream(206, int(-math.log10(c)))
     n = 400
-    draws = np.array([sample_tilted(p, rng) for _ in range(n)])
+    draws = np.array([_draw(p, rng) for _ in range(n)])
     assert np.isfinite(draws).all() and draws.min() > 0.0
     u = np.sort([float(mp.gammainc(8.02, 0, c * x, regularized=True))
                  for x in draws])
@@ -346,7 +354,7 @@ def test_small_shape_hull_bounds_psi_with_exact_masses(monkeypatch, q, a, c):
         return real(target, env, rng)
 
     monkeypatch.setattr(tilted, "sample_from_envelope", capture)
-    sample_tilted(p, RngStream(205, q))
+    _draw(p, RngStream(205, q))
     (env,) = hulls
     assert env.bounds[0] == -math.inf
     if q * math.sqrt(2.0 / math.pi) > c:
@@ -367,7 +375,7 @@ def _ks_small_shape(p, seed, lo, hi, n=10000):
     # is the same on either scale.  The table resolves a bulk as narrow
     # as 0.16 (the first case below) on a span of 900
     rng = RngStream(204, seed)
-    draws = [math.log(sample_tilted(p, rng)) for _ in range(n)]
+    draws = [math.log(_draw(p, rng)) for _ in range(n)]
     xs, c = cdf_table(lambda y: y + log_density(p, math.exp(y)), lo, hi,
                       n=200001)
     return ks_statistic(draws, xs, c), ks_threshold(n)
@@ -402,7 +410,7 @@ def test_kept_hull_dominates_the_density_over_a_sweep_of_rates(q, a):
         p = TiltedParams(q, a, math.exp(gen.uniform(math.log(0.05),
                                                     math.log(300.0))))
         knots, right = list(hull.knots), hull.knots[-1:]
-        sample_tilted(p, rng, hull)
+        sample_tilted(p.c, rng, hull)
         replaced |= len(knots) == MAX_KNOTS and hull.knots != knots
         assert len(hull.knots) <= MAX_KNOTS
         # the rightmost knot is never dropped
@@ -426,57 +434,41 @@ def test_kept_hull_draws_at_small_rates(q, c):
     p = TiltedParams(q, 1.0, c)
     hull = tangent_hull(p.q, p.a)
     rng = RngStream(212, q)
-    draws = [c * sample_tilted(p, rng, hull) for _ in range(5000)]
+    draws = [c * sample_tilted(c, rng, hull) for _ in range(5000)]
     table = oracle.auto_cdf(lambda y: q * np.log(y) - y, (1e-8, 1e3))
     d, ok = oracle.ks_test(draws, table)
     assert ok, d
 
 
-def test_sample_tilted_refuses_another_familys_hull():
-    with pytest.raises(ValueError, match="hull is for"):
-        sample_tilted(TiltedParams(8, 1.0, 1.0), RngStream(1),
-                      tangent_hull(8, 2.0))
-
-
-@pytest.mark.parametrize("q, a", [(8, 1.0), (40, 6.0)])
-def test_rate_alone_through_a_kept_hull_is_the_full_draw(q, a):
-    # a chain checks theta's family once and then passes the rate alone:
-    # the draws, the hull and the stream stay those of the full path
-    fast, full = tangent_hull(q, a), tangent_hull(q, a)
-    rng_fast, rng_full = RngStream(213, q), RngStream(213, q)
-    rates = np.exp(np.random.default_rng(q).uniform(-3.0, 5.0, 200))
-    for c in rates.tolist():
-        assert (sample_tilted(c, rng_fast, fast)
-                == sample_tilted(TiltedParams(q, a, c), rng_full, full))
-        assert fast.knots == full.knots
-    assert (rng_fast.gen.bit_generator.state
-            == rng_full.gen.bit_generator.state)
-    assert rng_fast.uniforms == rng_full.uniforms
-
-
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_rate_alone_is_refused_with_the_full_paths_message(c):
+    # the rate alone is refused as the member (8, 1, c) in full is: a
+    # non-finite c by TiltedParams, which names it, and c <= 0 as a
+    # member outside is_logconcave; before the hull opens
     def message(draw):
         with pytest.raises(ValueError) as caught:
             draw()
         return str(caught.value)
 
     hull = tangent_hull(8, 1.0)
-    want = message(lambda: sample_tilted(TiltedParams(8, 1.0, c),
-                                         RngStream(1), hull))
-    assert message(lambda: sample_tilted(c, RngStream(1), hull)) == want
+    got = message(lambda: sample_tilted(c, RngStream(1), hull))
+    if math.isfinite(c):
+        assert not is_logconcave(TiltedParams(8, 1.0, c))
+        assert got == tilted._NOT_LOGCONCAVE
+    else:
+        assert got == message(lambda: TiltedParams(8, 1.0, c))
     assert hull.knots == []
 
 
-def test_rate_alone_without_a_hull_is_refused():
+def test_a_logconcave_member_without_its_hull_is_refused():
+    # only the small-shape members, which keep no hull, are drawn whole
     rng = RngStream(1)
     with pytest.raises(ValueError, match="needs its family's hull"):
-        sample_tilted(1.0, rng)
+        sample_tilted(TiltedParams(8, 1.0, 1.0), rng, None)
     assert rng.uniforms == []
 
 
 def test_tangent_hull_checks_the_family_once():
-    assert tangent_hull(8, 2.5).key == (8, 2.5)
     # the a < 1 members are not log-concave: they keep no hull
     assert tangent_hull(8, 0.5) is None
     with pytest.raises(ValueError, match="a must be positive"):
