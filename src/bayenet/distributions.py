@@ -27,6 +27,7 @@ them, or, when the mode or the width has moved too far from its knots,
 adopts a fixed hull from envelope.build_envelope, as an empty hull does
 at its first draw.  Every draw goes through a GigHull: the sweeps keep
 one per chain (kernels.u1_hull), and a single draw passes an empty one.
+The hull holds the order, so a draw passes sample_gig only (psi, chi).
 Its limits chi = 0 (a gamma law) and psi = 0 (an inverse gamma) are
 refused: u1, the one gig the sweeps draw, has psi > 0 and
 chi = rss + nu_b > 0.
@@ -223,12 +224,14 @@ class GigHull(PiecewiseExpEnvelope):
     cosh s_i - s_i sinh s_i are kept per knot from the last rebuild.
     cosh is convex, so the tangents lie above the log density at every
     omega > 0, and each draw stays exact: the hull depends only on
-    earlier draws.
+    earlier draws.  It holds the order lam, checked when it is made.
     """
 
     __slots__ = ("lam", "sinhs", "bends")
 
     def __init__(self, lam):
+        if not -_INF < lam < _INF:
+            require_finite(lam=lam)
         # empty: the first draw builds it
         self.lam = lam
         self.knots = []
@@ -276,20 +279,19 @@ class GigHull(PiecewiseExpEnvelope):
         self.reweigh()
 
 
-def sample_gig(lam, psi, chi, rng, hull):
-    """One draw of gig(lam, psi, chi) with psi > 0 and chi > 0.
+def sample_gig(psi, chi, rng, hull):
+    """One draw of gig(hull.lam, psi, chi) with psi > 0 and chi > 0.
 
     The draw goes through hull, a GigHull(lam) that earlier draws at
     other (psi, chi) may have fitted, or an empty one; it is exact
     whatever the hull holds.
     """
-    if not (-_INF < lam < _INF and 0.0 < psi < _INF and 0.0 < chi < _INF):
-        require_finite(lam=lam, psi=psi, chi=chi)
+    if not (0.0 < psi < _INF and 0.0 < chi < _INF):
+        require_finite(psi=psi, chi=chi)
         if not psi > 0.0:
             raise ValueError(f"psi must be positive, got {psi}")
         raise ValueError(f"chi must be positive, got {chi}")
-    if hull.lam != lam:
-        raise ValueError(f"hull is for lam = {hull.lam}, not {lam}")
+    lam = hull.lam
 
     # on s = log x - log(chi/psi)/2 the log density is lam s - omega cosh s
     log_psi, log_chi = math.log(psi), math.log(chi)

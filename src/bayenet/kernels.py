@@ -14,24 +14,24 @@ data-augmented); the algorithm is one of
   envelope.  The common sweep draws it between u2 and theta, the
   differential one last.  u2 and theta are correlated so strongly
   that their two blocks alone move lambda2 slowly.
-  Two blocks keep their hull across sweeps.  theta's conditional
-  changes from sweep to sweep only in its rate c, which moves none of
-  the tangents of its adaptive rejection hull, so each chain keeps one
-  hull for all its theta draws (theta_hull) and a draw reweighs it at
-  the new c instead of building one.  theta_hull checks the family
-  (p, L) once per chain, so each draw passes sample_tilted the
-  rate c alone and checks only that c is finite and positive.  At
-  L < 1 the draws are small-shape ones and keep no hull.  u1's gig
-  conditional keeps its order, and on its centred log scale only
-  omega = sqrt(psi chi) moves, which moves none of the crossings of its
-  hull's tangents, so each chain also keeps one gig hull (u1_hull, a
-  distributions.GigHull).  Its fit at each draw resets its tangents and
-  reweighs them, and rebuilds it only when the mode or width has moved
-  too far from its knots.  The draws stay exact: each is a rejection draw
-  under a hull that dominates its target and depends only on earlier
-  draws.  Both blocks take their hull from the caller, as run_sweep
-  takes the pair from run_chain: no block draws through a hull of its
-  own making.
+  Two blocks keep a hull across sweeps, made once per chain, which
+  holds what the chain fixes.  theta's conditional changes from sweep
+  to sweep only in its rate c, which moves none of the tangents of its
+  adaptive rejection hull, so each chain keeps one hull for all its
+  theta draws (theta_hull, which checks the family (p, L); at L < 1,
+  whose small-shape draws keep no hull, it is the family itself) and a
+  draw reweighs it at the new c instead of building one.  u1's gig
+  conditional keeps its order, which u1_hull (a distributions.GigHull)
+  holds, and on its centred log scale only omega = sqrt(psi chi)
+  moves, which moves none of the crossings of its hull's tangents.  Its
+  fit at each draw resets its tangents and reweighs them, and rebuilds
+  it only when the mode or width has moved too far from its knots.  So
+  each draw passes only what moves: sample_tilted the rate c,
+  sample_gig (psi, chi).  The draws stay exact: each is a rejection
+  draw under a hull that dominates its target and depends only on
+  earlier draws.  Both blocks take their hull from the caller, as
+  run_sweep takes the pair from run_chain: no block draws through a
+  hull of its own making.
 * "mh": beta (and tau2 in the augmented representation) keep
   their exact updates; sigma2, lambda1, lambda2 move by random-walk
   Metropolis on the log scale, with the Jacobian correction.  Each
@@ -99,7 +99,7 @@ from .model import (
     log_posterior_unnorm,
 )
 from .special import _SQRT2, _TAIL_CUT, log_std_normal_cdf
-from .tilted import TiltedParams, sample_tilted, tangent_hull
+from .tilted import sample_tilted, tangent_hull
 
 ALGORITHMS = ("rs", "mh")
 
@@ -283,19 +283,13 @@ def update_tau2(data, prior, state, rng):
     state.tau2 = sample_inverse_gaussian(mean, shape, rng)
 
 
-def _u1_order(data, prior):
-    """The order of u1's gig conditional, fixed for a chain."""
-    return prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)
-
-
 def update_u1_common(data, prior, state, sums, rng, hull):
     """u1 = sigma^2 under the common scaling: generalized inverse
     Gaussian, drawn through hull, the chain's u1_hull."""
     u2 = math.sqrt(state.lambda2 / state.sigma2)
     theta = state.lambda1 / (2.0 * state.sigma2 * u2)
     psi = u2 ** 2 * prior.nu2 + 2.0 * u2 * theta * prior.nu1
-    u1 = sample_gig(_u1_order(data, prior), psi, sums.rss + prior.nu_b, rng,
-                    hull)
+    u1 = sample_gig(psi, sums.rss + prior.nu_b, rng, hull)
     state.sigma2 = u1
     state.lambda1, state.lambda2 = 2.0 * theta * u2 * u1, u1 * u2 * u2
 
@@ -313,13 +307,11 @@ def update_u2_common(data, prior, state, sums, rng):
 def update_theta_common(data, prior, state, sums, rng, hull):
     """theta = lam1/(2 sigma sqrt(lam2)): tail-tilted conditional, not
     log-concave for L < 1.  hull is the chain's theta_hull, whose family
-    the chain checked once, so the draw passes the rate alone; at L < 1
-    it is None, and the draw passes the member (p, L, c) in full."""
+    the chain checked once, so the draw passes the rate alone."""
     u1 = state.sigma2
     u2 = math.sqrt(state.lambda2 / u1)
     c = u2 * (u1 * prior.nu1 + sums.b1)
-    theta = sample_tilted(
-        TiltedParams(data.p, prior.L, c) if hull is None else c, rng, hull)
+    theta = sample_tilted(c, rng, hull)
     state.lambda1 = 2.0 * theta * u2 * u1
 
 
@@ -349,8 +341,7 @@ def update_theta_differential(data, prior, state, sums, rng, hull):
     for L < 1; hull as in update_theta_common."""
     u2 = math.sqrt(state.lambda2)
     c = u2 * (sums.b1 / math.sqrt(state.sigma2) + 0.5 * prior.nu1)
-    theta = sample_tilted(
-        TiltedParams(data.p, prior.L, c) if hull is None else c, rng, hull)
+    theta = sample_tilted(c, rng, hull)
     state.lambda1 = theta * u2
 
 
@@ -418,29 +409,29 @@ def new_counts(algorithm):
 
 
 def theta_hull(data, prior):
-    """An empty hull for theta's draws in one chain, or None at L < 1,
-    whose small-shape draws keep none.  In both forms theta's
-    conditional is the tilted member (p, L, c), and only c moves from
-    sweep to sweep, so the tangents one draw adds serve the next.
-    tangent_hull checks the family (p, L) here, once per chain; each
-    draw checks only its rate c."""
+    """An empty hull for theta's draws in one chain, or at L < 1, whose
+    small-shape draws keep none, the family (p, L) itself.  In both
+    forms theta's conditional is the tilted member (p, L, c), and only c
+    moves from sweep to sweep, so the tangents one draw adds serve the
+    next.  tangent_hull checks the family (p, L) here, once per chain;
+    each draw checks only its rate c."""
     return tangent_hull(data.p, prior.L)
 
 
 def u1_hull(data, prior):
-    """An empty hull for u1's draws in one common-form chain: u1's gig
-    conditional keeps its order from sweep to sweep, and the tangents of
-    the gig on its centred log scale cross where no (psi, chi) moves
-    them."""
-    return GigHull(_u1_order(data, prior))
+    """An empty hull for u1's draws in one common-form chain.  u1's gig
+    conditional keeps its order R + L - (nu_a + n - 1)/2 from sweep to
+    sweep, and the hull holds it, checked here; the tangents of the gig
+    on its centred log scale cross where no (psi, chi) moves them."""
+    return GigHull(prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0))
 
 
-def run_sweep(algorithm, data, prior, state, rng, hulls, counts=None,
-              steps=(1.0,) * len(MH_SCALES)):
+def run_sweep(algorithm, data, prior, state, rng, hulls, counts, steps):
     """One full scan over all blocks; mutates and returns the state.
-    hulls is the chain's (theta_hull, u1_hull) pair, which the rejection
-    sweeps draw theta and u1 through; steps are the Metropolis log-scale
-    steps, in MH_SCALES order."""
+    Every per-chain argument comes from the caller, as run_chain makes
+    it: hulls is the chain's (theta_hull, u1_hull) pair, counts its
+    new_counts(algorithm), and steps its Metropolis log-scale steps, in
+    MH_SCALES order; the rejection sweeps read only hulls."""
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"algorithm must be one of {ALGORITHMS}, not {algorithm!r}")
@@ -465,8 +456,6 @@ def run_sweep(algorithm, data, prior, state, rng, hulls, counts=None,
                                       theta_kept)
             update_lambda2(data, prior, state, sums, rng)
     else:
-        if counts is None:
-            counts = new_counts(algorithm)
         mh_update_scales(data, prior, state, sums, steps, rng, counts)
     if not direct:
         # partially collapsed Gibbs: tau2 last, at the new scales
@@ -480,8 +469,9 @@ def run_chain(algorithm, data, prior, rng, iters=10000, burnin=100, thin=1):
     Burn-in sweep t of a Metropolis chain moves each scale's log step by
     (t + 1)^-1/2 (accepted - MH_TARGET); the kept sweeps run at the
     steps burn-in ends with, and only they count towards the acceptance.
-    The tuning draws no random numbers.  The kept hulls of theta's and
-    u1's draws are the chain's own (theta_hull, u1_hull), made here and
+    The tuning draws no random numbers.  run_sweep makes nothing of its
+    own: the hulls (theta_hull, u1_hull), which hold theta's family and
+    u1's order, and the Metropolis counts and steps are made here and
     dropped with the chain.  wall_ms and cpu_ms time the whole chain,
     burn-in included; cpu_ms is the calling thread's CPU time.
 

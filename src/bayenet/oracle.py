@@ -527,20 +527,22 @@ def _through_fresh_hull(kernel, hull):
     return lambda d, pr, st, sums, r: kernel(d, pr, st, sums, r, hull(d, pr))
 
 
-# each form's scale blocks; a line's substream is its index here, so a
-# block added at the end leaves every other line's draws unchanged
-_SCALE_CASES = {
-    "common": (("u1", _through_fresh_hull(update_u1_common, u1_hull)),
-               ("u2", update_u2_common),
-               ("theta", _through_fresh_hull(update_theta_common,
-                                             theta_hull)),
-               ("lambda2", update_lambda2)),
-    "differential": (("sigma2", update_sigma2_differential_rs),
-                     ("u2", update_u2_differential),
-                     ("theta", _through_fresh_hull(update_theta_differential,
-                                                   theta_hull)),
-                     ("lambda2", update_lambda2)),
-}
+def _scale_cases(form):
+    """The form's scale blocks, looked up by this module's names when
+    the suite runs; a line's substream is its index here, so a block
+    added at the end leaves every other line's draws unchanged."""
+    if form == "common":
+        return (("u1", _through_fresh_hull(update_u1_common, u1_hull)),
+                ("u2", update_u2_common),
+                ("theta", _through_fresh_hull(update_theta_common,
+                                              theta_hull)),
+                ("lambda2", update_lambda2))
+    return (("sigma2", update_sigma2_differential_rs),
+            ("u2", update_u2_differential),
+            ("theta", _through_fresh_hull(update_theta_differential,
+                                          theta_hull)),
+            ("lambda2", update_lambda2))
+
 
 # the sweep coordinate each slice frees; None for the natural lambda2
 _COORD_INDEX = {"u1": 0, "sigma2": 0, "u2": 1, "theta": 2, "lambda2": None}
@@ -570,7 +572,7 @@ def full_conditional_checks(n=10000, seed=0):
     for fi, form in enumerate(("common", "differential")):
         data, prior, state = kernel_check_setup(form, "direct")
         sums = coefficient_sums(data, state)
-        for ci, (which, kernel) in enumerate(_SCALE_CASES[form]):
+        for ci, (which, kernel) in enumerate(_scale_cases(form)):
             lp = scale_slice_log_density(data, prior, state, which)
             checks.append(_ks_line(
                 f"kernel-{form}-direct-{which}", n, root.substream(fi, 0, ci),
@@ -608,7 +610,7 @@ def distribution_ks_checks(n, rng):
          lambda x: -1.5 * np.log(x) - 1.3 * (x - 2.0) ** 2 / (8.0 * x),
          (1e-8, 1e3), lambda r: sample_inverse_gaussian([2.0], 1.3, r)[0]),
         ("gig", lambda x: -1.7 * np.log(x) - 0.5 * (1.1 * x + 2.3 / x),
-         (1e-8, 1e3), lambda r: sample_gig(-0.7, 1.1, 2.3, r, GigHull(-0.7))),
+         (1e-8, 1e3), lambda r: sample_gig(1.1, 2.3, r, GigHull(-0.7))),
         ("modified-half-normal-concave",
          lambda x: np.where(x > 0.0, 2.0 * np.log(np.maximum(x, 1e-300))
                             - 2.0 * x * x - 2.0 * x, -np.inf),
@@ -628,7 +630,8 @@ def distribution_ks_checks(n, rng):
     cases.append(("tilted-small-shape",
                   lambda y: y + _tilted_log_density(small, np.exp(y)),
                   (-200.0, 8.0),
-                  lambda r: math.log(sample_tilted(small, r, None))))
+                  lambda r: math.log(sample_tilted(
+                      small.c, r, tangent_hull(small.q, small.a)))))
     return checks + [_ks_line(f"ks-{name}", n, rng, draw,
                               lambda: auto_cdf(ld, bracket))
                      for name, ld, bracket, draw in cases]
@@ -650,7 +653,7 @@ def kept_hull_ks_checks(n, seed):
          lambda k, r: sample_tilted(p.c * k, r, theta_kept),
          lambda x: _tilted_log_density(p, x), (1e-8, 1e3)),
         ("ks-gig-kept-hull", 208, math.log(3.0),
-         lambda k, r: sample_gig(lam, psi * k, chi, r, u1_kept),
+         lambda k, r: sample_gig(psi * k, chi, r, u1_kept),
          lambda x: (lam - 1.0) * np.log(x) - 0.5 * (psi * x + chi / x),
          (1e-8, 1e4)),
     )

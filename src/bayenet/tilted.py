@@ -14,8 +14,9 @@ instead:
 * mode_bounds returns the closed-form bracket ((a-1)/c, (a-1+q)/c) of
   the mode, built from the two-sided hazard inequality
   x < phi(x)/Phi(-x) < x + 1/x.
-* sample_tilted draws exactly: log-concave members by adaptive
-  rejection sampling through their family's tangent_hull, and members
+* sample_tilted draws exactly from the rate c alone and what
+  tangent_hull made for the family (q, a): log-concave members by
+  adaptive rejection sampling through the family's hull, and members
   with 0 < a < 1 and c > 0 from one fixed hull on the log scale: a
   power law below a split, tangents above it (_sample_small_shape).
 * tangent_hull is the adaptive hull of the members (q, a, c) at every
@@ -26,9 +27,9 @@ instead:
   segments at the new c, and log f is evaluated only where the squeeze
   fails.  Each draw stays exact: it is a rejection draw under a hull
   that dominates its target, and the hull depends only on earlier
-  draws.  The hull checks its family when it is made, so every draw
-  through it passes sample_tilted the rate c alone, and only c is
-  checked per draw; a single draw passes a fresh hull.
+  draws.  It checks its family when it is made, and at a < 1, where no
+  hull is kept, returns the family itself; so only c is checked per
+  draw.  A single draw passes a fresh one.
 * log_density, dlog_density and d2log_density past the tail cut
   (special._TAIL_CUT) read -q x^2/2 - q log Phi(-x) as q log h(x) plus
   a constant, h the normal hazard, through _log_factor and the
@@ -160,32 +161,30 @@ def find_mode(p):
     return _bisect_root(df, lo, hi)
 
 
-# the refusal of a rate, or a small-shape member, outside is_logconcave
-# and its a = 1 twin's
+# the refusal of a rate outside is_logconcave, and outside its a = 1
+# twin's
 _NOT_LOGCONCAVE = "density not certified log-concave for these parameters"
 
 
-def sample_tilted(p, rng, hull):
-    """One exact draw from a member of the family, through its family's
-    hull: tangent_hull(q, a), which checked (q, a) once for all its
-    draws (a chain's theta draws: kernels.theta_hull).
+def sample_tilted(c, rng, hull):
+    """One exact draw of the member (q, a, c) of the family hull was
+    made for by tangent_hull(q, a), which checked (q, a) once for all
+    its draws (a chain's theta draws: kernels.theta_hull); only the rate
+    c is checked here, and it must be finite and positive.
 
-    p is the rate c alone, and the draw is that of the log-concave member
-    (q, a, c), by adaptive rejection through hull, which earlier draws at
-    other c may have refined; it is exact whatever the hull holds, and
-    only c is checked.  At a < 1 tangent_hull is None, and p is the
-    member in full, with c > 0, whose a = 1 twin is log-concave: it is
-    drawn by the small-shape sampler, which keeps no hull.
+    At a >= 1 the member is log-concave, and the draw is by adaptive
+    rejection through hull, which earlier draws at other c may have
+    refined; it is exact whatever the hull holds.  At a < 1 hull is the
+    family TiltedParams(q, a, 0), and the member, whose a = 1 twin is
+    log-concave, is drawn by the small-shape sampler, which keeps no
+    hull.
     """
-    if hull is None:
-        if p.a < 1.0 and p.c > 0.0:
-            return _sample_small_shape(p, rng)
-        raise ValueError(_NOT_LOGCONCAVE if p.a < 1.0
-                         else "a log-concave member needs its family's hull")
-    if not 0.0 < p < math.inf:
-        require_finite(c=p)
+    if not 0.0 < c < math.inf:
+        require_finite(c=c)
         raise ValueError(_NOT_LOGCONCAVE)
-    return ars_sample(hull, p, rng)
+    if isinstance(hull, TiltedParams):
+        return _sample_small_shape(TiltedParams(hull.q, hull.a, c), rng)
+    return ars_sample(hull, c, rng)
 
 
 def tangent_hull(q, a):
@@ -194,12 +193,12 @@ def tangent_hull(q, a):
     (envelope.TangentHull).  It opens at mode_bounds' knots and steps its
     right tail out to mode_bounds' upper end.  The family is checked
     here, once for every draw through the hull: q a positive integer and
-    a finite and positive.  At a < 1 it is None: those members are not
-    log-concave, and sample_tilted draws them by the small-shape
-    sampler, which keeps no hull."""
+    a finite and positive.  At a < 1 the members are not log-concave,
+    and sample_tilted draws them by the small-shape sampler, which keeps
+    no hull: it returns the family TiltedParams(q, a, 0) itself."""
     g = TiltedParams(q, a, 0.0)
     if a < 1.0:
-        return None
+        return g
 
     def seed(c):
         lo, hi = mode_bounds(TiltedParams(q, a, c))

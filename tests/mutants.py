@@ -39,8 +39,8 @@ MUTANTS = (
      "    c = u2 * (u1 * prior.nu1 + sums.b1)",
      "    c = u2 * (u1 * 0.5 * prior.nu1 + sums.b1)"),
     ("u1 gig order off by 1/2", "block", "kernels.py",
-     "return prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0)",
-     "return prior.R + prior.L - 0.5 * (prior.nu_a + data.n)"),
+     "GigHull(prior.R + prior.L - 0.5 * (prior.nu_a + data.n - 1.0))",
+     "GigHull(prior.R + prior.L - 0.5 * (prior.nu_a + data.n))"),
     ("common tau2 shape doubled", "block", "kernels.py",
      "lam1 * lam1 / (4.0 * lam2 * s2)",
      "lam1 * lam1 / (2.0 * lam2 * s2)"),
@@ -51,8 +51,11 @@ MUTANTS = (
      "data.xty + math.sqrt(state.sigma2) * noise)",
      "data.xty + state.sigma2 * noise)"),
     ("theta drawn at 1.1 times its rate", "block", "tilted.py",
-     "return ars_sample(hull, p, rng)",
-     "return ars_sample(hull, 1.1 * p, rng)"),
+     "return ars_sample(hull, c, rng)",
+     "return ars_sample(hull, 1.1 * c, rng)"),
+    ("small-shape theta drawn at 1.1 times its rate", "block", "tilted.py",
+     "_sample_small_shape(TiltedParams(hull.q, hull.a, c), rng)",
+     "_sample_small_shape(TiltedParams(hull.q, hull.a, 1.1 * c), rng)"),
     ("theta hull never re-tilts after its first rate", "hull",
      "envelope.py",
      "self.slopes = [m - c for m in self.g_slopes]",

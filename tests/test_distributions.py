@@ -299,7 +299,7 @@ def test_inverse_gaussian_float_draws_refuse_by_name():
 
 def _gig(lam, psi, chi, rng):
     """One gig draw through a fresh hull, as a chain's first u1 draw."""
-    return sample_gig(lam, psi, chi, rng, GigHull(lam))
+    return sample_gig(psi, chi, rng, GigHull(lam))
 
 
 def _gig_logpdf(lam, psi, chi):
@@ -388,7 +388,7 @@ def test_gig_hull_is_kept_across_omega_and_dominates(monkeypatch, lam):
         before = hull.knots
         inside = len(before) > 2 and before[1] < mode < before[-2]
         fits = inside and 2.0 <= (before[-2] - before[1]) / width <= 8.0
-        sample_gig(lam, omega, omega, rng, hull)
+        sample_gig(omega, omega, rng, hull)
         assert (hull.knots is before) == fits
         kept += fits
         mode_rebuilds += not inside
@@ -404,14 +404,6 @@ def test_gig_hull_is_kept_across_omega_and_dominates(monkeypatch, lam):
     assert builds[0] == mode_rebuilds + width_rebuilds
 
 
-def test_gig_hull_for_another_order_is_refused():
-    rng = RngStream(103, 21)
-    hull = GigHull(-8.0)
-    sample_gig(-8.0, 0.57, 159.0, rng, hull)
-    with pytest.raises(ValueError, match="hull is for lam = -8.0, not 2.5"):
-        sample_gig(2.5, 0.57, 159.0, rng, hull)
-
-
 def test_gig_hull_keeps_no_knots_past_the_sinh_range():
     # the mode asinh(1e305) = 703.3 puts knots where s sinh s nears
     # overflow: the hull keeps none, and each draw builds its own, the
@@ -419,7 +411,7 @@ def test_gig_hull_keeps_no_knots_past_the_sinh_range():
     hull = GigHull(1e5)
     kept, fresh = RngStream(103, 22), RngStream(103, 22)
     for _ in range(20):
-        x = sample_gig(1e5, 1e-300, 1e-300, kept, hull)
+        x = sample_gig(1e-300, 1e-300, kept, hull)
         assert hull.knots == []
         assert x == _gig(1e5, 1e-300, 1e-300, fresh)
 
@@ -454,6 +446,14 @@ def test_gig_validates():
         _gig(1.0, 1e-320, 1e-300, rng)
     with pytest.raises(EnvelopeError, match="hull mass is not finite"):
         _gig(1e-300, 5e-324, 5e-324, rng)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_gig_hull_refuses_a_non_finite_order_by_name(lam):
+    # the order is the hull's, checked once when it is made: no draw
+    # can pass another
+    with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+        GigHull(lam)
 
 
 def _mhn_logpdf(a, b, c):

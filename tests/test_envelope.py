@@ -210,7 +210,7 @@ def test_rejection_failures_name_the_target(monkeypatch):
     # a gig hull that kept no knots past |s| = 700 still proposes from
     # the 9 segments of the hull it adopted
     hull = GigHull(1e5)
-    sample_gig(1e5, 1e-300, 1e-300, RngStream(3, 2), hull)
+    sample_gig(1e-300, 1e-300, RngStream(3, 2), hull)
     assert hull.knots == []
     monkeypatch.setattr(envelope, "_ENVELOPE_MAX_PROPOSALS", 0)
     monkeypatch.setattr(envelope, "_ARS_MAX_PROPOSALS", 0)

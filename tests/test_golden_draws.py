@@ -1,6 +1,7 @@
 """Frozen draws: a short chain of every sampler on design 1 must
-reproduce the committed fixture, and one of each augmented sampler on
-design 3 (p = 40) its own.
+reproduce the committed fixture, one of each augmented sampler on
+design 3 (p = 40) its own, and one of each rejection sampler on design
+1 with L = 0.5, whose theta draws are small-shape ones, its own.
 
 Refactors that claim to keep behaviour are checked against this file.
 The chains are short on purpose: rounding differences between two
@@ -11,7 +12,7 @@ the draws of some samplers regenerates their rows with
     PYTHONPATH=src python tests/test_golden_draws.py [SAMPLER ...]
 
 which rewrites only the named samplers' rows (all of them if none is
-named), in both fixtures, and keeps every other row byte for byte.  It
+named), in every fixture, and keeps every other row byte for byte.  It
 first prints, for each sampler, how many of its rows differ from the
 committed file and their largest relative difference, and whether that
 is within RTOL: a stream that moved differs far beyond it, while a
@@ -34,27 +35,32 @@ from bayenet.simulate import design, generate_dataset
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE = os.path.join(DATA, "golden_draws.csv")
 WIDE_FIXTURE = os.path.join(DATA, "golden_draws_wide.csv")
+SMALL_SHAPE_FIXTURE = os.path.join(DATA, "golden_draws_small_shape.csv")
 SEED = 20250101
 RTOL = 1e-9
-# fixture -> (design, preset, sweeps, samplers).  On design 3, p = 40 is
-# past model.LATENT_FLOAT_MAX, so the augmented samplers' coefficient
-# sums there take numpy's reductions, and their latent draw runs over
-# 40 means
+# fixture -> (design, preset, explicit prior values, sweeps, samplers).
+# On design 3, p = 40 is past model.LATENT_FLOAT_MAX, so the augmented
+# samplers' coefficient sums there take numpy's reductions, and their
+# latent draw runs over 40 means.  At L = 0.5 < 1 every theta draw of
+# the rejection samplers takes tilted's small-shape sampler, which the
+# presets (L = 1 and L = 6) never reach
 PINS = {
-    FIXTURE: (1, "weak", 25, SAMPLERS),
-    WIDE_FIXTURE: (3, "strong", 8,
+    FIXTURE: (1, "weak", {}, 25, SAMPLERS),
+    WIDE_FIXTURE: (3, "strong", {}, 8,
                    tuple(s for s in SAMPLERS if s.endswith("-da"))),
+    SMALL_SHAPE_FIXTURE: (1, "weak", {"L": 0.5}, 25,
+                          tuple(s for s in SAMPLERS if s.startswith("rs-"))),
 }
 
 
 def golden_chain(kind_index, fixture):
     """Draws (beta, sigma2, lambda1, lambda2) of one sampler on the
     fixture's design."""
-    d, preset, sweeps, _ = PINS[fixture]
+    d, preset, values, sweeps, _ = PINS[fixture]
     algorithm, form, representation = parse_sampler(SAMPLERS[kind_index])
     y, X = generate_dataset(design(d), RngStream(SEED, 0))
     data = RegressionData(y, X)
-    prior = make_prior(form, representation, preset=preset)
+    prior = make_prior(form, representation, preset=preset, **values)
     out = run_chain(algorithm, data, prior, RngStream(SEED, (d, kind_index)),
                     iters=sweeps, burnin=0)
     return out.draws[:, :data.p + 3], out.parameter_names[:data.p + 3]
@@ -73,7 +79,7 @@ def read_fixture(fixture):
 def fixture_rows(fixture):
     """The fixture's rows as written: a header, then each sampler's."""
     rows = []
-    for label in PINS[fixture][3]:
+    for label in PINS[fixture][4]:
         draws, names = golden_chain(SAMPLERS.index(label), fixture)
         if not rows:
             rows.append(["sampler", "sweep"] + names)
@@ -145,7 +151,7 @@ def write_fixture(samplers=SAMPLERS):
     if unknown:
         raise SystemExit(f"unknown samplers: {', '.join(unknown)}; "
                          f"choose from {', '.join(SAMPLERS)}")
-    for fixture, (_, _, _, pinned) in PINS.items():
+    for fixture, (*_, pinned) in PINS.items():
         print(os.path.basename(fixture))
         rows = fixture_rows(fixture)
         old = []
@@ -213,10 +219,15 @@ def test_golden_draws(kind_index):
     _check_golden(kind_index, FIXTURE)
 
 
-@pytest.mark.parametrize("label", PINS[WIDE_FIXTURE][3])
+@pytest.mark.parametrize("label", PINS[WIDE_FIXTURE][4])
 def test_golden_draws_past_the_float_cut(label):
     names = _check_golden(SAMPLERS.index(label), WIDE_FIXTURE)
     assert len(names) - 3 > LATENT_FLOAT_MAX
+
+
+@pytest.mark.parametrize("label", PINS[SMALL_SHAPE_FIXTURE][4])
+def test_golden_draws_on_the_small_shape_theta_path(label):
+    _check_golden(SAMPLERS.index(label), SMALL_SHAPE_FIXTURE)
 
 
 if __name__ == "__main__":

@@ -81,6 +81,18 @@ def fresh_hulls(data, prior):
     return kernels.theta_hull(data, prior), kernels.u1_hull(data, prior)
 
 
+# the Metropolis log-scale steps a chain starts from
+UNIT_STEPS = (1.0,) * len(MH_SCALES)
+
+
+def fresh_chain(algorithm, data, prior):
+    """run_sweep's per-chain arguments, new, as run_chain makes them
+    before its first sweep: the (theta, u1) hull pair, the Metropolis
+    counts and the unit steps."""
+    return (fresh_hulls(data, prior), kernels.new_counts(algorithm),
+            UNIT_STEPS)
+
+
 def with_fresh_hull(block, hull):
     """The theta or u1 block, drawn at each call through a new
     hull(data, prior), as at a chain's first sweep."""
@@ -120,7 +132,8 @@ def frozen(form, representation):
         state = initial_state(data, prior)
         rng = RngStream(42, COMBOS.index(key))
         for _ in range(30):
-            run_sweep("rs", data, prior, state, rng, fresh_hulls(data, prior))
+            run_sweep("rs", data, prior, state, rng,
+                      *fresh_chain("rs", data, prior))
         _FROZEN[key] = (data, prior, state)
     data, prior, state = _FROZEN[key]
     return data, prior, clone(state)
@@ -327,7 +340,8 @@ def design3_direct(form, seed):
     state = initial_state(data, prior)
     rng = RngStream(seed, 1)
     for _ in range(3):
-        run_sweep("rs", data, prior, state, rng, fresh_hulls(data, prior))
+        run_sweep("rs", data, prior, state, rng,
+                  *fresh_chain("rs", data, prior))
     return data, prior, state, rng
 
 
@@ -429,7 +443,7 @@ def test_direct_scan_is_the_reference_scan_bit_for_bit(form, monkeypatch):
             rng = RngStream(7, (d, 1))
             for _ in range(5):
                 run_sweep(algorithm, data, prior, state, rng,
-                          fresh_hulls(data, prior))
+                          *fresh_chain(algorithm, data, prior))
             fast, ref = clone(state), clone(state)
             fast_rng, ref_rng = copy.deepcopy(rng), copy.deepcopy(rng)
             for _ in range(5):
@@ -490,7 +504,7 @@ def test_coefficient_sums_are_the_matmul_sums_bit_for_bit(label):
         rng = RngStream(7, (d, 3))
         for _ in range(20):
             run_sweep(algorithm, data, prior, state, rng,
-                      fresh_hulls(data, prior))
+                      *fresh_chain(algorithm, data, prior))
             got = coefficient_sums(data, state)
             reference = (reference_float_coefficient_sums
                          if data.p <= LATENT_FLOAT_MAX
@@ -632,7 +646,7 @@ def test_sweep_keeps_latent_scales_in_range(label):
     rng = RngStream(707, 3)
     for _ in range(5):
         run_sweep(algorithm, data, prior, state, rng,
-                  fresh_hulls(data, prior))
+                  *fresh_chain(algorithm, data, prior))
         if representation == "da":
             assert state.tau2 is not None
             assert np.all((state.tau2 > 0) & (state.tau2 < math.inf))
@@ -646,7 +660,8 @@ def test_latent_update_stores_the_inverse_gaussian_draw(form):
     data, prior, state = frozen(form, "da")
     rng = RngStream(508, 0)
     for _ in range(5):
-        run_sweep("rs", data, prior, state, rng, fresh_hulls(data, prior))
+        run_sweep("rs", data, prior, state, rng,
+                  *fresh_chain("rs", data, prior))
         l1, l2, s2 = state.lambda1, state.lambda2, state.sigma2
         mag = np.abs(state.beta)
         if form == "common":
@@ -735,7 +750,7 @@ def _sweep_calls(monkeypatch, algorithm, prior):
         monkeypatch.setattr(kernels, name, recording)
     data = make_data()
     run_sweep(algorithm, data, prior, initial_state(data, prior),
-              RngStream(12, 0), fresh_hulls(data, prior))
+              RngStream(12, 0), *fresh_chain(algorithm, data, prior))
     return calls
 
 
@@ -798,17 +813,19 @@ def test_each_chain_keeps_its_own_theta_hull(label):
 
 @pytest.mark.parametrize("form", ["common", "differential"])
 def test_small_shape_theta_keeps_no_hull(form, monkeypatch):
-    # at L < 1 the chain keeps no theta hull, and each draw is the
-    # small-shape one of the member (p, L, c)
+    # at L < 1 the chain keeps no theta hull: what it keeps is the
+    # family (p, L) itself, and each draw is the small-shape one of the
+    # member (p, L, c)
     data = make_data()
     prior = make_prior(form, "direct", L=0.5, nu1=1.0, R=1.0, nu2=1.0)
-    assert kernels.theta_hull(data, prior) is None
+    assert kernels.theta_hull(data, prior) == tilted.TiltedParams(
+        data.p, 0.5, 0.0)
     seen = []
     monkeypatch.setattr(tilted, "_sample_small_shape",
                         lambda p, rng: seen.append(p) or 1.0)
     state = initial_state(data, prior)
     run_sweep("rs", data, prior, state, RngStream(14, 0),
-              fresh_hulls(data, prior))
+              *fresh_chain("rs", data, prior))
     assert [(p.q, p.a) for p in seen] == [(data.p, 0.5)]
     assert seen[0].c > 0.0
 
@@ -880,8 +897,8 @@ def test_gig_hull_builds_per_chain_are_pinned(monkeypatch):
     assert hulls_built() == {"rs-common-direct": 11, "rs-common-da": 9}
     # each draw through a fresh hull of the chain's order
     monkeypatch.setattr(
-        kernels, "sample_gig", lambda lam, psi, chi, rng, hull:
-        distributions.sample_gig(lam, psi, chi, rng, GigHull(lam)))
+        kernels, "sample_gig", lambda psi, chi, rng, hull:
+        distributions.sample_gig(psi, chi, rng, GigHull(hull.lam)))
     assert hulls_built() == {"rs-common-direct": 500, "rs-common-da": 500}
 
 
@@ -933,7 +950,7 @@ def test_run_sweep_refuses_an_unknown_algorithm(rep):
     before = clone(state)
     with pytest.raises(ValueError, match="algorithm must be one of .*'gibbs'"):
         run_sweep("gibbs", data, prior, state, rng, fresh_hulls(data, prior),
-                  counts={})
+                  {}, UNIT_STEPS)
     assert state.beta.tobytes() == before.beta.tobytes()
     assert rng.gen.random() == RngStream(1, 2).gen.random()
 
@@ -964,7 +981,8 @@ def test_no_burn_in_keeps_unit_steps(form, rep):
     assert out.mh_steps == {name: 1.0 for name in MH_SCALES}
     state, rng = initial_state(data, prior), RngStream(5, 1)
     for row in out.draws:
-        run_sweep("mh", data, prior, state, rng, fresh_hulls(data, prior))
+        run_sweep("mh", data, prior, state, rng,
+                  *fresh_chain("mh", data, prior))
         assert row[:data.p + 3].tobytes() == np.array(
             [*state.beta, state.sigma2, state.lambda1,
              state.lambda2]).tobytes()
@@ -1026,7 +1044,7 @@ def test_burn_in_tunes_steps_then_freezes_them(form, rep, monkeypatch):
     redrawn = []
     for it in range(iters * thin):
         run_sweep("mh", data, prior, state, rng, fresh_hulls(data, prior),
-                  None, reported)
+                  kernels.new_counts("mh"), reported)
         if it % thin == 0:
             redrawn.append([*state.beta, state.sigma2, state.lambda1,
                             state.lambda2])

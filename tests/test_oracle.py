@@ -437,6 +437,28 @@ def test_validation_suite_reports_injected_mutation(validate_quick_mutant):
     assert all(c.passed for c in others)
 
 
+def test_conditional_lines_draw_through_the_oracles_kernel_names(
+        monkeypatch):
+    # the lines look each kernel up by oracle's module names when the
+    # suite runs, not when the module loads, so a patch of a name, as the
+    # benchmark's tracer makes, sees every draw of its line: n = 1000 per
+    # scale line, and 2000 for lambda2 and tau2, drawn in both forms
+    want = {"update_u1_common": 1000, "update_u2_common": 1000,
+            "update_theta_common": 1000,
+            "update_sigma2_differential_rs": 1000,
+            "update_u2_differential": 1000,
+            "update_theta_differential": 1000,
+            "update_lambda2": 2000, "update_tau2": 2000}
+    calls = dict.fromkeys(want, 0)
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(oracle, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    oracle.full_conditional_checks(n=1000, seed=0)
+    assert calls == want
+
+
 SLICE_CASES = [("common", rep, w)
                for rep in ("direct", "da") for w in ("u1", "u2", "theta")]
 SLICE_CASES += [("differential", rep, w)

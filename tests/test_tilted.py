@@ -202,10 +202,9 @@ def test_property_suite_flags_an_upper_bound_below_the_mode(monkeypatch):
 
 def _draw(p, rng):
     """One draw of the member p as a chain's first theta draw makes it:
-    its rate alone through a fresh tangent_hull, or, at a < 1, where
-    there is none, the member whole."""
-    hull = tangent_hull(p.q, p.a)
-    return sample_tilted(p if hull is None else p.c, rng, hull)
+    its rate alone, with a fresh tangent_hull of its family (at a < 1,
+    the family itself)."""
+    return sample_tilted(p.c, rng, tangent_hull(p.q, p.a))
 
 
 def test_boundary_mode_member_still_samples():
@@ -442,35 +441,34 @@ def test_kept_hull_draws_at_small_rates(q, c):
 
 @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_rate_alone_is_refused_with_the_full_paths_message(c):
-    # the rate alone is refused as the member (8, 1, c) in full is: a
+    # the rate alone is refused as the member (8, a, c) in full is: a
     # non-finite c by TiltedParams, which names it, and c <= 0 as a
-    # member outside is_logconcave; before the hull opens
+    # member outside is_logconcave, whose a = 1 twin is outside it too;
+    # before the hull opens or a variate is drawn, on the log-concave
+    # family's hull and on the small-shape family alike
     def message(draw):
         with pytest.raises(ValueError) as caught:
             draw()
         return str(caught.value)
 
-    hull = tangent_hull(8, 1.0)
-    got = message(lambda: sample_tilted(c, RngStream(1), hull))
-    if math.isfinite(c):
-        assert not is_logconcave(TiltedParams(8, 1.0, c))
-        assert got == tilted._NOT_LOGCONCAVE
-    else:
-        assert got == message(lambda: TiltedParams(8, 1.0, c))
-    assert hull.knots == []
-
-
-def test_a_logconcave_member_without_its_hull_is_refused():
-    # only the small-shape members, which keep no hull, are drawn whole
-    rng = RngStream(1)
-    with pytest.raises(ValueError, match="needs its family's hull"):
-        sample_tilted(TiltedParams(8, 1.0, 1.0), rng, None)
-    assert rng.uniforms == []
+    for a in (1.0, 0.5):
+        hull = tangent_hull(8, a)
+        rng = RngStream(1)
+        got = message(lambda: sample_tilted(c, rng, hull))
+        if math.isfinite(c):
+            assert not is_logconcave(TiltedParams(8, 1.0, c))
+            assert got == tilted._NOT_LOGCONCAVE
+        else:
+            assert got == message(lambda: TiltedParams(8, a, c))
+        assert rng.uniforms == []
+        if a == 1.0:
+            assert hull.knots == []
 
 
 def test_tangent_hull_checks_the_family_once():
-    # the a < 1 members are not log-concave: they keep no hull
-    assert tangent_hull(8, 0.5) is None
+    # the a < 1 members are not log-concave: they keep no hull, and
+    # tangent_hull returns their family, checked, for sample_tilted
+    assert tangent_hull(8, 0.5) == TiltedParams(8, 0.5, 0.0)
     with pytest.raises(ValueError, match="a must be positive"):
         tangent_hull(8, 0.0)
     with pytest.raises(ValueError, match="a must be finite"):
